@@ -63,15 +63,56 @@ constexpr std::uint64_t kDatasetBytes = 300 * kMB;
 constexpr std::uint64_t kReadBytes = 512 * kKB; // producer request size
 constexpr std::uint32_t kCatalogItems = 500;
 
-const apps::DatasetParams &
-datasetParams()
+/**
+ * Source of the dataset chunks every loader writes. The default table
+ * loads the same seeded 300 MB into each of its fifteen configurations,
+ * so main() turns on memoization for it and each chunk is generated
+ * once per process. Other modes, whose datasets grow with the drive
+ * count, keep generating chunks on demand. A chunk depends only on
+ * (seed, index), so a memoized chunk is byte-identical to a fresh one.
+ */
+class DatasetChunks
 {
-    static apps::DatasetParams params = [] {
-        apps::DatasetParams p;
-        p.catalog_items = kCatalogItems;
-        return p;
-    }();
-    return params;
+  public:
+    DatasetChunks()
+        : gen_([] {
+              apps::DatasetParams p;
+              p.catalog_items = kCatalogItems;
+              return p;
+          }())
+    {}
+
+    /** Keep every chunk generated from now on for the process's life. */
+    void memoize() { memoize_ = true; }
+
+    /** Chunk @p index. Without memoization the bytes stay valid until
+     *  the next get(). */
+    std::span<const std::uint8_t>
+    get(std::uint64_t index)
+    {
+        if (!memoize_) {
+            scratch_ = gen_.chunk(index);
+            return scratch_;
+        }
+        if (index >= memo_.size())
+            memo_.resize(index + 1);
+        if (memo_[index].empty())
+            memo_[index] = gen_.chunk(index);
+        return memo_[index];
+    }
+
+  private:
+    apps::TransactionGenerator gen_;
+    bool memoize_ = false;
+    std::vector<std::uint8_t> scratch_;
+    std::vector<std::vector<std::uint8_t>> memo_;
+};
+
+DatasetChunks &
+datasetChunks()
+{
+    static DatasetChunks chunks;
+    return chunks;
 }
 
 /** Mining worker: scan [first_chunk, ...) with stride, reading through
@@ -242,12 +283,11 @@ runNasd(int n, std::uint64_t dataset_bytes = kDatasetBytes,
     pfs::PfsClient loader(net, loader_node, manager, raw);
     auto handle =
         bench::runFor(sim, loader.open("sales", true, true)).value();
-    apps::TransactionGenerator gen(datasetParams());
     const std::uint64_t chunks = dataset_bytes / apps::kChunkBytes;
     for (std::uint64_t c = 0; c < chunks; ++c) {
         auto w = bench::runFor(
             sim, loader.write(handle, c * apps::kChunkBytes,
-                              gen.chunk(c)));
+                              datasetChunks().get(c)));
         (void)w;
     }
     // Push write-behind data to media before the timed scan.
@@ -404,7 +444,6 @@ runNfs(int n, bool parallel_files)
 
     // Ten clients, as in the paper's configuration.
     const int n_clients = 10;
-    apps::TransactionGenerator gen(datasetParams());
     const std::uint64_t chunks = kDatasetBytes / apps::kChunkBytes;
 
     // Load data directly into the volumes (setup, untimed).
@@ -424,8 +463,9 @@ runNfs(int n, bool parallel_files)
                                           : 0);
             for (std::uint64_t c = 0; c < per_client; ++c) {
                 auto w = bench::runFor(
-                    sim, vol.write(ino.value(), c * apps::kChunkBytes,
-                                   gen.chunk(c * n_clients + i)));
+                    sim,
+                    vol.write(ino.value(), c * apps::kChunkBytes,
+                              datasetChunks().get(c * n_clients + i)));
                 (void)w;
             }
             files.push_back(fs::NfsFileHandle{
@@ -438,7 +478,7 @@ runNfs(int n, bool parallel_files)
         for (std::uint64_t c = 0; c < chunks; ++c) {
             auto w = bench::runFor(
                 sim, vol.write(ino.value(), c * apps::kChunkBytes,
-                               gen.chunk(c)));
+                               datasetChunks().get(c)));
             (void)w;
         }
         files.push_back(fs::NfsFileHandle{0, ino.value()});
@@ -634,10 +674,10 @@ runKillDrive()
         bench::runFor(sim, control.create(kSu, kWidth, kObjectBytes,
                                           cheops::Redundancy::kParity))
             .value();
-    apps::TransactionGenerator gen(datasetParams());
     for (std::uint64_t c = 0; c < kObjectBytes / apps::kChunkBytes; ++c) {
         auto w = bench::runFor(
-            sim, control.write(id, c * apps::kChunkBytes, gen.chunk(c)));
+            sim, control.write(id, c * apps::kChunkBytes,
+                               datasetChunks().get(c)));
         NASD_ASSERT(w.ok(), "kill-drive: load write failed");
     }
     for (auto *d : raw)
@@ -1331,6 +1371,7 @@ main(int argc, char **argv)
                     slow_drive, slow_factor);
     }
 
+    datasetChunks().memoize();
     apps::ItemCounts reference;
     bool counts_agree = true;
     for (const int n : {1, 2, 4, 6, 8}) {

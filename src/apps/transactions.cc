@@ -1,38 +1,80 @@
 #include "apps/transactions.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 
-#include "util/codec.h"
 #include "util/logging.h"
 
 namespace nasd::apps {
+
+namespace {
+
+/** Store @p value little-endian at @p dst. */
+template <typename T>
+void
+storeLe(std::uint8_t *dst, T value)
+{
+    for (std::size_t i = 0; i < sizeof(T); ++i)
+        dst[i] = static_cast<std::uint8_t>(
+            static_cast<std::uint64_t>(value) >> (i * 8));
+}
+
+/** Load a little-endian T from @p src. On little-endian hosts that is
+ *  one unaligned load; the byte loop would cost the mining kernel a
+ *  dozen shifts per field. */
+template <typename T>
+T
+loadLe(const std::uint8_t *src)
+{
+    if constexpr (std::endian::native == std::endian::little) {
+        T value;
+        std::memcpy(&value, src, sizeof(T));
+        return value;
+    } else {
+        std::uint64_t value = 0;
+        for (std::size_t i = 0; i < sizeof(T); ++i)
+            value |= static_cast<std::uint64_t>(src[i]) << (i * 8);
+        return static_cast<T>(value);
+    }
+}
+
+// Record layout: txn_id, store_id, item_count, items, zero padding.
+constexpr std::size_t kStoreIdAt = 8;
+constexpr std::size_t kItemCountAt = 12;
+constexpr std::size_t kItemsAt = 13;
+constexpr std::size_t kPadAt =
+    kItemsAt + 4 * TransactionRecord::kMaxItems;
+static_assert(kPadAt <= TransactionRecord::kBytes);
+
+} // namespace
 
 void
 encodeRecord(const TransactionRecord &record, std::span<std::uint8_t> out)
 {
     NASD_ASSERT(out.size() >= TransactionRecord::kBytes);
-    std::vector<std::uint8_t> buf;
-    util::Encoder enc(buf);
-    enc.put<std::uint64_t>(record.txn_id);
-    enc.put<std::uint32_t>(record.store_id);
-    enc.put<std::uint8_t>(record.item_count);
+    std::uint8_t *p = out.data();
+    storeLe(p, record.txn_id);
+    storeLe(p + kStoreIdAt, record.store_id);
+    p[kItemCountAt] = record.item_count;
     for (std::size_t i = 0; i < TransactionRecord::kMaxItems; ++i)
-        enc.put<std::uint32_t>(record.items[i]);
-    enc.padTo(TransactionRecord::kBytes);
-    std::copy(buf.begin(), buf.end(), out.begin());
+        storeLe(p + kItemsAt + 4 * i, record.items[i]);
+    std::fill(p + kPadAt, p + TransactionRecord::kBytes, std::uint8_t{0});
 }
 
 TransactionRecord
 decodeRecord(std::span<const std::uint8_t> in)
 {
     NASD_ASSERT(in.size() >= TransactionRecord::kBytes);
-    util::Decoder dec(in);
+    const std::uint8_t *p = in.data();
     TransactionRecord record;
-    record.txn_id = dec.get<std::uint64_t>();
-    record.store_id = dec.get<std::uint32_t>();
-    record.item_count = dec.get<std::uint8_t>();
+    record.txn_id = loadLe<std::uint64_t>(p);
+    record.store_id = loadLe<std::uint32_t>(p + kStoreIdAt);
+    // A corrupt count byte must not send readers past items[].
+    record.item_count = std::min<std::uint8_t>(
+        p[kItemCountAt], TransactionRecord::kMaxItems);
     for (std::size_t i = 0; i < TransactionRecord::kMaxItems; ++i)
-        record.items[i] = dec.get<std::uint32_t>();
+        record.items[i] = loadLe<std::uint32_t>(p + kItemsAt + 4 * i);
     return record;
 }
 

@@ -43,7 +43,8 @@ inline constexpr std::uint64_t kRecordsPerChunk =
 void encodeRecord(const TransactionRecord &record,
                   std::span<std::uint8_t> out);
 
-/** Decode one record from kBytes at @p in. */
+/** Decode one record from kBytes at @p in. item_count is clamped to
+ *  kMaxItems, so a corrupt record never indexes past items[]. */
 TransactionRecord decodeRecord(std::span<const std::uint8_t> in);
 
 /** Configuration of the synthetic dataset. */

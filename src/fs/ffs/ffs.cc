@@ -282,17 +282,16 @@ FfsFileSystem::readBlocks(Inode &inode, std::uint64_t offset,
     // Sequential stream detection: match this read against the
     // file's stream table.
     Inode::Stream *stream = nullptr;
-    for (auto &s : inode.streams) {
-        if (s.last_end == offset) {
-            stream = &s;
+    for (std::size_t i = 0; i < inode.stream_count; ++i) {
+        if (inode.streams[i].last_end == offset) {
+            stream = &inode.streams[i];
             break;
         }
     }
     bool established = stream != nullptr && offset != 0;
     if (stream == nullptr) {
-        if (inode.streams.size() < kStreamSlots) {
-            inode.streams.emplace_back();
-            stream = &inode.streams.back();
+        if (inode.stream_count < kStreamSlots) {
+            stream = &inode.streams[inode.stream_count++];
         } else {
             // Too many concurrent streams: evict the stalest tracker.
             stats_.readahead_defeats.add();

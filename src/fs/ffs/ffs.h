@@ -24,6 +24,7 @@
 #ifndef NASD_FS_FFS_FFS_H_
 #define NASD_FS_FFS_FFS_H_
 
+#include <array>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -175,6 +176,9 @@ class FfsFileSystem
     std::uint64_t freeBlocks() const;
 
   private:
+    /// Stream trackers per file before readahead starts thrashing.
+    static constexpr std::size_t kStreamSlots = 8;
+
     struct Inode
     {
         bool valid = false;
@@ -200,11 +204,12 @@ class FfsFileSystem
             std::uint64_t prefetch_end = 0;
             std::uint64_t last_use = 0;
         };
-        std::vector<Stream> streams;
+        /// A fixed table: a reader holds its Stream* across co_await,
+        /// so the trackers must never move. The first stream_count
+        /// are in use.
+        std::array<Stream, kStreamSlots> streams{};
+        std::size_t stream_count = 0;
     };
-
-    /// Stream trackers per file before readahead starts thrashing.
-    static constexpr std::size_t kStreamSlots = 8;
 
     /** LRU set of resident fs blocks (timing only). */
     class BlockCache

@@ -12,6 +12,7 @@
 #ifndef NASD_UTIL_RNG_H_
 #define NASD_UTIL_RNG_H_
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
@@ -123,17 +124,26 @@ class Rng
  *
  * Used by the retail-transaction workload generator: item popularity in
  * sales data is heavy-tailed, which is what makes frequent-itemset
- * mining interesting. Precomputes the CDF once; sampling is a binary
- * search.
+ * mining interesting. Precomputes the CDF once; sampling inverts it
+ * with a guide table (Chen & Asau indexed search): the unit interval
+ * is cut into kGuideBuckets equal buckets, and guide_[b] holds the
+ * first rank whose CDF value falls in bucket b or later. A draw starts
+ * at its bucket's guide and scans forward, which averages about one
+ * comparison and returns exactly the rank a binary search over the CDF
+ * would: the smallest i with cdf_[i] >= u, clamped to n - 1.
  */
 class ZipfSampler
 {
   public:
+    /** Buckets of the guide table. */
+    static constexpr std::size_t kGuideBuckets = 2048;
+
     /**
      * @param n Number of distinct values (ranks).
      * @param theta Skew; 0 = uniform, ~0.99 = classic Zipf.
      */
-    ZipfSampler(std::size_t n, double theta) : cdf_(n)
+    ZipfSampler(std::size_t n, double theta)
+        : cdf_(n), guide_(kGuideBuckets + 1)
     {
         NASD_ASSERT(n > 0);
         double sum = 0.0;
@@ -143,29 +153,51 @@ class ZipfSampler
         }
         for (auto &v : cdf_)
             v /= sum;
+        // bucket() is monotone and the CDF is nondecreasing, so one
+        // forward pass fills every guide.
+        std::size_t i = 0;
+        for (std::size_t b = 0; b <= kGuideBuckets; ++b) {
+            while (i < n - 1 && bucket(cdf_[i]) < b)
+                ++i;
+            guide_[b] = i;
+        }
     }
 
     /** Draw a rank in [0, n); rank 0 is the most popular. */
+    std::size_t sample(Rng &rng) const { return rankOf(rng.uniform()); }
+
+    /**
+     * The rank a uniform draw @p u in [0, 1) maps to: the smallest i
+     * with cdf_[i] >= u, or n - 1 if there is none. Every rank before
+     * guide_[bucket(u)] has a CDF value in an earlier bucket, hence
+     * below u, so the scan skips no candidate.
+     */
     std::size_t
-    sample(Rng &rng) const
+    rankOf(double u) const
     {
-        const double u = rng.uniform();
-        std::size_t lo = 0;
-        std::size_t hi = cdf_.size() - 1;
-        while (lo < hi) {
-            const std::size_t mid = lo + (hi - lo) / 2;
-            if (cdf_[mid] < u)
-                lo = mid + 1;
-            else
-                hi = mid;
-        }
-        return lo;
+        std::size_t i = guide_[bucket(u)];
+        while (i < cdf_.size() - 1 && cdf_[i] < u)
+            ++i;
+        return i;
     }
 
     std::size_t size() const { return cdf_.size(); }
 
+    /** The precomputed CDF; cdf()[i] is P(rank <= i). */
+    const std::vector<double> &cdf() const { return cdf_; }
+
   private:
+    /** min(floor(x * kGuideBuckets), kGuideBuckets) for x >= 0; the
+     *  product is exact because kGuideBuckets is a power of two. */
+    static std::size_t
+    bucket(double x)
+    {
+        return std::min(static_cast<std::size_t>(x * kGuideBuckets),
+                        kGuideBuckets);
+    }
+
     std::vector<double> cdf_;
+    std::vector<std::size_t> guide_;
 };
 
 } // namespace nasd::util

@@ -13,6 +13,7 @@
 #include "apps/frequent_sets.h"
 #include "apps/transactions.h"
 #include "cost/cost_model.h"
+#include "crypto/sha256.h"
 #include "disk/disk_model.h"
 #include "disk/params.h"
 #include "net/presets.h"
@@ -69,6 +70,92 @@ TEST(Transactions, RecordsDoNotStraddleChunks)
         TransactionRecord::kBytes));
     EXPECT_GT(last.item_count, 0u);
     EXPECT_EQ(last.txn_id, kRecordsPerChunk - 1);
+}
+
+TEST(Transactions, CorruptItemCountIsClamped)
+{
+    // A record of 0xff bytes claims 255 items. Decoding clamps the
+    // count, so the kernels read at most items[kMaxItems - 1] (ASan
+    // flags any read past the array).
+    const std::vector<std::uint8_t> corrupt(TransactionRecord::kBytes,
+                                            0xff);
+    EXPECT_EQ(decodeRecord(corrupt).item_count, TransactionRecord::kMaxItems);
+    const auto basket_hits =
+        countCandidates(corrupt, {ItemSet{0xffffffffu}});
+    EXPECT_EQ(basket_hits, (std::vector<std::uint64_t>{1}));
+
+    // The same corrupt count over valid item ids counts twelve items.
+    TransactionRecord zeros;
+    std::vector<std::uint8_t> record(TransactionRecord::kBytes);
+    encodeRecord(zeros, record);
+    record[12] = 0xff; // item_count byte
+    const auto counts = countOneItemsets(record, 16);
+    EXPECT_EQ(counts[0], TransactionRecord::kMaxItems);
+}
+
+/**
+ * Golden dataset: the generator's bytes are part of every printed
+ * mining result and baseline, so pin them. A generator change that
+ * moves any byte of these chunks fails here before it reaches a bench.
+ */
+struct GoldenDataset
+{
+    std::uint32_t catalog_items;
+    std::uint64_t seed;
+    const char *chunk0;
+    const char *chunk1;
+    const char *chunk149;
+    std::uint64_t chunk0_total;
+    std::uint64_t chunk0_counts[4]; ///< items 0-3 of chunk 0
+};
+
+constexpr GoldenDataset kGoldenDatasets[] = {
+    // Default DatasetParams.
+    {1000, 42,
+     "2b5070efe4975919fb8c76c99d804653f9445ab4e56a12e8ee00c327e82c8d58",
+     "2902a27f0e16f61be0005b8acf6d86160ba77118de9205ba6be89d5e4e4a22ae",
+     "1106ffc39ca67def20066abbfb36d3d0cce04692fa727690d8f123c937f1d6d0",
+     245794,
+     {14700, 16750, 14279, 4984}},
+    // The repository benchmark's mining dataset (seeds 1 and 7).
+    {500, 1,
+     "62d698e1025f0347441ab990fd95ac19381a4e9fe496cc7b5a1f4db7aa8d903e",
+     "b0ce5422ce6318db44dd121efff70550c9f3fd008be0127c6e9ddf5bc4be1c02",
+     "48c3ca58fda08d10ac0adfce7b2466f2d1f5a35dd4b4ecc58c518f766d8f56e3",
+     246667,
+     {17753, 18304, 15524, 5970}},
+    {500, 7,
+     "34eef22830ed6ff1778b98bc970edcddd592aa0b651f9f735e1327dff4426e70",
+     "a0e4b53d4392a61f9efdd8547ab49e118ab3c16d172f87be72c3287fd59b1c0b",
+     "1ff14f7da0af98430b3ff27e808a96dc5e06a9893ce4a10e1c89ee18b3d3581d",
+     246231,
+     {17939, 18696, 15805, 5688}},
+};
+
+TEST(Transactions, GoldenChunkDigests)
+{
+    for (const auto &golden : kGoldenDatasets) {
+        SCOPED_TRACE(testing::Message() << "catalog " << golden.catalog_items
+                                        << " seed " << golden.seed);
+        DatasetParams params;
+        params.catalog_items = golden.catalog_items;
+        params.seed = golden.seed;
+        const TransactionGenerator gen(params);
+        const auto chunk0 = gen.chunk(0);
+        EXPECT_EQ(crypto::toHex(crypto::Sha256::hash(chunk0)), golden.chunk0);
+        EXPECT_EQ(crypto::toHex(crypto::Sha256::hash(gen.chunk(1))),
+                  golden.chunk1);
+        EXPECT_EQ(crypto::toHex(crypto::Sha256::hash(gen.chunk(149))),
+                  golden.chunk149);
+
+        const auto counts = countOneItemsets(chunk0, params.catalog_items);
+        std::uint64_t total = 0;
+        for (const auto c : counts)
+            total += c;
+        EXPECT_EQ(total, golden.chunk0_total);
+        for (std::size_t i = 0; i < 4; ++i)
+            EXPECT_EQ(counts[i], golden.chunk0_counts[i]) << "item " << i;
+    }
 }
 
 // ----------------------------------------------------------------- mining

@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <vector>
 
@@ -293,6 +294,48 @@ TEST_F(FfsTest, ManyInterleavedStreamsDefeatReadahead)
         }
     }
     EXPECT_GT(fs.stats().readahead_defeats.value(), 8u);
+}
+
+TEST_F(FfsTest, ConcurrentColdReadersKeepTheirStreams)
+{
+    // Ten sequential readers of one cold file, started 20 ms apart:
+    // each new reader adds a stream tracker while earlier, established
+    // readers are suspended mid-read holding theirs. The tracker table
+    // must not move under them (ASan reported heap-use-after-free when
+    // it grew by reallocation).
+    FfsParams params;
+    params.buffer_cache_bytes = 256 * kKB;
+    FfsFileSystem cold(sim, stripe, &cpu, params);
+    run(cold.format());
+    const auto ino = runFor(cold.create(kRootInode, "shared")).value();
+    const auto data = pattern(8 * kMB);
+    ASSERT_TRUE(runFor(cold.write(ino, 0, data)).ok());
+    run(cold.sync());
+
+    constexpr int kReaders = 10;
+    constexpr std::uint64_t kPiece = 8 * kKB; // one fs block
+    constexpr int kPieces = 16;
+    int matched = 0;
+    for (int r = 0; r < kReaders; ++r) {
+        sim.spawn([](Simulator &s, FfsFileSystem &f, InodeNum file,
+                     int reader, const std::vector<std::uint8_t> &expect,
+                     int &ok) -> Task<void> {
+            co_await s.delay(sim::msec(20.0 * reader));
+            std::vector<std::uint8_t> out(kPiece);
+            std::uint64_t off =
+                static_cast<std::uint64_t>(reader) * 800 * kKB;
+            for (int p = 0; p < kPieces; ++p, off += kPiece) {
+                auto n = co_await f.read(file, off, out);
+                if (n.ok() && n.value() == kPiece &&
+                    std::equal(out.begin(), out.end(),
+                               expect.begin() + off))
+                    ++ok;
+            }
+        }(sim, cold, ino, r, data, matched));
+    }
+    sim.run();
+    EXPECT_EQ(matched, kReaders * kPieces);
+    EXPECT_GT(cold.stats().readahead_hits.value(), 0u);
 }
 
 TEST_F(FfsTest, CachedReadNearPaperBandwidth)

@@ -122,6 +122,68 @@ TEST(Zipf, AllRanksReachable)
     EXPECT_EQ(seen.size(), 5u);
 }
 
+/** ZipfSampler's rank lookup before its guide table: a binary search
+ *  for the smallest i with cdf[i] >= u, clamped to n - 1. */
+std::size_t
+binarySearchRank(const std::vector<double> &cdf, double u)
+{
+    std::size_t lo = 0;
+    std::size_t hi = cdf.size() - 1;
+    while (lo < hi) {
+        const std::size_t mid = lo + (hi - lo) / 2;
+        if (cdf[mid] < u)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+TEST(Zipf, GuideTableMatchesBinarySearch)
+{
+    // The guide table must return exactly the binary search's rank for
+    // every u, or the generated dataset (and every mining baseline)
+    // would change. Probe the points where the two could disagree:
+    // each CDF value, each bucket edge, their neighbours, and both
+    // ends of [0, 1), then a long run of seeded draws.
+    constexpr auto kBuckets = ZipfSampler::kGuideBuckets;
+    for (const std::size_t n : {1, 2, 5, 500, 1000, 3000}) {
+        for (const double theta : {0.0, 0.5, 0.8, 0.99}) {
+            SCOPED_TRACE(testing::Message()
+                         << "n " << n << " theta " << theta);
+            const ZipfSampler zipf(n, theta);
+            std::vector<double> probes = {0.0, std::nextafter(1.0, 0.0)};
+            const auto around = [&probes](double x) {
+                probes.push_back(x);
+                probes.push_back(std::nextafter(x, 2.0));
+                if (x > 0.0)
+                    probes.push_back(std::nextafter(x, 0.0));
+            };
+            for (const double c : zipf.cdf())
+                around(c);
+            for (std::size_t b = 0; b <= kBuckets; ++b)
+                around(static_cast<double>(b) / kBuckets);
+            std::size_t mismatches = 0;
+            for (const double u : probes) {
+                if (zipf.rankOf(u) != binarySearchRank(zipf.cdf(), u))
+                    ++mismatches;
+            }
+            EXPECT_EQ(mismatches, 0u) << "of " << probes.size() << " probes";
+
+            // sample() must consume one uniform() per draw and map it
+            // through the same lookup.
+            Rng a(n * 31 + static_cast<std::uint64_t>(theta * 100));
+            Rng b = a;
+            std::size_t draw_mismatches = 0;
+            for (int i = 0; i < 1'000'000; ++i) {
+                if (zipf.sample(a) != binarySearchRank(zipf.cdf(), b.uniform()))
+                    ++draw_mismatches;
+            }
+            EXPECT_EQ(draw_mismatches, 0u);
+        }
+    }
+}
+
 TEST(SampleStats, BasicMoments)
 {
     SampleStats s;
