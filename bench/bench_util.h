@@ -203,6 +203,9 @@ class BenchTracer
 
     bool enabled() const { return !path_.empty(); }
 
+    /** The in-memory trace recorded so far. */
+    const util::Tracer &tracer() const { return tracer_; }
+
   private:
     std::string path_;
     util::Tracer tracer_;

@@ -854,6 +854,31 @@ printBreakdown(const std::map<std::string, OpBreakdown> &breakdown)
     return reconciled;
 }
 
+/**
+ * Print which drive finished last (the critical path) across every
+ * striped pfs/read fan-out recorded in @p tracer.
+ * @return the number of pfs/read root ops analyzed.
+ */
+std::uint64_t
+printFanout(const util::Tracer &tracer)
+{
+    const auto report =
+        util::analyzeDriveFanout(tracer, "pfs/read", "drive/");
+    std::printf("\ncritical path over %llu striped pfs/read fan-outs:\n",
+                static_cast<unsigned long long>(report.roots));
+    std::printf("  %-8s %8s %10s %14s %14s\n", "drive", "spans", "critical",
+                "mean slack ms", "mean dur ms");
+    for (const auto &d : report.drives) {
+        std::printf("  %-8s %8llu %10llu %14.3f %14.3f\n", d.lane.c_str(),
+                    static_cast<unsigned long long>(d.spans),
+                    static_cast<unsigned long long>(d.critical),
+                    d.mean_slack_ns / 1e6, d.mean_dur_ns / 1e6);
+    }
+    std::printf("\ndominant drive chain: %s\n",
+                report.dominantLane().c_str());
+    return report.roots;
+}
+
 /** Event-kind counts of one kill-drive phase, in phase order. */
 using PhaseCounts =
     std::pair<std::string, std::map<std::string, std::uint64_t>>;
@@ -1068,25 +1093,10 @@ main(int argc, char **argv)
                     "latency (within 1%%): %s\n",
                     reconciled ? "yes" : "NO (BUG)");
 
-        const auto report =
-            util::analyzeDriveFanout(tracer, "pfs/read", "drive/");
-        std::printf("\ncritical path over %llu striped pfs/read "
-                    "fan-outs:\n",
-                    static_cast<unsigned long long>(report.roots));
-        std::printf("  %-8s %8s %10s %14s %14s\n", "drive", "spans",
-                    "critical", "mean slack ms", "mean dur ms");
-        for (const auto &d : report.drives) {
-            std::printf("  %-8s %8llu %10llu %14.3f %14.3f\n",
-                        d.lane.c_str(),
-                        static_cast<unsigned long long>(d.spans),
-                        static_cast<unsigned long long>(d.critical),
-                        d.mean_slack_ns / 1e6, d.mean_dur_ns / 1e6);
-        }
-        std::printf("\ndominant drive chain: %s\n",
-                    report.dominantLane().c_str());
+        const std::uint64_t roots = printFanout(tracer);
 
         printTailExemplars(flight.recorder(), "read");
-        return reconciled && report.roots > 0 ? 0 : 1;
+        return reconciled && roots > 0 ? 0 : 1;
     }
 
     if (argc > 1 && std::string_view(argv[1]) == "--kill-drive") {
@@ -1341,7 +1351,8 @@ main(int argc, char **argv)
         const auto traced = runNasd(4, 16 * kMB);
         std::printf("\ntraced scan: %.1f MB/s aggregate over 4 drives\n",
                     traced.aggregate_mbs);
-        return 0; // BenchTracer writes the timeline on destruction
+        // BenchTracer writes the timeline on destruction.
+        return printFanout(tracer.tracer()) > 0 ? 0 : 1;
     }
 
     bench::banner(

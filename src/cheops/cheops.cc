@@ -1,6 +1,7 @@
 #include "cheops/cheops.h"
 
 #include <algorithm>
+#include <span>
 
 #include "net/rpc.h"
 #include "sim/sync.h"
@@ -12,6 +13,21 @@ namespace nasd::cheops {
 namespace {
 
 constexpr std::uint64_t kControlPayload = 96;
+
+/**
+ * XOR every byte of @p src into the front of @p dst (parity fold).
+ * Kept out of the coroutines that call it: a loop written inside a
+ * coroutine body keeps its counter in the coroutine frame and reloads
+ * it on every byte.
+ */
+void
+xorInto(std::span<std::uint8_t> dst, std::span<const std::uint8_t> src)
+{
+    NASD_ASSERT(src.size() <= dst.size(), "xorInto: ", src.size(),
+                "-byte source into ", dst.size(), "-byte destination");
+    for (std::size_t j = 0; j < src.size(); ++j)
+        dst[j] ^= src[j];
+}
 
 } // namespace
 
@@ -775,8 +791,7 @@ CheopsManager::rebuildLoop(LogicalObjectId id)
             }
             if (r.value().size() > unit.size())
                 unit.resize(r.value().size(), 0);
-            for (std::size_t j = 0; j < r.value().size(); ++j)
-                unit[j] ^= r.value()[j];
+            xorInto(unit, r.value());
         }
         if (failed) {
             // A second component died: the rebuild cannot finish.
@@ -1252,8 +1267,7 @@ CheopsClient::reconstructRange(OpenState *open, LogicalObjectId id,
             const auto &bytes = r.value();
             max_len = std::max(max_len,
                                static_cast<std::uint64_t>(bytes.size()));
-            for (std::size_t j = 0; j < bytes.size(); ++j)
-                out[o - offset + j] ^= bytes[j];
+            xorInto(std::span<std::uint8_t>(out).subspan(o - offset), bytes);
         }
         reconstructed_units_.add(1);
         co_return max_len;
@@ -1669,10 +1683,8 @@ CheopsClient::writeParityRow(OpenState *open, LogicalObjectId id,
                 // Full-stripe write: parity is XOR of the new data,
                 // no old bytes needed.
                 std::vector<std::uint8_t> pbuf(su, 0);
-                for (const auto &uw : writes) {
-                    for (std::uint64_t j = 0; j < su; ++j)
-                        pbuf[j] ^= uw.bytes[j];
-                }
+                for (const auto &uw : writes)
+                    xorInto(pbuf, uw.bytes);
                 for (const auto &uw : writes) {
                     ops.push_back(writeComponent(open, id, uw.comp,
                                                  row * su, uw.bytes,
@@ -1739,14 +1751,11 @@ CheopsClient::writeParityRow(OpenState *open, LogicalObjectId id,
                     std::copy(oldp.begin(), oldp.end(), pbuf.begin());
                     for (std::size_t i = 0; i < writes.size(); ++i) {
                         const auto &uw = writes[i];
-                        const auto &oldd = old[i].value();
-                        for (std::uint64_t j = 0; j < uw.b - uw.a;
-                             ++j) {
-                            std::uint8_t delta = uw.bytes[j];
-                            if (j < oldd.size())
-                                delta ^= oldd[j];
-                            pbuf[uw.a - plo + j] ^= delta;
-                        }
+                        const auto dst =
+                            std::span<std::uint8_t>(pbuf).subspan(
+                                uw.a - plo, uw.b - uw.a);
+                        xorInto(dst, uw.bytes);
+                        xorInto(dst, old[i].value());
                     }
                     std::vector<sim::Task<StoreResult<void>>> wops;
                     std::vector<std::uint32_t> wop_comp;
@@ -1849,12 +1858,9 @@ CheopsClient::writeParityRowDegraded(
     }
     // Reconstruct the dead unit (valid whether it is data or parity).
     unit_by_comp[dead].assign(su, 0);
-    for (std::size_t c = 0; c < unit_by_comp.size(); ++c) {
-        if (c == dead)
-            continue;
-        for (std::uint64_t j = 0; j < su; ++j)
-            unit_by_comp[dead][j] ^= unit_by_comp[c][j];
-    }
+    for (std::size_t c = 0; c < unit_by_comp.size(); ++c)
+        if (c != dead)
+            xorInto(unit_by_comp[dead], unit_by_comp[c]);
 
     // Overlay the new bytes and recompute parity from the full row.
     for (const auto &uw : writes) {
@@ -1864,12 +1870,8 @@ CheopsClient::writeParityRowDegraded(
     }
     auto &pbuf = unit_by_comp[p];
     std::fill(pbuf.begin(), pbuf.end(), 0);
-    for (std::uint32_t d = 0; d < w; ++d) {
-        const auto &unit =
-            unit_by_comp[CheopsManager::dataComponent(row, d, w)];
-        for (std::uint64_t j = 0; j < su; ++j)
-            pbuf[j] ^= unit[j];
-    }
+    for (std::uint32_t d = 0; d < w; ++d)
+        xorInto(pbuf, unit_by_comp[CheopsManager::dataComponent(row, d, w)]);
 
     // Write back what changed: the written ranges of surviving data
     // units, the parity footprint (when parity survives), and — during

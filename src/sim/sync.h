@@ -102,8 +102,8 @@ class Semaphore
  * Acquire @p sem and return how long the caller waited in the queue.
  *
  * This is the attribution hook for queued resources: every acquisition
- * site outside src/sim must go through it (enforced by
- * tools/check_invariants.py) so queue-wait time is observable — callers
+ * site outside src/sim must go through it (enforced by analyzer check
+ * A4, tools/nasd_analyze.py) so queue-wait time is observable — callers
  * feed the returned wait into per-resource counters and the active
  * op's util::OpAttribution instead of losing it inside a bare
  * co_await sem.acquire().

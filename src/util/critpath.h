@@ -8,8 +8,8 @@
  * finds its child spans matching a prefix (e.g. "drive/"), and reports
  * per drive lane how often that drive finished last (was critical) and
  * how much slack (time behind the critical branch) it had otherwise.
- * This is the in-process counterpart of tools/trace_critpath.py, which
- * runs the same analysis offline on an exported Chrome trace.
+ * fig9_mining prints it for its in-memory trace under both --breakdown
+ * and --trace.
  */
 #ifndef NASD_UTIL_CRITPATH_H_
 #define NASD_UTIL_CRITPATH_H_

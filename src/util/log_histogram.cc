@@ -167,31 +167,4 @@ LogHistogram::toJson() const
     return os.str();
 }
 
-void
-LogHistogram::restore(
-    std::uint64_t count, std::uint64_t sum, std::uint64_t min,
-    std::uint64_t max,
-    const std::vector<std::pair<std::uint64_t, std::uint64_t>> &buckets)
-{
-    reset();
-    std::uint64_t bucket_total = 0;
-    for (const auto &[lower, n] : buckets) {
-        const std::size_t idx = bucketIndex(lower);
-        NASD_ASSERT(bucketLowerBound(idx) == lower,
-                    "restore: ", lower, " is not a bucket lower bound");
-        if (idx >= counts_.size())
-            counts_.resize(idx + 1, 0);
-        counts_[idx] += n;
-        bucket_total += n;
-    }
-    NASD_ASSERT(bucket_total == count, "restore: bucket counts sum to ",
-                bucket_total, ", expected ", count);
-    count_ = count;
-    sum_ = sum;
-    if (count > 0) {
-        min_ = min;
-        max_ = max;
-    }
-}
-
 } // namespace nasd::util

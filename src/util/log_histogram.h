@@ -2,10 +2,10 @@
  * @file
  * Mergeable log-bucketed latency histogram (HdrHistogram-style).
  *
- * SampleStats keeps a per-instance reservoir, so two instances cannot
- * be combined without re-observing the raw samples — a 256-drive run
- * emits 256 unlinked summaries and no fleet p99. LogHistogram fixes
- * that: values are binned into log-linear buckets (32 sub-buckets per
+ * A per-instance sample reservoir cannot be combined with its siblings
+ * without re-observing the raw samples — a 256-drive run would emit
+ * 256 unlinked summaries and no fleet p99. LogHistogram fixes that:
+ * values are binned into log-linear buckets (32 sub-buckets per
  * octave, so bucket width is at most 1/32 ≈ 3.1% of the value and the
  * reported midpoint is within ~1.6% of any sample in the bucket), and
  * a histogram is just its bucket counts. merge() adds counts
@@ -29,7 +29,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace nasd::util {
@@ -44,7 +43,7 @@ class LogHistogram
     /** Record one sample (nanoseconds by convention). O(1). */
     void record(std::uint64_t value);
 
-    /** Record @p n occurrences of @p value (rollup/import helper). */
+    /** Record @p n occurrences of @p value (bucket-delta helper). */
     void recordN(std::uint64_t value, std::uint64_t n);
 
     /**
@@ -93,16 +92,6 @@ class LogHistogram
      * Integers stay integers; merge-then-dump equals dump-of-union.
      */
     std::string toJson() const;
-
-    /**
-     * Rebuild from exported state (importJson round-trip): @p buckets
-     * are (bucket lower bound, count) pairs as emitted by toJson().
-     * Panics if the bucket counts do not sum to @p count.
-     */
-    void restore(std::uint64_t count, std::uint64_t sum, std::uint64_t min,
-                 std::uint64_t max,
-                 const std::vector<std::pair<std::uint64_t, std::uint64_t>>
-                     &buckets);
 
     /** Bucket index for @p value (exposed for tests). */
     static std::size_t bucketIndex(std::uint64_t value);

@@ -21,7 +21,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <string_view>
 
 #include "util/log_histogram.h"
 #include "util/stats.h"
@@ -57,16 +56,10 @@ class MetricsRegistry
     /** Last-value gauge at @p path (created on first use). */
     Gauge &gauge(const std::string &path);
 
-    /** Latency/sample histogram at @p path (created on first use). */
-    SampleStats &histogram(const std::string &path);
-
     /**
      * Mergeable log-bucketed latency histogram at @p path (created on
-     * first use). Preferred over histogram() for per-instance latency
-     * instruments: sibling instruments can be merged losslessly into
-     * fleet rollups (see util::FleetRollup), which a SampleStats
-     * reservoir cannot do. Keep histogram() only where tests assert
-     * exact sample retention.
+     * first use). Sibling instruments merge losslessly into fleet
+     * rollups (see util::FleetRollup).
      */
     LogHistogram &latency(const std::string &path);
 
@@ -87,20 +80,10 @@ class MetricsRegistry
      * Deterministic JSON snapshot:
      * {"counters": {path: n, ...},
      *  "gauges": {path: x, ...},
-     *  "histograms": {path: {count, mean, min, max, p50, p95, p99}},
      *  "latencies": {path: {count, sum, min, max, mean, p50, p95, p99,
      *                       buckets: [[lower, n], ...]}}}
      */
     std::string toJson() const;
-
-    /**
-     * Load counters, gauges, and latencies from a toJson() snapshot
-     * (SampleStats histograms are summarized on export and cannot
-     * round-trip samples; latencies round-trip exactly because their
-     * buckets are the full state). Panics on malformed input; intended
-     * for tests and offline tooling.
-     */
-    void importJson(std::string_view json);
 
     /**
      * Visit every instrument of one kind in deterministic (path) order.
@@ -114,25 +97,22 @@ class MetricsRegistry
     void forEachGauge(
         const std::function<void(const std::string &, const Gauge &)>
             &fn) const;
-    void forEachHistogram(
-        const std::function<void(const std::string &, const SampleStats &)>
-            &fn) const;
     void forEachLatency(
         const std::function<void(const std::string &, const LogHistogram &)>
             &fn) const;
 
   private:
-    enum class Kind { kCounter, kGauge, kHistogram, kLatency };
+    enum class Kind { kCounter, kGauge, kLatency };
 
     struct Entry
     {
         Kind kind;
         std::unique_ptr<Counter> counter;
         std::unique_ptr<Gauge> gauge;
-        std::unique_ptr<SampleStats> histogram;
         std::unique_ptr<LogHistogram> latency;
     };
 
+    static const char *kindName(Kind kind);
     Entry &lookup(const std::string &path, Kind kind);
 
     std::map<std::string, Entry> entries_;

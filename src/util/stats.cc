@@ -1,101 +1,10 @@
 #include "util/stats.h"
 
-#include <cmath>
+#include <algorithm>
 
 #include "util/logging.h"
 
 namespace nasd::util {
-
-std::uint64_t
-SampleStats::nextRandom()
-{
-    // splitmix64: small, fast, and deterministic across platforms.
-    std::uint64_t z = (rng_state_ += 0x9e3779b97f4a7c15ull);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
-
-void
-SampleStats::add(double value)
-{
-    ++count_;
-    sum_ += value;
-    min_ = std::min(min_, value);
-    max_ = std::max(max_, value);
-    if (capacity_ == 0 || samples_.size() < capacity_) {
-        samples_.push_back(value);
-        sorted_ = false;
-        return;
-    }
-    // Algorithm R: keep the new sample with probability capacity/count,
-    // evicting a uniformly random resident.
-    const std::uint64_t slot = nextRandom() % count_;
-    if (slot < capacity_) {
-        samples_[slot] = value;
-        sorted_ = false;
-    }
-}
-
-void
-SampleStats::reset()
-{
-    samples_.clear();
-    sum_ = 0.0;
-    min_ = std::numeric_limits<double>::infinity();
-    max_ = -std::numeric_limits<double>::infinity();
-    sorted_ = false;
-    sort_count_ = 0;
-    count_ = 0;
-    rng_state_ = kRngSeed;
-}
-
-double
-SampleStats::stddev() const
-{
-    if (samples_.size() < 2)
-        return 0.0;
-    double acc = 0.0;
-    double retained_sum = 0.0;
-    for (double v : samples_)
-        retained_sum += v;
-    const double m = retained_sum / static_cast<double>(samples_.size());
-    for (double v : samples_) {
-        const double d = v - m;
-        acc += d * d;
-    }
-    return std::sqrt(acc / static_cast<double>(samples_.size()));
-}
-
-double
-SampleStats::percentile(double p) const
-{
-    NASD_ASSERT(p >= 0.0 && p <= 100.0, "percentile out of range: ", p);
-    if (samples_.empty())
-        return 0.0;
-    // A bounded reservoir may have evicted the true extremes, so at the
-    // exact-full boundary (count_ == capacity_ + 1 and beyond) the
-    // retained-sample quantiles drift off the envelope that min_/max_
-    // track exactly. Pin the endpoints and clamp interpolated values;
-    // in exact mode these are no-ops.
-    if (p == 0.0)
-        return min();
-    if (p == 100.0)
-        return max();
-    if (!sorted_) {
-        std::sort(samples_.begin(), samples_.end());
-        sorted_ = true;
-        ++sort_count_;
-    }
-    if (samples_.size() == 1)
-        return std::clamp(samples_.front(), min(), max());
-    const double rank = p / 100.0 * static_cast<double>(samples_.size() - 1);
-    const auto lo = static_cast<std::size_t>(rank);
-    const std::size_t hi = std::min(lo + 1, samples_.size() - 1);
-    const double frac = rank - static_cast<double>(lo);
-    const double v = samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
-    return std::clamp(v, min(), max());
-}
 
 void
 UtilizationTracker::markBusy(std::uint64_t now)

@@ -2,91 +2,16 @@
  * @file
  * Lightweight statistics accumulators for simulation results.
  *
- * Modeled loosely on gem5's stats package: named scalar counters and
- * sample accumulators that modules update during a run and benchmarks
- * read afterwards. By default percentiles are exact (all samples are
- * retained); for long runs a bounded reservoir (Vitter's Algorithm R
- * with a deterministic generator) keeps memory constant at the cost of
- * approximate percentiles. Sum/mean/min/max stay exact either way.
+ * Modeled loosely on gem5's stats package: scalar counters and busy-time
+ * trackers that modules update during a run and benchmarks read
+ * afterwards. Latency distributions live in util::LogHistogram.
  */
 #ifndef NASD_UTIL_STATS_H_
 #define NASD_UTIL_STATS_H_
 
-#include <algorithm>
 #include <cstdint>
-#include <limits>
-#include <string>
-#include <vector>
 
 namespace nasd::util {
-
-/** Accumulates scalar samples; reports mean, min/max, and percentiles. */
-class SampleStats
-{
-  public:
-    /** Retain every sample (exact percentiles). */
-    SampleStats() = default;
-
-    /**
-     * Retain at most @p reservoir_capacity samples via reservoir
-     * sampling; percentiles become approximate once the reservoir
-     * overflows. Capacity 0 means unbounded.
-     */
-    explicit SampleStats(std::size_t reservoir_capacity)
-        : capacity_(reservoir_capacity)
-    {
-    }
-
-    /** Record one sample. */
-    void add(double value);
-
-    /** Total samples recorded (including any evicted from a reservoir). */
-    std::size_t count() const { return count_; }
-
-    /** Samples currently retained for percentile computation. */
-    std::size_t retained() const { return samples_.size(); }
-
-    double sum() const { return sum_; }
-    double mean() const
-    {
-        return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
-    }
-    double min() const { return count_ == 0 ? 0.0 : min_; }
-    double max() const { return count_ == 0 ? 0.0 : max_; }
-
-    /** Population standard deviation of the retained samples. */
-    double stddev() const;
-
-    /**
-     * Percentile in [0, 100]; interpolates between retained samples
-     * (exact unless a bounded reservoir overflowed). Returns 0 when
-     * empty. Consecutive calls without intervening add() reuse the
-     * sorted order.
-     */
-    double percentile(double p) const;
-
-    /** Times percentile() had to sort (observability for cache reuse). */
-    std::uint64_t sortCount() const { return sort_count_; }
-
-    /** Drop all recorded samples (reservoir sequence restarts too). */
-    void reset();
-
-  private:
-    /** Deterministic 64-bit generator (splitmix64) for eviction picks. */
-    std::uint64_t nextRandom();
-
-    mutable std::vector<double> samples_;
-    mutable bool sorted_ = false;
-    mutable std::uint64_t sort_count_ = 0;
-    std::size_t capacity_ = 0; ///< 0 = retain everything
-    std::size_t count_ = 0;
-    std::uint64_t rng_state_ = kRngSeed;
-    double sum_ = 0.0;
-    double min_ = std::numeric_limits<double>::infinity();
-    double max_ = -std::numeric_limits<double>::infinity();
-
-    static constexpr std::uint64_t kRngSeed = 0x9e3779b97f4a7c15ull;
-};
 
 /** Monotonic named counter (operations completed, bytes moved, ...). */
 class Counter
@@ -94,7 +19,6 @@ class Counter
   public:
     void add(std::uint64_t delta = 1) { value_ += delta; }
     std::uint64_t value() const { return value_; }
-    void reset() { value_ = 0; }
 
   private:
     std::uint64_t value_ = 0;

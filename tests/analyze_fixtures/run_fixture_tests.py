@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
 """Self-test driver for tools/nasd_analyze.py.
 
-Runs the analyzer over every fixture in this directory and asserts an
-exact match between findings and `EXPECT[Ax]` markers:
+Runs the analyzer over every fixture (*.cc, *.h) in this directory and
+asserts an exact match between findings and `EXPECT[Ax]` markers:
 
   * every line tagged `// EXPECT[Ax] ...` must produce at least one
     finding of check Ax on that exact line (a seeded defect the
-    analyzer misses is a test failure), and
+    analyzer misses is a test failure),
   * no finding may land on an untagged line (a clean idiom the
-    analyzer flags is a false positive, also a failure).
+    analyzer flags is a false positive, also a failure), and
+  * every tag must name a check the analyzer lists (`--list-checks`),
+    so a tag left behind by a retired check fails instead of passing
+    vacuously.
 
 Fixtures are analyzed one file at a time with --no-baseline so the
 repo's suppression file cannot mask a regression, and with the builtin
@@ -25,7 +28,17 @@ import subprocess
 import sys
 from pathlib import Path
 
-EXPECT_RE = re.compile(r"//\s*EXPECT\[(A[1-8])\]")
+EXPECT_RE = re.compile(r"//\s*EXPECT\[([^\]]*)\]")
+
+
+def known_checks(analyzer):
+    """Check IDs from the analyzer's CHECKS table (via --list-checks)."""
+    proc = subprocess.run(
+        [sys.executable, str(analyzer), "--list-checks"],
+        capture_output=True, text=True, check=True,
+    )
+    return {line.split()[0] for line in proc.stdout.splitlines()
+            if line.strip()}
 
 
 def expected_findings(path):
@@ -69,14 +82,19 @@ def main():
 
     analyzer = Path(args.analyzer)
     fixture_dir = Path(args.fixture_dir)
-    fixtures = sorted(fixture_dir.glob("*.cc"))
+    fixtures = sorted(fixture_dir.glob("*.cc")) + \
+        sorted(fixture_dir.glob("*.h"))
     if not fixtures:
         print(f"no fixtures under {fixture_dir}", file=sys.stderr)
         return 1
 
+    checks = known_checks(analyzer)
     failures = []
     for path in fixtures:
         expect = expected_findings(path)
+        for check, line in sorted(e for e in expect if e[0] not in checks):
+            failures.append(f"{path.name}:{line}: EXPECT[{check}] names "
+                            "no check the analyzer lists")
         if path.stem.endswith("_bad") and not expect:
             failures.append(f"{path.name}: bad fixture has no "
                             "EXPECT markers")

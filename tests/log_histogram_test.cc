@@ -149,21 +149,6 @@ TEST(LogHistogram, MergeOrderDoesNotMatter)
     EXPECT_EQ(ab.toJson(), ba.toJson());
 }
 
-TEST(LogHistogram, RestoreRoundTripsBuckets)
-{
-    LogHistogram h;
-    std::uint64_t rng = 99;
-    for (int i = 0; i < 5000; ++i)
-        h.record(nextRandom(rng) % 10'000'000);
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> buckets;
-    h.forEachBucket([&](std::uint64_t lower, std::uint64_t, std::uint64_t n) {
-        buckets.emplace_back(lower, n);
-    });
-    LogHistogram restored;
-    restored.restore(h.count(), h.sum(), h.min(), h.max(), buckets);
-    EXPECT_EQ(restored.toJson(), h.toJson());
-}
-
 TEST(LogHistogram, JsonIsByteStable)
 {
     LogHistogram a, b;

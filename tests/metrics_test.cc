@@ -2,11 +2,13 @@
  * @file
  * Tests for the hierarchical metrics registry and the causal tracer:
  * create-on-first-use lookup, kind-collision panics, unique instance
- * prefixes, the JSON snapshot round-trip, MetricsScope stacking, and
- * Chrome trace_event span emission.
+ * prefixes, the JSON dump (exact format, summaries, rebuilds from the
+ * visitors), MetricsScope stacking, and Chrome trace_event span
+ * emission.
  */
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "util/metrics.h"
@@ -28,9 +30,9 @@ TEST(MetricsRegistry, CreateOnFirstUseIsPointerStable)
     g.set(42.5);
     EXPECT_EQ(&reg.gauge("fig6/read/raw/1MB_mbps"), &g);
 
-    SampleStats &h = reg.histogram("drive0/ops/read/latency_ns");
-    h.add(1000.0);
-    EXPECT_EQ(&reg.histogram("drive0/ops/read/latency_ns"), &h);
+    LogHistogram &h = reg.latency("drive0/ops/read/latency_ns");
+    h.record(1000);
+    EXPECT_EQ(&reg.latency("drive0/ops/read/latency_ns"), &h);
     EXPECT_EQ(reg.size(), 3u);
 }
 
@@ -39,47 +41,28 @@ TEST(MetricsRegistry, ContainsSeesAllKinds)
     MetricsRegistry reg;
     reg.counter("a/count");
     reg.gauge("a/gauge");
-    reg.histogram("a/hist");
     reg.latency("a/latency_ns");
     EXPECT_TRUE(reg.contains("a/count"));
     EXPECT_TRUE(reg.contains("a/gauge"));
-    EXPECT_TRUE(reg.contains("a/hist"));
     EXPECT_TRUE(reg.contains("a/latency_ns"));
     EXPECT_FALSE(reg.contains("a/missing"));
 }
 
 TEST(MetricsRegistryDeathTest, KindCollisionPanics)
 {
+    // Every ordered (registered, requested) pair of distinct kinds.
     MetricsRegistry reg;
-    reg.counter("drive0/ops_served");
-    EXPECT_DEATH(reg.gauge("drive0/ops_served"),
-                 "registered as counter, requested as gauge");
-    EXPECT_DEATH(reg.histogram("drive0/ops_served"),
-                 "registered as counter, requested as histogram");
-    EXPECT_DEATH(reg.latency("drive0/ops_served"),
+    reg.counter("c");
+    reg.gauge("g");
+    reg.latency("l");
+    EXPECT_DEATH(reg.gauge("c"), "registered as counter, requested as gauge");
+    EXPECT_DEATH(reg.latency("c"),
                  "registered as counter, requested as latency");
-}
-
-TEST(MetricsRegistry, LatencySectionRoundTripsExactly)
-{
-    // Unlike SampleStats histograms (summarized on export), latency
-    // instruments serialize their full bucket state, so a reload is
-    // byte-identical to the original dump.
-    MetricsRegistry reg;
-    LogHistogram &h = reg.latency("nasd0/ops/read/latency_ns");
-    h.record(1000);
-    h.record(2500);
-    h.record(7'000'000);
-    const std::string json = reg.toJson();
-    EXPECT_NE(json.find("\"latencies\""), std::string::npos);
-    EXPECT_NE(json.find("\"buckets\""), std::string::npos);
-
-    MetricsRegistry loaded;
-    loaded.importJson(json);
-    EXPECT_EQ(loaded.latency("nasd0/ops/read/latency_ns").count(), 3u);
-    EXPECT_EQ(loaded.latency("nasd0/ops/read/latency_ns").max(),
-              7'000'000u);
-    EXPECT_EQ(loaded.toJson(), json);
+    EXPECT_DEATH(reg.counter("g"), "registered as gauge, requested as counter");
+    EXPECT_DEATH(reg.latency("g"), "registered as gauge, requested as latency");
+    EXPECT_DEATH(reg.counter("l"),
+                 "registered as latency, requested as counter");
+    EXPECT_DEATH(reg.gauge("l"), "registered as latency, requested as gauge");
 }
 
 TEST(MetricsRegistry, UniquePrefixDeduplicatesInstances)
@@ -92,58 +75,93 @@ TEST(MetricsRegistry, UniquePrefixDeduplicatesInstances)
     EXPECT_EQ(reg.uniquePrefix("client"), "client");
 }
 
+TEST(MetricsRegistry, LatencySectionRoundTripsExactly)
+{
+    // Latency instruments serialize their full bucket state, so merging
+    // each one into an empty registry reproduces the dump byte for byte.
+    MetricsRegistry reg;
+    LogHistogram &h = reg.latency("nasd0/ops/read/latency_ns");
+    h.record(1000);
+    h.record(2500);
+    h.record(7'000'000);
+    const std::string json = reg.toJson();
+    EXPECT_NE(json.find("\"latencies\""), std::string::npos);
+    EXPECT_NE(json.find("\"buckets\""), std::string::npos);
+
+    MetricsRegistry loaded;
+    reg.forEachLatency(
+        [&loaded](const std::string &path, const LogHistogram &src) {
+            loaded.latency(path).merge(src);
+        });
+    EXPECT_EQ(loaded.latency("nasd0/ops/read/latency_ns").count(), 3u);
+    EXPECT_EQ(loaded.latency("nasd0/ops/read/latency_ns").max(),
+              7'000'000u);
+    EXPECT_EQ(loaded.toJson(), json);
+}
+
 TEST(MetricsRegistry, JsonRoundTripRestoresCountersAndGauges)
 {
+    // Rebuilding a registry from its visitors restores every counter and
+    // gauge, and the rebuilt registry dumps identically.
     MetricsRegistry reg;
     reg.counter("drive0/ops/read/count").add(17);
     reg.counter("net0/bytes_sent").add(1 << 20);
     reg.gauge("fig9/nasd/8_disks_mbps").set(42.5);
 
     MetricsRegistry loaded;
-    loaded.importJson(reg.toJson());
+    reg.forEachCounter([&loaded](const std::string &path, const Counter &c) {
+        loaded.counter(path).add(c.value());
+    });
+    reg.forEachGauge([&loaded](const std::string &path, const Gauge &g) {
+        loaded.gauge(path).set(g.value());
+    });
     EXPECT_EQ(loaded.counter("drive0/ops/read/count").value(), 17u);
     EXPECT_EQ(loaded.counter("net0/bytes_sent").value(), 1u << 20);
     EXPECT_DOUBLE_EQ(loaded.gauge("fig9/nasd/8_disks_mbps").value(), 42.5);
-    // The reload of a counter/gauge-only registry is value-identical.
     EXPECT_EQ(loaded.toJson(), reg.toJson());
 }
 
 TEST(MetricsRegistry, JsonSummarizesHistograms)
 {
+    // Latency histograms are the only histogram kind: the dump carries
+    // their summary beside the buckets, and no "histograms" section.
     MetricsRegistry reg;
-    SampleStats &h = reg.histogram("drive0/ops/read/latency_ns");
-    for (double v : {10.0, 20.0, 30.0})
-        h.add(v);
+    LogHistogram &h = reg.latency("drive0/ops/read/latency_ns");
+    for (std::uint64_t v : {10u, 20u, 30u})
+        h.record(v);
     const std::string json = reg.toJson();
-    EXPECT_NE(json.find("\"histograms\""), std::string::npos);
+    EXPECT_EQ(json.find("\"histograms\""), std::string::npos);
     EXPECT_NE(json.find("drive0/ops/read/latency_ns"), std::string::npos);
-    EXPECT_NE(json.find("\"count\""), std::string::npos);
+    EXPECT_NE(json.find("\"count\": 3"), std::string::npos);
+    EXPECT_NE(json.find("\"mean\": 20"), std::string::npos);
     EXPECT_NE(json.find("\"p95\""), std::string::npos);
 }
 
-TEST(MetricsRegistryDeathTest, ImportRejectsMalformedJson)
+TEST(MetricsRegistry, ToJsonMatchesGoldenDump)
 {
+    // The exact BENCH_*.json "metrics" layout: one section per
+    // instrument kind, paths sorted, latencies with their full buckets.
     MetricsRegistry reg;
-    EXPECT_DEATH(reg.importJson("{\"counters\": [1, 2]}"), "importJson");
-}
-
-TEST(MetricsRegistryDeathTest, ImportRejectsKindCollision)
-{
-    // A re-import may not silently retype an existing instrument: a
-    // path registered as a counter panics when the imported document
-    // provides it as a gauge, and vice versa.
-    MetricsRegistry reg;
-    reg.counter("drive0/ops_served").add(3);
-    EXPECT_DEATH(
-        reg.importJson("{\"counters\": {}, "
-                       "\"gauges\": {\"drive0/ops_served\": 1.5}, "
-                       "\"histograms\": {}}"),
-        "importJson: 'drive0/ops_served' already registered as counter");
-    reg.gauge("fig9/mbps").set(2.0);
-    EXPECT_DEATH(
-        reg.importJson("{\"counters\": {\"fig9/mbps\": 7}, "
-                       "\"gauges\": {}, \"histograms\": {}}"),
-        "importJson: 'fig9/mbps' already registered as gauge");
+    reg.counter("drive0/ops/read/count").add(17);
+    reg.gauge("fig9/nasd/8_disks_mbps").set(42.5);
+    LogHistogram &h = reg.latency("nasd0/ops/read/latency_ns");
+    h.record(5);
+    h.record(7);
+    h.record(9);
+    EXPECT_EQ(reg.toJson(),
+              "{\n"
+              "  \"counters\": {\n"
+              "    \"drive0/ops/read/count\": 17\n"
+              "  },\n"
+              "  \"gauges\": {\n"
+              "    \"fig9/nasd/8_disks_mbps\": 42.5\n"
+              "  },\n"
+              "  \"latencies\": {\n"
+              "    \"nasd0/ops/read/latency_ns\": {\"count\": 3, \"sum\": 21, "
+              "\"min\": 5, \"max\": 9, \"mean\": 7, \"p50\": 7, \"p95\": 9, "
+              "\"p99\": 9, \"buckets\": [[5, 1], [7, 1], [9, 1]]}\n"
+              "  }\n"
+              "}\n");
 }
 
 TEST(MetricsScope, InstallsFreshRegistryAndRestores)

@@ -453,6 +453,35 @@ TEST_F(ParityTest, DegradedWriteUpdatesSurvivorsAndParity)
     EXPECT_EQ(out, updated);
 }
 
+TEST_F(ParityTest, DegradedWriteIntoDeadUnitRebuildsParity)
+{
+    // The write covers the tail of a row's first data unit, which lives
+    // on the failed drive, and the head of its second. The new parity
+    // must fold in the dead unit's untouched head (reconstructed from
+    // the old row) and its new tail; a degraded read checks both.
+    const auto id = createParity(2);
+    const std::uint64_t row_bytes = 2 * kSu;
+    auto model = pattern(4 * row_bytes, 17);
+    ASSERT_TRUE(runFor(client->write(id, 0, model)).ok());
+
+    const std::uint64_t row = 1;
+    auto map = runFor(client->open(id, false)).value();
+    const std::uint32_t dead = CheopsManager::dataComponent(row, 0, 2);
+    drives[map->components[dead].drive]->setFailed(true);
+
+    const std::uint64_t off = row * row_bytes + kSu / 2;
+    const auto chunk = pattern(kSu, 77);
+    ASSERT_TRUE(runFor(client->write(id, off, chunk)).ok());
+    std::copy(chunk.begin(), chunk.end(),
+              model.begin() + static_cast<std::ptrdiff_t>(off));
+
+    std::vector<std::uint8_t> out(model.size());
+    auto n = runFor(client->read(id, 0, out));
+    ASSERT_TRUE(n.ok());
+    EXPECT_TRUE(n.value().degraded());
+    EXPECT_EQ(out, model);
+}
+
 TEST_F(ParityTest, DoubleFailureLosesData)
 {
     const auto id = createParity();

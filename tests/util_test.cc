@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for src/util: RNG determinism and distributions, stats
- * accumulators, unit conversion, Result.
+ * Unit tests for src/util: RNG determinism and distributions, busy-time
+ * tracking, time series, unit conversion, Result.
  */
 #include <gtest/gtest.h>
 
@@ -184,48 +184,6 @@ TEST(Zipf, GuideTableMatchesBinarySearch)
     }
 }
 
-TEST(SampleStats, BasicMoments)
-{
-    SampleStats s;
-    for (double v : {1.0, 2.0, 3.0, 4.0})
-        s.add(v);
-    EXPECT_EQ(s.count(), 4u);
-    EXPECT_DOUBLE_EQ(s.mean(), 2.5);
-    EXPECT_DOUBLE_EQ(s.min(), 1.0);
-    EXPECT_DOUBLE_EQ(s.max(), 4.0);
-    EXPECT_NEAR(s.stddev(), std::sqrt(1.25), 1e-12);
-}
-
-TEST(SampleStats, EmptyIsZero)
-{
-    SampleStats s;
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_EQ(s.mean(), 0.0);
-    EXPECT_EQ(s.percentile(50), 0.0);
-}
-
-TEST(SampleStats, PercentileInterpolates)
-{
-    SampleStats s;
-    for (double v : {10.0, 20.0, 30.0, 40.0, 50.0})
-        s.add(v);
-    EXPECT_DOUBLE_EQ(s.percentile(0), 10.0);
-    EXPECT_DOUBLE_EQ(s.percentile(100), 50.0);
-    EXPECT_DOUBLE_EQ(s.percentile(50), 30.0);
-    EXPECT_DOUBLE_EQ(s.percentile(25), 20.0);
-}
-
-TEST(SampleStats, PercentileAfterAddResorts)
-{
-    SampleStats s;
-    s.add(5.0);
-    s.add(1.0);
-    EXPECT_DOUBLE_EQ(s.percentile(100), 5.0);
-    s.add(9.0);
-    EXPECT_DOUBLE_EQ(s.percentile(100), 9.0);
-    EXPECT_DOUBLE_EQ(s.percentile(0), 1.0);
-}
-
 TEST(Utilization, BusyFractionOverWindow)
 {
     UtilizationTracker u;
@@ -252,173 +210,6 @@ TEST(Utilization, RedundantMarksIgnored)
     u.markIdle(30);
     u.markIdle(40); // ignored
     EXPECT_EQ(u.busyTime(), 20u);
-}
-
-TEST(SampleStats, PercentileReusesSortedCache)
-{
-    SampleStats s;
-    for (double v : {3.0, 1.0, 2.0})
-        s.add(v);
-    EXPECT_EQ(s.sortCount(), 0u);
-    (void)s.percentile(50);
-    (void)s.percentile(95); // no intervening add: cache reused
-    EXPECT_EQ(s.sortCount(), 1u);
-    s.add(4.0);
-    (void)s.percentile(50);
-    EXPECT_EQ(s.sortCount(), 2u);
-}
-
-TEST(SampleStats, ReservoirBoundsRetainedSamples)
-{
-    SampleStats s(16);
-    for (int i = 0; i < 1000; ++i)
-        s.add(static_cast<double>(i));
-    EXPECT_EQ(s.count(), 1000u);
-    EXPECT_EQ(s.retained(), 16u);
-    // Moments stay exact even after eviction.
-    EXPECT_DOUBLE_EQ(s.mean(), 499.5);
-    EXPECT_DOUBLE_EQ(s.min(), 0.0);
-    EXPECT_DOUBLE_EQ(s.max(), 999.0);
-    // Percentiles are approximate but drawn from real samples.
-    const double p50 = s.percentile(50);
-    EXPECT_GE(p50, 0.0);
-    EXPECT_LE(p50, 999.0);
-}
-
-TEST(SampleStats, ReservoirIsDeterministic)
-{
-    SampleStats a(8);
-    SampleStats b(8);
-    for (int i = 0; i < 500; ++i) {
-        a.add(static_cast<double>(i));
-        b.add(static_cast<double>(i));
-    }
-    for (double p : {0.0, 25.0, 50.0, 75.0, 100.0})
-        EXPECT_DOUBLE_EQ(a.percentile(p), b.percentile(p));
-}
-
-TEST(SampleStats, ResetRestartsReservoirSequence)
-{
-    SampleStats s(8);
-    for (int i = 0; i < 100; ++i)
-        s.add(static_cast<double>(i));
-    const double before = s.percentile(50);
-    s.reset();
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_EQ(s.retained(), 0u);
-    EXPECT_EQ(s.sortCount(), 0u);
-    for (int i = 0; i < 100; ++i)
-        s.add(static_cast<double>(i));
-    EXPECT_DOUBLE_EQ(s.percentile(50), before);
-}
-
-// Reference quantile using the same rule SampleStats documents: linear
-// interpolation at index p/100 * (n-1) into the sorted samples.
-double
-exactQuantile(std::vector<double> sorted, double p)
-{
-    std::sort(sorted.begin(), sorted.end());
-    const double idx = p / 100.0 * static_cast<double>(sorted.size() - 1);
-    const auto lo = static_cast<std::size_t>(idx);
-    if (lo + 1 >= sorted.size())
-        return sorted.back();
-    const double frac = idx - static_cast<double>(lo);
-    return sorted[lo] + frac * (sorted[lo + 1] - sorted[lo]);
-}
-
-TEST(SampleStats, TailPercentilesMatchExactQuantilesOnUniform)
-{
-    // 1..1000 inserted in scrambled order (389 is coprime with 1000, so
-    // the walk is a permutation): the exact path must reproduce the
-    // reference quantiles bit-for-bit.
-    SampleStats s;
-    std::vector<double> values;
-    for (int i = 0; i < 1000; ++i) {
-        const double v = static_cast<double>((i * 389) % 1000 + 1);
-        s.add(v);
-        values.push_back(v);
-    }
-    for (double p : {50.0, 95.0, 99.0})
-        EXPECT_DOUBLE_EQ(s.percentile(p), exactQuantile(values, p))
-            << "p" << p;
-    EXPECT_DOUBLE_EQ(s.percentile(50), 500.5);
-    EXPECT_DOUBLE_EQ(s.percentile(95), 950.05);
-    EXPECT_DOUBLE_EQ(s.percentile(99), 990.01);
-}
-
-TEST(SampleStats, TailPercentilesSeparateBimodalModes)
-{
-    // 90% fast ops at 1us, 10% slow ops at 100us, interleaved: the
-    // median sits on the fast mode, the tail on the slow one.
-    SampleStats s;
-    std::vector<double> values;
-    for (int i = 0; i < 1000; ++i) {
-        const double v = (i % 10 == 9) ? 100000.0 : 1000.0;
-        s.add(v);
-        values.push_back(v);
-    }
-    EXPECT_DOUBLE_EQ(s.percentile(50), 1000.0);
-    EXPECT_DOUBLE_EQ(s.percentile(95), 100000.0);
-    EXPECT_DOUBLE_EQ(s.percentile(99), 100000.0);
-    for (double p : {50.0, 95.0, 99.0})
-        EXPECT_DOUBLE_EQ(s.percentile(p), exactQuantile(values, p))
-            << "p" << p;
-}
-
-TEST(SampleStats, ReservoirApproximatesTailPercentiles)
-{
-    // Bounded Algorithm-R path: 10k uniform samples through a 256-slot
-    // reservoir. Percentiles become estimates; with the deterministic
-    // generator they must stay within a few percent of the exact
-    // quantiles of the full population.
-    SampleStats s(256);
-    std::vector<double> values;
-    for (int i = 0; i < 10000; ++i) {
-        const double v = static_cast<double>((i * 7919) % 10000 + 1);
-        s.add(v);
-        values.push_back(v);
-    }
-    EXPECT_EQ(s.count(), 10000u);
-    EXPECT_EQ(s.retained(), 256u);
-    for (double p : {50.0, 95.0, 99.0}) {
-        const double exact = exactQuantile(values, p);
-        EXPECT_NEAR(s.percentile(p), exact, 0.10 * exact) << "p" << p;
-    }
-}
-
-TEST(SampleStats, ReservoirBoundaryPinsEnvelopeToExactExtremes)
-{
-    // At exactly-full capacity the reservoir has evicted nothing, so
-    // both modes must agree on every percentile.
-    SampleStats exact;
-    SampleStats res(8);
-    for (int i = 1; i <= 8; ++i) {
-        exact.add(static_cast<double>(i));
-        res.add(static_cast<double>(i));
-    }
-    for (double p : {0.0, 25.0, 50.0, 75.0, 99.0, 100.0})
-        EXPECT_DOUBLE_EQ(res.percentile(p), exact.percentile(p)) << p;
-
-    // One past the boundary eviction starts, and with this input the
-    // deterministic generator eventually drops both true extremes from
-    // the reservoir. min_/max_ are tracked exactly, so the percentile
-    // envelope must pin to them instead of the surviving residents.
-    exact.add(1000.0);
-    res.add(1000.0);
-    for (int i = 0; i < 200; ++i) {
-        exact.add(5.0);
-        res.add(5.0);
-    }
-    EXPECT_EQ(res.retained(), 8u);
-    EXPECT_DOUBLE_EQ(res.percentile(0), 1.0);
-    EXPECT_DOUBLE_EQ(res.percentile(100), 1000.0);
-    EXPECT_DOUBLE_EQ(res.percentile(0), exact.percentile(0));
-    EXPECT_DOUBLE_EQ(res.percentile(100), exact.percentile(100));
-    // Interior percentiles stay within the exact envelope.
-    for (double p : {10.0, 50.0, 95.0}) {
-        EXPECT_GE(res.percentile(p), res.min());
-        EXPECT_LE(res.percentile(p), res.max());
-    }
 }
 
 TEST(TimeSeries, ColumnsAccumulateInStep)

@@ -9,8 +9,6 @@ Schema (written by bench::writeBenchJson):
      "reference": "<paper figure/table>",
      "metrics": {"counters": {path: int, ...},
                  "gauges": {path: float, ...},
-                 "histograms": {path: {count, mean, min, max,
-                                       p50, p95, p99}, ...},
                  "latencies": {path: {count, sum, min, max, mean,
                                       p50, p95, p99,
                                       "buckets": [[lower, n], ...]},
@@ -31,7 +29,7 @@ per sampling interval.
 The "metrics.latencies" section (util::LogHistogram instruments) is
 optional for older dumps; when present every histogram's bucket lower
 bounds must be strictly increasing and the bucket counts must sum to
-the histogram's count — a violation means merge() or restore() broke.
+the histogram's count — a violation means merge() broke.
 
 The "fleet_rollup" section (util::FleetRollup; merged per-op latency
 across instrument siblings + straggler verdicts) is REQUIRED: every
@@ -78,7 +76,6 @@ import json
 import math
 import sys
 
-HISTOGRAM_KEYS = {"count", "mean", "min", "max", "p50", "p95", "p99"}
 HEADLINE_SUFFIXES = ("_mbps", "_instr", "_ms")
 EVENTS_PER_SEC_GAUGE = "sim/events_per_sec"
 
@@ -101,7 +98,7 @@ def check_schema(doc, errors):
     if not isinstance(metrics, dict):
         fail(errors, "'metrics' missing or not an object")
         return
-    for section in ("counters", "gauges", "histograms"):
+    for section in ("counters", "gauges"):
         if not isinstance(metrics.get(section), dict):
             fail(errors, f"metrics.{section} missing or not an object")
             return
@@ -120,14 +117,6 @@ def check_schema(doc, errors):
             or not math.isfinite(eps) or eps <= 0:
         fail(errors, f"gauge '{EVENTS_PER_SEC_GAUGE}' must be a positive"
                      f" finite number, got {eps!r}")
-    for path, summary in metrics["histograms"].items():
-        if not isinstance(summary, dict):
-            fail(errors, f"histogram '{path}' is not an object")
-            continue
-        missing = HISTOGRAM_KEYS - summary.keys()
-        if missing:
-            fail(errors, f"histogram '{path}' missing keys:"
-                         f" {sorted(missing)}")
     for path, summary in metrics.get("latencies", {}).items():
         check_latency_histogram(summary, f"latency '{path}'", errors)
     if "timeseries" in doc:

@@ -1,25 +1,20 @@
 #!/usr/bin/env bash
-# Project lint gate: invariant checker + clang-tidy (when available) +
-# nasd_analyze coroutine-safety / determinism checks.
+# Project lint gate: clang-tidy (when available) + nasd_analyze
+# (coroutine-safety, determinism and project-invariant checks; see
+# tools/nasd_analyze.py --list-checks).
 #
 # Usage: tools/lint.sh [build-dir]
 #
 # The build dir must have been configured by the root CMakeLists (it
-# exports compile_commands.json). clang-tidy is optional locally — the
-# invariant checker and nasd_analyze always run — but CI treats a
-# missing clang-tidy in its lint job as a failure.
+# exports compile_commands.json). clang-tidy is optional locally —
+# nasd_analyze always runs — but CI treats a missing clang-tidy in its
+# lint job as a failure.
 set -u
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD_DIR="${1:-$ROOT/build}"
 STATUS=0
 
-echo "== check_invariants =="
-if ! python3 "$ROOT/tools/check_invariants.py" "$ROOT"; then
-    STATUS=1
-fi
-
-echo
 echo "== clang-tidy =="
 TIDY="${CLANG_TIDY:-clang-tidy}"
 if command -v "$TIDY" > /dev/null 2>&1; then

@@ -6,7 +6,7 @@ mid-suspend resume, the GCC coroutine prvalue double-destroy, the
 refreshCaps UAF under suspended readers) was a coroutine-lifetime defect
 that line-regexes cannot see. This tool parses the sources into a small
 structural model — functions, parameters, lambdas with capture lists,
-suspension points — and runs eight checks over it:
+suspension points — and runs these checks over it:
 
   A1 coro-ref-escape     Reference/pointer parameters and lambda
                          captures of a *detached* coroutine (one whose
@@ -41,9 +41,8 @@ suspension points — and runs eight checks over it:
                          through sim::timedAcquire (attribution), and
                          releases through sim::ScopedPermit so early
                          returns and exceptions cannot leak permits.
-                         This promotes invariant check #7 to the token
-                         level: immune to comments/strings and aware of
-                         ->acquire() chains the old regex missed.
+                         Token-level, so comments and strings never
+                         match and ->acquire() chains are seen.
   A5 missing-deadline    net::call<...> (the reliable transport) in a
                          file whose RPCs ride the unreliable data path
                          (src/nasd/client.cc, or any file marked with
@@ -70,16 +69,37 @@ suspension points — and runs eight checks over it:
                          to tools/flight_report.py post-mortems.
                          Opt out with `// nasd-analyze:
                          no-flight-journal`.
-  A8 reservoir-latency   A latency instrument backed by
-                         util::SampleStats outside src/util/: a
-                         SampleStats-typed declaration whose name
-                         mentions latency, or a registry .histogram()
-                         lookup whose path literal does. Reservoirs
-                         subsample past capacity, so merging them is
-                         inexact and fleet rollups over them misstate
-                         the tail; latency paths must use
-                         MetricsRegistry::latency() (LogHistogram:
-                         O(1) record, exact merge).
+  A9 naked-value         `x.value()` (or `x[i].value()`) with no
+                         `x.ok()` / `x.has_value()` / `if (x)` /
+                         `NASD_ASSERT(x)`-style guard earlier in the
+                         enclosing function. Result::value() panics on
+                         an error, so an unguarded call is a latent
+                         crash or a dropped status. Names declared as
+                         `Counter &` / `Gauge &` (registry instruments)
+                         are exempt.
+  A10 schedule-ref-capture
+                         A lambda handed to schedule / scheduleIn /
+                         scheduleCancelable / scheduleCancelableIn that
+                         captures by reference ([&] or [&x]). The
+                         callback runs when the event fires, after the
+                         scheduling scope is gone; capture by value.
+  A11 include-guard      A header whose first tokens are not an
+                         `#ifndef X` / `#define X` pair or
+                         `#pragma once`.
+  A12 loose-counter      A `util::Counter` held by value outside
+                         src/util/. Modules register counters in the
+                         MetricsRegistry and hold `util::Counter &`, so
+                         every counter appears in BENCH_*.json dumps.
+  A13 raw-stderr         `fprintf(stderr, ...)` outside
+                         src/util/logging.cc; diagnostics go through
+                         NASD_LOG so NASD_LOG_LEVEL filtering applies.
+
+A8 (reservoir-latency) is retired with the sample-histogram instrument
+kind it guarded; its ID is not reused.
+
+The default run covers src/ with every check and bench/ with the
+hygiene checks A9-A12 only: bench drivers read the host clock and run
+coroutines from main(), which A1-A7 and A13 are not written for.
 
 Backends:
   * builtin (default)  — a self-contained C++ lexer + structural parser,
@@ -1360,62 +1380,177 @@ def check_a7(model, findings):
             ))
 
 
-def check_a8(model, findings):
-    """Latency instruments outside src/util must be LogHistogram.
+def instrument_ref_names(tokens):
+    """Names declared as `Counter &` / `Gauge &` in this file: registry
+    instruments whose .value() is a plain read, not a Result."""
+    names = set()
+    for i, t in enumerate(tokens[:-2]):
+        if (t.text in ("Counter", "Gauge") and tokens[i + 1].text == "&"
+                and tokens[i + 2].kind == "ident"):
+            names.add(tokens[i + 2].text)
+    return names
 
-    A SampleStats reservoir subsamples past its capacity, so merging
-    two reservoirs is not exact and fleet rollups built on them lie
-    about the tail. MetricsRegistry::latency() (util::LogHistogram)
-    merges exactly and is the only sanctioned latency instrument
-    outside src/util/. Flag (a) a SampleStats-typed declaration whose
-    name mentions latency, and (b) a registry `.histogram(...)` lookup
-    whose path literal names a latency instrument — both should be
-    `latency()` / LogHistogram.
-    """
+
+def value_receiver(tokens, dot):
+    """Start index of the receiver of `R.value()` with the '.' at
+    @p dot: `x` or `x[k]`, not itself a member (`a.x`, `p->x`). None
+    otherwise."""
+    end = dot - 1
+    if end >= 3 and tokens[end].text == "]" \
+            and tokens[end - 1].kind in ("ident", "number") \
+            and tokens[end - 2].text == "[":
+        start = end - 3
+    else:
+        start = end
+    if start < 0 or tokens[start].kind != "ident":
+        return None
+    if start > 0 and tokens[start - 1].text in (".", "->"):
+        return None
+    return start
+
+
+def guards_receiver(tokens, i, recv):
+    """True if a guard for the receiver text sequence @p recv starts at
+    tokens[i]: `R.ok(`, `R.has_value(`, `if (!R)`-style conditions
+    (also `while`), `NASD_ASSERT(!R`, `ASSERT_TRUE(R`."""
+    n = len(tokens)
+    k = len(recv)
+
+    def recv_at(j):
+        return j + k <= n and [t.text for t in tokens[j:j + k]] == recv
+
+    if recv_at(i) and i + k + 2 < n and tokens[i + k].text == "." \
+            and tokens[i + k + 1].text in ("ok", "has_value") \
+            and tokens[i + k + 2].text == "(":
+        return True
+    t = tokens[i].text
+    if t not in ("if", "while", "NASD_ASSERT", "ASSERT_TRUE") \
+            or i + 1 >= n or tokens[i + 1].text != "(":
+        return False
+    j = i + 2
+    if t != "ASSERT_TRUE" and j < n and tokens[j].text == "!":
+        j += 1
+    if not recv_at(j):
+        return False
+    if t in ("if", "while"):
+        return j + k < n and tokens[j + k].text in (")", "&&", "||")
+    return True
+
+
+def check_a9(model, findings):
+    """Naked Result::value() with no ok-check in the enclosing function."""
+    tokens = model.tokens
+    n = len(tokens)
+    instruments = instrument_ref_names(tokens)
+    for i, t in enumerate(tokens):
+        if t.text != "value" or i < 2 or i + 2 >= n:
+            continue
+        if tokens[i - 1].text != "." or tokens[i + 1].text != "(" \
+                or tokens[i + 2].text != ")":
+            continue
+        start = value_receiver(tokens, i - 1)
+        if start is None or tokens[start].text in instruments:
+            continue
+        full = [x.text for x in tokens[start:i - 1]]
+        names = [full] if len(full) == 1 else [full, full[:1]]
+        encl = enclosing_function(model, i)
+        lo = encl.start if encl is not None else 0
+        if any(guards_receiver(tokens, j, r)
+               for j in range(lo, start) for r in names):
+            continue
+        text = "".join(full)
+        sym = enclosing_symbol(model, i)
+        findings.append(Finding(
+            "A9", model.rel, t.line, f"{sym}:{text}.value",
+            f"naked '{text}.value()' without a preceding "
+            f"'{full[0]}.ok()' check in the enclosing function",
+            "check ok() first (or co_return the error): value() panics "
+            "on an error Result",
+        ))
+
+
+def check_a10(model, findings):
+    """Reference captures in lambdas handed to the event scheduler."""
+    for r in model.regions:
+        if r.kind != "lambda":
+            continue
+        refs = [c for c in r.ref_captures if c != "this"]
+        if r.capture_default != "&" and not refs:
+            continue
+        if lambda_escape_context(model, r) != "schedule":
+            continue
+        names = ", ".join(refs) or "[&]"
+        findings.append(Finding(
+            "A10", model.rel, r.line, f"{r.name}:schedule-ref-capture",
+            f"schedule* callback captures by reference ({names}); the "
+            "callback runs after the scheduling scope is gone",
+            "capture by value (coroutine handles and ids are cheap to "
+            "copy)",
+        ))
+
+
+def check_a11(model, findings):
+    """Headers open with an include guard or #pragma once."""
+    if not model.rel.endswith(".h"):
+        return
+    texts = [t.text for t in model.tokens[:6]]
+    if texts[:3] == ["#", "pragma", "once"]:
+        return
+    if (len(texts) == 6 and texts[0] == "#" and texts[1] == "ifndef"
+            and texts[3] == "#" and texts[4] == "define"
+            and texts[2] == texts[5]):
+        return
+    line = model.tokens[0].line if model.tokens else 1
+    findings.append(Finding(
+        "A11", model.rel, line, "<file>:include-guard",
+        "header does not open with an include guard",
+        "start the header with #ifndef NASD_<PATH>_H_ / #define "
+        "NASD_<PATH>_H_ (or #pragma once)",
+    ))
+
+
+def check_a12(model, findings):
+    """util::Counter value declarations outside the registry."""
     if model.rel.startswith("src/util/"):
         return
     tokens = model.tokens
     n = len(tokens)
     for i, t in enumerate(tokens):
-        if t.kind != "ident":
+        if t.text != "Counter" or i < 2 or i + 2 >= n:
             continue
-        if t.text == "SampleStats":
-            j = i + 1
-            while j < n and tokens[j].text in ("&", "*", "const"):
-                j += 1
-            if (j < n and tokens[j].kind == "ident"
-                    and "latency" in tokens[j].text.lower()):
-                sym = enclosing_symbol(model, i)
-                findings.append(Finding(
-                    "A8", model.rel, t.line, f"{sym}:{tokens[j].text}",
-                    f"SampleStats latency instrument '{tokens[j].text}' "
-                    "outside src/util: reservoir subsampling makes "
-                    "merges inexact, so fleet rollups over it misstate "
-                    "the tail",
-                    "use util::LogHistogram via "
-                    "MetricsRegistry::latency(path) — O(1) record, "
-                    "exact merge, <5% relative error",
-                ))
-        elif (t.text == "histogram" and i + 1 < n
-                and tokens[i + 1].text == "("
-                and i > 0 and tokens[i - 1].text in (".", "->")):
-            close = match_forward(tokens, i + 1, "(", ")")
-            if close is None:
-                continue
-            for j in range(i + 2, close):
-                if (tokens[j].kind == "string"
-                        and "latency" in tokens[j].text):
-                    sym = enclosing_symbol(model, i)
-                    findings.append(Finding(
-                        "A8", model.rel, tokens[j].line,
-                        f"{sym}:histogram:latency",
-                        "latency path registered through .histogram() "
-                        "(SampleStats) outside src/util: the reservoir "
-                        "cannot be merged exactly across the fleet",
-                        "register the path with .latency() "
-                        "(util::LogHistogram) instead",
-                    ))
-                    break
+        if tokens[i - 1].text != "::" or tokens[i - 2].text != "util":
+            continue
+        if tokens[i + 1].kind != "ident" \
+                or tokens[i + 2].text not in (";", "=", "{"):
+            continue
+        sym = enclosing_symbol(model, i)
+        findings.append(Finding(
+            "A12", model.rel, t.line, f"{sym}:{tokens[i + 1].text}",
+            f"loose util::Counter '{tokens[i + 1].text}' held by value: "
+            "it never reaches the MetricsRegistry or BENCH_*.json dumps",
+            "register it with util::metrics().counter(path) and hold a "
+            "util::Counter & instead",
+        ))
+
+
+def check_a13(model, findings):
+    """Raw stderr prints bypass NASD_LOG."""
+    if model.rel == "src/util/logging.cc":
+        return  # the log sink itself
+    tokens = model.tokens
+    n = len(tokens)
+    for i, t in enumerate(tokens):
+        if t.text != "fprintf" or i + 2 >= n:
+            continue
+        if tokens[i + 1].text != "(" or tokens[i + 2].text != "stderr":
+            continue
+        sym = enclosing_symbol(model, i)
+        findings.append(Finding(
+            "A13", model.rel, t.line, f"{sym}:fprintf-stderr",
+            "raw fprintf(stderr, ...) bypasses NASD_LOG level filtering "
+            "and formatting",
+            "log through NASD_LOG (util/logging.h)",
+        ))
 
 
 CHECKS = {
@@ -1426,30 +1561,43 @@ CHECKS = {
     "A5": "missing-deadline",
     "A6": "raw-event-access",
     "A7": "silent-injection",
-    "A8": "reservoir-latency",
+    "A9": "naked-value",
+    "A10": "schedule-ref-capture",
+    "A11": "include-guard",
+    "A12": "loose-counter",
+    "A13": "raw-stderr",
 }
+
+CHECK_FNS = {
+    "A1": check_a1, "A2": check_a2, "A3": check_a3, "A4": check_a4,
+    "A5": check_a5, "A6": check_a6, "A7": check_a7, "A9": check_a9,
+    "A10": check_a10, "A11": check_a11, "A12": check_a12,
+    "A13": check_a13,
+}
+
+# Checks that also run on bench/ (see module docstring).
+BENCH_CHECKS = {"A9", "A10", "A11", "A12"}
+
+
+def is_bench(model):
+    return model.rel.startswith("bench/")
 
 
 def run_checks(models, checks):
-    ginfo = collect_globals(models)
+    # Bench code stays out of the cross-file facts (Task names, detached
+    # coroutines, semaphores) that A1/A2/A4 apply to src/.
+    ginfo = collect_globals([m for m in models if not is_bench(m)])
     findings = []
     for model in models:
-        if "A1" in checks:
-            check_a1(model, ginfo, findings)
-        if "A2" in checks:
-            check_a2(model, ginfo, findings)
-        if "A3" in checks:
-            check_a3(model, findings)
-        if "A4" in checks:
-            check_a4(model, ginfo, findings)
-        if "A5" in checks:
-            check_a5(model, findings)
-        if "A6" in checks:
-            check_a6(model, findings)
-        if "A7" in checks:
-            check_a7(model, findings)
-        if "A8" in checks:
-            check_a8(model, findings)
+        for cid, fn in CHECK_FNS.items():
+            if cid not in checks:
+                continue
+            if is_bench(model) and cid not in BENCH_CHECKS:
+                continue
+            if cid in ("A1", "A2", "A4"):
+                fn(model, ginfo, findings)
+            else:
+                fn(model, findings)
     return findings
 
 
@@ -1631,18 +1779,19 @@ def load_baseline(path):
 
 def discover_sources(root):
     paths = []
-    for ext in ("*.cc", "*.h"):
-        paths.extend(sorted((root / "src").rglob(ext)))
+    for top in ("src", "bench"):
+        for ext in ("*.cc", "*.h"):
+            paths.extend(sorted((root / top).rglob(ext)))
     return paths
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(
         description="AST-level coroutine-safety and sim-determinism "
-        "analyzer (checks A1-A8; see module docstring)",
+        "analyzer (see module docstring or --list-checks)",
     )
     ap.add_argument("files", nargs="*", help="files to analyze "
-                    "(default: all of src/ under --root)")
+                    "(default: src/ and bench/ under --root)")
     ap.add_argument("--root", default=None,
                     help="repo root (default: parent of this script)")
     ap.add_argument("--build-dir", default=None,
@@ -1658,7 +1807,7 @@ def main(argv=None):
                     "tools/analyze_baseline.json)")
     ap.add_argument("--no-baseline", action="store_true",
                     help="ignore the baseline (fixture/self-test mode)")
-    ap.add_argument("--checks", default="A1,A2,A3,A4,A5,A6,A7,A8",
+    ap.add_argument("--checks", default=",".join(CHECKS),
                     help="comma-separated subset of checks to run")
     ap.add_argument("--format", choices=("text", "json"), default="text")
     ap.add_argument("--list-checks", action="store_true")
