@@ -3,8 +3,8 @@
  * Wall-clock microbenchmarks (google-benchmark) for the real
  * computational kernels of the library — the pieces that execute
  * actual work rather than simulated time: SHA-256/HMAC, capability
- * mint/verify, the byte codec, the extent allocator, and the
- * frequent-sets counting kernel.
+ * mint/verify, the byte codec, the extent allocator, the object
+ * store's read data plane, and the frequent-sets counting kernel.
  *
  * These measure THIS implementation on THIS host; they are not part of
  * the paper reproduction, but they justify design choices (e.g. that
@@ -14,14 +14,21 @@
  */
 #include <benchmark/benchmark.h>
 
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "apps/frequent_sets.h"
 #include "apps/transactions.h"
 #include "crypto/hmac.h"
 #include "crypto/keychain.h"
+#include "disk/disk_model.h"
+#include "disk/params.h"
+#include "disk/striping.h"
 #include "nasd/allocator.h"
 #include "nasd/capability.h"
+#include "nasd/object_store.h"
+#include "sim/simulator.h"
 #include "util/codec.h"
 #include "util/rng.h"
 
@@ -142,6 +149,71 @@ BM_AllocatorChurn(benchmark::State &state)
     }
 }
 BENCHMARK(BM_AllocatorChurn);
+
+/** Run @p task to completion on @p sim and return its value. */
+template <typename T>
+T
+runFor(sim::Simulator &sim, sim::Task<T> task)
+{
+    std::optional<T> result;
+    sim.spawn([](sim::Task<T> t, std::optional<T> &out) -> sim::Task<void> {
+        out = co_await std::move(t);
+    }(std::move(task), result));
+    sim.run();
+    return std::move(*result);
+}
+
+/**
+ * The drive's read data plane: 512 KB ObjectStore::read calls on the
+ * prototype's two Medallists striped at 32 KB. Arg 0 streams a 4 MB
+ * object through a 512 KB unit cache, so every read misses and goes
+ * through the device; arg 1 caches the whole object, so every read
+ * hits. Host time includes the simulator events the read schedules.
+ */
+void
+BM_ObjectStoreRead(benchmark::State &state)
+{
+    const bool hit = state.range(0) != 0;
+    constexpr std::size_t kRead = 512 * 1024;
+    constexpr std::uint64_t kObject = 8 * kRead;
+
+    sim::Simulator sim;
+    disk::DiskModel d0(sim, disk::medallistParams());
+    disk::DiskModel d1(sim, disk::medallistParams());
+    disk::StripingDriver stripe(sim, {&d0, &d1}, 32 * 1024);
+    StoreConfig config;
+    config.data_cache_bytes = hit ? kObject : kRead;
+    ObjectStore store(sim, stripe, config);
+    sim.spawn(store.format());
+    sim.run();
+    if (!store.createPartition(0, 2 * kObject).ok()) {
+        state.SkipWithError("createPartition failed");
+        return;
+    }
+    const ObjectId oid = runFor(sim, store.createObject(0, kObject)).value();
+    std::vector<std::uint8_t> data(kObject);
+    for (std::size_t i = 0; i < data.size(); ++i)
+        data[i] = static_cast<std::uint8_t>(i * 13 + 1);
+    if (!runFor(sim, store.write(0, oid, 0, data)).ok()) {
+        state.SkipWithError("write failed");
+        return;
+    }
+    sim.spawn(store.flushAll());
+    sim.run();
+
+    std::vector<std::uint8_t> out(kRead);
+    std::uint64_t offset = 0;
+    for (auto _ : state) {
+        const auto n = runFor(sim, store.read(0, oid, offset, out));
+        benchmark::DoNotOptimize(n);
+        benchmark::DoNotOptimize(out.data());
+        if (!hit)
+            offset = (offset + kRead) % kObject;
+    }
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<std::int64_t>(kRead));
+}
+BENCHMARK(BM_ObjectStoreRead)->ArgName("hit")->Arg(0)->Arg(1);
 
 void
 BM_TransactionGeneration(benchmark::State &state)

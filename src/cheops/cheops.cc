@@ -1,6 +1,7 @@
 #include "cheops/cheops.h"
 
 #include <algorithm>
+#include <memory>
 #include <span>
 
 #include "net/rpc.h"
@@ -1189,28 +1190,41 @@ CheopsClient::rebuildUnlock(LogicalObjectId id, std::uint64_t ticket)
     (void)reply.status; // the permit is released or the rebuild is gone
 }
 
+sim::Task<StoreResult<std::uint64_t>>
+CheopsClient::readComponent(OpenState *open, LogicalObjectId id,
+                            std::uint32_t comp, std::uint64_t offset,
+                            std::span<std::uint8_t> out,
+                            util::TraceContext ctx)
+{
+    auto &ref = open->map.components[comp];
+    auto &cred = *open->creds[comp];
+    auto n = co_await drive_clients_[ref.drive]->read(cred, offset, out, ctx);
+    const bool parity = open->map.redundancy == Redundancy::kParity;
+    if (!n.ok() &&
+        (n.error() == NasdStatus::kExpiredCapability ||
+         (parity && n.error() == NasdStatus::kVersionMismatch))) {
+        // Refresh once, then retry. Expiry always earns a refresh; a
+        // version mismatch does so only in parity mode, where it is
+        // the rebuild fence (elsewhere revoked must stay revoked).
+        if (co_await refreshCaps(id, open->writable))
+            n = co_await drive_clients_[ref.drive]->read(cred, offset, out,
+                                                         ctx);
+    }
+    co_return n;
+}
+
 sim::Task<StoreResult<std::vector<std::uint8_t>>>
 CheopsClient::readComponent(OpenState *open, LogicalObjectId id,
                             std::uint32_t comp, std::uint64_t offset,
                             std::uint64_t length, util::TraceContext ctx)
 {
-    auto &ref = open->map.components[comp];
-    auto &cred = *open->creds[comp];
-    auto data =
-        co_await drive_clients_[ref.drive]->read(cred, offset, length, ctx);
-    const bool parity = open->map.redundancy == Redundancy::kParity;
-    if (!data.ok() &&
-        (data.error() == NasdStatus::kExpiredCapability ||
-         (parity && data.error() == NasdStatus::kVersionMismatch))) {
-        // Refresh once, then retry. Expiry always earns a refresh; a
-        // version mismatch does so only in parity mode, where it is
-        // the rebuild fence (elsewhere revoked must stay revoked).
-        if (co_await refreshCaps(id, open->writable)) {
-            data = co_await drive_clients_[ref.drive]->read(cred, offset,
-                                                            length, ctx);
-        }
-    }
-    co_return data;
+    std::vector<std::uint8_t> out(length);
+    auto n = co_await readComponent(open, id, comp, offset, std::span(out),
+                                    ctx);
+    if (!n.ok())
+        co_return util::Err{n.error()};
+    out.resize(n.value());
+    co_return out;
 }
 
 sim::Task<StoreResult<void>>
@@ -1378,10 +1392,25 @@ CheopsClient::read(LogicalObjectId id, std::uint64_t offset,
     auto fetchRun = [this, open, id, ctx, &out,
                      &degraded](const ComponentRun &run)
         -> sim::Task<util::Result<std::uint64_t, CheopsStatus>> {
-        auto data = co_await readComponent(open, id, run.component,
-                                           run.component_offset,
-                                           run.length, ctx);
-        if (!data.ok() &&
+        // A single-piece run is one contiguous range of `out`, so the
+        // reply lands there directly; several pieces are fetched into
+        // a scratch buffer and scattered.
+        const bool direct = run.pieces.size() == 1;
+        std::unique_ptr<std::uint8_t[]> scratch;
+        std::span<std::uint8_t> dst;
+        if (direct) {
+            dst = out.subspan(
+                static_cast<std::size_t>(run.pieces.front().first),
+                static_cast<std::size_t>(run.length));
+        } else {
+            scratch = std::make_unique_for_overwrite<std::uint8_t[]>(
+                static_cast<std::size_t>(run.length));
+            dst = std::span(scratch.get(),
+                            static_cast<std::size_t>(run.length));
+        }
+        auto n = co_await readComponent(open, id, run.component,
+                                        run.component_offset, dst, ctx);
+        if (!n.ok() &&
             open->map.redundancy == Redundancy::kParity) {
             // The component may have moved (a completed rebuild swaps
             // the spare into the map); re-ask the manager at most once
@@ -1391,17 +1420,20 @@ CheopsClient::read(LogicalObjectId id, std::uint64_t offset,
                 now - open->last_reprobe >= kReprobeIntervalNs) {
                 open->last_reprobe = now;
                 if (co_await refreshCaps(id, open->writable)) {
-                    data = co_await readComponent(open, id, run.component,
-                                                  run.component_offset,
-                                                  run.length, ctx);
+                    n = co_await readComponent(open, id, run.component,
+                                               run.component_offset, dst,
+                                               ctx);
                 }
             }
-            if (!data.ok()) {
+            if (!n.ok()) {
                 // Degraded read: XOR the surviving components.
-                data = co_await reconstructRange(open, id, run.component,
-                                                 run.component_offset,
-                                                 run.length, ctx);
-                if (data.ok()) {
+                auto rebuilt = co_await reconstructRange(
+                    open, id, run.component, run.component_offset,
+                    run.length, ctx);
+                if (rebuilt.ok()) {
+                    std::copy(rebuilt.value().begin(),
+                              rebuilt.value().end(), dst.begin());
+                    n = static_cast<std::uint64_t>(rebuilt.value().size());
                     open->map.degraded = true;
                     degraded = true;
                     node_.flightJournal().record(
@@ -1411,45 +1443,41 @@ CheopsClient::read(LogicalObjectId id, std::uint64_t offset,
                 }
             }
         }
-        if (!data.ok() &&
+        if (!n.ok() &&
             open->map.redundancy == Redundancy::kMirror) {
             // Degraded mode: the replica carries the same bytes at
             // the same component offsets.
             auto &mirror = open->map.mirrors[run.component];
             auto &mcred = *open->mirror_creds[run.component];
-            auto mdata = co_await drive_clients_[mirror.drive]->read(
-                mcred, run.component_offset, run.length, ctx);
-            if (!mdata.ok() &&
-                mdata.error() == NasdStatus::kExpiredCapability) {
+            n = co_await drive_clients_[mirror.drive]->read(
+                mcred, run.component_offset, dst, ctx);
+            if (!n.ok() && n.error() == NasdStatus::kExpiredCapability) {
                 if (co_await refreshCaps(id, open->writable)) {
-                    mdata = co_await drive_clients_[mirror.drive]->read(
-                        mcred, run.component_offset, run.length, ctx);
+                    n = co_await drive_clients_[mirror.drive]->read(
+                        mcred, run.component_offset, dst, ctx);
                 }
             }
-            if (mdata.ok()) {
+            if (n.ok()) {
                 open->map.degraded = true;
                 degraded = true;
                 node_.flightJournal().record(
                     net_.simulator().now(), util::FrEvent::kDegradedRead,
                     ctx.trace_id, id, run.component, "mirror");
             }
-            data = std::move(mdata);
         }
-        if (!data.ok())
+        if (!n.ok())
             co_return util::Err{CheopsStatus::kDriveError};
+        if (direct)
+            co_return n.value();
         // Scatter into the host buffer; track the contiguous prefix.
         std::uint64_t copied = 0;
         for (const auto &[host_offset, bytes] : run.pieces) {
-            if (copied >= data.value().size())
+            if (copied >= n.value())
                 break;
-            const std::uint64_t take = std::min(
-                bytes, static_cast<std::uint64_t>(data.value().size()) -
-                           copied);
-            std::copy(data.value().begin() +
-                          static_cast<std::ptrdiff_t>(copied),
-                      data.value().begin() +
-                          static_cast<std::ptrdiff_t>(copied + take),
-                      out.begin() + static_cast<std::ptrdiff_t>(host_offset));
+            const std::uint64_t take = std::min(bytes, n.value() - copied);
+            std::copy_n(dst.begin() + static_cast<std::ptrdiff_t>(copied),
+                        take,
+                        out.begin() + static_cast<std::ptrdiff_t>(host_offset));
             copied += take;
         }
         co_return copied;
@@ -1503,15 +1531,26 @@ CheopsClient::write(LogicalObjectId id, std::uint64_t offset,
 
     auto pushRun = [this, open, id, ctx, &data](const ComponentRun &run)
         -> sim::Task<util::Result<void, CheopsStatus>> {
-        // Gather the run's pieces into one contiguous component write.
-        std::vector<std::uint8_t> buf(run.length);
-        std::uint64_t copied = 0;
-        for (const auto &[host_offset, bytes] : run.pieces) {
-            std::copy(data.begin() + static_cast<std::ptrdiff_t>(host_offset),
-                      data.begin() +
-                          static_cast<std::ptrdiff_t>(host_offset + bytes),
-                      buf.begin() + static_cast<std::ptrdiff_t>(copied));
-            copied += bytes;
+        // A single-piece run is already one contiguous component write;
+        // several pieces are gathered into one.
+        std::span<const std::uint8_t> buf;
+        std::vector<std::uint8_t> gathered;
+        if (run.pieces.size() == 1) {
+            buf = data.subspan(
+                static_cast<std::size_t>(run.pieces.front().first),
+                static_cast<std::size_t>(run.length));
+        } else {
+            gathered.resize(static_cast<std::size_t>(run.length));
+            std::uint64_t copied = 0;
+            for (const auto &[host_offset, bytes] : run.pieces) {
+                std::copy_n(data.begin() +
+                                static_cast<std::ptrdiff_t>(host_offset),
+                            bytes,
+                            gathered.begin() +
+                                static_cast<std::ptrdiff_t>(copied));
+                copied += bytes;
+            }
+            buf = gathered;
         }
         auto &comp = open->map.components[run.component];
         auto &cred = *open->creds[run.component];

@@ -463,8 +463,15 @@ class CheopsClient
      * Read a component range with the standard recovery ladder:
      * refresh-once on capability expiry, and — kParity only — refresh
      * on version mismatch (rebuild fencing bumps versions; a revoked
-     * mirror/none-mode capability must stay revoked).
+     * mirror/none-mode capability must stay revoked). Bytes land in
+     * @p out; returns the byte count read.
      */
+    sim::Task<StoreResult<std::uint64_t>>
+    readComponent(OpenState *open, LogicalObjectId id, std::uint32_t comp,
+                  std::uint64_t offset, std::span<std::uint8_t> out,
+                  util::TraceContext ctx);
+
+    /** readComponent() into a fresh vector of the bytes read. */
     sim::Task<StoreResult<std::vector<std::uint8_t>>>
     readComponent(OpenState *open, LogicalObjectId id, std::uint32_t comp,
                   std::uint64_t offset, std::uint64_t length,

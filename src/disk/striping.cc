@@ -1,6 +1,7 @@
 #include "disk/striping.h"
 
 #include <cstring>
+#include <memory>
 
 #include "sim/sync.h"
 #include "util/logging.h"
@@ -85,13 +86,24 @@ StripingDriver::readExtent(const Extent &e, std::span<std::uint8_t> out,
                            util::OpAttribution *attr)
 {
     const std::uint32_t bs = blockSize();
-    std::vector<std::uint8_t> temp(static_cast<std::size_t>(e.count) * bs);
-    co_await members_[e.disk]->read(e.disk_block, e.count, temp, attr);
+    const std::size_t len = static_cast<std::size_t>(e.count) * bs;
+    if (e.pieces.size() == 1) {
+        // One piece is one contiguous host range: read straight into it.
+        co_await members_[e.disk]->read(
+            e.disk_block, e.count,
+            out.subspan(static_cast<std::size_t>(e.pieces.front().first),
+                        len),
+            attr);
+        co_return;
+    }
+    // Several pieces: gather on the member, then scatter to the host.
+    const auto temp = std::make_unique_for_overwrite<std::uint8_t[]>(len);
+    co_await members_[e.disk]->read(e.disk_block, e.count,
+                                    std::span(temp.get(), len), attr);
     std::size_t temp_off = 0;
     for (const auto &[host_offset, blocks] : e.pieces) {
         const std::size_t bytes = static_cast<std::size_t>(blocks) * bs;
-        std::memcpy(out.data() + host_offset, temp.data() + temp_off,
-                    bytes);
+        std::memcpy(out.data() + host_offset, temp.get() + temp_off, bytes);
         temp_off += bytes;
     }
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 
 #include "sim/sync.h"
 #include "util/codec.h"
@@ -346,10 +347,37 @@ FfsFileSystem::readBlocks(Inode &inode, std::uint64_t offset,
                     ++j;
                 }
                 const auto run = static_cast<std::uint32_t>(j - i + 1);
-                std::vector<std::uint8_t> buf(run * fsb);
-                co_await device_.read(fsBlockToDeviceBlock(inode.blocks[i]),
-                                      run * deviceBlocksPerFsBlock(), buf);
-                stats_.cache_miss_bytes.add(buf.size());
+                const std::uint64_t run_start = i * fsb;
+                const std::uint64_t run_end = (j + 1) * fsb;
+                const auto run_bytes =
+                    static_cast<std::size_t>(run_end - run_start);
+                const std::uint64_t block =
+                    fsBlockToDeviceBlock(inode.blocks[i]);
+                const std::uint32_t count = run * deviceBlocksPerFsBlock();
+                if (run_start >= pos && run_end <= piece_end) {
+                    // The request covers the run: read straight into it.
+                    co_await device_.read(
+                        block, count,
+                        out.subspan(
+                            static_cast<std::size_t>(run_start - offset),
+                            run_bytes));
+                } else {
+                    // Clustered I/O reaches past the request: keep the
+                    // covered bytes of the run.
+                    const auto buf =
+                        std::make_unique_for_overwrite<std::uint8_t[]>(
+                            run_bytes);
+                    co_await device_.read(block, count,
+                                          std::span(buf.get(), run_bytes));
+                    const std::uint64_t lo = std::max(pos, run_start);
+                    const std::uint64_t hi = std::min(piece_end, run_end);
+                    if (lo < hi) {
+                        std::memcpy(out.data() + (lo - offset),
+                                    buf.get() + (lo - run_start),
+                                    static_cast<std::size_t>(hi - lo));
+                    }
+                }
+                stats_.cache_miss_bytes.add(run_bytes);
                 for (std::uint64_t k = i; k <= j; ++k)
                     cache_->insert(inode.blocks[k]);
                 i = j + 1;
@@ -390,11 +418,16 @@ FfsFileSystem::readBlocks(Inode &inode, std::uint64_t offset,
                             }
                             const auto run =
                                 static_cast<std::uint32_t>(rj - ri + 1);
-                            std::vector<std::uint8_t> buf(
-                                run * fs.params_.fs_block_bytes);
+                            // Only the timing matters: the bytes are
+                            // dropped, so the buffer is never zeroed.
+                            const std::size_t bytes =
+                                run * fs.params_.fs_block_bytes;
+                            const auto buf = std::make_unique_for_overwrite<
+                                std::uint8_t[]>(bytes);
                             co_await fs.device_.read(
                                 fs.fsBlockToDeviceBlock(blocks[ri]),
-                                run * fs.deviceBlocksPerFsBlock(), buf);
+                                run * fs.deviceBlocksPerFsBlock(),
+                                std::span(buf.get(), bytes));
                             for (std::size_t k = ri; k <= rj; ++k)
                                 fs.cache_->insert(blocks[k]);
                             ri = rj + 1;
@@ -404,25 +437,25 @@ FfsFileSystem::readBlocks(Inode &inode, std::uint64_t offset,
             }
         } else {
             stats_.cache_hit_bytes.add(piece_end - pos);
-        }
-
-        // Copy the bytes (real data via the device backing store).
-        for (std::uint64_t i = index;
-             i <= cluster_last && i * fsb < piece_end; ++i) {
-            if (i >= inode.blocks.size())
-                break;
-            const std::uint64_t b_start = i * fsb;
-            const std::uint64_t p_start = std::max(pos, b_start);
-            const std::uint64_t p_end = std::min(piece_end, b_start + fsb);
-            if (p_start >= p_end)
-                continue;
-            device_.peek(fsBlockToDeviceBlock(inode.blocks[i]) *
-                                 device_.blockSize() +
-                             (p_start - b_start),
-                         out.subspan(static_cast<std::size_t>(p_start -
-                                                              offset),
-                                     static_cast<std::size_t>(p_end -
-                                                              p_start)));
+            // Cache hits: copy the already-paid-for bytes straight out
+            // of the device backing store.
+            for (std::uint64_t i = index;
+                 i <= cluster_last && i * fsb < piece_end; ++i) {
+                if (i >= inode.blocks.size())
+                    break;
+                const std::uint64_t b_start = i * fsb;
+                const std::uint64_t p_start = std::max(pos, b_start);
+                const std::uint64_t p_end =
+                    std::min(piece_end, b_start + fsb);
+                if (p_start >= p_end)
+                    continue;
+                device_.peek(
+                    fsBlockToDeviceBlock(inode.blocks[i]) *
+                            device_.blockSize() +
+                        (p_start - b_start),
+                    out.subspan(static_cast<std::size_t>(p_start - offset),
+                                static_cast<std::size_t>(p_end - p_start)));
+            }
         }
         pos = piece_end;
     }

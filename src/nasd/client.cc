@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "util/flight_recorder.h"
+#include "util/logging.h"
 
 namespace nasd {
 
@@ -98,18 +99,22 @@ NasdClient::NasdClient(net::Network &net, net::NetNode &node,
       retry_rng_(jitterSeed(node.name(), drive.id()))
 {}
 
-sim::Task<StoreResult<std::vector<std::uint8_t>>>
+sim::Task<StoreResult<std::uint64_t>>
 NasdClient::read(CredentialFactory &cred, std::uint64_t offset,
-                 std::uint64_t length, util::TraceContext parent)
+                 std::span<std::uint8_t> out, util::TraceContext parent)
 {
     RequestParams params{OpCode::kReadData, cred.capability().pub.partition,
-                         cred.capability().pub.object_id, offset, length};
+                         cred.capability().pub.object_id, offset,
+                         out.size()};
     params.trace = util::flightRecorder().mintChild(parent);
     util::ScopedSpan span("nasd/read", node_.name(),
                           static_cast<std::uint64_t>(net_.simulator().now()),
                           params.trace, parent.span_id);
     NasdDrive *drive = &drive_;
 
+    // Each attempt fills a reply buffer of its own, never `out`: a
+    // timed-out attempt or a duplicate reply may still be running after
+    // this call has returned.
     const MakeFn<ReadResponse> make = [&cred, params, drive] {
         const RequestCredential credential = cred.forRequest(params);
         return std::function<sim::Task<net::RpcReply<ReadResponse>>()>(
@@ -127,7 +132,21 @@ NasdClient::read(CredentialFactory &cred, std::uint64_t offset,
 
     if (resp.status != NasdStatus::kOk)
         co_return util::Err{resp.status};
-    co_return std::move(resp.data);
+    NASD_ASSERT(resp.data.size() <= out.size(), "read reply overruns");
+    std::copy(resp.data.begin(), resp.data.end(), out.begin());
+    co_return static_cast<std::uint64_t>(resp.data.size());
+}
+
+sim::Task<StoreResult<std::vector<std::uint8_t>>>
+NasdClient::read(CredentialFactory &cred, std::uint64_t offset,
+                 std::uint64_t length, util::TraceContext parent)
+{
+    std::vector<std::uint8_t> out(length);
+    auto n = co_await read(cred, offset, std::span(out), parent);
+    if (!n.ok())
+        co_return util::Err{n.error()};
+    out.resize(n.value());
+    co_return out;
 }
 
 sim::Task<StoreResult<void>>

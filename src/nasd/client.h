@@ -57,9 +57,17 @@ class NasdClient
     const DriveRetryPolicy &policy() const { return policy_; }
     void setPolicy(const DriveRetryPolicy &policy) { policy_ = policy; }
 
-    /** Read up to @p length bytes at @p offset of the capability's
-     *  object. @p parent, when valid, makes the request a child span
-     *  of the caller's trace (see util/trace.h). */
+    /** Read up to @p out.size() bytes at @p offset of the capability's
+     *  object into @p out; returns the byte count read (short at end of
+     *  object). Only the winning reply is copied into @p out, once,
+     *  after the retry loop has finished. @p parent, when valid, makes
+     *  the request a child span of the caller's trace (see
+     *  util/trace.h). */
+    sim::Task<StoreResult<std::uint64_t>>
+    read(CredentialFactory &cred, std::uint64_t offset,
+         std::span<std::uint8_t> out, util::TraceContext parent = {});
+
+    /** read() into a fresh vector of the bytes read. */
     sim::Task<StoreResult<std::vector<std::uint8_t>>>
     read(CredentialFactory &cred, std::uint64_t offset,
          std::uint64_t length, util::TraceContext parent = {});

@@ -333,6 +333,8 @@ NasdDrive::serveRead(RequestCredential cred, RequestParams params)
         resp.status = status;
         co_return resp;
     }
+    // Not zero-filled: the store writes the bytes it returns and the
+    // tail past a short read is trimmed below.
     resp.data.resize(params.length);
     OpTrace trace;
     trace.attr = &op_attr;

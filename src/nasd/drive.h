@@ -66,10 +66,32 @@ DriveConfig prototypeDriveConfig(std::string name, DriveId id);
 // Wire-format response types (plain structs so they cross the RPC
 // layer without fuss).
 
+/**
+ * Allocator whose value-less construct() default-initialises, so
+ * resize() on a byte vector leaves the new bytes unwritten instead of
+ * zero-filling them. Constructing from a value falls through to the
+ * standard construction (std::allocator_traits).
+ */
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T>
+{
+    template <typename U>
+    void
+    construct(U *p)
+    {
+        ::new (static_cast<void *>(p)) U;
+    }
+};
+
+/** Read-reply payload. The store writes every byte it returns, so the
+ *  buffer is sized without being zero-filled first. */
+using ReplyBytes =
+    std::vector<std::uint8_t, DefaultInitAllocator<std::uint8_t>>;
+
 struct [[nodiscard]] ReadResponse
 {
     NasdStatus status = NasdStatus::kOk;
-    std::vector<std::uint8_t> data;
+    ReplyBytes data;
 };
 
 struct [[nodiscard]] StatusResponse

@@ -515,20 +515,39 @@ ObjectStore::readRange(const Inode &inode, std::uint64_t offset,
         }
         const auto run_units = static_cast<std::uint32_t>(j - i);
         const std::uint32_t bpu = blocksPerUnit();
-        std::vector<std::uint8_t> temp(
-            static_cast<std::size_t>(run_units) * ub);
-        co_await device_.read(
-            data_start_block_ +
-                static_cast<std::uint64_t>(units[i].phys) * bpu,
-            run_units * bpu, temp,
-            trace != nullptr ? trace->attr : nullptr);
-        stats_.cache_miss_bytes.add(temp.size());
-        if (trace != nullptr)
-            trace->device_bytes_read += temp.size();
-        for (std::size_t k = i; k < j; ++k) {
-            data_cache_->insert(units[k].phys);
-            (void)copyPiece(units[k]);
+        const std::uint64_t run_start = units[i].logical * ub;
+        const std::uint64_t run_end = run_start + run_units * ub;
+        const auto run_bytes = static_cast<std::size_t>(run_end - run_start);
+        const std::uint64_t block =
+            data_start_block_ + static_cast<std::uint64_t>(units[i].phys) * bpu;
+        util::OpAttribution *attr = trace != nullptr ? trace->attr : nullptr;
+        if (run_start >= offset && run_end <= end) {
+            // The request covers the whole run: the device writes the
+            // bytes straight into the caller's buffer.
+            co_await device_.read(
+                block, run_units * bpu,
+                out.subspan(static_cast<std::size_t>(run_start - offset),
+                            run_bytes),
+                attr);
+        } else {
+            // An edge run the request covers only partly: read it whole
+            // (the media transfer is unit-granular) and keep the
+            // covered bytes.
+            const auto temp =
+                std::make_unique_for_overwrite<std::uint8_t[]>(run_bytes);
+            co_await device_.read(block, run_units * bpu,
+                                  std::span(temp.get(), run_bytes), attr);
+            const std::uint64_t lo = std::max(offset, run_start);
+            const std::uint64_t hi = std::min(end, run_end);
+            std::memcpy(out.data() + (lo - offset),
+                        temp.get() + (lo - run_start),
+                        static_cast<std::size_t>(hi - lo));
         }
+        stats_.cache_miss_bytes.add(run_bytes);
+        if (trace != nullptr)
+            trace->device_bytes_read += run_bytes;
+        for (std::size_t k = i; k < j; ++k)
+            data_cache_->insert(units[k].phys);
         i = j;
     }
 }

@@ -26,8 +26,12 @@ SparseStore::write(std::uint64_t offset, std::span<const std::uint8_t> data)
 
         auto &chunk = chunks_[chunk_index];
         if (!chunk) {
-            chunk = std::make_unique<std::uint8_t[]>(chunk_size_);
-            std::memset(chunk.get(), 0, chunk_size_);
+            // A fresh chunk reads as zeros except where this write lands.
+            chunk = std::make_unique_for_overwrite<std::uint8_t[]>(
+                chunk_size_);
+            std::memset(chunk.get(), 0, within);
+            std::memset(chunk.get() + within + take, 0,
+                        chunk_size_ - within - take);
         }
         std::memcpy(chunk.get() + within, data.data() + done, take);
         done += take;

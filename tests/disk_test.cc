@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "disk/disk_model.h"
@@ -65,6 +66,30 @@ TEST(SparseStore, CrossChunkBoundary)
     store.read(4096 - 50, out);
     EXPECT_EQ(out, data);
     EXPECT_EQ(store.allocatedBytes(), 2 * 4096u);
+}
+
+TEST(SparseStore, PartialWriteIntoFreshChunkZeroesBothSides)
+{
+    util::SparseStore store(4096);
+    // Dirty a chunk and free it, so the fresh chunks below are likely
+    // to reuse memory that holds non-zero bytes.
+    store.write(0, std::vector<std::uint8_t>(4096, 0xee));
+    store.trim(0, 4096);
+    ASSERT_EQ(store.allocatedBytes(), 0u);
+
+    const auto data = pattern(4096);
+    store.write(1000, std::span(data).first(100)); // inside one chunk
+    store.write(3 * 4096 - 30, std::span(data).first(60)); // straddles two
+    std::vector<std::uint8_t> out(4 * 4096);
+    store.read(0, out);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+        std::uint8_t want = 0;
+        if (i >= 1000 && i < 1100)
+            want = data[i - 1000];
+        else if (i >= 3 * 4096 - 30 && i < 3 * 4096 + 30)
+            want = data[i - (3 * 4096 - 30)];
+        ASSERT_EQ(out[i], want) << "byte " << i;
+    }
 }
 
 TEST(SparseStore, TrimFreesWholeChunks)

@@ -8,8 +8,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "cheops/cheops.h"
@@ -251,6 +253,56 @@ TEST_F(DriveFaultTest, TimeoutRacesLateReply)
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), NasdStatus::kTimeout);
     EXPECT_GE(node.rpc_late_replies.value(), 1u);
+}
+
+TEST_F(DriveFaultTest, SpanReadUnderTimeoutsAndDuplicatesHoldsObjectBytes)
+{
+    const ObjectId oid = makeObject();
+    auto cred = objectCred(oid);
+    const auto data = pattern(24 * kKB, 9);
+    ASSERT_TRUE(runFor(sim, client.write(cred, 0, data)).ok());
+
+    // Every message is duplicated and some are held past the deadline,
+    // so attempts time out and late and duplicate replies keep
+    // arriving after the read has returned.
+    client.setPolicy(fastPolicy(8, sim::msec(40)));
+    net::FaultPlan plan;
+    plan.duplicate_probability = 1.0;
+    plan.delay_probability = 0.3;
+    plan.delay_min = sim::msec(30);
+    plan.delay_max = sim::msec(60);
+    plan.seed = 11;
+    net.setFaultPlan(plan);
+
+    for (int i = 0; i < 10; ++i) {
+        std::vector<std::uint8_t> buf(32 * kKB, 0xa5);
+        std::vector<std::uint8_t> after_return;
+        StoreResult<std::uint64_t> got = util::Err{NasdStatus::kTimeout};
+        runTask(sim, [](NasdClient &c, CredentialFactory &cr,
+                        std::vector<std::uint8_t> &b,
+                        StoreResult<std::uint64_t> &out,
+                        std::vector<std::uint8_t> &snapshot,
+                        Simulator &s) -> Task<void> {
+            out = co_await c.read(cr, 1000, std::span(b));
+            snapshot = b;
+            // Let every straggling attempt finish: none may touch the
+            // caller's buffer once read() has returned.
+            co_await s.delay(sim::sec(2));
+        }(client, cred, buf, got, after_return, sim));
+        ASSERT_TRUE(got.ok()) << "read " << i;
+        const std::uint64_t n = data.size() - 1000;
+        ASSERT_EQ(got.value(), n);
+        EXPECT_EQ(buf, after_return) << "read " << i;
+        EXPECT_TRUE(std::equal(data.begin() + 1000, data.end(), buf.begin()));
+        EXPECT_TRUE(std::all_of(buf.begin() + static_cast<std::ptrdiff_t>(n),
+                                buf.end(),
+                                [](std::uint8_t b) { return b == 0xa5; }));
+    }
+    EXPECT_GT(node.rpc_timeouts.value(), 0u);
+    EXPECT_GT(node.rpc_late_replies.value(), 0u);
+    EXPECT_GT(node.faults_duplicated.value() +
+                  drive.node().faults_duplicated.value(),
+              0u);
 }
 
 TEST_F(DriveFaultTest, DroppedSendStillChargesSender)

@@ -6,6 +6,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <vector>
 
 #include "disk/disk_model.h"
@@ -13,6 +15,7 @@
 #include "nasd/allocator.h"
 #include "nasd/object_store.h"
 #include "sim/simulator.h"
+#include "util/rng.h"
 #include "util/units.h"
 
 namespace nasd {
@@ -575,6 +578,103 @@ TEST_F(ObjectStoreTest, SecondReadHitsDriveCache)
     // Just written: everything resident.
     EXPECT_EQ(trace.device_bytes_read, 0u);
     EXPECT_EQ(trace.cache_hit_bytes, 64 * kKB);
+}
+
+// --------------------------------------------------- read path vs model
+
+TEST_F(ObjectStoreTest, SeededReadsMatchByteModel)
+{
+    // A small cache (8 units) so every probe starts evicted; reads mix
+    // holes, cache hits, misses and partly covered edge runs over a
+    // fragmented object and a copy-on-write clone of it.
+    StoreConfig small = config();
+    small.data_cache_bytes = 64 * kKB;
+    ObjectStore st(sim, disk, small);
+    run(st.format());
+    ASSERT_OK(st.createPartition(0, 64 * kMB));
+    const std::uint64_t ub = st.allocUnitBytes();
+
+    std::map<ObjectId, std::vector<std::uint8_t>> model;
+    const auto put = [&](ObjectId oid, std::uint64_t offset,
+                         const std::vector<std::uint8_t> &bytes) {
+        ASSERT_TRUE(runFor(st.write(0, oid, offset, bytes, nullptr)).ok());
+        auto &m = model[oid];
+        if (m.size() < offset + bytes.size())
+            m.resize(offset + bytes.size(), 0);
+        std::copy(bytes.begin(), bytes.end(),
+                  m.begin() + static_cast<std::ptrdiff_t>(offset));
+    };
+
+    // Appends to `frag` alternate with appends to `other`, so frag's
+    // units land in several physically separate extents.
+    const ObjectId frag = runFor(st.createObject(0, 0, nullptr)).value();
+    const ObjectId other = runFor(st.createObject(0, 0, nullptr)).value();
+    for (int i = 0; i < 8; ++i) {
+        put(frag, i * 3 * ub, pattern(3 * ub, static_cast<std::uint8_t>(i)));
+        put(other, i * 2 * ub, pattern(2 * ub, 100));
+    }
+    // Extend past the allocated units: the tail reads as a hole.
+    SetAttrRequest grow;
+    grow.truncate_size = 30 * ub;
+    ASSERT_TRUE(runFor(st.setAttributes(0, frag, grow, nullptr)).ok());
+    model[frag].resize(30 * ub, 0);
+
+    // A clone shares frag's units until writes relocate some of them.
+    const ObjectId clone = runFor(st.cloneVersion(0, frag, nullptr)).value();
+    model[clone] = model[frag];
+    put(clone, 4 * ub + 100, pattern(3 * ub, 77));
+    put(clone, 13 * ub, pattern(ub, 55));
+
+    util::Rng rng(20260417);
+    std::uint64_t miss_bytes = 0;
+    std::uint64_t hit_bytes = 0;
+    for (int probe = 0; probe < 200; ++probe) {
+        const ObjectId oid = probe % 2 == 0 ? frag : clone;
+        const auto &m = model[oid];
+
+        // Evict: stream `other` through the whole cache.
+        std::vector<std::uint8_t> scratch(16 * ub);
+        (void)runFor(st.read(0, other, 0, scratch, nullptr));
+
+        // Start and end on unit boundaries, give or take one byte.
+        const auto edge = [&](std::uint64_t unit) {
+            const std::uint64_t at = unit * ub;
+            const std::uint64_t d = rng.below(3);
+            return d == 0 ? (at == 0 ? 0 : at - 1) : at + (d - 1);
+        };
+        const std::uint64_t first = rng.below(30);
+        const std::uint64_t offset = edge(first);
+        const std::uint64_t end =
+            std::max(offset + 1, edge(first + 1 + rng.below(12)));
+
+        // Warm a few units inside the range so the read splits into
+        // hit and miss runs.
+        if (rng.chance(0.5)) {
+            std::vector<std::uint8_t> warm(ub);
+            (void)runFor(st.read(0, oid, (first + rng.below(4)) * ub, warm,
+                                 nullptr));
+        }
+
+        std::vector<std::uint8_t> out(end - offset, 0xa5);
+        OpTrace trace;
+        auto n = runFor(st.read(0, oid, offset, out, &trace));
+        ASSERT_TRUE(n.ok());
+        const std::uint64_t want =
+            offset >= m.size() ? 0 : std::min<std::uint64_t>(out.size(),
+                                                             m.size() - offset);
+        ASSERT_EQ(n.value(), want) << "probe " << probe;
+        for (std::uint64_t i = 0; i < out.size(); ++i) {
+            const std::uint8_t expect =
+                i < want ? m[offset + i] : std::uint8_t{0xa5};
+            ASSERT_EQ(out[i], expect)
+                << "probe " << probe << " object " << oid << " offset "
+                << offset << " byte " << i;
+        }
+        miss_bytes += trace.device_bytes_read;
+        hit_bytes += trace.cache_hit_bytes;
+    }
+    EXPECT_GT(miss_bytes, 0u);
+    EXPECT_GT(hit_bytes, 0u);
 }
 
 } // namespace
