@@ -70,7 +70,12 @@ main()
     CredentialFactory create_cred(file_manager.mint(create_rights));
 
     // --- 3. Create, write, read — directly at the drive --------------
-    const ObjectId oid = runFor(sim, client.create(create_cred, 0)).value();
+    auto created = runFor(sim, client.create(create_cred, 0));
+    if (!created.ok()) {
+        std::printf("create: %s\n", toString(created.error()));
+        return 1;
+    }
+    const ObjectId oid = created.value();
     std::printf("created object %llu\n",
                 static_cast<unsigned long long>(oid));
 
@@ -86,11 +91,19 @@ main()
     std::printf("write: %s\n", wrote.ok() ? "ok" : toString(wrote.error()));
 
     auto read = runFor(sim, client.read(cred, 0, data.size()));
+    if (!read.ok()) {
+        std::printf("read: %s\n", toString(read.error()));
+        return 1;
+    }
     std::printf("read back: \"%.*s\"\n",
                 static_cast<int>(read.value().size()),
                 reinterpret_cast<const char *>(read.value().data()));
 
     auto attrs = runFor(sim, client.getAttr(cred));
+    if (!attrs.ok()) {
+        std::printf("getattr: %s\n", toString(attrs.error()));
+        return 1;
+    }
     std::printf("object attributes: size=%llu version=%u\n",
                 static_cast<unsigned long long>(attrs.value().size),
                 attrs.value().version);

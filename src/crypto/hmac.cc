@@ -11,7 +11,7 @@ constexpr std::uint8_t kOpad = 0x5c;
 
 } // namespace
 
-HmacSha256::HmacSha256(const Key &key) : key_(key)
+HmacSha256::HmacSha256(const Key &key)
 {
     // Keys are exactly one SHA-256 output (32 bytes), which is below the
     // 64-byte block size, so no pre-hashing of the key is needed.
@@ -20,6 +20,9 @@ HmacSha256::HmacSha256(const Key &key) : key_(key)
     for (auto &b : block)
         b ^= kIpad;
     inner_.update(block);
+    for (auto &b : block)
+        b ^= kIpad ^ kOpad;
+    outer_.update(block);
 }
 
 void
@@ -31,17 +34,8 @@ HmacSha256::update(std::span<const std::uint8_t> data)
 Digest
 HmacSha256::finish()
 {
-    const Digest inner_digest = inner_.finish();
-
-    std::array<std::uint8_t, 64> block{};
-    std::copy(key_.begin(), key_.end(), block.begin());
-    for (auto &b : block)
-        b ^= kOpad;
-
-    Sha256 outer;
-    outer.update(block);
-    outer.update(inner_digest);
-    return outer.finish();
+    outer_.update(inner_.finish());
+    return outer_.finish();
 }
 
 Digest

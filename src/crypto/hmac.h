@@ -22,7 +22,15 @@ namespace nasd::crypto {
 /** A 256-bit symmetric key. */
 using Key = std::array<std::uint8_t, 32>;
 
-/** Incremental HMAC-SHA256 context. */
+/**
+ * Incremental HMAC-SHA256 context.
+ *
+ * The constructor absorbs key ^ ipad and key ^ opad into two SHA-256
+ * states (the precomputed intermediate values of RFC 2104 §4) and
+ * keeps those instead of the key. A keyed context is therefore cheap
+ * to copy, and each copy MACs one message: over a short message that
+ * costs two compressions instead of the four a fresh context pays.
+ */
 class HmacSha256
 {
   public:
@@ -43,15 +51,16 @@ class HmacSha256
         update(bytes);
     }
 
-    /** Finish and produce the MAC. */
+    /** Finish and produce the MAC. This consumes the context; to MAC
+     *  several messages under one key, finish a copy per message. */
     Digest finish();
 
     /** One-shot MAC of a single buffer. */
     static Digest mac(const Key &key, std::span<const std::uint8_t> data);
 
   private:
-    Sha256 inner_;
-    Key key_;
+    Sha256 inner_; ///< key ^ ipad absorbed, then the message
+    Sha256 outer_; ///< key ^ opad absorbed
 };
 
 /** Interpret a digest as a key (for key derivation chains). */

@@ -1,39 +1,51 @@
 #include "nasd/capability.h"
 
-#include "util/codec.h"
+#include "util/logging.h"
 
 namespace nasd {
 
-std::vector<std::uint8_t>
+CapabilityPublic::Encoded
 CapabilityPublic::encode() const
 {
-    std::vector<std::uint8_t> out;
-    util::Encoder enc(out);
-    enc.put<std::uint64_t>(drive_id);
-    enc.put<std::uint16_t>(partition);
-    enc.put<std::uint64_t>(object_id);
-    enc.put<std::uint32_t>(approved_version);
-    enc.put<std::uint8_t>(rights);
-    enc.put<std::uint64_t>(region_start);
-    enc.put<std::uint64_t>(region_end);
-    enc.put<std::uint64_t>(expiry_ns);
-    enc.put<std::uint32_t>(key_epoch);
-    enc.put<std::uint8_t>(static_cast<std::uint8_t>(key_kind));
+    Encoded out;
+    std::size_t pos = 0;
+    const auto put = [&out, &pos](std::uint64_t value, std::size_t bytes) {
+        for (std::size_t i = 0; i < bytes; ++i)
+            out[pos++] = static_cast<std::uint8_t>(value >> (i * 8));
+    };
+    put(drive_id, sizeof(std::uint64_t));
+    put(partition, sizeof(std::uint16_t));
+    put(object_id, sizeof(std::uint64_t));
+    put(approved_version, sizeof(std::uint32_t));
+    put(rights, sizeof(std::uint8_t));
+    put(region_start, sizeof(std::uint64_t));
+    put(region_end, sizeof(std::uint64_t));
+    put(expiry_ns, sizeof(std::uint64_t));
+    put(key_epoch, sizeof(std::uint32_t));
+    put(static_cast<std::uint8_t>(key_kind), sizeof(std::uint8_t));
+    NASD_ASSERT(pos == kEncodedBytes);
     return out;
 }
 
 crypto::Digest
 capabilityMac(const crypto::Key &working_key, const CapabilityPublic &pub)
 {
-    const auto encoded = pub.encode();
-    return crypto::HmacSha256::mac(working_key, encoded);
+    return crypto::HmacSha256::mac(working_key, pub.encode());
 }
 
 crypto::Digest
 requestMac(const crypto::Digest &private_key, const RequestParams &params,
            std::uint64_t nonce)
 {
-    crypto::HmacSha256 ctx(crypto::digestToKey(private_key));
+    return requestMac(crypto::HmacSha256(crypto::digestToKey(private_key)),
+                      params, nonce);
+}
+
+crypto::Digest
+requestMac(const crypto::HmacSha256 &keyed, const RequestParams &params,
+           std::uint64_t nonce)
+{
+    crypto::HmacSha256 ctx = keyed;
     ctx.updateValue<std::uint8_t>(static_cast<std::uint8_t>(params.op));
     ctx.updateValue<std::uint16_t>(params.partition);
     ctx.updateValue<std::uint64_t>(params.object_id);
@@ -65,7 +77,7 @@ CredentialFactory::forRequest(const RequestParams &params)
     RequestCredential cred;
     cred.pub = cap_.pub;
     cred.nonce = ++g_nonce;
-    cred.request_digest = requestMac(cap_.private_key, params, cred.nonce);
+    cred.request_digest = requestMac(request_key_, params, cred.nonce);
     return cred;
 }
 

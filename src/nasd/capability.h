@@ -14,8 +14,8 @@
 #ifndef NASD_NASD_CAPABILITY_H_
 #define NASD_NASD_CAPABILITY_H_
 
+#include <array>
 #include <cstdint>
-#include <vector>
 
 #include "crypto/hmac.h"
 #include "crypto/keychain.h"
@@ -56,8 +56,12 @@ struct CapabilityPublic
     std::uint32_t key_epoch = 0;
     crypto::WorkingKeyKind key_kind = crypto::WorkingKeyKind::kGold;
 
+    /// Size of the canonical encoding: every field, little-endian.
+    static constexpr std::size_t kEncodedBytes = 52;
+    using Encoded = std::array<std::uint8_t, kEncodedBytes>;
+
     /** Canonical byte encoding, the input to the capability MAC. */
-    std::vector<std::uint8_t> encode() const;
+    Encoded encode() const;
 };
 
 /** A full capability: public fields plus the unforgeable private key. */
@@ -99,6 +103,11 @@ struct RequestParams
 [[nodiscard]] crypto::Digest requestMac(const crypto::Digest &private_key,
                           const RequestParams &params, std::uint64_t nonce);
 
+/** requestMac() from a context already keyed with the private portion
+ *  (copied, so one keyed context serves every request). */
+[[nodiscard]] crypto::Digest requestMac(const crypto::HmacSha256 &keyed,
+                          const RequestParams &params, std::uint64_t nonce);
+
 /**
  * Mints capabilities on behalf of a file manager / storage manager.
  * Holds the key chain rooted at the drive master secret — exactly the
@@ -129,11 +138,16 @@ class CapabilityIssuer
  * Nonces come from a process-wide counter so that two factories built
  * from the same capability (e.g. a re-fetched capability for the same
  * object) never reuse a nonce and trip the drive's replay window.
+ *
+ * The factory keeps an HMAC context keyed with the private portion, so
+ * each request digest costs two SHA-256 compressions, not four.
  */
 class CredentialFactory
 {
   public:
-    explicit CredentialFactory(Capability cap) : cap_(std::move(cap)) {}
+    explicit CredentialFactory(Capability cap)
+        : cap_(std::move(cap)), request_key_(keyFor(cap_))
+    {}
 
     const Capability &capability() const { return cap_; }
 
@@ -142,13 +156,25 @@ class CredentialFactory
      * without destroying the factory: in-flight coroutines hold
      * references to this object, so refresh must happen in place.
      */
-    void rebind(Capability cap) { cap_ = std::move(cap); }
+    void
+    rebind(Capability cap)
+    {
+        cap_ = std::move(cap);
+        request_key_ = keyFor(cap_);
+    }
 
     /** Build the security header for one request. */
     [[nodiscard]] RequestCredential forRequest(const RequestParams &params);
 
   private:
+    static crypto::HmacSha256
+    keyFor(const Capability &cap)
+    {
+        return crypto::HmacSha256(crypto::digestToKey(cap.private_key));
+    }
+
     Capability cap_;
+    crypto::HmacSha256 request_key_; ///< keyed with cap_.private_key
 };
 
 } // namespace nasd

@@ -22,9 +22,21 @@ digestPrefix(const crypto::Digest &d)
 }
 
 constexpr std::size_t kNonceWindowCap = 8192;
+constexpr std::size_t kVerifiedCapsCap = 1024;
 constexpr std::uint64_t kRequestArgBytes = 64; // MAC'd argument frame
 
 } // namespace
+
+std::size_t
+NasdDrive::EncodedHash::operator()(const CapabilityPublic::Encoded &e) const
+{
+    // FNV-1a over the whole encoding: drive id and partition are the
+    // same in most entries, so every byte has to count.
+    std::uint64_t h = 14695981039346656037ull;
+    for (const std::uint8_t b : e)
+        h = (h ^ b) * 1099511628211ull;
+    return static_cast<std::size_t>(h);
+}
 
 DriveConfig
 prototypeDriveConfig(std::string name, DriveId id)
@@ -83,6 +95,7 @@ NasdDrive::restart()
     store_ = std::make_unique<ObjectStore>(sim_, *striped_, config_.store);
     co_await store_->mount();
     nonce_window_.clear(); // replay window was RAM-resident
+    verified_caps_.clear();
     crashed_ = false;
     node_->flightJournal().record(sim_.now(), util::FrEvent::kDriveRestart);
 }
@@ -132,13 +145,23 @@ NasdDrive::verify(const RequestCredential &cred, const RequestParams &params,
     // request digest. This is what makes capabilities unforgeable: the
     // client can only produce the digest if it holds the private key,
     // and only the file manager (sharing our secret) can mint that.
-    const crypto::Key working = keychain_.workingKey(
-        config_.drive_id, pub.partition, pub.key_kind, pub.key_epoch);
-    const crypto::Digest private_key = capabilityMac(working, pub);
+    // A capability whose digest verified before is remembered, so only
+    // the digest is recomputed for it.
+    const CapabilityPublic::Encoded encoded = pub.encode();
+    const auto known = verified_caps_.find(encoded);
+    const bool remembered = known != verified_caps_.end();
+    const VerifiedCapability derived =
+        remembered ? known->second : deriveCapability(pub);
     const crypto::Digest expected =
-        requestMac(private_key, params, cred.nonce);
+        requestMac(derived.request_key, params, cred.nonce);
     if (!crypto::constantTimeEqual(expected, cred.request_digest))
         co_return NasdStatus::kBadCapability;
+    if (!remembered) {
+        if (verified_caps_.size() >= kVerifiedCapsCap)
+            verified_caps_.erase(verified_caps_.begin());
+        verified_caps_.emplace(encoded, derived);
+    }
+    const crypto::Digest &private_key = derived.private_key;
 
     // Charge for the digest computation per the security level.
     std::uint64_t mac_bytes = kRequestArgBytes;
@@ -198,6 +221,16 @@ NasdDrive::verify(const RequestCredential &cred, const RequestParams &params,
     }
 
     co_return NasdStatus::kOk;
+}
+
+NasdDrive::VerifiedCapability
+NasdDrive::deriveCapability(const CapabilityPublic &pub) const
+{
+    const crypto::Key working = keychain_.workingKey(
+        config_.drive_id, pub.partition, pub.key_kind, pub.key_epoch);
+    const crypto::Digest private_key = capabilityMac(working, pub);
+    return {private_key,
+            crypto::HmacSha256(crypto::digestToKey(private_key))};
 }
 
 void
@@ -597,6 +630,7 @@ NasdDrive::serveSetKey(RequestCredential cred, RequestParams params)
         resp.status = result.error();
         co_return resp;
     }
+    verified_caps_.clear();
     co_await node_->cpu().execute(config_.costs.attr_base_instr);
     finishOp("setkey", op_start, op_span);
     co_return resp;
@@ -615,10 +649,12 @@ NasdDrive::serveCreatePartition(RequestCredential cred,
         co_return resp;
     }
     auto made = store_->createPartition(target, params.length);
-    if (!made.ok())
+    if (!made.ok()) {
         resp.status = made.error();
-    else
+    } else {
+        verified_caps_.clear();
         co_await node_->cpu().execute(config_.costs.create_base_instr);
+    }
     finishOp("create_partition", op_start, op_span);
     co_return resp;
 }
@@ -657,10 +693,12 @@ NasdDrive::serveRemovePartition(RequestCredential cred,
         co_return resp;
     }
     auto removed = store_->removePartition(target);
-    if (!removed.ok())
+    if (!removed.ok()) {
         resp.status = removed.error();
-    else
+    } else {
+        verified_caps_.clear();
         co_await node_->cpu().execute(config_.costs.remove_base_instr);
+    }
     finishOp("remove_partition", op_start, op_span);
     co_return resp;
 }

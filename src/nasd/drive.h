@@ -191,6 +191,9 @@ class NasdDrive
      *  stale retries). */
     std::uint64_t replaysRejected() const { return replays_rejected_.value(); }
 
+    /** Capabilities verify() currently remembers (see verified_caps_). */
+    std::size_t verifiedCapabilities() const { return verified_caps_.size(); }
+
     /** Metrics subtree for this drive's op counters ("<name>/ops"). */
     const std::string &metricPrefix() const { return metric_prefix_; }
 
@@ -304,6 +307,22 @@ class NasdDrive
                                  const OpTrace &trace,
                                  util::OpAttribution *attr = nullptr);
 
+    /// What verify() derives from a capability's public portion.
+    struct VerifiedCapability
+    {
+        crypto::Digest private_key;
+        crypto::HmacSha256 request_key; ///< keyed with private_key
+    };
+
+    struct EncodedHash
+    {
+        std::size_t operator()(const CapabilityPublic::Encoded &e) const;
+    };
+
+    /** The private portion of @p pub under this drive's keys, and a
+     *  request-MAC context keyed with it. */
+    VerifiedCapability deriveCapability(const CapabilityPublic &pub) const;
+
     /** Charge the keyed-digest cost over @p bytes of bulk data
      *  (outgoing read payloads), per the configured security level. */
     sim::Task<void> chargeSecurityBytes(std::uint64_t bytes,
@@ -327,6 +346,16 @@ class NasdDrive
     /// Replay protection: highest nonce seen per capability (keyed by
     /// a 64-bit prefix of the private portion).
     std::unordered_map<std::uint64_t, std::uint64_t> nonce_window_;
+
+    /// Capabilities whose request digest verified, by public portion.
+    /// The private portion is a pure function of the public one under
+    /// this drive's fixed keys, so an entry only saves re-deriving it;
+    /// verify() still runs every check and recomputes every request
+    /// digest. Bounded, and emptied on set-key, partition create and
+    /// remove, and restart (it is RAM state, like nonce_window_).
+    std::unordered_map<CapabilityPublic::Encoded, VerifiedCapability,
+                       EncodedHash>
+        verified_caps_;
 
     util::Counter &ops_served_;
     util::Counter &replays_rejected_;

@@ -123,6 +123,30 @@ TEST(Hmac, Rfc4231Case3)
               "ced565fe");
 }
 
+TEST(Hmac, KeyedContextReusedReproducesRfc4231)
+{
+    // One keyed context, copied per message, twice in a row: the
+    // precomputed pad states must not carry anything between MACs.
+    const HmacSha256 case1(keyFromBytes(0x0b, 20));
+    const HmacSha256 case3(keyFromBytes(0xaa, 20));
+    const auto hi_there = bytes("Hi There");
+    const std::vector<std::uint8_t> dd(50, 0xdd);
+    for (int round = 0; round < 2; ++round) {
+        HmacSha256 a = case1;
+        a.update(hi_there);
+        EXPECT_EQ(toHex(a.finish()),
+                  "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c"
+                  "2e32cff7")
+            << "round " << round;
+        HmacSha256 b = case3;
+        b.update(dd);
+        EXPECT_EQ(toHex(b.finish()),
+                  "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514"
+                  "ced565fe")
+            << "round " << round;
+    }
+}
+
 TEST(Hmac, KeyMatters)
 {
     const auto data = bytes("payload");
@@ -184,6 +208,30 @@ TEST(KeyChain, EpochRotationChangesWorkingKey)
     KeyChain kc(keyFromBytes(0x42, 32));
     EXPECT_NE(kc.workingKey(1, 1, WorkingKeyKind::kGold, 0),
               kc.workingKey(1, 1, WorkingKeyKind::kGold, 1));
+}
+
+TEST(KeyChain, MemoizedWorkingKeyMatchesFreshDerivation)
+{
+    const Key master = keyFromBytes(0x42, 32);
+    KeyChain memo(master);
+    // Warm the memo across drives, partitions, kinds and epochs, then
+    // ask again: every answer must equal a fresh chain's derivation.
+    for (int pass = 0; pass < 2; ++pass) {
+        for (std::uint64_t drive = 1; drive <= 2; ++drive)
+            for (std::uint16_t part = 0; part < 3; ++part)
+                for (auto kind : {WorkingKeyKind::kGold,
+                                  WorkingKeyKind::kBlack})
+                    for (std::uint32_t epoch = 0; epoch < 3; ++epoch)
+                        EXPECT_EQ(memo.workingKey(drive, part, kind, epoch),
+                                  KeyChain(master).workingKey(drive, part,
+                                                              kind, epoch));
+    }
+    // Past the memo's capacity (it empties and refills) answers stay
+    // exact.
+    for (std::uint32_t epoch = 0; epoch < 600; ++epoch)
+        (void)memo.workingKey(9, 1, WorkingKeyKind::kBlack, epoch);
+    EXPECT_EQ(memo.workingKey(1, 2, WorkingKeyKind::kGold, 1),
+              KeyChain(master).workingKey(1, 2, WorkingKeyKind::kGold, 1));
 }
 
 TEST(KeyChain, DifferentMastersDisjoint)

@@ -351,6 +351,209 @@ TEST_F(DriveTest, WrongMasterSecretRejected)
     EXPECT_EQ(r.error(), NasdStatus::kBadCapability);
 }
 
+// ------------------------------------------------ warm-cache fail-closed
+//
+// Each test first completes one good request with a valid capability,
+// so the drive remembers that public portion (verifiedCapabilities()),
+// then sends a bad request that must be rejected with the same status
+// as against a cold drive. A rejected request is never remembered.
+
+TEST_F(DriveTest, WarmCacheTamperedDigestRejected)
+{
+    const ObjectId oid = makeObject();
+    CredentialFactory cred(objectCap(oid));
+    ASSERT_TRUE(runFor(client.write(cred, 0, pattern(100))).ok());
+
+    const std::size_t warm = drive.verifiedCapabilities();
+    ASSERT_GE(warm, 1u);
+
+    RequestParams params{OpCode::kReadData, 0, oid, 0, 100};
+    RequestCredential tampered = cred.forRequest(params);
+    tampered.request_digest[0] ^= 0x01;
+    auto resp = runFor(drive.serveRead(tampered, params));
+    EXPECT_EQ(resp.status, NasdStatus::kBadCapability);
+    EXPECT_EQ(drive.verifiedCapabilities(), warm);
+}
+
+TEST_F(DriveTest, WarmCacheForgedPrivateKeyRejected)
+{
+    const ObjectId oid = makeObject();
+    const Capability cap = objectCap(oid);
+    CredentialFactory cred(cap);
+    ASSERT_TRUE(runFor(client.write(cred, 0, pattern(100))).ok());
+
+    // Same public portion, wrong private key.
+    Capability forged = cap;
+    forged.private_key[17] ^= 0x80;
+    CredentialFactory forged_cred(forged);
+    auto r = runFor(client.read(forged_cred, 0, 100));
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error(), NasdStatus::kBadCapability);
+}
+
+TEST_F(DriveTest, WarmCacheStaleEpochAfterSetKeyRejected)
+{
+    const ObjectId oid = makeObject();
+    CredentialFactory cred(objectCap(oid));
+    ASSERT_TRUE(runFor(client.write(cred, 0, pattern(100))).ok());
+
+    CredentialFactory admin(partitionCap(kRightSetAttr));
+    ASSERT_GE(drive.verifiedCapabilities(), 1u);
+    ASSERT_TRUE(runFor(client.setKey(admin)).ok());
+    EXPECT_EQ(drive.verifiedCapabilities(), 0u);
+
+    auto r = runFor(client.read(cred, 0, 100));
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error(), NasdStatus::kBadCapability);
+    // The admin capability was verified under the old epoch too.
+    auto again = runFor(client.setKey(admin));
+    ASSERT_FALSE(again.ok());
+    EXPECT_EQ(again.error(), NasdStatus::kBadCapability);
+
+    // The epoch check does not lean on that invalidation: rotate the
+    // epoch behind the drive's back, with a current capability
+    // remembered, and it is still refused.
+    CapabilityPublic pub;
+    pub.partition = 0;
+    pub.object_id = oid;
+    pub.rights = kRightRead;
+    pub.key_epoch = 1;
+    CredentialFactory current(issuer.mint(pub));
+    ASSERT_TRUE(runFor(client.read(current, 0, 100)).ok());
+    ASSERT_TRUE(drive.store().rotateKeyEpoch(0).ok());
+    auto stale = runFor(client.read(current, 0, 100));
+    ASSERT_FALSE(stale.ok());
+    EXPECT_EQ(stale.error(), NasdStatus::kBadCapability);
+}
+
+TEST_F(DriveTest, WarmCacheExpiredCapabilityRejected)
+{
+    const ObjectId oid = makeObject();
+    CapabilityPublic pub;
+    pub.partition = 0;
+    pub.object_id = oid;
+    pub.rights = kRightRead | kRightWrite;
+    pub.expiry_ns = sim.now() + sim::sec(1);
+    CredentialFactory cred(issuer.mint(pub));
+    ASSERT_TRUE(runFor(client.write(cred, 0, pattern(100))).ok());
+
+    sim.runUntil(pub.expiry_ns);
+    auto r = runFor(client.read(cred, 0, 100));
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error(), NasdStatus::kExpiredCapability);
+}
+
+TEST_F(DriveTest, WarmCacheWrongDriveIdRejected)
+{
+    const ObjectId oid = makeObject();
+    const Capability cap = objectCap(oid);
+    CredentialFactory cred(cap);
+    ASSERT_TRUE(runFor(client.write(cred, 0, pattern(100))).ok());
+
+    // Keyed with THIS drive's working key but naming drive 2: only the
+    // drive-id check stands between it and the object.
+    Capability other = cap;
+    other.pub.drive_id = 2;
+    const crypto::KeyChain chain(drive.config().master_key);
+    other.private_key = capabilityMac(
+        chain.workingKey(1, 0, other.pub.key_kind, other.pub.key_epoch),
+        other.pub);
+    CredentialFactory other_cred(other);
+    auto r = runFor(client.read(other_cred, 0, 100));
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error(), NasdStatus::kBadCapability);
+}
+
+TEST_F(DriveTest, WarmCacheWidenedRegionRejected)
+{
+    const ObjectId oid = makeObject();
+    CredentialFactory wr(objectCap(oid));
+    ASSERT_TRUE(runFor(client.write(wr, 0, pattern(64 * kKB))).ok());
+
+    CapabilityPublic pub;
+    pub.partition = 0;
+    pub.object_id = oid;
+    pub.rights = kRightRead;
+    pub.region_end = 16 * kKB;
+    const Capability cap = issuer.mint(pub);
+    CredentialFactory cred(cap);
+    ASSERT_TRUE(runFor(client.read(cred, 0, 16 * kKB)).ok());
+
+    // The remembered capability still bounds each request...
+    auto past = runFor(client.read(cred, 8 * kKB, 16 * kKB));
+    ASSERT_FALSE(past.ok());
+    EXPECT_EQ(past.error(), NasdStatus::kRangeViolation);
+
+    // ...and widening its public region breaks the private portion.
+    const std::size_t warm = drive.verifiedCapabilities();
+    Capability widened = cap;
+    widened.pub.region_end = 64 * kKB;
+    CredentialFactory widened_cred(widened);
+    auto r = runFor(client.read(widened_cred, 8 * kKB, 16 * kKB));
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error(), NasdStatus::kBadCapability);
+    EXPECT_EQ(drive.verifiedCapabilities(), warm);
+}
+
+TEST_F(DriveTest, WarmCacheVersionBumpRejected)
+{
+    const ObjectId oid = makeObject();
+    CredentialFactory cred(objectCap(oid));
+    ASSERT_TRUE(runFor(client.write(cred, 0, pattern(100))).ok());
+    ASSERT_TRUE(runFor(client.read(cred, 0, 100)).ok());
+
+    SetAttrRequest bump;
+    bump.bump_version = true;
+    ASSERT_TRUE(runFor(client.setAttr(cred, bump)).ok());
+
+    auto r = runFor(client.read(cred, 0, 100));
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error(), NasdStatus::kVersionMismatch);
+}
+
+TEST_F(DriveTest, WarmCacheCapabilityCachedBeforeRestart)
+{
+    const ObjectId oid = makeObject();
+    CredentialFactory cred(objectCap(oid));
+    ASSERT_TRUE(runFor(client.write(cred, 0, pattern(100))).ok());
+    run(drive.store().flushAll());
+
+    ASSERT_GE(drive.verifiedCapabilities(), 1u);
+    drive.crash();
+    run(drive.restart());
+    EXPECT_EQ(drive.verifiedCapabilities(), 0u);
+
+    RequestParams params{OpCode::kReadData, 0, oid, 0, 100};
+    RequestCredential tampered = cred.forRequest(params);
+    tampered.request_digest[31] ^= 0x40;
+    auto resp = runFor(drive.serveRead(tampered, params));
+    EXPECT_EQ(resp.status, NasdStatus::kBadCapability);
+
+    // The honest holder still gets through after the restart.
+    EXPECT_TRUE(runFor(client.read(cred, 0, 100)).ok());
+}
+
+TEST_F(DriveTest, WarmCacheForgottenOnPartitionCreateAndRemove)
+{
+    CredentialFactory admin(partitionCap(kRightCreate | kRightRemove));
+    ASSERT_TRUE(runFor(client.createPartition(admin, 5, kMB)).ok());
+    EXPECT_EQ(drive.verifiedCapabilities(), 0u);
+
+    CapabilityPublic pc;
+    pc.partition = 5;
+    pc.object_id = kPartitionControlObject;
+    pc.rights = kRightGetAttr;
+    CredentialFactory part5(issuer.mint(pc));
+    ASSERT_TRUE(runFor(client.listObjects(part5)).ok());
+    ASSERT_GE(drive.verifiedCapabilities(), 1u);
+
+    ASSERT_TRUE(runFor(client.removePartition(admin, 5)).ok());
+    EXPECT_EQ(drive.verifiedCapabilities(), 0u);
+    auto r = runFor(client.listObjects(part5));
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error(), NasdStatus::kNoSuchPartition);
+}
+
 // ----------------------------------------------------------- security cost
 
 TEST_F(DriveTest, SoftwareIntegrityCostsTime)

@@ -362,8 +362,12 @@ TEST_P(CapabilityTamper, AnyFieldChangeBreaksTheMac)
 
     const auto mac = capabilityMac(key, pub);
 
-    // Flipping any single bit of the encoding changes the MAC.
-    const auto encoded = pub.encode();
+    // The MAC covers exactly the fixed-size canonical encoding...
+    const CapabilityPublic::Encoded encoded = pub.encode();
+    EXPECT_TRUE(crypto::constantTimeEqual(
+        mac, crypto::HmacSha256::mac(key, encoded)));
+
+    // ...and flipping any single bit of it changes the MAC.
     for (std::size_t byte = 0; byte < encoded.size(); byte += 7) {
         auto tampered = encoded;
         tampered[byte] ^= 1 << (byte % 8);

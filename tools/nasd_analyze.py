@@ -97,9 +97,10 @@ suspension points — and runs these checks over it:
 A8 (reservoir-latency) is retired with the sample-histogram instrument
 kind it guarded; its ID is not reused.
 
-The default run covers src/ with every check and bench/ with the
-hygiene checks A9-A12 only: bench drivers read the host clock and run
-coroutines from main(), which A1-A7 and A13 are not written for.
+The default run covers src/ with every check, and bench/ and
+examples/ with the hygiene checks A9-A12 only: bench drivers and
+examples read the host clock and run coroutines from main(), which
+A1-A7 and A13 are not written for.
 
 Backends:
   * builtin (default)  — a self-contained C++ lexer + structural parser,
@@ -1575,12 +1576,12 @@ CHECK_FNS = {
     "A13": check_a13,
 }
 
-# Checks that also run on bench/ (see module docstring).
+# Checks that also run on bench/ and examples/ (see module docstring).
 BENCH_CHECKS = {"A9", "A10", "A11", "A12"}
 
 
 def is_bench(model):
-    return model.rel.startswith("bench/")
+    return model.rel.startswith(("bench/", "examples/"))
 
 
 def run_checks(models, checks):
@@ -1779,8 +1780,8 @@ def load_baseline(path):
 
 def discover_sources(root):
     paths = []
-    for top in ("src", "bench"):
-        for ext in ("*.cc", "*.h"):
+    for top in ("src", "bench", "examples"):
+        for ext in ("*.cc", "*.cpp", "*.h"):
             paths.extend(sorted((root / top).rglob(ext)))
     return paths
 
@@ -1791,7 +1792,7 @@ def main(argv=None):
         "analyzer (see module docstring or --list-checks)",
     )
     ap.add_argument("files", nargs="*", help="files to analyze "
-                    "(default: src/ and bench/ under --root)")
+                    "(default: src/, bench/ and examples/ under --root)")
     ap.add_argument("--root", default=None,
                     help="repo root (default: parent of this script)")
     ap.add_argument("--build-dir", default=None,
