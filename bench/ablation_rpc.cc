@@ -9,17 +9,15 @@
  * both ends and measures what the same prototype drive could deliver.
  */
 #include <cstdio>
-#include <vector>
 
 #include "bench/bench_util.h"
-#include "nasd/client.h"
+#include "bench/cluster.h"
 #include "nasd/drive.h"
 #include "net/presets.h"
 #include "sim/simulator.h"
 #include "util/units.h"
 
 using namespace nasd;
-using util::kKB;
 using util::kMB;
 
 namespace {
@@ -33,55 +31,21 @@ struct Point
 Point
 measure(const net::RpcCosts &costs)
 {
-    sim::Simulator sim;
-    net::Network net(sim);
     auto cfg = prototypeDriveConfig("nasd0", 1);
     cfg.rpc = costs;
-    NasdDrive drive(sim, net, std::move(cfg));
-    CapabilityIssuer issuer(drive.config().master_key, 1);
-    auto &client_node = net.addNode("client", net::alphaStation255(),
-                                    net::oc3Link(), costs);
-    NasdClient client(net, client_node, drive);
-    bench::runTask(sim, drive.format());
-    auto part = drive.store().createPartition(0, 256 * kMB);
-    (void)part;
-
-    CapabilityPublic pc;
-    pc.partition = 0;
-    pc.object_id = kPartitionControlObject;
-    pc.rights = kRightCreate;
-    CredentialFactory pcred(issuer.mint(pc));
-    const ObjectId oid = bench::runFor(sim, client.create(pcred, 0)).value();
-    CapabilityPublic po;
-    po.partition = 0;
-    po.object_id = oid;
-    po.rights = kRightRead | kRightWrite | kRightGetAttr;
-    CredentialFactory cred(issuer.mint(po));
-
-    const std::vector<std::uint8_t> data(2 * kMB, 7);
-    auto w = bench::runFor(sim, client.write(cred, 0, data));
-    (void)w;
-    for (std::uint64_t off = 0; off < 2 * kMB; off += 512 * kKB)
-        (void)bench::runFor(sim, client.read(cred, off, 512 * kKB));
+    bench::DriveRig rig(std::move(cfg), 256 * kMB);
+    auto cred = rig.credential(rig.createObject(),
+                               kRightRead | kRightWrite | kRightGetAttr);
 
     Point p;
-    sim::Tick start = sim.now();
-    std::uint64_t moved = 0;
-    for (int pass = 0; pass < 4; ++pass) {
-        for (std::uint64_t off = 0; off < 2 * kMB; off += 512 * kKB) {
-            auto r = bench::runFor(sim, client.read(cred, off, 512 * kKB));
-            moved += r.ok() ? r.value().size() : 0;
-        }
-    }
-    p.warm_read_mbs = util::bytesPerSecToMBs(
-        static_cast<double>(moved) / sim::toSeconds(sim.now() - start));
+    p.warm_read_mbs = rig.warmReadMbs(cred);
 
     // Small-op latency: warm getattr.
-    (void)bench::runFor(sim, client.getAttr(cred));
-    start = sim.now();
+    (void)bench::runFor(rig.sim, rig.client.getAttr(cred));
+    const sim::Tick start = rig.sim.now();
     for (int i = 0; i < 8; ++i)
-        (void)bench::runFor(sim, client.getAttr(cred));
-    p.small_op_ms = sim::toMillis(sim.now() - start) / 8.0;
+        (void)bench::runFor(rig.sim, rig.client.getAttr(cred));
+    p.small_op_ms = sim::toMillis(rig.sim.now() - start) / 8.0;
     return p;
 }
 

@@ -10,17 +10,13 @@
  * digests, and hardware digest support.
  */
 #include <cstdio>
-#include <vector>
 
 #include "bench/bench_util.h"
-#include "nasd/client.h"
+#include "bench/cluster.h"
 #include "nasd/drive.h"
-#include "net/presets.h"
-#include "sim/simulator.h"
 #include "util/units.h"
 
 using namespace nasd;
-using util::kKB;
 using util::kMB;
 
 namespace {
@@ -28,49 +24,12 @@ namespace {
 double
 measure(SecurityLevel level)
 {
-    sim::Simulator sim;
-    net::Network net(sim);
     auto cfg = prototypeDriveConfig("nasd0", 1);
     cfg.security = level;
-    NasdDrive drive(sim, net, std::move(cfg));
-    CapabilityIssuer issuer(drive.config().master_key, 1);
-    auto &client_node = net.addNode("client", net::alphaStation255(),
-                                    net::oc3Link(), net::dceRpcCosts());
-    NasdClient client(net, client_node, drive);
-    bench::runTask(sim, drive.format());
-    auto part = drive.store().createPartition(0, 256 * kMB);
-    (void)part;
-
-    CapabilityPublic pc;
-    pc.partition = 0;
-    pc.object_id = kPartitionControlObject;
-    pc.rights = kRightCreate;
-    CredentialFactory pcred(issuer.mint(pc));
-    const ObjectId oid = bench::runFor(sim, client.create(pcred, 0)).value();
-
-    CapabilityPublic po;
-    po.partition = 0;
-    po.object_id = oid;
-    po.rights = kRightRead | kRightWrite;
-    CredentialFactory cred(issuer.mint(po));
-
-    const std::vector<std::uint8_t> data(2 * kMB, 7);
-    auto w = bench::runFor(sim, client.write(cred, 0, data));
-    (void)w;
-    // Warm pass.
-    for (std::uint64_t off = 0; off < 2 * kMB; off += 512 * kKB)
-        (void)bench::runFor(sim, client.read(cred, off, 512 * kKB));
-
-    const sim::Tick start = sim.now();
-    std::uint64_t moved = 0;
-    for (int pass = 0; pass < 4; ++pass) {
-        for (std::uint64_t off = 0; off < 2 * kMB; off += 512 * kKB) {
-            auto r = bench::runFor(sim, client.read(cred, off, 512 * kKB));
-            moved += r.ok() ? r.value().size() : 0;
-        }
-    }
-    return util::bytesPerSecToMBs(static_cast<double>(moved) /
-                                  sim::toSeconds(sim.now() - start));
+    bench::DriveRig rig(std::move(cfg), 256 * kMB);
+    auto cred =
+        rig.credential(rig.createObject(), kRightRead | kRightWrite);
+    return rig.warmReadMbs(cred);
 }
 
 } // namespace

@@ -9,14 +9,12 @@
  * parallelism within a request.
  */
 #include <cstdio>
-#include <memory>
 #include <vector>
 
 #include "apps/frequent_sets.h"
 #include "apps/transactions.h"
 #include "bench/bench_util.h"
-#include "cheops/cheops.h"
-#include "net/presets.h"
+#include "bench/cluster.h"
 #include "pfs/pfs.h"
 #include "sim/simulator.h"
 #include "util/units.h"
@@ -34,66 +32,29 @@ constexpr std::uint32_t kCatalogItems = 200;
 double
 measure(std::uint64_t stripe_unit)
 {
-    sim::Simulator sim;
-    net::Network net(sim);
-    std::vector<std::unique_ptr<NasdDrive>> drives;
-    std::vector<NasdDrive *> raw;
-    for (int i = 0; i < kDrives; ++i) {
-        auto cfg = prototypeDriveConfig("nasd" + std::to_string(i), i + 1);
-        // Small drive cache so the sweep measures the media path (the
-        // 96 MB working set must not fit in aggregate drive DRAM).
-        cfg.store.data_cache_bytes = 4 * kMB;
-        drives.push_back(
-            std::make_unique<NasdDrive>(sim, net, std::move(cfg)));
-        raw.push_back(drives.back().get());
-    }
-    auto &mgr_node = net.addNode("mgr", net::alphaStation500(),
-                                 net::oc3Link(), net::dceRpcCosts());
-    cheops::CheopsManager storage(sim, net, mgr_node, raw, 0);
-    bench::runTask(sim, storage.initialize(1024 * kMB));
-    pfs::PfsManager manager(storage);
+    // Small drive cache so the sweep measures the media path (the
+    // 96 MB working set must not fit in aggregate drive DRAM).
+    bench::NasdCluster cluster(
+        {.drives = kDrives, .drive_cache_bytes = 4 * kMB});
+    sim::Simulator &sim = cluster.sim;
 
-    auto &loader_node = net.addNode("loader", net::alphaStation255(),
-                                    net::oc3Link(), net::dceRpcCosts());
-    pfs::PfsClient loader(net, loader_node, manager, raw);
-    auto handle = bench::runFor(sim, loader.open("sales", true, true,
-                                                 stripe_unit)).value();
     apps::DatasetParams params;
     params.catalog_items = kCatalogItems;
     apps::TransactionGenerator gen(params);
     const std::uint64_t chunks = kDatasetBytes / apps::kChunkBytes;
-    for (std::uint64_t c = 0; c < chunks; ++c) {
-        auto w = bench::runFor(sim, loader.write(
-                                        handle, c * apps::kChunkBytes,
-                                        gen.chunk(c)));
-        (void)w;
-    }
-    for (auto *d : raw)
-        bench::runTask(sim, d->store().flushAll());
+    const auto handle = cluster.loadPfsFile(
+        "sales", chunks, [&gen](std::uint64_t c) { return gen.chunk(c); },
+        stripe_unit);
 
-    std::vector<std::unique_ptr<pfs::PfsClient>> clients;
+    const auto clients = cluster.openPfsClients(kDrives, "sales");
     std::vector<apps::ItemCounts> partials(
         kDrives, apps::ItemCounts(kCatalogItems, 0));
-    for (int i = 0; i < kDrives; ++i) {
-        auto &node = net.addNode("client" + std::to_string(i),
-                                 net::alphaStation255(), net::oc3Link(),
-                                 net::dceRpcCosts());
-        clients.push_back(
-            std::make_unique<pfs::PfsClient>(net, node, manager, raw));
-        auto h = bench::runFor(sim,
-                               clients.back()->open("sales", false, false));
-        (void)h;
-    }
 
     const sim::Tick start = sim.now();
     for (int i = 0; i < kDrives; ++i) {
-        auto *client = clients[i].get();
-        auto h = handle;
-        sim.spawn([](sim::Simulator &s, pfs::PfsClient &c,
-                     pfs::PfsHandle file, std::uint64_t total_chunks,
-                     std::uint64_t first, apps::ItemCounts &out)
-                      -> sim::Task<void> {
-            (void)s;
+        sim.spawn([](pfs::PfsClient &c, pfs::PfsHandle file,
+                     std::uint64_t total_chunks, std::uint64_t first,
+                     apps::ItemCounts &out) -> sim::Task<void> {
             std::vector<std::uint8_t> chunk(apps::kChunkBytes);
             for (std::uint64_t idx = first; idx < total_chunks;
                  idx += kDrives) {
@@ -107,7 +68,7 @@ measure(std::uint64_t stripe_unit)
                 apps::mergeCounts(
                     out, apps::countOneItemsets(chunk, kCatalogItems));
             }
-        }(sim, *client, h, chunks, static_cast<std::uint64_t>(i),
+        }(*clients[i], handle, chunks, static_cast<std::uint64_t>(i),
           partials[i]));
     }
     sim.run();

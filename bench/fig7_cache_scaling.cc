@@ -15,9 +15,10 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "bench/cluster.h"
 #include "cheops/cheops.h"
-#include "net/presets.h"
 #include "sim/simulator.h"
+#include "util/logging.h"
 #include "util/metrics.h"
 #include "util/units.h"
 
@@ -48,60 +49,42 @@ measure(int n_clients)
     // bleed into the next, and the bench dump carries only the headline
     // gauges recorded by main().
     const util::MetricsScope run_metrics;
-    sim::Simulator sim;
-    net::Network net(sim);
-
-    std::vector<std::unique_ptr<NasdDrive>> drives;
-    std::vector<NasdDrive *> raw;
-    for (int i = 0; i < kDrives; ++i) {
-        drives.push_back(std::make_unique<NasdDrive>(
-            sim, net,
-            prototypeDriveConfig("nasd" + std::to_string(i), i + 1)));
-        raw.push_back(drives.back().get());
-    }
-    auto &mgr_node = net.addNode("mgr", net::alphaStation500(),
-                                 net::oc3Link(), net::dceRpcCosts());
-    cheops::CheopsManager mgr(sim, net, mgr_node, raw, 0);
-    bench::runTask(sim, mgr.initialize(512 * kMB));
+    bench::NasdCluster cluster({.drives = kDrives,
+                                .partition_bytes = 512 * kMB});
+    sim::Simulator &sim = cluster.sim;
 
     // One file: one 512 KB stripe unit per drive (fits every drive's
     // cache).
-    auto &loader_node = net.addNode("loader", net::alphaStation255(),
-                                    net::oc3Link(), net::dceRpcCosts());
-    cheops::CheopsClient loader(net, loader_node, mgr, raw);
+    const auto loader = cluster.cheopsClient("loader");
     const std::uint64_t file_bytes = kDrives * kStripeUnit;
-    const auto id =
-        bench::runFor(sim, loader.create(kStripeUnit, 0)).value();
+    const auto created = bench::runFor(sim, loader->create(kStripeUnit, 0));
+    NASD_ASSERT(created.ok(), "fig7 setup: create failed");
+    const auto id = created.value();
     {
         std::vector<std::uint8_t> data(file_bytes, 7);
-        auto w = bench::runFor(sim, loader.write(id, 0, data));
-        (void)w;
+        const auto w = bench::runFor(sim, loader->write(id, 0, data));
+        NASD_ASSERT(w.ok(), "fig7 setup: load write failed");
         // Warm every drive's cache.
-        auto r = bench::runFor(sim, loader.read(id, 0, data));
-        (void)r;
+        const auto r = bench::runFor(sim, loader->read(id, 0, data));
+        NASD_ASSERT(r.ok(), "fig7 setup: warm-up read failed");
     }
 
     // Clients.
-    std::vector<net::NetNode *> client_nodes;
     std::vector<std::unique_ptr<cheops::CheopsClient>> clients;
     for (int i = 0; i < n_clients; ++i) {
-        client_nodes.push_back(&net.addNode(
-            "client" + std::to_string(i), net::alphaStation255(),
-            net::oc3Link(), net::dceRpcCosts()));
-        clients.push_back(std::make_unique<cheops::CheopsClient>(
-            net, *client_nodes.back(), mgr, raw));
+        clients.push_back(
+            cluster.cheopsClient("client" + std::to_string(i)));
         // Prefetch the layout map so the measured window is pure data.
-        auto map = bench::runFor(sim, clients.back()->open(id, false));
-        (void)map;
+        const auto map = bench::runFor(sim, clients.back()->open(id, false));
+        NASD_ASSERT(map.ok(), "fig7 setup: open failed");
     }
 
     const sim::Tick start = sim.now();
     std::uint64_t total_bytes = 0;
     for (int i = 0; i < n_clients; ++i) {
-        sim.spawn([](sim::Simulator &s, cheops::CheopsClient &c,
-                     cheops::LogicalObjectId oid, std::uint64_t file,
-                     int index, std::uint64_t &bytes) -> sim::Task<void> {
-            (void)s;
+        sim.spawn([](cheops::CheopsClient &c, cheops::LogicalObjectId oid,
+                     std::uint64_t file, int index,
+                     std::uint64_t &bytes) -> sim::Task<void> {
             std::vector<std::uint8_t> buf(kRequestBytes);
             // Staggered start offsets rotate each client over the
             // drive set.
@@ -117,7 +100,7 @@ measure(int n_clients)
                 if (offset >= file)
                     offset = 0;
             }
-        }(sim, *clients[i], id, file_bytes, i, total_bytes));
+        }(*clients[i], id, file_bytes, i, total_bytes));
     }
     sim.run();
     const sim::Tick end = sim.now();
@@ -127,11 +110,11 @@ measure(int n_clients)
     p.aggregate_mbs = util::bytesPerSecToMBs(
         static_cast<double>(total_bytes) / sim::toSeconds(end - start));
     double client_idle = 0;
-    for (auto *node : client_nodes)
-        client_idle += node->cpu().idleFraction(start, end);
+    for (const auto &client : clients)
+        client_idle += client->node().cpu().idleFraction(start, end);
     p.client_idle_percent = 100.0 * client_idle / n_clients;
     double drive_idle = 0;
-    for (auto *drive : raw)
+    for (auto *drive : cluster.raw)
         drive_idle += drive->node().cpu().idleFraction(start, end);
     p.drive_idle_percent = 100.0 * drive_idle / kDrives;
     return p;

@@ -22,6 +22,11 @@
  *
  * Counts are computed for real; the bench cross-checks the merged
  * totals across configurations.
+ *
+ * Other modes: --fault-sweep, --breakdown, --kill-drive, --drives
+ * N[,N...] and --trace PATH, plus the --slow-drive N,factor fault. The
+ * command line is parsed once into a Scenario; every NASD
+ * configuration is a bench::NasdCluster (bench/cluster.h).
  */
 #include <algorithm>
 #include <array>
@@ -37,6 +42,7 @@
 #include "apps/frequent_sets.h"
 #include "apps/transactions.h"
 #include "bench/bench_util.h"
+#include "bench/cluster.h"
 #include "cheops/cheops.h"
 #include "fs/ffs/ffs.h"
 #include "fs/nfs/nfs_client.h"
@@ -62,6 +68,9 @@ namespace {
 constexpr std::uint64_t kDatasetBytes = 300 * kMB;
 constexpr std::uint64_t kReadBytes = 512 * kKB; // producer request size
 constexpr std::uint32_t kCatalogItems = 500;
+/// Interval of the time series a sampled NASD run records.
+constexpr sim::Tick kSampleInterval = sim::msec(50);
+constexpr const char *kReference = "Figure 9 (Section 5.2, NASD PFS vs NFS)";
 
 /**
  * Source of the dataset chunks every loader writes. The default table
@@ -123,7 +132,6 @@ mineChunks(sim::Simulator &sim, sim::CpuResource &cpu, ReadFn read,
            std::uint64_t total_chunks, std::uint64_t first_chunk,
            std::uint64_t stride, apps::ItemCounts &result)
 {
-    (void)sim;
     std::vector<std::uint8_t> chunk(apps::kChunkBytes);
     for (std::uint64_t c = first_chunk; c < total_chunks; c += stride) {
         // Producers: the chunk arrives as parallel 512 KB reads.
@@ -148,8 +156,10 @@ mineChunks(sim::Simulator &sim, sim::CpuResource &cpu, ReadFn read,
 
 struct RunResult
 {
-    double aggregate_mbs = 0;
+    double aggregate_mbs = 0; ///< delivered bytes over the scan's time
     std::uint64_t rpc_timeouts = 0;
+    std::uint64_t delivered_bytes = 0; ///< NASD runs: bytes reads returned
+    std::uint64_t failed_reads = 0;    ///< NASD runs: reads that failed
     apps::ItemCounts counts;
 };
 
@@ -167,9 +177,9 @@ struct OpBreakdown
 struct NasdRunExtras
 {
     /// When set, the mining scan is driven by a StatsPoller sampling
-    /// throughput / drive utilization / client queue depth into here.
+    /// throughput / drive utilization / client queue depth into here
+    /// every kSampleInterval.
     util::TimeSeries *timeseries = nullptr;
-    sim::Tick sample_interval = sim::msec(50);
     /// When set, filled with the per-op wait/service decomposition
     /// collected from the run's drive op counters.
     std::map<std::string, OpBreakdown> *breakdown = nullptr;
@@ -178,15 +188,6 @@ struct NasdRunExtras
     /// MetricsScope closes; stragglers are journaled to the flight
     /// recorder as kStragglerSuspect.
     util::FleetRollup *fleet = nullptr;
-    /// Slow-drive fault knob (--slow-drive N,factor): scale drive N's
-    /// mechanical service time by `slow_factor` for the whole run.
-    int slow_drive = -1;
-    double slow_factor = 1.0;
-    /// When nonzero, overrides every drive's data-cache size. The
-    /// slow-drive gate shrinks it below the working set so the timed
-    /// scan streams from media — a drive-RAM cache hit cannot be slow,
-    /// so a fully cached scan would mask the fault entirely.
-    std::uint64_t drive_cache_bytes = 0;
 };
 
 /** Pull the "<drive>/ops/<op>/..." instruments of the current registry
@@ -246,91 +247,52 @@ collectBreakdown(std::map<std::string, OpBreakdown> &ops)
 
 // ------------------------------------------------------------------ NASD
 
+/** One NASD configuration: load @p dataset_bytes into PFS file "sales"
+ *  on the cluster, then `spec.drives` clients mine it round-robin. */
 RunResult
-runNasd(int n, std::uint64_t dataset_bytes = kDatasetBytes,
+runNasd(const bench::ClusterSpec &spec, std::uint64_t dataset_bytes,
         const net::FaultPlan *faults = nullptr,
         NasdRunExtras *extras = nullptr)
 {
     const util::MetricsScope run_metrics;
-    sim::Simulator sim;
-    net::Network net(sim);
-    std::vector<std::unique_ptr<NasdDrive>> drives;
-    std::vector<NasdDrive *> raw;
-    for (int i = 0; i < n; ++i) {
-        DriveConfig cfg =
-            prototypeDriveConfig("nasd" + std::to_string(i), i + 1);
-        if (extras != nullptr && extras->drive_cache_bytes != 0)
-            cfg.store.data_cache_bytes = extras->drive_cache_bytes;
-        drives.push_back(
-            std::make_unique<NasdDrive>(sim, net, std::move(cfg)));
-        raw.push_back(drives.back().get());
-    }
-    if (extras != nullptr && extras->slow_drive >= 0) {
-        NASD_ASSERT(extras->slow_drive < n, "--slow-drive: drive ",
-                    extras->slow_drive, " out of range for ", n, " drives");
-        raw[static_cast<std::size_t>(extras->slow_drive)]->slowDown(
-            extras->slow_factor);
-    }
-    auto &mgr_node = net.addNode("mgr", net::alphaStation500(),
-                                 net::oc3Link(), net::dceRpcCosts());
-    cheops::CheopsManager storage(sim, net, mgr_node, raw, 0);
-    bench::runTask(sim, storage.initialize(1024 * kMB));
-    pfs::PfsManager manager(storage);
+    bench::NasdCluster cluster(spec);
+    sim::Simulator &sim = cluster.sim;
+    const int n = spec.drives;
 
-    // Load the dataset through a loader client.
-    auto &loader_node = net.addNode("loader", net::alphaStation255(),
-                                    net::oc3Link(), net::dceRpcCosts());
-    pfs::PfsClient loader(net, loader_node, manager, raw);
-    auto handle =
-        bench::runFor(sim, loader.open("sales", true, true)).value();
     const std::uint64_t chunks = dataset_bytes / apps::kChunkBytes;
-    for (std::uint64_t c = 0; c < chunks; ++c) {
-        auto w = bench::runFor(
-            sim, loader.write(handle, c * apps::kChunkBytes,
-                              datasetChunks().get(c)));
-        (void)w;
-    }
-    // Push write-behind data to media before the timed scan.
-    for (auto *d : raw)
-        bench::runTask(sim, d->store().flushAll());
-
-    // n mining clients, chunks round-robin.
-    std::vector<std::unique_ptr<pfs::PfsClient>> clients;
+    const auto handle = cluster.loadPfsFile(
+        "sales", chunks,
+        [](std::uint64_t c) { return datasetChunks().get(c); });
+    const auto clients = cluster.openPfsClients(n, "sales");
     std::vector<apps::ItemCounts> partials(
         n, apps::ItemCounts(kCatalogItems, 0));
-    for (int i = 0; i < n; ++i) {
-        auto &node = net.addNode("client" + std::to_string(i),
-                                 net::alphaStation255(), net::oc3Link(),
-                                 net::dceRpcCosts());
-        clients.push_back(
-            std::make_unique<pfs::PfsClient>(net, node, manager, raw));
-        auto h = bench::runFor(sim,
-                               clients.back()->open("sales", false, false));
-        (void)h;
-    }
 
     // Faults start after the (untimed) load and opens: the sweep
     // measures the data path's tolerance, not the loader's.
     if (faults != nullptr)
-        net.setFaultPlan(*faults);
+        cluster.net.setFaultPlan(*faults);
 
+    RunResult result;
     const sim::Tick start = sim.now();
     for (int i = 0; i < n; ++i) {
         auto *client = clients[i].get();
         sim.spawn(mineChunks(
             sim, client->node().cpu(),
-            [client, handle](std::uint64_t off, std::span<std::uint8_t> out)
+            [client, handle, &result](std::uint64_t off,
+                                      std::span<std::uint8_t> out)
                 -> sim::Task<void> {
                 auto r = co_await client->read(handle, off, out);
-                (void)r;
+                if (r.ok())
+                    result.delivered_bytes += r.value();
+                else
+                    ++result.failed_reads;
             },
             chunks, static_cast<std::uint64_t>(i), n, partials[i]));
     }
     if (extras != nullptr && extras->timeseries != nullptr) {
         // Interval-sampled run: same event schedule as sim.run(), plus
         // one TimeSeries sample per boundary.
-        sim::StatsPoller poller(sim, *extras->timeseries,
-                                extras->sample_interval);
+        sim::StatsPoller poller(sim, *extras->timeseries, kSampleInterval);
         poller.addRate(
             "client_read_mbs",
             [&clients] {
@@ -341,8 +303,7 @@ runNasd(int n, std::uint64_t dataset_bytes = kDatasetBytes,
                 return bytes;
             },
             1.0 / static_cast<double>(kMB));
-        for (int i = 0; i < n; ++i) {
-            auto *drive = raw[i];
+        for (auto *drive : cluster.raw) {
             poller.addRate(
                 drive->name() + "_cpu_util",
                 [drive, &sim] {
@@ -370,14 +331,13 @@ runNasd(int n, std::uint64_t dataset_bytes = kDatasetBytes,
     // its interval boundary, and the scan ends at the last real event.
     const double secs = sim::toSeconds(sim.lastEventTime() - start);
 
-    RunResult result;
     result.counts.assign(kCatalogItems, 0);
     for (const auto &partial : partials)
         apps::mergeCounts(result.counts, partial);
     for (const auto &client : clients)
         result.rpc_timeouts += client->node().rpc_timeouts.value();
-    result.aggregate_mbs =
-        util::bytesPerSecToMBs(static_cast<double>(dataset_bytes) / secs);
+    result.aggregate_mbs = util::bytesPerSecToMBs(
+        static_cast<double>(result.delivered_bytes) / secs);
     if (extras != nullptr && extras->breakdown != nullptr)
         collectBreakdown(*extras->breakdown);
     if (extras != nullptr && extras->fleet != nullptr) {
@@ -446,42 +406,33 @@ runNfs(int n, bool parallel_files)
     const int n_clients = 10;
     const std::uint64_t chunks = kDatasetBytes / apps::kChunkBytes;
 
-    // Load data directly into the volumes (setup, untimed).
+    // Load data directly into the volumes (setup, untimed). Shared-file
+    // NFS has one file "sales" on the striped volume holding every
+    // chunk. NFS-parallel gives client i a replica slice "sales<i>" on
+    // volume i % n holding dataset chunks i, i + 10, ...
+    const int n_files = parallel_files ? n_clients : 1;
     std::vector<fs::NfsFileHandle> files;
-    if (parallel_files) {
-        // Each client gets a replica slice on disk i = client % n.
-        for (int i = 0; i < n_clients; ++i) {
-            auto &vol = *volumes[i % n];
-            auto ino = bench::runFor(
-                sim, vol.create(fs::kRootInode,
-                                "sales" + std::to_string(i)));
-            NASD_ASSERT(ino.ok(), "fig9 setup: create failed");
-            const std::uint64_t per_client =
-                chunks / n_clients + (i < static_cast<int>(chunks %
-                                                           n_clients)
-                                          ? 1
-                                          : 0);
-            for (std::uint64_t c = 0; c < per_client; ++c) {
-                auto w = bench::runFor(
-                    sim,
-                    vol.write(ino.value(), c * apps::kChunkBytes,
-                              datasetChunks().get(c * n_clients + i)));
-                (void)w;
-            }
-            files.push_back(fs::NfsFileHandle{
-                static_cast<std::uint32_t>(i % n), ino.value()});
-        }
-    } else {
-        auto &vol = *volumes[0];
-        auto ino = bench::runFor(sim, vol.create(fs::kRootInode, "sales"));
+    std::vector<std::uint64_t> file_chunks;
+    for (int f = 0; f < n_files; ++f) {
+        const auto vol_index =
+            static_cast<std::uint32_t>(static_cast<std::size_t>(f) %
+                                       volumes.size());
+        auto &vol = *volumes[vol_index];
+        const std::string name =
+            parallel_files ? "sales" + std::to_string(f) : "sales";
+        auto ino = bench::runFor(sim, vol.create(fs::kRootInode, name));
         NASD_ASSERT(ino.ok(), "fig9 setup: create failed");
-        for (std::uint64_t c = 0; c < chunks; ++c) {
-            auto w = bench::runFor(
+        const std::uint64_t count =
+            chunks / n_files +
+            (f < static_cast<int>(chunks % n_files) ? 1 : 0);
+        for (std::uint64_t c = 0; c < count; ++c) {
+            const auto w = bench::runFor(
                 sim, vol.write(ino.value(), c * apps::kChunkBytes,
-                               datasetChunks().get(c)));
-            (void)w;
+                               datasetChunks().get(c * n_files + f)));
+            NASD_ASSERT(w.ok(), "fig9 setup: load write failed");
         }
-        files.push_back(fs::NfsFileHandle{0, ino.value()});
+        files.push_back(fs::NfsFileHandle{vol_index, ino.value()});
+        file_chunks.push_back(count);
     }
     for (auto &vol : volumes)
         bench::runTask(sim, vol->sync());
@@ -501,40 +452,22 @@ runNfs(int n, bool parallel_files)
             std::make_unique<fs::NfsClient>(net, node, server, mount));
     }
 
+    // On the shared file client i scans chunks i, i + 10, ...; a
+    // replica slice is scanned whole by its one client.
     const sim::Tick start = sim.now();
     for (int i = 0; i < n_clients; ++i) {
         auto *client = clients[i].get();
-        const fs::NfsFileHandle fh =
-            parallel_files ? files[i] : files[0];
-        if (parallel_files) {
-            // Client i scans its whole replica slice.
-            const std::uint64_t per_client =
-                chunks / n_clients + (i < static_cast<int>(chunks %
-                                                           n_clients)
-                                          ? 1
-                                          : 0);
-            sim.spawn(mineChunks(
-                sim, client->node().cpu(),
-                [client, fh](std::uint64_t off,
-                             std::span<std::uint8_t> out)
-                    -> sim::Task<void> {
-                    auto r = co_await client->read(fh, off, out);
-                    (void)r;
-                },
-                per_client, 0, 1, partials[i]));
-        } else {
-            // All clients share one file, chunks round-robin.
-            sim.spawn(mineChunks(
-                sim, client->node().cpu(),
-                [client, fh](std::uint64_t off,
-                             std::span<std::uint8_t> out)
-                    -> sim::Task<void> {
-                    auto r = co_await client->read(fh, off, out);
-                    (void)r;
-                },
-                chunks, static_cast<std::uint64_t>(i), n_clients,
-                partials[i]));
-        }
+        const int f = i % n_files;
+        const fs::NfsFileHandle fh = files[f];
+        sim.spawn(mineChunks(
+            sim, client->node().cpu(),
+            [client, fh](std::uint64_t off,
+                         std::span<std::uint8_t> out) -> sim::Task<void> {
+                auto r = co_await client->read(fh, off, out);
+                (void)r;
+            },
+            file_chunks[f], static_cast<std::uint64_t>(i / n_files),
+            static_cast<std::uint64_t>(n_clients / n_files), partials[i]));
     }
     sim.run();
     const double secs = sim::toSeconds(sim.now() - start);
@@ -617,20 +550,14 @@ markPhase(sim::Simulator &sim, util::FrEvent kind, const char *phase)
                                                 phase);
 }
 
-/** Phase bandwidths and rebuild accounting of one kill-drive run. */
+/** Phase bandwidths and the rebuild record of one kill-drive run. */
 struct KillDriveResult
 {
     double healthy_mbps = 0;
     double degraded_mbps = 0;
     double rebuild_window_mbps = 0;
     double post_mbps = 0;
-    double rebuild_ms = 0;
-    double throttle_wait_ms = 0;
-    double impact_pct = 0;
-    double reconstructed_mb = 0;
-    std::uint64_t rows_done = 0;
-    std::uint64_t rows_total = 0;
-    bool ok = false;
+    cheops::RebuildProgress rebuild;
 };
 
 /**
@@ -651,39 +578,27 @@ runKillDrive()
     constexpr sim::Tick kPollStep = sim::msec(5);
 
     const util::MetricsScope run_metrics;
-    sim::Simulator sim;
-    net::Network net(sim);
-    std::vector<std::unique_ptr<NasdDrive>> drives;
-    std::vector<NasdDrive *> raw;
-    for (int i = 0; i < kDrives; ++i) {
-        drives.push_back(std::make_unique<NasdDrive>(
-            sim, net,
-            prototypeDriveConfig("nasd" + std::to_string(i), i + 1)));
-        raw.push_back(drives.back().get());
-    }
-    auto &mgr_node = net.addNode("mgr", net::alphaStation500(),
-                                 net::oc3Link(), net::dceRpcCosts());
-    cheops::CheopsManager storage(sim, net, mgr_node, raw, 0);
-    bench::runTask(sim, storage.initialize(1024 * kMB));
+    bench::NasdCluster cluster({.drives = kDrives});
+    sim::Simulator &sim = cluster.sim;
 
     // Load the dataset through a control client (untimed).
-    auto &control_node = net.addNode("control", net::alphaStation255(),
-                                     net::oc3Link(), net::dceRpcCosts());
-    cheops::CheopsClient control(net, control_node, storage, raw);
-    const auto id =
-        bench::runFor(sim, control.create(kSu, kWidth, kObjectBytes,
-                                          cheops::Redundancy::kParity))
-            .value();
+    const auto control = cluster.cheopsClient("control");
+    const auto created = bench::runFor(
+        sim, control->create(kSu, kWidth, kObjectBytes,
+                             cheops::Redundancy::kParity));
+    NASD_ASSERT(created.ok(), "kill-drive: create failed");
+    const auto id = created.value();
     for (std::uint64_t c = 0; c < kObjectBytes / apps::kChunkBytes; ++c) {
         auto w = bench::runFor(
-            sim, control.write(id, c * apps::kChunkBytes,
-                               datasetChunks().get(c)));
+            sim, control->write(id, c * apps::kChunkBytes,
+                                datasetChunks().get(c)));
         NASD_ASSERT(w.ok(), "kill-drive: load write failed");
     }
-    for (auto *d : raw)
-        bench::runTask(sim, d->store().flushAll());
+    cluster.flushAll();
 
-    const auto *map = bench::runFor(sim, control.open(id, false)).value();
+    const auto opened = bench::runFor(sim, control->open(id, false));
+    NASD_ASSERT(opened.ok(), "kill-drive: open failed");
+    const auto *map = opened.value();
     const std::uint32_t victim_comp = 0;
     const std::uint32_t victim_drive = map->components[victim_comp].drive;
     std::vector<bool> used(kDrives, false);
@@ -697,11 +612,8 @@ runKillDrive()
     std::vector<std::unique_ptr<cheops::CheopsClient>> clients;
     std::vector<ScanState> states(kClients);
     for (int i = 0; i < kClients; ++i) {
-        auto &node = net.addNode("client" + std::to_string(i),
-                                 net::alphaStation255(), net::oc3Link(),
-                                 net::dceRpcCosts());
-        clients.push_back(std::make_unique<cheops::CheopsClient>(
-            net, node, storage, raw));
+        clients.push_back(
+            cluster.cheopsClient("client" + std::to_string(i)));
         sim.spawn(scanLoop(*clients.back(), id, kObjectBytes,
                            static_cast<std::uint64_t>(i), kClients,
                            states[i]));
@@ -711,11 +623,9 @@ runKillDrive()
     // writes that race the rebuild (degraded RMW, row lock,
     // write-through to the spare) — tools/flight_report.py
     // --find-rebuild-race keys off exactly those events.
-    auto &writer_node = net.addNode("writer", net::alphaStation255(),
-                                    net::oc3Link(), net::dceRpcCosts());
-    cheops::CheopsClient writer(net, writer_node, storage, raw);
+    const auto writer = cluster.cheopsClient("writer");
     ScanState writer_state;
-    sim.spawn(writeLoop(sim, writer, id, kObjectBytes, kSu, sim::msec(2),
+    sim.spawn(writeLoop(sim, *writer, id, kObjectBytes, kSu, sim::msec(2),
                         writer_state));
 
     const auto total_bytes = [&states] {
@@ -728,23 +638,25 @@ runKillDrive()
         return util::bytesPerSecToMBs(static_cast<double>(bytes) /
                                       sim::toSeconds(ticks));
     };
+    // The rest of a fixed-length phase already begun: scan for kWindow,
+    // close the phase and return its bandwidth.
+    const auto finish_window = [&](const char *phase) {
+        const std::uint64_t before = total_bytes();
+        sim.runUntil(sim.now() + kWindow);
+        const double mbps = window_mbs(total_bytes() - before, kWindow);
+        markPhase(sim, util::FrEvent::kPhaseEnd, phase);
+        return mbps;
+    };
+    KillDriveResult r;
 
     // Phase 1 — healthy baseline.
     markPhase(sim, util::FrEvent::kPhaseBegin, "healthy");
-    const std::uint64_t healthy_start = total_bytes();
-    sim.runUntil(sim.now() + kWindow);
-    const double healthy_mbps =
-        window_mbs(total_bytes() - healthy_start, kWindow);
-    markPhase(sim, util::FrEvent::kPhaseEnd, "healthy");
+    r.healthy_mbps = finish_window("healthy");
 
     // Phase 2 — kill a data drive; reads reconstruct from parity.
     markPhase(sim, util::FrEvent::kPhaseBegin, "degraded");
-    drives[victim_drive]->setFailed(true);
-    const std::uint64_t degraded_start = total_bytes();
-    sim.runUntil(sim.now() + kWindow);
-    const double degraded_mbps =
-        window_mbs(total_bytes() - degraded_start, kWindow);
-    markPhase(sim, util::FrEvent::kPhaseEnd, "degraded");
+    cluster.drives[victim_drive]->setFailed(true);
+    r.degraded_mbps = finish_window("degraded");
 
     // Phase 3 — online rebuild onto the spare, token-throttled to one
     // row per millisecond so foreground traffic keeps flowing.
@@ -758,67 +670,46 @@ runKillDrive()
                  std::uint32_t comp, std::uint32_t target,
                  cheops::RebuildThrottle t, bool &done,
                  bool &ok) -> sim::Task<void> {
-        auto r = co_await c.startRebuild(oid, comp, target, t);
-        ok = r.ok();
+        auto res = co_await c.startRebuild(oid, comp, target, t);
+        ok = res.ok();
         done = true;
-    }(control, id, victim_comp, spare, throttle, start_done, start_ok));
+    }(*control, id, victim_comp, spare, throttle, start_done, start_ok));
     const std::uint64_t rebuild_start_bytes = total_bytes();
     const sim::Tick rebuild_t0 = sim.now();
     while (!start_done)
         sim.runUntil(sim.now() + kPollStep);
     NASD_ASSERT(start_ok, "kill-drive: startRebuild rejected");
-    while (storage.rebuildProgress(id).active)
+    while (cluster.storage().rebuildProgress(id).active)
         sim.runUntil(sim.now() + kPollStep);
-    const sim::Tick rebuild_elapsed = sim.now() - rebuild_t0;
-    const double rebuild_window_mbps =
-        window_mbs(total_bytes() - rebuild_start_bytes, rebuild_elapsed);
-    const auto prog = storage.rebuildProgress(id);
+    r.rebuild_window_mbps = window_mbs(total_bytes() - rebuild_start_bytes,
+                                       sim.now() - rebuild_t0);
+    r.rebuild = cluster.storage().rebuildProgress(id);
     markPhase(sim, util::FrEvent::kPhaseEnd, "rebuild");
 
     // Phase 4 — the spare serves; clients refresh onto the new map.
     markPhase(sim, util::FrEvent::kPhaseBegin, "post_rebuild");
-    const std::uint64_t post_start = total_bytes();
-    sim.runUntil(sim.now() + kWindow);
-    const double post_mbps = window_mbs(total_bytes() - post_start, kWindow);
-    markPhase(sim, util::FrEvent::kPhaseEnd, "post_rebuild");
+    r.post_mbps = finish_window("post_rebuild");
 
     for (auto &s : states)
         s.stop = true;
     writer_state.stop = true;
     sim.run(); // drain the scan loops and any rebuild-engine stragglers
-
-    KillDriveResult result;
-    result.healthy_mbps = healthy_mbps;
-    result.degraded_mbps = degraded_mbps;
-    result.rebuild_window_mbps = rebuild_window_mbps;
-    result.post_mbps = post_mbps;
-    result.rebuild_ms =
-        static_cast<double>(prog.finished_at - prog.started_at) / 1e6;
-    result.throttle_wait_ms =
-        static_cast<double>(prog.throttle_wait_ns) / 1e6;
-    result.impact_pct =
-        healthy_mbps > 0.0
-            ? (healthy_mbps - rebuild_window_mbps) / healthy_mbps * 100.0
-            : 0.0;
-    result.reconstructed_mb =
-        static_cast<double>(prog.bytes_reconstructed) /
-        static_cast<double>(kMB);
-    result.rows_done = prog.rows_done;
-    result.rows_total = prog.rows_total;
-    result.ok = healthy_mbps > 0.0 && degraded_mbps > 0.0 &&
-                rebuild_window_mbps > 0.0 && post_mbps > 0.0 &&
-                !prog.active && prog.rows_done == prog.rows_total;
-    return result;
+    return r;
 }
 
+// ----------------------------------------------------------- reporting
+
 /**
- * Print the per-op wait/service decomposition table and check that
- * attribution reconciles with measured latency (within 1%).
+ * Print the per-op wait/service decomposition of the drive ops in
+ * @p scope and check that attribution reconciles with measured latency
+ * (within 1%).
  * @return true if every op class reconciled.
  */
 bool
-printBreakdown(const std::map<std::string, OpBreakdown> &breakdown)
+printBreakdown(const std::string &scope,
+               const std::map<std::string, OpBreakdown> &breakdown)
 {
+    std::printf("\nwhere did the time go — drive ops, %s\n", scope.c_str());
     bool reconciled = true;
     for (const auto &[op, b] : breakdown) {
         if (b.count == 0)
@@ -851,6 +742,9 @@ printBreakdown(const std::map<std::string, OpBreakdown> &breakdown)
         if (std::abs(delta_pct) > 1.0)
             reconciled = false;
     }
+    std::printf("\nper-op attribution reconciles with measured "
+                "latency (within 1%%): %s\n",
+                reconciled ? "yes" : "NO (BUG)");
     return reconciled;
 }
 
@@ -976,33 +870,6 @@ printTailExemplars(const util::FlightRecorder &fr, const char *focus_op)
                     static_cast<unsigned long long>(ev->b), ev->detail);
 }
 
-/** Parse and remove `--slow-drive N,factor` from argv so the shared
- *  option parser (which warns on unknown arguments) never sees it.
- *  @return the compacted argc. */
-int
-extractSlowDrive(int argc, char **argv, int &slow_drive,
-                 double &slow_factor)
-{
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-        if (std::string_view(argv[i]) == "--slow-drive" && i + 1 < argc) {
-            const std::string spec = argv[++i];
-            const auto comma = spec.find(',');
-            NASD_ASSERT(comma != std::string::npos,
-                        "--slow-drive expects N,factor (e.g. 3,3.0)");
-            slow_drive = std::stoi(spec.substr(0, comma));
-            slow_factor = std::stod(spec.substr(comma + 1));
-            NASD_ASSERT(slow_drive >= 0,
-                        "--slow-drive: drive index must be >= 0");
-            NASD_ASSERT(slow_factor >= 1.0,
-                        "--slow-drive: factor must be >= 1.0");
-            continue;
-        }
-        argv[out++] = argv[i];
-    }
-    return out;
-}
-
 /** Record the fleet's merged nasd-read p50/p99 as result gauges
  *  ("<base>_p50_ms" / "<base>_p99_ms") so check_bench_json.py gates
  *  the fleet tail against the baseline alongside MB/s. */
@@ -1029,332 +896,359 @@ stragglerNames(const util::FleetRollup &roll)
     return names;
 }
 
-} // namespace
-
-int
-main(int argc, char **argv)
+/** Dump the flight-recorder journal to `--journal PATH`, if given. */
+void
+writeJournal(const bench::BenchOptions &opts, const util::FlightRecorder &fr)
 {
-    // The slow-drive fault knob rides along with any mode's options;
-    // strip it before mode dispatch so parseOptions stays oblivious.
-    int slow_drive = -1;
+    if (opts.journal_path.empty())
+        return;
+    fr.writeJson(opts.journal_path);
+    std::printf("\nwrote %s (%llu journal events across %zu nodes)\n",
+                opts.journal_path.c_str(),
+                static_cast<unsigned long long>(fr.totalRecorded()),
+                fr.nodeCount());
+}
+
+// ------------------------------------------------------------ scenario
+
+struct Scenario;
+int tableMain(const Scenario &s);
+
+/** One fig9_mining invocation, parsed once from the command line. */
+struct Scenario
+{
+    int (*mode)(const Scenario &) = tableMain;
+    const char *dump = "fig9";     ///< BENCH_<dump>.json by default
+    std::vector<int> drive_counts; ///< --drives N[,N...]
+    int slow_drive = -1;           ///< --slow-drive N,factor
     double slow_factor = 1.0;
-    argc = extractSlowDrive(argc, argv, slow_drive, slow_factor);
-    if (argc > 1 && std::string_view(argv[1]) == "--fault-sweep") {
-        bench::banner(
-            "fig9_mining --fault-sweep — NASD scan under a lossy network",
-            "fault-injection sweep (drop 1%, duplicate 0.5%, delay 1%)");
+    bench::BenchOptions opts; ///< --json / --no-json / --trace / --journal
+};
 
-        net::FaultPlan plan;
-        plan.drop_probability = 0.01;
-        plan.duplicate_probability = 0.005;
-        plan.delay_probability = 0.01;
-        plan.delay_min = 0;
-        plan.delay_max = sim::msec(2);
-        plan.seed = 1998;
+/** Announce the --slow-drive fault; @p scope says which runs it hits. */
+void
+printSlowDrive(const Scenario &s, const char *scope, const char *note)
+{
+    std::printf("\nfault: drive nasd%d mechanical time scaled %.1fx%s "
+                "(--slow-drive)%s\n",
+                s.slow_drive, s.slow_factor, scope, note);
+}
 
-        std::printf("\n%7s %12s %14s\n", "disks", "NASD MB/s",
-                    "rpc timeouts");
-        bool all_deliver = true;
-        for (const int n : {1, 2, 4, 6, 8}) {
-            const auto r = runNasd(n, 32 * kMB, &plan);
-            std::printf("%7d %12.1f %14llu\n", n, r.aggregate_mbs,
-                        static_cast<unsigned long long>(r.rpc_timeouts));
-            all_deliver = all_deliver && r.aggregate_mbs > 0.0;
+// --------------------------------------------------------------- modes
+
+/**
+ * --fault-sweep: the NASD scan at 1..8 drives under a lossy network.
+ * Every read must succeed, every byte must arrive and the item counts
+ * must agree across drive counts; MB/s counts delivered bytes only.
+ */
+int
+faultSweepMain(const Scenario &)
+{
+    constexpr std::uint64_t kSweepBytes = 32 * kMB;
+    bench::banner(
+        "fig9_mining --fault-sweep — NASD scan under a lossy network",
+        "fault-injection sweep (drop 1%, duplicate 0.5%, delay 1%)");
+
+    net::FaultPlan plan;
+    plan.drop_probability = 0.01;
+    plan.duplicate_probability = 0.005;
+    plan.delay_probability = 0.01;
+    plan.delay_min = 0;
+    plan.delay_max = sim::msec(2);
+    plan.seed = 1998;
+
+    std::printf("\n%7s %12s %14s\n", "disks", "NASD MB/s",
+                "rpc timeouts");
+    bool all_deliver = true;
+    apps::ItemCounts reference;
+    for (const int n : {1, 2, 4, 6, 8}) {
+        const auto r = runNasd({.drives = n}, kSweepBytes, &plan);
+        std::printf("%7d %12.1f %14llu\n", n, r.aggregate_mbs,
+                    static_cast<unsigned long long>(r.rpc_timeouts));
+        if (reference.empty())
+            reference = r.counts;
+        if (r.failed_reads != 0 || r.delivered_bytes != kSweepBytes ||
+            r.counts != reference) {
+            std::printf("  %d drives: %llu failed reads, %llu of %llu "
+                        "bytes delivered, item counts %s\n",
+                        n, static_cast<unsigned long long>(r.failed_reads),
+                        static_cast<unsigned long long>(r.delivered_bytes),
+                        static_cast<unsigned long long>(kSweepBytes),
+                        r.counts == reference ? "agree" : "DIFFER");
+            all_deliver = false;
         }
-        std::printf("\nevery drive count delivered data under faults: "
-                    "%s\n",
-                    all_deliver ? "yes" : "NO (BUG)");
-        return all_deliver ? 0 : 1;
+    }
+    std::printf("\nevery drive count delivered data under faults: "
+                "%s\n",
+                all_deliver ? "yes" : "NO (BUG)");
+    return all_deliver ? 0 : 1;
+}
+
+/** --breakdown: where the time of an 8-drive scan went. */
+int
+breakdownMain(const Scenario &)
+{
+    bench::banner(
+        "fig9_mining --breakdown — where did the time go, 8-drive "
+        "NASD scan",
+        "latency attribution + critical path (Section 5.2 workload)");
+
+    // Trace in memory (never written) to feed the critical-path
+    // analyzer alongside the registry's attribution counters; the
+    // flight scope gives the run fresh journals and exemplars.
+    util::FlightRecorderScope flight;
+    util::Tracer tracer;
+    util::setTracer(&tracer);
+    std::map<std::string, OpBreakdown> breakdown;
+    NasdRunExtras extras;
+    extras.breakdown = &breakdown;
+    const auto r = runNasd({.drives = 8}, 32 * kMB, nullptr, &extras);
+    util::setTracer(nullptr);
+    std::printf("\nscan: %.1f MB/s aggregate over 8 drives\n",
+                r.aggregate_mbs);
+
+    const bool reconciled = printBreakdown("all 8 drives", breakdown);
+    const std::uint64_t roots = printFanout(tracer);
+
+    printTailExemplars(flight.recorder(), "read");
+    return reconciled && roots > 0 ? 0 : 1;
+}
+
+/** --kill-drive: RAID-5 scan through a drive failure and rebuild. */
+int
+killDriveMain(const Scenario &s)
+{
+    bench::banner(
+        "fig9_mining --kill-drive — RAID-5 scan with a mid-run drive "
+        "failure and online rebuild",
+        "Section 5.2 workload over parity-striped Cheops (degraded "
+        "service + rebuild onto a spare)");
+
+    // Installed before runKillDrive builds its Network: NetNodes
+    // cache their journal reference at construction, so the scope
+    // must already be current (and must outlive the run so the
+    // journal can be reported after it returns).
+    util::FlightRecorderScope flight;
+    const KillDriveResult r = runKillDrive();
+    const auto &prog = r.rebuild;
+    const double rebuild_ms =
+        static_cast<double>(prog.finished_at - prog.started_at) / 1e6;
+    const double throttle_wait_ms =
+        static_cast<double>(prog.throttle_wait_ns) / 1e6;
+    const double impact_pct =
+        r.healthy_mbps > 0.0 ? (r.healthy_mbps - r.rebuild_window_mbps) /
+                                   r.healthy_mbps * 100.0
+                             : 0.0;
+    const double reconstructed_mb =
+        static_cast<double>(prog.bytes_reconstructed) /
+        static_cast<double>(kMB);
+
+    std::printf("\n%-22s %12s\n", "phase", "MB/s");
+    std::printf("%-22s %12.1f\n", "healthy", r.healthy_mbps);
+    std::printf("%-22s %12.1f\n", "degraded (drive dead)",
+                r.degraded_mbps);
+    std::printf("%-22s %12.1f\n", "during rebuild", r.rebuild_window_mbps);
+    std::printf("%-22s %12.1f\n", "after rebuild", r.post_mbps);
+    std::printf("\nrebuild: %llu/%llu rows, %.1f MB reconstructed in "
+                "%.1f ms (%.1f ms throttle wait)\n",
+                static_cast<unsigned long long>(prog.rows_done),
+                static_cast<unsigned long long>(prog.rows_total),
+                reconstructed_mb, rebuild_ms, throttle_wait_ms);
+    std::printf("foreground impact while rebuilding: %.1f%% of "
+                "healthy bandwidth\n", impact_pct);
+
+    const auto phases = collectFleetHealth(flight.recorder());
+    std::printf("\nfleet health — journal events per phase:\n");
+    std::printf("  %-14s %8s %10s %10s %10s %8s\n", "phase", "events",
+                "degr_read", "degr_write", "write_thru", "fences");
+    for (const auto &[name, counts] : phases) {
+        std::uint64_t total = 0;
+        for (const auto &[kind, n] : counts)
+            total += n;
+        const auto get = [&counts](const char *k) {
+            const auto it = counts.find(k);
+            return it == counts.end() ? std::uint64_t{0} : it->second;
+        };
+        std::printf("  %-14s %8llu %10llu %10llu %10llu %8llu\n",
+                    name.c_str(), static_cast<unsigned long long>(total),
+                    static_cast<unsigned long long>(get("degraded_read")),
+                    static_cast<unsigned long long>(get("degraded_write")),
+                    static_cast<unsigned long long>(get("write_through")),
+                    static_cast<unsigned long long>(get("version_fence")));
     }
 
-    if (argc > 1 && std::string_view(argv[1]) == "--breakdown") {
-        bench::banner(
-            "fig9_mining --breakdown — where did the time go, 8-drive "
-            "NASD scan",
-            "latency attribution + critical path (Section 5.2 workload)");
+    writeJournal(s.opts, flight.recorder());
 
-        // Trace in memory (never written) to feed the critical-path
-        // analyzer alongside the registry's attribution counters; the
-        // flight scope gives the run fresh journals and exemplars.
-        util::FlightRecorderScope flight;
-        util::Tracer tracer;
-        util::setTracer(&tracer);
-        std::map<std::string, OpBreakdown> breakdown;
+    auto &m = util::metrics();
+    m.gauge("rebuild/healthy_mbps").set(r.healthy_mbps);
+    m.gauge("rebuild/degraded_mbps").set(r.degraded_mbps);
+    m.gauge("rebuild/during_rebuild_mbps").set(r.rebuild_window_mbps);
+    m.gauge("rebuild/post_rebuild_mbps").set(r.post_mbps);
+    m.gauge("rebuild/rebuild_ms").set(rebuild_ms);
+    m.gauge("rebuild/throttle_wait_ms").set(throttle_wait_ms);
+    m.gauge("rebuild/foreground_impact_pct").set(impact_pct);
+    m.gauge("rebuild/reconstructed_mb").set(reconstructed_mb);
+    bench::writeBenchJson(s.opts, s.dump,
+                          "RAID-5 degraded service and online rebuild "
+                          "(Cheops over Section 5.2 workload)",
+                          nullptr, fleetHealthJson(phases));
+    const bool ok = r.healthy_mbps > 0.0 && r.degraded_mbps > 0.0 &&
+                    r.rebuild_window_mbps > 0.0 && r.post_mbps > 0.0 &&
+                    !prog.active && prog.rows_done == prog.rows_total;
+    return ok ? 0 : 1;
+}
+
+/**
+ * --drives: scaling sweep past the paper's 8-drive ceiling. N drives,
+ * N clients, 8 MB of dataset per drive so the scan reaches steady
+ * state at every size without the load phase dominating. NFS is
+ * omitted — the single-server bottleneck is the point of Figure 9;
+ * this mode asks what limits *NASD*.
+ */
+int
+driveSweepMain(const Scenario &s)
+{
+    bench::banner(
+        "fig9_mining --drives — NASD scaling beyond the paper's 8 "
+        "drives",
+        "scaling sweep (8 MB/drive, N clients on N drives)");
+    if (s.slow_drive >= 0)
+        printSlowDrive(s, "",
+                       "; drive caches shrunk to 2 MB so the scan hits "
+                       "media");
+
+    constexpr std::uint64_t kScaleBytesPerDrive = 8 * kMB;
+    const int largest =
+        *std::max_element(s.drive_counts.begin(), s.drive_counts.end());
+    std::map<std::string, OpBreakdown> breakdown;
+    // One fleet rollup per drive count (keyed by count, so the
+    // "fleet_rollups" JSON section is ordered and deterministic);
+    // the largest run also gets the time series.
+    std::map<int, util::FleetRollup> rollups;
+    util::TimeSeries timeseries(kSampleInterval);
+    // Scope the journal so kDriveSlowdown / kStragglerSuspect events
+    // land in a fresh journal this mode can dump via --journal.
+    util::FlightRecorderScope flight;
+
+    std::printf("\n%7s %12s %16s %16s\n", "disks", "NASD MB/s",
+                "MB/s per drive", "sim events");
+    bool all_deliver = true;
+    for (const int n : s.drive_counts) {
         NasdRunExtras extras;
-        extras.breakdown = &breakdown;
-        const auto r = runNasd(8, 32 * kMB, nullptr, &extras);
-        util::setTracer(nullptr);
-        std::printf("\nscan: %.1f MB/s aggregate over 8 drives\n",
-                    r.aggregate_mbs);
-
-        std::printf("\nwhere did the time go — drive ops, all 8 drives\n");
-        const bool reconciled = printBreakdown(breakdown);
-        std::printf("\nper-op attribution reconciles with measured "
-                    "latency (within 1%%): %s\n",
-                    reconciled ? "yes" : "NO (BUG)");
-
-        const std::uint64_t roots = printFanout(tracer);
-
-        printTailExemplars(flight.recorder(), "read");
-        return reconciled && roots > 0 ? 0 : 1;
+        extras.fleet = &rollups[n];
+        bench::ClusterSpec spec{.drives = n};
+        if (s.slow_drive >= 0) {
+            if (s.slow_drive < n) {
+                spec.slow_drive = s.slow_drive;
+                spec.slow_factor = s.slow_factor;
+            }
+            // Shrink the drive cache below the 8 MB/drive working
+            // set so the scan streams from media; otherwise every
+            // read is a RAM hit and the mechanical fault is
+            // invisible. Uniform across drives, so the straggler
+            // comparison stays fair.
+            spec.drive_cache_bytes = 2 * kMB;
+        }
+        if (n == largest) {
+            extras.breakdown = &breakdown;
+            extras.timeseries = &timeseries;
+        }
+        const std::uint64_t before = sim::Simulator::totalEventsExecuted();
+        const auto r = runNasd(
+            spec, static_cast<std::uint64_t>(n) * kScaleBytesPerDrive,
+            nullptr, &extras);
+        const std::uint64_t events =
+            sim::Simulator::totalEventsExecuted() - before;
+        record("nasd", n, r.aggregate_mbs, "fig9_scale");
+        recordFleetGauges(rollups[n], "fig9_scale/fleet/" +
+                                          std::to_string(n) +
+                                          "_disks_read");
+        std::printf("%7d %12.1f %16.2f %16llu\n", n, r.aggregate_mbs,
+                    r.aggregate_mbs / n,
+                    static_cast<unsigned long long>(events));
+        all_deliver = all_deliver && r.aggregate_mbs > 0.0;
     }
 
-    if (argc > 1 && std::string_view(argv[1]) == "--kill-drive") {
-        const bench::BenchOptions opts =
-            bench::parseOptions("rebuild", argc - 1, argv + 1);
-        bench::banner(
-            "fig9_mining --kill-drive — RAID-5 scan with a mid-run drive "
-            "failure and online rebuild",
-            "Section 5.2 workload over parity-striped Cheops (degraded "
-            "service + rebuild onto a spare)");
+    const bool reconciled = printBreakdown(
+        std::to_string(largest) + "-drive run", breakdown);
 
-        // Installed before runKillDrive builds its Network: NetNodes
-        // cache their journal reference at construction, so the scope
-        // must already be current (and must outlive the run so the
-        // journal can be reported after it returns).
-        util::FlightRecorderScope flight;
-        const KillDriveResult r = runKillDrive();
-
-        std::printf("\n%-22s %12s\n", "phase", "MB/s");
-        std::printf("%-22s %12.1f\n", "healthy", r.healthy_mbps);
-        std::printf("%-22s %12.1f\n", "degraded (drive dead)",
-                    r.degraded_mbps);
-        std::printf("%-22s %12.1f\n", "during rebuild",
-                    r.rebuild_window_mbps);
-        std::printf("%-22s %12.1f\n", "after rebuild", r.post_mbps);
-        std::printf("\nrebuild: %llu/%llu rows, %.1f MB reconstructed in "
-                    "%.1f ms (%.1f ms throttle wait)\n",
-                    static_cast<unsigned long long>(r.rows_done),
-                    static_cast<unsigned long long>(r.rows_total),
-                    r.reconstructed_mb, r.rebuild_ms, r.throttle_wait_ms);
-        std::printf("foreground impact while rebuilding: %.1f%% of "
-                    "healthy bandwidth\n", r.impact_pct);
-
-        const auto phases = collectFleetHealth(flight.recorder());
-        std::printf("\nfleet health — journal events per phase:\n");
-        std::printf("  %-14s %8s %10s %10s %10s %8s\n", "phase", "events",
-                    "degr_read", "degr_write", "write_thru", "fences");
-        for (const auto &[name, counts] : phases) {
-            std::uint64_t total = 0;
-            for (const auto &[kind, n] : counts)
-                total += n;
-            const auto get = [&counts](const char *k) {
-                const auto it = counts.find(k);
-                return it == counts.end() ? std::uint64_t{0} : it->second;
-            };
-            std::printf("  %-14s %8llu %10llu %10llu %10llu %8llu\n",
-                        name.c_str(),
-                        static_cast<unsigned long long>(total),
-                        static_cast<unsigned long long>(
-                            get("degraded_read")),
-                        static_cast<unsigned long long>(
-                            get("degraded_write")),
-                        static_cast<unsigned long long>(
-                            get("write_through")),
-                        static_cast<unsigned long long>(
-                            get("version_fence")));
-        }
-
-        if (!opts.journal_path.empty()) {
-            flight.recorder().writeJson(opts.journal_path);
-            std::printf("\nwrote %s (%llu journal events across %zu "
-                        "nodes)\n",
-                        opts.journal_path.c_str(),
-                        static_cast<unsigned long long>(
-                            flight.recorder().totalRecorded()),
-                        flight.recorder().nodeCount());
-        }
-
-        auto &m = util::metrics();
-        m.gauge("rebuild/healthy_mbps").set(r.healthy_mbps);
-        m.gauge("rebuild/degraded_mbps").set(r.degraded_mbps);
-        m.gauge("rebuild/during_rebuild_mbps").set(r.rebuild_window_mbps);
-        m.gauge("rebuild/post_rebuild_mbps").set(r.post_mbps);
-        m.gauge("rebuild/rebuild_ms").set(r.rebuild_ms);
-        m.gauge("rebuild/throttle_wait_ms").set(r.throttle_wait_ms);
-        m.gauge("rebuild/foreground_impact_pct").set(r.impact_pct);
-        m.gauge("rebuild/reconstructed_mb").set(r.reconstructed_mb);
-        bench::writeBenchJson(opts, "rebuild",
-                              "RAID-5 degraded service and online rebuild "
-                              "(Cheops over Section 5.2 workload)",
-                              nullptr, fleetHealthJson(phases));
-        return r.ok ? 0 : 1;
-    }
-
-    if (argc > 2 && std::string_view(argv[1]) == "--drives") {
-        // Scaling sweep past the paper's 8-drive ceiling (ROADMAP item
-        // 1): N drives, N clients, 8 MB of dataset per drive so the
-        // scan reaches steady state at every size without the load
-        // phase dominating. NFS is omitted — the single-server bottleneck
-        // is the point of Figure 9; this mode asks what limits *NASD*.
-        std::vector<int> drive_counts;
-        {
-            const std::string list = argv[2];
-            std::size_t pos = 0;
-            while (pos < list.size()) {
-                auto comma = list.find(',', pos);
-                if (comma == std::string::npos)
-                    comma = list.size();
-                const int n = std::stoi(list.substr(pos, comma - pos));
-                NASD_ASSERT(n > 0, "--drives: counts must be positive");
-                drive_counts.push_back(n);
-                pos = comma + 1;
-            }
-        }
-        const bench::BenchOptions opts =
-            bench::parseOptions("fig9_scale", argc - 2, argv + 2);
-        bench::banner(
-            "fig9_mining --drives — NASD scaling beyond the paper's 8 "
-            "drives",
-            "scaling sweep (8 MB/drive, N clients on N drives)");
-        if (slow_drive >= 0)
-            std::printf("\nfault: drive nasd%d mechanical time scaled "
-                        "%.1fx (--slow-drive); drive caches shrunk to "
-                        "2 MB so the scan hits media\n",
-                        slow_drive, slow_factor);
-
-        constexpr std::uint64_t kScaleBytesPerDrive = 8 * kMB;
-        const int largest =
-            *std::max_element(drive_counts.begin(), drive_counts.end());
-        std::map<std::string, OpBreakdown> breakdown;
-        // One fleet rollup per drive count (keyed by count, so the
-        // "fleet_rollups" JSON section is ordered and deterministic);
-        // the largest run also gets the 50 ms time series.
-        std::map<int, util::FleetRollup> rollups;
-        util::TimeSeries timeseries(sim::msec(50));
-        // Scope the journal so kDriveSlowdown / kStragglerSuspect events
-        // land in a fresh journal this mode can dump via --journal.
-        util::FlightRecorderScope flight;
-
-        std::printf("\n%7s %12s %16s %16s\n", "disks", "NASD MB/s",
-                    "MB/s per drive", "sim events");
-        bool all_deliver = true;
-        for (const int n : drive_counts) {
-            NasdRunExtras extras;
-            extras.fleet = &rollups[n];
-            if (slow_drive >= 0) {
-                if (slow_drive < n) {
-                    extras.slow_drive = slow_drive;
-                    extras.slow_factor = slow_factor;
-                }
-                // Shrink the drive cache below the 8 MB/drive working
-                // set so the scan streams from media; otherwise every
-                // read is a RAM hit and the mechanical fault is
-                // invisible. Uniform across drives, so the straggler
-                // comparison stays fair.
-                extras.drive_cache_bytes = 2 * kMB;
-            }
-            if (n == largest) {
-                extras.breakdown = &breakdown;
-                extras.timeseries = &timeseries;
-            }
-            const std::uint64_t before =
-                sim::Simulator::totalEventsExecuted();
-            const auto r =
-                runNasd(n, static_cast<std::uint64_t>(n) *
-                               kScaleBytesPerDrive,
-                        nullptr, &extras);
-            const std::uint64_t events =
-                sim::Simulator::totalEventsExecuted() - before;
-            record("nasd", n, r.aggregate_mbs, "fig9_scale");
-            recordFleetGauges(rollups[n],
-                              "fig9_scale/fleet/" + std::to_string(n) +
-                                  "_disks_read");
-            std::printf("%7d %12.1f %16.2f %16llu\n", n, r.aggregate_mbs,
-                        r.aggregate_mbs / n,
-                        static_cast<unsigned long long>(events));
-            all_deliver = all_deliver && r.aggregate_mbs > 0.0;
-        }
-
-        std::printf("\nwhere did the time go — drive ops, %d-drive run\n",
-                    largest);
-        const bool reconciled = printBreakdown(breakdown);
-        std::printf("\nper-op attribution reconciles with measured "
-                    "latency (within 1%%): %s\n",
-                    reconciled ? "yes" : "NO (BUG)");
-
-        // Straggler gate: with --slow-drive the rollup of every count
-        // big enough to flag must name exactly the slowed drive; every
-        // other rollup must be clean.
-        bool stragglers_ok = true;
-        if (slow_drive >= 0) {
-            const std::string expect = "nasd" + std::to_string(slow_drive);
-            std::printf("\nstraggler detection — expected suspect: %s\n",
-                        expect.c_str());
-            for (const auto &[n, roll] : rollups) {
-                const std::set<std::string> flagged = stragglerNames(roll);
-                const bool slowed = slow_drive < n;
-                const bool flaggable =
-                    slowed && n >= static_cast<int>(
-                                       util::FleetRollup::kMinInstances);
-                const std::set<std::string> want =
-                    flaggable ? std::set<std::string>{expect}
-                              : std::set<std::string>{};
-                std::string got = "(none)";
-                if (!flagged.empty()) {
-                    got.clear();
-                    for (const auto &name : flagged)
-                        got += (got.empty() ? "" : ", ") + name;
-                }
-                const bool ok = flagged == want;
-                std::printf("  %3d drives: flagged %s — %s\n", n,
-                            got.c_str(), ok ? "ok" : "WRONG");
-                stragglers_ok = stragglers_ok && ok;
-            }
-            std::printf("straggler rollup names the slowed drive and "
-                        "only it: %s\n",
-                        stragglers_ok ? "yes" : "NO (BUG)");
-        }
-
-        if (!opts.journal_path.empty()) {
-            flight.recorder().writeJson(opts.journal_path);
-            std::printf("\nwrote %s (%llu journal events across %zu "
-                        "nodes)\n",
-                        opts.journal_path.c_str(),
-                        static_cast<unsigned long long>(
-                            flight.recorder().totalRecorded()),
-                        flight.recorder().nodeCount());
-        }
-
-        // Every drive count's rollup rides along; the top-level
-        // fleet_rollup section carries the largest run's (the one the
-        // dashboard pairs with the time series).
-        std::string rollups_json = ", \"fleet_rollups\": {";
-        bool first = true;
+    // Straggler gate: with --slow-drive the rollup of every count
+    // big enough to flag must name exactly the slowed drive; every
+    // other rollup must be clean.
+    bool stragglers_ok = true;
+    if (s.slow_drive >= 0) {
+        const std::string expect = "nasd" + std::to_string(s.slow_drive);
+        std::printf("\nstraggler detection — expected suspect: %s\n",
+                    expect.c_str());
         for (const auto &[n, roll] : rollups) {
-            if (!first)
-                rollups_json += ", ";
-            first = false;
-            rollups_json +=
-                "\"" + std::to_string(n) + "\": " + roll.toJson();
+            const std::set<std::string> flagged = stragglerNames(roll);
+            const bool flaggable =
+                s.slow_drive < n &&
+                n >= static_cast<int>(util::FleetRollup::kMinInstances);
+            const std::set<std::string> want =
+                flaggable ? std::set<std::string>{expect}
+                          : std::set<std::string>{};
+            std::string got = "(none)";
+            if (!flagged.empty()) {
+                got.clear();
+                for (const auto &name : flagged)
+                    got += (got.empty() ? "" : ", ") + name;
+            }
+            const bool ok = flagged == want;
+            std::printf("  %3d drives: flagged %s — %s\n", n, got.c_str(),
+                        ok ? "ok" : "WRONG");
+            stragglers_ok = stragglers_ok && ok;
         }
-        rollups_json += "}";
-        bench::writeBenchJson(opts, "fig9_scale",
-                              "scaling sweep past Figure 9 (8 MB/drive)",
-                              &timeseries, rollups_json,
-                              rollups[largest].toJson());
-        return all_deliver && reconciled && stragglers_ok ? 0 : 1;
+        std::printf("straggler rollup names the slowed drive and "
+                    "only it: %s\n",
+                    stragglers_ok ? "yes" : "NO (BUG)");
     }
 
-    const char *kReference = "Figure 9 (Section 5.2, NASD PFS vs NFS)";
-    const bench::BenchOptions opts = bench::parseOptions("fig9", argc, argv);
+    writeJournal(s.opts, flight.recorder());
 
-    if (!opts.trace_path.empty()) {
-        // Traced demo: a short 4-drive scan with the tracer installed,
-        // small enough that the timeline stays readable. The Chrome
-        // trace shows each client read fanning out pfs -> cheops ->
-        // per-drive nasd/drive spans.
-        bench::banner(
-            "fig9_mining --trace — causal timeline of a 4-drive NASD scan",
-            kReference);
-        bench::BenchTracer tracer(opts);
-        const auto traced = runNasd(4, 16 * kMB);
-        std::printf("\ntraced scan: %.1f MB/s aggregate over 4 drives\n",
-                    traced.aggregate_mbs);
-        // BenchTracer writes the timeline on destruction.
-        return printFanout(tracer.tracer()) > 0 ? 0 : 1;
+    // Every drive count's rollup rides along; the top-level
+    // fleet_rollup section carries the largest run's (the one the
+    // dashboard pairs with the time series).
+    std::string rollups_json = ", \"fleet_rollups\": {";
+    bool first = true;
+    for (const auto &[n, roll] : rollups) {
+        if (!first)
+            rollups_json += ", ";
+        first = false;
+        rollups_json += "\"" + std::to_string(n) + "\": " + roll.toJson();
     }
+    rollups_json += "}";
+    bench::writeBenchJson(s.opts, s.dump,
+                          "scaling sweep past Figure 9 (8 MB/drive)",
+                          &timeseries, rollups_json,
+                          rollups[largest].toJson());
+    return all_deliver && reconciled && stragglers_ok ? 0 : 1;
+}
 
+/**
+ * --trace: a short 4-drive scan with the tracer installed, small
+ * enough that the timeline stays readable. The Chrome trace shows
+ * each client read fanning out pfs -> cheops -> per-drive nasd/drive
+ * spans.
+ */
+int
+traceMain(const Scenario &s)
+{
+    bench::banner(
+        "fig9_mining --trace — causal timeline of a 4-drive NASD scan",
+        kReference);
+    bench::BenchTracer tracer(s.opts);
+    const auto traced = runNasd({.drives = 4}, 16 * kMB);
+    std::printf("\ntraced scan: %.1f MB/s aggregate over 4 drives\n",
+                traced.aggregate_mbs);
+    // BenchTracer writes the timeline on destruction.
+    return printFanout(tracer.tracer()) > 0 ? 0 : 1;
+}
+
+/** The Figure 9 table: NASD, NFS and NFS-parallel at 1..8 drives. */
+int
+tableMain(const Scenario &s)
+{
     bench::banner(
         "fig9_mining — parallel frequent-sets scaling, 300MB dataset",
         kReference);
@@ -1367,26 +1261,27 @@ main(int argc, char **argv)
     // the event schedule, so the printed table is unaffected). Its
     // fleet rollup becomes the dump's fleet_rollup section and the
     // fig9/fleet read-tail gauges.
-    util::TimeSeries timeseries(sim::msec(50));
+    util::TimeSeries timeseries(kSampleInterval);
     util::FleetRollup fleet;
     NasdRunExtras sampled;
     sampled.timeseries = &timeseries;
     sampled.fleet = &fleet;
-    if (slow_drive >= 0) {
-        NASD_ASSERT(slow_drive < 8,
+    if (s.slow_drive >= 0) {
+        NASD_ASSERT(s.slow_drive < 8,
                     "--slow-drive: fig9's sampled run has 8 drives");
-        sampled.slow_drive = slow_drive;
-        sampled.slow_factor = slow_factor;
-        std::printf("\nfault: drive nasd%d mechanical time scaled %.1fx "
-                    "in the 8-drive run (--slow-drive)\n",
-                    slow_drive, slow_factor);
+        printSlowDrive(s, " in the 8-drive run", "");
     }
 
     datasetChunks().memoize();
     apps::ItemCounts reference;
     bool counts_agree = true;
     for (const int n : {1, 2, 4, 6, 8}) {
-        const auto nasd = runNasd(n, kDatasetBytes, nullptr,
+        bench::ClusterSpec spec{.drives = n};
+        if (n == 8) {
+            spec.slow_drive = s.slow_drive;
+            spec.slow_factor = s.slow_factor;
+        }
+        const auto nasd = runNasd(spec, kDatasetBytes, nullptr,
                                   n == 8 ? &sampled : nullptr);
         const auto nfs = runNfs(n, false);
         const auto nfsp = runNfs(n, true);
@@ -1412,7 +1307,66 @@ main(int argc, char **argv)
                 "22.5 MB/s (server CPU/interface limit).\n");
 
     recordFleetGauges(fleet, "fig9/fleet/read");
-    bench::writeBenchJson(opts, "fig9", kReference, &timeseries, {},
+    bench::writeBenchJson(s.opts, s.dump, kReference, &timeseries, {},
                           fleet.toJson());
     return counts_agree ? 0 : 1;
+}
+
+/** Parse argv: the mode flags and --slow-drive here, everything else
+ *  through the shared bench options. */
+Scenario
+parseScenario(int argc, char **argv)
+{
+    Scenario s;
+    std::vector<char *> shared{argv[0]};
+    for (int i = 1; i < argc; ++i) {
+        const std::string_view arg = argv[i];
+        const bool has_value = i + 1 < argc;
+        if (arg == "--fault-sweep") {
+            s.mode = faultSweepMain;
+        } else if (arg == "--breakdown") {
+            s.mode = breakdownMain;
+        } else if (arg == "--kill-drive") {
+            s.mode = killDriveMain;
+            s.dump = "rebuild";
+        } else if (arg == "--drives" && has_value) {
+            s.mode = driveSweepMain;
+            s.dump = "fig9_scale";
+            const std::string list = argv[++i];
+            for (std::size_t pos = 0; pos < list.size();) {
+                const auto comma = std::min(list.find(',', pos), list.size());
+                const int n = std::stoi(list.substr(pos, comma - pos));
+                NASD_ASSERT(n > 0, "--drives: counts must be positive");
+                s.drive_counts.push_back(n);
+                pos = comma + 1;
+            }
+        } else if (arg == "--slow-drive" && has_value) {
+            const std::string spec = argv[++i];
+            const auto comma = spec.find(',');
+            NASD_ASSERT(comma != std::string::npos,
+                        "--slow-drive expects N,factor (e.g. 3,3.0)");
+            s.slow_drive = std::stoi(spec.substr(0, comma));
+            s.slow_factor = std::stod(spec.substr(comma + 1));
+            NASD_ASSERT(s.slow_drive >= 0,
+                        "--slow-drive: drive index must be >= 0");
+            NASD_ASSERT(s.slow_factor >= 1.0,
+                        "--slow-drive: factor must be >= 1.0");
+        } else {
+            shared.push_back(argv[i]);
+        }
+    }
+    s.opts = bench::parseOptions(s.dump, static_cast<int>(shared.size()),
+                                 shared.data());
+    if (s.mode == tableMain && !s.opts.trace_path.empty())
+        s.mode = traceMain;
+    return s;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    const Scenario s = parseScenario(argc, argv);
+    return s.mode(s);
 }

@@ -18,12 +18,13 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "bench/cluster.h"
 #include "disk/disk_model.h"
 #include "disk/params.h"
 #include "nasd/client.h"
 #include "nasd/drive.h"
-#include "net/presets.h"
 #include "sim/simulator.h"
+#include "util/logging.h"
 #include "util/metrics.h"
 #include "util/units.h"
 
@@ -47,47 +48,18 @@ class Table1Bench
   public:
     Table1Bench()
     {
-        DriveConfig cfg = prototypeDriveConfig("nasd0", 1);
-        // Small caches so "cold" states are reachable by eviction.
-        cfg.store.meta_cache_inodes = 8;
-        cfg.store.data_cache_bytes = 4 * kMB;
-        drive = std::make_unique<NasdDrive>(sim, net, cfg);
-        issuer = std::make_unique<CapabilityIssuer>(
-            drive->config().master_key, 1);
-        client_node = &net.addNode("client", net::alphaStation255(),
-                                   net::oc3Link(), net::dceRpcCosts());
-        client = std::make_unique<NasdClient>(net, *client_node, *drive);
-        bench::runTask(sim, drive->format());
-        auto part = drive->store().createPartition(0, 1024 * kMB);
-        (void)part;
-
         // Filler objects used to evict drive caches.
         for (int i = 0; i < 16; ++i) {
-            const ObjectId oid = createObject();
+            const ObjectId oid = rig.createObject();
             writeAll(oid, 0, std::vector<std::uint8_t>(512 * kKB, 7));
             fillers.push_back(oid);
         }
     }
 
-    ObjectId
-    createObject()
-    {
-        CapabilityPublic pub;
-        pub.partition = 0;
-        pub.object_id = kPartitionControlObject;
-        pub.rights = kRightCreate;
-        CredentialFactory cred(issuer->mint(pub));
-        return bench::runFor(sim, client->create(cred, 0)).value();
-    }
-
     CredentialFactory
     credFor(ObjectId oid)
     {
-        CapabilityPublic pub;
-        pub.partition = 0;
-        pub.object_id = oid;
-        pub.rights = kRightRead | kRightWrite | kRightGetAttr;
-        return CredentialFactory(issuer->mint(pub));
+        return rig.credential(oid, kRightRead | kRightWrite | kRightGetAttr);
     }
 
     void
@@ -95,8 +67,8 @@ class Table1Bench
              const std::vector<std::uint8_t> &data)
     {
         auto cred = credFor(oid);
-        auto r = bench::runFor(sim, client->write(cred, offset, data));
-        (void)r;
+        const auto r = bench::runFor(sim, client.write(cred, offset, data));
+        NASD_ASSERT(r.ok(), "table1 setup: write failed");
     }
 
     /** Evict drive metadata and data caches by touching fillers. */
@@ -105,61 +77,47 @@ class Table1Bench
     {
         for (const ObjectId oid : fillers) {
             auto cred = credFor(oid);
-            (void)bench::runFor(sim, client->getAttr(cred));
-            (void)bench::runFor(sim, client->read(cred, 0, 512 * kKB));
+            (void)bench::runFor(sim, client.getAttr(cred));
+            (void)bench::runFor(sim, client.read(cred, 0, 512 * kKB));
         }
     }
 
-    /** Instructions the drive retired for one request, split into
-     *  total and protocol-stack (communications) share — both read
-     *  from the metrics registry, which is where the CPU and RPC
-     *  layers account their work. */
-    struct MeasuredCost
-    {
-        std::uint64_t total_instr = 0;
-        std::uint64_t comm_instr = 0;
-    };
-
-    /** Drive instructions for one read of @p size from @p oid. */
-    MeasuredCost
-    measureRead(ObjectId oid, std::uint64_t size)
+    /** Drive cost of one read of @p size from @p oid. */
+    Row
+    measureRead(const std::string &label, ObjectId oid, std::uint64_t size)
     {
         auto cred = credFor(oid);
+        return measure(label, size, [&] {
+            (void)bench::runFor(sim, client.read(cred, 0, size));
+        });
+    }
+
+    /** Drive cost of one write of @p data to @p oid. */
+    Row
+    measureWrite(const std::string &label, ObjectId oid,
+                 const std::vector<std::uint8_t> &data)
+    {
+        auto cred = credFor(oid);
+        return measure(label, data.size(), [&] {
+            (void)bench::runFor(sim, client.write(cred, 0, data));
+        });
+    }
+
+    /** Instructions the drive retired while @p op ran, split into total
+     *  and protocol-stack (communications) share — both read from the
+     *  metrics registry, which is where the CPU and RPC layers account
+     *  their work. */
+    template <typename Op>
+    Row
+    measure(const std::string &label, std::uint64_t size, Op op)
+    {
         const auto cpu0 = drive_cpu_instr.value();
         const auto comm0 = drive_send_instr.value() +
                            drive_recv_instr.value();
-        auto r = bench::runFor(sim, client->read(cred, 0, size));
-        (void)r;
-        return MeasuredCost{drive_cpu_instr.value() - cpu0,
-                            drive_send_instr.value() +
-                                drive_recv_instr.value() - comm0};
-    }
-
-    MeasuredCost
-    measureWrite(ObjectId oid, const std::vector<std::uint8_t> &data)
-    {
-        auto cred = credFor(oid);
-        const auto cpu0 = drive_cpu_instr.value();
-        const auto comm0 = drive_send_instr.value() +
-                           drive_recv_instr.value();
-        auto r = bench::runFor(sim, client->write(cred, 0, data));
-        (void)r;
-        return MeasuredCost{drive_cpu_instr.value() - cpu0,
-                            drive_send_instr.value() +
-                                drive_recv_instr.value() - comm0};
-    }
-
-    Row
-    makeRow(const std::string &label, std::uint64_t size,
-            const MeasuredCost &cost)
-    {
-        return makeRowImpl(label, size, cost.total_instr, cost.comm_instr);
-    }
-
-    Row
-    makeRowImpl(const std::string &label, std::uint64_t size,
-                std::uint64_t total, std::uint64_t comm)
-    {
+        op();
+        const std::uint64_t total = drive_cpu_instr.value() - cpu0;
+        const std::uint64_t comm = drive_send_instr.value() +
+                                   drive_recv_instr.value() - comm0;
         Row row;
         row.label = label;
         row.size = size;
@@ -172,8 +130,15 @@ class Table1Bench
         return row;
     }
 
-    sim::Simulator sim;
-    net::Network net{sim};
+    bench::DriveRig rig{[] {
+        DriveConfig cfg = prototypeDriveConfig("nasd0", 1);
+        // Small caches so "cold" states are reachable by eviction.
+        cfg.store.meta_cache_inodes = 8;
+        cfg.store.data_cache_bytes = 4 * kMB;
+        return cfg;
+    }(), 1024 * kMB};
+    sim::Simulator &sim = rig.sim;
+    NasdClient &client = rig.client;
     // Registry instruments the drive registers during construction:
     // its embedded CPU and the protocol-stack counters on its node.
     util::Counter &drive_cpu_instr =
@@ -182,10 +147,6 @@ class Table1Bench
         util::metrics().counter("nasd0/net/send_instr");
     util::Counter &drive_recv_instr =
         util::metrics().counter("nasd0/net/recv_instr");
-    std::unique_ptr<NasdDrive> drive;
-    std::unique_ptr<CapabilityIssuer> issuer;
-    net::NetNode *client_node = nullptr;
-    std::unique_ptr<NasdClient> client;
     std::vector<ObjectId> fillers;
 };
 
@@ -235,34 +196,28 @@ main(int argc, char **argv)
 
     for (const auto size : sizes) {
         // --- read, cold then warm -----------------------------------
-        const ObjectId oid = bench_state.createObject();
+        const ObjectId oid = bench_state.rig.createObject();
         bench_state.writeAll(
             oid, 0, std::vector<std::uint8_t>(std::max<std::uint64_t>(
                                                   size, 1),
                                               3));
         bench_state.evictCaches();
-        const auto cold = bench_state.measureRead(oid, size);
         rows.push_back(
-            bench_state.makeRow("read - cold cache", size, cold));
-
-        const auto warm = bench_state.measureRead(oid, size);
+            bench_state.measureRead("read - cold cache", oid, size));
         rows.push_back(
-            bench_state.makeRow("read - warm cache", size, warm));
+            bench_state.measureRead("read - warm cache", oid, size));
 
         // --- write, cold then warm ----------------------------------
-        const ObjectId woid = bench_state.createObject();
+        const ObjectId woid = bench_state.rig.createObject();
         const std::vector<std::uint8_t> data(std::max<std::uint64_t>(size,
                                                                      1),
                                              9);
         bench_state.writeAll(woid, 0, data); // allocate
         bench_state.evictCaches();
-        const auto wcold = bench_state.measureWrite(woid, data);
         rows.push_back(
-            bench_state.makeRow("write - cold cache", size, wcold));
-
-        const auto wwarm = bench_state.measureWrite(woid, data);
+            bench_state.measureWrite("write - cold cache", woid, data));
         rows.push_back(
-            bench_state.makeRow("write - warm cache", size, wwarm));
+            bench_state.measureWrite("write - warm cache", woid, data));
     }
 
     std::printf("\n%-20s %10s %14s %8s %14s\n", "operation", "size",

@@ -62,7 +62,12 @@ baseline file (itself a BENCH_*.json snapshot): ``*_mbps`` throughput
 points, ``*_instr`` instruction counts, and ``*_ms`` latencies. The
 simulator is deterministic, so identical code produces identical
 numbers; the tolerance absorbs intentional model recalibration without
-letting a real regression through.
+letting a real regression through. When any baseline comparison
+fails, a baseline / dump / delta table of every headline gauge follows
+the error list, so the drift is readable in one place.
+
+A baseline needs nothing but what this gate reads: its headline
+gauges, plus the fleet_health section for a rebuild baseline.
 
 Usage:
     tools/check_bench_json.py BENCH_fig9.json \
@@ -361,14 +366,39 @@ def check_timeseries(ts, errors):
                 break
 
 
-def check_baseline(doc, baseline, tolerance, errors):
-    gauges = doc.get("metrics", {}).get("gauges", {})
-    expected = {
+def headline_gauges(doc):
+    return {
         path: value
-        for path, value in baseline.get("metrics", {})
-                                   .get("gauges", {}).items()
+        for path, value in doc.get("metrics", {}).get("gauges", {}).items()
         if path.endswith(HEADLINE_SUFFIXES)
     }
+
+
+def print_headline_table(doc, baseline):
+    """One baseline / dump / delta row per headline gauge of either."""
+    want, got = headline_gauges(baseline), headline_gauges(doc)
+    paths = sorted(set(want) | set(got))
+    if not paths:
+        return
+    width = max(len(p) for p in paths)
+    print(f"\n{'gauge':<{width}} {'baseline':>14} {'dump':>14}"
+          f" {'delta':>9}")
+    for path in paths:
+        base, now = want.get(path), got.get(path)
+        cells = " ".join(f"{v:>14.3f}" if v is not None else f"{'-':>14}"
+                         for v in (base, now))
+        if base is None or now is None:
+            delta = "new" if base is None else "gone"
+        elif base == 0:
+            delta = "+0.0%" if now == 0 else "0-base"
+        else:
+            delta = f"{(now - base) / abs(base) * 100.0:+.1f}%"
+        print(f"{path:<{width}} {cells} {delta:>9}")
+
+
+def check_baseline(doc, baseline, tolerance, errors):
+    gauges = doc.get("metrics", {}).get("gauges", {})
+    expected = headline_gauges(baseline)
     if not expected:
         fail(errors, "baseline has no headline gauges to compare"
                      f" (suffixes: {', '.join(HEADLINE_SUFFIXES)})")
@@ -408,6 +438,7 @@ def main():
         return 1
 
     check_schema(doc, errors)
+    baseline = None
     if args.baseline and not errors:
         try:
             with open(args.baseline) as f:
@@ -422,6 +453,8 @@ def main():
     for e in errors:
         print(f"{args.dump}: {e}")
     if errors:
+        if baseline is not None:
+            print_headline_table(doc, baseline)
         print(f"\n{len(errors)} problem(s)")
         return 1
     if args.baseline:
