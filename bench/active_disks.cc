@@ -24,6 +24,7 @@
 #include "bench/bench_util.h"
 #include "net/presets.h"
 #include "sim/simulator.h"
+#include "util/metrics.h"
 #include "util/units.h"
 
 using namespace nasd;
@@ -242,6 +243,8 @@ main(int argc, char **argv)
                 util::formatBytes(active_wire_bytes).c_str());
     std::printf("  %-28s %14.1f %16s\n", "ship data to client",
                 remote_mbs, util::formatBytes(remote_bytes).c_str());
+    util::metrics().gauge("active_disks/on_drive_mbps").set(active_mbs);
+    util::metrics().gauge("active_disks/ship_to_client_mbps").set(remote_mbs);
     const bool counts_match = active_counts == remote_counts;
     std::printf("\nitemset counts identical: %s\n",
                 counts_match ? "yes" : "NO (BUG)");

@@ -4,7 +4,8 @@
  * computational kernels of the library — the pieces that execute
  * actual work rather than simulated time: SHA-256/HMAC, capability
  * mint/verify, the byte codec, the extent allocator, the object
- * store's read data plane, and the frequent-sets counting kernel.
+ * store's read and write data planes, and the frequent-sets counting
+ * kernel.
  *
  * These measure THIS implementation on THIS host; they are not part of
  * the paper reproduction, but they justify design choices (e.g. that
@@ -262,6 +263,69 @@ BM_ObjectStoreRead(benchmark::State &state)
                             static_cast<std::int64_t>(kRead));
 }
 BENCHMARK(BM_ObjectStoreRead)->ArgName("hit")->Arg(0)->Arg(1);
+
+/**
+ * The drive's write data plane: 512 KB ObjectStore::write calls on the
+ * same striped Medallists. Arg 0 grows a fresh object, so each write
+ * allocates and zeroes units and writes back the refcount region;
+ * every 8 writes the object is truncated to empty, untimed. Arg 1
+ * overwrites a 4 MB object in place. Host time includes the simulator
+ * events the write schedules, media write-back included.
+ */
+void
+BM_ObjectStoreWrite(benchmark::State &state)
+{
+    const bool overwrite = state.range(0) != 0;
+    constexpr std::size_t kWrite = 512 * 1024;
+    constexpr std::uint64_t kObject = 8 * kWrite;
+
+    sim::Simulator sim;
+    disk::DiskModel d0(sim, disk::medallistParams());
+    disk::DiskModel d1(sim, disk::medallistParams());
+    disk::StripingDriver stripe(sim, {&d0, &d1}, 32 * 1024);
+    ObjectStore store(sim, stripe, StoreConfig{});
+    sim.spawn(store.format());
+    sim.run();
+    if (!store.createPartition(0, 2 * kObject).ok()) {
+        state.SkipWithError("createPartition failed");
+        return;
+    }
+    const ObjectId oid = runFor(sim, store.createObject(0, 0)).value();
+    std::vector<std::uint8_t> data(kWrite);
+    for (std::size_t i = 0; i < data.size(); ++i)
+        data[i] = static_cast<std::uint8_t>(i * 13 + 1);
+    if (overwrite) {
+        for (std::uint64_t at = 0; at < kObject; at += kWrite) {
+            if (!runFor(sim, store.write(0, oid, at, data)).ok()) {
+                state.SkipWithError("write failed");
+                return;
+            }
+        }
+    }
+
+    std::uint64_t offset = 0;
+    bool grown = false;
+    for (auto _ : state) {
+        if (!overwrite && offset == 0 && grown) {
+            state.PauseTiming();
+            SetAttrRequest empty;
+            empty.truncate_size = 0;
+            (void)runFor(sim, store.setAttributes(0, oid, empty));
+            state.ResumeTiming();
+        }
+        const auto n = runFor(sim, store.write(0, oid, offset, data));
+        benchmark::DoNotOptimize(n);
+        if (!n.ok()) {
+            state.SkipWithError("write failed");
+            return;
+        }
+        grown = true;
+        offset = (offset + kWrite) % kObject;
+    }
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<std::int64_t>(kWrite));
+}
+BENCHMARK(BM_ObjectStoreWrite)->ArgName("overwrite")->Arg(0)->Arg(1);
 
 void
 BM_TransactionGeneration(benchmark::State &state)

@@ -5,7 +5,8 @@
  * Everything that stores fixed-size blocks — a single mechanical disk,
  * a striped set of disks — implements this. Operations are coroutines:
  * they move real bytes immediately and consume simulated time according
- * to the device's timing model.
+ * to the device's timing model. fetch() and writeBack() charge the time
+ * alone, so a layer that pokes or peeks its own bytes copies them once.
  */
 #ifndef NASD_DISK_BLOCK_DEVICE_H_
 #define NASD_DISK_BLOCK_DEVICE_H_
@@ -15,6 +16,7 @@
 
 #include "sim/task.h"
 #include "util/attribution.h"
+#include "util/logging.h"
 
 namespace nasd::disk {
 
@@ -41,14 +43,40 @@ class BlockDevice
                                  util::OpAttribution *attr = nullptr) = 0;
 
     /**
-     * Write @p count blocks starting at @p block from @p data.
-     * With write-behind enabled the task completes when the device has
-     * accepted the data, not when media is updated. @p attr as for
-     * read().
+     * Charge exactly what read() of the same range charges, and
+     * deliver nothing: a caller peek()s the bytes it wants when this
+     * completes, the instant read() would have copied them.
      */
-    virtual sim::Task<void> write(std::uint64_t block, std::uint32_t count,
-                                  std::span<const std::uint8_t> data,
+    virtual sim::Task<void> fetch(std::uint64_t block, std::uint32_t count,
                                   util::OpAttribution *attr = nullptr) = 0;
+
+    /**
+     * Write @p count blocks starting at @p block from @p data: poke()
+     * the bytes into the image, then charge writeBack() for them.
+     * @pre data.size() == count * blockSize().
+     */
+    sim::Task<void>
+    write(std::uint64_t block, std::uint32_t count,
+          std::span<const std::uint8_t> data,
+          util::OpAttribution *attr = nullptr)
+    {
+        NASD_ASSERT(data.size() ==
+                    static_cast<std::size_t>(count) * blockSize());
+        poke(block * blockSize(), data);
+        co_await writeBack(block, count, attr);
+    }
+
+    /**
+     * Charge the simulated write of @p count blocks starting at
+     * @p block, whose bytes the caller has already poke()d; no bytes
+     * move. With write-behind enabled the task completes when the
+     * device has accepted the data, not when media is updated. @p attr
+     * as for read(). The bytes are durable from the poke; real
+     * durability timing (persist at media completion) belongs here.
+     */
+    virtual sim::Task<void> writeBack(std::uint64_t block,
+                                      std::uint32_t count,
+                                      util::OpAttribution *attr = nullptr) = 0;
 
     /** Wait until all accepted writes have reached the media. */
     virtual sim::Task<void> flush() = 0;
@@ -65,6 +93,10 @@ class BlockDevice
     /** Zero-time raw byte update; see peek(). */
     virtual void poke(std::uint64_t byte_offset,
                       std::span<const std::uint8_t> data) = 0;
+
+    /** Zero-time zero fill of [byte_offset, byte_offset + length);
+     *  see peek(). Allocates nothing. */
+    virtual void zero(std::uint64_t byte_offset, std::uint64_t length) = 0;
 
     /** Total capacity in bytes. */
     std::uint64_t

@@ -207,10 +207,18 @@ sim::Task<void>
 DiskModel::read(std::uint64_t block, std::uint32_t count,
                 std::span<std::uint8_t> out, util::OpAttribution *attr)
 {
-    NASD_ASSERT(count > 0, "zero-length disk read");
-    NASD_ASSERT(block + count <= numBlocks(), "read past end of disk");
     NASD_ASSERT(out.size() ==
                 static_cast<std::size_t>(count) * params_.block_size);
+    co_await fetch(block, count, attr);
+    data_.read(block * params_.block_size, out);
+}
+
+sim::Task<void>
+DiskModel::fetch(std::uint64_t block, std::uint32_t count,
+                 util::OpAttribution *attr)
+{
+    NASD_ASSERT(count > 0, "zero-length disk read");
+    NASD_ASSERT(block + count <= numBlocks(), "read past end of disk");
     stats_.reads.add();
     using util::ResourceClass;
 
@@ -267,38 +275,35 @@ DiskModel::read(std::uint64_t block, std::uint32_t count,
     }
 
     // Data transfer to the host.
-    const sim::Tick xfer = busTime(out.size());
+    const sim::Tick xfer =
+        busTime(static_cast<std::uint64_t>(count) * params_.block_size);
     co_await sim_.delay(xfer);
     noteService(ResourceClass::kDiskBus, xfer, attr);
     bus.release();
-
-    data_.read(block * params_.block_size, out);
 }
 
 sim::Task<void>
-DiskModel::write(std::uint64_t block, std::uint32_t count,
-                 std::span<const std::uint8_t> data,
-                 util::OpAttribution *attr)
+DiskModel::writeBack(std::uint64_t block, std::uint32_t count,
+                     util::OpAttribution *attr)
 {
     NASD_ASSERT(count > 0, "zero-length disk write");
     NASD_ASSERT(block + count <= numBlocks(), "write past end of disk");
-    NASD_ASSERT(data.size() ==
-                static_cast<std::size_t>(count) * params_.block_size);
     stats_.writes.add();
     using util::ResourceClass;
 
-    // Bytes land in the backing store at accept time, before any
-    // simulated delay: otherwise a queued write carrying an older
-    // snapshot could complete after a newer update and roll it back.
+    // The caller's bytes are already in the backing store (poke), so a
+    // queued write can never roll back a newer update; only the cache
+    // and the counters change at accept time.
     invalidateRange(block, count);
-    data_.write(block * params_.block_size, data);
     stats_.media_blocks_written.add(count);
+    const std::uint64_t bytes =
+        static_cast<std::uint64_t>(count) * params_.block_size;
 
     auto bus = co_await sim::scopedAcquire(sim_, bus_);
     noteWait(ResourceClass::kDiskBus, bus.waitNs(), attr);
     const sim::Tick overhead = sim::msec(params_.controller_overhead_ms);
     co_await sim_.delay(overhead);
-    const sim::Tick xfer = busTime(data.size());
+    const sim::Tick xfer = busTime(bytes);
     co_await sim_.delay(xfer);
     noteService(ResourceClass::kDiskBus, overhead + xfer, attr);
     bus.release();
@@ -311,7 +316,7 @@ DiskModel::write(std::uint64_t block, std::uint32_t count,
             params_.mediaBytesPerSec() * kWriteDrainEfficiency /
             mech_scale_;
         const auto drain_ns = static_cast<sim::Tick>(
-            static_cast<double>(data.size()) / drain_bps * 1e9);
+            static_cast<double>(bytes) / drain_bps * 1e9);
         media_free_at_ = std::max(media_free_at_, sim_.now()) + drain_ns;
 
         const auto buffer_ns = static_cast<sim::Tick>(

@@ -67,9 +67,10 @@ class DiskModel : public BlockDevice
     sim::Task<void> read(std::uint64_t block, std::uint32_t count,
                          std::span<std::uint8_t> out,
                          util::OpAttribution *attr = nullptr) override;
-    sim::Task<void> write(std::uint64_t block, std::uint32_t count,
-                          std::span<const std::uint8_t> data,
+    sim::Task<void> fetch(std::uint64_t block, std::uint32_t count,
                           util::OpAttribution *attr = nullptr) override;
+    sim::Task<void> writeBack(std::uint64_t block, std::uint32_t count,
+                              util::OpAttribution *attr = nullptr) override;
     sim::Task<void> flush() override;
 
     void
@@ -84,6 +85,12 @@ class DiskModel : public BlockDevice
          std::span<const std::uint8_t> data) override
     {
         data_.write(byte_offset, data);
+    }
+
+    void
+    zero(std::uint64_t byte_offset, std::uint64_t length) override
+    {
+        data_.trim(byte_offset, length);
     }
 
     const DiskParams &params() const { return params_; }

@@ -1,12 +1,48 @@
 #include "disk/striping.h"
 
-#include <cstring>
-#include <memory>
+#include <algorithm>
 
 #include "sim/sync.h"
 #include "util/logging.h"
 
 namespace nasd::disk {
+
+namespace {
+
+/** Run branch(i, attr) for each of @p n extents in parallel and charge
+ *  the op's critical path to @p attr. */
+template <typename Branch>
+sim::Task<void>
+fanOut(sim::Simulator &sim, std::size_t n, util::OpAttribution *attr,
+       Branch branch)
+{
+    if (attr == nullptr || n == 1) {
+        std::vector<sim::Task<void>> tasks;
+        tasks.reserve(n);
+        for (std::size_t i = 0; i < n; ++i)
+            tasks.push_back(branch(i, attr));
+        co_await sim::parallelAll(sim, std::move(tasks));
+        co_return;
+    }
+    // Parallel fan-out: each branch attributes into its own scratch,
+    // then the merged profile is normalized to the measured elapsed
+    // time (critical-path normalization — summing the branches would
+    // over-count time the op did not actually spend waiting).
+    const sim::Tick start = sim.now();
+    std::vector<util::OpAttribution> parts(n);
+    std::vector<sim::Task<void>> tasks;
+    tasks.reserve(n);
+    for (std::size_t i = 0; i < n; ++i)
+        tasks.push_back(branch(i, &parts[i]));
+    co_await sim::parallelAll(sim, std::move(tasks));
+    util::OpAttribution merged;
+    for (const auto &part : parts)
+        merged.merge(part);
+    merged.scaleToTotal(sim.now() - start);
+    attr->merge(merged);
+}
+
+} // namespace
 
 StripingDriver::StripingDriver(sim::Simulator &sim,
                                std::vector<BlockDevice *> members,
@@ -85,44 +121,18 @@ sim::Task<void>
 StripingDriver::readExtent(const Extent &e, std::span<std::uint8_t> out,
                            util::OpAttribution *attr)
 {
+    // Charge the member's transfer, then scatter its bytes straight
+    // from the member's image into the host pieces: no gather buffer.
+    BlockDevice &member = *members_[e.disk];
+    co_await member.fetch(e.disk_block, e.count, attr);
     const std::uint32_t bs = blockSize();
-    const std::size_t len = static_cast<std::size_t>(e.count) * bs;
-    if (e.pieces.size() == 1) {
-        // One piece is one contiguous host range: read straight into it.
-        co_await members_[e.disk]->read(
-            e.disk_block, e.count,
-            out.subspan(static_cast<std::size_t>(e.pieces.front().first),
-                        len),
-            attr);
-        co_return;
-    }
-    // Several pieces: gather on the member, then scatter to the host.
-    const auto temp = std::make_unique_for_overwrite<std::uint8_t[]>(len);
-    co_await members_[e.disk]->read(e.disk_block, e.count,
-                                    std::span(temp.get(), len), attr);
-    std::size_t temp_off = 0;
+    std::uint64_t at = e.disk_block * bs;
     for (const auto &[host_offset, blocks] : e.pieces) {
         const std::size_t bytes = static_cast<std::size_t>(blocks) * bs;
-        std::memcpy(out.data() + host_offset, temp.get() + temp_off, bytes);
-        temp_off += bytes;
+        member.peek(at, out.subspan(static_cast<std::size_t>(host_offset),
+                                    bytes));
+        at += bytes;
     }
-}
-
-sim::Task<void>
-StripingDriver::writeExtent(const Extent &e,
-                            std::span<const std::uint8_t> data,
-                            util::OpAttribution *attr)
-{
-    const std::uint32_t bs = blockSize();
-    std::vector<std::uint8_t> temp(static_cast<std::size_t>(e.count) * bs);
-    std::size_t temp_off = 0;
-    for (const auto &[host_offset, blocks] : e.pieces) {
-        const std::size_t bytes = static_cast<std::size_t>(blocks) * bs;
-        std::memcpy(temp.data() + temp_off, data.data() + host_offset,
-                    bytes);
-        temp_off += bytes;
-    }
-    co_await members_[e.disk]->write(e.disk_block, e.count, temp, attr);
 }
 
 sim::Task<void>
@@ -132,102 +142,91 @@ StripingDriver::read(std::uint64_t block, std::uint32_t count,
 {
     NASD_ASSERT(out.size() == static_cast<std::size_t>(count) * blockSize());
     const auto extents = mapRange(block, count);
-    if (attr == nullptr || extents.size() == 1) {
-        std::vector<sim::Task<void>> tasks;
-        tasks.reserve(extents.size());
-        for (const auto &e : extents)
-            tasks.push_back(readExtent(e, out, attr));
-        co_await sim::parallelAll(sim_, std::move(tasks));
-        co_return;
-    }
-    // Parallel fan-out: each branch attributes into its own scratch,
-    // then the merged profile is normalized to the measured elapsed
-    // time (critical-path normalization — summing the branches would
-    // over-count time the op did not actually spend waiting).
-    const sim::Tick start = sim_.now();
-    std::vector<util::OpAttribution> parts(extents.size());
-    std::vector<sim::Task<void>> tasks;
-    tasks.reserve(extents.size());
-    for (std::size_t i = 0; i < extents.size(); ++i)
-        tasks.push_back(readExtent(extents[i], out, &parts[i]));
-    co_await sim::parallelAll(sim_, std::move(tasks));
-    util::OpAttribution merged;
-    for (const auto &part : parts)
-        merged.merge(part);
-    merged.scaleToTotal(sim_.now() - start);
-    attr->merge(merged);
+    co_await fanOut(sim_, extents.size(), attr,
+                    [&](std::size_t i, util::OpAttribution *a) {
+                        return readExtent(extents[i], out, a);
+                    });
 }
 
 sim::Task<void>
-StripingDriver::write(std::uint64_t block, std::uint32_t count,
-                      std::span<const std::uint8_t> data,
+StripingDriver::fetch(std::uint64_t block, std::uint32_t count,
                       util::OpAttribution *attr)
 {
-    NASD_ASSERT(data.size() ==
-                static_cast<std::size_t>(count) * blockSize());
     const auto extents = mapRange(block, count);
-    if (attr == nullptr || extents.size() == 1) {
-        std::vector<sim::Task<void>> tasks;
-        tasks.reserve(extents.size());
-        for (const auto &e : extents)
-            tasks.push_back(writeExtent(e, data, attr));
-        co_await sim::parallelAll(sim_, std::move(tasks));
-        co_return;
+    co_await fanOut(sim_, extents.size(), attr,
+                    [&](std::size_t i, util::OpAttribution *a) {
+                        const Extent &e = extents[i];
+                        return members_[e.disk]->fetch(e.disk_block, e.count,
+                                                       a);
+                    });
+}
+
+sim::Task<void>
+StripingDriver::writeBack(std::uint64_t block, std::uint32_t count,
+                          util::OpAttribution *attr)
+{
+    // The bytes are already on the members (poke splits them the same
+    // way), so each extent is one member writeBack; nothing is
+    // gathered.
+    const auto extents = mapRange(block, count);
+    co_await fanOut(sim_, extents.size(), attr,
+                    [&](std::size_t i, util::OpAttribution *a) {
+                        const Extent &e = extents[i];
+                        return members_[e.disk]->writeBack(e.disk_block,
+                                                           e.count, a);
+                    });
+}
+
+template <typename Fn>
+void
+StripingDriver::forEachPiece(std::uint64_t byte_offset, std::uint64_t length,
+                             Fn fn) const
+{
+    const std::uint64_t unit_bytes = unit_blocks_ * blockSize();
+    std::uint64_t done = 0;
+    while (done < length) {
+        const std::uint64_t pos = byte_offset + done;
+        const std::uint64_t unit = pos / unit_bytes;
+        const std::size_t disk = unit % members_.size();
+        const std::uint64_t unit_on_disk = unit / members_.size();
+        const std::uint64_t within = pos % unit_bytes;
+        const std::uint64_t take =
+            std::min<std::uint64_t>(length - done, unit_bytes - within);
+        fn(*members_[disk], unit_on_disk * unit_bytes + within, done, take);
+        done += take;
     }
-    const sim::Tick start = sim_.now();
-    std::vector<util::OpAttribution> parts(extents.size());
-    std::vector<sim::Task<void>> tasks;
-    tasks.reserve(extents.size());
-    for (std::size_t i = 0; i < extents.size(); ++i)
-        tasks.push_back(writeExtent(extents[i], data, &parts[i]));
-    co_await sim::parallelAll(sim_, std::move(tasks));
-    util::OpAttribution merged;
-    for (const auto &part : parts)
-        merged.merge(part);
-    merged.scaleToTotal(sim_.now() - start);
-    attr->merge(merged);
 }
 
 void
 StripingDriver::peek(std::uint64_t byte_offset,
                      std::span<std::uint8_t> out) const
 {
-    const std::uint64_t unit_bytes = unit_blocks_ * blockSize();
-    std::size_t done = 0;
-    while (done < out.size()) {
-        const std::uint64_t pos = byte_offset + done;
-        const std::uint64_t unit = pos / unit_bytes;
-        const std::size_t disk = unit % members_.size();
-        const std::uint64_t unit_on_disk = unit / members_.size();
-        const std::uint64_t within = pos % unit_bytes;
-        const std::size_t take = static_cast<std::size_t>(
-            std::min<std::uint64_t>(out.size() - done,
-                                    unit_bytes - within));
-        members_[disk]->peek(unit_on_disk * unit_bytes + within,
-                             out.subspan(done, take));
-        done += take;
-    }
+    forEachPiece(byte_offset, out.size(),
+                 [&](const BlockDevice &m, std::uint64_t at,
+                     std::uint64_t done, std::uint64_t take) {
+                     m.peek(at, out.subspan(static_cast<std::size_t>(done),
+                                            static_cast<std::size_t>(take)));
+                 });
 }
 
 void
 StripingDriver::poke(std::uint64_t byte_offset,
                      std::span<const std::uint8_t> data)
 {
-    const std::uint64_t unit_bytes = unit_blocks_ * blockSize();
-    std::size_t done = 0;
-    while (done < data.size()) {
-        const std::uint64_t pos = byte_offset + done;
-        const std::uint64_t unit = pos / unit_bytes;
-        const std::size_t disk = unit % members_.size();
-        const std::uint64_t unit_on_disk = unit / members_.size();
-        const std::uint64_t within = pos % unit_bytes;
-        const std::size_t take = static_cast<std::size_t>(
-            std::min<std::uint64_t>(data.size() - done,
-                                    unit_bytes - within));
-        members_[disk]->poke(unit_on_disk * unit_bytes + within,
-                             data.subspan(done, take));
-        done += take;
-    }
+    forEachPiece(byte_offset, data.size(),
+                 [&](BlockDevice &m, std::uint64_t at, std::uint64_t done,
+                     std::uint64_t take) {
+                     m.poke(at, data.subspan(static_cast<std::size_t>(done),
+                                             static_cast<std::size_t>(take)));
+                 });
+}
+
+void
+StripingDriver::zero(std::uint64_t byte_offset, std::uint64_t length)
+{
+    forEachPiece(byte_offset, length,
+                 [](BlockDevice &m, std::uint64_t at, std::uint64_t,
+                    std::uint64_t take) { m.zero(at, take); });
 }
 
 sim::Task<void>

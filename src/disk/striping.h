@@ -39,15 +39,17 @@ class StripingDriver : public BlockDevice
     sim::Task<void> read(std::uint64_t block, std::uint32_t count,
                          std::span<std::uint8_t> out,
                          util::OpAttribution *attr = nullptr) override;
-    sim::Task<void> write(std::uint64_t block, std::uint32_t count,
-                          std::span<const std::uint8_t> data,
+    sim::Task<void> fetch(std::uint64_t block, std::uint32_t count,
                           util::OpAttribution *attr = nullptr) override;
+    sim::Task<void> writeBack(std::uint64_t block, std::uint32_t count,
+                              util::OpAttribution *attr = nullptr) override;
     sim::Task<void> flush() override;
 
     void peek(std::uint64_t byte_offset,
               std::span<std::uint8_t> out) const override;
     void poke(std::uint64_t byte_offset,
               std::span<const std::uint8_t> data) override;
+    void zero(std::uint64_t byte_offset, std::uint64_t length) override;
 
     std::uint64_t stripeUnitBytes() const { return unit_blocks_ * blockSize(); }
     std::size_t memberCount() const { return members_.size(); }
@@ -70,9 +72,12 @@ class StripingDriver : public BlockDevice
 
     sim::Task<void> readExtent(const Extent &e, std::span<std::uint8_t> out,
                                util::OpAttribution *attr);
-    sim::Task<void> writeExtent(const Extent &e,
-                                std::span<const std::uint8_t> data,
-                                util::OpAttribution *attr);
+
+    /** Call fn(member, member_byte, done, take) for each stripe-unit
+     *  piece of the byte range [byte_offset, byte_offset + length). */
+    template <typename Fn>
+    void forEachPiece(std::uint64_t byte_offset, std::uint64_t length,
+                      Fn fn) const;
 
     sim::Simulator &sim_;
     std::vector<BlockDevice *> members_;

@@ -1,7 +1,6 @@
 #include "fs/ffs/ffs.h"
 
 #include <algorithm>
-#include <cstring>
 #include <memory>
 
 #include "sim/sync.h"
@@ -27,16 +26,6 @@ FfsStats::FfsStats(const std::string &prefix)
 namespace {
 
 constexpr std::uint32_t kIndirectPointers = 2048; // 8 KB / 4 B
-
-/** Background device write that owns its buffer. */
-sim::Task<void>
-writeDeviceOwned(disk::BlockDevice &dev, std::uint64_t block,
-                 std::vector<std::uint8_t> data)
-{
-    const auto count =
-        static_cast<std::uint32_t>(data.size() / dev.blockSize());
-    co_await dev.write(block, count, data);
-}
 
 } // namespace
 
@@ -362,19 +351,17 @@ FfsFileSystem::readBlocks(Inode &inode, std::uint64_t offset,
                             static_cast<std::size_t>(run_start - offset),
                             run_bytes));
                 } else {
-                    // Clustered I/O reaches past the request: keep the
-                    // covered bytes of the run.
-                    const auto buf =
-                        std::make_unique_for_overwrite<std::uint8_t[]>(
-                            run_bytes);
-                    co_await device_.read(block, count,
-                                          std::span(buf.get(), run_bytes));
+                    // Clustered I/O reaches past the request: charge
+                    // the run, then copy out its covered bytes.
+                    co_await device_.fetch(block, count);
                     const std::uint64_t lo = std::max(pos, run_start);
                     const std::uint64_t hi = std::min(piece_end, run_end);
                     if (lo < hi) {
-                        std::memcpy(out.data() + (lo - offset),
-                                    buf.get() + (lo - run_start),
-                                    static_cast<std::size_t>(hi - lo));
+                        device_.peek(
+                            block * device_.blockSize() + (lo - run_start),
+                            out.subspan(
+                                static_cast<std::size_t>(lo - offset),
+                                static_cast<std::size_t>(hi - lo)));
                     }
                 }
                 stats_.cache_miss_bytes.add(run_bytes);
@@ -418,16 +405,11 @@ FfsFileSystem::readBlocks(Inode &inode, std::uint64_t offset,
                             }
                             const auto run =
                                 static_cast<std::uint32_t>(rj - ri + 1);
-                            // Only the timing matters: the bytes are
-                            // dropped, so the buffer is never zeroed.
-                            const std::size_t bytes =
-                                run * fs.params_.fs_block_bytes;
-                            const auto buf = std::make_unique_for_overwrite<
-                                std::uint8_t[]>(bytes);
-                            co_await fs.device_.read(
+                            // Only the timing matters: the bytes
+                            // stay in the image.
+                            co_await fs.device_.fetch(
                                 fs.fsBlockToDeviceBlock(blocks[ri]),
-                                run * fs.deviceBlocksPerFsBlock(),
-                                std::span(buf.get(), bytes));
+                                run * fs.deviceBlocksPerFsBlock());
                             for (std::size_t k = ri; k <= rj; ++k)
                                 fs.cache_->insert(blocks[k]);
                             ri = rj + 1;
@@ -499,23 +481,20 @@ FfsFileSystem::writeBlocks(Inode &inode, std::uint64_t offset,
         for (std::uint64_t i = index; i <= run_last; ++i)
             cache_->insert(inode.blocks[i]);
 
-        // Media update: whole containing device blocks, one write.
+        // Media update: whole containing device blocks, one write of
+        // the bytes just landed.
         const std::uint32_t bs = device_.blockSize();
         const std::uint64_t aligned_start = device_byte / bs * bs;
         const std::uint64_t aligned_end = (device_byte + (p_end - pos) +
                                            bs - 1) /
                                           bs * bs;
-        std::vector<std::uint8_t> out(
-            static_cast<std::size_t>(aligned_end - aligned_start));
-        device_.peek(aligned_start, out);
-        if (wait_for_media) {
-            co_await device_.write(
-                aligned_start / bs,
-                static_cast<std::uint32_t>(out.size() / bs), out);
-        } else {
-            sim_.spawn(writeDeviceOwned(device_, aligned_start / bs,
-                                        std::move(out)));
-        }
+        auto media = device_.writeBack(
+            aligned_start / bs,
+            static_cast<std::uint32_t>((aligned_end - aligned_start) / bs));
+        if (wait_for_media)
+            co_await std::move(media);
+        else
+            sim_.spawn(std::move(media));
         pos = p_end;
     }
     if (wait_for_media)

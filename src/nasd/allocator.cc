@@ -153,17 +153,11 @@ ExtentAllocator::unref(const Extent &extent)
         releaseRun(run_start, run_len);
 }
 
-std::vector<std::uint8_t>
-ExtentAllocator::serializeRefcounts() const
-{
-    return refs_;
-}
-
 ExtentAllocator
-ExtentAllocator::fromRefcounts(const std::vector<std::uint8_t> &refcounts)
+ExtentAllocator::fromRefcounts(std::span<const std::uint8_t> refcounts)
 {
     ExtentAllocator alloc(static_cast<std::uint32_t>(refcounts.size()));
-    alloc.refs_ = refcounts;
+    alloc.refs_.assign(refcounts.begin(), refcounts.end());
     alloc.free_.clear();
     alloc.free_units_ = 0;
     std::uint32_t run_start = 0;

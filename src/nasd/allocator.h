@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "nasd/types.h"
@@ -68,12 +69,12 @@ class ExtentAllocator
         return refs_.at(unit) != 0;
     }
 
-    /** Serialize per-unit refcounts (one byte per unit). */
-    std::vector<std::uint8_t> serializeRefcounts() const;
+    /** Per-unit refcounts, one byte per unit: the on-media layout. */
+    std::span<const std::uint8_t> refcounts() const { return refs_; }
 
-    /** Rebuild allocator state from serialized refcounts. */
+    /** Rebuild allocator state from refcounts() bytes. */
     static ExtentAllocator
-    fromRefcounts(const std::vector<std::uint8_t> &refcounts);
+    fromRefcounts(std::span<const std::uint8_t> refcounts);
 
   private:
     /** Take [start, start+count) out of the free map. @pre free. */

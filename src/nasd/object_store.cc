@@ -1,7 +1,6 @@
 #include "nasd/object_store.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "util/codec.h"
 #include "util/logging.h"
@@ -26,16 +25,6 @@ namespace {
 constexpr std::uint64_t kSuperblockMagic = 0x4e41534431564f42ull;
 constexpr std::uint32_t kMaxInlineExtents = 47;
 constexpr std::uint32_t kInodeBytes = 512;
-
-/** Fire-and-forget device write that owns its buffer. */
-sim::Task<void>
-writeBlocksOwned(disk::BlockDevice &dev, std::uint64_t block,
-                 std::vector<std::uint8_t> data)
-{
-    const auto count =
-        static_cast<std::uint32_t>(data.size() / dev.blockSize());
-    co_await dev.write(block, count, data);
-}
 
 } // namespace
 
@@ -236,18 +225,16 @@ ObjectStore::decodeInode(std::span<const std::uint8_t> block) const
 void
 ObjectStore::writeBackSuperblock()
 {
-    auto block = encodeSuperblock();
-    device_.poke(0, block); // bytes land immediately
-    sim_.spawn(writeBlocksOwned(device_, 0, std::move(block)));
+    device_.poke(0, encodeSuperblock()); // bytes land immediately
+    sim_.spawn(device_.writeBack(0, 1));
 }
 
 void
 ObjectStore::writeBackInode(std::uint32_t index)
 {
-    auto block = encodeInode(inodes_[index]);
-    device_.poke(inodeBlock(index) * device_.blockSize(), block);
-    sim_.spawn(writeBlocksOwned(device_, inodeBlock(index),
-                                std::move(block)));
+    device_.poke(inodeBlock(index) * device_.blockSize(),
+                 encodeInode(inodes_[index]));
+    sim_.spawn(device_.writeBack(inodeBlock(index), 1));
     meta_cache_->insert(index);
 }
 
@@ -255,15 +242,12 @@ void
 ObjectStore::writeBackRefcounts()
 {
     // Write the whole refcount region; it is small (1 byte per 8 KB of
-    // data) and this happens only on allocate/free paths.
-    const std::uint32_t bs = device_.blockSize();
-    std::vector<std::uint8_t> region(refcount_blocks_ * bs, 0);
-    const auto refs = alloc_->serializeRefcounts();
-    if (!refs.empty())
-        std::memcpy(region.data(), refs.data(), refs.size());
-    device_.poke(refcount_start_block_ * bs, region);
-    sim_.spawn(writeBlocksOwned(device_, refcount_start_block_,
-                                std::move(region)));
+    // data) and this happens only on allocate/free paths. The region's
+    // tail past the last unit stays as format() zeroed it.
+    device_.poke(refcount_start_block_ * device_.blockSize(),
+                 alloc_->refcounts());
+    sim_.spawn(device_.writeBack(
+        refcount_start_block_, static_cast<std::uint32_t>(refcount_blocks_)));
 }
 
 sim::Task<void>
@@ -282,22 +266,17 @@ ObjectStore::format()
 
     // Superblock + refcount region.
     const std::uint32_t bs = device_.blockSize();
-    auto sb = encodeSuperblock();
-    co_await device_.write(0, 1, sb);
-    std::vector<std::uint8_t> zeros(refcount_blocks_ * bs, 0);
-    co_await device_.write(refcount_start_block_,
-                           static_cast<std::uint32_t>(refcount_blocks_),
-                           zeros);
-    // Inode region: write invalid inodes in batches.
+    co_await device_.write(0, 1, encodeSuperblock());
+    device_.zero(refcount_start_block_ * bs, refcount_blocks_ * bs);
+    co_await device_.writeBack(refcount_start_block_,
+                               static_cast<std::uint32_t>(refcount_blocks_));
+    // Inode region: write invalid (all-zero) inodes in batches.
     const std::uint32_t batch = 256;
-    std::vector<std::uint8_t> inode_zeros(
-        static_cast<std::size_t>(batch) * bs, 0);
     for (std::uint32_t i = 0; i < config_.max_inodes; i += batch) {
         const std::uint32_t n = std::min(batch, config_.max_inodes - i);
-        co_await device_.write(
-            inode_start_block_ + i, n,
-            std::span<const std::uint8_t>(inode_zeros.data(),
-                                          static_cast<std::size_t>(n) * bs));
+        device_.zero((inode_start_block_ + i) * bs,
+                     static_cast<std::uint64_t>(n) * bs);
+        co_await device_.writeBack(inode_start_block_ + i, n);
     }
     mounted_ = true;
 }
@@ -315,10 +294,8 @@ ObjectStore::mount()
     co_await device_.read(refcount_start_block_,
                           static_cast<std::uint32_t>(refcount_blocks_),
                           region);
-    std::vector<std::uint8_t> refs(region.begin(),
-                                   region.begin() + num_units_);
-    alloc_ = std::make_unique<ExtentAllocator>(
-        ExtentAllocator::fromRefcounts(refs));
+    alloc_ = std::make_unique<ExtentAllocator>(ExtentAllocator::fromRefcounts(
+        std::span<const std::uint8_t>(region).first(num_units_)));
 
     index_.clear();
     free_inodes_.clear();
@@ -530,18 +507,15 @@ ObjectStore::readRange(const Inode &inode, std::uint64_t offset,
                             run_bytes),
                 attr);
         } else {
-            // An edge run the request covers only partly: read it whole
-            // (the media transfer is unit-granular) and keep the
-            // covered bytes.
-            const auto temp =
-                std::make_unique_for_overwrite<std::uint8_t[]>(run_bytes);
-            co_await device_.read(block, run_units * bpu,
-                                  std::span(temp.get(), run_bytes), attr);
+            // An edge run the request covers only partly: charge the
+            // whole run (the media transfer is unit-granular), then
+            // copy out just the covered bytes.
+            co_await device_.fetch(block, run_units * bpu, attr);
             const std::uint64_t lo = std::max(offset, run_start);
             const std::uint64_t hi = std::min(end, run_end);
-            std::memcpy(out.data() + (lo - offset),
-                        temp.get() + (lo - run_start),
-                        static_cast<std::size_t>(hi - lo));
+            device_.peek(unitStartByte(units[i].phys) + (lo - run_start),
+                         out.subspan(static_cast<std::size_t>(lo - offset),
+                                     static_cast<std::size_t>(hi - lo)));
         }
         stats_.cache_miss_bytes.add(run_bytes);
         if (trace != nullptr)
@@ -595,13 +569,11 @@ ObjectStore::writeRange(const Inode &inode, std::uint64_t offset,
         const std::uint64_t aligned_start = phys_byte / bs * bs;
         const std::uint64_t aligned_end = (phys_byte + piece_bytes + bs - 1) /
                                           bs * bs;
-        std::vector<std::uint8_t> block_data(
-            static_cast<std::size_t>(aligned_end - aligned_start));
-        device_.peek(aligned_start, block_data);
         if (trace != nullptr)
-            trace->device_bytes_written += block_data.size();
-        sim_.spawn(writeBlocksOwned(device_, aligned_start / bs,
-                                    std::move(block_data)));
+            trace->device_bytes_written += aligned_end - aligned_start;
+        sim_.spawn(device_.writeBack(
+            aligned_start / bs,
+            static_cast<std::uint32_t>((aligned_end - aligned_start) / bs)));
 
         consumed += piece_bytes;
         l += run_len;
@@ -635,10 +607,9 @@ ObjectStore::growObject(Inode &inode, std::uint64_t units)
         // Freshly allocated units may be recycled from removed
         // objects: zero them so never-written ranges read as zeros
         // (and so copy-on-write clones cannot leak stale data).
-        const std::vector<std::uint8_t> zeros(
-            static_cast<std::size_t>(e.count) * config_.alloc_unit_bytes,
-            0);
-        device_.poke(unitStartByte(e.start), zeros);
+        device_.zero(unitStartByte(e.start),
+                     static_cast<std::uint64_t>(e.count) *
+                         config_.alloc_unit_bytes);
 
         if (!inode.extents.empty() &&
             inode.extents.back().start + inode.extents.back().count ==
@@ -734,12 +705,10 @@ ObjectStore::ensureExclusive(Inode &inode, std::uint64_t first_unit,
             device_.poke(unitStartByte(ne.start),
                          std::span<const std::uint8_t>(buf.data() + copied,
                                                        bytes));
-            sim_.spawn(writeBlocksOwned(
-                device_,
+            sim_.spawn(device_.writeBack(
                 data_start_block_ +
                     static_cast<std::uint64_t>(ne.start) * bpu,
-                std::vector<std::uint8_t>(buf.begin() + copied,
-                                          buf.begin() + copied + bytes)));
+                ne.count * bpu));
             if (trace != nullptr)
                 trace->device_bytes_written += bytes;
             for (std::uint32_t u = ne.start; u < ne.start + ne.count; ++u)
@@ -971,9 +940,7 @@ ObjectStore::setAttributes(PartitionId pid, ObjectId oid,
                 const std::uint64_t within = *req.truncate_size % ub;
                 const std::uint32_t phys =
                     physicalUnit(inode, last_unit);
-                const std::vector<std::uint8_t> zeros(
-                    static_cast<std::size_t>(ub - within), 0);
-                device_.poke(unitStartByte(phys) + within, zeros);
+                device_.zero(unitStartByte(phys) + within, ub - within);
             }
         }
         inode.attrs.size = *req.truncate_size;

@@ -45,7 +45,7 @@ class ActiveTest : public ::testing::Test
     ~ActiveTest() override
     {
         // createPartition() spawns detached metadata write-behind
-        // processes (ObjectStore::writeBlocksOwned). A test body that
+        // processes (BlockDevice::writeBack). A test body that
         // never runs the simulator (e.g. MethodInstallAndLookup)
         // leaves them suspended inside DiskModel, and members are
         // destroyed in reverse declaration order: ~NasdDrive frees the

@@ -5,6 +5,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <span>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "disk/striping.h"
 #include "sim/simulator.h"
 #include "sim/task.h"
+#include "util/attribution.h"
 #include "util/sparse_store.h"
 #include "util/units.h"
 
@@ -265,6 +267,24 @@ TEST(DiskModel, WriteInvalidatesCache)
     EXPECT_EQ(out, data); // sees new data
 }
 
+TEST(DiskModel, ZeroIsFreeAndWritesNothing)
+{
+    Simulator sim;
+    DiskModel disk(sim, medallistParams());
+    const auto data = pattern(256 * kKB);
+    disk.poke(0, data);
+    disk.zero(60 * kKB, 10 * kKB); // straddles the 64 KB store chunk
+    EXPECT_EQ(sim.now(), 0u);
+    EXPECT_EQ(disk.stats().writes.value(), 0u);
+
+    std::vector<std::uint8_t> out(data.size());
+    timed(sim, disk.read(0, 512, out));
+    for (std::size_t i = 0; i < out.size(); ++i) {
+        const bool zeroed = i >= 60 * kKB && i < 70 * kKB;
+        ASSERT_EQ(out[i], zeroed ? 0 : data[i]) << "byte " << i;
+    }
+}
+
 TEST(DiskModel, BarracudaCachedSectorNearPaperNumber)
 {
     Simulator sim;
@@ -381,6 +401,210 @@ TEST(Striping, SequentialApparentBandwidthNearPaperRawRead)
         4.0 / sim::toSeconds(sim.now() - start); // 4 MB total
     EXPECT_GT(mbs, 3.5);
     EXPECT_LT(mbs, 7.0);
+}
+
+TEST(Striping, ZeroSpansStripeUnitsAndStoreChunks)
+{
+    Simulator sim;
+    DiskModel d0(sim, medallistParams());
+    DiskModel d1(sim, medallistParams());
+    StripingDriver stripe(sim, {&d0, &d1}, 32 * kKB);
+
+    // [30000, 330000) starts and ends inside stripe units, crosses ten
+    // unit boundaries, and covers all of d0's second 64 KB store chunk
+    // (units 4 and 6) plus parts of the chunks either side of it.
+    const auto data = pattern(1 * kMB, 5);
+    stripe.poke(0, data);
+    constexpr std::uint64_t kFrom = 30000;
+    constexpr std::uint64_t kTo = 330000;
+    stripe.zero(kFrom, kTo - kFrom);
+
+    std::vector<std::uint8_t> peeked(data.size());
+    stripe.peek(0, peeked);
+    std::vector<std::uint8_t> read(data.size());
+    timed(sim, stripe.read(0, static_cast<std::uint32_t>(kMB / 512), read));
+    EXPECT_EQ(read, peeked);
+    for (std::size_t i = 0; i < peeked.size(); ++i) {
+        const bool zeroed = i >= kFrom && i < kTo;
+        ASSERT_EQ(peeked[i], zeroed ? 0 : data[i]) << "byte " << i;
+    }
+    EXPECT_EQ(d0.stats().writes.value() + d1.stats().writes.value(), 0u);
+}
+
+// ------------------------- write == poke + writeBack, read == fetch + peek
+
+/** What a batch of device ops left behind: per-op completion ticks,
+ *  attribution and delivered bytes, both members' counters, and the
+ *  image. */
+struct BatchOutcome
+{
+    std::vector<Tick> done;
+    std::vector<util::OpAttribution> attrs;
+    std::vector<std::uint64_t> offsets; ///< each op's first byte
+    std::vector<std::vector<std::uint8_t>> delivered;
+    std::vector<std::uint64_t> counters;
+    std::vector<std::uint8_t> image;
+};
+
+/** How runBatch() issues its ops. */
+struct BatchMode
+{
+    bool striped = false;
+    bool reads = false; ///< reads of a pre-filled image, else writes
+    bool split = false; ///< poke + writeBack / fetch + peek
+    bool attributed = false;
+    bool write_behind = true;
+};
+
+/**
+ * Issue the same ops to a fresh device either whole (write(data),
+ * read(out)) or split (poke + writeBack, fetch + peek): a first batch
+ * of five concurrent ops (so they queue on bus and mechanism), then
+ * the same five one at a time over the now-busy device. The ranges
+ * cover one piece inside a stripe unit, a range straddling a unit
+ * boundary, a multi-piece 200 KB range and a 512 KB range.
+ */
+BatchOutcome
+runBatch(const BatchMode &mode)
+{
+    struct Op
+    {
+        std::uint64_t block;
+        std::uint32_t count;
+    };
+    const std::vector<Op> ops = {
+        {0, 8}, {60, 8}, {64, 400}, {1000, 1}, {2048, 1024}};
+    constexpr std::size_t kImageBytes = 3072 * 512;
+
+    Simulator sim;
+    DiskParams params = medallistParams();
+    params.write_behind = mode.write_behind;
+    DiskModel d0(sim, params);
+    DiskModel d1(sim, params);
+    StripingDriver stripe(sim, {&d0, &d1}, 32 * kKB);
+    BlockDevice &dev =
+        mode.striped ? static_cast<BlockDevice &>(stripe) : d0;
+    if (mode.reads)
+        dev.poke(0, pattern(kImageBytes, 9));
+
+    BatchOutcome result;
+    result.done.resize(2 * ops.size());
+    result.attrs.resize(2 * ops.size());
+    result.delivered.resize(2 * ops.size());
+    const auto issue = [&](std::size_t i) {
+        const Op op = ops[i % ops.size()];
+        result.offsets.push_back(op.block * 512);
+        util::OpAttribution *attr =
+            mode.attributed ? &result.attrs[i] : nullptr;
+        sim.spawn([](Simulator &s, BlockDevice &d, Op o, std::uint8_t seed,
+                     BatchMode m, util::OpAttribution *a, Tick &done,
+                     std::vector<std::uint8_t> &got) -> Task<void> {
+            const std::uint64_t at = o.block * 512;
+            if (m.reads) {
+                got.resize(o.count * 512ull);
+                if (m.split) {
+                    co_await d.fetch(o.block, o.count, a);
+                    d.peek(at, got);
+                } else {
+                    co_await d.read(o.block, o.count, got, a);
+                }
+            } else {
+                const auto data = pattern(o.count * 512ull, seed);
+                if (m.split) {
+                    d.poke(at, data);
+                    co_await d.writeBack(o.block, o.count, a);
+                } else {
+                    co_await d.write(o.block, o.count, data, a);
+                }
+            }
+            done = s.now();
+        }(sim, dev, op, static_cast<std::uint8_t>(i + 1), mode, attr,
+                                     result.done[i], result.delivered[i]));
+    };
+    for (std::size_t i = 0; i < ops.size(); ++i)
+        issue(i);
+    sim.run();
+    for (std::size_t i = ops.size(); i < 2 * ops.size(); ++i) {
+        issue(i);
+        sim.run();
+    }
+
+    for (const DiskModel *d : {&d0, &d1}) {
+        const DiskStats &st = d->stats();
+        for (const util::Counter *c :
+             {&st.reads, &st.writes, &st.cache_hits, &st.cache_misses,
+              &st.media_blocks_read, &st.media_blocks_written,
+              &st.bus_wait_ns, &st.bus_service_ns, &st.mech_wait_ns,
+              &st.mech_service_ns})
+            result.counters.push_back(c->value());
+    }
+    result.image.resize(kImageBytes);
+    dev.peek(0, result.image);
+    return result;
+}
+
+void
+expectSplitMatchesWhole(bool striped, bool reads)
+{
+    for (const bool attributed : {false, true}) {
+        for (const bool write_behind : {true, false}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "attributed=" << attributed
+                         << " write_behind=" << write_behind);
+            BatchMode mode{striped, reads, false, attributed, write_behind};
+            const auto whole = runBatch(mode);
+            mode.split = true;
+            const auto split = runBatch(mode);
+            EXPECT_EQ(whole.done, split.done);
+            EXPECT_EQ(whole.counters, split.counters);
+            EXPECT_EQ(whole.delivered, split.delivered);
+            EXPECT_EQ(whole.image, split.image);
+            ASSERT_EQ(whole.attrs.size(), split.attrs.size());
+            for (std::size_t i = 0; i < whole.attrs.size(); ++i) {
+                EXPECT_EQ(whole.attrs[i].wait_ns, split.attrs[i].wait_ns);
+                EXPECT_EQ(whole.attrs[i].service_ns,
+                          split.attrs[i].service_ns);
+            }
+            // The batch really reached both members and the media.
+            const std::size_t media = reads ? 4 : 5;
+            EXPECT_GT(whole.counters[media], 0u);
+            if (striped) {
+                EXPECT_GT(whole.counters[10 + media], 0u);
+            }
+            if (attributed) {
+                EXPECT_GT(whole.attrs[2].totalNs(), 0u);
+            }
+            if (reads) {
+                for (std::size_t i = 0; i < whole.delivered.size(); ++i) {
+                    const auto &got = whole.delivered[i];
+                    const auto at = static_cast<std::ptrdiff_t>(
+                        whole.offsets[i]);
+                    ASSERT_TRUE(std::equal(got.begin(), got.end(),
+                                           whole.image.begin() + at));
+                }
+            }
+        }
+    }
+}
+
+TEST(DiskModel, WriteEqualsPokeThenWriteBack)
+{
+    expectSplitMatchesWhole(false, false);
+}
+
+TEST(Striping, WriteEqualsPokeThenWriteBack)
+{
+    expectSplitMatchesWhole(true, false);
+}
+
+TEST(DiskModel, ReadEqualsFetchThenPeek)
+{
+    expectSplitMatchesWhole(false, true);
+}
+
+TEST(Striping, ReadEqualsFetchThenPeek)
+{
+    expectSplitMatchesWhole(true, true);
 }
 
 } // namespace

@@ -109,8 +109,7 @@ TEST(Allocator, SerializationRoundTrip)
     alloc.ref(b[0]);
     alloc.unref(a[0]);
 
-    auto restored = ExtentAllocator::fromRefcounts(
-        alloc.serializeRefcounts());
+    auto restored = ExtentAllocator::fromRefcounts(alloc.refcounts());
     EXPECT_EQ(restored.freeUnits(), alloc.freeUnits());
     EXPECT_EQ(restored.refcount(b[0].start), 2);
     EXPECT_FALSE(restored.isAllocated(0));
@@ -252,6 +251,56 @@ TEST_F(ObjectStoreTest, SparseWriteLeavesZeroGap)
     ASSERT_TRUE(n.ok());
     for (auto b : out)
         EXPECT_EQ(b, 0);
+}
+
+TEST_F(ObjectStoreTest, RecycledUnitsReadAsZerosInGap)
+{
+    // A removed object's units go back to the allocator with its bytes
+    // still on the device; the next object to get them must not see
+    // those bytes in its never-written gap.
+    const std::uint64_t ub = store.allocUnitBytes();
+    const ObjectId old = runFor(store.createObject(0, 0, nullptr)).value();
+    ASSERT_TRUE(
+        runFor(store.write(0, old, 0, pattern(4 * ub, 9), nullptr)).ok());
+    const auto free_before = store.freeUnits();
+    ASSERT_TRUE(runFor(store.removeObject(0, old, nullptr)).ok());
+    ASSERT_EQ(store.freeUnits(), free_before + 4);
+
+    const ObjectId oid = runFor(store.createObject(0, 0, nullptr)).value();
+    ASSERT_TRUE(
+        runFor(store.write(0, oid, 3 * ub + 10, pattern(100), nullptr))
+            .ok());
+    ASSERT_EQ(store.freeUnits(), free_before);
+    std::vector<std::uint8_t> gap(3 * ub + 10, 0xa5);
+    auto n = runFor(store.read(0, oid, 0, gap, nullptr));
+    ASSERT_TRUE(n.ok());
+    ASSERT_EQ(n.value(), gap.size());
+    for (std::size_t i = 0; i < gap.size(); ++i)
+        ASSERT_EQ(gap[i], 0) << "byte " << i;
+}
+
+TEST_F(ObjectStoreTest, TruncateThenExtendReadsZeros)
+{
+    const std::uint64_t ub = store.allocUnitBytes();
+    const ObjectId oid = runFor(store.createObject(0, 0, nullptr)).value();
+    const auto data = pattern(3 * ub, 3);
+    ASSERT_TRUE(runFor(store.write(0, oid, 0, data, nullptr)).ok());
+
+    // Cut inside the second unit, then write past the old end: the
+    // retained unit's tail and the re-grown units read as zeros.
+    const std::uint64_t cut = ub + 100;
+    SetAttrRequest req;
+    req.truncate_size = cut;
+    ASSERT_TRUE(runFor(store.setAttributes(0, oid, req, nullptr)).ok());
+    ASSERT_TRUE(
+        runFor(store.write(0, oid, 4 * ub, pattern(10, 7), nullptr)).ok());
+
+    std::vector<std::uint8_t> out(4 * ub, 0xa5);
+    auto n = runFor(store.read(0, oid, 0, out, nullptr));
+    ASSERT_TRUE(n.ok());
+    ASSERT_EQ(n.value(), out.size());
+    for (std::size_t i = 0; i < out.size(); ++i)
+        ASSERT_EQ(out[i], i < cut ? data[i] : 0) << "byte " << i;
 }
 
 TEST_F(ObjectStoreTest, OverwriteInPlace)
