@@ -327,29 +327,41 @@ BM_ObjectStoreWrite(benchmark::State &state)
 }
 BENCHMARK(BM_ObjectStoreWrite)->ArgName("overwrite")->Arg(0)->Arg(1);
 
+/** Dataset params with the benchmark's catalog size: 500 items as in
+ *  fig9 and perfbench, 1000 as in the default DatasetParams. */
+apps::DatasetParams
+catalogParams(const benchmark::State &state)
+{
+    apps::DatasetParams params;
+    params.catalog_items = static_cast<std::uint32_t>(state.range(0));
+    return params;
+}
+
 void
 BM_TransactionGeneration(benchmark::State &state)
 {
-    apps::TransactionGenerator gen(apps::DatasetParams{});
+    apps::TransactionGenerator gen(catalogParams(state));
     std::uint64_t index = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(gen.chunk(index++));
     }
     state.SetBytesProcessed(state.iterations() * apps::kChunkBytes);
 }
-BENCHMARK(BM_TransactionGeneration);
+BENCHMARK(BM_TransactionGeneration)->ArgName("catalog")->Arg(500)->Arg(1000);
 
 void
 BM_FrequentSetsCounting(benchmark::State &state)
 {
-    apps::TransactionGenerator gen(apps::DatasetParams{});
+    const auto params = catalogParams(state);
+    apps::TransactionGenerator gen(params);
     const auto chunk = gen.chunk(0);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(apps::countOneItemsets(chunk, 1000));
+        benchmark::DoNotOptimize(
+            apps::countOneItemsets(chunk, params.catalog_items));
     }
     state.SetBytesProcessed(state.iterations() * apps::kChunkBytes);
 }
-BENCHMARK(BM_FrequentSetsCounting);
+BENCHMARK(BM_FrequentSetsCounting)->ArgName("catalog")->Arg(500)->Arg(1000);
 
 } // namespace
 

@@ -13,13 +13,11 @@ countOneItemsets(std::span<const std::uint8_t> data,
     ItemCounts counts(catalog_items, 0);
     const std::size_t n_records = data.size() / TransactionRecord::kBytes;
     for (std::size_t r = 0; r < n_records; ++r) {
-        const auto record = decodeRecord(
-            data.subspan(r * TransactionRecord::kBytes,
-                         TransactionRecord::kBytes));
-        for (std::uint8_t i = 0; i < record.item_count; ++i) {
-            if (record.items[i] < catalog_items)
-                ++counts[record.items[i]];
-        }
+        forEachItem(data.data() + r * TransactionRecord::kBytes,
+                    [&](std::uint32_t item) {
+                        if (item < catalog_items)
+                            ++counts[item];
+                    });
     }
     return counts;
 }

@@ -12,10 +12,12 @@
 #ifndef NASD_APPS_TRANSACTIONS_H_
 #define NASD_APPS_TRANSACTIONS_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "util/codec.h"
 #include "util/rng.h"
 
 namespace nasd::apps {
@@ -25,6 +27,14 @@ struct TransactionRecord
 {
     static constexpr std::size_t kMaxItems = 12;
     static constexpr std::size_t kBytes = 64;
+
+    // Encoded byte offsets, fields little-endian: txn_id (8 bytes),
+    // store_id (4), item_count (1), items (4 each), zero padding.
+    static constexpr std::size_t kStoreIdAt = 8;
+    static constexpr std::size_t kItemCountAt = 12;
+    static constexpr std::size_t kItemsAt = 13;
+    static constexpr std::size_t kPadAt = kItemsAt + 4 * kMaxItems;
+    static_assert(kPadAt <= kBytes);
 
     std::uint64_t txn_id = 0;
     std::uint32_t store_id = 0;
@@ -46,6 +56,26 @@ void encodeRecord(const TransactionRecord &record,
 /** Decode one record from kBytes at @p in. item_count is clamped to
  *  kMaxItems, so a corrupt record never indexes past items[]. */
 TransactionRecord decodeRecord(std::span<const std::uint8_t> in);
+
+/** item_count of the encoded record at @p record, clamped to kMaxItems
+ *  as decodeRecord clamps it. */
+inline std::size_t
+encodedItemCount(const std::uint8_t *record)
+{
+    return std::min<std::size_t>(record[TransactionRecord::kItemCountAt],
+                                 TransactionRecord::kMaxItems);
+}
+
+/** Call @p fn with each item id of the encoded record at @p record, in
+ *  order, reading them in place instead of decoding the record. */
+template <typename Fn>
+void
+forEachItem(const std::uint8_t *record, Fn &&fn)
+{
+    const std::uint8_t *item = record + TransactionRecord::kItemsAt;
+    for (std::size_t i = encodedItemCount(record); i > 0; --i, item += 4)
+        fn(util::loadLe<std::uint32_t>(item));
+}
 
 /** Configuration of the synthetic dataset. */
 struct DatasetParams

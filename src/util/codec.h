@@ -6,14 +6,51 @@
 #ifndef NASD_UTIL_CODEC_H_
 #define NASD_UTIL_CODEC_H_
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "util/logging.h"
 
 namespace nasd::util {
+
+/** Store @p value little-endian at @p dst. On little-endian hosts that
+ *  is one unaligned store; the byte loop does not compile to one. */
+template <typename T>
+void
+storeLe(std::uint8_t *dst, T value)
+{
+    static_assert(std::is_integral_v<T>);
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(dst, &value, sizeof(T));
+    } else {
+        for (std::size_t i = 0; i < sizeof(T); ++i)
+            dst[i] = static_cast<std::uint8_t>(
+                static_cast<std::uint64_t>(value) >> (i * 8));
+    }
+}
+
+/** Load a little-endian T from @p src; one unaligned load on
+ *  little-endian hosts. */
+template <typename T>
+T
+loadLe(const std::uint8_t *src)
+{
+    static_assert(std::is_integral_v<T>);
+    if constexpr (std::endian::native == std::endian::little) {
+        T value;
+        std::memcpy(&value, src, sizeof(T));
+        return value;
+    } else {
+        std::uint64_t value = 0;
+        for (std::size_t i = 0; i < sizeof(T); ++i)
+            value |= static_cast<std::uint64_t>(src[i]) << (i * 8);
+        return static_cast<T>(value);
+    }
+}
 
 /** Appends little-endian values to a byte buffer. */
 class Encoder

@@ -85,10 +85,14 @@ class Rng
     }
 
     /** Uniform double in [0, 1). */
-    double
-    uniform()
+    double uniform() { return toUnit(next()); }
+
+    /** The double in [0, 1) that uniform() makes of raw draw @p x: its
+     *  top 53 bits, scaled. */
+    static double
+    toUnit(std::uint64_t x)
     {
-        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+        return static_cast<double>(x >> 11) * 0x1.0p-53;
     }
 
     /** Bernoulli trial with probability @p p of returning true. */
@@ -128,15 +132,22 @@ class Rng
  * with a guide table (Chen & Asau indexed search): the unit interval
  * is cut into kGuideBuckets equal buckets, and guide_[b] holds the
  * first rank whose CDF value falls in bucket b or later. A draw starts
- * at its bucket's guide and scans forward, which averages about one
- * comparison and returns exactly the rank a binary search over the CDF
- * would: the smallest i with cdf_[i] >= u, clamped to n - 1.
+ * at its bucket's guide and scans forward, and returns exactly the
+ * rank a binary search over the CDF would: the smallest i with
+ * cdf_[i] >= u, clamped to n - 1. The table has many more buckets
+ * than the generator's 500-1000 ranks, so few buckets hold a CDF
+ * boundary and the scan almost never takes a step (or mispredicts).
  */
 class ZipfSampler
 {
   public:
-    /** Buckets of the guide table. */
-    static constexpr std::size_t kGuideBuckets = 2048;
+    /** Buckets of the guide table: 2^15, so 128 KB of guides. */
+    static constexpr unsigned kGuideBits = 15;
+    static constexpr std::size_t kGuideBuckets = std::size_t{1}
+                                                 << kGuideBits;
+    // sample() reads the bucket off the top bits of a draw, which
+    // needs every bucket bit among the 53 that uniform() keeps.
+    static_assert(kGuideBits <= 53);
 
     /**
      * @param n Number of distinct values (ranks).
@@ -145,7 +156,7 @@ class ZipfSampler
     ZipfSampler(std::size_t n, double theta)
         : cdf_(n), guide_(kGuideBuckets + 1)
     {
-        NASD_ASSERT(n > 0);
+        NASD_ASSERT(n > 0 && n <= UINT32_MAX);
         double sum = 0.0;
         for (std::size_t i = 0; i < n; ++i) {
             sum += 1.0 / std::pow(static_cast<double>(i + 1), theta);
@@ -159,26 +170,31 @@ class ZipfSampler
         for (std::size_t b = 0; b <= kGuideBuckets; ++b) {
             while (i < n - 1 && bucket(cdf_[i]) < b)
                 ++i;
-            guide_[b] = i;
+            guide_[b] = static_cast<std::uint32_t>(i);
         }
     }
 
-    /** Draw a rank in [0, n); rank 0 is the most popular. */
-    std::size_t sample(Rng &rng) const { return rankOf(rng.uniform()); }
+    /**
+     * Draw a rank in [0, n); rank 0 is the most popular. Consumes one
+     * uniform() and returns rankOf() of it, with the bucket read off
+     * the draw's top bits: floor(toUnit(x) * kGuideBuckets) is exactly
+     * x >> (64 - kGuideBits).
+     */
+    std::size_t
+    sample(Rng &rng) const
+    {
+        const std::uint64_t x = rng.next();
+        return scan(guide_[x >> (64 - kGuideBits)], Rng::toUnit(x));
+    }
 
     /**
      * The rank a uniform draw @p u in [0, 1) maps to: the smallest i
-     * with cdf_[i] >= u, or n - 1 if there is none. Every rank before
-     * guide_[bucket(u)] has a CDF value in an earlier bucket, hence
-     * below u, so the scan skips no candidate.
+     * with cdf_[i] >= u, or n - 1 if there is none.
      */
     std::size_t
     rankOf(double u) const
     {
-        std::size_t i = guide_[bucket(u)];
-        while (i < cdf_.size() - 1 && cdf_[i] < u)
-            ++i;
-        return i;
+        return scan(guide_[bucket(u)], u);
     }
 
     std::size_t size() const { return cdf_.size(); }
@@ -187,6 +203,17 @@ class ZipfSampler
     const std::vector<double> &cdf() const { return cdf_; }
 
   private:
+    /** Scan from rank @p i, the guide of u's bucket, to u's rank.
+     *  Every rank before the guide has a CDF value in an earlier
+     *  bucket, hence below u, so the scan skips no candidate. */
+    std::size_t
+    scan(std::size_t i, double u) const
+    {
+        while (i < cdf_.size() - 1 && cdf_[i] < u)
+            ++i;
+        return i;
+    }
+
     /** min(floor(x * kGuideBuckets), kGuideBuckets) for x >= 0; the
      *  product is exact because kGuideBuckets is a power of two. */
     static std::size_t
@@ -197,7 +224,7 @@ class ZipfSampler
     }
 
     std::vector<double> cdf_;
-    std::vector<std::size_t> guide_;
+    std::vector<std::uint32_t> guide_;
 };
 
 } // namespace nasd::util

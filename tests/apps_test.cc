@@ -18,6 +18,7 @@
 #include "disk/params.h"
 #include "net/presets.h"
 #include "sim/simulator.h"
+#include "util/rng.h"
 #include "util/units.h"
 
 namespace nasd::apps {
@@ -155,6 +156,78 @@ TEST(Transactions, GoldenChunkDigests)
         EXPECT_EQ(total, golden.chunk0_total);
         for (std::size_t i = 0; i < 4; ++i)
             EXPECT_EQ(counts[i], golden.chunk0_counts[i]) << "item " << i;
+    }
+}
+
+/**
+ * The generator as it was before it stored fields straight into the
+ * chunk: build each record as a struct, then encodeRecord it. Same
+ * draws in the same order, so chunk() must match it byte for byte.
+ */
+std::vector<std::uint8_t>
+referenceChunk(const DatasetParams &params, std::uint64_t index)
+{
+    const util::ZipfSampler zipf(params.catalog_items, params.zipf_theta);
+    util::Rng rng(params.seed * 0x9e3779b9ull + index);
+    std::vector<std::uint8_t> out(kChunkBytes);
+    for (std::uint64_t r = 0; r < kRecordsPerChunk; ++r) {
+        TransactionRecord record;
+        record.txn_id = index * kRecordsPerChunk + r;
+        record.store_id = static_cast<std::uint32_t>(rng.below(100));
+        const auto n = static_cast<std::uint8_t>(
+            rng.between(params.min_items, params.max_items));
+        record.item_count = n;
+        std::size_t filled = 0;
+        if (rng.chance(params.planted_pair_rate) && n >= 2) {
+            record.items[filled++] = 1;
+            record.items[filled++] = 2;
+        }
+        while (filled < n)
+            record.items[filled++] =
+                static_cast<std::uint32_t>(zipf.sample(rng));
+        encodeRecord(record,
+                     std::span<std::uint8_t>(
+                         out.data() + r * TransactionRecord::kBytes,
+                         TransactionRecord::kBytes));
+    }
+    return out;
+}
+
+TEST(Transactions, ChunkMatchesReferenceEncoderBeyondGoldenParams)
+{
+    // Catalogs from the smallest allowed to more ranks than a 16-bit
+    // guide entry could index, both skew extremes, fixed and minimal
+    // basket sizes, and planted pairs never and always.
+    std::vector<DatasetParams> cases;
+    const auto with = [&cases](auto &&edit) {
+        DatasetParams params;
+        edit(params);
+        cases.push_back(params);
+    };
+    for (const std::uint32_t catalog : {8u, 500u, 1000u, 70000u})
+        with([&](DatasetParams &p) { p.catalog_items = catalog; });
+    for (const double theta : {0.0, 0.99})
+        with([&](DatasetParams &p) { p.zipf_theta = theta; });
+    for (const std::uint32_t items : {3u, 12u}) {
+        with([&](DatasetParams &p) {
+            p.min_items = items;
+            p.max_items = items;
+        });
+    }
+    with([](DatasetParams &p) { p.min_items = 2; });
+    for (const double rate : {0.0, 1.0})
+        with([&](DatasetParams &p) { p.planted_pair_rate = rate; });
+
+    for (const auto &params : cases) {
+        SCOPED_TRACE(testing::Message()
+                     << "catalog " << params.catalog_items << " theta "
+                     << params.zipf_theta << " items " << params.min_items
+                     << "-" << params.max_items << " planted "
+                     << params.planted_pair_rate);
+        const TransactionGenerator gen(params);
+        for (const std::uint64_t index : {0u, 1u, 2u, 149u})
+            EXPECT_TRUE(gen.chunk(index) == referenceChunk(params, index))
+                << "chunk " << index;
     }
 }
 

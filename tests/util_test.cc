@@ -147,7 +147,7 @@ TEST(Zipf, GuideTableMatchesBinarySearch)
     // each CDF value, each bucket edge, their neighbours, and both
     // ends of [0, 1), then a long run of seeded draws.
     constexpr auto kBuckets = ZipfSampler::kGuideBuckets;
-    for (const std::size_t n : {1, 2, 5, 500, 1000, 3000}) {
+    for (const std::size_t n : {1, 2, 5, 500, 1000, 3000, 70000}) {
         for (const double theta : {0.0, 0.5, 0.8, 0.99}) {
             SCOPED_TRACE(testing::Message()
                          << "n " << n << " theta " << theta);
@@ -171,7 +171,7 @@ TEST(Zipf, GuideTableMatchesBinarySearch)
             EXPECT_EQ(mismatches, 0u) << "of " << probes.size() << " probes";
 
             // sample() must consume one uniform() per draw and map it
-            // through the same lookup.
+            // to the binary search's rank.
             Rng a(n * 31 + static_cast<std::uint64_t>(theta * 100));
             Rng b = a;
             std::size_t draw_mismatches = 0;
@@ -180,6 +180,7 @@ TEST(Zipf, GuideTableMatchesBinarySearch)
                     ++draw_mismatches;
             }
             EXPECT_EQ(draw_mismatches, 0u);
+            EXPECT_EQ(a.next(), b.next());
         }
     }
 }
