@@ -1,6 +1,7 @@
 #include "cheops/cheops.h"
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <span>
 
@@ -28,6 +29,75 @@ xorInto(std::span<std::uint8_t> dst, std::span<const std::uint8_t> src)
                 "-byte source into ", dst.size(), "-byte destination");
     for (std::size_t j = 0; j < src.size(); ++j)
         dst[j] ^= src[j];
+}
+
+/**
+ * XOR every survivor read of a row into the zeroed front of @p dst:
+ * every component holds one unit per row at the same offset, so the
+ * fold rebuilds the missing unit whatever role it plays. Any failed
+ * read fails the fold with its status; otherwise the result is the
+ * longest survivor's length.
+ */
+StoreResult<std::uint64_t>
+xorSurvivors(std::span<std::uint8_t> dst,
+             const std::vector<StoreResult<std::vector<std::uint8_t>>> &reads)
+{
+    std::uint64_t len = 0;
+    for (const auto &r : reads) {
+        if (!r.ok())
+            return util::Err{r.error()};
+        xorInto(dst, r.value());
+        len = std::max(len, static_cast<std::uint64_t>(r.value().size()));
+    }
+    return len;
+}
+
+/**
+ * The failure tally of one row fan-out (@p results parallel to
+ * @p comps): no failure sets @p result ok; one failed component is
+ * named in @p dead so the row is redone degraded; two or more fail the
+ * row with kDriveError. Returns whether every op succeeded.
+ */
+template <typename R>
+bool
+tallyRow(const std::vector<R> &results,
+         const std::vector<std::uint32_t> &comps, std::int64_t &dead,
+         util::Result<void, CheopsStatus> &result)
+{
+    std::int64_t failed = -1;
+    int failures = 0;
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        if (!results[i].ok()) {
+            ++failures;
+            failed = comps[i];
+        }
+    }
+    if (failures == 0)
+        result = util::Result<void, CheopsStatus>{};
+    else if (failures == 1)
+        dead = failed;
+    else
+        result = util::Err{CheopsStatus::kDriveError};
+    return failures == 0;
+}
+
+/** Wire size of each manager reply; an open carries the capability set. */
+std::uint64_t
+replyBytes(const OpenReply &r)
+{
+    return 64 + 160 * r.map.components.size();
+}
+std::uint64_t replyBytes(const CheopsStatusReply &) { return 16; }
+std::uint64_t replyBytes(const CreateReply &) { return 24; }
+std::uint64_t replyBytes(const SizeReply &) { return 24; }
+std::uint64_t replyBytes(const RebuildLockReply &) { return 24; }
+
+util::Result<void, CheopsStatus>
+statusResult(CheopsStatus status)
+{
+    if (status != CheopsStatus::kOk)
+        return util::Err{status};
+    return {};
 }
 
 } // namespace
@@ -92,21 +162,80 @@ CheopsManager::initialize(std::uint64_t partition_quota_bytes)
     }
 }
 
+CheopsManager::LogicalObject *
+CheopsManager::find(LogicalObjectId id, CheopsStatus &status)
+{
+    const auto it = objects_.find(id);
+    if (it != objects_.end())
+        return &it->second;
+    status = CheopsStatus::kNoSuchObject;
+    return nullptr;
+}
+
 Capability
-CheopsManager::mintComponentCap(std::uint32_t drive, ObjectId oid,
-                                ObjectVersion version, bool want_write)
+CheopsManager::mint(std::uint32_t drive, ObjectId oid, ObjectVersion version,
+                    std::uint8_t rights, bool expires)
 {
     CapabilityPublic pub;
     pub.partition = partition_;
     pub.object_id = oid;
     pub.approved_version = version;
-    pub.rights = kRightRead | kRightGetAttr;
-    if (want_write)
-        pub.rights |= kRightWrite;
-    pub.expiry_ns = sim_.now() + kCapLifetimeNs;
-    node_.flightJournal().record(sim_.now(), util::FrEvent::kCapMint, 0,
-                                 oid, pub.expiry_ns);
+    pub.rights = rights;
+    if (expires)
+        pub.expiry_ns = sim_.now() + kCapLifetimeNs;
     return issuers_[drive]->mint(pub);
+}
+
+ComponentRef
+CheopsManager::componentRef(std::uint32_t drive, ObjectId oid,
+                            ObjectVersion version, bool want_write)
+{
+    ComponentRef ref{
+        drive, oid,
+        mint(drive, oid, version,
+             kRightRead | kRightGetAttr | (want_write ? kRightWrite : 0),
+             /*expires=*/true)};
+    node_.flightJournal().record(sim_.now(), util::FrEvent::kCapMint, 0,
+                                 oid, ref.capability.pub.expiry_ns);
+    return ref;
+}
+
+sim::Task<bool>
+CheopsManager::removeObject(std::uint32_t drive, ObjectId oid,
+                            ObjectVersion version)
+{
+    CredentialFactory cred(
+        mint(drive, oid, version, kRightRemove, /*expires=*/false));
+    auto removed = co_await mgr_clients_[drive]->remove(cred);
+    co_return removed.ok();
+}
+
+void
+CheopsManager::bumpMapVersion(LogicalObjectId id, LogicalObject &obj,
+                              const char *why)
+{
+    ++obj.map_version;
+    node_.flightJournal().record(sim_.now(), util::FrEvent::kVersionFence,
+                                 0, id, obj.map_version, why);
+}
+
+sim::Task<bool>
+CheopsManager::fenceComponents(LogicalObject &obj, std::int64_t skip,
+                               bool expires)
+{
+    bool all = true;
+    for (std::size_t i = 0; i < obj.components.size(); ++i) {
+        if (static_cast<std::int64_t>(i) == skip)
+            continue;
+        const auto &[drive, oid] = obj.components[i];
+        auto bumped = co_await managerBumpVersion(
+            drive, oid, obj.component_versions[i], expires);
+        if (bumped.ok())
+            obj.component_versions[i] = bumped.value().version;
+        else
+            all = false;
+    }
+    co_return all;
 }
 
 sim::Task<CreateReply>
@@ -118,23 +247,16 @@ CheopsManager::serveCreate(std::uint64_t stripe_unit_bytes,
     CreateReply reply;
     NASD_ASSERT(stripe_unit_bytes > 0);
     const bool parity = redundancy == Redundancy::kParity;
-    if (parity) {
-        // stripe_count is the *data* width; parity adds one component.
-        // Keeping a drive in reserve as a rebuild spare is the
-        // caller's business — any drives beyond width+1 stay unused.
-        if (stripe_count == 0 || stripe_count + 1 > drives_.size())
-            stripe_count = static_cast<std::uint32_t>(drives_.size()) - 1;
-        if (drives_.size() < 3 || stripe_count < 2) {
-            reply.status = CheopsStatus::kNoSpace;
-            co_return reply;
-        }
-    } else {
-        if (stripe_count == 0 || stripe_count > drives_.size())
-            stripe_count = static_cast<std::uint32_t>(drives_.size());
-        if (redundancy == Redundancy::kMirror && drives_.size() < 2) {
-            reply.status = CheopsStatus::kNoSpace;
-            co_return reply;
-        }
+    // stripe_count is the *data* width; parity adds one component.
+    // Keeping a drive in reserve as a rebuild spare is the caller's
+    // business — any drives beyond width+1 stay unused.
+    const std::uint32_t extra = parity ? 1 : 0;
+    if (stripe_count == 0 || stripe_count + extra > drives_.size())
+        stripe_count = static_cast<std::uint32_t>(drives_.size()) - extra;
+    if ((parity && (drives_.size() < 3 || stripe_count < 2)) ||
+        (redundancy == Redundancy::kMirror && drives_.size() < 2)) {
+        reply.status = CheopsStatus::kNoSpace;
+        co_return reply;
     }
 
     LogicalObject obj;
@@ -143,62 +265,38 @@ CheopsManager::serveCreate(std::uint64_t stripe_unit_bytes,
     const std::uint64_t per_drive_hint =
         capacity_hint / stripe_count + stripe_unit_bytes;
 
-    auto createOn = [this, per_drive_hint](std::uint32_t drive)
-        -> sim::Task<StoreResult<ObjectId>> {
-        CapabilityPublic pub;
-        pub.partition = partition_;
-        pub.object_id = kPartitionControlObject;
-        pub.rights = kRightCreate;
-        CredentialFactory cred(issuers_[drive]->mint(pub));
-        co_return co_await mgr_clients_[drive]->create(cred, per_drive_hint);
-    };
-    // A mid-loop failure must not strand the components already
-    // created: best-effort removal before reporting the error.
-    auto destroyOrphans =
-        [this](const std::vector<std::pair<std::uint32_t, ObjectId>> &made)
-        -> sim::Task<void> {
-        for (const auto &[drive, oid] : made) {
-            CapabilityPublic pub;
-            pub.partition = partition_;
-            pub.object_id = oid;
-            pub.approved_version = 1;
-            pub.rights = kRightRemove;
-            CredentialFactory cred(issuers_[drive]->mint(pub));
-            auto removed = co_await mgr_clients_[drive]->remove(cred);
-            (void)removed.ok(); // drive may be the one that failed
-        }
-    };
     std::vector<std::pair<std::uint32_t, ObjectId>> created;
 
     // One component object on each participating drive (plus, when
     // mirrored, a replica on the next drive so no component shares a
     // spindle with its copy; with parity, one extra component so each
     // row can hold its rotating parity unit).
-    const std::uint32_t total =
-        parity ? stripe_count + 1 : stripe_count;
-    for (std::uint32_t i = 0; i < total; ++i) {
-        auto made = co_await createOn(i);
-        if (!made.ok()) {
-            co_await destroyOrphans(created);
-            reply.status = CheopsStatus::kDriveError;
-            co_return reply;
-        }
-        created.emplace_back(i, made.value());
-        obj.components.emplace_back(i, made.value());
-        obj.component_versions.push_back(1);
-
-        if (redundancy == Redundancy::kMirror) {
-            const auto m = static_cast<std::uint32_t>(
-                (i + 1) % drives_.size());
-            auto mirror = co_await createOn(m);
-            if (!mirror.ok()) {
-                co_await destroyOrphans(created);
+    for (std::uint32_t i = 0; i < stripe_count + extra; ++i) {
+        for (const bool replica : {false, true}) {
+            if (replica && redundancy != Redundancy::kMirror)
+                break;
+            const auto drive =
+                replica ? static_cast<std::uint32_t>((i + 1) % drives_.size())
+                        : i;
+            CredentialFactory cred(
+                mint(drive, kPartitionControlObject, 1, kRightCreate,
+                     /*expires=*/false));
+            auto made =
+                co_await mgr_clients_[drive]->create(cred, per_drive_hint);
+            if (!made.ok()) {
+                // A mid-loop failure must not strand the objects already
+                // created: best-effort removal (the drive that failed
+                // may hold some of them) before reporting the error.
+                for (const auto &[d, oid] : created)
+                    (void)co_await removeObject(d, oid, 1);
                 reply.status = CheopsStatus::kDriveError;
                 co_return reply;
             }
-            created.emplace_back(m, mirror.value());
-            obj.mirrors.emplace_back(m, mirror.value());
-            obj.mirror_versions.push_back(1);
+            created.emplace_back(drive, made.value());
+            (replica ? obj.mirrors : obj.components)
+                .emplace_back(drive, made.value());
+            (replica ? obj.mirror_versions : obj.component_versions)
+                .push_back(1);
         }
     }
     obj.component_stale.assign(obj.components.size(), 0);
@@ -215,50 +313,34 @@ sim::Task<OpenReply>
 CheopsManager::serveOpen(LogicalObjectId id, bool want_write)
 {
     OpenReply reply;
-    const auto it = objects_.find(id);
-    if (it == objects_.end()) {
-        reply.status = CheopsStatus::kNoSuchObject;
+    const LogicalObject *obj = find(id, reply.status);
+    if (obj == nullptr)
         co_return reply;
-    }
-    const LogicalObject &obj = it->second;
     reply.map.id = id;
-    reply.map.map_version = obj.map_version;
-    reply.map.stripe_unit_bytes = obj.stripe_unit_bytes;
-    reply.map.redundancy = obj.redundancy;
-    for (std::size_t i = 0; i < obj.components.size(); ++i) {
-        const auto &[drive, oid] = obj.components[i];
-        ComponentRef ref;
-        ref.drive = drive;
-        ref.oid = oid;
-        ref.capability = mintComponentCap(drive, oid,
-                                          obj.component_versions[i],
-                                          want_write);
-        reply.map.components.push_back(std::move(ref));
+    reply.map.map_version = obj->map_version;
+    reply.map.stripe_unit_bytes = obj->stripe_unit_bytes;
+    reply.map.redundancy = obj->redundancy;
+    for (std::size_t i = 0; i < obj->components.size(); ++i) {
+        const auto &[drive, oid] = obj->components[i];
+        reply.map.components.push_back(componentRef(
+            drive, oid, obj->component_versions[i], want_write));
     }
-    for (std::size_t i = 0; i < obj.mirrors.size(); ++i) {
-        const auto &[drive, oid] = obj.mirrors[i];
-        ComponentRef ref;
-        ref.drive = drive;
-        ref.oid = oid;
-        ref.capability = mintComponentCap(drive, oid,
-                                          obj.mirror_versions[i],
-                                          want_write);
-        reply.map.mirrors.push_back(std::move(ref));
+    for (std::size_t i = 0; i < obj->mirrors.size(); ++i) {
+        const auto &[drive, oid] = obj->mirrors[i];
+        reply.map.mirrors.push_back(
+            componentRef(drive, oid, obj->mirror_versions[i], want_write));
     }
-    if (obj.redundancy == Redundancy::kParity) {
+    if (obj->redundancy == Redundancy::kParity) {
         const auto rit = rebuilds_.find(id);
         if (rit != rebuilds_.end() && rit->second.active) {
             reply.map.rebuilding = true;
             reply.map.rebuild_component = rit->second.dead_comp;
-            ComponentRef target;
-            target.drive = rit->second.spare_drive;
-            target.oid = rit->second.spare_oid;
             // Write-through needs write rights regardless of how the
             // object was opened; the spare is not readable until the
             // rebuild swaps it into the map.
-            target.capability = mintComponentCap(target.drive, target.oid,
-                                                 1, /*want_write=*/true);
-            reply.map.rebuild_target = std::move(target);
+            reply.map.rebuild_target =
+                componentRef(rit->second.spare_drive, rit->second.spare_oid,
+                             1, /*want_write=*/true);
         }
     }
     // Minting a capability set is pure CPU work at the manager.
@@ -272,36 +354,22 @@ sim::Task<CheopsStatusReply>
 CheopsManager::serveRemove(LogicalObjectId id)
 {
     CheopsStatusReply reply;
-    const auto it = objects_.find(id);
-    if (it == objects_.end()) {
-        reply.status = CheopsStatus::kNoSuchObject;
+    const LogicalObject *obj = find(id, reply.status);
+    if (obj == nullptr)
         co_return reply;
-    }
-    auto removeComponent =
-        [this](std::uint32_t drive, ObjectId oid,
-               ObjectVersion version) -> sim::Task<bool> {
-        CapabilityPublic pub;
-        pub.partition = partition_;
-        pub.object_id = oid;
-        pub.approved_version = version;
-        pub.rights = kRightRemove;
-        CredentialFactory cred(issuers_[drive]->mint(pub));
-        auto removed = co_await mgr_clients_[drive]->remove(cred);
-        co_return removed.ok();
-    };
-    for (std::size_t i = 0; i < it->second.components.size(); ++i) {
-        const auto &[drive, oid] = it->second.components[i];
-        if (!co_await removeComponent(drive, oid,
-                                      it->second.component_versions[i]))
+    for (std::size_t i = 0; i < obj->components.size(); ++i) {
+        const auto &[drive, oid] = obj->components[i];
+        if (!co_await removeObject(drive, oid,
+                                   obj->component_versions[i]))
             reply.status = CheopsStatus::kDriveError;
     }
-    for (std::size_t i = 0; i < it->second.mirrors.size(); ++i) {
-        const auto &[drive, oid] = it->second.mirrors[i];
-        if (!co_await removeComponent(drive, oid,
-                                      it->second.mirror_versions[i]))
+    for (std::size_t i = 0; i < obj->mirrors.size(); ++i) {
+        const auto &[drive, oid] = obj->mirrors[i];
+        if (!co_await removeObject(drive, oid,
+                                   obj->mirror_versions[i]))
             reply.status = CheopsStatus::kDriveError;
     }
-    objects_.erase(it);
+    objects_.erase(id);
     control_ops_.add(1);
     co_return reply;
 }
@@ -310,26 +378,18 @@ sim::Task<SizeReply>
 CheopsManager::serveGetSize(LogicalObjectId id)
 {
     SizeReply reply;
-    const auto it = objects_.find(id);
-    if (it == objects_.end()) {
-        reply.status = CheopsStatus::kNoSuchObject;
+    const LogicalObject *obj = find(id, reply.status);
+    if (obj == nullptr)
         co_return reply;
-    }
-    const LogicalObject &obj = it->second;
     // Logical size: reconstruct from component sizes. Component k has
     // the stripe units s with s mod n == k.
-    const std::uint64_t su = obj.stripe_unit_bytes;
-    const auto n = static_cast<std::uint64_t>(obj.components.size());
+    const std::uint64_t su = obj->stripe_unit_bytes;
+    const auto n = static_cast<std::uint64_t>(obj->components.size());
     std::uint64_t logical = 0;
-    for (std::size_t k = 0; k < obj.components.size(); ++k) {
-        const auto &[drive, oid] = obj.components[k];
-        CapabilityPublic pub;
-        pub.partition = partition_;
-        pub.object_id = oid;
-        pub.approved_version = it->second.component_versions[k];
-        pub.rights = kRightGetAttr;
-        CredentialFactory cred(issuers_[drive]->mint(pub));
-        auto attrs = co_await mgr_clients_[drive]->getAttr(cred);
+    for (std::size_t k = 0; k < obj->components.size(); ++k) {
+        const auto &[drive, oid] = obj->components[k];
+        auto attrs = co_await managerGetAttr(
+            drive, oid, obj->component_versions[k], /*expires=*/false);
         if (!attrs.ok()) {
             reply.status = CheopsStatus::kDriveError;
             co_return reply;
@@ -337,17 +397,18 @@ CheopsManager::serveGetSize(LogicalObjectId id)
         const std::uint64_t csize = attrs.value().size;
         if (csize == 0)
             continue;
+        // The last byte sits at `within` in the component's unit `row`.
+        const std::uint64_t row = (csize - 1) / su;
+        const std::uint64_t within = (csize - 1) % su;
         std::uint64_t logical_last = 0;
-        if (obj.redundancy == Redundancy::kParity) {
+        if (obj->redundancy == Redundancy::kParity) {
             // Every component stores one unit per row. A data unit
             // maps back exactly; a parity unit of length w+1 only
             // proves *some* data unit of the row reaches w, so use
             // the first data slot as a conservative lower bound
             // (exact for the row-aligned writes the planner favors).
             const auto w = static_cast<std::uint32_t>(
-                obj.components.size() - 1);
-            const std::uint64_t row = (csize - 1) / su;
-            const std::uint64_t within = (csize - 1) % su;
+                obj->components.size() - 1);
             const std::uint32_t p = parityComponent(row, w);
             if (p == static_cast<std::uint32_t>(k)) {
                 logical_last = row * su * w + within;
@@ -361,9 +422,7 @@ CheopsManager::serveGetSize(LogicalObjectId id)
         } else {
             // Last byte of component k at offset csize-1 maps to
             // logical offset: full_stripes*su*n + k*su + within.
-            const std::uint64_t full_units = (csize - 1) / su;
-            const std::uint64_t within = (csize - 1) % su;
-            logical_last = full_units * su * n + k * su + within;
+            logical_last = row * su * n + k * su + within;
         }
         logical = std::max(logical, logical_last + 1);
     }
@@ -376,31 +435,12 @@ sim::Task<CheopsStatusReply>
 CheopsManager::serveRevoke(LogicalObjectId id)
 {
     CheopsStatusReply reply;
-    const auto it = objects_.find(id);
-    if (it == objects_.end()) {
-        reply.status = CheopsStatus::kNoSuchObject;
+    LogicalObject *obj = find(id, reply.status);
+    if (obj == nullptr)
         co_return reply;
-    }
-    LogicalObject &obj = it->second;
-    for (std::size_t i = 0; i < obj.components.size(); ++i) {
-        const auto &[drive, oid] = obj.components[i];
-        CapabilityPublic pub;
-        pub.partition = partition_;
-        pub.object_id = oid;
-        pub.approved_version = obj.component_versions[i];
-        pub.rights = kRightSetAttr;
-        CredentialFactory cred(issuers_[drive]->mint(pub));
-        SetAttrRequest req;
-        req.bump_version = true;
-        auto set = co_await mgr_clients_[drive]->setAttr(cred, req);
-        if (set.ok())
-            obj.component_versions[i] = set.value().version;
-        else
-            reply.status = CheopsStatus::kDriveError;
-    }
-    ++obj.map_version;
-    node_.flightJournal().record(sim_.now(), util::FrEvent::kVersionFence,
-                                 0, id, obj.map_version, "revoke");
+    if (!co_await fenceComponents(*obj, -1, /*expires=*/false))
+        reply.status = CheopsStatus::kDriveError;
+    bumpMapVersion(id, *obj, "revoke");
     control_ops_.add(1);
     co_return reply;
 }
@@ -424,13 +464,9 @@ CheopsManager::managerRead(std::uint32_t drive, ObjectId oid,
                            ObjectVersion version, std::uint64_t offset,
                            std::uint64_t length)
 {
-    CapabilityPublic pub;
-    pub.partition = partition_;
-    pub.object_id = oid;
-    pub.approved_version = version;
-    pub.rights = kRightRead | kRightGetAttr;
-    pub.expiry_ns = sim_.now() + kCapLifetimeNs;
-    CredentialFactory cred(issuers_[drive]->mint(pub));
+    CredentialFactory cred(
+        mint(drive, oid, version, kRightRead | kRightGetAttr,
+             /*expires=*/true));
     co_return co_await mgr_clients_[drive]->read(cred, offset, length);
 }
 
@@ -439,41 +475,24 @@ CheopsManager::managerWrite(std::uint32_t drive, ObjectId oid,
                             ObjectVersion version, std::uint64_t offset,
                             std::vector<std::uint8_t> data)
 {
-    CapabilityPublic pub;
-    pub.partition = partition_;
-    pub.object_id = oid;
-    pub.approved_version = version;
-    pub.rights = kRightWrite;
-    pub.expiry_ns = sim_.now() + kCapLifetimeNs;
-    CredentialFactory cred(issuers_[drive]->mint(pub));
+    CredentialFactory cred(
+        mint(drive, oid, version, kRightWrite, /*expires=*/true));
     co_return co_await mgr_clients_[drive]->write(cred, offset, data);
 }
 
 sim::Task<StoreResult<ObjectAttributes>>
 CheopsManager::managerGetAttr(std::uint32_t drive, ObjectId oid,
-                              ObjectVersion version)
+                              ObjectVersion version, bool expires)
 {
-    CapabilityPublic pub;
-    pub.partition = partition_;
-    pub.object_id = oid;
-    pub.approved_version = version;
-    pub.rights = kRightGetAttr;
-    pub.expiry_ns = sim_.now() + kCapLifetimeNs;
-    CredentialFactory cred(issuers_[drive]->mint(pub));
+    CredentialFactory cred(mint(drive, oid, version, kRightGetAttr, expires));
     co_return co_await mgr_clients_[drive]->getAttr(cred);
 }
 
 sim::Task<StoreResult<ObjectAttributes>>
 CheopsManager::managerBumpVersion(std::uint32_t drive, ObjectId oid,
-                                  ObjectVersion version)
+                                  ObjectVersion version, bool expires)
 {
-    CapabilityPublic pub;
-    pub.partition = partition_;
-    pub.object_id = oid;
-    pub.approved_version = version;
-    pub.rights = kRightSetAttr;
-    pub.expiry_ns = sim_.now() + kCapLifetimeNs;
-    CredentialFactory cred(issuers_[drive]->mint(pub));
+    CredentialFactory cred(mint(drive, oid, version, kRightSetAttr, expires));
     SetAttrRequest req;
     req.bump_version = true;
     co_return co_await mgr_clients_[drive]->setAttr(cred, req);
@@ -484,21 +503,14 @@ CheopsManager::serveMarkDegraded(LogicalObjectId id, std::uint32_t component,
                                  bool mirror_side)
 {
     CheopsStatusReply reply;
-    const auto it = objects_.find(id);
-    if (it == objects_.end()) {
+    LogicalObject *obj = find(id, reply.status);
+    if (obj == nullptr || obj->redundancy != Redundancy::kMirror ||
+        component >= obj->components.size()) {
         reply.status = CheopsStatus::kNoSuchObject;
         co_return reply;
     }
-    LogicalObject &obj = it->second;
-    if (obj.redundancy != Redundancy::kMirror ||
-        component >= obj.components.size()) {
-        reply.status = CheopsStatus::kNoSuchObject;
-        co_return reply;
-    }
-    obj.component_stale.resize(obj.components.size(), 0);
-    obj.mirror_stale.resize(obj.mirrors.size(), 0);
-    auto &stale = mirror_side ? obj.mirror_stale : obj.component_stale;
-    const auto &other = mirror_side ? obj.component_stale : obj.mirror_stale;
+    auto &stale = mirror_side ? obj->mirror_stale : obj->component_stale;
+    const auto &other = mirror_side ? obj->component_stale : obj->mirror_stale;
     if (other[component]) {
         // The surviving side is itself stale: accepting this report
         // would declare both copies bad. The write must fail instead.
@@ -512,15 +524,12 @@ CheopsManager::serveMarkDegraded(LogicalObjectId id, std::uint32_t component,
         // version the stale object cannot present, so reads of old
         // bytes fail with kVersionMismatch instead of succeeding.
         auto &versions =
-            mirror_side ? obj.mirror_versions : obj.component_versions;
+            mirror_side ? obj->mirror_versions : obj->component_versions;
         versions[component] += 1;
-        ++obj.map_version;
         node_.flightJournal().record(sim_.now(),
                                      util::FrEvent::kMirrorMarkDegraded, 0,
                                      id, component);
-        node_.flightJournal().record(sim_.now(),
-                                     util::FrEvent::kVersionFence, 0, id,
-                                     obj.map_version, "mark_degraded");
+        bumpMapVersion(id, *obj, "mark_degraded");
     }
     co_await node_.cpu().execute(2000);
     control_ops_.add(1);
@@ -531,19 +540,15 @@ sim::Task<CheopsStatusReply>
 CheopsManager::serveResyncMirrors(LogicalObjectId id)
 {
     CheopsStatusReply reply;
-    const auto it = objects_.find(id);
-    if (it == objects_.end() ||
-        it->second.redundancy != Redundancy::kMirror) {
+    LogicalObject *obj = find(id, reply.status);
+    if (obj == nullptr || obj->redundancy != Redundancy::kMirror) {
         reply.status = CheopsStatus::kNoSuchObject;
         co_return reply;
     }
-    LogicalObject &obj = it->second;
-    obj.component_stale.resize(obj.components.size(), 0);
-    obj.mirror_stale.resize(obj.mirrors.size(), 0);
     bool changed = false;
-    for (std::size_t i = 0; i < obj.components.size(); ++i) {
-        const bool primary_stale = obj.component_stale[i] != 0;
-        const bool mirror_stale = obj.mirror_stale[i] != 0;
+    for (std::size_t i = 0; i < obj->components.size(); ++i) {
+        const bool primary_stale = obj->component_stale[i] != 0;
+        const bool mirror_stale = obj->mirror_stale[i] != 0;
         if (!primary_stale && !mirror_stale)
             continue;
         if (primary_stale && mirror_stale) {
@@ -551,19 +556,21 @@ CheopsManager::serveResyncMirrors(LogicalObjectId id)
             continue;
         }
         const auto &[src_drive, src_oid] =
-            mirror_stale ? obj.components[i] : obj.mirrors[i];
+            mirror_stale ? obj->components[i] : obj->mirrors[i];
         const ObjectVersion src_ver = mirror_stale
-                                          ? obj.component_versions[i]
-                                          : obj.mirror_versions[i];
+                                          ? obj->component_versions[i]
+                                          : obj->mirror_versions[i];
         const auto &[dst_drive, dst_oid] =
-            mirror_stale ? obj.mirrors[i] : obj.components[i];
-        auto &dst_stored = mirror_stale ? obj.mirror_versions[i]
-                                        : obj.component_versions[i];
+            mirror_stale ? obj->mirrors[i] : obj->components[i];
+        auto &dst_stored = mirror_stale ? obj->mirror_versions[i]
+                                        : obj->component_versions[i];
         // MarkDegraded bumped the stored version exactly once past the
         // drive object's real version.
         const ObjectVersion dst_drive_ver = dst_stored - 1;
 
-        auto attrs = co_await managerGetAttr(src_drive, src_oid, src_ver);
+        auto attrs =
+            co_await managerGetAttr(src_drive, src_oid, src_ver,
+                                    /*expires=*/true);
         if (!attrs.ok()) {
             reply.status = CheopsStatus::kDriveError;
             continue;
@@ -587,23 +594,21 @@ CheopsManager::serveResyncMirrors(LogicalObjectId id)
         // Advance the healed replica's drive-side version to match the
         // fenced expectation, then adopt whatever the drive reports as
         // the new approved version.
-        auto bumped =
-            co_await managerBumpVersion(dst_drive, dst_oid, dst_drive_ver);
+        auto bumped = co_await managerBumpVersion(dst_drive, dst_oid,
+                                                  dst_drive_ver,
+                                                  /*expires=*/true);
         if (!bumped.ok()) {
             reply.status = CheopsStatus::kDriveError;
             continue;
         }
         dst_stored = bumped.value().version;
-        (mirror_stale ? obj.mirror_stale : obj.component_stale)[i] = 0;
+        (mirror_stale ? obj->mirror_stale : obj->component_stale)[i] = 0;
         changed = true;
     }
     if (changed) {
-        ++obj.map_version;
         node_.flightJournal().record(sim_.now(),
                                      util::FrEvent::kMirrorResync, 0, id);
-        node_.flightJournal().record(sim_.now(),
-                                     util::FrEvent::kVersionFence, 0, id,
-                                     obj.map_version, "resync");
+        bumpMapVersion(id, *obj, "resync");
     }
     control_ops_.add(1);
     co_return reply;
@@ -616,30 +621,24 @@ CheopsManager::serveStartRebuild(LogicalObjectId id,
                                  RebuildThrottle throttle)
 {
     CheopsStatusReply reply;
-    const auto it = objects_.find(id);
-    if (it == objects_.end()) {
-        reply.status = CheopsStatus::kNoSuchObject;
+    LogicalObject *obj = find(id, reply.status);
+    if (obj == nullptr)
         co_return reply;
-    }
-    LogicalObject &obj = it->second;
-    if (obj.redundancy != Redundancy::kParity ||
-        dead_component >= obj.components.size() ||
-        spare_drive >= drives_.size()) {
-        reply.status = CheopsStatus::kAccess;
-        co_return reply;
-    }
+    // Only one rebuild at a time, and the spare must not share a
+    // spindle with any surviving component, or the next failure would
+    // take out two units of a row.
     const auto rit = rebuilds_.find(id);
-    if (rit != rebuilds_.end() && rit->second.active) {
+    bool refused = obj->redundancy != Redundancy::kParity ||
+                   dead_component >= obj->components.size() ||
+                   spare_drive >= drives_.size() ||
+                   (rit != rebuilds_.end() && rit->second.active);
+    for (std::size_t i = 0; i < obj->components.size(); ++i) {
+        refused = refused || (i != dead_component &&
+                              obj->components[i].first == spare_drive);
+    }
+    if (refused) {
         reply.status = CheopsStatus::kAccess;
         co_return reply;
-    }
-    // The spare must not share a spindle with any surviving component,
-    // or the next failure would take out two units of a row.
-    for (std::size_t i = 0; i < obj.components.size(); ++i) {
-        if (i != dead_component && obj.components[i].first == spare_drive) {
-            reply.status = CheopsStatus::kAccess;
-            co_return reply;
-        }
     }
 
     // Qualify the spare: the drive must answer and its partition must
@@ -655,12 +654,12 @@ CheopsManager::serveStartRebuild(LogicalObjectId id,
     // as long as the longest data unit of its row, so the max survivor
     // extent bounds the dead component's extent.
     std::uint64_t max_size = 0;
-    for (std::size_t i = 0; i < obj.components.size(); ++i) {
+    for (std::size_t i = 0; i < obj->components.size(); ++i) {
         if (i == dead_component)
             continue;
-        const auto &[drive, oid] = obj.components[i];
-        auto attrs =
-            co_await managerGetAttr(drive, oid, obj.component_versions[i]);
+        const auto &[drive, oid] = obj->components[i];
+        auto attrs = co_await managerGetAttr(
+            drive, oid, obj->component_versions[i], /*expires=*/true);
         if (!attrs.ok()) {
             reply.status = CheopsStatus::kDriveError;
             co_return reply;
@@ -673,11 +672,9 @@ CheopsManager::serveStartRebuild(LogicalObjectId id,
     }
 
     // Allocate the spare component object.
-    CapabilityPublic pub;
-    pub.partition = partition_;
-    pub.object_id = kPartitionControlObject;
-    pub.rights = kRightCreate;
-    CredentialFactory spare_cred(issuers_[spare_drive]->mint(pub));
+    CredentialFactory spare_cred(
+        mint(spare_drive, kPartitionControlObject, 1, kRightCreate,
+             /*expires=*/false));
     auto spare =
         co_await mgr_clients_[spare_drive]->create(spare_cred, max_size);
     if (!spare.ok()) {
@@ -690,35 +687,32 @@ CheopsManager::serveStartRebuild(LogicalObjectId id,
     // its next component write, refreshes, and learns it must bracket
     // row updates with the rebuild lock and write through to the
     // spare. Without this, a stale writer could update a row the
-    // engine already passed and the spare would miss the bytes.
-    for (std::size_t i = 0; i < obj.components.size(); ++i) {
+    // engine already passed and the spare would miss the bytes. Unlike
+    // the other fences, the first failed bump ends this one.
+    for (std::size_t i = 0; i < obj->components.size(); ++i) {
         if (i == dead_component)
             continue;
-        const auto &[drive, oid] = obj.components[i];
+        const auto &[drive, oid] = obj->components[i];
         auto bumped = co_await managerBumpVersion(
-            drive, oid, obj.component_versions[i]);
+            drive, oid, obj->component_versions[i], /*expires=*/true);
         if (!bumped.ok()) {
             reply.status = CheopsStatus::kDriveError;
             co_return reply;
         }
-        obj.component_versions[i] = bumped.value().version;
+        obj->component_versions[i] = bumped.value().version;
     }
-    ++obj.map_version;
-    node_.flightJournal().record(sim_.now(), util::FrEvent::kVersionFence,
-                                 0, id, obj.map_version, "rebuild_fence");
+    bumpMapVersion(id, *obj, "rebuild_fence");
 
     RebuildState &rb = rebuilds_[id];
-    rb.active = true;
+    static_cast<RebuildProgress &>(rb) = RebuildProgress{
+        .known = true,
+        .active = true,
+        .rows_total = (max_size + obj->stripe_unit_bytes - 1) /
+                      obj->stripe_unit_bytes,
+        .started_at = sim_.now()};
     rb.dead_comp = dead_component;
     rb.spare_drive = spare_drive;
     rb.spare_oid = spare.value();
-    rb.rows_total = (max_size + obj.stripe_unit_bytes - 1) /
-                    obj.stripe_unit_bytes;
-    rb.rows_done = 0;
-    rb.bytes_reconstructed = 0;
-    rb.throttle_wait_ns = 0;
-    rb.started_at = sim_.now();
-    rb.finished_at = 0;
     rb.throttle = throttle;
     rb.lock = std::make_unique<sim::Semaphore>(sim_, 1);
     if (throttle.token_interval_ns > 0) {
@@ -746,6 +740,7 @@ CheopsManager::rebuildLoop(LogicalObjectId id)
     NASD_ASSERT(rit != rebuilds_.end(), "rebuild loop without state");
     RebuildState &rb = rit->second; // map nodes are address-stable
 
+    const char *stopped = nullptr; // why the rebuild stopped short
     for (std::uint64_t row = 0; row < rb.rows_total; ++row) {
         if (rb.tokens) {
             // Token-bucket pacing: at most `burst` rows per interval.
@@ -765,13 +760,15 @@ CheopsManager::rebuildLoop(LogicalObjectId id)
                                      util::FrEvent::kRowLockAcquire, 0, id,
                                      0, "engine");
         const auto oit = objects_.find(id);
-        if (oit == objects_.end())
-            break; // object removed mid-rebuild: abandon quietly
+        if (oit == objects_.end()) {
+            stopped = "object_removed";
+            break;
+        }
         LogicalObject &obj = oit->second;
         const std::uint64_t su = obj.stripe_unit_bytes;
 
-        // Reconstruct the dead unit: XOR the same offsets on every
-        // surviving component (data/parity roles cancel out).
+        // Reconstruct the dead unit from the same offsets on every
+        // surviving component.
         std::vector<sim::Task<StoreResult<std::vector<std::uint8_t>>>>
             reads;
         for (std::size_t i = 0; i < obj.components.size(); ++i) {
@@ -783,37 +780,23 @@ CheopsManager::rebuildLoop(LogicalObjectId id)
                                         row * su, su));
         }
         auto got = co_await sim::parallelGather(sim_, std::move(reads));
-        std::vector<std::uint8_t> unit;
-        bool failed = false;
-        for (auto &r : got) {
-            if (!r.ok()) {
-                failed = true;
-                break;
-            }
-            if (r.value().size() > unit.size())
-                unit.resize(r.value().size(), 0);
-            xorInto(unit, r.value());
+        std::vector<std::uint8_t> unit(su, 0);
+        const auto len = xorSurvivors(unit, got);
+        if (!len.ok()) {
+            stopped = "second_failure";
+            break;
         }
-        if (failed) {
-            // A second component died: the rebuild cannot finish.
-            rb.finished_at = sim_.now();
-            rb.active = false;
-            permit.release();
-            co_return;
-        }
-        if (!unit.empty()) {
-            const std::uint64_t len = unit.size();
+        if (len.value() > 0) {
+            unit.resize(len.value());
             auto wrote = co_await managerWrite(rb.spare_drive, rb.spare_oid,
                                                1, row * su,
                                                std::move(unit));
             if (!wrote.ok()) {
-                rb.finished_at = sim_.now();
-                rb.active = false;
-                permit.release();
-                co_return;
+                stopped = "spare_write";
+                break;
             }
-            rb.bytes_reconstructed += len;
-            rebuild_bytes_.add(len);
+            rb.bytes_reconstructed += len.value();
+            rebuild_bytes_.add(len.value());
         }
         ++rb.rows_done;
         rebuild_rows_.add(1);
@@ -822,40 +805,41 @@ CheopsManager::rebuildLoop(LogicalObjectId id)
                                      0, "engine");
         permit.release();
     }
-
-    // Completion: swap the spare into the layout map in place and let
-    // clients discover the move via map refresh (reprobe / next open).
-    // The survivors' versions are bumped first — the same fence as
-    // rebuild start. Without it a client still holding the rebuild-era
-    // map keeps taking the degraded path: its new bytes land only in
-    // the survivors' parity while a fresh-map reader fetches the spare
-    // directly and sees pre-rebuild data.
-    auto permit = co_await sim::scopedAcquire(sim_, *rb.lock);
-    const auto oit = objects_.find(id);
-    if (oit != objects_.end() && rb.active) {
-        LogicalObject &obj = oit->second;
-        for (std::size_t i = 0; i < obj.components.size(); ++i) {
-            if (i == rb.dead_comp)
-                continue;
-            const auto &[drive, oid] = obj.components[i];
-            auto bumped = co_await managerBumpVersion(
-                drive, oid, obj.component_versions[i]);
-            if (bumped.ok())
-                obj.component_versions[i] = bumped.value().version;
+    if (stopped == nullptr) {
+        // Completion: swap the spare into the layout map in place and
+        // let clients discover the move via map refresh (reprobe / next
+        // open). The survivors' versions are bumped first — the same
+        // fence as rebuild start. Without it a client still holding the
+        // rebuild-era map keeps taking the degraded path: its new bytes
+        // land only in the survivors' parity while a fresh-map reader
+        // fetches the spare directly and sees pre-rebuild data.
+        auto permit = co_await sim::scopedAcquire(sim_, *rb.lock);
+        const auto oit = objects_.find(id);
+        if (oit != objects_.end()) {
+            LogicalObject &obj = oit->second;
+            (void)co_await fenceComponents(obj, rb.dead_comp,
+                                           /*expires=*/true);
+            obj.components[rb.dead_comp] = {rb.spare_drive, rb.spare_oid};
+            obj.component_versions[rb.dead_comp] = 1;
+            bumpMapVersion(id, obj, "rebuild_refence");
+            rb.active = false;
+            rb.finished_at = sim_.now();
+            node_.flightJournal().record(sim_.now(),
+                                         util::FrEvent::kRebuildComplete, 0,
+                                         id, rb.rows_done);
+            permit.release();
+            co_return;
         }
-        obj.components[rb.dead_comp] = {rb.spare_drive, rb.spare_oid};
-        obj.component_versions[rb.dead_comp] = 1;
-        ++obj.map_version;
-        node_.flightJournal().record(sim_.now(),
-                                     util::FrEvent::kVersionFence, 0, id,
-                                     obj.map_version, "rebuild_refence");
+        stopped = "object_removed";
     }
+    // Every exit that does not swap the spare in gives its space back
+    // (best effort: the spare drive may be the one that failed) before
+    // the rebuild reports itself finished.
+    (void)co_await removeObject(rb.spare_drive, rb.spare_oid, 1);
     rb.active = false;
     rb.finished_at = sim_.now();
-    node_.flightJournal().record(sim_.now(),
-                                 util::FrEvent::kRebuildComplete, 0, id,
-                                 rb.rows_done);
-    permit.release();
+    node_.flightJournal().record(sim_.now(), util::FrEvent::kRebuildAbort, 0,
+                                 id, rb.rows_done, stopped);
 }
 
 sim::Task<RebuildLockReply>
@@ -883,17 +867,11 @@ CheopsManager::serveRebuildUnlock(LogicalObjectId id, std::uint64_t ticket)
 {
     CheopsStatusReply reply;
     const auto rit = rebuilds_.find(id);
-    if (rit == rebuilds_.end()) {
+    // Erasing the held permit returns it to the rebuild lock.
+    if (rit == rebuilds_.end() || rit->second.held.erase(ticket) == 0) {
         reply.status = CheopsStatus::kNoSuchObject;
         co_return reply;
     }
-    const auto hit = rit->second.held.find(ticket);
-    if (hit == rit->second.held.end()) {
-        reply.status = CheopsStatus::kNoSuchObject;
-        co_return reply;
-    }
-    hit->second.release();
-    rit->second.held.erase(hit);
     node_.flightJournal().record(sim_.now(),
                                  util::FrEvent::kRowLockRelease, 0, id,
                                  ticket);
@@ -904,20 +882,10 @@ CheopsManager::serveRebuildUnlock(LogicalObjectId id, std::uint64_t ticket)
 RebuildProgress
 CheopsManager::rebuildProgress(LogicalObjectId id) const
 {
-    RebuildProgress p;
     const auto rit = rebuilds_.find(id);
     if (rit == rebuilds_.end())
-        return p;
-    const RebuildState &rb = rit->second;
-    p.known = true;
-    p.active = rb.active;
-    p.rows_done = rb.rows_done;
-    p.rows_total = rb.rows_total;
-    p.bytes_reconstructed = rb.bytes_reconstructed;
-    p.throttle_wait_ns = rb.throttle_wait_ns;
-    p.started_at = rb.started_at;
-    p.finished_at = rb.finished_at;
-    return p;
+        return {};
+    return rit->second;
 }
 
 // ----------------------------------------------------------------- client
@@ -942,6 +910,23 @@ CheopsClient::CheopsClient(net::Network &net, net::NetNode &node,
     }
 }
 
+template <typename Reply, typename Serve>
+sim::Task<Reply>
+CheopsClient::callManager(Serve serve)
+{
+    manager_calls_.add(1);
+    // A named handler: a prvalue std::function must not cross a
+    // coroutine boundary (see nasd/client.cc).
+    const std::function<sim::Task<net::RpcReply<Reply>>()> handler =
+        [&serve]() -> sim::Task<net::RpcReply<Reply>> {
+        Reply r = co_await serve();
+        const std::uint64_t bytes = replyBytes(r);
+        co_return net::RpcReply<Reply>{std::move(r), bytes};
+    };
+    co_return co_await net::call<Reply>(net_, node_, mgr_.node(),
+                                        kControlPayload, handler);
+}
+
 sim::Task<util::Result<CheopsClient::OpenState *, CheopsStatus>>
 CheopsClient::ensureOpen(LogicalObjectId id, bool want_write)
 {
@@ -951,15 +936,8 @@ CheopsClient::ensureOpen(LogicalObjectId id, bool want_write)
         co_return &it->second;
     }
 
-    manager_calls_.add(1);
-    auto reply = co_await net::call<OpenReply>(
-        net_, node_, mgr_.node(), kControlPayload,
-        [&]() -> sim::Task<net::RpcReply<OpenReply>> {
-            auto r = co_await mgr_.serveOpen(id, want_write);
-            const std::uint64_t payload =
-                64 + 160 * r.map.components.size(); // caps on the wire
-            co_return net::RpcReply<OpenReply>{std::move(r), payload};
-        });
+    auto reply = co_await callManager<OpenReply>(
+        [&] { return mgr_.serveOpen(id, want_write); });
     if (reply.status != CheopsStatus::kOk)
         co_return util::Err{reply.status};
 
@@ -975,10 +953,9 @@ CheopsClient::ensureOpen(LogicalObjectId id, bool want_write)
             std::make_unique<CredentialFactory>(mirror.capability));
     }
     if (state.map.redundancy == Redundancy::kParity) {
-        if (state.map.rebuilding) {
-            state.rebuild_cred = std::make_unique<CredentialFactory>(
-                state.map.rebuild_target.capability);
-        }
+        // Holds a usable capability while the map says rebuilding.
+        state.rebuild_cred = std::make_unique<CredentialFactory>(
+            state.map.rebuild_target.capability);
         for (std::size_t i = 0; i < kRowLockPool; ++i) {
             state.row_locks.push_back(
                 std::make_unique<sim::Semaphore>(net_.simulator(), 1));
@@ -990,23 +967,16 @@ CheopsClient::ensureOpen(LogicalObjectId id, bool want_write)
 }
 
 sim::Task<bool>
-CheopsClient::refreshCaps(LogicalObjectId id, bool want_write)
+CheopsClient::refreshCaps(LogicalObjectId id)
 {
     auto it = open_objects_.find(id);
     if (it == open_objects_.end())
         co_return false;
     OpenState &state = it->second;
-    const bool writable = state.writable || want_write;
+    const bool writable = state.writable;
 
-    manager_calls_.add(1);
-    auto reply = co_await net::call<OpenReply>(
-        net_, node_, mgr_.node(), kControlPayload,
-        [&]() -> sim::Task<net::RpcReply<OpenReply>> {
-            auto r = co_await mgr_.serveOpen(id, writable);
-            const std::uint64_t payload =
-                64 + 160 * r.map.components.size();
-            co_return net::RpcReply<OpenReply>{std::move(r), payload};
-        });
+    auto reply = co_await callManager<OpenReply>(
+        [&] { return mgr_.serveOpen(id, writable); });
     if (reply.status != CheopsStatus::kOk)
         co_return false;
     if (reply.map.components.size() != state.creds.size() ||
@@ -1040,16 +1010,8 @@ CheopsClient::refreshCaps(LogicalObjectId id, bool want_write)
     state.map.rebuilding = reply.map.rebuilding;
     state.map.rebuild_component = reply.map.rebuild_component;
     state.map.rebuild_target = reply.map.rebuild_target;
-    if (reply.map.rebuilding) {
-        if (state.rebuild_cred == nullptr) {
-            state.rebuild_cred = std::make_unique<CredentialFactory>(
-                reply.map.rebuild_target.capability);
-        } else {
-            state.rebuild_cred->rebind(
-                reply.map.rebuild_target.capability);
-        }
-    }
-    state.writable = writable;
+    if (reply.map.rebuilding) // only parity maps rebuild
+        state.rebuild_cred->rebind(reply.map.rebuild_target.capability);
     co_return true;
 }
 
@@ -1067,15 +1029,10 @@ CheopsClient::create(std::uint64_t stripe_unit_bytes,
                      std::uint32_t stripe_count,
                      std::uint64_t capacity_hint, Redundancy redundancy)
 {
-    manager_calls_.add(1);
-    auto reply = co_await net::call<CreateReply>(
-        net_, node_, mgr_.node(), kControlPayload,
-        [&]() -> sim::Task<net::RpcReply<CreateReply>> {
-            auto r = co_await mgr_.serveCreate(stripe_unit_bytes,
-                                               stripe_count, capacity_hint,
-                                               redundancy);
-            co_return net::RpcReply<CreateReply>{r, 24};
-        });
+    auto reply = co_await callManager<CreateReply>([&] {
+        return mgr_.serveCreate(stripe_unit_bytes, stripe_count,
+                                capacity_hint, redundancy);
+    });
     if (reply.status != CheopsStatus::kOk)
         co_return util::Err{reply.status};
     co_return reply.id;
@@ -1085,28 +1042,16 @@ sim::Task<util::Result<void, CheopsStatus>>
 CheopsClient::remove(LogicalObjectId id)
 {
     open_objects_.erase(id);
-    manager_calls_.add(1);
-    auto reply = co_await net::call<CheopsStatusReply>(
-        net_, node_, mgr_.node(), kControlPayload,
-        [&]() -> sim::Task<net::RpcReply<CheopsStatusReply>> {
-            auto r = co_await mgr_.serveRemove(id);
-            co_return net::RpcReply<CheopsStatusReply>{r, 16};
-        });
-    if (reply.status != CheopsStatus::kOk)
-        co_return util::Err{reply.status};
-    co_return util::Result<void, CheopsStatus>{};
+    auto reply = co_await callManager<CheopsStatusReply>(
+        [&] { return mgr_.serveRemove(id); });
+    co_return statusResult(reply.status);
 }
 
 sim::Task<util::Result<std::uint64_t, CheopsStatus>>
 CheopsClient::size(LogicalObjectId id)
 {
-    manager_calls_.add(1);
-    auto reply = co_await net::call<SizeReply>(
-        net_, node_, mgr_.node(), kControlPayload,
-        [&]() -> sim::Task<net::RpcReply<SizeReply>> {
-            auto r = co_await mgr_.serveGetSize(id);
-            co_return net::RpcReply<SizeReply>{r, 24};
-        });
+    auto reply = co_await callManager<SizeReply>(
+        [&] { return mgr_.serveGetSize(id); });
     if (reply.status != CheopsStatus::kOk)
         co_return util::Err{reply.status};
     co_return reply.size;
@@ -1117,100 +1062,49 @@ CheopsClient::startRebuild(LogicalObjectId id, std::uint32_t dead_component,
                            std::uint32_t spare_drive,
                            RebuildThrottle throttle)
 {
-    manager_calls_.add(1);
-    auto reply = co_await net::call<CheopsStatusReply>(
-        net_, node_, mgr_.node(), kControlPayload,
-        [&]() -> sim::Task<net::RpcReply<CheopsStatusReply>> {
-            auto r = co_await mgr_.serveStartRebuild(id, dead_component,
-                                                     spare_drive, throttle);
-            co_return net::RpcReply<CheopsStatusReply>{r, 16};
-        });
-    if (reply.status != CheopsStatus::kOk)
-        co_return util::Err{reply.status};
-    co_return util::Result<void, CheopsStatus>{};
+    auto reply = co_await callManager<CheopsStatusReply>([&] {
+        return mgr_.serveStartRebuild(id, dead_component, spare_drive,
+                                      throttle);
+    });
+    co_return statusResult(reply.status);
 }
 
 sim::Task<util::Result<void, CheopsStatus>>
 CheopsClient::resyncMirrors(LogicalObjectId id)
 {
-    manager_calls_.add(1);
-    auto reply = co_await net::call<CheopsStatusReply>(
-        net_, node_, mgr_.node(), kControlPayload,
-        [&]() -> sim::Task<net::RpcReply<CheopsStatusReply>> {
-            auto r = co_await mgr_.serveResyncMirrors(id);
-            co_return net::RpcReply<CheopsStatusReply>{r, 16};
-        });
-    if (reply.status != CheopsStatus::kOk)
-        co_return util::Err{reply.status};
-    co_return util::Result<void, CheopsStatus>{};
+    auto reply = co_await callManager<CheopsStatusReply>(
+        [&] { return mgr_.serveResyncMirrors(id); });
+    co_return statusResult(reply.status);
 }
 
-sim::Task<util::Result<void, CheopsStatus>>
-CheopsClient::markDegraded(LogicalObjectId id, std::uint32_t component,
-                           bool mirror_side)
+template <typename Op>
+auto
+CheopsClient::withRefresh(OpenState *open, LogicalObjectId id, Op op)
+    -> decltype(op())
 {
-    manager_calls_.add(1);
-    auto reply = co_await net::call<CheopsStatusReply>(
-        net_, node_, mgr_.node(), kControlPayload,
-        [&]() -> sim::Task<net::RpcReply<CheopsStatusReply>> {
-            auto r = co_await mgr_.serveMarkDegraded(id, component,
-                                                     mirror_side);
-            co_return net::RpcReply<CheopsStatusReply>{r, 16};
-        });
-    if (reply.status != CheopsStatus::kOk)
-        co_return util::Err{reply.status};
-    co_return util::Result<void, CheopsStatus>{};
-}
-
-sim::Task<util::Result<std::uint64_t, CheopsStatus>>
-CheopsClient::rebuildLock(LogicalObjectId id)
-{
-    manager_calls_.add(1);
-    auto reply = co_await net::call<RebuildLockReply>(
-        net_, node_, mgr_.node(), kControlPayload,
-        [&]() -> sim::Task<net::RpcReply<RebuildLockReply>> {
-            auto r = co_await mgr_.serveRebuildLock(id);
-            co_return net::RpcReply<RebuildLockReply>{r, 24};
-        });
-    if (reply.status != CheopsStatus::kOk)
-        co_return util::Err{reply.status};
-    co_return reply.ticket;
-}
-
-sim::Task<void>
-CheopsClient::rebuildUnlock(LogicalObjectId id, std::uint64_t ticket)
-{
-    manager_calls_.add(1);
-    auto reply = co_await net::call<CheopsStatusReply>(
-        net_, node_, mgr_.node(), kControlPayload,
-        [&]() -> sim::Task<net::RpcReply<CheopsStatusReply>> {
-            auto r = co_await mgr_.serveRebuildUnlock(id, ticket);
-            co_return net::RpcReply<CheopsStatusReply>{r, 16};
-        });
-    (void)reply.status; // the permit is released or the rebuild is gone
+    auto r = co_await op();
+    if (!r.ok() && (r.error() == NasdStatus::kExpiredCapability ||
+                    (open->map.redundancy == Redundancy::kParity &&
+                     r.error() == NasdStatus::kVersionMismatch))) {
+        if (co_await refreshCaps(id))
+            r = co_await op();
+    }
+    co_return r;
 }
 
 sim::Task<StoreResult<std::uint64_t>>
 CheopsClient::readComponent(OpenState *open, LogicalObjectId id,
                             std::uint32_t comp, std::uint64_t offset,
                             std::span<std::uint8_t> out,
-                            util::TraceContext ctx)
+                            util::TraceContext ctx, bool mirror)
 {
-    auto &ref = open->map.components[comp];
-    auto &cred = *open->creds[comp];
-    auto n = co_await drive_clients_[ref.drive]->read(cred, offset, out, ctx);
-    const bool parity = open->map.redundancy == Redundancy::kParity;
-    if (!n.ok() &&
-        (n.error() == NasdStatus::kExpiredCapability ||
-         (parity && n.error() == NasdStatus::kVersionMismatch))) {
-        // Refresh once, then retry. Expiry always earns a refresh; a
-        // version mismatch does so only in parity mode, where it is
-        // the rebuild fence (elsewhere revoked must stay revoked).
-        if (co_await refreshCaps(id, open->writable))
-            n = co_await drive_clients_[ref.drive]->read(cred, offset, out,
-                                                         ctx);
-    }
-    co_return n;
+    // refreshCaps rebinds these in place, so a retry sees a moved
+    // component's new drive.
+    auto &ref = (mirror ? open->map.mirrors : open->map.components)[comp];
+    auto &cred = *(mirror ? open->mirror_creds : open->creds)[comp];
+    co_return co_await withRefresh(open, id, [&] {
+        return drive_clients_[ref.drive]->read(cred, offset, out, ctx);
+    });
 }
 
 sim::Task<StoreResult<std::vector<std::uint8_t>>>
@@ -1231,22 +1125,28 @@ sim::Task<StoreResult<void>>
 CheopsClient::writeComponent(OpenState *open, LogicalObjectId id,
                              std::uint32_t comp, std::uint64_t offset,
                              std::span<const std::uint8_t> data,
-                             util::TraceContext ctx)
+                             util::TraceContext ctx, bool mirror)
 {
-    auto &ref = open->map.components[comp];
-    auto &cred = *open->creds[comp];
-    auto wrote =
-        co_await drive_clients_[ref.drive]->write(cred, offset, data, ctx);
-    const bool parity = open->map.redundancy == Redundancy::kParity;
-    if (!wrote.ok() &&
-        (wrote.error() == NasdStatus::kExpiredCapability ||
-         (parity && wrote.error() == NasdStatus::kVersionMismatch))) {
-        if (co_await refreshCaps(id, true)) {
-            wrote = co_await drive_clients_[ref.drive]->write(cred, offset,
-                                                              data, ctx);
-        }
+    auto &ref = (mirror ? open->map.mirrors : open->map.components)[comp];
+    auto &cred = *(mirror ? open->mirror_creds : open->creds)[comp];
+    co_return co_await withRefresh(open, id, [&] {
+        return drive_clients_[ref.drive]->write(cred, offset, data, ctx);
+    });
+}
+
+sim::Task<std::vector<StoreResult<std::vector<std::uint8_t>>>>
+CheopsClient::readSurvivors(OpenState *open, LogicalObjectId id,
+                            std::uint32_t dead, std::uint64_t offset,
+                            std::uint64_t length, util::TraceContext ctx)
+{
+    std::vector<sim::Task<StoreResult<std::vector<std::uint8_t>>>> reads;
+    for (std::uint32_t c = 0;
+         c < static_cast<std::uint32_t>(open->map.components.size()); ++c) {
+        if (c != dead)
+            reads.push_back(readComponent(open, id, c, offset, length, ctx));
     }
-    co_return wrote;
+    co_return co_await sim::parallelGather(net_.simulator(),
+                                           std::move(reads));
 }
 
 sim::Task<StoreResult<std::vector<std::uint8_t>>>
@@ -1263,28 +1163,12 @@ CheopsClient::reconstructRange(OpenState *open, LogicalObjectId id,
     auto rebuildChunk = [this, open, id, dead, ctx, &out,
                          offset](std::uint64_t o, std::uint64_t len)
         -> sim::Task<StoreResult<std::uint64_t>> {
-        std::vector<sim::Task<StoreResult<std::vector<std::uint8_t>>>>
-            reads;
-        for (std::uint32_t c = 0;
-             c < static_cast<std::uint32_t>(open->map.components.size());
-             ++c) {
-            if (c == dead)
-                continue;
-            reads.push_back(readComponent(open, id, c, o, len, ctx));
-        }
-        auto got =
-            co_await sim::parallelGather(net_.simulator(), std::move(reads));
-        std::uint64_t max_len = 0;
-        for (auto &r : got) {
-            if (!r.ok())
-                co_return util::Err{r.error()};
-            const auto &bytes = r.value();
-            max_len = std::max(max_len,
-                               static_cast<std::uint64_t>(bytes.size()));
-            xorInto(std::span<std::uint8_t>(out).subspan(o - offset), bytes);
-        }
-        reconstructed_units_.add(1);
-        co_return max_len;
+        auto got = co_await readSurvivors(open, id, dead, o, len, ctx);
+        auto n = xorSurvivors(
+            std::span<std::uint8_t>(out).subspan(o - offset, len), got);
+        if (n.ok())
+            reconstructed_units_.add(1);
+        co_return n;
     };
 
     std::vector<sim::Task<StoreResult<std::uint64_t>>> chunks;
@@ -1354,31 +1238,47 @@ CheopsClient::mapRange(const CheopsMap &map, std::uint64_t offset,
                 break;
             }
         }
-        if (tail != nullptr) {
-            tail->length += take;
-            tail->pieces.emplace_back(pos - offset, take);
-        } else {
-            ComponentRun r;
-            r.component = comp;
-            r.component_offset = comp_offset;
-            r.length = take;
-            r.pieces.emplace_back(pos - offset, take);
-            runs.push_back(std::move(r));
-        }
+        if (tail == nullptr)
+            tail = &runs.emplace_back(ComponentRun{comp, comp_offset, 0, {}});
+        tail->length += take;
+        tail->pieces.emplace_back(pos - offset, take);
         pos += take;
     }
     return runs;
+}
+
+template <typename R, typename Body>
+sim::Task<R>
+CheopsClient::tracedOp(const char *name, util::LogHistogram &latency,
+                       util::TraceContext parent, Body body)
+{
+    const util::TraceContext ctx = util::flightRecorder().mintChild(parent);
+    const sim::Tick op_start = net_.simulator().now();
+    util::ScopedSpan span(name, node_.name(),
+                          static_cast<std::uint64_t>(op_start), ctx,
+                          parent.span_id);
+    R result = co_await body(ctx);
+    // The op's one exit: every outcome, a failed open included, closes
+    // the span and records the latency.
+    const sim::Tick now = net_.simulator().now();
+    span.endAt(static_cast<std::uint64_t>(now));
+    latency.record(static_cast<std::uint64_t>(now - op_start));
+    co_return result;
 }
 
 sim::Task<util::Result<ReadOutcome, CheopsStatus>>
 CheopsClient::read(LogicalObjectId id, std::uint64_t offset,
                    std::span<std::uint8_t> out, util::TraceContext parent)
 {
-    util::TraceContext ctx = util::flightRecorder().mintChild(parent);
-    const sim::Tick op_start = net_.simulator().now();
-    util::ScopedSpan span("cheops/read", node_.name(),
-                          static_cast<std::uint64_t>(net_.simulator().now()),
-                          ctx, parent.span_id);
+    co_return co_await tracedOp<util::Result<ReadOutcome, CheopsStatus>>(
+        "cheops/read", read_latency_ns_, parent,
+        [&](util::TraceContext ctx) { return readRuns(id, offset, out, ctx); });
+}
+
+sim::Task<util::Result<ReadOutcome, CheopsStatus>>
+CheopsClient::readRuns(LogicalObjectId id, std::uint64_t offset,
+                       std::span<std::uint8_t> out, util::TraceContext ctx)
+{
     auto state = co_await ensureOpen(id, false);
     if (!state.ok())
         co_return util::Err{state.error()};
@@ -1410,6 +1310,7 @@ CheopsClient::read(LogicalObjectId id, std::uint64_t offset,
         }
         auto n = co_await readComponent(open, id, run.component,
                                         run.component_offset, dst, ctx);
+        const char *served_by = nullptr; // the redundancy that answered
         if (!n.ok() &&
             open->map.redundancy == Redundancy::kParity) {
             // The component may have moved (a completed rebuild swaps
@@ -1419,7 +1320,7 @@ CheopsClient::read(LogicalObjectId id, std::uint64_t offset,
             if (open->last_reprobe == 0 ||
                 now - open->last_reprobe >= kReprobeIntervalNs) {
                 open->last_reprobe = now;
-                if (co_await refreshCaps(id, open->writable)) {
+                if (co_await refreshCaps(id)) {
                     n = co_await readComponent(open, id, run.component,
                                                run.component_offset, dst,
                                                ctx);
@@ -1434,12 +1335,7 @@ CheopsClient::read(LogicalObjectId id, std::uint64_t offset,
                     std::copy(rebuilt.value().begin(),
                               rebuilt.value().end(), dst.begin());
                     n = static_cast<std::uint64_t>(rebuilt.value().size());
-                    open->map.degraded = true;
-                    degraded = true;
-                    node_.flightJournal().record(
-                        net_.simulator().now(),
-                        util::FrEvent::kDegradedRead, ctx.trace_id, id,
-                        run.component);
+                    served_by = "";
                 }
             }
         }
@@ -1447,26 +1343,20 @@ CheopsClient::read(LogicalObjectId id, std::uint64_t offset,
             open->map.redundancy == Redundancy::kMirror) {
             // Degraded mode: the replica carries the same bytes at
             // the same component offsets.
-            auto &mirror = open->map.mirrors[run.component];
-            auto &mcred = *open->mirror_creds[run.component];
-            n = co_await drive_clients_[mirror.drive]->read(
-                mcred, run.component_offset, dst, ctx);
-            if (!n.ok() && n.error() == NasdStatus::kExpiredCapability) {
-                if (co_await refreshCaps(id, open->writable)) {
-                    n = co_await drive_clients_[mirror.drive]->read(
-                        mcred, run.component_offset, dst, ctx);
-                }
-            }
-            if (n.ok()) {
-                open->map.degraded = true;
-                degraded = true;
-                node_.flightJournal().record(
-                    net_.simulator().now(), util::FrEvent::kDegradedRead,
-                    ctx.trace_id, id, run.component, "mirror");
-            }
+            n = co_await readComponent(open, id, run.component,
+                                       run.component_offset, dst, ctx,
+                                       /*mirror=*/true);
+            served_by = "mirror";
         }
         if (!n.ok())
             co_return util::Err{CheopsStatus::kDriveError};
+        if (served_by != nullptr) {
+            degraded = true;
+            node_.flightJournal().record(net_.simulator().now(),
+                                         util::FrEvent::kDegradedRead,
+                                         ctx.trace_id, id, run.component,
+                                         served_by);
+        }
         if (direct)
             co_return n.value();
         // Scatter into the host buffer; track the contiguous prefix.
@@ -1490,10 +1380,6 @@ CheopsClient::read(LogicalObjectId id, std::uint64_t offset,
     auto results =
         co_await sim::parallelGather(net_.simulator(), std::move(tasks));
 
-    span.endAt(static_cast<std::uint64_t>(net_.simulator().now()));
-    read_latency_ns_.record(
-        static_cast<std::uint64_t>(net_.simulator().now() - op_start));
-
     std::uint64_t total = 0;
     for (auto &r : results) {
         if (!r.ok())
@@ -1511,23 +1397,22 @@ CheopsClient::write(LogicalObjectId id, std::uint64_t offset,
                     std::span<const std::uint8_t> data,
                     util::TraceContext parent)
 {
-    util::TraceContext ctx = util::flightRecorder().mintChild(parent);
-    const sim::Tick op_start = net_.simulator().now();
-    util::ScopedSpan span("cheops/write", node_.name(),
-                          static_cast<std::uint64_t>(net_.simulator().now()),
-                          ctx, parent.span_id);
+    co_return co_await tracedOp<util::Result<void, CheopsStatus>>(
+        "cheops/write", write_latency_ns_, parent,
+        [&](util::TraceContext ctx) {
+            return writeRuns(id, offset, data, ctx);
+        });
+}
+
+sim::Task<util::Result<void, CheopsStatus>>
+CheopsClient::writeRuns(LogicalObjectId id, std::uint64_t offset,
+                        std::span<const std::uint8_t> data,
+                        util::TraceContext ctx)
+{
     auto state = co_await ensureOpen(id, true);
     if (!state.ok())
         co_return util::Err{state.error()};
     OpenState *open = state.value();
-    if (open->map.redundancy == Redundancy::kParity) {
-        auto r = co_await writeParity(open, id, offset, data, ctx);
-        span.endAt(static_cast<std::uint64_t>(net_.simulator().now()));
-        write_latency_ns_.record(
-            static_cast<std::uint64_t>(net_.simulator().now() - op_start));
-        co_return r;
-    }
-    const auto runs = mapRange(open->map, offset, data.size());
 
     auto pushRun = [this, open, id, ctx, &data](const ComponentRun &run)
         -> sim::Task<util::Result<void, CheopsStatus>> {
@@ -1552,30 +1437,13 @@ CheopsClient::write(LogicalObjectId id, std::uint64_t offset,
             }
             buf = gathered;
         }
-        auto &comp = open->map.components[run.component];
-        auto &cred = *open->creds[run.component];
-        auto wrote = co_await drive_clients_[comp.drive]->write(
-            cred, run.component_offset, buf, ctx);
-        if (!wrote.ok() &&
-            wrote.error() == NasdStatus::kExpiredCapability) {
-            if (co_await refreshCaps(id, true)) {
-                wrote = co_await drive_clients_[comp.drive]->write(
-                    cred, run.component_offset, buf, ctx);
-            }
-        }
+        auto wrote = co_await writeComponent(open, id, run.component,
+                                             run.component_offset, buf, ctx);
         bool any_ok = wrote.ok();
         if (open->map.redundancy == Redundancy::kMirror) {
-            auto &mirror = open->map.mirrors[run.component];
-            auto &mcred = *open->mirror_creds[run.component];
-            auto mirrored = co_await drive_clients_[mirror.drive]->write(
-                mcred, run.component_offset, buf, ctx);
-            if (!mirrored.ok() &&
-                mirrored.error() == NasdStatus::kExpiredCapability) {
-                if (co_await refreshCaps(id, true)) {
-                    mirrored = co_await drive_clients_[mirror.drive]->write(
-                        mcred, run.component_offset, buf, ctx);
-                }
-            }
+            auto mirrored = co_await writeComponent(
+                open, id, run.component, run.component_offset, buf, ctx,
+                /*mirror=*/true);
             any_ok = any_ok || mirrored.ok();
             if (wrote.ok() != mirrored.ok()) {
                 // One side took the data and the other did not: the
@@ -1585,15 +1453,17 @@ CheopsClient::write(LogicalObjectId id, std::uint64_t offset,
                 // silently returning pre-write bytes. If the report
                 // itself fails, the divergence is unrecorded and the
                 // write must not claim success.
-                auto marked = co_await markDegraded(
-                    id, run.component, /*mirror_side=*/!mirrored.ok());
-                if (!marked.ok())
+                auto marked = co_await callManager<CheopsStatusReply>([&] {
+                    return mgr_.serveMarkDegraded(
+                        id, run.component, /*mirror_side=*/!mirrored.ok());
+                });
+                if (marked.status != CheopsStatus::kOk)
                     co_return util::Err{CheopsStatus::kDriveError};
                 // The fence lives in freshly minted capabilities: the
                 // cached set still validates against the stale copy's
                 // old version, so swap it out now. Divergence is
                 // already recorded server-side if this refresh fails.
-                co_await refreshCaps(id, true);
+                co_await refreshCaps(id);
             }
         }
         if (!any_ok)
@@ -1601,41 +1471,23 @@ CheopsClient::write(LogicalObjectId id, std::uint64_t offset,
         co_return util::Result<void, CheopsStatus>{};
     };
 
+    // One parallel update per component run — per stripe row for
+    // kParity, whose planner updates a row and its parity together.
     std::vector<sim::Task<util::Result<void, CheopsStatus>>> tasks;
-    tasks.reserve(runs.size());
-    for (const auto &run : runs)
-        tasks.push_back(pushRun(run));
+    std::vector<ComponentRun> runs; // outlives the tasks that use it
+    if (open->map.redundancy != Redundancy::kParity) {
+        runs = mapRange(open->map, offset, data.size());
+        for (const auto &run : runs)
+            tasks.push_back(pushRun(run));
+    } else if (!data.empty()) {
+        const std::uint64_t row_bytes = (open->map.components.size() - 1) *
+                                        open->map.stripe_unit_bytes;
+        const std::uint64_t last = (offset + data.size() - 1) / row_bytes;
+        for (std::uint64_t row = offset / row_bytes; row <= last; ++row)
+            tasks.push_back(writeParityRow(open, id, row, offset, data, ctx));
+    }
     auto results =
         co_await sim::parallelGather(net_.simulator(), std::move(tasks));
-    write_latency_ns_.record(
-        static_cast<std::uint64_t>(net_.simulator().now() - op_start));
-    for (auto &r : results) {
-        if (!r.ok())
-            co_return util::Err{r.error()};
-    }
-    co_return util::Result<void, CheopsStatus>{};
-}
-
-sim::Task<util::Result<void, CheopsStatus>>
-CheopsClient::writeParity(OpenState *open, LogicalObjectId id,
-                          std::uint64_t offset,
-                          std::span<const std::uint8_t> data,
-                          util::TraceContext ctx)
-{
-    if (data.empty())
-        co_return util::Result<void, CheopsStatus>{};
-    const std::uint64_t su = open->map.stripe_unit_bytes;
-    const std::uint64_t n = open->map.components.size() - 1;
-    const std::uint64_t row_bytes = n * su;
-    const std::uint64_t first = offset / row_bytes;
-    const std::uint64_t last = (offset + data.size() - 1) / row_bytes;
-
-    std::vector<sim::Task<util::Result<void, CheopsStatus>>> rows;
-    rows.reserve(last - first + 1);
-    for (std::uint64_t row = first; row <= last; ++row)
-        rows.push_back(writeParityRow(open, id, row, offset, data, ctx));
-    auto results =
-        co_await sim::parallelGather(net_.simulator(), std::move(rows));
     for (auto &r : results) {
         if (!r.ok())
             co_return util::Err{r.error()};
@@ -1660,8 +1512,10 @@ CheopsClient::writeParityRow(OpenState *open, LogicalObjectId id,
     const std::uint32_t p = CheopsManager::parityComponent(row, w);
 
     // The row's written footprint: per data unit, the within-unit
-    // range [a, b) and the matching slice of the caller's buffer.
+    // range [a, b) and the matching slice of the caller's buffer; the
+    // components it touches, data units first and parity last.
     std::vector<RowUnitWrite> writes;
+    std::vector<std::uint32_t> comps;
     std::uint64_t plo = su, phi = 0; // parity footprint (within unit)
     for (std::uint32_t d = 0; d < w; ++d) {
         const std::uint64_t unit_start = row_start + d * su;
@@ -1670,7 +1524,6 @@ CheopsClient::writeParityRow(OpenState *open, LogicalObjectId id,
         if (wa >= wb)
             continue;
         RowUnitWrite uw;
-        uw.d = d;
         uw.comp = CheopsManager::dataComponent(row, d, w);
         uw.a = wa - unit_start;
         uw.b = wb - unit_start;
@@ -1678,9 +1531,11 @@ CheopsClient::writeParityRow(OpenState *open, LogicalObjectId id,
         plo = std::min(plo, uw.a);
         phi = std::max(phi, uw.b);
         writes.push_back(uw);
+        comps.push_back(uw.comp);
     }
     if (writes.empty())
         co_return util::Result<void, CheopsStatus>{};
+    comps.push_back(p);
     const bool full_row = lo == row_start && hi == row_start + row_bytes;
 
     // Serialize this client's updates of the same row: an RMW that
@@ -1700,11 +1555,10 @@ CheopsClient::writeParityRow(OpenState *open, LogicalObjectId id,
         std::uint64_t ticket = 0;
         bool locked = false;
         if (rebuilding) {
-            auto lk = co_await rebuildLock(id);
-            if (lk.ok()) {
-                ticket = lk.value();
-                locked = true;
-            }
+            auto lk = co_await callManager<RebuildLockReply>(
+                [&] { return mgr_.serveRebuildLock(id); });
+            locked = lk.status == CheopsStatus::kOk;
+            ticket = lk.ticket;
         }
 
         // Identify a component to treat as unreachable. While a
@@ -1712,120 +1566,58 @@ CheopsClient::writeParityRow(OpenState *open, LogicalObjectId id,
         // healthy and fall back when a component fails.
         std::int64_t dead =
             rebuilding ? static_cast<std::int64_t>(dead_comp) : -1;
-        bool retry_row = false;
 
         if (dead < 0) {
             // ---- healthy path -----------------------------------
-            std::vector<sim::Task<StoreResult<void>>> ops;
-            std::vector<std::uint32_t> op_comp;
-            if (full_row) {
-                // Full-stripe write: parity is XOR of the new data,
-                // no old bytes needed.
-                std::vector<std::uint8_t> pbuf(su, 0);
-                for (const auto &uw : writes)
-                    xorInto(pbuf, uw.bytes);
-                for (const auto &uw : writes) {
-                    ops.push_back(writeComponent(open, id, uw.comp,
-                                                 row * su, uw.bytes,
-                                                 ctx));
-                    op_comp.push_back(uw.comp);
-                }
-                ops.push_back(writeComponent(open, id, p, row * su,
-                                             pbuf, ctx));
-                op_comp.push_back(p);
-                auto results = co_await sim::parallelGather(
-                    net_.simulator(), std::move(ops));
-                std::int64_t failed = -1;
-                int failures = 0;
-                for (std::size_t i = 0; i < results.size(); ++i) {
-                    if (!results[i].ok()) {
-                        ++failures;
-                        failed = op_comp[i];
-                    }
-                }
-                if (failures == 0) {
-                    result = util::Result<void, CheopsStatus>{};
-                } else if (failures == 1) {
-                    dead = failed;
-                } else {
-                    result = util::Err{CheopsStatus::kDriveError};
-                }
-            } else {
-                // Read-modify-write: read the old bytes under the
-                // written footprint plus the old parity, fold the
-                // deltas into the parity, write data + parity.
+            // Read the old bytes under the written footprint plus the
+            // old parity, fold old ^ new into the parity, write data +
+            // parity. A full-stripe write skips the read phase: its
+            // old bytes count as zeros over plo = 0, phi = su, so the
+            // parity is the XOR of the new data.
+            std::vector<std::vector<std::uint8_t>> old(comps.size());
+            bool read_ok = true;
+            if (!full_row) {
                 std::vector<
                     sim::Task<StoreResult<std::vector<std::uint8_t>>>>
                     reads;
-                std::vector<std::uint32_t> read_comp;
                 for (const auto &uw : writes) {
                     reads.push_back(readComponent(open, id, uw.comp,
                                                   row * su + uw.a,
                                                   uw.b - uw.a, ctx));
-                    read_comp.push_back(uw.comp);
                 }
                 reads.push_back(readComponent(open, id, p,
                                               row * su + plo, phi - plo,
                                               ctx));
-                read_comp.push_back(p);
-                auto old = co_await sim::parallelGather(
+                auto got = co_await sim::parallelGather(
                     net_.simulator(), std::move(reads));
-                std::int64_t failed = -1;
-                int failures = 0;
-                for (std::size_t i = 0; i < old.size(); ++i) {
-                    if (!old[i].ok()) {
-                        ++failures;
-                        failed = read_comp[i];
-                    }
+                read_ok = tallyRow(got, comps, dead, result);
+                for (std::size_t i = 0; i < got.size(); ++i) {
+                    if (got[i].ok())
+                        old[i] = std::move(got[i].value());
                 }
-                if (failures > 1) {
-                    result = util::Err{CheopsStatus::kDriveError};
-                } else if (failures == 1) {
-                    dead = failed;
-                } else {
-                    // parity' = parity ^ old ^ new over each written
-                    // range (short old reads are holes: zeros).
-                    std::vector<std::uint8_t> pbuf(phi - plo, 0);
-                    const auto &oldp = old.back().value();
-                    std::copy(oldp.begin(), oldp.end(), pbuf.begin());
-                    for (std::size_t i = 0; i < writes.size(); ++i) {
-                        const auto &uw = writes[i];
-                        const auto dst =
-                            std::span<std::uint8_t>(pbuf).subspan(
-                                uw.a - plo, uw.b - uw.a);
-                        xorInto(dst, uw.bytes);
-                        xorInto(dst, old[i].value());
-                    }
-                    std::vector<sim::Task<StoreResult<void>>> wops;
-                    std::vector<std::uint32_t> wop_comp;
-                    for (const auto &uw : writes) {
-                        wops.push_back(writeComponent(open, id, uw.comp,
-                                                      row * su + uw.a,
-                                                      uw.bytes, ctx));
-                        wop_comp.push_back(uw.comp);
-                    }
-                    wops.push_back(writeComponent(open, id, p,
-                                                  row * su + plo, pbuf,
+            }
+            if (read_ok) {
+                // parity' = parity ^ old ^ new over each written range
+                // (short old reads are holes: zeros).
+                std::vector<std::uint8_t> pbuf(phi - plo, 0);
+                std::copy(old.back().begin(), old.back().end(),
+                          pbuf.begin());
+                std::vector<sim::Task<StoreResult<void>>> wops;
+                for (std::size_t i = 0; i < writes.size(); ++i) {
+                    const auto &uw = writes[i];
+                    const auto dst = std::span<std::uint8_t>(pbuf).subspan(
+                        uw.a - plo, uw.b - uw.a);
+                    xorInto(dst, uw.bytes);
+                    xorInto(dst, old[i]);
+                    wops.push_back(writeComponent(open, id, uw.comp,
+                                                  row * su + uw.a, uw.bytes,
                                                   ctx));
-                    wop_comp.push_back(p);
-                    auto wres = co_await sim::parallelGather(
-                        net_.simulator(), std::move(wops));
-                    failed = -1;
-                    failures = 0;
-                    for (std::size_t i = 0; i < wres.size(); ++i) {
-                        if (!wres[i].ok()) {
-                            ++failures;
-                            failed = wop_comp[i];
-                        }
-                    }
-                    if (failures == 0) {
-                        result = util::Result<void, CheopsStatus>{};
-                    } else if (failures == 1) {
-                        dead = failed;
-                    } else {
-                        result = util::Err{CheopsStatus::kDriveError};
-                    }
                 }
+                wops.push_back(writeComponent(open, id, p, row * su + plo,
+                                              pbuf, ctx));
+                auto wres = co_await sim::parallelGather(net_.simulator(),
+                                                         std::move(wops));
+                (void)tallyRow(wres, comps, dead, result);
             }
         }
 
@@ -1840,19 +1632,19 @@ CheopsClient::writeParityRow(OpenState *open, LogicalObjectId id,
                 rebuilding && locked, writes, plo, phi, ctx);
         }
 
-        if (locked)
-            co_await rebuildUnlock(id, ticket);
+        if (locked) {
+            // The permit is released or the rebuild is gone.
+            (void)co_await callManager<CheopsStatusReply>(
+                [&] { return mgr_.serveRebuildUnlock(id, ticket); });
+        }
 
         // If the layout changed while this row update ran — a rebuild
-        // started (fence bump failed a component write, the ladder
+        // started (fence bump failed a component write, withRefresh
         // refreshed, and the map now says rebuilding) or one finished
         // (the spare was swapped in and this attempt's degraded write
         // never reached it) — redo the row against the current map.
         // The redo is idempotent.
-        if (open->map.map_version != attempt_map_version) {
-            retry_row = true;
-        }
-        if (!retry_row)
+        if (open->map.map_version == attempt_map_version)
             break;
     }
     local.release();
@@ -1874,32 +1666,20 @@ CheopsClient::writeParityRowDegraded(
                                  util::FrEvent::kDegradedWrite,
                                  ctx.trace_id, id, row);
 
-    // Read the full row unit from every surviving component.
-    std::vector<sim::Task<StoreResult<std::vector<std::uint8_t>>>> reads;
-    std::vector<std::uint32_t> read_comp;
-    for (std::uint32_t c = 0;
-         c < static_cast<std::uint32_t>(open->map.components.size());
-         ++c) {
-        if (c == dead)
-            continue;
-        reads.push_back(readComponent(open, id, c, row * su, su, ctx));
-        read_comp.push_back(c);
-    }
-    auto old =
-        co_await sim::parallelGather(net_.simulator(), std::move(reads));
+    // Read the full row unit from every surviving component and
+    // reconstruct the dead unit (valid whether it is data or parity).
+    auto old = co_await readSurvivors(open, id, dead, row * su, su, ctx);
     std::vector<std::vector<std::uint8_t>> unit_by_comp(
         open->map.components.size());
-    for (std::size_t i = 0; i < old.size(); ++i) {
-        if (!old[i].ok())
-            co_return util::Err{CheopsStatus::kDriveError};
-        unit_by_comp[read_comp[i]] = std::move(old[i].value());
-        unit_by_comp[read_comp[i]].resize(su, 0);
-    }
-    // Reconstruct the dead unit (valid whether it is data or parity).
     unit_by_comp[dead].assign(su, 0);
-    for (std::size_t c = 0; c < unit_by_comp.size(); ++c)
-        if (c != dead)
-            xorInto(unit_by_comp[dead], unit_by_comp[c]);
+    if (!xorSurvivors(unit_by_comp[dead], old).ok())
+        co_return util::Err{CheopsStatus::kDriveError};
+    for (std::size_t i = 0; i < old.size(); ++i) {
+        auto &unit = unit_by_comp[i < dead ? i : i + 1];
+        if (old[i].ok()) // every read is, past the fold
+            unit = std::move(old[i].value());
+        unit.resize(su, 0);
+    }
 
     // Overlay the new bytes and recompute parity from the full row.
     for (const auto &uw : writes) {
@@ -1933,7 +1713,7 @@ CheopsClient::writeParityRowDegraded(
             std::span<const std::uint8_t>(pbuf).subspan(plo, phi - plo),
             ctx));
     }
-    if (write_through && open->rebuild_cred != nullptr) {
+    if (write_through) {
         // The dead unit's changed range: data writes if the dead
         // component holds a written data unit, the parity footprint if
         // it holds this row's parity.
@@ -1952,11 +1732,12 @@ CheopsClient::writeParityRowDegraded(
             node_.flightJournal().record(net_.simulator().now(),
                                          util::FrEvent::kWriteThrough,
                                          ctx.trace_id, id, row);
-            wops.push_back(writeThroughTarget(
-                open, row * su + ta,
-                std::span<const std::uint8_t>(unit_by_comp[dead])
-                    .subspan(ta, tb - ta),
-                ctx));
+            wops.push_back(
+                drive_clients_[open->map.rebuild_target.drive]->write(
+                    *open->rebuild_cred, row * su + ta,
+                    std::span<const std::uint8_t>(unit_by_comp[dead])
+                        .subspan(ta, tb - ta),
+                    ctx));
         }
     }
     auto wres =
@@ -1966,16 +1747,6 @@ CheopsClient::writeParityRowDegraded(
             co_return util::Err{CheopsStatus::kDriveError};
     }
     co_return util::Result<void, CheopsStatus>{};
-}
-
-sim::Task<StoreResult<void>>
-CheopsClient::writeThroughTarget(OpenState *open, std::uint64_t offset,
-                                 std::span<const std::uint8_t> data,
-                                 util::TraceContext ctx)
-{
-    auto &ref = open->map.rebuild_target;
-    co_return co_await drive_clients_[ref.drive]->write(
-        *open->rebuild_cred, offset, data, ctx);
 }
 
 } // namespace nasd::cheops

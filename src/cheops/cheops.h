@@ -82,9 +82,6 @@ struct CheopsMap
     /// Parallel to components when redundancy == kMirror, else empty.
     std::vector<ComponentRef> mirrors;
     Redundancy redundancy = Redundancy::kNone;
-    /// Set once any read had to fall back to a redundancy component;
-    /// survives capability refreshes until the map is re-opened.
-    bool degraded = false;
     /// kParity only: an online rebuild is reconstructing
     /// `rebuild_component` onto `rebuild_target`. While set, writes
     /// touching the dead component's stripe units must write through
@@ -176,7 +173,6 @@ class CheopsManager
                   PartitionId partition);
 
     net::NetNode &node() { return node_; }
-    std::size_t driveCount() const { return drives_.size(); }
 
     /** Format drives and create partitions. */
     sim::Task<void> initialize(std::uint64_t partition_quota_bytes);
@@ -266,8 +262,6 @@ class CheopsManager
     static std::uint32_t dataComponent(std::uint64_t row, std::uint32_t d,
                                        std::uint32_t data_width);
 
-    std::uint64_t controlOps() const { return control_ops_.value(); }
-
   private:
     struct LogicalObject
     {
@@ -284,18 +278,12 @@ class CheopsManager
         std::vector<std::uint8_t> mirror_stale;
     };
 
-    struct RebuildState
+    /** One rebuild: the progress it reports plus the engine's state. */
+    struct RebuildState : RebuildProgress
     {
-        bool active = false;
         std::uint32_t dead_comp = 0;
         std::uint32_t spare_drive = 0;
         ObjectId spare_oid = 0;
-        std::uint64_t rows_total = 0;
-        std::uint64_t rows_done = 0;
-        std::uint64_t bytes_reconstructed = 0;
-        std::uint64_t throttle_wait_ns = 0;
-        sim::Tick started_at = 0;
-        sim::Tick finished_at = 0;
         RebuildThrottle throttle;
         /// Serializes rebuild rows against client row updates.
         std::unique_ptr<sim::Semaphore> lock;
@@ -306,8 +294,33 @@ class CheopsManager
         std::uint64_t next_ticket = 1;
     };
 
-    Capability mintComponentCap(std::uint32_t drive, ObjectId oid,
-                                ObjectVersion version, bool want_write);
+    /** The object @p id; null, with @p status set to kNoSuchObject,
+     *  if there is none. */
+    LogicalObject *find(LogicalObjectId id, CheopsStatus &status);
+
+    /** Mint a capability for @p rights on one component object.
+     *  Control ops mint without expiry; data ops (@p expires) carry
+     *  kCapLifetimeNs. */
+    Capability mint(std::uint32_t drive, ObjectId oid, ObjectVersion version,
+                    std::uint8_t rights, bool expires);
+    /** A client's map entry: read(+write) capability, journaled as
+     *  kCapMint. */
+    ComponentRef componentRef(std::uint32_t drive, ObjectId oid,
+                              ObjectVersion version, bool want_write);
+
+    /** Remove one component object; false if the drive refused. */
+    sim::Task<bool> removeObject(std::uint32_t drive, ObjectId oid,
+                                 ObjectVersion version);
+
+    /** Advance the map version and journal the fence as @p why. */
+    void bumpMapVersion(LogicalObjectId id, LogicalObject &obj,
+                        const char *why);
+
+    /** Bump every component's drive-side version but @p skip (-1:
+     *  none) and adopt the new versions; a failed bump does not stop
+     *  the rest. @return false if any bump failed. */
+    sim::Task<bool> fenceComponents(LogicalObject &obj, std::int64_t skip,
+                                    bool expires);
 
     // The manager acting as a drive client (rebuild + resync paths).
     sim::Task<StoreResult<std::vector<std::uint8_t>>>
@@ -317,10 +330,11 @@ class CheopsManager
     managerWrite(std::uint32_t drive, ObjectId oid, ObjectVersion version,
                  std::uint64_t offset, std::vector<std::uint8_t> data);
     sim::Task<StoreResult<ObjectAttributes>>
-    managerGetAttr(std::uint32_t drive, ObjectId oid, ObjectVersion version);
+    managerGetAttr(std::uint32_t drive, ObjectId oid, ObjectVersion version,
+                   bool expires);
     sim::Task<StoreResult<ObjectAttributes>>
     managerBumpVersion(std::uint32_t drive, ObjectId oid,
-                       ObjectVersion version);
+                       ObjectVersion version, bool expires);
 
     /** The detached rebuild engine: one spawned frame per rebuild. */
     sim::Task<void> rebuildLoop(LogicalObjectId id);
@@ -436,7 +450,7 @@ class CheopsClient
         bool writable = false;
         std::vector<std::unique_ptr<CredentialFactory>> creds;
         std::vector<std::unique_ptr<CredentialFactory>> mirror_creds;
-        /// kParity rebuild write-through target (null unless rebuilding).
+        /// kParity rebuild write-through target (valid while rebuilding).
         std::unique_ptr<CredentialFactory> rebuild_cred;
         /// Last time a failed component made us re-ask the manager for
         /// a fresh map (a completed rebuild moves the component).
@@ -449,27 +463,37 @@ class CheopsClient
     sim::Task<util::Result<OpenState *, CheopsStatus>>
     ensureOpen(LogicalObjectId id, bool want_write);
 
-    /**
-     * Re-fetch the capability set after an expiry and rebind the
-     * existing CredentialFactory objects in place (coroutines
-     * suspended mid-transfer hold references to them). For kParity the
-     * component *bindings* (drive, oid) are refreshed in place too —
-     * a completed rebuild moves a component to the spare drive.
-     * @return true if fresh capabilities were installed.
-     */
-    sim::Task<bool> refreshCaps(LogicalObjectId id, bool want_write);
+    /** One round trip to the manager: @p serve runs there and returns
+     *  the manager's Task<Reply>. */
+    template <typename Reply, typename Serve>
+    sim::Task<Reply> callManager(Serve serve);
 
     /**
-     * Read a component range with the standard recovery ladder:
-     * refresh-once on capability expiry, and — kParity only — refresh
-     * on version mismatch (rebuild fencing bumps versions; a revoked
-     * mirror/none-mode capability must stay revoked). Bytes land in
-     * @p out; returns the byte count read.
+     * Re-fetch the capability set with the open's rights and rebind
+     * the existing CredentialFactory objects in place (coroutines
+     * suspended mid-transfer hold references to them). The component
+     * *bindings* (drive, oid) are refreshed in place too — a completed
+     * rebuild moves a component to the spare drive.
+     * @return true if fresh capabilities were installed.
+     */
+    sim::Task<bool> refreshCaps(LogicalObjectId id);
+
+    /** The one recovery rule for component I/O: on an expired
+     *  capability — or, kParity only, a version mismatch (the rebuild
+     *  fence; elsewhere revoked must stay revoked) — refresh the
+     *  capability set once and run @p op once more. */
+    template <typename Op>
+    auto withRefresh(OpenState *open, LogicalObjectId id, Op op)
+        -> decltype(op());
+
+    /**
+     * Read a component range (its replica when @p mirror) under
+     * withRefresh(). Bytes land in @p out; returns the byte count read.
      */
     sim::Task<StoreResult<std::uint64_t>>
     readComponent(OpenState *open, LogicalObjectId id, std::uint32_t comp,
                   std::uint64_t offset, std::span<std::uint8_t> out,
-                  util::TraceContext ctx);
+                  util::TraceContext ctx, bool mirror = false);
 
     /** readComponent() into a fresh vector of the bytes read. */
     sim::Task<StoreResult<std::vector<std::uint8_t>>>
@@ -477,11 +501,32 @@ class CheopsClient
                   std::uint64_t offset, std::uint64_t length,
                   util::TraceContext ctx);
 
-    /** Same ladder for writes. */
+    /** Same rule for writes. */
     sim::Task<StoreResult<void>>
     writeComponent(OpenState *open, LogicalObjectId id, std::uint32_t comp,
                    std::uint64_t offset, std::span<const std::uint8_t> data,
-                   util::TraceContext ctx);
+                   util::TraceContext ctx, bool mirror = false);
+
+    /** Read one range of every component but @p dead, in component
+     *  order (the survivors of a row). */
+    sim::Task<std::vector<StoreResult<std::vector<std::uint8_t>>>>
+    readSurvivors(OpenState *open, LogicalObjectId id, std::uint32_t dead,
+                  std::uint64_t offset, std::uint64_t length,
+                  util::TraceContext ctx);
+
+    /** Run one client op under its span and latency histogram; the
+     *  op's single exit closes both, whatever the outcome. */
+    template <typename R, typename Body>
+    sim::Task<R> tracedOp(const char *name, util::LogHistogram &latency,
+                          util::TraceContext parent, Body body);
+
+    /** read() / write() inside their span. */
+    sim::Task<util::Result<ReadOutcome, CheopsStatus>>
+    readRuns(LogicalObjectId id, std::uint64_t offset,
+             std::span<std::uint8_t> out, util::TraceContext ctx);
+    sim::Task<util::Result<void, CheopsStatus>>
+    writeRuns(LogicalObjectId id, std::uint64_t offset,
+              std::span<const std::uint8_t> data, util::TraceContext ctx);
 
     /**
      * Reconstruct [offset, offset+length) of component @p dead by
@@ -494,12 +539,8 @@ class CheopsClient
                      std::uint64_t offset, std::uint64_t length,
                      util::TraceContext ctx);
 
-    /** kParity write planner: split into rows, FSW or RMW per row. */
-    sim::Task<util::Result<void, CheopsStatus>>
-    writeParity(OpenState *open, LogicalObjectId id, std::uint64_t offset,
-                std::span<const std::uint8_t> data, util::TraceContext ctx);
-
-    /** One row's update (runs under the row lock; may retry degraded). */
+    /** One row's update (runs under the row lock; may retry degraded):
+     *  read-modify-write, whose read phase a full-row write skips. */
     sim::Task<util::Result<void, CheopsStatus>>
     writeParityRow(OpenState *open, LogicalObjectId id, std::uint64_t row,
                    std::uint64_t offset, std::span<const std::uint8_t> data,
@@ -508,7 +549,6 @@ class CheopsClient
     /** A data unit's written footprint within one stripe row. */
     struct RowUnitWrite
     {
-        std::uint32_t d = 0;    ///< data slot in the row
         std::uint32_t comp = 0; ///< owning component
         std::uint64_t a = 0, b = 0; ///< within-unit range [a, b)
         std::span<const std::uint8_t> bytes;
@@ -525,22 +565,6 @@ class CheopsClient
         std::uint32_t dead, bool write_through,
         const std::vector<RowUnitWrite> &writes, std::uint64_t plo,
         std::uint64_t phi, util::TraceContext ctx);
-
-    /** Write to the rebuild target object (spare) during write-through. */
-    sim::Task<StoreResult<void>>
-    writeThroughTarget(OpenState *open, std::uint64_t offset,
-                       std::span<const std::uint8_t> data,
-                       util::TraceContext ctx);
-
-    /** Manager rebuild-lock bracket for row updates during a rebuild. */
-    sim::Task<util::Result<std::uint64_t, CheopsStatus>>
-    rebuildLock(LogicalObjectId id);
-    sim::Task<void> rebuildUnlock(LogicalObjectId id, std::uint64_t ticket);
-
-    /** Report a one-sided mirror write failure to the manager. */
-    sim::Task<util::Result<void, CheopsStatus>>
-    markDegraded(LogicalObjectId id, std::uint32_t component,
-                 bool mirror_side);
 
     net::Network &net_;
     net::NetNode &node_;

@@ -87,6 +87,7 @@ frEventName(FrEvent e)
       case FrEvent::kMapRefresh:         return "map_refresh";
       case FrEvent::kRebuildStart:       return "rebuild_start";
       case FrEvent::kRebuildComplete:    return "rebuild_complete";
+      case FrEvent::kRebuildAbort:       return "rebuild_abort";
       case FrEvent::kRowLockAcquire:     return "row_lock_acquire";
       case FrEvent::kRowLockRelease:     return "row_lock_release";
       case FrEvent::kDegradedRead:       return "degraded_read";

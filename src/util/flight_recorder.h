@@ -75,6 +75,7 @@ enum class FrEvent : std::uint8_t
     // Rebuild engine.
     kRebuildStart,    ///< a = object id, b = dead component
     kRebuildComplete, ///< a = object id, b = rows done
+    kRebuildAbort,    ///< a = object id, b = rows done, detail = why
     kRowLockAcquire,  ///< a = object id, b = ticket (0 = engine)
     kRowLockRelease,  ///< a = object id, b = ticket (0 = engine)
     // Degraded-mode transitions.

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "cheops/cheops.h"
@@ -14,6 +15,7 @@
 #include "pfs/comm.h"
 #include "pfs/pfs.h"
 #include "sim/simulator.h"
+#include "util/trace.h"
 #include "util/units.h"
 
 namespace nasd::cheops {
@@ -216,6 +218,63 @@ TEST_F(CheopsTest, ParallelReadBeatsSingleDrive)
     (void)runFor(client->read(narrow, 0, out));
     const auto narrow_time = sim.now() - t0;
     EXPECT_LT(wide_time, narrow_time);
+}
+
+/** Spans of one op recorded while tracing is installed. */
+class CheopsSpanTest : public CheopsTest
+{
+  protected:
+    CheopsSpanTest() { util::setTracer(&tracer); }
+    ~CheopsSpanTest() override { util::setTracer(nullptr); }
+
+    /** The only recorded span named @p name. */
+    const util::Tracer::Span *
+    only(const std::string &name) const
+    {
+        const util::Tracer::Span *found = nullptr;
+        for (const auto &s : tracer.spans()) {
+            if (s.name == name) {
+                EXPECT_EQ(found, nullptr) << "second " << name << " span";
+                found = &s;
+            }
+        }
+        return found;
+    }
+
+    util::Tracer tracer;
+};
+
+TEST_F(CheopsSpanTest, StripedWriteSpanEnclosesItsDriveWrites)
+{
+    const auto id = runFor(client->create(64 * kKB, 0)).value();
+    ASSERT_TRUE(runFor(client->write(id, 0, pattern(256 * kKB))).ok());
+
+    const auto *op = only("cheops/write");
+    ASSERT_NE(op, nullptr);
+    EXPECT_GT(op->end_ns, op->begin_ns);
+    std::size_t children = 0;
+    for (const auto &s : tracer.spans()) {
+        if (s.name != "nasd/write" || s.parent_span != op->ctx.span_id)
+            continue;
+        ++children;
+        EXPECT_GE(s.begin_ns, op->begin_ns);
+        EXPECT_LE(s.end_ns, op->end_ns);
+    }
+    EXPECT_EQ(children, 4u); // one 64 KB unit per drive
+}
+
+TEST_F(CheopsSpanTest, FailedOpenStillClosesTheOpSpan)
+{
+    // No such object: the manager round trip fails the op, and the
+    // span still covers it.
+    std::vector<std::uint8_t> out(64 * kKB);
+    ASSERT_FALSE(runFor(client->read(42, 0, out)).ok());
+    ASSERT_FALSE(runFor(client->write(42, 0, out)).ok());
+    for (const char *name : {"cheops/read", "cheops/write"}) {
+        const auto *op = only(name);
+        ASSERT_NE(op, nullptr) << name;
+        EXPECT_GT(op->end_ns, op->begin_ns) << name;
+    }
 }
 
 } // namespace

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
+#include <ostream>
 #include <span>
 #include <vector>
 
@@ -439,25 +440,172 @@ TEST_F(CheopsFaultTest, MirrorDivergenceFencedUntilResync)
     EXPECT_EQ(out, v2);
 }
 
-TEST_F(CheopsFaultTest, CapExpiryRefreshedBetweenReads)
-{
-    const auto id = runFor(sim, client->create(64 * kKB, 0)).value();
-    const auto data = pattern(256 * kKB, 17);
-    ASSERT_TRUE(runFor(sim, client->write(id, 0, data)).ok());
+/** A component I/O path that meets an expired capability set. */
+enum class ExpiredPath {
+    kStripedRead,
+    kStripedWrite,
+    kMirroredWrite,            ///< both sides take the bytes
+    kMirroredWritePrimaryDown, ///< only the mirror side refreshes
+    kMirroredDegradedRead,     ///< the mirror read refreshes
+    kParityRmw,
+    kParityFullRow,
+};
 
-    std::vector<std::uint8_t> out(256 * kKB);
-    ASSERT_TRUE(runFor(sim, client->read(id, 0, out)).ok());
+class CheopsCapExpiryTest : public CheopsFaultTest,
+                            public ::testing::WithParamInterface<ExpiredPath>
+{
+  protected:
+    /** Read the whole object with drive @p down failed (-1: none). */
+    std::vector<std::uint8_t>
+    readAll(cheops::LogicalObjectId id, std::size_t n, int down = -1)
+    {
+        if (down >= 0)
+            drives[static_cast<std::size_t>(down)]->setFailed(true);
+        std::vector<std::uint8_t> out(n);
+        auto r = runFor(sim, client->read(id, 0, out));
+        if (down >= 0)
+            drives[static_cast<std::size_t>(down)]->setFailed(false);
+        EXPECT_TRUE(r.ok());
+        return out;
+    }
+};
+
+TEST_P(CheopsCapExpiryTest, RefreshedOnceThenServed)
+{
+    const ExpiredPath path = GetParam();
+    const bool mirrored = path == ExpiredPath::kMirroredWrite ||
+                          path == ExpiredPath::kMirroredWritePrimaryDown ||
+                          path == ExpiredPath::kMirroredDegradedRead;
+    const bool parity = path == ExpiredPath::kParityRmw ||
+                        path == ExpiredPath::kParityFullRow;
+    // Mirrored objects use one component (primary on nasd0, mirror on
+    // nasd1) so the side that meets the expiry is deterministic. The
+    // parity object is 3 data units + parity per 192 KB row.
+    const auto redundancy = mirrored ? cheops::Redundancy::kMirror
+                            : parity ? cheops::Redundancy::kParity
+                                     : cheops::Redundancy::kNone;
+    const auto id = runFor(sim, client->create(64 * kKB, mirrored ? 1 : 0,
+                                               0, redundancy))
+                        .value();
+    auto model = pattern(384 * kKB, 17);
+    ASSERT_TRUE(runFor(sim, client->write(id, 0, model)).ok());
+    ASSERT_EQ(readAll(id, model.size()), model);
 
     // Outlive the component capability set (1 h lifetime); the next
-    // read must refresh the set through the manager, transparently.
+    // component op must refresh the set through the manager, once, and
+    // then succeed.
     sim.runUntil(sim.now() + sim::sec(3601));
     const auto mgr_calls = client->managerCalls();
-    std::fill(out.begin(), out.end(), 0);
+    const auto update = [&](std::uint64_t offset, std::size_t n) {
+        const auto bytes = pattern(n, 99);
+        std::copy(bytes.begin(), bytes.end(),
+                  model.begin() + static_cast<std::ptrdiff_t>(offset));
+        EXPECT_TRUE(runFor(sim, client->write(id, offset, bytes)).ok());
+    };
+    switch (path) {
+      case ExpiredPath::kStripedRead:
+      case ExpiredPath::kMirroredDegradedRead: {
+        const bool down = path == ExpiredPath::kMirroredDegradedRead;
+        if (down)
+            drives[0]->setFailed(true);
+        std::vector<std::uint8_t> out(model.size());
+        auto r = runFor(sim, client->read(id, 0, out));
+        drives[0]->setFailed(false);
+        ASSERT_TRUE(r.ok());
+        EXPECT_EQ(r.value().degraded(), down);
+        EXPECT_EQ(out, model);
+        break;
+      }
+      case ExpiredPath::kStripedWrite:
+      case ExpiredPath::kMirroredWrite:
+        update(8 * kKB, 200 * kKB);
+        break;
+      case ExpiredPath::kMirroredWritePrimaryDown:
+        drives[0]->setFailed(true);
+        update(8 * kKB, 200 * kKB);
+        break;
+      case ExpiredPath::kParityRmw:
+        update(8 * kKB, 16 * kKB); // inside one data unit of row 0
+        break;
+      case ExpiredPath::kParityFullRow:
+        update(192 * kKB, 192 * kKB); // exactly row 1
+        break;
+    }
+    EXPECT_GT(client->managerCalls(), mgr_calls);
+
+    if (path == ExpiredPath::kMirroredWritePrimaryDown) {
+        // The primary missed the write and is fenced; the mirror
+        // serves the new bytes.
+        EXPECT_EQ(readAll(id, model.size(), 0), model);
+        return;
+    }
+    drives[0]->setFailed(false);
+    EXPECT_EQ(readAll(id, model.size()), model);
+    if (mirrored) {
+        // Both sides hold the bytes: each serves them alone.
+        EXPECT_EQ(readAll(id, model.size(), 0), model);
+        EXPECT_EQ(readAll(id, model.size(), 1), model);
+    }
+    if (parity) {
+        // The parity written after the refresh reconstructs every unit.
+        for (int d = 0; d < kDrives; ++d)
+            EXPECT_EQ(readAll(id, model.size(), d), model) << "nasd" << d;
+    }
+}
+
+void
+PrintTo(ExpiredPath path, std::ostream *os)
+{
+    static const char *const kNames[] = {
+        "StripedRead",          "StripedWrite", "MirroredWrite",
+        "MirroredWritePrimaryDown", "MirroredDegradedRead",
+        "ParityRmw",            "ParityFullRow"};
+    *os << kNames[static_cast<int>(path)];
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Paths, CheopsCapExpiryTest,
+    ::testing::Values(ExpiredPath::kStripedRead, ExpiredPath::kStripedWrite,
+                      ExpiredPath::kMirroredWrite,
+                      ExpiredPath::kMirroredWritePrimaryDown,
+                      ExpiredPath::kMirroredDegradedRead,
+                      ExpiredPath::kParityRmw, ExpiredPath::kParityFullRow));
+
+TEST_F(CheopsFaultTest, ParityVersionMismatchRetriedOnlyOnce)
+{
+    // Bump one parity component's version on the drive behind the
+    // manager's back: every capability the manager mints for it now
+    // fails with kVersionMismatch, even after a refresh.
+    const auto id = runFor(sim, client->create(64 * kKB, 0, 0,
+                                               cheops::Redundancy::kParity))
+                        .value();
+    const auto data = pattern(192 * kKB, 23); // one full row
+    ASSERT_TRUE(runFor(sim, client->write(id, 0, data)).ok());
+    auto map = runFor(sim, client->open(id, false)).value();
+    // Row 0's first data unit lives on component 0.
+    ASSERT_EQ(cheops::CheopsManager::dataComponent(0, 0, 3), 0u);
+    const auto &victim = map->components[0];
+    CapabilityIssuer issuer(drives[victim.drive]->config().master_key,
+                            drives[victim.drive]->id());
+    CapabilityPublic pub;
+    pub.object_id = victim.oid;
+    pub.rights = kRightSetAttr;
+    CredentialFactory cred(issuer.mint(pub));
+    NasdClient direct(net, client_node, *drives[victim.drive]);
+    SetAttrRequest bump;
+    bump.bump_version = true;
+    ASSERT_TRUE(runFor(sim, direct.setAttr(cred, bump)).ok());
+
+    // Reading that unit: the component read refreshes once and retries
+    // (1 call), the map reprobe refreshes (1), its read refreshes once
+    // more (1), and the unit is then rebuilt from the survivors.
+    const auto mgr_calls = client->managerCalls();
+    std::vector<std::uint8_t> out(64 * kKB);
     auto r = runFor(sim, client->read(id, 0, out));
     ASSERT_TRUE(r.ok());
-    EXPECT_FALSE(r.value().degraded());
-    EXPECT_EQ(out, data);
-    EXPECT_GT(client->managerCalls(), mgr_calls);
+    EXPECT_TRUE(r.value().degraded());
+    EXPECT_TRUE(std::equal(out.begin(), out.end(), data.begin()));
+    EXPECT_EQ(client->managerCalls() - mgr_calls, 3u);
 }
 
 // ---------------------------------------------------------------- NFS

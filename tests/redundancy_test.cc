@@ -6,13 +6,16 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "cheops/cheops.h"
 #include "net/presets.h"
 #include "sim/simulator.h"
+#include "util/flight_recorder.h"
 #include "util/units.h"
 
 namespace nasd::cheops {
@@ -588,6 +591,113 @@ TEST_F(ParityTest, RebuildCompletesWhileWriting)
     auto n = runFor(client->read(id, 0, out));
     ASSERT_TRUE(n.ok());
     EXPECT_EQ(out, updated);
+}
+
+/** An aborted rebuild: the spare it allocated is removed again, and
+ *  the abort is journaled. */
+class RebuildAbortTest : public ParityTest
+{
+  protected:
+    /** Start a throttled rebuild of component 0 onto the spare drive
+     *  and run until the engine has done @p rows rows. */
+    void
+    startRebuildAndRun(LogicalObjectId id, std::uint64_t rows)
+    {
+        spare = spareDrive(id);
+        spare_objects = listSpare();
+        // The manager node's journal is process-wide: count from here.
+        const auto &journal = mgr_node.flightJournal();
+        for (std::size_t i = 0; i < journal.size(); ++i)
+            journal_mark = std::max(journal_mark, journal.at(i).seq);
+        auto map = runFor(client->open(id, false)).value();
+        survivor = map->components[1].drive;
+        drives[map->components[0].drive]->setFailed(true);
+
+        RebuildThrottle throttle;
+        throttle.token_interval_ns = 2'000'000;
+        throttle.burst = 1;
+        sim.spawn([](Task<util::Result<void, CheopsStatus>> t,
+                     bool &ok) -> Task<void> {
+            ok = (co_await std::move(t)).ok();
+        }(client->startRebuild(id, 0, spare, throttle), started));
+        for (int step = 0;
+             step < 1000 && mgr->rebuildProgress(id).rows_done < rows;
+             ++step)
+            sim.runUntil(sim.now() + 1'000'000);
+        ASSERT_TRUE(started);
+        const auto prog = mgr->rebuildProgress(id);
+        ASSERT_TRUE(prog.active);
+        ASSERT_GE(prog.rows_done, rows);
+        ASSERT_LT(prog.rows_done, prog.rows_total);
+    }
+
+    /** The spare partition's objects (runs the simulator dry). */
+    std::vector<ObjectId>
+    listSpare()
+    {
+        return runFor(drives[spare]->store().listObjects(0)).value();
+    }
+
+    /** Run until the engine reports itself inactive. */
+    void
+    runUntilInactive(LogicalObjectId id)
+    {
+        for (int step = 0; step < 1000 && mgr->rebuildProgress(id).active;
+             ++step)
+            sim.runUntil(sim.now() + 1'000'000);
+        const auto prog = mgr->rebuildProgress(id);
+        EXPECT_FALSE(prog.active);
+        EXPECT_LT(prog.rows_done, prog.rows_total);
+        EXPECT_GE(prog.finished_at, prog.started_at);
+    }
+
+    /** Manager journal events of kind @p name since the rebuild
+     *  started. */
+    std::size_t
+    journaled(std::string_view name)
+    {
+        std::size_t n = 0;
+        const auto &journal = mgr_node.flightJournal();
+        for (std::size_t i = 0; i < journal.size(); ++i) {
+            const auto &e = journal.at(i);
+            n += e.seq > journal_mark && util::frEventName(e.kind) == name;
+        }
+        return n;
+    }
+
+    std::uint32_t spare = 0;
+    std::uint32_t survivor = 0;
+    std::vector<ObjectId> spare_objects;
+    std::uint64_t journal_mark = 0;
+    bool started = false;
+};
+
+TEST_F(RebuildAbortTest, SecondFailureRemovesTheSpare)
+{
+    const auto id = createParity(2);
+    ASSERT_TRUE(runFor(client->write(id, 0, pattern(16 * 2 * kSu, 5))).ok());
+    startRebuildAndRun(id, 3);
+
+    // A second survivor dies: the row cannot be reconstructed.
+    drives[survivor]->setFailed(true);
+    runUntilInactive(id);
+    EXPECT_EQ(listSpare(), spare_objects);
+    EXPECT_EQ(journaled("rebuild_abort"), 1u);
+    EXPECT_EQ(journaled("rebuild_complete"), 0u);
+}
+
+TEST_F(RebuildAbortTest, RemovedObjectRemovesTheSpare)
+{
+    const auto id = createParity(2);
+    ASSERT_TRUE(runFor(client->write(id, 0, pattern(16 * 2 * kSu, 6))).ok());
+    startRebuildAndRun(id, 2);
+
+    // The failed drive keeps its component, so the remove reports
+    // kDriveError; the object is gone from the manager either way.
+    EXPECT_FALSE(runFor(client->remove(id)).ok());
+    runUntilInactive(id);
+    EXPECT_EQ(listSpare(), spare_objects);
+    EXPECT_EQ(journaled("rebuild_abort"), 1u);
 }
 
 } // namespace

@@ -116,6 +116,10 @@ def find_rebuild_race(events, radius):
     done = first(lambda e: e["kind"] == "rebuild_complete")
     refence = first(lambda e: e["kind"] == "version_fence"
                     and e.get("detail") == "rebuild_refence")
+    aborted = first(lambda e: e["kind"] == "rebuild_abort")
+    if done is None and aborted is not None:
+        sys.exit(f"the rebuild aborted ({aborted.get('detail')}) after "
+                 f"{aborted['b']} rows: no completed rebuild to race")
     for name, ev in (("rebuild_fence", fence), ("rebuild_start", start),
                      ("rebuild_complete", done),
                      ("rebuild_refence", refence)):
