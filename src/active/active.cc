@@ -1,7 +1,10 @@
 #include "active/active.h"
 
 #include <algorithm>
+#include <memory>
+#include <span>
 
+#include "sim/sync.h"
 #include "util/codec.h"
 #include "util/logging.h"
 
@@ -10,6 +13,16 @@ namespace nasd::active {
 namespace {
 
 constexpr std::uint64_t kControlPayload = 128; // args + method name
+
+/** The scan's second stage: charge @p cycles of the method to the
+ *  drive CPU, then open @p done for the scan to join on. */
+sim::Task<void>
+runKernel(sim::CpuResource &cpu, std::uint64_t cycles,
+          std::shared_ptr<sim::Gate> done)
+{
+    co_await cpu.executeAt(cycles, 1.0);
+    done->open();
+}
 
 } // namespace
 
@@ -53,32 +66,52 @@ ActiveDiskRuntime::serveScan(RequestCredential cred, RequestParams params,
     }
     const std::uint64_t size = attrs.value().size;
 
+    // Two-stage pipeline: while the drive CPU runs the method over
+    // chunk k (stage two, spawned), the object store reads chunk k+1
+    // (stage one, inline). Each chunk goes to consume() the moment it
+    // arrives, host work at zero simulated time, so one buffer is
+    // enough: the next read may overwrite it while stage two is still
+    // charging the kernel's cycles for the bytes it held. Stage two is
+    // joined before the next chunk is consumed and before every exit.
     auto method = factory_it->second();
-    std::vector<std::uint8_t> chunk;
-    std::uint64_t offset = 0;
-    while (offset < size) {
+    std::vector<std::uint8_t> chunk(std::min(kScanChunkBytes, size));
+    const auto read = [&](std::uint64_t offset) {
         const std::uint64_t n = std::min(kScanChunkBytes, size - offset);
-        chunk.resize(n);
-        auto got = co_await drive_.store().read(
-            cred.pub.partition, params.object_id, offset, chunk);
-        if (!got.ok()) {
-            resp.status = got.error();
-            co_return resp;
-        }
-        chunk.resize(got.value());
+        return drive_.store().read(cred.pub.partition, params.object_id,
+                                   offset, std::span(chunk).first(n));
+    };
+    std::uint64_t offset = 0;
+    StoreResult<std::uint64_t> got = std::uint64_t{0};
+    if (size > 0)
+        got = co_await read(0);
+    while (got.ok() && got.value() > 0 && !drive_.crashed()) {
+        const std::uint64_t n = got.value();
+        method->consume(std::span(chunk).first(n));
+        offset += n;
+        bytes_scanned_ += n;
+        resp.bytes_scanned += n;
 
-        // The method runs on the drive CPU.
         const auto cycles = static_cast<std::uint64_t>(
-            method->cyclesPerByte() * static_cast<double>(chunk.size()));
-        if (cycles > 0)
-            co_await drive_.node().cpu().executeAt(cycles, 1.0);
-        method->consume(chunk);
-
-        offset += got.value();
-        bytes_scanned_ += got.value();
-        resp.bytes_scanned += got.value();
-        if (got.value() == 0)
-            break;
+            method->cyclesPerByte() * static_cast<double>(n));
+        std::shared_ptr<sim::Gate> kernel;
+        if (cycles > 0) {
+            kernel = std::make_shared<sim::Gate>(drive_.simulator());
+            drive_.simulator().spawn(
+                runKernel(drive_.node().cpu(), cycles, kernel));
+        }
+        got = std::uint64_t{0};
+        if (offset < size)
+            got = co_await read(offset);
+        if (kernel)
+            co_await kernel->wait();
+    }
+    // As for a read, a crash while the scan was inside the store
+    // rejects it: no result leaves the drive.
+    if (got.ok() && drive_.crashed())
+        got = util::Err{NasdStatus::kDriveUnavailable};
+    if (!got.ok()) {
+        resp.status = got.error();
+        co_return resp;
     }
     resp.result = method->result();
     co_return resp;

@@ -82,8 +82,9 @@ class ActiveDiskRuntime
     /**
      * Server-side handler: run method @p name over the capability's
      * object. The drive pays its normal media/cache time to read the
-     * data plus the method's per-byte execution cost; only the result
-     * is returned.
+     * data plus the method's per-byte execution cost, pipelined so
+     * the read of each chunk overlaps the kernel over the one before;
+     * only the result is returned.
      */
     sim::Task<ScanResponse> serveScan(RequestCredential cred,
                                       RequestParams params,
@@ -92,13 +93,13 @@ class ActiveDiskRuntime
     /** Total bytes all scans have consumed at this drive. */
     std::uint64_t bytesScanned() const { return bytes_scanned_; }
 
+    /// Data is read and consumed at the drive in these units.
+    static constexpr std::uint64_t kScanChunkBytes = 512 * 1024;
+
   private:
     NasdDrive &drive_;
     std::map<std::string, MethodFactory> methods_;
     std::uint64_t bytes_scanned_ = 0;
-
-    /// Data is consumed at the drive in these units.
-    static constexpr std::uint64_t kScanChunkBytes = 512 * 1024;
 };
 
 /** Client stub: request a remote scan, receive only the result. */

@@ -332,7 +332,7 @@ CheopsManager::serveOpen(LogicalObjectId id, bool want_write)
     }
     if (obj->redundancy == Redundancy::kParity) {
         const auto rit = rebuilds_.find(id);
-        if (rit != rebuilds_.end() && rit->second.active) {
+        if (rit != rebuilds_.end() && rit->second.namesSpare()) {
             reply.map.rebuilding = true;
             reply.map.rebuild_component = rit->second.dead_comp;
             // Write-through needs write rights regardless of how the
@@ -710,6 +710,7 @@ CheopsManager::serveStartRebuild(LogicalObjectId id,
         .rows_total = (max_size + obj->stripe_unit_bytes - 1) /
                       obj->stripe_unit_bytes,
         .started_at = sim_.now()};
+    rb.aborted = false;
     rb.dead_comp = dead_component;
     rb.spare_drive = spare_drive;
     rb.spare_oid = spare.value();
@@ -832,6 +833,13 @@ CheopsManager::rebuildLoop(LogicalObjectId id)
         }
         stopped = "object_removed";
     }
+    // Fence before the spare removal can yield: from here on the
+    // rebuild lock refuses clients that hold the `rebuilding` map, and
+    // the refresh they make finds a newer map that names no spare
+    // (namesSpare() is false while the removal is in flight).
+    rb.aborted = true;
+    if (const auto oit = objects_.find(id); oit != objects_.end())
+        bumpMapVersion(id, oit->second, "rebuild_abort");
     // Every exit that does not swap the spare in gives its space back
     // (best effort: the spare drive may be the one that failed) before
     // the rebuild reports itself finished.
@@ -853,6 +861,12 @@ CheopsManager::serveRebuildLock(LogicalObjectId id)
     }
     RebuildState &rb = rit->second;
     auto permit = co_await sim::scopedAcquire(sim_, *rb.lock);
+    // Only an abort refuses: after a completion the survivors' version
+    // fence already turns a stale client away at the drives.
+    if (rb.aborted) {
+        reply.status = CheopsStatus::kStaleMap;
+        co_return reply;
+    }
     reply.ticket = rb.next_ticket++;
     rb.held.emplace(reply.ticket, std::move(permit));
     node_.flightJournal().record(sim_.now(),
@@ -941,6 +955,19 @@ CheopsClient::ensureOpen(LogicalObjectId id, bool want_write)
     if (reply.status != CheopsStatus::kOk)
         co_return util::Err{reply.status};
 
+    // An upgrade, or an open that raced this one: the existing state
+    // may be in use by suspended transfers, so it is rebound in place.
+    it = open_objects_.find(id);
+    if (it != open_objects_.end()) {
+        OpenState &state = it->second;
+        if (state.writable && !want_write)
+            co_return &state; // never trade write rights for read
+        if (!bindOpen(state, reply.map))
+            co_return util::Err{CheopsStatus::kStaleMap};
+        state.writable = want_write;
+        co_return &state;
+    }
+
     OpenState state;
     state.map = std::move(reply.map);
     state.writable = want_write;
@@ -961,9 +988,33 @@ CheopsClient::ensureOpen(LogicalObjectId id, bool want_write)
                 std::make_unique<sim::Semaphore>(net_.simulator(), 1));
         }
     }
-    auto [pos, inserted] =
-        open_objects_.insert_or_assign(id, std::move(state));
-    co_return &pos->second;
+    co_return &open_objects_.emplace(id, std::move(state)).first->second;
+}
+
+bool
+CheopsClient::bindOpen(OpenState &state, const CheopsMap &map)
+{
+    if (map.components.size() != state.creds.size() ||
+        map.mirrors.size() != state.mirror_creds.size())
+        return false;
+    // The whole ComponentRef is assigned (not just the capability): a
+    // completed rebuild moves a component to the spare drive, and the
+    // suspended runs must see the new (drive, oid) binding.
+    for (std::size_t i = 0; i < state.creds.size(); ++i) {
+        state.creds[i]->rebind(map.components[i].capability);
+        state.map.components[i] = map.components[i];
+    }
+    for (std::size_t i = 0; i < state.mirror_creds.size(); ++i) {
+        state.mirror_creds[i]->rebind(map.mirrors[i].capability);
+        state.map.mirrors[i] = map.mirrors[i];
+    }
+    state.map.map_version = map.map_version;
+    state.map.rebuilding = map.rebuilding;
+    state.map.rebuild_component = map.rebuild_component;
+    state.map.rebuild_target = map.rebuild_target;
+    if (map.rebuilding) // only parity maps rebuild
+        state.rebuild_cred->rebind(map.rebuild_target.capability);
+    return true;
 }
 
 sim::Task<bool>
@@ -979,39 +1030,17 @@ CheopsClient::refreshCaps(LogicalObjectId id)
         [&] { return mgr_.serveOpen(id, writable); });
     if (reply.status != CheopsStatus::kOk)
         co_return false;
-    if (reply.map.components.size() != state.creds.size() ||
-        reply.map.mirrors.size() != state.mirror_creds.size())
+    const std::uint32_t old_version = state.map.map_version;
+    if (!bindOpen(state, reply.map))
         co_return false; // layout changed under us; caller re-opens
-
-    // Rebind in place: parallel fetch/push runs hold references to the
-    // existing factories and into the map's component vectors, so fresh
-    // capabilities are installed element-wise — never by replacing the
-    // map or swapping the unique_ptrs, either of which would dangle.
-    // The whole ComponentRef is assigned (not just the capability): a
-    // completed rebuild moves a component to the spare drive, and the
-    // suspended runs must see the new (drive, oid) binding.
-    for (std::size_t i = 0; i < state.creds.size(); ++i) {
-        state.creds[i]->rebind(reply.map.components[i].capability);
-        state.map.components[i] = reply.map.components[i];
-    }
-    for (std::size_t i = 0; i < state.mirror_creds.size(); ++i) {
-        state.mirror_creds[i]->rebind(reply.map.mirrors[i].capability);
-        state.map.mirrors[i] = reply.map.mirrors[i];
-    }
     node_.flightJournal().record(net_.simulator().now(),
                                  util::FrEvent::kCapRefresh, 0, id,
                                  reply.map.map_version);
-    if (reply.map.map_version != state.map.map_version) {
+    if (reply.map.map_version != old_version) {
         node_.flightJournal().record(net_.simulator().now(),
                                      util::FrEvent::kMapRefresh, 0, id,
                                      reply.map.map_version);
     }
-    state.map.map_version = reply.map.map_version;
-    state.map.rebuilding = reply.map.rebuilding;
-    state.map.rebuild_component = reply.map.rebuild_component;
-    state.map.rebuild_target = reply.map.rebuild_target;
-    if (reply.map.rebuilding) // only parity maps rebuild
-        state.rebuild_cred->rebind(reply.map.rebuild_target.capability);
     co_return true;
 }
 
@@ -1557,6 +1586,14 @@ CheopsClient::writeParityRow(OpenState *open, LogicalObjectId id,
         if (rebuilding) {
             auto lk = co_await callManager<RebuildLockReply>(
                 [&] { return mgr_.serveRebuildLock(id); });
+            if (lk.status == CheopsStatus::kStaleMap) {
+                // The rebuild aborted: redo the row under the map that
+                // replaced this one (it names no spare).
+                result = util::Err{CheopsStatus::kStaleMap};
+                if (co_await refreshCaps(id))
+                    continue;
+                break;
+            }
             locked = lk.status == CheopsStatus::kOk;
             ticket = lk.ticket;
         }

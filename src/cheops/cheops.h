@@ -292,6 +292,14 @@ class CheopsManager
         /// Permits held on behalf of clients between lock/unlock RPCs.
         std::map<std::uint64_t, sim::ScopedPermit> held;
         std::uint64_t next_ticket = 1;
+        /// Set by the abort fence, cleared when a rebuild starts. The
+        /// rebuild lock refuses clients (kStaleMap) while it is set.
+        bool aborted = false;
+
+        /** Maps name the spare as the write-through target: the
+         *  rebuild runs and no abort has fenced it (an aborted one
+         *  stays active while its spare is removed). */
+        bool namesSpare() const { return active && !aborted; }
     };
 
     /** The object @p id; null, with @p status set to kNoSuchObject,
@@ -460,8 +468,20 @@ class CheopsClient
         std::vector<std::unique_ptr<sim::Semaphore>> row_locks;
     };
 
+    /** The open state of @p id with at least @p want_write rights.
+     *  Upgrading a read-only open rebinds its state in place
+     *  (bindOpen), never replaces it. */
     sim::Task<util::Result<OpenState *, CheopsStatus>>
     ensureOpen(LogicalObjectId id, bool want_write);
+
+    /**
+     * Install @p map into an existing open: rebind its
+     * CredentialFactory objects and component bindings element-wise.
+     * The state itself, row locks included, stays in place: coroutines
+     * suspended mid-transfer hold references into it.
+     * @return false, changing nothing, if the layout's shape differs.
+     */
+    static bool bindOpen(OpenState &state, const CheopsMap &map);
 
     /** One round trip to the manager: @p serve runs there and returns
      *  the manager's Task<Reply>. */

@@ -139,6 +139,7 @@ class NasdDrive
     DriveId id() const { return config_.drive_id; }
     const std::string &name() const { return config_.name; }
     net::NetNode &node() { return *node_; }
+    sim::Simulator &simulator() { return sim_; }
     ObjectStore &store() { return *store_; }
     const DriveConfig &config() const { return config_; }
     SecurityLevel security() const { return config_.security; }

@@ -304,6 +304,50 @@ TEST_F(RedundancyTest, MirroringCostsOneExtraWrite)
     EXPECT_GT(mirrored_write, plain_write);
 }
 
+// ------------------------------------------------------- open upgrades
+
+TEST_F(RedundancyTest, WriteUpgradesAReadOnlyOpenInPlace)
+{
+    const auto id =
+        runFor(client->create(64 * kKB, 0, 0, Redundancy::kNone)).value();
+    const auto data = pattern(512 * kKB, 3);
+    ASSERT_TRUE(runFor(client->write(id, 0, data)).ok());
+
+    CheopsClient reader(net, client_node, *mgr, raw);
+    ASSERT_TRUE(runFor(reader.open(id, /*want_write=*/false)).ok());
+
+    // Every first attempt of the striped read is lost, so its
+    // component transfers stay suspended until their deadlines and
+    // then retry through the open's credential factories.
+    net::FaultPlan lossy;
+    lossy.drop_probability = 1.0;
+    net.setFaultPlan(lossy);
+    std::vector<std::uint8_t> out(data.size());
+    std::optional<bool> read_ok;
+    sim.spawn([](Task<util::Result<ReadOutcome, CheopsStatus>> t,
+                 std::optional<bool> &ok) -> Task<void> {
+        ok = (co_await std::move(t)).ok();
+    }(reader.read(id, 0, out), read_ok));
+    sim.runUntil(sim.now() + sim::msec(100));
+    ASSERT_FALSE(read_ok.has_value());
+    net.clearFaultPlan();
+
+    // The same client writes while the read is suspended: the open is
+    // upgraded to writable under the read's feet.
+    std::optional<bool> write_ok;
+    sim.spawn([](Task<util::Result<void, CheopsStatus>> t,
+                 std::optional<bool> &ok) -> Task<void> {
+        ok = (co_await std::move(t)).ok();
+    }(reader.write(id, 0, std::span(data).first(64 * kKB)), write_ok));
+    sim.runUntil(sim.now() + sim::msec(500));
+    ASSERT_TRUE(write_ok.value_or(false));
+    ASSERT_FALSE(read_ok.has_value());
+
+    sim.run();
+    ASSERT_TRUE(read_ok.value_or(false));
+    EXPECT_EQ(out, data);
+}
+
 // ------------------------------------------------------ parity (RAID-5)
 
 class ParityTest : public RedundancyTest
@@ -621,7 +665,8 @@ class RebuildAbortTest : public ParityTest
             ok = (co_await std::move(t)).ok();
         }(client->startRebuild(id, 0, spare, throttle), started));
         for (int step = 0;
-             step < 1000 && mgr->rebuildProgress(id).rows_done < rows;
+             step < 1000 &&
+             !(started && mgr->rebuildProgress(id).rows_done >= rows);
              ++step)
             sim.runUntil(sim.now() + 1'000'000);
         ASSERT_TRUE(started);
@@ -651,18 +696,34 @@ class RebuildAbortTest : public ParityTest
         EXPECT_GE(prog.finished_at, prog.started_at);
     }
 
-    /** Manager journal events of kind @p name since the rebuild
-     *  started. */
+    /** Events of kind @p name journaled at @p node (the manager by
+     *  default) since the rebuild started. */
     std::size_t
-    journaled(std::string_view name)
+    journaled(std::string_view name, net::NetNode *node = nullptr)
     {
         std::size_t n = 0;
-        const auto &journal = mgr_node.flightJournal();
+        const auto &journal = (node ? *node : mgr_node).flightJournal();
         for (std::size_t i = 0; i < journal.size(); ++i) {
             const auto &e = journal.at(i);
             n += e.seq > journal_mark && util::frEventName(e.kind) == name;
         }
         return n;
+    }
+
+    /** Run @p task to completion in 1 ms steps, so a throttled
+     *  rebuild is still running when it returns. */
+    template <typename T>
+    T
+    runStepped(Task<T> task)
+    {
+        std::optional<T> result;
+        sim.spawn([](Task<T> t, std::optional<T> &out) -> Task<void> {
+            out = co_await std::move(t);
+        }(std::move(task), result));
+        for (int step = 0; step < 1000 && !result; ++step)
+            sim.runUntil(sim.now() + 1'000'000);
+        EXPECT_TRUE(result.has_value());
+        return std::move(*result);
     }
 
     std::uint32_t spare = 0;
@@ -698,6 +759,103 @@ TEST_F(RebuildAbortTest, RemovedObjectRemovesTheSpare)
     runUntilInactive(id);
     EXPECT_EQ(listSpare(), spare_objects);
     EXPECT_EQ(journaled("rebuild_abort"), 1u);
+}
+
+TEST_F(RebuildAbortTest, AbortFencesClientsHoldingTheRebuildingMap)
+{
+    const auto id = createParity(2);
+    ASSERT_TRUE(runFor(client->write(id, 0, pattern(64 * 2 * kSu, 7))).ok());
+    startRebuildAndRun(id, 3);
+
+    // A write during the rebuild leaves the client holding the
+    // writable `rebuilding` map.
+    const auto during = pattern(2 * kSu, 8);
+    ASSERT_TRUE(runStepped(client->write(id, 0, during)).ok());
+    EXPECT_GE(journaled("write_through", &client_node), 1u);
+    ASSERT_TRUE(runStepped(client->open(id, true)).value()->rebuilding);
+
+    // A second failure aborts the rebuild and removes the spare; then
+    // the survivor comes back, so the object is writable again.
+    drives[survivor]->setFailed(true);
+    runUntilInactive(id);
+    drives[survivor]->setFailed(false);
+    EXPECT_EQ(listSpare(), spare_objects);
+    const std::size_t through = journaled("write_through", &client_node);
+    const std::size_t refreshed = journaled("map_refresh", &client_node);
+
+    // The stale client is refused the rebuild lock, refreshes onto the
+    // post-abort map and writes degraded; nothing goes to the spare.
+    const auto after = pattern(2 * kSu, 9);
+    ASSERT_TRUE(runFor(client->write(id, 0, after)).ok());
+    EXPECT_EQ(journaled("write_through", &client_node), through);
+    EXPECT_GT(journaled("map_refresh", &client_node), refreshed);
+    EXPECT_FALSE(runFor(client->open(id, true)).value()->rebuilding);
+    EXPECT_EQ(listSpare(), spare_objects);
+
+    std::vector<std::uint8_t> out(after.size());
+    ASSERT_TRUE(runFor(client->read(id, 0, out)).ok());
+    EXPECT_EQ(out, after);
+}
+
+TEST_F(RebuildAbortTest, StaleClientWritesWhileTheSpareIsBeingRemoved)
+{
+    const auto id = createParity(2);
+    ASSERT_TRUE(runFor(client->write(id, 0, pattern(64 * 2 * kSu, 12))).ok());
+    startRebuildAndRun(id, 3);
+    ASSERT_TRUE(runStepped(client->write(id, 0, pattern(2 * kSu, 13))).ok());
+    ASSERT_TRUE(runStepped(client->open(id, true)).value()->rebuilding);
+
+    // Step to the abort fence. The spare removal is then on its way,
+    // and a job queued ahead of it on the spare's CPU (shorter than the
+    // RPC deadline) keeps it in flight while the stale client writes.
+    const std::size_t fences = journaled("version_fence");
+    drives[survivor]->setFailed(true);
+    for (int step = 0;
+         step < 200'000 && journaled("version_fence") == fences; ++step)
+        sim.runUntil(sim.now() + 1'000);
+    ASSERT_GT(journaled("version_fence"), fences);
+    sim.spawn(drives[spare]->node().cpu().occupy(sim::msec(500)));
+    drives[survivor]->setFailed(false);
+    const std::size_t through = journaled("write_through", &client_node);
+
+    const auto after = pattern(2 * kSu, 14);
+    ASSERT_TRUE(runStepped(client->write(id, 0, after)).ok());
+    EXPECT_TRUE(mgr->rebuildProgress(id).active); // removal still running
+    EXPECT_EQ(journaled("write_through", &client_node), through);
+    EXPECT_FALSE(runStepped(client->open(id, true)).value()->rebuilding);
+
+    runUntilInactive(id);
+    EXPECT_EQ(listSpare(), spare_objects);
+    std::vector<std::uint8_t> out(after.size());
+    ASSERT_TRUE(runFor(client->read(id, 0, out)).ok());
+    EXPECT_EQ(out, after);
+}
+
+TEST_F(RebuildAbortTest, RebuildAfterAnAbortAdmitsClients)
+{
+    const auto id = createParity(2);
+    ASSERT_TRUE(runFor(client->write(id, 0, pattern(64 * 2 * kSu, 15))).ok());
+    startRebuildAndRun(id, 3);
+    drives[survivor]->setFailed(true);
+    runUntilInactive(id);
+    drives[survivor]->setFailed(false);
+
+    // The object rebuilds again; a write during that rebuild takes its
+    // lock and writes through to the new spare.
+    started = false;
+    startRebuildAndRun(id, 3);
+    const auto during = pattern(2 * kSu, 16);
+    ASSERT_TRUE(runStepped(client->write(id, 0, during)).ok());
+    EXPECT_GE(journaled("write_through", &client_node), 1u);
+
+    sim.run();
+    const auto prog = mgr->rebuildProgress(id);
+    EXPECT_FALSE(prog.active);
+    EXPECT_EQ(prog.rows_done, prog.rows_total);
+    EXPECT_EQ(journaled("rebuild_complete"), 1u);
+    std::vector<std::uint8_t> out(during.size());
+    ASSERT_TRUE(runFor(client->read(id, 0, out)).ok());
+    EXPECT_EQ(out, during);
 }
 
 } // namespace

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Bit-determinism gate: run fig6, fig9, and the scaled fig9 --drives
-# configuration twice each and require the two BENCH_*.json dumps
-# (metrics + timeseries) and printed outputs to be byte-identical.
+# Bit-determinism gate: run fig6, fig9, the scaled fig9 --drives
+# configuration and active_disks twice each and require the two
+# BENCH_*.json dumps (metrics + timeseries) and printed outputs to be
+# byte-identical.
 # Every bench baseline and seeded-fault test silently assumes the
 # simulator replays the same event sequence for the same inputs; this
 # is the check that notices when someone breaks that — e.g. by keying
@@ -83,6 +84,7 @@ run_twice fig6 nojournal fig6_bandwidth || STATUS=1
 run_twice fig9 nojournal fig9_mining || STATUS=1
 run_twice fig9_scale64 nojournal fig9_mining --drives 64 || STATUS=1
 run_twice rebuild journal fig9_mining --kill-drive || STATUS=1
+run_twice active_disks nojournal active_disks || STATUS=1
 
 # The fleet dashboard must be a pure function of its input dump: two
 # renders of the same BENCH json must produce byte-identical HTML, or
