@@ -941,13 +941,13 @@ CheopsClient::callManager(Serve serve)
                                         kControlPayload, handler);
 }
 
-sim::Task<util::Result<CheopsClient::OpenState *, CheopsStatus>>
+sim::Task<util::Result<std::shared_ptr<CheopsClient::OpenState>, CheopsStatus>>
 CheopsClient::ensureOpen(LogicalObjectId id, bool want_write)
 {
     auto it = open_objects_.find(id);
     if (it != open_objects_.end() &&
-        (!want_write || it->second.writable)) {
-        co_return &it->second;
+        (!want_write || it->second->writable)) {
+        co_return it->second;
     }
 
     auto reply = co_await callManager<OpenReply>(
@@ -959,13 +959,13 @@ CheopsClient::ensureOpen(LogicalObjectId id, bool want_write)
     // may be in use by suspended transfers, so it is rebound in place.
     it = open_objects_.find(id);
     if (it != open_objects_.end()) {
-        OpenState &state = it->second;
+        OpenState &state = *it->second;
         if (state.writable && !want_write)
-            co_return &state; // never trade write rights for read
+            co_return it->second; // never trade write rights for read
         if (!bindOpen(state, reply.map))
             co_return util::Err{CheopsStatus::kStaleMap};
         state.writable = want_write;
-        co_return &state;
+        co_return it->second;
     }
 
     OpenState state;
@@ -988,7 +988,9 @@ CheopsClient::ensureOpen(LogicalObjectId id, bool want_write)
                 std::make_unique<sim::Semaphore>(net_.simulator(), 1));
         }
     }
-    co_return &open_objects_.emplace(id, std::move(state)).first->second;
+    co_return open_objects_
+        .emplace(id, std::make_shared<OpenState>(std::move(state)))
+        .first->second;
 }
 
 bool
@@ -1023,7 +1025,8 @@ CheopsClient::refreshCaps(LogicalObjectId id)
     auto it = open_objects_.find(id);
     if (it == open_objects_.end())
         co_return false;
-    OpenState &state = it->second;
+    const std::shared_ptr<OpenState> hold = it->second; // outlives remove()
+    OpenState &state = *hold;
     const bool writable = state.writable;
 
     auto reply = co_await callManager<OpenReply>(
@@ -1311,7 +1314,7 @@ CheopsClient::readRuns(LogicalObjectId id, std::uint64_t offset,
     auto state = co_await ensureOpen(id, false);
     if (!state.ok())
         co_return util::Err{state.error()};
-    OpenState *open = state.value();
+    OpenState *open = state.value().get();
     const auto runs = mapRange(open->map, offset, out.size());
     bool degraded = false;
 
@@ -1441,7 +1444,7 @@ CheopsClient::writeRuns(LogicalObjectId id, std::uint64_t offset,
     auto state = co_await ensureOpen(id, true);
     if (!state.ok())
         co_return util::Err{state.error()};
-    OpenState *open = state.value();
+    OpenState *open = state.value().get();
 
     auto pushRun = [this, open, id, ctx, &data](const ComponentRun &run)
         -> sim::Task<util::Result<void, CheopsStatus>> {

@@ -470,8 +470,10 @@ class CheopsClient
 
     /** The open state of @p id with at least @p want_write rights.
      *  Upgrading a read-only open rebinds its state in place
-     *  (bindOpen), never replaces it. */
-    sim::Task<util::Result<OpenState *, CheopsStatus>>
+     *  (bindOpen), never replaces it. An op holds the returned owner
+     *  until it finishes, so remove() cannot free the state under
+     *  its suspended transfers. */
+    sim::Task<util::Result<std::shared_ptr<OpenState>, CheopsStatus>>
     ensureOpen(LogicalObjectId id, bool want_write);
 
     /**
@@ -590,7 +592,8 @@ class CheopsClient
     net::NetNode &node_;
     CheopsManager &mgr_;
     std::vector<std::unique_ptr<NasdClient>> drive_clients_;
-    std::map<LogicalObjectId, OpenState> open_objects_;
+    /// Shared with the ops in flight on each object (see ensureOpen).
+    std::map<LogicalObjectId, std::shared_ptr<OpenState>> open_objects_;
     /// Registry prefix shared by the client instruments.
     std::string metrics_prefix_;
     /// Round trips to the manager ("<node>/cheops/manager_calls").

@@ -7,10 +7,80 @@
 namespace nasd {
 
 ExtentAllocator::ExtentAllocator(std::uint32_t num_units)
-    : refs_(num_units, 0), free_units_(num_units)
+    : pages_((num_units + kPageUnits - 1) / kPageUnits),
+      num_units_(num_units), free_units_(num_units)
 {
     if (num_units > 0)
         free_.emplace(0, num_units);
+}
+
+std::uint8_t
+ExtentAllocator::refcount(std::uint32_t unit) const
+{
+    NASD_ASSERT(unit < num_units_, "refcount of unit ", unit,
+                " past the device");
+    const auto &page = pages_[unit / kPageUnits];
+    return page ? (*page)[unit % kPageUnits] : 0;
+}
+
+std::span<std::uint8_t>
+ExtentAllocator::pageRun(std::uint32_t unit, std::uint32_t end)
+{
+    auto &page = pages_[unit / kPageUnits];
+    if (!page)
+        page = std::make_unique<Page>(); // zero-filled
+    const std::uint32_t within = unit % kPageUnits;
+    return std::span(page->data() + within,
+                     std::min(kPageUnits - within, end - unit));
+}
+
+void
+ExtentAllocator::markDirty(std::uint32_t start, std::uint32_t count)
+{
+    if (dirty_lo_ == dirty_hi_) {
+        dirty_lo_ = start;
+        dirty_hi_ = start + count;
+        return;
+    }
+    dirty_lo_ = std::min(dirty_lo_, start);
+    dirty_hi_ = std::max(dirty_hi_, start + count);
+}
+
+Extent
+ExtentAllocator::takeDirty()
+{
+    const Extent dirty{dirty_lo_, dirty_hi_ - dirty_lo_};
+    dirty_lo_ = dirty_hi_ = 0;
+    return dirty;
+}
+
+void
+ExtentAllocator::copyRefcounts(std::uint32_t first,
+                               std::span<std::uint8_t> out) const
+{
+    NASD_ASSERT(first + out.size() <= num_units_,
+                "refcount copy past the device");
+    std::size_t done = 0;
+    while (done < out.size()) {
+        const std::uint32_t unit = first + static_cast<std::uint32_t>(done);
+        const std::uint32_t within = unit % kPageUnits;
+        const std::size_t n =
+            std::min<std::size_t>(kPageUnits - within, out.size() - done);
+        const auto &page = pages_[unit / kPageUnits];
+        if (page)
+            std::copy_n(page->data() + within, n, out.data() + done);
+        else
+            std::fill_n(out.data() + done, n, std::uint8_t{0});
+        done += n;
+    }
+}
+
+std::vector<std::uint8_t>
+ExtentAllocator::refcounts() const
+{
+    std::vector<std::uint8_t> out(num_units_);
+    copyRefcounts(0, out);
+    return out;
 }
 
 void
@@ -113,8 +183,13 @@ ExtentAllocator::allocate(std::uint32_t units, std::uint32_t hint)
     }
 
     for (const auto &e : result) {
-        for (std::uint32_t u = e.start; u < e.start + e.count; ++u)
-            refs_[u] = 1;
+        const std::uint32_t end = e.start + e.count;
+        for (std::uint32_t u = e.start; u < end;) {
+            const auto run = pageRun(u, end);
+            std::fill(run.begin(), run.end(), std::uint8_t{1});
+            u += static_cast<std::uint32_t>(run.size());
+        }
+        markDirty(e.start, e.count);
     }
     return result;
 }
@@ -122,12 +197,17 @@ ExtentAllocator::allocate(std::uint32_t units, std::uint32_t hint)
 void
 ExtentAllocator::ref(const Extent &extent)
 {
-    for (std::uint32_t u = extent.start; u < extent.start + extent.count;
-         ++u) {
-        NASD_ASSERT(refs_[u] > 0, "ref of free unit");
-        NASD_ASSERT(refs_[u] < 255, "refcount overflow");
-        ++refs_[u];
+    const std::uint32_t end = extent.start + extent.count;
+    for (std::uint32_t u = extent.start; u < end;) {
+        const auto run = pageRun(u, end);
+        for (std::uint8_t &count : run) {
+            NASD_ASSERT(count > 0, "ref of free unit");
+            NASD_ASSERT(count < 255, "refcount overflow");
+            ++count;
+        }
+        u += static_cast<std::uint32_t>(run.size());
     }
+    markDirty(extent.start, extent.count);
 }
 
 void
@@ -136,28 +216,41 @@ ExtentAllocator::unref(const Extent &extent)
     // Batch contiguous units that reach zero into single releases.
     std::uint32_t run_start = 0;
     std::uint32_t run_len = 0;
-    for (std::uint32_t u = extent.start; u < extent.start + extent.count;
-         ++u) {
-        NASD_ASSERT(refs_[u] > 0, "unref of free unit");
-        --refs_[u];
-        if (refs_[u] == 0) {
-            if (run_len == 0)
-                run_start = u;
-            ++run_len;
-        } else if (run_len > 0) {
-            releaseRun(run_start, run_len);
-            run_len = 0;
+    const std::uint32_t end = extent.start + extent.count;
+    for (std::uint32_t u = extent.start; u < end;) {
+        const auto run = pageRun(u, end);
+        for (std::uint8_t &count : run) {
+            NASD_ASSERT(count > 0, "unref of free unit");
+            if (--count == 0) {
+                if (run_len == 0)
+                    run_start = u;
+                ++run_len;
+            } else if (run_len > 0) {
+                releaseRun(run_start, run_len);
+                run_len = 0;
+            }
+            ++u;
         }
     }
     if (run_len > 0)
         releaseRun(run_start, run_len);
+    markDirty(extent.start, extent.count);
 }
 
 ExtentAllocator
 ExtentAllocator::fromRefcounts(std::span<const std::uint8_t> refcounts)
 {
     ExtentAllocator alloc(static_cast<std::uint32_t>(refcounts.size()));
-    alloc.refs_.assign(refcounts.begin(), refcounts.end());
+    for (std::size_t p = 0; p < alloc.pages_.size(); ++p) {
+        const std::size_t first = p * kPageUnits;
+        const auto bytes = refcounts.subspan(
+            first, std::min<std::size_t>(kPageUnits, refcounts.size() - first));
+        if (std::any_of(bytes.begin(), bytes.end(),
+                        [](std::uint8_t b) { return b != 0; })) {
+            alloc.pages_[p] = std::make_unique<Page>();
+            std::copy(bytes.begin(), bytes.end(), alloc.pages_[p]->begin());
+        }
+    }
     alloc.free_.clear();
     alloc.free_units_ = 0;
     std::uint32_t run_start = 0;

@@ -11,8 +11,10 @@
 #ifndef NASD_NASD_ALLOCATOR_H_
 #define NASD_NASD_ALLOCATOR_H_
 
+#include <array>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -30,10 +32,20 @@ struct Extent
     bool operator==(const Extent &) const = default;
 };
 
-/** First-fit extent allocator with per-unit reference counts. */
+/**
+ * First-fit extent allocator with per-unit reference counts.
+ *
+ * Refcounts are stored in pages of kPageUnits bytes, allocated on a
+ * page's first non-zero write; an absent page reads as all zeros, so a
+ * large, mostly empty device costs memory only for the units it uses.
+ * The allocator also tracks the span of units whose counts changed
+ * since the last takeDirty(), so a write-back can copy just that span.
+ */
 class ExtentAllocator
 {
   public:
+    static constexpr std::uint32_t kPageUnits = 4096;
+
     explicit ExtentAllocator(std::uint32_t num_units);
 
     /**
@@ -52,31 +64,42 @@ class ExtentAllocator
     void unref(const Extent &extent);
 
     std::uint32_t freeUnits() const { return free_units_; }
-    std::uint32_t totalUnits() const
-    {
-        return static_cast<std::uint32_t>(refs_.size());
-    }
+    std::uint32_t totalUnits() const { return num_units_; }
 
-    std::uint8_t
-    refcount(std::uint32_t unit) const
-    {
-        return refs_.at(unit);
-    }
+    std::uint8_t refcount(std::uint32_t unit) const;
 
     bool
     isAllocated(std::uint32_t unit) const
     {
-        return refs_.at(unit) != 0;
+        return refcount(unit) != 0;
     }
 
-    /** Per-unit refcounts, one byte per unit: the on-media layout. */
-    std::span<const std::uint8_t> refcounts() const { return refs_; }
+    /** Copy the refcounts of units [first, first + out.size()) into
+     *  @p out, one byte per unit: the on-media layout. */
+    void copyRefcounts(std::uint32_t first, std::span<std::uint8_t> out) const;
+
+    /** Every unit's refcount, densely (copyRefcounts() of the whole
+     *  range). */
+    std::vector<std::uint8_t> refcounts() const;
+
+    /** The units whose refcounts changed since the last call, as one
+     *  covering extent (count 0 when none did); resets the tracking. */
+    Extent takeDirty();
 
     /** Rebuild allocator state from refcounts() bytes. */
     static ExtentAllocator
     fromRefcounts(std::span<const std::uint8_t> refcounts);
 
   private:
+    using Page = std::array<std::uint8_t, kPageUnits>;
+
+    /** Writable refcounts of units [unit, end) up to the end of
+     *  @p unit's page, allocating the page if absent. */
+    std::span<std::uint8_t> pageRun(std::uint32_t unit, std::uint32_t end);
+
+    /** Widen the dirty span to cover [start, start+count). */
+    void markDirty(std::uint32_t start, std::uint32_t count);
+
     /** Take [start, start+count) out of the free map. @pre free. */
     void claim(std::uint32_t start, std::uint32_t count);
 
@@ -85,8 +108,11 @@ class ExtentAllocator
     void releaseRun(std::uint32_t start, std::uint32_t count);
 
     std::map<std::uint32_t, std::uint32_t> free_; ///< start -> count
-    std::vector<std::uint8_t> refs_;
+    std::vector<std::unique_ptr<Page>> pages_;    ///< null = all zero
+    std::uint32_t num_units_ = 0;
     std::uint32_t free_units_ = 0;
+    std::uint32_t dirty_lo_ = 0; ///< dirty span [lo, hi); empty if equal
+    std::uint32_t dirty_hi_ = 0;
 };
 
 } // namespace nasd

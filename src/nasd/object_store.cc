@@ -63,6 +63,23 @@ ObjectStore::UnitCache::erase(std::uint32_t unit)
     map_.erase(it);
 }
 
+// -------------------------------------------------------------- InodeTable
+
+std::uint32_t
+ObjectStore::InodeTable::append()
+{
+    if (size_ % kChunk == 0)
+        chunks_.push_back(std::make_unique<std::array<Inode, kChunk>>());
+    return size_++;
+}
+
+void
+ObjectStore::InodeTable::clear()
+{
+    chunks_.clear();
+    size_ = 0;
+}
+
 // ------------------------------------------------------------ construction
 
 ObjectStore::ObjectStore(sim::Simulator &sim, disk::BlockDevice &device,
@@ -95,10 +112,6 @@ ObjectStore::ObjectStore(sim::Simulator &sim, disk::BlockDevice &device,
     data_start_block_ = inode_start_block_ + config_.max_inodes;
 
     alloc_ = std::make_unique<ExtentAllocator>(num_units_);
-    inodes_.resize(config_.max_inodes);
-    for (std::uint32_t i = config_.max_inodes; i > 0; --i)
-        free_inodes_.push_back(i - 1);
-
     data_cache_ = std::make_unique<UnitCache>(std::max<std::size_t>(
         1, config_.data_cache_bytes / config_.alloc_unit_bytes));
     meta_cache_ = std::make_unique<UnitCache>(config_.meta_cache_inodes);
@@ -241,11 +254,19 @@ ObjectStore::writeBackInode(std::uint32_t index)
 void
 ObjectStore::writeBackRefcounts()
 {
-    // Write the whole refcount region; it is small (1 byte per 8 KB of
-    // data) and this happens only on allocate/free paths. The region's
-    // tail past the last unit stays as format() zeroed it.
-    device_.poke(refcount_start_block_ * device_.blockSize(),
-                 alloc_->refcounts());
+    // Land the units changed since the last write-back (the image holds
+    // every other count already), but charge the media write of the
+    // whole region; it is small (1 byte per 8 KB of data) and this
+    // happens only on allocate/free paths. The region's tail past the
+    // last unit stays as format() zeroed it.
+    const Extent dirty = alloc_->takeDirty();
+    if (dirty.count > 0) {
+        std::vector<std::uint8_t> bytes(dirty.count);
+        alloc_->copyRefcounts(dirty.start, bytes);
+        device_.poke(refcount_start_block_ * device_.blockSize() +
+                         dirty.start,
+                     bytes);
+    }
     sim_.spawn(device_.writeBack(
         refcount_start_block_, static_cast<std::uint32_t>(refcount_blocks_)));
 }
@@ -258,11 +279,8 @@ ObjectStore::format()
     index_.clear();
     next_object_id_ = kFirstUserObject;
     alloc_ = std::make_unique<ExtentAllocator>(num_units_);
-    for (auto &inode : inodes_)
-        inode = Inode{};
-    free_inodes_.clear();
-    for (std::uint32_t i = config_.max_inodes; i > 0; --i)
-        free_inodes_.push_back(i - 1);
+    inodes_.clear();
+    freed_slots_.clear();
 
     // Superblock + refcount region.
     const std::uint32_t bs = device_.blockSize();
@@ -297,18 +315,26 @@ ObjectStore::mount()
     alloc_ = std::make_unique<ExtentAllocator>(ExtentAllocator::fromRefcounts(
         std::span<const std::uint8_t>(region).first(num_units_)));
 
+    // Every slot's block is read (and charged); only slots up to the
+    // highest valid one are kept, and the holes below it are freed in
+    // ascending order of reuse.
     index_.clear();
-    free_inodes_.clear();
+    inodes_.clear();
+    freed_slots_.clear();
     std::vector<std::uint8_t> block(bs);
     for (std::uint32_t i = 0; i < config_.max_inodes; ++i) {
         co_await device_.read(inodeBlock(i), 1, block);
-        inodes_[i] = decodeInode(block);
-        if (inodes_[i].valid)
-            index_[{inodes_[i].partition, inodes_[i].id}] = i;
+        Inode inode = decodeInode(block);
+        if (!inode.valid)
+            continue;
+        while (inodes_.size() <= i)
+            inodes_.append();
+        index_[{inode.partition, inode.id}] = i;
+        inodes_[i] = std::move(inode);
     }
-    for (std::uint32_t i = config_.max_inodes; i > 0; --i) {
+    for (std::uint32_t i = inodes_.size(); i > 0; --i) {
         if (!inodes_[i - 1].valid)
-            free_inodes_.push_back(i - 1);
+            freed_slots_.push_back(i - 1);
     }
     mounted_ = true;
 }
@@ -389,6 +415,19 @@ ObjectStore::findInode(PartitionId pid, ObjectId oid) const
     if (it == index_.end())
         return util::Err{NasdStatus::kNoSuchObject};
     return it->second;
+}
+
+util::Result<std::uint32_t, NasdStatus>
+ObjectStore::claimSlot()
+{
+    if (!freed_slots_.empty()) {
+        const std::uint32_t index = freed_slots_.back();
+        freed_slots_.pop_back();
+        return index;
+    }
+    if (inodes_.size() == config_.max_inodes)
+        return util::Err{NasdStatus::kNoSpace};
+    return inodes_.append();
 }
 
 sim::Task<void>
@@ -770,10 +809,11 @@ ObjectStore::createObject(PartitionId pid, std::uint64_t capacity_hint,
     NASD_ASSERT(mounted_, "store not mounted");
     if (pid >= partitions_.size() || !partitions_[pid].valid)
         co_return util::Err{NasdStatus::kNoSuchPartition};
-    if (free_inodes_.empty())
-        co_return util::Err{NasdStatus::kNoSpace};
+    auto slot = claimSlot();
+    if (!slot.ok())
+        co_return util::Err{slot.error()};
 
-    const std::uint32_t index = free_inodes_.back();
+    const std::uint32_t index = slot.value();
     Inode &inode = inodes_[index];
     inode = Inode{};
     inode.valid = true;
@@ -789,11 +829,11 @@ ObjectStore::createObject(PartitionId pid, std::uint64_t capacity_hint,
         auto grown = growObject(inode, unitsForBytes(capacity_hint));
         if (!grown.ok()) {
             inode.valid = false;
+            freed_slots_.push_back(index);
             co_return util::Err{grown.error()};
         }
     }
 
-    free_inodes_.pop_back();
     index_[{pid, inode.id}] = index;
     ++partitions_[pid].object_count;
     stats_.creates.add();
@@ -825,7 +865,7 @@ ObjectStore::removeObject(PartitionId pid, ObjectId oid, OpTrace *trace)
     }
     inode = Inode{};
     index_.erase({pid, oid});
-    free_inodes_.push_back(index);
+    freed_slots_.push_back(index);
     --part.object_count;
     stats_.removes.add();
 
@@ -967,19 +1007,21 @@ ObjectStore::cloneVersion(PartitionId pid, ObjectId oid, OpTrace *trace)
     co_await touchInode(found.value(), trace);
     const Inode &src = inodes_[found.value()];
 
-    if (free_inodes_.empty())
-        co_return util::Err{NasdStatus::kNoSpace};
+    auto slot = claimSlot();
+    if (!slot.ok())
+        co_return util::Err{slot.error()};
+    const std::uint32_t index = slot.value();
 
     // Quota: the clone is charged for every (shared) unit it references.
     std::uint64_t total_units = 0;
     for (const auto &e : src.extents)
         total_units += e.count;
     auto &part = partitions_[pid];
-    if (part.used_units + total_units > part.quota_units)
+    if (part.used_units + total_units > part.quota_units) {
+        freed_slots_.push_back(index);
         co_return util::Err{NasdStatus::kQuotaExceeded};
+    }
 
-    const std::uint32_t index = free_inodes_.back();
-    free_inodes_.pop_back();
     Inode &clone = inodes_[index];
     clone = Inode{};
     clone.valid = true;

@@ -197,6 +197,7 @@ class ObjectStore
     const StoreStats &stats() const { return stats_; }
     std::uint32_t allocUnitBytes() const { return config_.alloc_unit_bytes; }
     std::uint32_t freeUnits() const { return alloc_->freeUnits(); }
+    const ExtentAllocator &allocator() const { return *alloc_; }
 
   private:
     struct Inode
@@ -206,6 +207,33 @@ class ObjectStore
         ObjectId id = 0;
         ObjectAttributes attrs;
         std::vector<Extent> extents;
+    };
+
+    /** Inode slots, materialised on first use in fixed-size chunks
+     *  that never move: an Inode & stays valid while the table grows
+     *  (ops hold one across co_await, and cloneVersion claims a slot
+     *  while holding its source). */
+    class InodeTable
+    {
+      public:
+        Inode &operator[](std::uint32_t index)
+        {
+            return (*chunks_[index / kChunk])[index % kChunk];
+        }
+        const Inode &operator[](std::uint32_t index) const
+        {
+            return (*chunks_[index / kChunk])[index % kChunk];
+        }
+        /** Slots materialised so far: [0, size()). */
+        std::uint32_t size() const { return size_; }
+        /** Materialise slot size() and return its index. */
+        std::uint32_t append();
+        void clear();
+
+      private:
+        static constexpr std::uint32_t kChunk = 64;
+        std::vector<std::unique_ptr<std::array<Inode, kChunk>>> chunks_;
+        std::uint32_t size_ = 0;
     };
 
     struct Partition
@@ -241,6 +269,10 @@ class ObjectStore
 
     [[nodiscard]] StoreResult<std::uint32_t>
     findInode(PartitionId pid, ObjectId oid) const;
+
+    /** Take a free inode slot: the one freed last, else the lowest
+     *  never used; kNoSpace when all max_inodes slots are in use. */
+    [[nodiscard]] StoreResult<std::uint32_t> claimSlot();
 
     /** Charge a metadata fetch if the inode is not resident. */
     sim::Task<void> touchInode(std::uint32_t index, OpTrace *trace);
@@ -317,9 +349,11 @@ class ObjectStore
     std::uint32_t num_units_ = 0;
 
     std::array<Partition, 16> partitions_{};
-    std::vector<Inode> inodes_;
+    InodeTable inodes_;
     std::map<std::pair<PartitionId, ObjectId>, std::uint32_t> index_;
-    std::vector<std::uint32_t> free_inodes_;
+    /// Free slots below inodes_.size(), reused last in first out;
+    /// slots from inodes_.size() up are free and never used.
+    std::vector<std::uint32_t> freed_slots_;
     std::unique_ptr<ExtentAllocator> alloc_;
     ObjectId next_object_id_ = kFirstUserObject;
 

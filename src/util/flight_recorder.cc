@@ -109,6 +109,8 @@ FlightJournal::record(std::uint64_t time_ns, FrEvent kind,
                       std::uint64_t trace_id, std::uint64_t a,
                       std::uint64_t b, std::string_view detail)
 {
+    if (ring_.size() < capacity_)
+        ring_.emplace_back(); // next_ == size() until the ring wraps
     FlightEvent &e = ring_[next_];
     e.seq = owner_.nextSeq();
     e.time_ns = time_ns;
@@ -119,7 +121,7 @@ FlightJournal::record(std::uint64_t time_ns, FrEvent kind,
     const std::size_t n = std::min(detail.size(), FlightEvent::kDetailCap);
     std::memcpy(e.detail, detail.data() == nullptr ? "" : detail.data(), n);
     e.detail[n] = '\0';
-    next_ = (next_ + 1) % ring_.size();
+    next_ = (next_ + 1) % capacity_;
     ++recorded_;
 }
 

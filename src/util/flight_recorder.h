@@ -19,9 +19,11 @@
  *  - timestamps are simulated time only; sequence numbers come from a
  *    per-recorder counter — two identical seeded runs produce
  *    byte-identical dumps (tools/check_determinism.sh gates this);
- *  - recording is allocation-free after a journal's ring is built:
- *    events are fixed-size PODs, the detail string is clamped into an
- *    inline buffer, and the ring never grows.
+ *  - a journal reserves its fixed-size ring when it is created but
+ *    writes a slot only when an event lands in it, so a node that
+ *    records nothing keeps no resident ring pages; recording never
+ *    allocates: events are fixed-size PODs, the detail string is
+ *    clamped into an inline buffer, and the ring never grows.
  *
  * Like the MetricsRegistry, a process-wide recorder is always
  * installed (flightRecorder()) and FlightRecorderScope swaps in a
@@ -127,36 +129,36 @@ class FlightJournal
                 std::uint64_t b = 0, std::string_view detail = {});
 
     const std::string &nodeName() const { return node_; }
-    std::size_t capacity() const { return ring_.size(); }
+    std::size_t capacity() const { return capacity_; }
     /** Events currently held (≤ capacity). */
-    std::size_t size() const
-    {
-        if (recorded_ < ring_.size())
-            return static_cast<std::size_t>(recorded_);
-        return ring_.size();
-    }
+    std::size_t size() const { return ring_.size(); }
     /** Total events ever recorded (≥ size() once wrapped). */
     std::uint64_t recorded() const { return recorded_; }
 
     /** i-th retained event, oldest first (i < size()). */
     const FlightEvent &at(std::size_t i) const
     {
-        const std::size_t base =
-            recorded_ < ring_.size() ? 0 : next_;
-        return ring_[(base + i) % ring_.size()];
+        const std::size_t base = recorded_ < capacity_ ? 0 : next_;
+        return ring_[(base + i) % capacity_];
     }
 
   private:
     friend class FlightRecorder;
     FlightJournal(FlightRecorder &owner, std::string node,
                   std::size_t capacity)
-        : owner_(owner), node_(std::move(node)), ring_(capacity)
+        : owner_(owner), node_(std::move(node)), capacity_(capacity)
     {
+        // Reserve, do not construct: the ring's pages stay untouched
+        // until events land in them. (Allocating only on the first
+        // event instead changes the host heap's layout enough to make
+        // glibc trim and re-fault the heap top on some workloads.)
+        ring_.reserve(capacity_);
     }
 
     FlightRecorder &owner_;
     std::string node_;
-    std::vector<FlightEvent> ring_;
+    std::size_t capacity_;
+    std::vector<FlightEvent> ring_; ///< grows to capacity_, then wraps
     std::size_t next_ = 0;      ///< ring write cursor
     std::uint64_t recorded_ = 0;
 };

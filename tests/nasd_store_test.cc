@@ -582,6 +582,181 @@ TEST_F(ObjectStoreTest, MountPreservesAllocatorState)
     EXPECT_EQ(out, pattern(512 * kKB));
 }
 
+// ------------------------------------------------------- inode slot order
+
+/** Inode slots marked valid in the device image. The inode region
+ *  follows the superblock and the refcount region (one byte per
+ *  allocation unit), one block per slot. */
+std::vector<std::uint32_t>
+occupiedSlots(disk::BlockDevice &device, std::uint32_t num_units,
+              std::uint32_t max_inodes)
+{
+    const std::uint32_t bs = device.blockSize();
+    const std::uint64_t inode_start = 1 + (num_units + bs - 1) / bs;
+    std::vector<std::uint32_t> slots;
+    std::uint8_t valid = 0;
+    for (std::uint32_t i = 0; i < max_inodes; ++i) {
+        device.peek((inode_start + i) * bs, std::span(&valid, 1));
+        if (valid != 0)
+            slots.push_back(i);
+    }
+    return slots;
+}
+
+using Slots = std::vector<std::uint32_t>;
+
+TEST_F(ObjectStoreTest, InodeSlotOrderSurvivesRemoveCloneAndRestart)
+{
+    // Fresh slots go in ascending order, freed slots are reused last
+    // freed first, and a remounted store refills the holes below its
+    // highest used slot in ascending order before any fresh slot.
+    const std::uint32_t units = store.freeUnits(); // nothing allocated
+    const std::uint32_t max = config().max_inodes;
+    const auto create = [&](ObjectStore &st) {
+        return runFor(st.createObject(0, 16 * kKB, nullptr)).value();
+    };
+    const auto occupied = [&] { return occupiedSlots(disk, units, max); };
+
+    const ObjectId a = create(store);
+    const ObjectId b = create(store);
+    const ObjectId c = create(store);
+    const ObjectId d = create(store);
+    EXPECT_EQ(occupied(), (Slots{0, 1, 2, 3}));
+
+    ASSERT_TRUE(runFor(store.removeObject(0, b, nullptr)).ok());
+    ASSERT_TRUE(runFor(store.removeObject(0, d, nullptr)).ok());
+    EXPECT_EQ(occupied(), (Slots{0, 2}));
+
+    // The clone takes slot 3, freed last; the next create takes 1.
+    (void)runFor(store.cloneVersion(0, a, nullptr)).value();
+    EXPECT_EQ(occupied(), (Slots{0, 2, 3}));
+    const ObjectId e = create(store);
+    EXPECT_EQ(occupied(), (Slots{0, 1, 2, 3}));
+    (void)create(store);
+    EXPECT_EQ(occupied(), (Slots{0, 1, 2, 3, 4}));
+
+    // Free 1 then 2: before a restart the next create would take 2.
+    ASSERT_TRUE(runFor(store.removeObject(0, e, nullptr)).ok());
+    ASSERT_TRUE(runFor(store.removeObject(0, c, nullptr)).ok());
+    EXPECT_EQ(occupied(), (Slots{0, 3, 4}));
+
+    // Crash and restart: a new store mounts the same device, as
+    // NasdDrive::restart does, and refills holes in ascending order.
+    ObjectStore reborn(sim, disk, config());
+    run(reborn.mount());
+    (void)create(reborn);
+    EXPECT_EQ(occupied(), (Slots{0, 1, 3, 4}));
+    (void)runFor(reborn.cloneVersion(0, a, nullptr)).value();
+    EXPECT_EQ(occupied(), (Slots{0, 1, 2, 3, 4}));
+    (void)create(reborn);
+    EXPECT_EQ(occupied(), (Slots{0, 1, 2, 3, 4, 5}));
+}
+
+TEST_F(ObjectStoreTest, FullInodeTableReusesTheFreedSlot)
+{
+    StoreConfig small = config();
+    small.max_inodes = 8;
+    ObjectStore st(sim, disk, small);
+    run(st.format());
+    ASSERT_OK(st.createPartition(0, 64 * kMB));
+    const std::uint32_t units = st.freeUnits();
+
+    std::vector<ObjectId> ids;
+    for (;;) {
+        auto r = runFor(st.createObject(0, 0, nullptr));
+        if (!r.ok()) {
+            EXPECT_EQ(r.error(), NasdStatus::kNoSpace);
+            break;
+        }
+        ids.push_back(r.value());
+    }
+    ASSERT_EQ(ids.size(), 8u);
+    EXPECT_EQ(occupiedSlots(disk, units, 8),
+              (Slots{0, 1, 2, 3, 4, 5, 6, 7}));
+    auto clone = runFor(st.cloneVersion(0, ids[0], nullptr));
+    ASSERT_FALSE(clone.ok());
+    EXPECT_EQ(clone.error(), NasdStatus::kNoSpace);
+
+    ASSERT_TRUE(runFor(st.removeObject(0, ids[5], nullptr)).ok());
+    EXPECT_EQ(occupiedSlots(disk, units, 8), (Slots{0, 1, 2, 3, 4, 6, 7}));
+    // A create that fails its reservation leaves the slot free.
+    auto over = runFor(st.createObject(0, 128 * kMB, nullptr));
+    ASSERT_FALSE(over.ok());
+    EXPECT_EQ(over.error(), NasdStatus::kQuotaExceeded);
+    EXPECT_EQ(occupiedSlots(disk, units, 8), (Slots{0, 1, 2, 3, 4, 6, 7}));
+    ASSERT_TRUE(runFor(st.createObject(0, 0, nullptr)).ok());
+    EXPECT_EQ(occupiedSlots(disk, units, 8),
+              (Slots{0, 1, 2, 3, 4, 5, 6, 7}));
+    auto full = runFor(st.createObject(0, 0, nullptr));
+    ASSERT_FALSE(full.ok());
+    EXPECT_EQ(full.error(), NasdStatus::kNoSpace);
+}
+
+// ------------------------------------------------- refcount write-back
+
+TEST_F(ObjectStoreTest, RefcountRegionTracksEveryUpdate)
+{
+    // The refcount region follows the superblock, one byte per unit.
+    const std::uint32_t units = store.freeUnits(); // nothing allocated
+    const std::uint64_t ub = store.allocUnitBytes();
+    const auto image = [&] {
+        std::vector<std::uint8_t> bytes(units);
+        disk.peek(disk.blockSize(), bytes);
+        return bytes;
+    };
+    const auto expectImageMatches = [&](const char *step) {
+        EXPECT_EQ(image(), store.allocator().refcounts()) << "after " << step;
+    };
+
+    const ObjectId a = runFor(store.createObject(0, 4 * ub, nullptr)).value();
+    const ObjectId b = runFor(store.createObject(0, 3 * ub, nullptr)).value();
+    expectImageMatches("create");
+    ASSERT_TRUE(runFor(store.write(0, a, 0, pattern(9 * ub), nullptr)).ok());
+    expectImageMatches("grow");
+    const ObjectId clone = runFor(store.cloneVersion(0, a, nullptr)).value();
+    expectImageMatches("clone");
+    ASSERT_TRUE(
+        runFor(store.write(0, clone, 2 * ub, pattern(ub, 9), nullptr)).ok());
+    expectImageMatches("copy-on-write overwrite");
+    const auto shared = image();
+    ASSERT_GT(std::count(shared.begin(), shared.end(), 2), 0)
+        << "the clone should still share a's second extent";
+    SetAttrRequest shrink;
+    shrink.truncate_size = 2 * ub + 100;
+    ASSERT_TRUE(runFor(store.setAttributes(0, a, shrink, nullptr)).ok());
+    expectImageMatches("shrink");
+    ASSERT_TRUE(runFor(store.removeObject(0, b, nullptr)).ok());
+    expectImageMatches("remove");
+
+    // Crash and restart: the remounted allocator holds the same counts
+    // and free map, so the next allocation lands where the old
+    // allocator would have put it.
+    const auto counts = store.allocator().refcounts();
+    ExtentAllocator model = ExtentAllocator::fromRefcounts(counts);
+    ObjectStore reborn(sim, disk, config());
+    run(reborn.mount());
+    EXPECT_EQ(reborn.freeUnits(), store.freeUnits());
+    EXPECT_EQ(reborn.allocator().refcounts(), counts);
+
+    const ObjectId fresh =
+        runFor(reborn.createObject(0, 0, nullptr)).value();
+    ASSERT_TRUE(
+        runFor(reborn.write(0, fresh, 0, pattern(6 * ub, 3), nullptr)).ok());
+    const auto after = image();
+    EXPECT_EQ(after, reborn.allocator().refcounts());
+    std::vector<Extent> landed;
+    for (std::uint32_t u = 0; u < units; ++u) {
+        if (after[u] == counts[u])
+            continue;
+        ASSERT_EQ(counts[u], 0) << "unit " << u << " was already in use";
+        if (!landed.empty() && landed.back().start + landed.back().count == u)
+            ++landed.back().count;
+        else
+            landed.push_back({u, 1});
+    }
+    EXPECT_EQ(landed, model.allocate(6, 0).value());
+}
+
 // -------------------------------------------------------------- cost trace
 
 TEST_F(ObjectStoreTest, TraceReportsMetaMissOnceThenWarm)

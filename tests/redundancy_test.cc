@@ -348,6 +348,45 @@ TEST_F(RedundancyTest, WriteUpgradesAReadOnlyOpenInPlace)
     EXPECT_EQ(out, data);
 }
 
+TEST_F(RedundancyTest, RemoveWhileAStripedReadIsSuspended)
+{
+    const auto id =
+        runFor(client->create(64 * kKB, 0, 0, Redundancy::kNone)).value();
+    const auto data = pattern(512 * kKB, 5);
+    ASSERT_TRUE(runFor(client->write(id, 0, data)).ok());
+
+    // Every first attempt of the striped read is lost, so its component
+    // transfers stay suspended until their deadlines.
+    net::FaultPlan lossy;
+    lossy.drop_probability = 1.0;
+    net.setFaultPlan(lossy);
+    std::vector<std::uint8_t> out(data.size());
+    std::optional<bool> read_ok;
+    sim.spawn([](Task<util::Result<ReadOutcome, CheopsStatus>> t,
+                 std::optional<bool> &ok) -> Task<void> {
+        ok = (co_await std::move(t)).ok();
+    }(client->read(id, 0, out), read_ok));
+    sim.runUntil(sim.now() + sim::msec(100));
+    ASSERT_FALSE(read_ok.has_value());
+    net.clearFaultPlan();
+
+    // The same client removes the object under the read's feet: the
+    // components go away, and the read's retries must fail cleanly
+    // through the open state it still holds.
+    std::optional<bool> remove_ok;
+    sim.spawn([](Task<util::Result<void, CheopsStatus>> t,
+                 std::optional<bool> &ok) -> Task<void> {
+        ok = (co_await std::move(t)).ok();
+    }(client->remove(id), remove_ok));
+    sim.runUntil(sim.now() + sim::msec(500));
+    ASSERT_TRUE(remove_ok.value_or(false));
+    ASSERT_FALSE(read_ok.has_value());
+
+    sim.run();
+    ASSERT_TRUE(read_ok.has_value());
+    EXPECT_FALSE(*read_ok);
+}
+
 // ------------------------------------------------------ parity (RAID-5)
 
 class ParityTest : public RedundancyTest
