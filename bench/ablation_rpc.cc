@@ -11,9 +11,9 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "bench/cluster.h"
 #include "nasd/drive.h"
 #include "net/presets.h"
+#include "rig/cluster.h"
 #include "sim/simulator.h"
 #include "util/units.h"
 
@@ -33,18 +33,18 @@ measure(const net::RpcCosts &costs)
 {
     auto cfg = prototypeDriveConfig("nasd0", 1);
     cfg.rpc = costs;
-    bench::DriveRig rig(std::move(cfg), 256 * kMB);
+    rig::DriveRig rig(std::move(cfg), 256 * kMB);
     auto cred = rig.credential(rig.createObject(),
                                kRightRead | kRightWrite | kRightGetAttr);
 
     Point p;
-    p.warm_read_mbs = rig.warmReadMbs(cred);
+    p.warm_read_mbs = bench::warmReadMbs(rig, cred);
 
     // Small-op latency: warm getattr.
-    (void)bench::runFor(rig.sim, rig.client.getAttr(cred));
+    (void)runFor(rig.sim, rig.client.getAttr(cred));
     const sim::Tick start = rig.sim.now();
     for (int i = 0; i < 8; ++i)
-        (void)bench::runFor(rig.sim, rig.client.getAttr(cred));
+        (void)runFor(rig.sim, rig.client.getAttr(cred));
     p.small_op_ms = sim::toMillis(rig.sim.now() - start) / 8.0;
     return p;
 }

@@ -12,8 +12,8 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "bench/cluster.h"
 #include "nasd/drive.h"
+#include "rig/cluster.h"
 #include "util/units.h"
 
 using namespace nasd;
@@ -26,10 +26,10 @@ measure(SecurityLevel level)
 {
     auto cfg = prototypeDriveConfig("nasd0", 1);
     cfg.security = level;
-    bench::DriveRig rig(std::move(cfg), 256 * kMB);
+    rig::DriveRig rig(std::move(cfg), 256 * kMB);
     auto cred =
         rig.credential(rig.createObject(), kRightRead | kRightWrite);
-    return rig.warmReadMbs(cred);
+    return bench::warmReadMbs(rig, cred);
 }
 
 } // namespace

@@ -14,8 +14,8 @@
 #include "apps/frequent_sets.h"
 #include "apps/transactions.h"
 #include "bench/bench_util.h"
-#include "bench/cluster.h"
 #include "pfs/pfs.h"
+#include "rig/cluster.h"
 #include "sim/simulator.h"
 #include "util/units.h"
 
@@ -34,7 +34,7 @@ measure(std::uint64_t stripe_unit)
 {
     // Small drive cache so the sweep measures the media path (the
     // 96 MB working set must not fit in aggregate drive DRAM).
-    bench::NasdCluster cluster(
+    rig::NasdCluster cluster(
         {.drives = kDrives, .drive_cache_bytes = 4 * kMB});
     sim::Simulator &sim = cluster.sim;
 

@@ -88,7 +88,7 @@ struct Setup
         apps::TransactionGenerator gen(params);
         const std::uint64_t chunks = kDatasetBytes / apps::kChunkBytes;
         for (int i = 0; i < kDrives; ++i) {
-            bench::runTask(sim, drives[i]->format());
+            runTask(sim, drives[i]->format());
             auto part = drives[i]->store().createPartition(0, 512 * kMB);
             (void)part;
             NasdClient loader(net, *controller, *drives[i]);
@@ -98,18 +98,18 @@ struct Setup
             pc.rights = kRightCreate;
             CredentialFactory pcred(issuers[i]->mint(pc));
             const ObjectId oid =
-                bench::runFor(sim, loader.create(pcred, 0)).value();
+                runFor(sim, loader.create(pcred, 0)).value();
             objects.push_back(oid);
             CredentialFactory cred(objectCap(i, oid));
             std::uint64_t local_offset = 0;
             for (std::uint64_t c = i; c < chunks;
                  c += static_cast<std::uint64_t>(kDrives)) {
-                auto w = bench::runFor(
+                auto w = runFor(
                     sim, loader.write(cred, local_offset, gen.chunk(c)));
                 (void)w;
                 local_offset += apps::kChunkBytes;
             }
-            bench::runTask(sim, drives[i]->store().flushAll());
+            runTask(sim, drives[i]->store().flushAll());
         }
     }
 

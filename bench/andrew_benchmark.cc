@@ -84,7 +84,7 @@ nfsTime(int n)
     }
     disk::StripingDriver stripe(sim, members, 32 * kKB);
     fs::FfsFileSystem ffs(sim, stripe, &server_node.cpu());
-    bench::runTask(sim, ffs.format());
+    runTask(sim, ffs.format());
     fs::NfsServer server(sim, server_node);
     const auto volume = server.addVolume(ffs);
 
@@ -97,7 +97,7 @@ nfsTime(int n)
                                  net::dceRpcCosts());
         clients.push_back(
             std::make_unique<fs::NfsClient>(net, node, server));
-        auto sub = bench::runFor(
+        auto sub = runFor(
             sim, clients.back()->mkdir(server.rootHandle(volume),
                                        "w" + std::to_string(i)));
         NASD_ASSERT(sub.ok(), "andrew setup: nfs mkdir failed");
@@ -125,7 +125,7 @@ nasdTime(int n)
         raw.push_back(drives.back().get());
     }
     fs::NasdNfsFileManager fm(sim, net, fm_node, raw, 0);
-    bench::runTask(sim, fm.initialize(1024 * kMB));
+    runTask(sim, fm.initialize(1024 * kMB));
 
     std::vector<std::unique_ptr<fs::NasdNfsClient>> clients;
     std::vector<std::unique_ptr<apps::NasdNfsAndrewTarget>> targets;
@@ -136,7 +136,7 @@ nasdTime(int n)
                                  net::dceRpcCosts());
         clients.push_back(
             std::make_unique<fs::NasdNfsClient>(net, node, fm, raw));
-        auto sub = bench::runFor(
+        auto sub = runFor(
             sim, clients.back()->mkdir(fm.rootHandle(),
                                        "w" + std::to_string(i)));
         NASD_ASSERT(sub.ok(), "andrew setup: nasd-nfs mkdir failed");

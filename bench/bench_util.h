@@ -1,25 +1,29 @@
 /**
  * @file
- * Shared helpers for the figure/table reproduction benches: run a
- * coroutine to completion, common banner output, and the observability
- * plumbing every bench binary shares — `--json PATH` / `--no-json`
- * select the metrics dump (default BENCH_<name>.json), `--trace PATH`
- * installs a util::Tracer for the run and writes a Chrome trace_event
- * timeline on exit, `--journal PATH` dumps the flight-recorder journal
- * (benches that support it; see fig9_mining --kill-drive).
+ * Shared helpers for the figure/table reproduction benches: common
+ * banner output, the warm-read measurement the ablations share, and
+ * the observability plumbing every bench binary shares — `--json PATH`
+ * / `--no-json` select the metrics dump (default BENCH_<name>.json),
+ * `--trace PATH` installs a util::Tracer for the run and writes a
+ * Chrome trace_event timeline on exit, `--journal PATH` dumps the
+ * flight-recorder journal (benches that support it; see fig9_mining
+ * --kill-drive).
+ *
+ * The benches build their systems from the rigs in rig/cluster.h and
+ * run coroutines to completion with sim::runTask / sim::runFor
+ * (sim/simulator.h), as the tests and examples do.
  */
 #ifndef NASD_BENCH_BENCH_UTIL_H_
 #define NASD_BENCH_BENCH_UTIL_H_
 
 #include <chrono>
 #include <cstdio>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "rig/cluster.h"
 #include "sim/simulator.h"
-#include "sim/task.h"
 #include "util/fleet.h"
 #include "util/logging.h"
 #include "util/metrics.h"
@@ -28,26 +32,38 @@
 
 namespace nasd::bench {
 
-/** Run one task on the simulator until it (and the queue) finishes. */
-inline void
-runTask(sim::Simulator &sim, sim::Task<void> task)
+/**
+ * Write 2 MB through @p cred on @p rig's drive, read it once in 512 KB
+ * requests to warm the drive cache, then time four more passes. A
+ * failed write is reported but not fatal: under software digests the
+ * client's RPC deadline expires before the drive answers the 2 MB
+ * write.
+ * @return MB/s over the timed passes.
+ */
+inline double
+warmReadMbs(rig::DriveRig &rig, CredentialFactory &cred)
 {
-    sim.spawn(std::move(task));
-    sim.run();
-}
-
-/** Run a value-returning task to completion. */
-template <typename T>
-T
-runFor(sim::Simulator &sim, sim::Task<T> task)
-{
-    std::optional<T> result;
-    sim.spawn([](sim::Task<T> t,
-                 std::optional<T> &out) -> sim::Task<void> {
-        out = co_await std::move(t);
-    }(std::move(task), result));
-    sim.run();
-    return std::move(*result);
+    constexpr std::uint64_t kBytes = 2 * util::kMB;
+    constexpr std::uint64_t kRequest = 512 * util::kKB;
+    const std::vector<std::uint8_t> data(kBytes, 7);
+    const auto w = runFor(rig.sim, rig.client.write(cred, 0, data));
+    if (!w.ok())
+        NASD_WARN("drive rig: load write failed: ", toString(w.error()));
+    for (std::uint64_t off = 0; off < kBytes; off += kRequest) {
+        const auto r = runFor(rig.sim, rig.client.read(cred, off, kRequest));
+        NASD_ASSERT(r.ok(), "drive rig: warm-up read failed");
+    }
+    const sim::Tick start = rig.sim.now();
+    std::uint64_t moved = 0;
+    for (int pass = 0; pass < 4; ++pass) {
+        for (std::uint64_t off = 0; off < kBytes; off += kRequest) {
+            const auto r =
+                runFor(rig.sim, rig.client.read(cred, off, kRequest));
+            moved += r.ok() ? r.value().size() : 0;
+        }
+    }
+    return util::bytesPerSecToMBs(static_cast<double>(moved) /
+                                  sim::toSeconds(rig.sim.now() - start));
 }
 
 /** Print the standard bench banner. */

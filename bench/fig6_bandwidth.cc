@@ -92,7 +92,7 @@ sweepPoint(Rig &rig, std::uint64_t size, std::uint64_t wrap,
     std::uint64_t moved = 0;
     std::uint64_t offset = 0;
     while (moved < kBytesPerPoint) {
-        bench::runTask(rig.sim, op(offset, size));
+        runTask(rig.sim, op(offset, size));
         moved += size;
         offset += size;
         if (offset + size > wrap)
@@ -148,7 +148,7 @@ struct NasdRig : Rig
 {
     explicit NasdRig(StoreConfig config = {}) : store(sim, stripe, config)
     {
-        bench::runTask(sim, store.format());
+        runTask(sim, store.format());
         auto part = store.createPartition(0, 512 * kMB);
         (void)part;
     }
@@ -156,11 +156,11 @@ struct NasdRig : Rig
     ObjectId
     makeObject(std::uint64_t bytes)
     {
-        auto oid = bench::runFor(sim, store.createObject(0, 0, nullptr));
+        auto oid = runFor(sim, store.createObject(0, 0, nullptr));
         NASD_ASSERT(oid.ok(), "fig6 setup: createObject failed");
         std::vector<std::uint8_t> chunk(kMB, 7);
         for (std::uint64_t off = 0; off < bytes; off += kMB) {
-            auto r = bench::runFor(
+            auto r = runFor(
                 sim, store.write(0, oid.value(), off, chunk, nullptr));
             (void)r;
         }
@@ -179,11 +179,11 @@ nasdRead(std::uint64_t size, bool hit)
     NasdRig rig(config);
     const std::uint64_t object_bytes = hit ? 2 * kMB : 48 * kMB;
     const ObjectId oid = rig.makeObject(object_bytes);
-    bench::runTask(rig.sim, rig.store.flushAll());
+    runTask(rig.sim, rig.store.flushAll());
     if (hit) {
         // Prime the drive cache.
         std::vector<std::uint8_t> all(object_bytes);
-        (void)bench::runFor(rig.sim, rig.store.read(0, oid, 0, all,
+        (void)runFor(rig.sim, rig.store.read(0, oid, 0, all,
                                                     nullptr));
     }
     std::vector<std::uint8_t> buf(size);
@@ -233,7 +233,7 @@ struct FfsRig : Rig
     explicit FfsRig(fs::FfsParams params = makeParams())
         : ffs(sim, stripe, &cpu, params)
     {
-        bench::runTask(sim, ffs.format());
+        runTask(sim, ffs.format());
     }
 
     static fs::FfsParams
@@ -249,11 +249,11 @@ struct FfsRig : Rig
     fs::InodeNum
     makeFile(const std::string &name, std::uint64_t bytes)
     {
-        auto ino = bench::runFor(sim, ffs.create(fs::kRootInode, name));
+        auto ino = runFor(sim, ffs.create(fs::kRootInode, name));
         NASD_ASSERT(ino.ok(), "fig6 setup: ffs create failed");
         std::vector<std::uint8_t> chunk(kMB, 7);
         for (std::uint64_t off = 0; off < bytes; off += kMB) {
-            auto r = bench::runFor(
+            auto r = runFor(
                 sim, ffs.write(ino.value(), off, chunk));
             (void)r;
         }
@@ -272,10 +272,10 @@ ffsRead(std::uint64_t size, bool hit)
     FfsRig rig(params);
     const std::uint64_t file_bytes = hit ? 2 * kMB : 48 * kMB;
     const auto ino = rig.makeFile("data", file_bytes);
-    bench::runTask(rig.sim, rig.ffs.sync());
+    runTask(rig.sim, rig.ffs.sync());
     if (hit) {
         std::vector<std::uint8_t> all(file_bytes);
-        (void)bench::runFor(rig.sim, rig.ffs.read(ino, 0, all));
+        (void)runFor(rig.sim, rig.ffs.read(ino, 0, all));
     }
     std::vector<std::uint8_t> buf(size);
     return sweepPoint(

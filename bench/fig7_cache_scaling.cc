@@ -15,8 +15,8 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "bench/cluster.h"
 #include "cheops/cheops.h"
+#include "rig/cluster.h"
 #include "sim/simulator.h"
 #include "util/logging.h"
 #include "util/metrics.h"
@@ -49,7 +49,7 @@ measure(int n_clients)
     // bleed into the next, and the bench dump carries only the headline
     // gauges recorded by main().
     const util::MetricsScope run_metrics;
-    bench::NasdCluster cluster({.drives = kDrives,
+    rig::NasdCluster cluster({.drives = kDrives,
                                 .partition_bytes = 512 * kMB});
     sim::Simulator &sim = cluster.sim;
 
@@ -57,15 +57,15 @@ measure(int n_clients)
     // cache).
     const auto loader = cluster.cheopsClient("loader");
     const std::uint64_t file_bytes = kDrives * kStripeUnit;
-    const auto created = bench::runFor(sim, loader->create(kStripeUnit, 0));
+    const auto created = runFor(sim, loader->create(kStripeUnit, 0));
     NASD_ASSERT(created.ok(), "fig7 setup: create failed");
     const auto id = created.value();
     {
         std::vector<std::uint8_t> data(file_bytes, 7);
-        const auto w = bench::runFor(sim, loader->write(id, 0, data));
+        const auto w = runFor(sim, loader->write(id, 0, data));
         NASD_ASSERT(w.ok(), "fig7 setup: load write failed");
         // Warm every drive's cache.
-        const auto r = bench::runFor(sim, loader->read(id, 0, data));
+        const auto r = runFor(sim, loader->read(id, 0, data));
         NASD_ASSERT(r.ok(), "fig7 setup: warm-up read failed");
     }
 
@@ -75,7 +75,7 @@ measure(int n_clients)
         clients.push_back(
             cluster.cheopsClient("client" + std::to_string(i)));
         // Prefetch the layout map so the measured window is pure data.
-        const auto map = bench::runFor(sim, clients.back()->open(id, false));
+        const auto map = runFor(sim, clients.back()->open(id, false));
         NASD_ASSERT(map.ok(), "fig7 setup: open failed");
     }
 

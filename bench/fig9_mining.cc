@@ -26,7 +26,7 @@
  * Other modes: --fault-sweep, --breakdown, --kill-drive, --drives
  * N[,N...] and --trace PATH, plus the --slow-drive N,factor fault. The
  * command line is parsed once into a Scenario; every NASD
- * configuration is a bench::NasdCluster (bench/cluster.h).
+ * configuration is a rig::NasdCluster (rig/cluster.h).
  */
 #include <algorithm>
 #include <array>
@@ -42,13 +42,13 @@
 #include "apps/frequent_sets.h"
 #include "apps/transactions.h"
 #include "bench/bench_util.h"
-#include "bench/cluster.h"
 #include "cheops/cheops.h"
 #include "fs/ffs/ffs.h"
 #include "fs/nfs/nfs_client.h"
 #include "fs/nfs/nfs_server.h"
 #include "net/presets.h"
 #include "pfs/pfs.h"
+#include "rig/cluster.h"
 #include "sim/simulator.h"
 #include "sim/stats_poller.h"
 #include "util/attribution.h"
@@ -250,12 +250,12 @@ collectBreakdown(std::map<std::string, OpBreakdown> &ops)
 /** One NASD configuration: load @p dataset_bytes into PFS file "sales"
  *  on the cluster, then `spec.drives` clients mine it round-robin. */
 RunResult
-runNasd(const bench::ClusterSpec &spec, std::uint64_t dataset_bytes,
+runNasd(const rig::ClusterSpec &spec, std::uint64_t dataset_bytes,
         const net::FaultPlan *faults = nullptr,
         NasdRunExtras *extras = nullptr)
 {
     const util::MetricsScope run_metrics;
-    bench::NasdCluster cluster(spec);
+    rig::NasdCluster cluster(spec);
     sim::Simulator &sim = cluster.sim;
     const int n = spec.drives;
 
@@ -387,7 +387,7 @@ runNfs(int n, bool parallel_files)
         for (int i = 0; i < n; ++i) {
             volumes.push_back(std::make_unique<fs::FfsFileSystem>(
                 sim, *disks[i], &server_node.cpu(), server_fs));
-            bench::runTask(sim, volumes.back()->format());
+            runTask(sim, volumes.back()->format());
             server.addVolume(*volumes.back());
         }
     } else {
@@ -398,7 +398,7 @@ runNfs(int n, bool parallel_files)
                                                         64 * kKB);
         volumes.push_back(std::make_unique<fs::FfsFileSystem>(
             sim, *stripe, &server_node.cpu(), server_fs));
-        bench::runTask(sim, volumes.back()->format());
+        runTask(sim, volumes.back()->format());
         server.addVolume(*volumes.back());
     }
 
@@ -420,13 +420,13 @@ runNfs(int n, bool parallel_files)
         auto &vol = *volumes[vol_index];
         const std::string name =
             parallel_files ? "sales" + std::to_string(f) : "sales";
-        auto ino = bench::runFor(sim, vol.create(fs::kRootInode, name));
+        auto ino = runFor(sim, vol.create(fs::kRootInode, name));
         NASD_ASSERT(ino.ok(), "fig9 setup: create failed");
         const std::uint64_t count =
             chunks / n_files +
             (f < static_cast<int>(chunks % n_files) ? 1 : 0);
         for (std::uint64_t c = 0; c < count; ++c) {
-            const auto w = bench::runFor(
+            const auto w = runFor(
                 sim, vol.write(ino.value(), c * apps::kChunkBytes,
                                datasetChunks().get(c * n_files + f)));
             NASD_ASSERT(w.ok(), "fig9 setup: load write failed");
@@ -435,7 +435,7 @@ runNfs(int n, bool parallel_files)
         file_chunks.push_back(count);
     }
     for (auto &vol : volumes)
-        bench::runTask(sim, vol->sync());
+        runTask(sim, vol->sync());
 
     std::vector<std::unique_ptr<fs::NfsClient>> clients;
     std::vector<apps::ItemCounts> partials(
@@ -578,25 +578,25 @@ runKillDrive()
     constexpr sim::Tick kPollStep = sim::msec(5);
 
     const util::MetricsScope run_metrics;
-    bench::NasdCluster cluster({.drives = kDrives});
+    rig::NasdCluster cluster({.drives = kDrives});
     sim::Simulator &sim = cluster.sim;
 
     // Load the dataset through a control client (untimed).
     const auto control = cluster.cheopsClient("control");
-    const auto created = bench::runFor(
+    const auto created = runFor(
         sim, control->create(kSu, kWidth, kObjectBytes,
                              cheops::Redundancy::kParity));
     NASD_ASSERT(created.ok(), "kill-drive: create failed");
     const auto id = created.value();
     for (std::uint64_t c = 0; c < kObjectBytes / apps::kChunkBytes; ++c) {
-        auto w = bench::runFor(
+        auto w = runFor(
             sim, control->write(id, c * apps::kChunkBytes,
                                 datasetChunks().get(c)));
         NASD_ASSERT(w.ok(), "kill-drive: load write failed");
     }
     cluster.flushAll();
 
-    const auto opened = bench::runFor(sim, control->open(id, false));
+    const auto opened = runFor(sim, control->open(id, false));
     NASD_ASSERT(opened.ok(), "kill-drive: open failed");
     const auto *map = opened.value();
     const std::uint32_t victim_comp = 0;
@@ -1136,7 +1136,7 @@ driveSweepMain(const Scenario &s)
     for (const int n : s.drive_counts) {
         NasdRunExtras extras;
         extras.fleet = &rollups[n];
-        bench::ClusterSpec spec{.drives = n};
+        rig::ClusterSpec spec{.drives = n};
         if (s.slow_drive >= 0) {
             if (s.slow_drive < n) {
                 spec.slow_drive = s.slow_drive;
@@ -1276,7 +1276,7 @@ tableMain(const Scenario &s)
     apps::ItemCounts reference;
     bool counts_agree = true;
     for (const int n : {1, 2, 4, 6, 8}) {
-        bench::ClusterSpec spec{.drives = n};
+        rig::ClusterSpec spec{.drives = n};
         if (n == 8) {
             spec.slow_drive = s.slow_drive;
             spec.slow_factor = s.slow_factor;

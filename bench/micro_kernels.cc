@@ -15,7 +15,6 @@
  */
 #include <benchmark/benchmark.h>
 
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -198,19 +197,6 @@ BM_AllocatorChurn(benchmark::State &state)
     }
 }
 BENCHMARK(BM_AllocatorChurn);
-
-/** Run @p task to completion on @p sim and return its value. */
-template <typename T>
-T
-runFor(sim::Simulator &sim, sim::Task<T> task)
-{
-    std::optional<T> result;
-    sim.spawn([](sim::Task<T> t, std::optional<T> &out) -> sim::Task<void> {
-        out = co_await std::move(t);
-    }(std::move(task), result));
-    sim.run();
-    return std::move(*result);
-}
 
 /**
  * The drive's read data plane: 512 KB ObjectStore::read calls on the

@@ -18,11 +18,11 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "bench/cluster.h"
 #include "disk/disk_model.h"
 #include "disk/params.h"
 #include "nasd/client.h"
 #include "nasd/drive.h"
+#include "rig/cluster.h"
 #include "sim/simulator.h"
 #include "util/logging.h"
 #include "util/metrics.h"
@@ -67,7 +67,7 @@ class Table1Bench
              const std::vector<std::uint8_t> &data)
     {
         auto cred = credFor(oid);
-        const auto r = bench::runFor(sim, client.write(cred, offset, data));
+        const auto r = runFor(sim, client.write(cred, offset, data));
         NASD_ASSERT(r.ok(), "table1 setup: write failed");
     }
 
@@ -77,8 +77,8 @@ class Table1Bench
     {
         for (const ObjectId oid : fillers) {
             auto cred = credFor(oid);
-            (void)bench::runFor(sim, client.getAttr(cred));
-            (void)bench::runFor(sim, client.read(cred, 0, 512 * kKB));
+            (void)runFor(sim, client.getAttr(cred));
+            (void)runFor(sim, client.read(cred, 0, 512 * kKB));
         }
     }
 
@@ -88,7 +88,7 @@ class Table1Bench
     {
         auto cred = credFor(oid);
         return measure(label, size, [&] {
-            (void)bench::runFor(sim, client.read(cred, 0, size));
+            (void)runFor(sim, client.read(cred, 0, size));
         });
     }
 
@@ -99,7 +99,7 @@ class Table1Bench
     {
         auto cred = credFor(oid);
         return measure(label, data.size(), [&] {
-            (void)bench::runFor(sim, client.write(cred, 0, data));
+            (void)runFor(sim, client.write(cred, 0, data));
         });
     }
 
@@ -130,7 +130,7 @@ class Table1Bench
         return row;
     }
 
-    bench::DriveRig rig{[] {
+    rig::DriveRig rig{[] {
         DriveConfig cfg = prototypeDriveConfig("nasd0", 1);
         // Small caches so "cold" states are reachable by eviction.
         cfg.store.meta_cache_inodes = 8;
@@ -245,9 +245,9 @@ main(int argc, char **argv)
     std::vector<std::uint8_t> big(64 * kKB);
 
     // Sequential cached single sector.
-    bench::runTask(bsim, barracuda.read(0, 1, sector)); // prime
+    runTask(bsim, barracuda.read(0, 1, sector)); // prime
     sim::Tick t0 = bsim.now();
-    bench::runTask(bsim, barracuda.read(1, 1, sector));
+    runTask(bsim, barracuda.read(1, 1, sector));
     std::printf("  sequential cached sector: %6.2f ms (paper: 0.30)\n",
                 sim::toMillis(bsim.now() - t0));
     util::metrics()
@@ -261,7 +261,7 @@ main(int argc, char **argv)
         const std::uint64_t block =
             (i * 977ull * 1801) % (barracuda.numBlocks() - 200);
         t0 = bsim.now();
-        bench::runTask(bsim, barracuda.read(block, 1, sector));
+        runTask(bsim, barracuda.read(block, 1, sector));
         random_sum_ms += sim::toMillis(bsim.now() - t0);
     }
     const double random_ms = random_sum_ms / kRandomReads;
@@ -271,10 +271,10 @@ main(int argc, char **argv)
 
     // Cached 64 KB (sequential after priming readahead; give the
     // drive a moment so the prefetch has fully landed in its cache).
-    bench::runTask(bsim, barracuda.read(2048, 128, big));
+    runTask(bsim, barracuda.read(2048, 128, big));
     bsim.runUntil(bsim.now() + sim::msec(20));
     t0 = bsim.now();
-    bench::runTask(bsim, barracuda.read(2176, 128, big));
+    runTask(bsim, barracuda.read(2176, 128, big));
     std::printf("  64KB from cache/stream:   %6.2f ms (paper: 2.2)\n",
                 sim::toMillis(bsim.now() - t0));
     util::metrics()
@@ -287,7 +287,7 @@ main(int argc, char **argv)
         const std::uint64_t block =
             (i * 1237ull * 4099) % (barracuda.numBlocks() - 200);
         t0 = bsim.now();
-        bench::runTask(bsim, barracuda.read(block, 128, big));
+        runTask(bsim, barracuda.read(block, 128, big));
         random64_sum_ms += sim::toMillis(bsim.now() - t0);
     }
     const double random64_ms = random64_sum_ms / kRandomReads;

@@ -12,7 +12,6 @@
  */
 #include <cstdio>
 #include <memory>
-#include <optional>
 
 #include "active/active.h"
 #include "apps/transactions.h"
@@ -71,19 +70,6 @@ class StoreFilterMethod : public active::ActiveMethod
     std::uint64_t matches_ = 0;
     std::uint64_t largest_basket_ = 0;
 };
-
-template <typename T>
-T
-runFor(sim::Simulator &sim, sim::Task<T> task)
-{
-    std::optional<T> out;
-    sim.spawn([](sim::Task<T> t,
-                 std::optional<T> &o) -> sim::Task<void> {
-        o = co_await std::move(t);
-    }(std::move(task), out));
-    sim.run();
-    return std::move(*out);
-}
 
 } // namespace
 

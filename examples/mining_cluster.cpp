@@ -9,16 +9,16 @@
  *
  * Build & run:  ./build/examples/mining_cluster
  */
+#include <algorithm>
 #include <cstdio>
 #include <memory>
-#include <optional>
+#include <span>
 #include <vector>
 
 #include "apps/frequent_sets.h"
 #include "apps/transactions.h"
-#include "cheops/cheops.h"
-#include "net/presets.h"
 #include "pfs/pfs.h"
+#include "rig/cluster.h"
 #include "sim/simulator.h"
 #include "util/units.h"
 
@@ -31,80 +31,43 @@ constexpr int kDrives = 4;
 constexpr std::uint64_t kDatasetBytes = 32 * kMB;
 constexpr std::uint32_t kCatalogItems = 100;
 
-template <typename T>
-T
-runFor(sim::Simulator &sim, sim::Task<T> task)
-{
-    std::optional<T> out;
-    sim.spawn([](sim::Task<T> t,
-                 std::optional<T> &o) -> sim::Task<void> {
-        o = co_await std::move(t);
-    }(std::move(task), out));
-    sim.run();
-    return std::move(*out);
-}
-
 } // namespace
 
 int
 main()
 {
-    sim::Simulator sim;
-    net::Network net(sim);
-
     // Cluster: 4 drives + storage manager + 4 client workstations.
-    std::vector<std::unique_ptr<NasdDrive>> drives;
-    std::vector<NasdDrive *> raw;
-    for (int i = 0; i < kDrives; ++i) {
-        drives.push_back(std::make_unique<NasdDrive>(
-            sim, net,
-            prototypeDriveConfig("nasd" + std::to_string(i), i + 1)));
-        raw.push_back(drives.back().get());
-    }
-    auto &mgr_node = net.addNode("manager", net::alphaStation500(),
-                                 net::oc3Link(), net::dceRpcCosts());
-    cheops::CheopsManager storage(sim, net, mgr_node, raw, 0);
-    sim.spawn(storage.initialize(512 * kMB));
-    sim.run();
-    pfs::PfsManager pfs_manager(storage);
+    rig::NasdCluster cluster(
+        {.drives = kDrives, .partition_bytes = 512 * kMB});
+    sim::Simulator &sim = cluster.sim;
 
     // Load the dataset (2 MB chunks; records never straddle chunks).
     apps::DatasetParams params;
     params.catalog_items = kCatalogItems;
     params.planted_pair_rate = 0.35;
-    apps::TransactionGenerator gen(params);
-    auto &loader_node = net.addNode("loader", net::alphaStation255(),
-                                    net::oc3Link(), net::dceRpcCosts());
-    pfs::PfsClient loader(net, loader_node, pfs_manager, raw);
-    auto file = runFor(sim, loader.open("sales", true, true)).value();
+    const apps::TransactionGenerator gen(params);
     const std::uint64_t chunks = kDatasetBytes / apps::kChunkBytes;
-    for (std::uint64_t c = 0; c < chunks; ++c)
-        (void)runFor(sim, loader.write(file, c * apps::kChunkBytes,
-                                       gen.chunk(c)));
+    const auto file = cluster.loadPfsFile(
+        "sales", chunks, [&gen](std::uint64_t c) { return gen.chunk(c); });
     std::printf("loaded %s of transactions across %d drives\n",
                 util::formatBytes(kDatasetBytes).c_str(), kDrives);
 
     // Pass 1 in parallel: each client counts its round-robin chunks.
-    std::vector<std::unique_ptr<pfs::PfsClient>> clients;
+    const auto clients = cluster.openPfsClients(kDrives, "sales");
     std::vector<apps::ItemCounts> partials(
         kDrives, apps::ItemCounts(kCatalogItems, 0));
-    for (int i = 0; i < kDrives; ++i) {
-        auto &node = net.addNode("miner" + std::to_string(i),
-                                 net::alphaStation255(), net::oc3Link(),
-                                 net::dceRpcCosts());
-        clients.push_back(std::make_unique<pfs::PfsClient>(
-            net, node, pfs_manager, raw));
-    }
+    int failed_reads = 0;
     const sim::Tick start = sim.now();
     for (int i = 0; i < kDrives; ++i) {
         sim.spawn([](pfs::PfsClient &c, pfs::PfsHandle f,
                      std::uint64_t total, std::uint64_t first,
-                     apps::ItemCounts &out) -> sim::Task<void> {
+                     apps::ItemCounts &out, int &failed) -> sim::Task<void> {
             std::vector<std::uint8_t> chunk(apps::kChunkBytes);
             for (std::uint64_t idx = first; idx < total; idx += kDrives) {
                 auto r = co_await c.read(f, idx * apps::kChunkBytes,
                                          chunk);
-                (void)r;
+                if (!r.ok() || r.value() != apps::kChunkBytes)
+                    ++failed;
                 co_await c.node().cpu().executeAt(
                     static_cast<std::uint64_t>(
                         apps::kCountingCyclesPerByte * apps::kChunkBytes),
@@ -113,9 +76,13 @@ main()
                     out, apps::countOneItemsets(chunk, kCatalogItems));
             }
         }(*clients[i], file, chunks, static_cast<std::uint64_t>(i),
-          partials[i]));
+          partials[i], failed_reads));
     }
     sim.run();
+    if (failed_reads != 0) {
+        std::printf("pass 1: %d chunk reads failed\n", failed_reads);
+        return 1;
+    }
     const double secs = sim::toSeconds(sim.now() - start);
 
     apps::ItemCounts counts(kCatalogItems, 0);
@@ -137,7 +104,18 @@ main()
                 frequent1.size());
 
     std::vector<std::uint8_t> all(kDatasetBytes);
-    (void)runFor(sim, loader.read(file, 0, all));
+    for (std::uint64_t c = 0; c < chunks; ++c) {
+        const auto piece =
+            std::span(all).subspan(c * apps::kChunkBytes, apps::kChunkBytes);
+        const auto r = runFor(
+            sim, clients[0]->read(file, c * apps::kChunkBytes, piece));
+        if (!r.ok() || r.value() != apps::kChunkBytes) {
+            std::printf("read-back of chunk %llu failed\n",
+                        static_cast<unsigned long long>(c));
+            return 1;
+        }
+    }
+    bool planted_pair_found = false;
     std::vector<apps::ItemSet> level;
     for (const auto item : frequent1)
         level.push_back({item});
@@ -147,6 +125,10 @@ main()
             break;
         const auto counted = apps::countCandidates(all, candidates);
         level = apps::frequentSets(candidates, counted, min_support);
+        if (k == 2)
+            planted_pair_found = std::find(level.begin(), level.end(),
+                                           apps::ItemSet{1, 2}) !=
+                                 level.end();
         std::printf("pass %d: %zu candidate %d-itemsets, %zu frequent\n",
                     k, candidates.size(), k, level.size());
         for (const auto &set : level) {
@@ -155,6 +137,10 @@ main()
                 std::printf("%s%u", i ? ", " : "", set[i]);
             std::printf("}\n");
         }
+    }
+    if (!planted_pair_found) {
+        std::printf("=> no rule: {1, 2} is not a frequent 2-itemset\n");
+        return 1;
     }
     std::printf("=> rule discovered: customers buying item 1 also buy "
                 "item 2 (the planted association)\n");

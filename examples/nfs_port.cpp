@@ -13,7 +13,6 @@
  */
 #include <cstdio>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "fs/nfs/nasd_nfs.h"
@@ -24,23 +23,6 @@
 using namespace nasd;
 using util::kKB;
 using util::kMB;
-
-namespace {
-
-template <typename T>
-T
-runFor(sim::Simulator &sim, sim::Task<T> task)
-{
-    std::optional<T> out;
-    sim.spawn([](sim::Task<T> t,
-                 std::optional<T> &o) -> sim::Task<void> {
-        o = co_await std::move(t);
-    }(std::move(task), out));
-    sim.run();
-    return std::move(*out);
-}
-
-} // namespace
 
 int
 main()

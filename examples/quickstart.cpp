@@ -12,7 +12,6 @@
  * Build & run:  ./build/examples/quickstart
  */
 #include <cstdio>
-#include <optional>
 
 #include "nasd/client.h"
 #include "nasd/drive.h"
@@ -21,23 +20,6 @@
 #include "util/units.h"
 
 using namespace nasd;
-
-namespace {
-
-template <typename T>
-T
-runFor(sim::Simulator &sim, sim::Task<T> task)
-{
-    std::optional<T> out;
-    sim.spawn([](sim::Task<T> t,
-                 std::optional<T> &o) -> sim::Task<void> {
-        o = co_await std::move(t);
-    }(std::move(task), out));
-    sim.run();
-    return std::move(*out);
-}
-
-} // namespace
 
 int
 main()

@@ -642,6 +642,26 @@ ObjectStore::growObject(Inode &inode, std::uint64_t units)
     if (!result.ok())
         return util::Err{result.error()};
 
+    // Count the inline extents the allocation ends up needing (an
+    // extent that continues the previous one merges into it) before
+    // touching the inode, so a full table fails with nothing changed.
+    std::size_t slots = inode.extents.size();
+    std::uint64_t tail_end =
+        inode.extents.empty()
+            ? ~std::uint64_t{0}
+            : std::uint64_t{inode.extents.back().start} +
+                  inode.extents.back().count;
+    for (const auto &e : result.value()) {
+        slots += e.start == tail_end ? 0 : 1;
+        tail_end = std::uint64_t{e.start} + e.count;
+    }
+    if (slots > kMaxInlineExtents) {
+        for (const auto &e : result.value())
+            alloc_->unref(e);
+        NASD_WARN("object ", inode.id, " too fragmented; extent table full");
+        return util::Err{NasdStatus::kNoSpace};
+    }
+
     for (const auto &e : result.value()) {
         // Freshly allocated units may be recycled from removed
         // objects: zero them so never-written ranges read as zeros
@@ -655,13 +675,6 @@ ObjectStore::growObject(Inode &inode, std::uint64_t units)
                 e.start) {
             inode.extents.back().count += e.count;
         } else {
-            if (inode.extents.size() >= kMaxInlineExtents) {
-                // Undo and fail: the inline extent table is full.
-                alloc_->unref(e);
-                NASD_WARN("object ", inode.id,
-                          " too fragmented; extent table full");
-                return util::Err{NasdStatus::kNoSpace};
-            }
             inode.extents.push_back(e);
         }
     }

@@ -20,6 +20,8 @@
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <utility>
 
 #include "sim/event_queue.h"
 #include "sim/task.h"
@@ -179,6 +181,28 @@ class Simulator
 
     static inline std::uint64_t total_events_ = 0;
 };
+
+/** Run one task on @p sim until it (and the queue) finishes. */
+inline void
+runTask(Simulator &sim, Task<void> task)
+{
+    sim.spawn(std::move(task));
+    sim.run();
+}
+
+/** Run a value-returning task on @p sim to completion; return its
+ *  value. Found by argument-dependent lookup: `runFor(sim, task)`. */
+template <typename T>
+T
+runFor(Simulator &sim, Task<T> task)
+{
+    std::optional<T> result;
+    sim.spawn([](Task<T> t, std::optional<T> &out) -> Task<void> {
+        out = co_await std::move(t);
+    }(std::move(task), result));
+    sim.run();
+    return std::move(*result);
+}
 
 } // namespace nasd::sim
 

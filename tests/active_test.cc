@@ -41,7 +41,7 @@ class ActiveTest : public ::testing::Test
           runtime(drive), active_client(net, client_node, runtime),
           nasd_client(net, client_node, drive)
     {
-        run(drive.format());
+        runTask(sim, drive.format());
         EXPECT_TRUE(drive.store().createPartition(0, 512 * kMB).ok());
         runtime.installMethod("frequent-sets", [this]() {
             return std::make_unique<FrequentSetsMethod>(
@@ -63,25 +63,6 @@ class ActiveTest : public ::testing::Test
         sim.run();
     }
 
-    void
-    run(Task<void> task)
-    {
-        sim.spawn(std::move(task));
-        sim.run();
-    }
-
-    template <typename T>
-    T
-    runFor(Task<T> task)
-    {
-        std::optional<T> result;
-        sim.spawn([](Task<T> t, std::optional<T> &out) -> Task<void> {
-            out = co_await std::move(t);
-        }(std::move(task), result));
-        sim.run();
-        return std::move(*result);
-    }
-
     /** Load n chunks of transactions into a fresh object. */
     ObjectId
     loadData(std::uint64_t chunks)
@@ -92,13 +73,13 @@ class ActiveTest : public ::testing::Test
         pub.rights = kRightCreate;
         CredentialFactory part_cred(issuer.mint(pub));
         const ObjectId oid =
-            runFor(nasd_client.create(part_cred, 0)).value();
+            runFor(sim, nasd_client.create(part_cred, 0)).value();
 
         apps::TransactionGenerator gen(params);
         CredentialFactory cred(objectCap(oid));
         for (std::uint64_t i = 0; i < chunks; ++i) {
             const auto chunk = gen.chunk(i);
-            EXPECT_TRUE(runFor(nasd_client.write(
+            EXPECT_TRUE(runFor(sim, nasd_client.write(
                             cred, i * apps::kChunkBytes, chunk))
                             .ok());
         }
@@ -137,7 +118,7 @@ TEST_F(ActiveTest, UnknownMethodRejected)
 {
     const ObjectId oid = loadData(1);
     CredentialFactory cred(objectCap(oid));
-    auto r = runFor(active_client.scan(cred, "nonexistent"));
+    auto r = runFor(sim, active_client.scan(cred, "nonexistent"));
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), NasdStatus::kBadRequest);
 }
@@ -148,7 +129,7 @@ TEST_F(ActiveTest, ScanRequiresCapability)
     Capability cap = objectCap(oid);
     cap.private_key[0] ^= 1; // forged
     CredentialFactory cred(cap);
-    auto r = runFor(active_client.scan(cred, "frequent-sets"));
+    auto r = runFor(sim, active_client.scan(cred, "frequent-sets"));
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), NasdStatus::kBadCapability);
 }
@@ -168,7 +149,7 @@ TEST_F(ActiveTest, OnDriveCountsMatchClientSideCounts)
     }
 
     CredentialFactory cred(objectCap(oid));
-    auto result = runFor(active_client.scan(cred, "frequent-sets"));
+    auto result = runFor(sim, active_client.scan(cred, "frequent-sets"));
     ASSERT_TRUE(result.ok());
     const auto counts = FrequentSetsMethod::decodeResult(result.value());
     EXPECT_EQ(counts, expected);
@@ -180,7 +161,7 @@ TEST_F(ActiveTest, OnlyResultCrossesTheNetwork)
     const ObjectId oid = loadData(4); // 8 MB of data
     CredentialFactory cred(objectCap(oid));
     const auto bytes_before = client_node.bytes_received.value();
-    auto result = runFor(active_client.scan(cred, "frequent-sets"));
+    auto result = runFor(sim, active_client.scan(cred, "frequent-sets"));
     ASSERT_TRUE(result.ok());
     const auto received = client_node.bytes_received.value() - bytes_before;
     // The result (one count table) is tiny compared to the 8 MB
@@ -196,14 +177,14 @@ TEST_F(ActiveTest, FasterThanShippingDataOverSlowEthernet)
     CredentialFactory cred(objectCap(oid));
 
     const sim::Tick t0 = sim.now();
-    auto scan = runFor(active_client.scan(cred, "frequent-sets"));
+    auto scan = runFor(sim, active_client.scan(cred, "frequent-sets"));
     ASSERT_TRUE(scan.ok());
     const sim::Tick active_time = sim.now() - t0;
 
     const sim::Tick t1 = sim.now();
     CredentialFactory read_cred(objectCap(oid));
     for (int i = 0; i < 4; ++i) {
-        auto data = runFor(nasd_client.read(
+        auto data = runFor(sim, nasd_client.read(
             read_cred, i * apps::kChunkBytes, apps::kChunkBytes));
         ASSERT_TRUE(data.ok());
     }
@@ -280,7 +261,7 @@ class ActivePipelineTest : public ActiveTest
         pub.rights = kRightCreate;
         CredentialFactory part_cred(issuer.mint(pub));
         const ObjectId oid =
-            runFor(nasd_client.create(part_cred, 0)).value();
+            runFor(sim, nasd_client.create(part_cred, 0)).value();
         std::vector<std::uint8_t> data(size);
         for (std::uint64_t off = 0; off + 8 <= size; off += 8)
             std::memcpy(data.data() + off, &off, 8);
@@ -288,7 +269,7 @@ class ActivePipelineTest : public ActiveTest
         for (std::uint64_t off = 0; off < size; off += apps::kChunkBytes) {
             const auto piece = std::span(data).subspan(
                 off, std::min(apps::kChunkBytes, size - off));
-            EXPECT_TRUE(runFor(nasd_client.write(cred, off, piece)).ok());
+            EXPECT_TRUE(runFor(sim, nasd_client.write(cred, off, piece)).ok());
         }
         return oid;
     }
@@ -316,7 +297,7 @@ class ActivePipelineTest : public ActiveTest
     {
         CredentialFactory cred(objectCap(oid));
         const sim::Tick t0 = sim.now();
-        EXPECT_TRUE(runFor(active_client.scan(cred, method)).ok());
+        EXPECT_TRUE(runFor(sim, active_client.scan(cred, method)).ok());
         return sim.now() - t0;
     }
 

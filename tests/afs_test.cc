@@ -6,7 +6,6 @@
  */
 #include <gtest/gtest.h>
 
-#include <optional>
 #include <vector>
 
 #include "fs/afs/afs.h"
@@ -39,7 +38,7 @@ class AfsTest : public ::testing::Test
         }
         fm = std::make_unique<AfsFileManager>(sim, net, fm_node, raw, 0,
                                               64 * kMB);
-        run(fm->initialize(512 * kMB));
+        runTask(sim, fm->initialize(512 * kMB));
         client_a = makeClient("alice", 1);
         client_b = makeClient("bob", 2);
     }
@@ -50,25 +49,6 @@ class AfsTest : public ::testing::Test
         auto &node = net.addNode(name, net::alphaStation255(),
                                  net::oc3Link(), net::dceRpcCosts());
         return std::make_unique<AfsClient>(net, node, *fm, raw, id);
-    }
-
-    void
-    run(Task<void> task)
-    {
-        sim.spawn(std::move(task));
-        sim.run();
-    }
-
-    template <typename T>
-    T
-    runFor(Task<T> task)
-    {
-        std::optional<T> result;
-        sim.spawn([](Task<T> t, std::optional<T> &out) -> Task<void> {
-            out = co_await std::move(t);
-        }(std::move(task), result));
-        sim.run();
-        return std::move(*result);
     }
 
     std::vector<std::uint8_t>
@@ -93,9 +73,9 @@ class AfsTest : public ::testing::Test
 TEST_F(AfsTest, CreateLookupLocalParse)
 {
     const auto root = fm->rootFid();
-    auto fid = runFor(client_a->create(root, "paper.tex"));
+    auto fid = runFor(sim, client_a->create(root, "paper.tex"));
     ASSERT_TRUE(fid.ok());
-    auto found = runFor(client_a->lookup(root, "paper.tex"));
+    auto found = runFor(sim, client_a->lookup(root, "paper.tex"));
     ASSERT_TRUE(found.ok());
     EXPECT_EQ(found.value(), fid.value());
 }
@@ -103,12 +83,12 @@ TEST_F(AfsTest, CreateLookupLocalParse)
 TEST_F(AfsTest, WriteReadThroughDrives)
 {
     const auto root = fm->rootFid();
-    const auto fid = runFor(client_a->create(root, "f")).value();
+    const auto fid = runFor(sim, client_a->create(root, "f")).value();
     const auto data = pattern(100 * kKB);
-    ASSERT_TRUE(runFor(client_a->write(fid, 0, data)).ok());
+    ASSERT_TRUE(runFor(sim, client_a->write(fid, 0, data)).ok());
 
     std::vector<std::uint8_t> out(100 * kKB);
-    auto n = runFor(client_b->read(fid, 0, out));
+    auto n = runFor(sim, client_b->read(fid, 0, out));
     ASSERT_TRUE(n.ok());
     EXPECT_EQ(n.value(), 100 * kKB);
     EXPECT_EQ(out, data);
@@ -117,16 +97,16 @@ TEST_F(AfsTest, WriteReadThroughDrives)
 TEST_F(AfsTest, WholeFileCachingServesRepeatsLocally)
 {
     const auto root = fm->rootFid();
-    const auto fid = runFor(client_a->create(root, "hot")).value();
-    ASSERT_TRUE(runFor(client_a->write(fid, 0, pattern(64 * kKB))).ok());
+    const auto fid = runFor(sim, client_a->create(root, "hot")).value();
+    ASSERT_TRUE(runFor(sim, client_a->write(fid, 0, pattern(64 * kKB))).ok());
 
     std::vector<std::uint8_t> out(64 * kKB);
-    (void)runFor(client_b->read(fid, 0, out)); // miss: fetches
+    (void)runFor(sim, client_b->read(fid, 0, out)); // miss: fetches
     const auto misses = client_b->cacheMisses();
 
     const sim::Tick t0 = sim.now();
-    (void)runFor(client_b->read(fid, 0, out)); // hit: local
-    (void)runFor(client_b->read(fid, 16 * kKB, out)); // hit
+    (void)runFor(sim, client_b->read(fid, 0, out)); // hit: local
+    (void)runFor(sim, client_b->read(fid, 16 * kKB, out)); // hit
     EXPECT_EQ(client_b->cacheMisses(), misses);
     EXPECT_GE(client_b->cacheHits(), 2u);
     EXPECT_EQ(sim.now(), t0); // no simulated time: purely local
@@ -135,19 +115,21 @@ TEST_F(AfsTest, WholeFileCachingServesRepeatsLocally)
 TEST_F(AfsTest, WriteBreaksReadersCallback)
 {
     const auto root = fm->rootFid();
-    const auto fid = runFor(client_a->create(root, "shared")).value();
-    ASSERT_TRUE(runFor(client_a->write(fid, 0, pattern(10 * kKB, 1))).ok());
+    const auto fid = runFor(sim, client_a->create(root, "shared")).value();
+    ASSERT_TRUE(
+        runFor(sim, client_a->write(fid, 0, pattern(10 * kKB, 1))).ok());
 
     std::vector<std::uint8_t> out(10 * kKB);
-    (void)runFor(client_b->read(fid, 0, out)); // b caches + callback
+    (void)runFor(sim, client_b->read(fid, 0, out)); // b caches + callback
     const auto broken_before = fm->callbacksBroken();
 
     // a writes: b's callback must break, and b's next read must see
     // the new data.
-    ASSERT_TRUE(runFor(client_a->write(fid, 0, pattern(10 * kKB, 99))).ok());
+    ASSERT_TRUE(
+        runFor(sim, client_a->write(fid, 0, pattern(10 * kKB, 99))).ok());
     EXPECT_GT(fm->callbacksBroken(), broken_before);
 
-    auto n = runFor(client_b->read(fid, 0, out));
+    auto n = runFor(sim, client_b->read(fid, 0, out));
     ASSERT_TRUE(n.ok());
     EXPECT_EQ(out, pattern(10 * kKB, 99));
 }
@@ -155,32 +137,32 @@ TEST_F(AfsTest, WriteBreaksReadersCallback)
 TEST_F(AfsTest, QuotaEscrowSettlesToActualSize)
 {
     const auto root = fm->rootFid();
-    const auto fid = runFor(client_a->create(root, "q")).value();
+    const auto fid = runFor(sim, client_a->create(root, "q")).value();
     const auto used_before = fm->quotaUsedBytes();
     // Write 100 KB; escrow reserves ~1 MB during the write, but the
     // books settle to the actual size afterwards.
-    ASSERT_TRUE(runFor(client_a->write(fid, 0, pattern(100 * kKB))).ok());
+    ASSERT_TRUE(runFor(sim, client_a->write(fid, 0, pattern(100 * kKB))).ok());
     EXPECT_EQ(fm->quotaUsedBytes() - used_before, 100 * kKB);
 }
 
 TEST_F(AfsTest, QuotaDeniesWhenExhausted)
 {
     const auto root = fm->rootFid();
-    const auto fid = runFor(client_a->create(root, "big")).value();
+    const auto fid = runFor(sim, client_a->create(root, "big")).value();
     // Volume quota is 64 MB; fill most of it.
-    ASSERT_TRUE(runFor(client_a->write(fid, 0, pattern(8 * kMB))).ok());
-    const auto fid2 = runFor(client_a->create(root, "big2")).value();
+    ASSERT_TRUE(runFor(sim, client_a->write(fid, 0, pattern(8 * kMB))).ok());
+    const auto fid2 = runFor(sim, client_a->create(root, "big2")).value();
     // Each write escrows ~1 MB + the data; writing 60 MB more in one
     // escrowed range must fail at capability-issue time.
     std::vector<std::uint8_t> huge(60 * kMB, 1);
-    auto r = runFor([](AfsFileManager &m, AfsFid f)
+    auto r = runFor(sim, [](AfsFileManager &m, AfsFid f)
                         -> Task<NfsStatus> {
         auto reply = co_await m.serveFetchCap(f, true, 1);
         co_return reply.status;
     }(*fm, fid2));
     // 1 MB escrow fits; the deny happens when the drive write exceeds
     // the escrowed byte range instead.
-    auto wrote = runFor(client_a->write(fid2, 0, huge));
+    auto wrote = runFor(sim, client_a->write(fid2, 0, huge));
     EXPECT_FALSE(wrote.ok());
     (void)r;
 }
@@ -188,33 +170,33 @@ TEST_F(AfsTest, QuotaDeniesWhenExhausted)
 TEST_F(AfsTest, RemoveReclaimsQuota)
 {
     const auto root = fm->rootFid();
-    const auto fid = runFor(client_a->create(root, "bye")).value();
-    ASSERT_TRUE(runFor(client_a->write(fid, 0, pattern(kMB))).ok());
+    const auto fid = runFor(sim, client_a->create(root, "bye")).value();
+    ASSERT_TRUE(runFor(sim, client_a->write(fid, 0, pattern(kMB))).ok());
     const auto used = fm->quotaUsedBytes();
-    ASSERT_TRUE(runFor(client_a->remove(root, "bye")).ok());
+    ASSERT_TRUE(runFor(sim, client_a->remove(root, "bye")).ok());
     EXPECT_LT(fm->quotaUsedBytes(), used);
-    auto found = runFor(client_a->lookup(root, "bye"));
+    auto found = runFor(sim, client_a->lookup(root, "bye"));
     EXPECT_FALSE(found.ok());
 }
 
 TEST_F(AfsTest, DirectoryChangeBreaksDirCallback)
 {
     const auto root = fm->rootFid();
-    (void)runFor(client_a->create(root, "one"));
+    (void)runFor(sim, client_a->create(root, "one"));
     // b parses the directory (caches it with a callback).
-    (void)runFor(client_b->lookup(root, "one"));
+    (void)runFor(sim, client_b->lookup(root, "one"));
     // a creates another file; b's cached directory must be broken so
     // its next lookup sees the new entry.
-    (void)runFor(client_a->create(root, "two"));
-    auto found = runFor(client_b->lookup(root, "two"));
+    (void)runFor(sim, client_a->create(root, "two"));
+    auto found = runFor(sim, client_b->lookup(root, "two"));
     ASSERT_TRUE(found.ok());
 }
 
 TEST_F(AfsTest, ReaderWaitsForActiveWriter)
 {
     const auto root = fm->rootFid();
-    const auto fid = runFor(client_a->create(root, "contended")).value();
-    ASSERT_TRUE(runFor(client_a->write(fid, 0, pattern(kKB))).ok());
+    const auto fid = runFor(sim, client_a->create(root, "contended")).value();
+    ASSERT_TRUE(runFor(sim, client_a->write(fid, 0, pattern(kKB))).ok());
 
     // Writer (a) takes a write capability and holds it for 5 ms before
     // relinquishing; a concurrent reader (b) must not get its callback
@@ -246,8 +228,8 @@ TEST_F(AfsTest, ReaderWaitsForActiveWriter)
 TEST_F(AfsTest, ExpiredWriteCapUnblocksReaders)
 {
     const auto root = fm->rootFid();
-    const auto fid = runFor(client_a->create(root, "crashcase")).value();
-    ASSERT_TRUE(runFor(client_a->write(fid, 0, pattern(kKB))).ok());
+    const auto fid = runFor(sim, client_a->create(root, "crashcase")).value();
+    ASSERT_TRUE(runFor(sim, client_a->write(fid, 0, pattern(kKB))).ok());
 
     // Writer takes a capability and "crashes" (never relinquishes).
     sim.spawn([](AfsFileManager &m, AfsFid f) -> Task<void> {
@@ -259,7 +241,7 @@ TEST_F(AfsTest, ExpiredWriteCapUnblocksReaders)
     // expiration bounds the waiting time (paper, Section 5.1).
     sim.runUntil(sim.now() + fm->writeCapLifetimeNs() + sim::msec(1));
     std::vector<std::uint8_t> out(kKB);
-    auto n = runFor(client_b->read(fid, 0, out));
+    auto n = runFor(sim, client_b->read(fid, 0, out));
     ASSERT_TRUE(n.ok());
     EXPECT_EQ(n.value(), kKB);
 }

@@ -6,7 +6,6 @@
  */
 #include <gtest/gtest.h>
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -14,6 +13,7 @@
 #include "net/presets.h"
 #include "pfs/comm.h"
 #include "pfs/pfs.h"
+#include "rig/cluster.h"
 #include "sim/simulator.h"
 #include "util/trace.h"
 #include "util/units.h"
@@ -35,64 +35,21 @@ pattern(std::size_t n, std::uint8_t seed = 1)
     return v;
 }
 
-class CheopsTest : public ::testing::Test
+class CheopsTest : public ::testing::Test, public rig::NasdCluster
 {
   protected:
-    static constexpr int kDrives = 4;
+    CheopsTest() : NasdCluster({.drives = 4, .partition_bytes = 512 * kMB}) {}
 
-    CheopsTest()
-        : mgr_node(net.addNode("cheops-mgr", net::alphaStation500(),
-                               net::oc3Link(), net::dceRpcCosts())),
-          client_node(net.addNode("client", net::alphaStation255(),
-                                  net::oc3Link(), net::dceRpcCosts()))
-    {
-        for (int i = 0; i < kDrives; ++i) {
-            drives.push_back(std::make_unique<NasdDrive>(
-                sim, net,
-                prototypeDriveConfig("nasd" + std::to_string(i), i + 1)));
-        }
-        for (auto &d : drives)
-            raw.push_back(d.get());
-        mgr = std::make_unique<CheopsManager>(sim, net, mgr_node, raw, 0);
-        run(mgr->initialize(512 * kMB));
-        client = std::make_unique<CheopsClient>(net, client_node, *mgr,
-                                                raw);
-    }
-
-    void
-    run(Task<void> task)
-    {
-        sim.spawn(std::move(task));
-        sim.run();
-    }
-
-    template <typename T>
-    T
-    runFor(Task<T> task)
-    {
-        std::optional<T> result;
-        sim.spawn([](Task<T> t, std::optional<T> &out) -> Task<void> {
-            out = co_await std::move(t);
-        }(std::move(task), result));
-        sim.run();
-        return std::move(*result);
-    }
-
-    Simulator sim;
-    net::Network net{sim};
-    net::NetNode &mgr_node;
-    net::NetNode &client_node;
-    std::vector<std::unique_ptr<NasdDrive>> drives;
-    std::vector<NasdDrive *> raw;
-    std::unique_ptr<CheopsManager> mgr;
-    std::unique_ptr<CheopsClient> client;
+    net::NetNode &client_node = clientNode("client");
+    std::unique_ptr<CheopsClient> client =
+        std::make_unique<CheopsClient>(net, client_node, storage(), raw);
 };
 
 TEST_F(CheopsTest, CreateProducesComponentPerDrive)
 {
-    auto id = runFor(client->create(64 * kKB, 0));
+    auto id = runFor(sim, client->create(64 * kKB, 0));
     ASSERT_TRUE(id.ok());
-    auto map = runFor(client->open(id.value(), false));
+    auto map = runFor(sim, client->open(id.value(), false));
     ASSERT_TRUE(map.ok());
     EXPECT_EQ(map.value()->components.size(), 4u);
     EXPECT_EQ(map.value()->stripe_unit_bytes, 64 * kKB);
@@ -100,22 +57,22 @@ TEST_F(CheopsTest, CreateProducesComponentPerDrive)
 
 TEST_F(CheopsTest, PartialStripeCount)
 {
-    auto id = runFor(client->create(64 * kKB, 2));
+    auto id = runFor(sim, client->create(64 * kKB, 2));
     ASSERT_TRUE(id.ok());
-    auto map = runFor(client->open(id.value(), false));
+    auto map = runFor(sim, client->open(id.value(), false));
     ASSERT_TRUE(map.ok());
     EXPECT_EQ(map.value()->components.size(), 2u);
 }
 
 TEST_F(CheopsTest, StripedWriteReadRoundTrip)
 {
-    const auto id = runFor(client->create(64 * kKB, 0)).value();
+    const auto id = runFor(sim, client->create(64 * kKB, 0)).value();
     // 1 MB spans all four components several times.
     const auto data = pattern(kMB, 7);
-    ASSERT_TRUE(runFor(client->write(id, 0, data)).ok());
+    ASSERT_TRUE(runFor(sim, client->write(id, 0, data)).ok());
 
     std::vector<std::uint8_t> out(kMB);
-    auto n = runFor(client->read(id, 0, out));
+    auto n = runFor(sim, client->read(id, 0, out));
     ASSERT_TRUE(n.ok());
     EXPECT_EQ(n.value().bytes, kMB);
     EXPECT_FALSE(n.value().degraded());
@@ -124,11 +81,11 @@ TEST_F(CheopsTest, StripedWriteReadRoundTrip)
 
 TEST_F(CheopsTest, UnalignedRangeRoundTrip)
 {
-    const auto id = runFor(client->create(64 * kKB, 0)).value();
+    const auto id = runFor(sim, client->create(64 * kKB, 0)).value();
     const auto data = pattern(300 * kKB, 9);
-    ASSERT_TRUE(runFor(client->write(id, 12345, data)).ok());
+    ASSERT_TRUE(runFor(sim, client->write(id, 12345, data)).ok());
     std::vector<std::uint8_t> out(300 * kKB);
-    auto n = runFor(client->read(id, 12345, out));
+    auto n = runFor(sim, client->read(id, 12345, out));
     ASSERT_TRUE(n.ok());
     EXPECT_EQ(n.value().bytes, 300 * kKB);
     EXPECT_EQ(out, data);
@@ -136,37 +93,37 @@ TEST_F(CheopsTest, UnalignedRangeRoundTrip)
 
 TEST_F(CheopsTest, DataLandsOnAllDrives)
 {
-    const auto id = runFor(client->create(64 * kKB, 0)).value();
-    ASSERT_TRUE(runFor(client->write(id, 0, pattern(kMB))).ok());
+    const auto id = runFor(sim, client->create(64 * kKB, 0)).value();
+    ASSERT_TRUE(runFor(sim, client->write(id, 0, pattern(kMB))).ok());
     for (auto &d : drives)
         EXPECT_GT(d->store().stats().writes.value(), 0u);
 }
 
 TEST_F(CheopsTest, SizeReconstructsLogicalLength)
 {
-    const auto id = runFor(client->create(64 * kKB, 0)).value();
-    ASSERT_TRUE(runFor(client->write(id, 0, pattern(999 * kKB))).ok());
-    auto s = runFor(client->size(id));
+    const auto id = runFor(sim, client->create(64 * kKB, 0)).value();
+    ASSERT_TRUE(runFor(sim, client->write(id, 0, pattern(999 * kKB))).ok());
+    auto s = runFor(sim, client->size(id));
     ASSERT_TRUE(s.ok());
     EXPECT_EQ(s.value(), 999 * kKB);
 }
 
 TEST_F(CheopsTest, OpenIsOneControlMessageThenDirect)
 {
-    const auto id = runFor(client->create(64 * kKB, 0)).value();
-    ASSERT_TRUE(runFor(client->write(id, 0, pattern(kMB))).ok());
+    const auto id = runFor(sim, client->create(64 * kKB, 0)).value();
+    ASSERT_TRUE(runFor(sim, client->write(id, 0, pattern(kMB))).ok());
     const auto calls = client->managerCalls();
     std::vector<std::uint8_t> out(kMB);
-    (void)runFor(client->read(id, 0, out));
-    (void)runFor(client->read(id, 0, out));
+    (void)runFor(sim, client->read(id, 0, out));
+    (void)runFor(sim, client->read(id, 0, out));
     EXPECT_EQ(client->managerCalls(), calls); // map cached: no manager
 }
 
 TEST_F(CheopsTest, RemoveFreesComponents)
 {
-    const auto id = runFor(client->create(64 * kKB, 0)).value();
-    ASSERT_TRUE(runFor(client->write(id, 0, pattern(kMB))).ok());
-    ASSERT_TRUE(runFor(client->remove(id)).ok());
+    const auto id = runFor(sim, client->create(64 * kKB, 0)).value();
+    ASSERT_TRUE(runFor(sim, client->write(id, 0, pattern(kMB))).ok());
+    ASSERT_TRUE(runFor(sim, client->remove(id)).ok());
     for (auto &d : drives) {
         auto info = d->store().partitionInfo(0);
         EXPECT_EQ(info.value().object_count, 0u);
@@ -175,24 +132,24 @@ TEST_F(CheopsTest, RemoveFreesComponents)
 
 TEST_F(CheopsTest, RevokeInvalidatesCapabilitySet)
 {
-    const auto id = runFor(client->create(64 * kKB, 0)).value();
-    ASSERT_TRUE(runFor(client->write(id, 0, pattern(64 * kKB))).ok());
+    const auto id = runFor(sim, client->create(64 * kKB, 0)).value();
+    ASSERT_TRUE(runFor(sim, client->write(id, 0, pattern(64 * kKB))).ok());
 
-    auto revoked = runFor([](CheopsManager &m, LogicalObjectId lid)
+    auto revoked = runFor(sim, [](CheopsManager &m, LogicalObjectId lid)
                               -> Task<CheopsStatus> {
         auto r = co_await m.serveRevoke(lid);
         co_return r.status;
-    }(*mgr, id));
+    }(storage(), id));
     ASSERT_EQ(revoked, CheopsStatus::kOk);
 
     // The client's cached capability set is now useless.
     std::vector<std::uint8_t> out(64 * kKB);
-    auto n = runFor(client->read(id, 0, out));
+    auto n = runFor(sim, client->read(id, 0, out));
     ASSERT_FALSE(n.ok());
 
     // A fresh client (fresh open, new capability set) succeeds.
-    CheopsClient fresh(net, client_node, *mgr, raw);
-    auto n2 = runFor(fresh.read(id, 0, out));
+    CheopsClient fresh(net, client_node, storage(), raw);
+    auto n2 = runFor(sim, fresh.read(id, 0, out));
     ASSERT_TRUE(n2.ok());
     EXPECT_EQ(n2.value().bytes, 64 * kKB);
 }
@@ -201,21 +158,21 @@ TEST_F(CheopsTest, ParallelReadBeatsSingleDrive)
 {
     // Striped object over 4 drives vs over 1 drive: large cached reads
     // should be much faster striped.
-    const auto wide = runFor(client->create(512 * kKB, 4)).value();
-    const auto narrow = runFor(client->create(512 * kKB, 1)).value();
+    const auto wide = runFor(sim, client->create(512 * kKB, 4)).value();
+    const auto narrow = runFor(sim, client->create(512 * kKB, 1)).value();
     const auto data = pattern(2 * kMB);
-    ASSERT_TRUE(runFor(client->write(wide, 0, data)).ok());
-    ASSERT_TRUE(runFor(client->write(narrow, 0, data)).ok());
+    ASSERT_TRUE(runFor(sim, client->write(wide, 0, data)).ok());
+    ASSERT_TRUE(runFor(sim, client->write(narrow, 0, data)).ok());
 
     std::vector<std::uint8_t> out(2 * kMB);
-    (void)runFor(client->read(wide, 0, out)); // warm
-    (void)runFor(client->read(narrow, 0, out));
+    (void)runFor(sim, client->read(wide, 0, out)); // warm
+    (void)runFor(sim, client->read(narrow, 0, out));
 
     auto t0 = sim.now();
-    (void)runFor(client->read(wide, 0, out));
+    (void)runFor(sim, client->read(wide, 0, out));
     const auto wide_time = sim.now() - t0;
     t0 = sim.now();
-    (void)runFor(client->read(narrow, 0, out));
+    (void)runFor(sim, client->read(narrow, 0, out));
     const auto narrow_time = sim.now() - t0;
     EXPECT_LT(wide_time, narrow_time);
 }
@@ -246,8 +203,8 @@ class CheopsSpanTest : public CheopsTest
 
 TEST_F(CheopsSpanTest, StripedWriteSpanEnclosesItsDriveWrites)
 {
-    const auto id = runFor(client->create(64 * kKB, 0)).value();
-    ASSERT_TRUE(runFor(client->write(id, 0, pattern(256 * kKB))).ok());
+    const auto id = runFor(sim, client->create(64 * kKB, 0)).value();
+    ASSERT_TRUE(runFor(sim, client->write(id, 0, pattern(256 * kKB))).ok());
 
     const auto *op = only("cheops/write");
     ASSERT_NE(op, nullptr);
@@ -268,8 +225,8 @@ TEST_F(CheopsSpanTest, FailedOpenStillClosesTheOpSpan)
     // No such object: the manager round trip fails the op, and the
     // span still covers it.
     std::vector<std::uint8_t> out(64 * kKB);
-    ASSERT_FALSE(runFor(client->read(42, 0, out)).ok());
-    ASSERT_FALSE(runFor(client->write(42, 0, out)).ok());
+    ASSERT_FALSE(runFor(sim, client->read(42, 0, out)).ok());
+    ASSERT_FALSE(runFor(sim, client->write(42, 0, out)).ok());
     for (const char *name : {"cheops/read", "cheops/write"}) {
         const auto *op = only(name);
         ASSERT_NE(op, nullptr) << name;
@@ -285,56 +242,15 @@ TEST_F(CheopsSpanTest, FailedOpenStillClosesTheOpSpan)
 namespace nasd::pfs {
 namespace {
 
-using cheops::CheopsManager;
 using sim::Simulator;
 using sim::Task;
 using util::kKB;
 using util::kMB;
 
-class PfsTest : public ::testing::Test
+class PfsTest : public ::testing::Test, public rig::NasdCluster
 {
   protected:
-    static constexpr int kDrives = 4;
-
-    PfsTest()
-        : mgr_node(net.addNode("pfs-mgr", net::alphaStation500(),
-                               net::oc3Link(), net::dceRpcCosts())),
-          client_node(net.addNode("client", net::alphaStation255(),
-                                  net::oc3Link(), net::dceRpcCosts()))
-    {
-        for (int i = 0; i < kDrives; ++i) {
-            drives.push_back(std::make_unique<NasdDrive>(
-                sim, net,
-                prototypeDriveConfig("nasd" + std::to_string(i), i + 1)));
-        }
-        for (auto &d : drives)
-            raw.push_back(d.get());
-        storage = std::make_unique<CheopsManager>(sim, net, mgr_node, raw,
-                                                  0);
-        run(storage->initialize(512 * kMB));
-        manager = std::make_unique<PfsManager>(*storage);
-        client = std::make_unique<PfsClient>(net, client_node, *manager,
-                                             raw);
-    }
-
-    void
-    run(Task<void> task)
-    {
-        sim.spawn(std::move(task));
-        sim.run();
-    }
-
-    template <typename T>
-    T
-    runFor(Task<T> task)
-    {
-        std::optional<T> result;
-        sim.spawn([](Task<T> t, std::optional<T> &out) -> Task<void> {
-            out = co_await std::move(t);
-        }(std::move(task), result));
-        sim.run();
-        return std::move(*result);
-    }
+    PfsTest() : NasdCluster({.drives = 4, .partition_bytes = 512 * kMB}) {}
 
     std::vector<std::uint8_t>
     pattern(std::size_t n, std::uint8_t seed = 1)
@@ -345,67 +261,61 @@ class PfsTest : public ::testing::Test
         return v;
     }
 
-    Simulator sim;
-    net::Network net{sim};
-    net::NetNode &mgr_node;
-    net::NetNode &client_node;
-    std::vector<std::unique_ptr<NasdDrive>> drives;
-    std::vector<NasdDrive *> raw;
-    std::unique_ptr<CheopsManager> storage;
-    std::unique_ptr<PfsManager> manager;
-    std::unique_ptr<PfsClient> client;
+    net::NetNode &client_node = clientNode("client");
+    std::unique_ptr<PfsClient> client =
+        std::make_unique<PfsClient>(net, client_node, pfs(), raw);
 };
 
 TEST_F(PfsTest, CreateOpenByName)
 {
-    auto handle = runFor(client->open("dataset", true, true));
+    auto handle = runFor(sim, client->open("dataset", true, true));
     ASSERT_TRUE(handle.ok());
     // Reopen resolves to the same logical object.
-    auto again = runFor(client->open("dataset", false, false));
+    auto again = runFor(sim, client->open("dataset", false, false));
     ASSERT_TRUE(again.ok());
     EXPECT_EQ(again.value().object, handle.value().object);
 }
 
 TEST_F(PfsTest, MissingFileFails)
 {
-    auto handle = runFor(client->open("ghost", false, false));
+    auto handle = runFor(sim, client->open("ghost", false, false));
     ASSERT_FALSE(handle.ok());
     EXPECT_EQ(handle.error(), PfsStatus::kNoSuchFile);
 }
 
 TEST_F(PfsTest, ByteRangeRoundTrip)
 {
-    auto handle = runFor(client->open("f", true, true)).value();
+    auto handle = runFor(sim, client->open("f", true, true)).value();
     const auto data = pattern(3 * kMB, 5);
-    ASSERT_TRUE(runFor(client->write(handle, 0, data)).ok());
+    ASSERT_TRUE(runFor(sim, client->write(handle, 0, data)).ok());
     std::vector<std::uint8_t> out(3 * kMB);
-    auto n = runFor(client->read(handle, 0, out));
+    auto n = runFor(sim, client->read(handle, 0, out));
     ASSERT_TRUE(n.ok());
     EXPECT_EQ(out, data);
-    auto s = runFor(client->size(handle));
+    auto s = runFor(sim, client->size(handle));
     EXPECT_EQ(s.value(), 3 * kMB);
 }
 
 TEST_F(PfsTest, UnlinkRemoves)
 {
-    (void)runFor(client->open("tmp", true, true));
-    ASSERT_TRUE(runFor(client->unlink("tmp")).ok());
-    auto handle = runFor(client->open("tmp", false, false));
+    (void)runFor(sim, client->open("tmp", true, true));
+    ASSERT_TRUE(runFor(sim, client->unlink("tmp")).ok());
+    auto handle = runFor(sim, client->open("tmp", false, false));
     ASSERT_FALSE(handle.ok());
 }
 
 TEST_F(PfsTest, TwoClientsShareAFile)
 {
-    auto w = runFor(client->open("shared", true, true)).value();
+    auto w = runFor(sim, client->open("shared", true, true)).value();
     const auto data = pattern(kMB, 3);
-    ASSERT_TRUE(runFor(client->write(w, 0, data)).ok());
+    ASSERT_TRUE(runFor(sim, client->write(w, 0, data)).ok());
 
     auto &node2 = net.addNode("client2", net::alphaStation255(),
                               net::oc3Link(), net::dceRpcCosts());
-    PfsClient other(net, node2, *manager, raw);
-    auto r = runFor(other.open("shared", false, false)).value();
+    PfsClient other(net, node2, pfs(), raw);
+    auto r = runFor(sim, other.open("shared", false, false)).value();
     std::vector<std::uint8_t> out(kMB);
-    auto n = runFor(other.read(r, 0, out));
+    auto n = runFor(sim, other.read(r, 0, out));
     ASSERT_TRUE(n.ok());
     EXPECT_EQ(out, data);
 }

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "active/active.h"
@@ -18,6 +17,7 @@
 #include "nasd/drive.h"
 #include "net/presets.h"
 #include "net/rpc.h"
+#include "rig/cluster.h"
 #include "sim/simulator.h"
 #include "util/units.h"
 
@@ -29,25 +29,6 @@ using sim::Task;
 using sim::Tick;
 using util::kKB;
 using util::kMB;
-
-template <typename T>
-T
-runFor(Simulator &sim, Task<T> task)
-{
-    std::optional<T> result;
-    sim.spawn([](Task<T> t, std::optional<T> &out) -> Task<void> {
-        out = co_await std::move(t);
-    }(std::move(task), result));
-    sim.run();
-    return std::move(*result);
-}
-
-void
-runTask(Simulator &sim, Task<void> task)
-{
-    sim.spawn(std::move(task));
-    sim.run();
-}
 
 std::vector<std::uint8_t>
 pattern(std::size_t n, std::uint8_t seed = 1)
@@ -161,53 +142,23 @@ TEST_F(WindowTest, WiderWindowIsFasterOnLargeReads)
 
 // ----------------------------------------------------- drive boundaries
 
-class DriveEdge : public ::testing::Test
+class DriveEdge : public ::testing::Test, public rig::DriveRig
 {
   protected:
-    DriveEdge()
-        : drive(sim, net, prototypeDriveConfig("nasd0", 1)),
-          issuer(drive.config().master_key, 1),
-          node(net.addNode("client", net::alphaStation255(),
-                           net::oc3Link(), net::dceRpcCosts())),
-          client(net, node, drive)
-    {
-        runTask(sim, drive.format());
-        EXPECT_TRUE(drive.store().createPartition(0, 256 * kMB).ok());
-    }
+    DriveEdge() : DriveRig(prototypeDriveConfig("nasd0", 1), 256 * kMB) {}
 
     CredentialFactory
     objectCred(ObjectId oid)
     {
-        CapabilityPublic pub;
-        pub.partition = 0;
-        pub.object_id = oid;
-        pub.rights = kRightRead | kRightWrite | kRightGetAttr |
-                     kRightSetAttr | kRightRemove | kRightVersion;
-        return CredentialFactory(issuer.mint(pub));
+        return credential(oid, kRightRead | kRightWrite | kRightGetAttr |
+                                   kRightSetAttr | kRightRemove |
+                                   kRightVersion);
     }
-
-    ObjectId
-    makeObject()
-    {
-        CapabilityPublic pub;
-        pub.partition = 0;
-        pub.object_id = kPartitionControlObject;
-        pub.rights = kRightCreate;
-        CredentialFactory cred(issuer.mint(pub));
-        return runFor(sim, client.create(cred, 0)).value();
-    }
-
-    Simulator sim;
-    net::Network net{sim};
-    NasdDrive drive;
-    CapabilityIssuer issuer;
-    net::NetNode &node;
-    NasdClient client;
 };
 
 TEST_F(DriveEdge, EmptyWriteIsANoop)
 {
-    const ObjectId oid = makeObject();
+    const ObjectId oid = createObject();
     auto cred = objectCred(oid);
     std::vector<std::uint8_t> empty;
     ASSERT_TRUE(runFor(sim, client.write(cred, 0, empty)).ok());
@@ -217,7 +168,7 @@ TEST_F(DriveEdge, EmptyWriteIsANoop)
 
 TEST_F(DriveEdge, ZeroLengthReadOfEmptyObject)
 {
-    const ObjectId oid = makeObject();
+    const ObjectId oid = createObject();
     auto cred = objectCred(oid);
     auto r = runFor(sim, client.read(cred, 0, 0));
     ASSERT_TRUE(r.ok());
@@ -226,7 +177,7 @@ TEST_F(DriveEdge, ZeroLengthReadOfEmptyObject)
 
 TEST_F(DriveEdge, SingleByteAtUnitBoundary)
 {
-    const ObjectId oid = makeObject();
+    const ObjectId oid = createObject();
     auto cred = objectCred(oid);
     // Write exactly one byte on each side of an 8 KB unit boundary.
     const std::uint64_t boundary = 8192;
@@ -260,7 +211,7 @@ TEST_F(DriveEdge, CapacityHintYieldsContiguousLayout)
 
 TEST_F(DriveEdge, FlushCompletesAndOpsCount)
 {
-    const ObjectId oid = makeObject();
+    const ObjectId oid = createObject();
     auto cred = objectCred(oid);
     ASSERT_TRUE(runFor(sim, client.write(cred, 0, pattern(256 * kKB))).ok());
     const auto before = drive.opsServed();
@@ -293,7 +244,7 @@ TEST_F(DriveEdge, ListObjectsAfterChurn)
 
 TEST_F(DriveEdge, CloneOfCloneChains)
 {
-    const ObjectId oid = makeObject();
+    const ObjectId oid = createObject();
     auto cred = objectCred(oid);
     ASSERT_TRUE(runFor(sim, client.write(cred, 0, pattern(64 * kKB))).ok());
     auto c1 = runFor(sim, client.cloneVersion(cred));
@@ -316,7 +267,7 @@ TEST_F(DriveEdge, CloneOfCloneChains)
 
 TEST_F(DriveEdge, RestartPreservesCloneRefcounts)
 {
-    const ObjectId oid = makeObject();
+    const ObjectId oid = createObject();
     auto cred = objectCred(oid);
     ASSERT_TRUE(runFor(sim, client.write(cred, 0, pattern(64 * kKB))).ok());
     auto clone = runFor(sim, client.cloneVersion(cred));

@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 #include <ostream>
 #include <span>
 #include <vector>
@@ -23,6 +22,7 @@
 #include "nasd/drive.h"
 #include "net/network.h"
 #include "net/presets.h"
+#include "rig/cluster.h"
 #include "sim/simulator.h"
 #include "util/units.h"
 
@@ -33,25 +33,6 @@ using sim::Simulator;
 using sim::Task;
 using util::kKB;
 using util::kMB;
-
-template <typename T>
-T
-runFor(Simulator &sim, Task<T> task)
-{
-    std::optional<T> result;
-    sim.spawn([](Task<T> t, std::optional<T> &out) -> Task<void> {
-        out = co_await std::move(t);
-    }(std::move(task), result));
-    sim.run();
-    return std::move(*result);
-}
-
-void
-runTask(Simulator &sim, Task<void> task)
-{
-    sim.spawn(std::move(task));
-    sim.run();
-}
 
 std::vector<std::uint8_t>
 pattern(std::size_t n, std::uint8_t seed = 1)
@@ -76,53 +57,25 @@ fastPolicy(int attempts, sim::Tick timeout = sim::msec(50))
 
 // ------------------------------------------------------ raw drive RPCs
 
-class DriveFaultTest : public ::testing::Test
+class DriveFaultTest : public ::testing::Test, public rig::DriveRig
 {
   protected:
-    DriveFaultTest()
-        : drive(sim, net, prototypeDriveConfig("nasd0", 1)),
-          issuer(drive.config().master_key, 1),
-          node(net.addNode("client", net::alphaStation255(),
-                           net::oc3Link(), net::dceRpcCosts())),
-          client(net, node, drive)
-    {
-        runTask(sim, drive.format());
-        EXPECT_TRUE(drive.store().createPartition(0, 256 * kMB).ok());
-    }
+    DriveFaultTest() : DriveRig(prototypeDriveConfig("nasd0", 1), 256 * kMB) {}
 
     CredentialFactory
     objectCred(ObjectId oid)
     {
-        CapabilityPublic pub;
-        pub.partition = 0;
-        pub.object_id = oid;
-        pub.rights = kRightRead | kRightWrite | kRightGetAttr |
-                     kRightSetAttr | kRightRemove | kRightVersion;
-        return CredentialFactory(issuer.mint(pub));
+        return credential(oid, kRightRead | kRightWrite | kRightGetAttr |
+                                   kRightSetAttr | kRightRemove |
+                                   kRightVersion);
     }
 
-    ObjectId
-    makeObject()
-    {
-        CapabilityPublic pub;
-        pub.partition = 0;
-        pub.object_id = kPartitionControlObject;
-        pub.rights = kRightCreate;
-        CredentialFactory cred(issuer.mint(pub));
-        return runFor(sim, client.create(cred, 0)).value();
-    }
-
-    Simulator sim;
-    net::Network net{sim};
-    NasdDrive drive;
-    CapabilityIssuer issuer;
-    net::NetNode &node;
-    NasdClient client;
+    net::NetNode &node = client.node();
 };
 
 TEST_F(DriveFaultTest, DropTimeoutRetrySucceeds)
 {
-    const ObjectId oid = makeObject();
+    const ObjectId oid = createObject();
     auto cred = objectCred(oid);
     const auto data = pattern(8 * kKB);
     ASSERT_TRUE(runFor(sim, client.write(cred, 0, data)).ok());
@@ -147,7 +100,7 @@ TEST_F(DriveFaultTest, DropTimeoutRetrySucceeds)
 
 TEST_F(DriveFaultTest, CrashedDriveRejectsThenRestartServes)
 {
-    const ObjectId oid = makeObject();
+    const ObjectId oid = createObject();
     auto cred = objectCred(oid);
     const auto data = pattern(16 * kKB, 5);
     ASSERT_TRUE(runFor(sim, client.write(cred, 0, data)).ok());
@@ -172,7 +125,7 @@ TEST_F(DriveFaultTest, ProbeReportsLivenessAndFreeSpace)
     EXPECT_EQ(before.value().drive_id, drive.config().drive_id);
     EXPECT_GT(before.value().free_bytes, 0u);
 
-    const ObjectId oid = makeObject();
+    const ObjectId oid = createObject();
     auto cred = objectCred(oid);
     ASSERT_TRUE(runFor(sim, client.write(cred, 0, pattern(64 * kKB))).ok());
     auto after = runFor(sim, client.probe(0));
@@ -191,7 +144,7 @@ TEST_F(DriveFaultTest, ProbeReportsLivenessAndFreeSpace)
 
 TEST_F(DriveFaultTest, PartitionSurfacesTimeoutThenHeals)
 {
-    const ObjectId oid = makeObject();
+    const ObjectId oid = createObject();
     auto cred = objectCred(oid);
     ASSERT_TRUE(runFor(sim, client.write(cred, 0, pattern(4 * kKB))).ok());
 
@@ -211,7 +164,7 @@ TEST_F(DriveFaultTest, PartitionSurfacesTimeoutThenHeals)
 
 TEST_F(DriveFaultTest, DuplicateDeliveryWriteNotDoubleApplied)
 {
-    const ObjectId oid = makeObject();
+    const ObjectId oid = createObject();
     auto cred = objectCred(oid);
 
     net::FaultPlan plan;
@@ -235,7 +188,7 @@ TEST_F(DriveFaultTest, DuplicateDeliveryWriteNotDoubleApplied)
 
 TEST_F(DriveFaultTest, TimeoutRacesLateReply)
 {
-    const ObjectId oid = makeObject();
+    const ObjectId oid = createObject();
     auto cred = objectCred(oid);
     ASSERT_TRUE(runFor(sim, client.write(cred, 0, pattern(kKB))).ok());
 
@@ -258,7 +211,7 @@ TEST_F(DriveFaultTest, TimeoutRacesLateReply)
 
 TEST_F(DriveFaultTest, SpanReadUnderTimeoutsAndDuplicatesHoldsObjectBytes)
 {
-    const ObjectId oid = makeObject();
+    const ObjectId oid = createObject();
     auto cred = objectCred(oid);
     const auto data = pattern(24 * kKB, 9);
     ASSERT_TRUE(runFor(sim, client.write(cred, 0, data)).ok());
@@ -308,7 +261,7 @@ TEST_F(DriveFaultTest, SpanReadUnderTimeoutsAndDuplicatesHoldsObjectBytes)
 
 TEST_F(DriveFaultTest, DroppedSendStillChargesSender)
 {
-    const ObjectId oid = makeObject();
+    const ObjectId oid = createObject();
     auto cred = objectCred(oid);
     ASSERT_TRUE(runFor(sim, client.write(cred, 0, pattern(4 * kKB))).ok());
 
@@ -330,39 +283,20 @@ TEST_F(DriveFaultTest, DroppedSendStillChargesSender)
 
 // ------------------------------------------------------------- Cheops
 
-class CheopsFaultTest : public ::testing::Test
+class CheopsFaultTest : public ::testing::Test, public rig::NasdCluster
 {
   protected:
     static constexpr int kDrives = 4;
 
     CheopsFaultTest()
-        : mgr_node(net.addNode("cheops-mgr", net::alphaStation500(),
-                               net::oc3Link(), net::dceRpcCosts())),
-          client_node(net.addNode("client", net::alphaStation255(),
-                                  net::oc3Link(), net::dceRpcCosts()))
+        : NasdCluster({.drives = kDrives, .partition_bytes = 512 * kMB})
     {
-        for (int i = 0; i < kDrives; ++i) {
-            drives.push_back(std::make_unique<NasdDrive>(
-                sim, net,
-                prototypeDriveConfig("nasd" + std::to_string(i), i + 1)));
-        }
-        for (auto &d : drives)
-            raw.push_back(d.get());
-        mgr = std::make_unique<cheops::CheopsManager>(sim, net, mgr_node,
-                                                      raw, 0);
-        runTask(sim, mgr->initialize(512 * kMB));
-        client = std::make_unique<cheops::CheopsClient>(net, client_node,
-                                                        *mgr, raw);
     }
 
-    Simulator sim;
-    net::Network net{sim};
-    net::NetNode &mgr_node;
-    net::NetNode &client_node;
-    std::vector<std::unique_ptr<NasdDrive>> drives;
-    std::vector<NasdDrive *> raw;
-    std::unique_ptr<cheops::CheopsManager> mgr;
-    std::unique_ptr<cheops::CheopsClient> client;
+    net::NetNode &client_node = clientNode("client");
+    std::unique_ptr<cheops::CheopsClient> client =
+        std::make_unique<cheops::CheopsClient>(net, client_node, storage(),
+                                               raw);
 };
 
 TEST_F(CheopsFaultTest, DriveCrashServedDegradedFromMirror)

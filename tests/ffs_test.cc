@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <optional>
 #include <vector>
 
 #include "disk/disk_model.h"
@@ -34,26 +33,7 @@ class FfsTest : public ::testing::Test
           stripe(sim, {&d0, &d1}, 32 * kKB),
           cpu(sim, "host", 133.0, 2.2), fs(sim, stripe, &cpu)
     {
-        run(fs.format());
-    }
-
-    void
-    run(Task<void> task)
-    {
-        sim.spawn(std::move(task));
-        sim.run();
-    }
-
-    template <typename T>
-    T
-    runFor(Task<T> task)
-    {
-        std::optional<T> result;
-        sim.spawn([](Task<T> t, std::optional<T> &out) -> Task<void> {
-            out = co_await std::move(t);
-        }(std::move(task), result));
-        sim.run();
-        return std::move(*result);
+        runTask(sim, fs.format());
     }
 
     std::vector<std::uint8_t>
@@ -75,35 +55,35 @@ class FfsTest : public ::testing::Test
 
 TEST_F(FfsTest, CreateAndLookup)
 {
-    auto ino = runFor(fs.create(kRootInode, "hello.txt"));
+    auto ino = runFor(sim, fs.create(kRootInode, "hello.txt"));
     ASSERT_TRUE(ino.ok());
-    auto found = runFor(fs.lookup(kRootInode, "hello.txt"));
+    auto found = runFor(sim, fs.lookup(kRootInode, "hello.txt"));
     ASSERT_TRUE(found.ok());
     EXPECT_EQ(found.value(), ino.value());
 }
 
 TEST_F(FfsTest, LookupMissingFails)
 {
-    auto r = runFor(fs.lookup(kRootInode, "ghost"));
+    auto r = runFor(sim, fs.lookup(kRootInode, "ghost"));
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), FsStatus::kNoSuchFile);
 }
 
 TEST_F(FfsTest, DuplicateCreateFails)
 {
-    ASSERT_TRUE(runFor(fs.create(kRootInode, "x")).ok());
-    auto r = runFor(fs.create(kRootInode, "x"));
+    ASSERT_TRUE(runFor(sim, fs.create(kRootInode, "x")).ok());
+    auto r = runFor(sim, fs.create(kRootInode, "x"));
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), FsStatus::kExists);
 }
 
 TEST_F(FfsTest, WriteReadRoundTrip)
 {
-    const auto ino = runFor(fs.create(kRootInode, "data")).value();
+    const auto ino = runFor(sim, fs.create(kRootInode, "data")).value();
     const auto data = pattern(100 * kKB);
-    ASSERT_TRUE(runFor(fs.write(ino, 0, data)).ok());
+    ASSERT_TRUE(runFor(sim, fs.write(ino, 0, data)).ok());
     std::vector<std::uint8_t> out(100 * kKB);
-    auto n = runFor(fs.read(ino, 0, out));
+    auto n = runFor(sim, fs.read(ino, 0, out));
     ASSERT_TRUE(n.ok());
     EXPECT_EQ(n.value(), 100 * kKB);
     EXPECT_EQ(out, data);
@@ -111,11 +91,11 @@ TEST_F(FfsTest, WriteReadRoundTrip)
 
 TEST_F(FfsTest, ReadAtOffsetAndClamp)
 {
-    const auto ino = runFor(fs.create(kRootInode, "data")).value();
+    const auto ino = runFor(sim, fs.create(kRootInode, "data")).value();
     const auto data = pattern(10000, 5);
-    ASSERT_TRUE(runFor(fs.write(ino, 0, data)).ok());
+    ASSERT_TRUE(runFor(sim, fs.write(ino, 0, data)).ok());
     std::vector<std::uint8_t> out(10000);
-    auto n = runFor(fs.read(ino, 9000, out));
+    auto n = runFor(sim, fs.read(ino, 9000, out));
     ASSERT_TRUE(n.ok());
     EXPECT_EQ(n.value(), 1000u);
     for (int i = 0; i < 1000; ++i)
@@ -124,9 +104,9 @@ TEST_F(FfsTest, ReadAtOffsetAndClamp)
 
 TEST_F(FfsTest, StatTracksSizeAndTimes)
 {
-    const auto ino = runFor(fs.create(kRootInode, "f")).value();
-    ASSERT_TRUE(runFor(fs.write(ino, 0, pattern(12345))).ok());
-    auto st = runFor(fs.stat(ino));
+    const auto ino = runFor(sim, fs.create(kRootInode, "f")).value();
+    ASSERT_TRUE(runFor(sim, fs.write(ino, 0, pattern(12345))).ok());
+    auto st = runFor(sim, fs.stat(ino));
     ASSERT_TRUE(st.ok());
     EXPECT_EQ(st.value().size, 12345u);
     EXPECT_FALSE(st.value().is_directory);
@@ -134,18 +114,18 @@ TEST_F(FfsTest, StatTracksSizeAndTimes)
 
 TEST_F(FfsTest, MkdirAndNesting)
 {
-    const auto sub = runFor(fs.mkdir(kRootInode, "sub")).value();
-    const auto leaf = runFor(fs.create(sub, "leaf")).value();
-    auto resolved = runFor(fs.resolve("/sub/leaf"));
+    const auto sub = runFor(sim, fs.mkdir(kRootInode, "sub")).value();
+    const auto leaf = runFor(sim, fs.create(sub, "leaf")).value();
+    auto resolved = runFor(sim, fs.resolve("/sub/leaf"));
     ASSERT_TRUE(resolved.ok());
     EXPECT_EQ(resolved.value(), leaf);
 }
 
 TEST_F(FfsTest, ReaddirListsEntries)
 {
-    (void)runFor(fs.create(kRootInode, "a"));
-    (void)runFor(fs.mkdir(kRootInode, "b"));
-    auto entries = runFor(fs.readdir(kRootInode));
+    (void)runFor(sim, fs.create(kRootInode, "a"));
+    (void)runFor(sim, fs.mkdir(kRootInode, "b"));
+    auto entries = runFor(sim, fs.readdir(kRootInode));
     ASSERT_TRUE(entries.ok());
     ASSERT_EQ(entries.value().size(), 2u);
     EXPECT_EQ(entries.value()[0].name, "a");
@@ -157,41 +137,41 @@ TEST_F(FfsTest, ReaddirListsEntries)
 TEST_F(FfsTest, UnlinkRemovesAndFreesSpace)
 {
     const auto free_before = fs.freeBlocks();
-    const auto ino = runFor(fs.create(kRootInode, "big")).value();
-    ASSERT_TRUE(runFor(fs.write(ino, 0, pattern(512 * kKB))).ok());
+    const auto ino = runFor(sim, fs.create(kRootInode, "big")).value();
+    ASSERT_TRUE(runFor(sim, fs.write(ino, 0, pattern(512 * kKB))).ok());
     EXPECT_LT(fs.freeBlocks(), free_before);
-    ASSERT_TRUE(runFor(fs.unlink(kRootInode, "big")).ok());
+    ASSERT_TRUE(runFor(sim, fs.unlink(kRootInode, "big")).ok());
     // Root directory grew by one block at most; data blocks are back.
     EXPECT_GE(fs.freeBlocks() + 1, free_before);
-    auto r = runFor(fs.lookup(kRootInode, "big"));
+    auto r = runFor(sim, fs.lookup(kRootInode, "big"));
     EXPECT_FALSE(r.ok());
 }
 
 TEST_F(FfsTest, UnlinkNonEmptyDirectoryFails)
 {
-    const auto sub = runFor(fs.mkdir(kRootInode, "d")).value();
-    (void)runFor(fs.create(sub, "child"));
-    auto r = runFor(fs.unlink(kRootInode, "d"));
+    const auto sub = runFor(sim, fs.mkdir(kRootInode, "d")).value();
+    (void)runFor(sim, fs.create(sub, "child"));
+    auto r = runFor(sim, fs.unlink(kRootInode, "d"));
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), FsStatus::kDirectoryNotEmpty);
 }
 
 TEST_F(FfsTest, TruncateShrinksAndZeroExtends)
 {
-    const auto ino = runFor(fs.create(kRootInode, "t")).value();
-    ASSERT_TRUE(runFor(fs.write(ino, 0, pattern(64 * kKB))).ok());
-    ASSERT_TRUE(runFor(fs.truncate(ino, 1000)).ok());
-    EXPECT_EQ(runFor(fs.stat(ino)).value().size, 1000u);
+    const auto ino = runFor(sim, fs.create(kRootInode, "t")).value();
+    ASSERT_TRUE(runFor(sim, fs.write(ino, 0, pattern(64 * kKB))).ok());
+    ASSERT_TRUE(runFor(sim, fs.truncate(ino, 1000)).ok());
+    EXPECT_EQ(runFor(sim, fs.stat(ino)).value().size, 1000u);
     std::vector<std::uint8_t> out(2000);
-    auto n = runFor(fs.read(ino, 0, out));
+    auto n = runFor(sim, fs.read(ino, 0, out));
     EXPECT_EQ(n.value(), 1000u);
 }
 
 TEST_F(FfsTest, SetModeRoundTrip)
 {
-    const auto ino = runFor(fs.create(kRootInode, "m")).value();
-    ASSERT_TRUE(runFor(fs.setMode(ino, 0600, 42, 7)).ok());
-    auto st = runFor(fs.stat(ino)).value();
+    const auto ino = runFor(sim, fs.create(kRootInode, "m")).value();
+    ASSERT_TRUE(runFor(sim, fs.setMode(ino, 0600, 42, 7)).ok());
+    auto st = runFor(sim, fs.stat(ino)).value();
     EXPECT_EQ(st.mode, 0600u);
     EXPECT_EQ(st.uid, 42u);
     EXPECT_EQ(st.gid, 7u);
@@ -199,30 +179,30 @@ TEST_F(FfsTest, SetModeRoundTrip)
 
 TEST_F(FfsTest, LargeFileUsesIndirectBlocks)
 {
-    const auto ino = runFor(fs.create(kRootInode, "huge")).value();
+    const auto ino = runFor(sim, fs.create(kRootInode, "huge")).value();
     // 2 MB: well past the 12 direct blocks (96 KB).
     const auto data = pattern(2 * kMB, 9);
-    ASSERT_TRUE(runFor(fs.write(ino, 0, data)).ok());
+    ASSERT_TRUE(runFor(sim, fs.write(ino, 0, data)).ok());
     std::vector<std::uint8_t> out(2 * kMB);
-    auto n = runFor(fs.read(ino, 0, out));
+    auto n = runFor(sim, fs.read(ino, 0, out));
     ASSERT_TRUE(n.ok());
     EXPECT_EQ(out, data);
 }
 
 TEST_F(FfsTest, SmallWriteAcksFasterThanLargeWrite)
 {
-    const auto ino = runFor(fs.create(kRootInode, "wb")).value();
+    const auto ino = runFor(sim, fs.create(kRootInode, "wb")).value();
     // Prime allocation.
-    ASSERT_TRUE(runFor(fs.write(ino, 0, pattern(256 * kKB))).ok());
-    run(fs.sync());
+    ASSERT_TRUE(runFor(sim, fs.write(ino, 0, pattern(256 * kKB))).ok());
+    runTask(sim, fs.sync());
 
     Tick t0 = sim.now();
-    ASSERT_TRUE(runFor(fs.write(ino, 0, pattern(32 * kKB, 3))).ok());
+    ASSERT_TRUE(runFor(sim, fs.write(ino, 0, pattern(32 * kKB, 3))).ok());
     const Tick small = sim.now() - t0;
 
-    run(fs.sync());
+    runTask(sim, fs.sync());
     t0 = sim.now();
-    ASSERT_TRUE(runFor(fs.write(ino, 0, pattern(256 * kKB, 4))).ok());
+    ASSERT_TRUE(runFor(sim, fs.write(ino, 0, pattern(256 * kKB, 4))).ok());
     const Tick large = sim.now() - t0;
 
     // Per-byte ack cost must be much higher for the >64 KB write,
@@ -239,15 +219,15 @@ TEST_F(FfsTest, SequentialReadaheadKicksIn)
     FfsParams params;
     params.buffer_cache_bytes = 256 * kKB;
     FfsFileSystem cold(sim, stripe, &cpu, params);
-    run(cold.format());
-    const auto ino = runFor(cold.create(kRootInode, "seq")).value();
-    ASSERT_TRUE(runFor(cold.write(ino, 0, pattern(kMB))).ok());
-    run(cold.sync());
+    runTask(sim, cold.format());
+    const auto ino = runFor(sim, cold.create(kRootInode, "seq")).value();
+    ASSERT_TRUE(runFor(sim, cold.write(ino, 0, pattern(kMB))).ok());
+    runTask(sim, cold.sync());
 
     std::vector<std::uint8_t> out(64 * kKB);
     std::uint64_t off = 0;
     for (int i = 0; i < 16; ++i) {
-        (void)runFor(cold.read(ino, off, out));
+        (void)runFor(sim, cold.read(ino, off, out));
         off += out.size();
     }
     EXPECT_GT(cold.stats().readahead_hits.value(), 4u);
@@ -258,8 +238,8 @@ TEST_F(FfsTest, SequentialReadaheadKicksIn)
 
 TEST_F(FfsTest, FewInterleavedStreamsAreTracked)
 {
-    const auto ino = runFor(fs.create(kRootInode, "shared")).value();
-    ASSERT_TRUE(runFor(fs.write(ino, 0, pattern(kMB))).ok());
+    const auto ino = runFor(sim, fs.create(kRootInode, "shared")).value();
+    ASSERT_TRUE(runFor(sim, fs.write(ino, 0, pattern(kMB))).ok());
 
     // Two interleaved sequential streams fit in the per-file stream
     // table: both keep their readahead, no thrashing.
@@ -267,9 +247,9 @@ TEST_F(FfsTest, FewInterleavedStreamsAreTracked)
     std::uint64_t a = 0;
     std::uint64_t b = 512 * kKB;
     for (int i = 0; i < 4; ++i) {
-        (void)runFor(fs.read(ino, a, out));
+        (void)runFor(sim, fs.read(ino, a, out));
         a += out.size();
-        (void)runFor(fs.read(ino, b, out));
+        (void)runFor(sim, fs.read(ino, b, out));
         b += out.size();
     }
     EXPECT_EQ(fs.stats().readahead_defeats.value(), 0u);
@@ -277,8 +257,8 @@ TEST_F(FfsTest, FewInterleavedStreamsAreTracked)
 
 TEST_F(FfsTest, ManyInterleavedStreamsDefeatReadahead)
 {
-    const auto ino = runFor(fs.create(kRootInode, "busy")).value();
-    ASSERT_TRUE(runFor(fs.write(ino, 0, pattern(4 * kMB))).ok());
+    const auto ino = runFor(sim, fs.create(kRootInode, "busy")).value();
+    ASSERT_TRUE(runFor(sim, fs.write(ino, 0, pattern(4 * kMB))).ok());
 
     // More concurrent streams than the tracker table holds (the
     // Figure 9 NFS single-file configuration): the detector thrashes.
@@ -289,7 +269,7 @@ TEST_F(FfsTest, ManyInterleavedStreamsDefeatReadahead)
         offsets.push_back(s * 256 * kKB);
     for (int round = 0; round < 4; ++round) {
         for (int s = 0; s < n_streams; ++s) {
-            (void)runFor(fs.read(ino, offsets[s], out));
+            (void)runFor(sim, fs.read(ino, offsets[s], out));
             offsets[s] += out.size();
         }
     }
@@ -306,11 +286,11 @@ TEST_F(FfsTest, ConcurrentColdReadersKeepTheirStreams)
     FfsParams params;
     params.buffer_cache_bytes = 256 * kKB;
     FfsFileSystem cold(sim, stripe, &cpu, params);
-    run(cold.format());
-    const auto ino = runFor(cold.create(kRootInode, "shared")).value();
+    runTask(sim, cold.format());
+    const auto ino = runFor(sim, cold.create(kRootInode, "shared")).value();
     const auto data = pattern(8 * kMB);
-    ASSERT_TRUE(runFor(cold.write(ino, 0, data)).ok());
-    run(cold.sync());
+    ASSERT_TRUE(runFor(sim, cold.write(ino, 0, data)).ok());
+    runTask(sim, cold.sync());
 
     constexpr int kReaders = 10;
     constexpr std::uint64_t kPiece = 8 * kKB; // one fs block
@@ -340,14 +320,14 @@ TEST_F(FfsTest, ConcurrentColdReadersKeepTheirStreams)
 
 TEST_F(FfsTest, CachedReadNearPaperBandwidth)
 {
-    const auto ino = runFor(fs.create(kRootInode, "hot")).value();
+    const auto ino = runFor(sim, fs.create(kRootInode, "hot")).value();
     const auto data = pattern(256 * kKB);
-    ASSERT_TRUE(runFor(fs.write(ino, 0, data)).ok());
+    ASSERT_TRUE(runFor(sim, fs.write(ino, 0, data)).ok());
     std::vector<std::uint8_t> out(256 * kKB);
-    (void)runFor(fs.read(ino, 0, out)); // ensure warm
+    (void)runFor(sim, fs.read(ino, 0, out)); // ensure warm
 
     const Tick t0 = sim.now();
-    (void)runFor(fs.read(ino, 0, out));
+    (void)runFor(sim, fs.read(ino, 0, out));
     const double secs = sim::toSeconds(sim.now() - t0);
     const double mbs = 0.25 / secs;
     // Paper: ~48 MB/s for cached FFS reads on the 133 MHz host.
@@ -357,20 +337,20 @@ TEST_F(FfsTest, CachedReadNearPaperBandwidth)
 
 TEST_F(FfsTest, ColdSequentialReadNearPaperBandwidth)
 {
-    const auto ino = runFor(fs.create(kRootInode, "coldread")).value();
+    const auto ino = runFor(sim, fs.create(kRootInode, "coldread")).value();
     const auto data = pattern(4 * kMB);
-    ASSERT_TRUE(runFor(fs.write(ino, 0, data)).ok());
-    run(fs.sync());
+    ASSERT_TRUE(runFor(sim, fs.write(ino, 0, data)).ok());
+    runTask(sim, fs.sync());
 
     // Evict the buffer cache by writing a big other file.
-    const auto other = runFor(fs.create(kRootInode, "filler")).value();
-    ASSERT_TRUE(runFor(fs.write(other, 0, pattern(17 * kMB, 3))).ok());
-    run(fs.sync());
+    const auto other = runFor(sim, fs.create(kRootInode, "filler")).value();
+    ASSERT_TRUE(runFor(sim, fs.write(other, 0, pattern(17 * kMB, 3))).ok());
+    runTask(sim, fs.sync());
 
     std::vector<std::uint8_t> out(512 * kKB);
     const Tick t0 = sim.now();
     for (int i = 0; i < 8; ++i)
-        (void)runFor(fs.read(ino, i * 512 * kKB, out));
+        (void)runFor(sim, fs.read(ino, i * 512 * kKB, out));
     const double secs = sim::toSeconds(sim.now() - t0);
     const double mbs = 4.0 / secs;
     // Paper: ~2.5 MB/s for FFS cache-missing reads (vs NASD's ~5).

@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "apps/frequent_sets.h"
@@ -60,7 +59,7 @@ class IntegrationTest : public ::testing::Test
         // Format once, then create the partitions by hand (the
         // initialize() helpers format, so set up manually here).
         for (auto *d : raw) {
-            run(d->format());
+            runTask(sim, d->format());
             EXPECT_TRUE(d->store().createPartition(kNfsPart, 128 * kMB)
                             .ok());
             EXPECT_TRUE(d->store().createPartition(kPfsPart, 128 * kMB)
@@ -68,25 +67,6 @@ class IntegrationTest : public ::testing::Test
             EXPECT_TRUE(d->store().createPartition(kAfsPart, 64 * kMB)
                             .ok());
         }
-    }
-
-    void
-    run(Task<void> task)
-    {
-        sim.spawn(std::move(task));
-        sim.run();
-    }
-
-    template <typename T>
-    T
-    runFor(Task<T> task)
-    {
-        std::optional<T> result;
-        sim.spawn([](Task<T> t, std::optional<T> &out) -> Task<void> {
-            out = co_await std::move(t);
-        }(std::move(task), result));
-        sim.run();
-        return std::move(*result);
     }
 
     net::NetNode &
@@ -130,9 +110,9 @@ TEST_F(IntegrationTest, ThreePersonalitiesShareTheDrives)
     pfs::PfsClient pfs_client(net, pfs_client_node, pfs_manager, raw);
 
     auto handle =
-        runFor(pfs_client.open("dataset", true, true)).value();
+        runFor(sim, pfs_client.open("dataset", true, true)).value();
     const auto pfs_data = pattern(3 * kMB, 2);
-    ASSERT_TRUE(runFor(pfs_client.write(handle, 0, pfs_data)).ok());
+    ASSERT_TRUE(runFor(sim, pfs_client.write(handle, 0, pfs_data)).ok());
 
     // Direct NASD object on partition 0 via a plain client.
     CapabilityIssuer issuer(raw[0]->config().master_key, raw[0]->id());
@@ -143,20 +123,20 @@ TEST_F(IntegrationTest, ThreePersonalitiesShareTheDrives)
     pc.object_id = kPartitionControlObject;
     pc.rights = kRightCreate;
     CredentialFactory pcred(issuer.mint(pc));
-    const ObjectId oid = runFor(direct.create(pcred, 0)).value();
+    const ObjectId oid = runFor(sim, direct.create(pcred, 0)).value();
     CapabilityPublic po;
     po.partition = kNfsPart;
     po.object_id = oid;
     po.rights = kRightRead | kRightWrite;
     CredentialFactory cred(issuer.mint(po));
     const auto direct_data = pattern(256 * kKB, 3);
-    ASSERT_TRUE(runFor(direct.write(cred, 0, direct_data)).ok());
+    ASSERT_TRUE(runFor(sim, direct.write(cred, 0, direct_data)).ok());
 
     // Both worlds read back intact.
     std::vector<std::uint8_t> out(3 * kMB);
-    ASSERT_TRUE(runFor(pfs_client.read(handle, 0, out)).ok());
+    ASSERT_TRUE(runFor(sim, pfs_client.read(handle, 0, out)).ok());
     EXPECT_EQ(out, pfs_data);
-    auto got = runFor(direct.read(cred, 0, 256 * kKB));
+    auto got = runFor(sim, direct.read(cred, 0, 256 * kKB));
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(got.value(), direct_data);
 
@@ -182,20 +162,20 @@ TEST_F(IntegrationTest, CrossPartitionCapabilityIsUseless)
     pc.object_id = kPartitionControlObject;
     pc.rights = kRightCreate;
     CredentialFactory pcred(issuer.mint(pc));
-    const ObjectId oid = runFor(client.create(pcred, 0)).value();
+    const ObjectId oid = runFor(sim, client.create(pcred, 0)).value();
     CapabilityPublic po;
     po.partition = kPfsPart;
     po.object_id = oid;
     po.rights = kRightRead | kRightWrite;
     CredentialFactory good(issuer.mint(po));
-    ASSERT_TRUE(runFor(client.write(good, 0, pattern(kKB))).ok());
+    ASSERT_TRUE(runFor(sim, client.write(good, 0, pattern(kKB))).ok());
 
     // A capability minted for the same object id on ANOTHER partition
     // does not open this object (the partition is MAC'd).
     CapabilityPublic wrong = po;
     wrong.partition = kNfsPart;
     CredentialFactory bad(issuer.mint(wrong));
-    auto r = runFor(client.read(bad, 0, kKB));
+    auto r = runFor(sim, client.read(bad, 0, kKB));
     ASSERT_FALSE(r.ok()); // no such object in partition 0
 }
 
@@ -211,7 +191,7 @@ TEST_F(IntegrationTest, QuotaIsPerPartition)
     pc.object_id = kPartitionControlObject;
     pc.rights = kRightCreate;
     CredentialFactory pcred(issuer.mint(pc));
-    const ObjectId big = runFor(client.create(pcred, 0)).value();
+    const ObjectId big = runFor(sim, client.create(pcred, 0)).value();
     CapabilityPublic po;
     po.partition = kAfsPart;
     po.object_id = big;
@@ -220,8 +200,8 @@ TEST_F(IntegrationTest, QuotaIsPerPartition)
     const auto chunk = pattern(8 * kMB);
     for (int i = 0; i < 8; ++i)
         ASSERT_TRUE(
-            runFor(client.write(cred, i * 8ull * kMB, chunk)).ok());
-    auto overflow = runFor(client.write(cred, 64ull * kMB, chunk));
+            runFor(sim, client.write(cred, i * 8ull * kMB, chunk)).ok());
+    auto overflow = runFor(sim, client.write(cred, 64ull * kMB, chunk));
     ASSERT_FALSE(overflow.ok());
     EXPECT_EQ(overflow.error(), NasdStatus::kQuotaExceeded);
 
@@ -232,13 +212,13 @@ TEST_F(IntegrationTest, QuotaIsPerPartition)
     pc2.object_id = kPartitionControlObject;
     pc2.rights = kRightCreate;
     CredentialFactory pcred2(issuer.mint(pc2));
-    const ObjectId other = runFor(client.create(pcred2, 0)).value();
+    const ObjectId other = runFor(sim, client.create(pcred2, 0)).value();
     CapabilityPublic po2;
     po2.partition = kNfsPart;
     po2.object_id = other;
     po2.rights = kRightWrite;
     CredentialFactory cred2(issuer.mint(po2));
-    EXPECT_TRUE(runFor(client.write(cred2, 0, chunk)).ok());
+    EXPECT_TRUE(runFor(sim, client.write(cred2, 0, chunk)).ok());
 }
 
 TEST_F(IntegrationTest, MiningPipelineEndToEnd)
@@ -255,14 +235,14 @@ TEST_F(IntegrationTest, MiningPipelineEndToEnd)
 
     auto &loader_node = addClientNode("loader");
     pfs::PfsClient loader(net, loader_node, manager, raw);
-    auto file = runFor(loader.open("sales", true, true)).value();
+    auto file = runFor(sim, loader.open("sales", true, true)).value();
     apps::ItemCounts expected(params.catalog_items, 0);
     for (std::uint64_t c = 0; c < 4; ++c) {
         const auto chunk = gen.chunk(c);
         apps::mergeCounts(expected, apps::countOneItemsets(
                                         chunk, params.catalog_items));
         ASSERT_TRUE(
-            runFor(loader.write(file, c * apps::kChunkBytes, chunk)).ok());
+            runFor(sim, loader.write(file, c * apps::kChunkBytes, chunk)).ok());
     }
 
     // Two miners split the chunks.
@@ -309,7 +289,7 @@ TEST_F(IntegrationTest, ManyClientsContendOnOneObjectSafely)
     pc.object_id = kPartitionControlObject;
     pc.rights = kRightCreate;
     CredentialFactory pcred(issuer.mint(pc));
-    const ObjectId oid = runFor(setup.create(pcred, 0)).value();
+    const ObjectId oid = runFor(sim, setup.create(pcred, 0)).value();
 
     constexpr int kClients = 6;
     std::vector<std::unique_ptr<NasdClient>> clients;
@@ -339,7 +319,7 @@ TEST_F(IntegrationTest, ManyClientsContendOnOneObjectSafely)
     sim.run();
 
     for (int i = 0; i < kClients; ++i) {
-        auto got = runFor(clients[i]->read(
+        auto got = runFor(sim, clients[i]->read(
             *creds[i], static_cast<std::uint64_t>(i) * 64 * kKB,
             64 * kKB));
         ASSERT_TRUE(got.ok());
@@ -365,13 +345,13 @@ TEST_F(IntegrationTest, AfsAndDirectClientsInterleave)
         afs_raw.push_back(afs_drives.back().get());
     }
     fs::AfsFileManager fm(sim, net, fm_node, afs_raw, 0, 64 * kMB);
-    run(fm.initialize(256 * kMB));
+    runTask(sim, fm.initialize(256 * kMB));
     auto &user_node = addClientNode("afs-user");
     fs::AfsClient user(net, user_node, fm, afs_raw, 1);
 
     const auto fid =
-        runFor(user.create(fm.rootFid(), "notes.txt")).value();
-    ASSERT_TRUE(runFor(user.write(fid, 0, pattern(32 * kKB, 8))).ok());
+        runFor(sim, user.create(fm.rootFid(), "notes.txt")).value();
+    ASSERT_TRUE(runFor(sim, user.write(fid, 0, pattern(32 * kKB, 8))).ok());
 
     // Direct traffic on the original drive set meanwhile.
     CapabilityIssuer issuer(raw[0]->config().master_key, raw[0]->id());
@@ -381,18 +361,18 @@ TEST_F(IntegrationTest, AfsAndDirectClientsInterleave)
     pc.object_id = kPartitionControlObject;
     pc.rights = kRightCreate;
     CredentialFactory pcred(issuer.mint(pc));
-    const ObjectId oid = runFor(direct.create(pcred, 0)).value();
+    const ObjectId oid = runFor(sim, direct.create(pcred, 0)).value();
     CapabilityPublic po;
     po.partition = kNfsPart;
     po.object_id = oid;
     po.rights = kRightRead | kRightWrite;
     CredentialFactory cred(issuer.mint(po));
-    ASSERT_TRUE(runFor(direct.write(cred, 0, pattern(16 * kKB, 4))).ok());
+    ASSERT_TRUE(runFor(sim, direct.write(cred, 0, pattern(16 * kKB, 4))).ok());
 
     std::vector<std::uint8_t> afs_out(32 * kKB);
-    ASSERT_TRUE(runFor(user.read(fid, 0, afs_out)).ok());
+    ASSERT_TRUE(runFor(sim, user.read(fid, 0, afs_out)).ok());
     EXPECT_EQ(afs_out, pattern(32 * kKB, 8));
-    auto direct_out = runFor(direct.read(cred, 0, 16 * kKB));
+    auto direct_out = runFor(sim, direct.read(cred, 0, 16 * kKB));
     ASSERT_TRUE(direct_out.ok());
     EXPECT_EQ(direct_out.value(), pattern(16 * kKB, 4));
 }

@@ -7,7 +7,6 @@
  */
 #include <gtest/gtest.h>
 
-#include <optional>
 #include <vector>
 
 #include "nasd/capability.h"
@@ -15,49 +14,20 @@
 #include "nasd/drive.h"
 #include "net/network.h"
 #include "net/presets.h"
+#include "rig/cluster.h"
 #include "sim/simulator.h"
 #include "util/units.h"
 
 namespace nasd {
 namespace {
 
-using sim::Simulator;
-using sim::Task;
 using util::kKB;
 using util::kMB;
 
-class DriveTest : public ::testing::Test
+class DriveTest : public ::testing::Test, public rig::DriveRig
 {
   protected:
-    DriveTest()
-        : net(sim), drive(sim, net, prototypeDriveConfig("nasd0", 1)),
-          issuer(drive.config().master_key, 1),
-          client_node(net.addNode("client", net::alphaStation255(),
-                                  net::oc3Link(), net::dceRpcCosts())),
-          client(net, client_node, drive)
-    {
-        run(drive.format());
-        EXPECT_TRUE(drive.store().createPartition(0, 512 * kMB).ok());
-    }
-
-    void
-    run(Task<void> task)
-    {
-        sim.spawn(std::move(task));
-        sim.run();
-    }
-
-    template <typename T>
-    T
-    runFor(Task<T> task)
-    {
-        std::optional<T> result;
-        sim.spawn([](Task<T> t, std::optional<T> &out) -> Task<void> {
-            out = co_await std::move(t);
-        }(std::move(task), result));
-        sim.run();
-        return std::move(*result);
-    }
+    DriveTest() : DriveRig(prototypeDriveConfig("nasd0", 1), 512 * kMB) {}
 
     /** Capability over the partition control object (create/list). */
     Capability
@@ -87,15 +57,6 @@ class DriveTest : public ::testing::Test
         return issuer.mint(pub);
     }
 
-    ObjectId
-    makeObject()
-    {
-        CredentialFactory cred(partitionCap());
-        auto r = runFor(client.create(cred, 0));
-        EXPECT_TRUE(r.ok());
-        return r.value();
-    }
-
     std::vector<std::uint8_t>
     pattern(std::size_t n, std::uint8_t seed = 1)
     {
@@ -104,26 +65,19 @@ class DriveTest : public ::testing::Test
             v[i] = static_cast<std::uint8_t>(seed + i * 13);
         return v;
     }
-
-    Simulator sim;
-    net::Network net;
-    NasdDrive drive;
-    CapabilityIssuer issuer;
-    net::NetNode &client_node;
-    NasdClient client;
 };
 
 // ------------------------------------------------------------ happy paths
 
 TEST_F(DriveTest, CreateWriteReadOverRpc)
 {
-    const ObjectId oid = makeObject();
+    const ObjectId oid = createObject();
     CredentialFactory cred(objectCap(oid));
 
     const auto data = pattern(100 * kKB);
-    ASSERT_TRUE(runFor(client.write(cred, 0, data)).ok());
+    ASSERT_TRUE(runFor(sim, client.write(cred, 0, data)).ok());
 
-    auto read = runFor(client.read(cred, 0, 100 * kKB));
+    auto read = runFor(sim, client.read(cred, 0, 100 * kKB));
     ASSERT_TRUE(read.ok());
     EXPECT_EQ(read.value(), data);
     EXPECT_GE(drive.opsServed(), 3u);
@@ -131,46 +85,46 @@ TEST_F(DriveTest, CreateWriteReadOverRpc)
 
 TEST_F(DriveTest, GetAttrReflectsObjectState)
 {
-    const ObjectId oid = makeObject();
+    const ObjectId oid = createObject();
     CredentialFactory cred(objectCap(oid));
-    ASSERT_TRUE(runFor(client.write(cred, 0, pattern(12345))).ok());
-    auto attrs = runFor(client.getAttr(cred));
+    ASSERT_TRUE(runFor(sim, client.write(cred, 0, pattern(12345))).ok());
+    auto attrs = runFor(sim, client.getAttr(cred));
     ASSERT_TRUE(attrs.ok());
     EXPECT_EQ(attrs.value().size, 12345u);
 }
 
 TEST_F(DriveTest, RemoveThenReadFails)
 {
-    const ObjectId oid = makeObject();
+    const ObjectId oid = createObject();
     CredentialFactory cred(objectCap(oid));
-    ASSERT_TRUE(runFor(client.write(cred, 0, pattern(100))).ok());
-    ASSERT_TRUE(runFor(client.remove(cred)).ok());
-    auto r = runFor(client.read(cred, 0, 100));
+    ASSERT_TRUE(runFor(sim, client.write(cred, 0, pattern(100))).ok());
+    ASSERT_TRUE(runFor(sim, client.remove(cred)).ok());
+    auto r = runFor(sim, client.read(cred, 0, 100));
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), NasdStatus::kNoSuchObject);
 }
 
 TEST_F(DriveTest, ListObjectsSeesCreations)
 {
-    const ObjectId a = makeObject();
-    const ObjectId b = makeObject();
+    const ObjectId a = createObject();
+    const ObjectId b = createObject();
     CredentialFactory cred(partitionCap());
-    auto listed = runFor(client.listObjects(cred));
+    auto listed = runFor(sim, client.listObjects(cred));
     ASSERT_TRUE(listed.ok());
     EXPECT_EQ(listed.value(), (std::vector<ObjectId>{a, b}));
 }
 
 TEST_F(DriveTest, CloneVersionSharesData)
 {
-    const ObjectId oid = makeObject();
+    const ObjectId oid = createObject();
     CredentialFactory cred(objectCap(oid));
     const auto data = pattern(64 * kKB, 9);
-    ASSERT_TRUE(runFor(client.write(cred, 0, data)).ok());
+    ASSERT_TRUE(runFor(sim, client.write(cred, 0, data)).ok());
 
-    auto clone = runFor(client.cloneVersion(cred));
+    auto clone = runFor(sim, client.cloneVersion(cred));
     ASSERT_TRUE(clone.ok());
     CredentialFactory clone_cred(objectCap(clone.value()));
-    auto read = runFor(client.read(clone_cred, 0, 64 * kKB));
+    auto read = runFor(sim, client.read(clone_cred, 0, 64 * kKB));
     ASSERT_TRUE(read.ok());
     EXPECT_EQ(read.value(), data);
 }
@@ -179,32 +133,32 @@ TEST_F(DriveTest, CloneVersionSharesData)
 
 TEST_F(DriveTest, ForgedPrivateKeyRejected)
 {
-    const ObjectId oid = makeObject();
+    const ObjectId oid = createObject();
     Capability cap = objectCap(oid);
     cap.private_key[5] ^= 0xff; // attacker guesses wrong key
     CredentialFactory cred(cap);
-    auto r = runFor(client.read(cred, 0, 100));
+    auto r = runFor(sim, client.read(cred, 0, 100));
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), NasdStatus::kBadCapability);
 }
 
 TEST_F(DriveTest, EscalatedRightsRejected)
 {
-    const ObjectId oid = makeObject();
+    const ObjectId oid = createObject();
     // Minted read-only; attacker flips the write bit in the public
     // portion, which breaks the digest.
     Capability cap = objectCap(oid, kRightRead);
     cap.pub.rights |= kRightWrite;
     CredentialFactory cred(cap);
-    auto r = runFor(client.write(cred, 0, pattern(100)));
+    auto r = runFor(sim, client.write(cred, 0, pattern(100)));
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), NasdStatus::kBadCapability);
 }
 
 TEST_F(DriveTest, WrongObjectRejected)
 {
-    const ObjectId a = makeObject();
-    const ObjectId b = makeObject();
+    const ObjectId a = createObject();
+    const ObjectId b = createObject();
     (void)b;
     // Capability for object a presented with object b's id: the
     // request digest binds the object id, so this cannot be assembled
@@ -212,23 +166,23 @@ TEST_F(DriveTest, WrongObjectRejected)
     Capability cap = objectCap(a);
     cap.pub.object_id = b; // public portion no longer matches digest
     CredentialFactory cred(cap);
-    auto r = runFor(client.read(cred, 0, 100));
+    auto r = runFor(sim, client.read(cred, 0, 100));
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), NasdStatus::kBadCapability);
 }
 
 TEST_F(DriveTest, MissingRightRejected)
 {
-    const ObjectId oid = makeObject();
+    const ObjectId oid = createObject();
     CredentialFactory cred(objectCap(oid, kRightRead));
-    auto r = runFor(client.write(cred, 0, pattern(10)));
+    auto r = runFor(sim, client.write(cred, 0, pattern(10)));
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), NasdStatus::kRightsViolation);
 }
 
 TEST_F(DriveTest, ExpiredCapabilityRejected)
 {
-    const ObjectId oid = makeObject();
+    const ObjectId oid = createObject();
     CapabilityPublic pub;
     pub.partition = 0;
     pub.object_id = oid;
@@ -237,16 +191,16 @@ TEST_F(DriveTest, ExpiredCapabilityRejected)
     CredentialFactory cred(issuer.mint(pub));
 
     sim.runUntil(sim.now() + sim::sec(1)); // let it expire
-    auto r = runFor(client.read(cred, 0, 100));
+    auto r = runFor(sim, client.read(cred, 0, 100));
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), NasdStatus::kExpiredCapability);
 }
 
 TEST_F(DriveTest, ByteRangeEnforced)
 {
-    const ObjectId oid = makeObject();
+    const ObjectId oid = createObject();
     CredentialFactory wr(objectCap(oid));
-    ASSERT_TRUE(runFor(client.write(wr, 0, pattern(64 * kKB))).ok());
+    ASSERT_TRUE(runFor(sim, client.write(wr, 0, pattern(64 * kKB))).ok());
 
     CapabilityPublic pub;
     pub.partition = 0;
@@ -256,58 +210,58 @@ TEST_F(DriveTest, ByteRangeEnforced)
     pub.region_end = 16 * kKB;
     CredentialFactory cred(issuer.mint(pub));
 
-    EXPECT_TRUE(runFor(client.read(cred, 0, 16 * kKB)).ok());
-    auto r = runFor(client.read(cred, 8 * kKB, 16 * kKB));
+    EXPECT_TRUE(runFor(sim, client.read(cred, 0, 16 * kKB)).ok());
+    auto r = runFor(sim, client.read(cred, 8 * kKB, 16 * kKB));
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), NasdStatus::kRangeViolation);
 }
 
 TEST_F(DriveTest, ReplayedRequestRejected)
 {
-    const ObjectId oid = makeObject();
+    const ObjectId oid = createObject();
     CredentialFactory cred(objectCap(oid));
-    ASSERT_TRUE(runFor(client.write(cred, 0, pattern(100))).ok());
+    ASSERT_TRUE(runFor(sim, client.write(cred, 0, pattern(100))).ok());
 
     // Capture a credential and replay it directly at the drive.
     RequestParams params{OpCode::kReadData, 0, oid, 0, 100};
     const RequestCredential captured = cred.forRequest(params);
 
-    auto first = runFor(drive.serveRead(captured, params));
+    auto first = runFor(sim, drive.serveRead(captured, params));
     EXPECT_EQ(first.status, NasdStatus::kOk);
-    auto replay = runFor(drive.serveRead(captured, params));
+    auto replay = runFor(sim, drive.serveRead(captured, params));
     EXPECT_EQ(replay.status, NasdStatus::kReplayedRequest);
 }
 
 TEST_F(DriveTest, VersionBumpRevokesCapability)
 {
-    const ObjectId oid = makeObject();
+    const ObjectId oid = createObject();
     CredentialFactory cred(objectCap(oid));
-    ASSERT_TRUE(runFor(client.write(cred, 0, pattern(100))).ok());
+    ASSERT_TRUE(runFor(sim, client.write(cred, 0, pattern(100))).ok());
 
     // File manager revokes by bumping the logical version.
     SetAttrRequest bump;
     bump.bump_version = true;
-    ASSERT_TRUE(runFor(client.setAttr(cred, bump)).ok());
+    ASSERT_TRUE(runFor(sim, client.setAttr(cred, bump)).ok());
 
-    auto r = runFor(client.read(cred, 0, 100));
+    auto r = runFor(sim, client.read(cred, 0, 100));
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), NasdStatus::kVersionMismatch);
 
     // A freshly minted capability for the new version works.
     CredentialFactory fresh(objectCap(oid, kRightRead, 2));
-    EXPECT_TRUE(runFor(client.read(fresh, 0, 100)).ok());
+    EXPECT_TRUE(runFor(sim, client.read(fresh, 0, 100)).ok());
 }
 
 TEST_F(DriveTest, KeyRotationRevokesEverything)
 {
-    const ObjectId oid = makeObject();
+    const ObjectId oid = createObject();
     CredentialFactory cred(objectCap(oid));
-    ASSERT_TRUE(runFor(client.write(cred, 0, pattern(100))).ok());
+    ASSERT_TRUE(runFor(sim, client.write(cred, 0, pattern(100))).ok());
 
     CredentialFactory admin(partitionCap(kRightSetAttr));
-    ASSERT_TRUE(runFor(client.setKey(admin)).ok());
+    ASSERT_TRUE(runFor(sim, client.setKey(admin)).ok());
 
-    auto r = runFor(client.read(cred, 0, 100));
+    auto r = runFor(sim, client.read(cred, 0, 100));
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), NasdStatus::kBadCapability);
 
@@ -318,26 +272,26 @@ TEST_F(DriveTest, KeyRotationRevokesEverything)
     pub.rights = kRightRead;
     pub.key_epoch = 1;
     CredentialFactory fresh(issuer.mint(pub));
-    EXPECT_TRUE(runFor(client.read(fresh, 0, 100)).ok());
+    EXPECT_TRUE(runFor(sim, client.read(fresh, 0, 100)).ok());
 }
 
 TEST_F(DriveTest, WrongDriveCapabilityRejected)
 {
-    const ObjectId oid = makeObject();
+    const ObjectId oid = createObject();
     CapabilityIssuer wrong_issuer(drive.config().master_key, 2);
     CapabilityPublic pub;
     pub.partition = 0;
     pub.object_id = oid;
     pub.rights = kRightRead;
     CredentialFactory cred(wrong_issuer.mint(pub));
-    auto r = runFor(client.read(cred, 0, 100));
+    auto r = runFor(sim, client.read(cred, 0, 100));
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), NasdStatus::kBadCapability);
 }
 
 TEST_F(DriveTest, WrongMasterSecretRejected)
 {
-    const ObjectId oid = makeObject();
+    const ObjectId oid = createObject();
     crypto::Key other{};
     other[0] = 1;
     CapabilityIssuer impostor(other, 1);
@@ -346,7 +300,7 @@ TEST_F(DriveTest, WrongMasterSecretRejected)
     pub.object_id = oid;
     pub.rights = kRightRead;
     CredentialFactory cred(impostor.mint(pub));
-    auto r = runFor(client.read(cred, 0, 100));
+    auto r = runFor(sim, client.read(cred, 0, 100));
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), NasdStatus::kBadCapability);
 }
@@ -360,9 +314,9 @@ TEST_F(DriveTest, WrongMasterSecretRejected)
 
 TEST_F(DriveTest, WarmCacheTamperedDigestRejected)
 {
-    const ObjectId oid = makeObject();
+    const ObjectId oid = createObject();
     CredentialFactory cred(objectCap(oid));
-    ASSERT_TRUE(runFor(client.write(cred, 0, pattern(100))).ok());
+    ASSERT_TRUE(runFor(sim, client.write(cred, 0, pattern(100))).ok());
 
     const std::size_t warm = drive.verifiedCapabilities();
     ASSERT_GE(warm, 1u);
@@ -370,43 +324,43 @@ TEST_F(DriveTest, WarmCacheTamperedDigestRejected)
     RequestParams params{OpCode::kReadData, 0, oid, 0, 100};
     RequestCredential tampered = cred.forRequest(params);
     tampered.request_digest[0] ^= 0x01;
-    auto resp = runFor(drive.serveRead(tampered, params));
+    auto resp = runFor(sim, drive.serveRead(tampered, params));
     EXPECT_EQ(resp.status, NasdStatus::kBadCapability);
     EXPECT_EQ(drive.verifiedCapabilities(), warm);
 }
 
 TEST_F(DriveTest, WarmCacheForgedPrivateKeyRejected)
 {
-    const ObjectId oid = makeObject();
+    const ObjectId oid = createObject();
     const Capability cap = objectCap(oid);
     CredentialFactory cred(cap);
-    ASSERT_TRUE(runFor(client.write(cred, 0, pattern(100))).ok());
+    ASSERT_TRUE(runFor(sim, client.write(cred, 0, pattern(100))).ok());
 
     // Same public portion, wrong private key.
     Capability forged = cap;
     forged.private_key[17] ^= 0x80;
     CredentialFactory forged_cred(forged);
-    auto r = runFor(client.read(forged_cred, 0, 100));
+    auto r = runFor(sim, client.read(forged_cred, 0, 100));
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), NasdStatus::kBadCapability);
 }
 
 TEST_F(DriveTest, WarmCacheStaleEpochAfterSetKeyRejected)
 {
-    const ObjectId oid = makeObject();
+    const ObjectId oid = createObject();
     CredentialFactory cred(objectCap(oid));
-    ASSERT_TRUE(runFor(client.write(cred, 0, pattern(100))).ok());
+    ASSERT_TRUE(runFor(sim, client.write(cred, 0, pattern(100))).ok());
 
     CredentialFactory admin(partitionCap(kRightSetAttr));
     ASSERT_GE(drive.verifiedCapabilities(), 1u);
-    ASSERT_TRUE(runFor(client.setKey(admin)).ok());
+    ASSERT_TRUE(runFor(sim, client.setKey(admin)).ok());
     EXPECT_EQ(drive.verifiedCapabilities(), 0u);
 
-    auto r = runFor(client.read(cred, 0, 100));
+    auto r = runFor(sim, client.read(cred, 0, 100));
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), NasdStatus::kBadCapability);
     // The admin capability was verified under the old epoch too.
-    auto again = runFor(client.setKey(admin));
+    auto again = runFor(sim, client.setKey(admin));
     ASSERT_FALSE(again.ok());
     EXPECT_EQ(again.error(), NasdStatus::kBadCapability);
 
@@ -419,36 +373,36 @@ TEST_F(DriveTest, WarmCacheStaleEpochAfterSetKeyRejected)
     pub.rights = kRightRead;
     pub.key_epoch = 1;
     CredentialFactory current(issuer.mint(pub));
-    ASSERT_TRUE(runFor(client.read(current, 0, 100)).ok());
+    ASSERT_TRUE(runFor(sim, client.read(current, 0, 100)).ok());
     ASSERT_TRUE(drive.store().rotateKeyEpoch(0).ok());
-    auto stale = runFor(client.read(current, 0, 100));
+    auto stale = runFor(sim, client.read(current, 0, 100));
     ASSERT_FALSE(stale.ok());
     EXPECT_EQ(stale.error(), NasdStatus::kBadCapability);
 }
 
 TEST_F(DriveTest, WarmCacheExpiredCapabilityRejected)
 {
-    const ObjectId oid = makeObject();
+    const ObjectId oid = createObject();
     CapabilityPublic pub;
     pub.partition = 0;
     pub.object_id = oid;
     pub.rights = kRightRead | kRightWrite;
     pub.expiry_ns = sim.now() + sim::sec(1);
     CredentialFactory cred(issuer.mint(pub));
-    ASSERT_TRUE(runFor(client.write(cred, 0, pattern(100))).ok());
+    ASSERT_TRUE(runFor(sim, client.write(cred, 0, pattern(100))).ok());
 
     sim.runUntil(pub.expiry_ns);
-    auto r = runFor(client.read(cred, 0, 100));
+    auto r = runFor(sim, client.read(cred, 0, 100));
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), NasdStatus::kExpiredCapability);
 }
 
 TEST_F(DriveTest, WarmCacheWrongDriveIdRejected)
 {
-    const ObjectId oid = makeObject();
+    const ObjectId oid = createObject();
     const Capability cap = objectCap(oid);
     CredentialFactory cred(cap);
-    ASSERT_TRUE(runFor(client.write(cred, 0, pattern(100))).ok());
+    ASSERT_TRUE(runFor(sim, client.write(cred, 0, pattern(100))).ok());
 
     // Keyed with THIS drive's working key but naming drive 2: only the
     // drive-id check stands between it and the object.
@@ -459,16 +413,16 @@ TEST_F(DriveTest, WarmCacheWrongDriveIdRejected)
         chain.workingKey(1, 0, other.pub.key_kind, other.pub.key_epoch),
         other.pub);
     CredentialFactory other_cred(other);
-    auto r = runFor(client.read(other_cred, 0, 100));
+    auto r = runFor(sim, client.read(other_cred, 0, 100));
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), NasdStatus::kBadCapability);
 }
 
 TEST_F(DriveTest, WarmCacheWidenedRegionRejected)
 {
-    const ObjectId oid = makeObject();
+    const ObjectId oid = createObject();
     CredentialFactory wr(objectCap(oid));
-    ASSERT_TRUE(runFor(client.write(wr, 0, pattern(64 * kKB))).ok());
+    ASSERT_TRUE(runFor(sim, client.write(wr, 0, pattern(64 * kKB))).ok());
 
     CapabilityPublic pub;
     pub.partition = 0;
@@ -477,10 +431,10 @@ TEST_F(DriveTest, WarmCacheWidenedRegionRejected)
     pub.region_end = 16 * kKB;
     const Capability cap = issuer.mint(pub);
     CredentialFactory cred(cap);
-    ASSERT_TRUE(runFor(client.read(cred, 0, 16 * kKB)).ok());
+    ASSERT_TRUE(runFor(sim, client.read(cred, 0, 16 * kKB)).ok());
 
     // The remembered capability still bounds each request...
-    auto past = runFor(client.read(cred, 8 * kKB, 16 * kKB));
+    auto past = runFor(sim, client.read(cred, 8 * kKB, 16 * kKB));
     ASSERT_FALSE(past.ok());
     EXPECT_EQ(past.error(), NasdStatus::kRangeViolation);
 
@@ -489,7 +443,7 @@ TEST_F(DriveTest, WarmCacheWidenedRegionRejected)
     Capability widened = cap;
     widened.pub.region_end = 64 * kKB;
     CredentialFactory widened_cred(widened);
-    auto r = runFor(client.read(widened_cred, 8 * kKB, 16 * kKB));
+    auto r = runFor(sim, client.read(widened_cred, 8 * kKB, 16 * kKB));
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), NasdStatus::kBadCapability);
     EXPECT_EQ(drive.verifiedCapabilities(), warm);
@@ -497,46 +451,46 @@ TEST_F(DriveTest, WarmCacheWidenedRegionRejected)
 
 TEST_F(DriveTest, WarmCacheVersionBumpRejected)
 {
-    const ObjectId oid = makeObject();
+    const ObjectId oid = createObject();
     CredentialFactory cred(objectCap(oid));
-    ASSERT_TRUE(runFor(client.write(cred, 0, pattern(100))).ok());
-    ASSERT_TRUE(runFor(client.read(cred, 0, 100)).ok());
+    ASSERT_TRUE(runFor(sim, client.write(cred, 0, pattern(100))).ok());
+    ASSERT_TRUE(runFor(sim, client.read(cred, 0, 100)).ok());
 
     SetAttrRequest bump;
     bump.bump_version = true;
-    ASSERT_TRUE(runFor(client.setAttr(cred, bump)).ok());
+    ASSERT_TRUE(runFor(sim, client.setAttr(cred, bump)).ok());
 
-    auto r = runFor(client.read(cred, 0, 100));
+    auto r = runFor(sim, client.read(cred, 0, 100));
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), NasdStatus::kVersionMismatch);
 }
 
 TEST_F(DriveTest, WarmCacheCapabilityCachedBeforeRestart)
 {
-    const ObjectId oid = makeObject();
+    const ObjectId oid = createObject();
     CredentialFactory cred(objectCap(oid));
-    ASSERT_TRUE(runFor(client.write(cred, 0, pattern(100))).ok());
-    run(drive.store().flushAll());
+    ASSERT_TRUE(runFor(sim, client.write(cred, 0, pattern(100))).ok());
+    runTask(sim, drive.store().flushAll());
 
     ASSERT_GE(drive.verifiedCapabilities(), 1u);
     drive.crash();
-    run(drive.restart());
+    runTask(sim, drive.restart());
     EXPECT_EQ(drive.verifiedCapabilities(), 0u);
 
     RequestParams params{OpCode::kReadData, 0, oid, 0, 100};
     RequestCredential tampered = cred.forRequest(params);
     tampered.request_digest[31] ^= 0x40;
-    auto resp = runFor(drive.serveRead(tampered, params));
+    auto resp = runFor(sim, drive.serveRead(tampered, params));
     EXPECT_EQ(resp.status, NasdStatus::kBadCapability);
 
     // The honest holder still gets through after the restart.
-    EXPECT_TRUE(runFor(client.read(cred, 0, 100)).ok());
+    EXPECT_TRUE(runFor(sim, client.read(cred, 0, 100)).ok());
 }
 
 TEST_F(DriveTest, WarmCacheForgottenOnPartitionCreateAndRemove)
 {
     CredentialFactory admin(partitionCap(kRightCreate | kRightRemove));
-    ASSERT_TRUE(runFor(client.createPartition(admin, 5, kMB)).ok());
+    ASSERT_TRUE(runFor(sim, client.createPartition(admin, 5, kMB)).ok());
     EXPECT_EQ(drive.verifiedCapabilities(), 0u);
 
     CapabilityPublic pc;
@@ -544,12 +498,12 @@ TEST_F(DriveTest, WarmCacheForgottenOnPartitionCreateAndRemove)
     pc.object_id = kPartitionControlObject;
     pc.rights = kRightGetAttr;
     CredentialFactory part5(issuer.mint(pc));
-    ASSERT_TRUE(runFor(client.listObjects(part5)).ok());
+    ASSERT_TRUE(runFor(sim, client.listObjects(part5)).ok());
     ASSERT_GE(drive.verifiedCapabilities(), 1u);
 
-    ASSERT_TRUE(runFor(client.removePartition(admin, 5)).ok());
+    ASSERT_TRUE(runFor(sim, client.removePartition(admin, 5)).ok());
     EXPECT_EQ(drive.verifiedCapabilities(), 0u);
-    auto r = runFor(client.listObjects(part5));
+    auto r = runFor(sim, client.listObjects(part5));
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), NasdStatus::kNoSuchPartition);
 }
@@ -558,26 +512,26 @@ TEST_F(DriveTest, WarmCacheForgottenOnPartitionCreateAndRemove)
 
 TEST_F(DriveTest, SoftwareIntegrityCostsTime)
 {
-    const ObjectId oid = makeObject();
+    const ObjectId oid = createObject();
     CredentialFactory cred(objectCap(oid));
     const auto data = pattern(256 * kKB);
-    ASSERT_TRUE(runFor(client.write(cred, 0, data)).ok());
+    ASSERT_TRUE(runFor(sim, client.write(cred, 0, data)).ok());
 
     // Warm the cache, then time reads with security off and on.
-    (void)runFor(client.read(cred, 0, 256 * kKB));
+    (void)runFor(sim, client.read(cred, 0, 256 * kKB));
     const sim::Tick t0 = sim.now();
-    (void)runFor(client.read(cred, 0, 256 * kKB));
+    (void)runFor(sim, client.read(cred, 0, 256 * kKB));
     const sim::Tick off = sim.now() - t0;
 
     drive.setSecurity(SecurityLevel::kIntegritySw);
     const sim::Tick t1 = sim.now();
-    (void)runFor(client.read(cred, 0, 256 * kKB));
+    (void)runFor(sim, client.read(cred, 0, 256 * kKB));
     const sim::Tick sw = sim.now() - t1;
     EXPECT_GT(sw, off * 2); // software MACs dominate
 
     drive.setSecurity(SecurityLevel::kIntegrityHw);
     const sim::Tick t2 = sim.now();
-    (void)runFor(client.read(cred, 0, 256 * kKB));
+    (void)runFor(sim, client.read(cred, 0, 256 * kKB));
     const sim::Tick hw = sim.now() - t2;
     EXPECT_LT(hw, off + off / 5); // hardware digests are nearly free
 }
@@ -586,15 +540,15 @@ TEST_F(DriveTest, SoftwareIntegrityCostsTime)
 
 TEST_F(DriveTest, CachedReadsFasterThanColdReads)
 {
-    const ObjectId oid = makeObject();
+    const ObjectId oid = createObject();
     CredentialFactory cred(objectCap(oid));
     const auto data = pattern(512 * kKB);
-    ASSERT_TRUE(runFor(client.write(cred, 0, data)).ok());
+    ASSERT_TRUE(runFor(sim, client.write(cred, 0, data)).ok());
 
     // First read is warm (just written). Now evict by writing a large
     // other object... simpler: time warm read vs a fresh drive state.
     const sim::Tick t0 = sim.now();
-    (void)runFor(client.read(cred, 0, 512 * kKB));
+    (void)runFor(sim, client.read(cred, 0, 512 * kKB));
     const sim::Tick warm = sim.now() - t0;
 
     // 512 KB at client DCE receive rates (~10 MB/s) is ~50 ms; the
@@ -614,29 +568,29 @@ TEST_F(DriveTest, PartitionLifecycleOverTheWire)
                                          kRightRemove | kRightGetAttr));
 
     // Create partition 5 with a 1 MB quota.
-    ASSERT_TRUE(runFor(client.createPartition(admin, 5, kMB)).ok());
+    ASSERT_TRUE(runFor(sim, client.createPartition(admin, 5, kMB)).ok());
     auto info = drive.store().partitionInfo(5);
     ASSERT_TRUE(info.ok());
     EXPECT_EQ(info.value().quota_bytes, kMB);
 
     // Duplicate creation fails.
-    auto dup = runFor(client.createPartition(admin, 5, kMB));
+    auto dup = runFor(sim, client.createPartition(admin, 5, kMB));
     ASSERT_FALSE(dup.ok());
     EXPECT_EQ(dup.error(), NasdStatus::kPartitionExists);
 
     // Resize lifts the quota.
-    ASSERT_TRUE(runFor(client.resizePartition(admin, 5, 4 * kMB)).ok());
+    ASSERT_TRUE(runFor(sim, client.resizePartition(admin, 5, 4 * kMB)).ok());
     EXPECT_EQ(drive.store().partitionInfo(5).value().quota_bytes, 4 * kMB);
 
     // Remove (empty) succeeds; the partition is gone.
-    ASSERT_TRUE(runFor(client.removePartition(admin, 5)).ok());
+    ASSERT_TRUE(runFor(sim, client.removePartition(admin, 5)).ok());
     EXPECT_FALSE(drive.store().partitionInfo(5).ok());
 }
 
 TEST_F(DriveTest, PartitionAdminRequiresRights)
 {
     CredentialFactory weak(partitionCap(kRightGetAttr));
-    auto r = runFor(client.createPartition(weak, 6, kMB));
+    auto r = runFor(sim, client.createPartition(weak, 6, kMB));
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), NasdStatus::kRightsViolation);
 }
@@ -644,7 +598,7 @@ TEST_F(DriveTest, PartitionAdminRequiresRights)
 TEST_F(DriveTest, RemoveNonEmptyPartitionFails)
 {
     CredentialFactory admin(partitionCap(kRightCreate | kRightRemove));
-    ASSERT_TRUE(runFor(client.createPartition(admin, 7, 64 * kMB)).ok());
+    ASSERT_TRUE(runFor(sim, client.createPartition(admin, 7, 64 * kMB)).ok());
 
     // Put an object in it.
     CapabilityPublic pc;
@@ -652,9 +606,9 @@ TEST_F(DriveTest, RemoveNonEmptyPartitionFails)
     pc.object_id = kPartitionControlObject;
     pc.rights = kRightCreate;
     CredentialFactory pcred(issuer.mint(pc));
-    ASSERT_TRUE(runFor(client.create(pcred, 0)).ok());
+    ASSERT_TRUE(runFor(sim, client.create(pcred, 0)).ok());
 
-    auto r = runFor(client.removePartition(admin, 7));
+    auto r = runFor(sim, client.removePartition(admin, 7));
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), NasdStatus::kPartitionNotEmpty);
 }
@@ -669,7 +623,7 @@ TEST_F(DriveTest, PartitionAdminParamsAreMacd)
     const RequestCredential captured = admin.forRequest(params);
     RequestParams tampered = params;
     tampered.offset = 10;  // different target partition
-    auto resp = runFor(drive.serveCreatePartition(captured, tampered, 10));
+    auto resp = runFor(sim, drive.serveCreatePartition(captured, tampered, 10));
     EXPECT_EQ(resp.status, NasdStatus::kBadCapability);
 }
 

@@ -22,7 +22,6 @@ namespace nasd {
 namespace {
 
 using sim::Simulator;
-using sim::Task;
 using util::kKB;
 using util::kMB;
 
@@ -122,7 +121,7 @@ struct StoreFixture
     StoreFixture()
         : disk(sim, disk::medallistParams()), store(sim, disk, config())
     {
-        run(store.format());
+        runTask(sim, store.format());
         ASSERT_OK(store.createPartition(0, 256 * kMB));
     }
 
@@ -139,25 +138,6 @@ struct StoreFixture
     ASSERT_OK(const util::Result<void, NasdStatus> &r)
     {
         ASSERT_TRUE(r.ok()) << toString(r.error());
-    }
-
-    void
-    run(Task<void> task)
-    {
-        sim.spawn(std::move(task));
-        sim.run();
-    }
-
-    template <typename T>
-    T
-    runFor(Task<T> task)
-    {
-        std::optional<T> result;
-        sim.spawn([](Task<T> t, std::optional<T> &out) -> Task<void> {
-            out = co_await std::move(t);
-        }(std::move(task), result));
-        sim.run();
-        return std::move(*result);
     }
 
     std::vector<std::uint8_t>
@@ -179,29 +159,29 @@ class ObjectStoreTest : public ::testing::Test, public StoreFixture
 
 TEST_F(ObjectStoreTest, CreateAssignsUserIds)
 {
-    auto r = runFor(store.createObject(0, 0, nullptr));
+    auto r = runFor(sim, store.createObject(0, 0, nullptr));
     ASSERT_TRUE(r.ok());
     EXPECT_GE(r.value(), kFirstUserObject);
-    auto r2 = runFor(store.createObject(0, 0, nullptr));
+    auto r2 = runFor(sim, store.createObject(0, 0, nullptr));
     ASSERT_TRUE(r2.ok());
     EXPECT_NE(r.value(), r2.value());
 }
 
 TEST_F(ObjectStoreTest, CreateInMissingPartitionFails)
 {
-    auto r = runFor(store.createObject(7, 0, nullptr));
+    auto r = runFor(sim, store.createObject(7, 0, nullptr));
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), NasdStatus::kNoSuchPartition);
 }
 
 TEST_F(ObjectStoreTest, WriteReadRoundTrip)
 {
-    const ObjectId oid = runFor(store.createObject(0, 0, nullptr)).value();
+    const ObjectId oid = runFor(sim, store.createObject(0, 0, nullptr)).value();
     const auto data = pattern(100 * kKB);
-    ASSERT_TRUE(runFor(store.write(0, oid, 0, data, nullptr)).ok());
+    ASSERT_TRUE(runFor(sim, store.write(0, oid, 0, data, nullptr)).ok());
 
     std::vector<std::uint8_t> out(100 * kKB);
-    auto n = runFor(store.read(0, oid, 0, out, nullptr));
+    auto n = runFor(sim, store.read(0, oid, 0, out, nullptr));
     ASSERT_TRUE(n.ok());
     EXPECT_EQ(n.value(), 100 * kKB);
     EXPECT_EQ(out, data);
@@ -209,12 +189,12 @@ TEST_F(ObjectStoreTest, WriteReadRoundTrip)
 
 TEST_F(ObjectStoreTest, ReadAtOffset)
 {
-    const ObjectId oid = runFor(store.createObject(0, 0, nullptr)).value();
+    const ObjectId oid = runFor(sim, store.createObject(0, 0, nullptr)).value();
     const auto data = pattern(64 * kKB, 7);
-    ASSERT_TRUE(runFor(store.write(0, oid, 0, data, nullptr)).ok());
+    ASSERT_TRUE(runFor(sim, store.write(0, oid, 0, data, nullptr)).ok());
 
     std::vector<std::uint8_t> out(1000);
-    auto n = runFor(store.read(0, oid, 12345, out, nullptr));
+    auto n = runFor(sim, store.read(0, oid, 12345, out, nullptr));
     ASSERT_TRUE(n.ok());
     EXPECT_EQ(n.value(), 1000u);
     for (int i = 0; i < 1000; ++i)
@@ -223,31 +203,32 @@ TEST_F(ObjectStoreTest, ReadAtOffset)
 
 TEST_F(ObjectStoreTest, ReadClampsAtSize)
 {
-    const ObjectId oid = runFor(store.createObject(0, 0, nullptr)).value();
-    ASSERT_TRUE(runFor(store.write(0, oid, 0, pattern(100), nullptr)).ok());
+    const ObjectId oid = runFor(sim, store.createObject(0, 0, nullptr)).value();
+    ASSERT_TRUE(
+        runFor(sim, store.write(0, oid, 0, pattern(100), nullptr)).ok());
     std::vector<std::uint8_t> out(1000);
-    auto n = runFor(store.read(0, oid, 50, out, nullptr));
+    auto n = runFor(sim, store.read(0, oid, 50, out, nullptr));
     ASSERT_TRUE(n.ok());
     EXPECT_EQ(n.value(), 50u);
 }
 
 TEST_F(ObjectStoreTest, ReadPastEndReturnsZeroBytes)
 {
-    const ObjectId oid = runFor(store.createObject(0, 0, nullptr)).value();
+    const ObjectId oid = runFor(sim, store.createObject(0, 0, nullptr)).value();
     std::vector<std::uint8_t> out(10);
-    auto n = runFor(store.read(0, oid, 0, out, nullptr));
+    auto n = runFor(sim, store.read(0, oid, 0, out, nullptr));
     ASSERT_TRUE(n.ok());
     EXPECT_EQ(n.value(), 0u);
 }
 
 TEST_F(ObjectStoreTest, SparseWriteLeavesZeroGap)
 {
-    const ObjectId oid = runFor(store.createObject(0, 0, nullptr)).value();
+    const ObjectId oid = runFor(sim, store.createObject(0, 0, nullptr)).value();
     // Write beyond a hole; the gap reads back as zeros.
     ASSERT_TRUE(
-        runFor(store.write(0, oid, 64 * kKB, pattern(100), nullptr)).ok());
+        runFor(sim, store.write(0, oid, 64 * kKB, pattern(100), nullptr)).ok());
     std::vector<std::uint8_t> out(100);
-    auto n = runFor(store.read(0, oid, 1000, out, nullptr));
+    auto n = runFor(sim, store.read(0, oid, 1000, out, nullptr));
     ASSERT_TRUE(n.ok());
     for (auto b : out)
         EXPECT_EQ(b, 0);
@@ -259,20 +240,20 @@ TEST_F(ObjectStoreTest, RecycledUnitsReadAsZerosInGap)
     // still on the device; the next object to get them must not see
     // those bytes in its never-written gap.
     const std::uint64_t ub = store.allocUnitBytes();
-    const ObjectId old = runFor(store.createObject(0, 0, nullptr)).value();
+    const ObjectId old = runFor(sim, store.createObject(0, 0, nullptr)).value();
     ASSERT_TRUE(
-        runFor(store.write(0, old, 0, pattern(4 * ub, 9), nullptr)).ok());
+        runFor(sim, store.write(0, old, 0, pattern(4 * ub, 9), nullptr)).ok());
     const auto free_before = store.freeUnits();
-    ASSERT_TRUE(runFor(store.removeObject(0, old, nullptr)).ok());
+    ASSERT_TRUE(runFor(sim, store.removeObject(0, old, nullptr)).ok());
     ASSERT_EQ(store.freeUnits(), free_before + 4);
 
-    const ObjectId oid = runFor(store.createObject(0, 0, nullptr)).value();
+    const ObjectId oid = runFor(sim, store.createObject(0, 0, nullptr)).value();
     ASSERT_TRUE(
-        runFor(store.write(0, oid, 3 * ub + 10, pattern(100), nullptr))
+        runFor(sim, store.write(0, oid, 3 * ub + 10, pattern(100), nullptr))
             .ok());
     ASSERT_EQ(store.freeUnits(), free_before);
     std::vector<std::uint8_t> gap(3 * ub + 10, 0xa5);
-    auto n = runFor(store.read(0, oid, 0, gap, nullptr));
+    auto n = runFor(sim, store.read(0, oid, 0, gap, nullptr));
     ASSERT_TRUE(n.ok());
     ASSERT_EQ(n.value(), gap.size());
     for (std::size_t i = 0; i < gap.size(); ++i)
@@ -282,21 +263,21 @@ TEST_F(ObjectStoreTest, RecycledUnitsReadAsZerosInGap)
 TEST_F(ObjectStoreTest, TruncateThenExtendReadsZeros)
 {
     const std::uint64_t ub = store.allocUnitBytes();
-    const ObjectId oid = runFor(store.createObject(0, 0, nullptr)).value();
+    const ObjectId oid = runFor(sim, store.createObject(0, 0, nullptr)).value();
     const auto data = pattern(3 * ub, 3);
-    ASSERT_TRUE(runFor(store.write(0, oid, 0, data, nullptr)).ok());
+    ASSERT_TRUE(runFor(sim, store.write(0, oid, 0, data, nullptr)).ok());
 
     // Cut inside the second unit, then write past the old end: the
     // retained unit's tail and the re-grown units read as zeros.
     const std::uint64_t cut = ub + 100;
     SetAttrRequest req;
     req.truncate_size = cut;
-    ASSERT_TRUE(runFor(store.setAttributes(0, oid, req, nullptr)).ok());
+    ASSERT_TRUE(runFor(sim, store.setAttributes(0, oid, req, nullptr)).ok());
     ASSERT_TRUE(
-        runFor(store.write(0, oid, 4 * ub, pattern(10, 7), nullptr)).ok());
+        runFor(sim, store.write(0, oid, 4 * ub, pattern(10, 7), nullptr)).ok());
 
     std::vector<std::uint8_t> out(4 * ub, 0xa5);
-    auto n = runFor(store.read(0, oid, 0, out, nullptr));
+    auto n = runFor(sim, store.read(0, oid, 0, out, nullptr));
     ASSERT_TRUE(n.ok());
     ASSERT_EQ(n.value(), out.size());
     for (std::size_t i = 0; i < out.size(); ++i)
@@ -305,78 +286,80 @@ TEST_F(ObjectStoreTest, TruncateThenExtendReadsZeros)
 
 TEST_F(ObjectStoreTest, OverwriteInPlace)
 {
-    const ObjectId oid = runFor(store.createObject(0, 0, nullptr)).value();
-    ASSERT_TRUE(
-        runFor(store.write(0, oid, 0, pattern(32 * kKB, 1), nullptr)).ok());
+    const ObjectId oid = runFor(sim, store.createObject(0, 0, nullptr)).value();
+    ASSERT_TRUE(runFor(sim, store.write(0, oid, 0, pattern(32 * kKB, 1),
+                                        nullptr))
+                    .ok());
     const auto patch = pattern(5000, 99);
-    ASSERT_TRUE(runFor(store.write(0, oid, 10000, patch, nullptr)).ok());
+    ASSERT_TRUE(runFor(sim, store.write(0, oid, 10000, patch, nullptr)).ok());
 
     std::vector<std::uint8_t> out(5000);
-    (void)runFor(store.read(0, oid, 10000, out, nullptr));
+    (void)runFor(sim, store.read(0, oid, 10000, out, nullptr));
     EXPECT_EQ(out, patch);
     // Size unchanged by the interior overwrite.
-    auto attrs = runFor(store.getAttributes(0, oid, nullptr));
+    auto attrs = runFor(sim, store.getAttributes(0, oid, nullptr));
     EXPECT_EQ(attrs.value().size, 32 * kKB);
 }
 
 TEST_F(ObjectStoreTest, AttributesTrackWrites)
 {
-    const ObjectId oid = runFor(store.createObject(0, 0, nullptr)).value();
-    auto before = runFor(store.getAttributes(0, oid, nullptr)).value();
+    const ObjectId oid = runFor(sim, store.createObject(0, 0, nullptr)).value();
+    auto before = runFor(sim, store.getAttributes(0, oid, nullptr)).value();
     EXPECT_EQ(before.size, 0u);
     EXPECT_EQ(before.version, 1u);
 
-    ASSERT_TRUE(runFor(store.write(0, oid, 0, pattern(10000), nullptr)).ok());
-    auto after = runFor(store.getAttributes(0, oid, nullptr)).value();
+    ASSERT_TRUE(
+        runFor(sim, store.write(0, oid, 0, pattern(10000), nullptr)).ok());
+    auto after = runFor(sim, store.getAttributes(0, oid, nullptr)).value();
     EXPECT_EQ(after.size, 10000u);
     EXPECT_GE(after.modify_time, before.modify_time);
 }
 
 TEST_F(ObjectStoreTest, SetAttrVersionBump)
 {
-    const ObjectId oid = runFor(store.createObject(0, 0, nullptr)).value();
+    const ObjectId oid = runFor(sim, store.createObject(0, 0, nullptr)).value();
     SetAttrRequest req;
     req.bump_version = true;
-    auto attrs = runFor(store.setAttributes(0, oid, req, nullptr));
+    auto attrs = runFor(sim, store.setAttributes(0, oid, req, nullptr));
     ASSERT_TRUE(attrs.ok());
     EXPECT_EQ(attrs.value().version, 2u);
 }
 
 TEST_F(ObjectStoreTest, SetAttrFsSpecificRoundTrip)
 {
-    const ObjectId oid = runFor(store.createObject(0, 0, nullptr)).value();
+    const ObjectId oid = runFor(sim, store.createObject(0, 0, nullptr)).value();
     SetAttrRequest req;
     std::array<std::uint8_t, kFsSpecificBytes> blob{};
     blob[0] = 0xab;
     blob[63] = 0xcd;
     req.fs_specific = blob;
-    ASSERT_TRUE(runFor(store.setAttributes(0, oid, req, nullptr)).ok());
-    auto attrs = runFor(store.getAttributes(0, oid, nullptr)).value();
+    ASSERT_TRUE(runFor(sim, store.setAttributes(0, oid, req, nullptr)).ok());
+    auto attrs = runFor(sim, store.getAttributes(0, oid, nullptr)).value();
     EXPECT_EQ(attrs.fs_specific[0], 0xab);
     EXPECT_EQ(attrs.fs_specific[63], 0xcd);
 }
 
 TEST_F(ObjectStoreTest, TruncateFreesSpace)
 {
-    const ObjectId oid = runFor(store.createObject(0, 0, nullptr)).value();
+    const ObjectId oid = runFor(sim, store.createObject(0, 0, nullptr)).value();
     ASSERT_TRUE(
-        runFor(store.write(0, oid, 0, pattern(256 * kKB), nullptr)).ok());
+        runFor(sim, store.write(0, oid, 0, pattern(256 * kKB), nullptr)).ok());
     const auto used_before = store.partitionInfo(0).value().used_bytes;
 
     SetAttrRequest req;
     req.truncate_size = 8 * kKB;
-    ASSERT_TRUE(runFor(store.setAttributes(0, oid, req, nullptr)).ok());
+    ASSERT_TRUE(runFor(sim, store.setAttributes(0, oid, req, nullptr)).ok());
     const auto used_after = store.partitionInfo(0).value().used_bytes;
     EXPECT_LT(used_after, used_before);
 
-    auto attrs = runFor(store.getAttributes(0, oid, nullptr)).value();
+    auto attrs = runFor(sim, store.getAttributes(0, oid, nullptr)).value();
     EXPECT_EQ(attrs.size, 8 * kKB);
 }
 
 TEST_F(ObjectStoreTest, CapacityReservationAllocates)
 {
     const auto free_before = store.freeUnits();
-    auto r = runFor(store.createObject(0, 1 * kMB, nullptr));
+    auto r = runFor(sim, store.createObject(0, 1 * kMB, nullptr));
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(store.freeUnits(), free_before - 128); // 1 MB / 8 KB
 }
@@ -384,12 +367,12 @@ TEST_F(ObjectStoreTest, CapacityReservationAllocates)
 TEST_F(ObjectStoreTest, QuotaEnforced)
 {
     ASSERT_OK(store.createPartition(1, 64 * kKB)); // 8 units
-    const ObjectId oid = runFor(store.createObject(1, 0, nullptr)).value();
+    const ObjectId oid = runFor(sim, store.createObject(1, 0, nullptr)).value();
     // 64 KB fits exactly.
     ASSERT_TRUE(
-        runFor(store.write(1, oid, 0, pattern(64 * kKB), nullptr)).ok());
+        runFor(sim, store.write(1, oid, 0, pattern(64 * kKB), nullptr)).ok());
     // One more byte exceeds the quota.
-    auto r = runFor(store.write(1, oid, 64 * kKB, pattern(1), nullptr));
+    auto r = runFor(sim, store.write(1, oid, 64 * kKB, pattern(1), nullptr));
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), NasdStatus::kQuotaExceeded);
 }
@@ -397,20 +380,20 @@ TEST_F(ObjectStoreTest, QuotaEnforced)
 TEST_F(ObjectStoreTest, ResizePartitionLiftsQuota)
 {
     ASSERT_OK(store.createPartition(1, 64 * kKB));
-    const ObjectId oid = runFor(store.createObject(1, 0, nullptr)).value();
+    const ObjectId oid = runFor(sim, store.createObject(1, 0, nullptr)).value();
     ASSERT_TRUE(
-        runFor(store.write(1, oid, 0, pattern(64 * kKB), nullptr)).ok());
+        runFor(sim, store.write(1, oid, 0, pattern(64 * kKB), nullptr)).ok());
     ASSERT_OK(store.resizePartition(1, 128 * kKB));
     EXPECT_TRUE(
-        runFor(store.write(1, oid, 64 * kKB, pattern(kKB), nullptr)).ok());
+        runFor(sim, store.write(1, oid, 64 * kKB, pattern(kKB), nullptr)).ok());
 }
 
 TEST_F(ObjectStoreTest, ResizeBelowUsageFails)
 {
     ASSERT_OK(store.createPartition(1, 128 * kKB));
-    const ObjectId oid = runFor(store.createObject(1, 0, nullptr)).value();
+    const ObjectId oid = runFor(sim, store.createObject(1, 0, nullptr)).value();
     ASSERT_TRUE(
-        runFor(store.write(1, oid, 0, pattern(128 * kKB), nullptr)).ok());
+        runFor(sim, store.write(1, oid, 0, pattern(128 * kKB), nullptr)).ok());
     auto r = store.resizePartition(1, 8 * kKB);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), NasdStatus::kQuotaExceeded);
@@ -419,15 +402,15 @@ TEST_F(ObjectStoreTest, ResizeBelowUsageFails)
 TEST_F(ObjectStoreTest, RemoveReleasesSpace)
 {
     const auto free_before = store.freeUnits();
-    const ObjectId oid = runFor(store.createObject(0, 0, nullptr)).value();
+    const ObjectId oid = runFor(sim, store.createObject(0, 0, nullptr)).value();
     ASSERT_TRUE(
-        runFor(store.write(0, oid, 0, pattern(512 * kKB), nullptr)).ok());
+        runFor(sim, store.write(0, oid, 0, pattern(512 * kKB), nullptr)).ok());
     EXPECT_LT(store.freeUnits(), free_before);
-    ASSERT_TRUE(runFor(store.removeObject(0, oid, nullptr)).ok());
+    ASSERT_TRUE(runFor(sim, store.removeObject(0, oid, nullptr)).ok());
     EXPECT_EQ(store.freeUnits(), free_before);
 
     std::vector<std::uint8_t> out(10);
-    auto r = runFor(store.read(0, oid, 0, out, nullptr));
+    auto r = runFor(sim, store.read(0, oid, 0, out, nullptr));
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), NasdStatus::kNoSuchObject);
 }
@@ -435,11 +418,11 @@ TEST_F(ObjectStoreTest, RemoveReleasesSpace)
 TEST_F(ObjectStoreTest, RemovePartitionRequiresEmpty)
 {
     ASSERT_OK(store.createPartition(1, kMB));
-    const ObjectId oid = runFor(store.createObject(1, 0, nullptr)).value();
+    const ObjectId oid = runFor(sim, store.createObject(1, 0, nullptr)).value();
     auto r = store.removePartition(1);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), NasdStatus::kPartitionNotEmpty);
-    ASSERT_TRUE(runFor(store.removeObject(1, oid, nullptr)).ok());
+    ASSERT_TRUE(runFor(sim, store.removeObject(1, oid, nullptr)).ok());
     EXPECT_TRUE(store.removePartition(1).ok());
 }
 
@@ -447,8 +430,9 @@ TEST_F(ObjectStoreTest, ListObjectsEnumeratesPartition)
 {
     std::vector<ObjectId> created;
     for (int i = 0; i < 5; ++i)
-        created.push_back(runFor(store.createObject(0, 0, nullptr)).value());
-    auto listed = runFor(store.listObjects(0, nullptr));
+        created.push_back(
+            runFor(sim, store.createObject(0, 0, nullptr)).value());
+    auto listed = runFor(sim, store.listObjects(0, nullptr));
     ASSERT_TRUE(listed.ok());
     EXPECT_EQ(listed.value(), created);
 }
@@ -456,9 +440,9 @@ TEST_F(ObjectStoreTest, ListObjectsEnumeratesPartition)
 TEST_F(ObjectStoreTest, PartitionsIsolateNamespaces)
 {
     ASSERT_OK(store.createPartition(1, kMB));
-    const ObjectId oid = runFor(store.createObject(0, 0, nullptr)).value();
+    const ObjectId oid = runFor(sim, store.createObject(0, 0, nullptr)).value();
     std::vector<std::uint8_t> out(10);
-    auto r = runFor(store.read(1, oid, 0, out, nullptr));
+    auto r = runFor(sim, store.read(1, oid, 0, out, nullptr));
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), NasdStatus::kNoSuchObject);
 }
@@ -467,65 +451,66 @@ TEST_F(ObjectStoreTest, PartitionsIsolateNamespaces)
 
 TEST_F(ObjectStoreTest, CloneSharesSpace)
 {
-    const ObjectId oid = runFor(store.createObject(0, 0, nullptr)).value();
+    const ObjectId oid = runFor(sim, store.createObject(0, 0, nullptr)).value();
     ASSERT_TRUE(
-        runFor(store.write(0, oid, 0, pattern(256 * kKB), nullptr)).ok());
+        runFor(sim, store.write(0, oid, 0, pattern(256 * kKB), nullptr)).ok());
     const auto free_before = store.freeUnits();
-    auto clone = runFor(store.cloneVersion(0, oid, nullptr));
+    auto clone = runFor(sim, store.cloneVersion(0, oid, nullptr));
     ASSERT_TRUE(clone.ok());
     EXPECT_EQ(store.freeUnits(), free_before); // no data copied
 
     std::vector<std::uint8_t> out(256 * kKB);
-    (void)runFor(store.read(0, clone.value(), 0, out, nullptr));
+    (void)runFor(sim, store.read(0, clone.value(), 0, out, nullptr));
     EXPECT_EQ(out, pattern(256 * kKB));
 }
 
 TEST_F(ObjectStoreTest, WriteToCloneLeavesOriginalIntact)
 {
-    const ObjectId oid = runFor(store.createObject(0, 0, nullptr)).value();
+    const ObjectId oid = runFor(sim, store.createObject(0, 0, nullptr)).value();
     const auto original = pattern(64 * kKB, 1);
-    ASSERT_TRUE(runFor(store.write(0, oid, 0, original, nullptr)).ok());
+    ASSERT_TRUE(runFor(sim, store.write(0, oid, 0, original, nullptr)).ok());
     const ObjectId clone =
-        runFor(store.cloneVersion(0, oid, nullptr)).value();
+        runFor(sim, store.cloneVersion(0, oid, nullptr)).value();
 
     const auto patch = pattern(8 * kKB, 200);
-    ASSERT_TRUE(runFor(store.write(0, clone, 0, patch, nullptr)).ok());
+    ASSERT_TRUE(runFor(sim, store.write(0, clone, 0, patch, nullptr)).ok());
 
     std::vector<std::uint8_t> out(8 * kKB);
-    (void)runFor(store.read(0, oid, 0, out, nullptr));
+    (void)runFor(sim, store.read(0, oid, 0, out, nullptr));
     EXPECT_EQ(out, std::vector<std::uint8_t>(original.begin(),
                                              original.begin() + 8 * kKB));
-    (void)runFor(store.read(0, clone, 0, out, nullptr));
+    (void)runFor(sim, store.read(0, clone, 0, out, nullptr));
     EXPECT_EQ(out, patch);
 }
 
 TEST_F(ObjectStoreTest, WriteToOriginalLeavesCloneIntact)
 {
-    const ObjectId oid = runFor(store.createObject(0, 0, nullptr)).value();
+    const ObjectId oid = runFor(sim, store.createObject(0, 0, nullptr)).value();
     const auto original = pattern(64 * kKB, 1);
-    ASSERT_TRUE(runFor(store.write(0, oid, 0, original, nullptr)).ok());
+    ASSERT_TRUE(runFor(sim, store.write(0, oid, 0, original, nullptr)).ok());
     const ObjectId clone =
-        runFor(store.cloneVersion(0, oid, nullptr)).value();
+        runFor(sim, store.cloneVersion(0, oid, nullptr)).value();
 
-    ASSERT_TRUE(
-        runFor(store.write(0, oid, 0, pattern(8 * kKB, 200), nullptr)).ok());
+    ASSERT_TRUE(runFor(sim, store.write(0, oid, 0, pattern(8 * kKB, 200),
+                                        nullptr))
+                    .ok());
 
     std::vector<std::uint8_t> out(64 * kKB);
-    (void)runFor(store.read(0, clone, 0, out, nullptr));
+    (void)runFor(sim, store.read(0, clone, 0, out, nullptr));
     EXPECT_EQ(out, original);
 }
 
 TEST_F(ObjectStoreTest, RemoveCloneKeepsOriginalData)
 {
-    const ObjectId oid = runFor(store.createObject(0, 0, nullptr)).value();
+    const ObjectId oid = runFor(sim, store.createObject(0, 0, nullptr)).value();
     const auto original = pattern(64 * kKB, 1);
-    ASSERT_TRUE(runFor(store.write(0, oid, 0, original, nullptr)).ok());
+    ASSERT_TRUE(runFor(sim, store.write(0, oid, 0, original, nullptr)).ok());
     const ObjectId clone =
-        runFor(store.cloneVersion(0, oid, nullptr)).value();
-    ASSERT_TRUE(runFor(store.removeObject(0, clone, nullptr)).ok());
+        runFor(sim, store.cloneVersion(0, oid, nullptr)).value();
+    ASSERT_TRUE(runFor(sim, store.removeObject(0, clone, nullptr)).ok());
 
     std::vector<std::uint8_t> out(64 * kKB);
-    (void)runFor(store.read(0, oid, 0, out, nullptr));
+    (void)runFor(sim, store.read(0, oid, 0, out, nullptr));
     EXPECT_EQ(out, original);
 }
 
@@ -534,51 +519,52 @@ TEST_F(ObjectStoreTest, RemoveCloneKeepsOriginalData)
 TEST_F(ObjectStoreTest, MountRebuildsState)
 {
     ASSERT_OK(store.createPartition(3, 16 * kMB));
-    const ObjectId oid = runFor(store.createObject(3, 0, nullptr)).value();
+    const ObjectId oid = runFor(sim, store.createObject(3, 0, nullptr)).value();
     const auto data = pattern(100 * kKB, 42);
-    ASSERT_TRUE(runFor(store.write(3, oid, 0, data, nullptr)).ok());
+    ASSERT_TRUE(runFor(sim, store.write(3, oid, 0, data, nullptr)).ok());
     SetAttrRequest req;
     req.bump_version = true;
-    ASSERT_TRUE(runFor(store.setAttributes(3, oid, req, nullptr)).ok());
-    run(store.flushAll());
+    ASSERT_TRUE(runFor(sim, store.setAttributes(3, oid, req, nullptr)).ok());
+    runTask(sim, store.flushAll());
 
     // A second store instance on the same device must see everything.
     ObjectStore reborn(sim, disk, config());
-    run(reborn.mount());
+    runTask(sim, reborn.mount());
     auto info = reborn.partitionInfo(3);
     ASSERT_TRUE(info.ok());
     EXPECT_EQ(info.value().object_count, 1u);
 
-    auto attrs = runFor(reborn.getAttributes(3, oid, nullptr));
+    auto attrs = runFor(sim, reborn.getAttributes(3, oid, nullptr));
     ASSERT_TRUE(attrs.ok());
     EXPECT_EQ(attrs.value().size, 100 * kKB);
     EXPECT_EQ(attrs.value().version, 2u);
 
     std::vector<std::uint8_t> out(100 * kKB);
-    auto n = runFor(reborn.read(3, oid, 0, out, nullptr));
+    auto n = runFor(sim, reborn.read(3, oid, 0, out, nullptr));
     ASSERT_TRUE(n.ok());
     EXPECT_EQ(out, data);
 }
 
 TEST_F(ObjectStoreTest, MountPreservesAllocatorState)
 {
-    const ObjectId oid = runFor(store.createObject(0, 0, nullptr)).value();
+    const ObjectId oid = runFor(sim, store.createObject(0, 0, nullptr)).value();
     ASSERT_TRUE(
-        runFor(store.write(0, oid, 0, pattern(512 * kKB), nullptr)).ok());
+        runFor(sim, store.write(0, oid, 0, pattern(512 * kKB), nullptr)).ok());
     const auto free_before = store.freeUnits();
-    run(store.flushAll());
+    runTask(sim, store.flushAll());
 
     ObjectStore reborn(sim, disk, config());
-    run(reborn.mount());
+    runTask(sim, reborn.mount());
     EXPECT_EQ(reborn.freeUnits(), free_before);
 
     // New allocations in the reborn store must not collide: write to a
     // fresh object and confirm the old object's data is untouched.
-    const ObjectId fresh = runFor(reborn.createObject(0, 0, nullptr)).value();
-    ASSERT_TRUE(runFor(
+    const ObjectId fresh =
+        runFor(sim, reborn.createObject(0, 0, nullptr)).value();
+    ASSERT_TRUE(runFor(sim, 
         reborn.write(0, fresh, 0, pattern(512 * kKB, 77), nullptr)).ok());
     std::vector<std::uint8_t> out(512 * kKB);
-    (void)runFor(reborn.read(0, oid, 0, out, nullptr));
+    (void)runFor(sim, reborn.read(0, oid, 0, out, nullptr));
     EXPECT_EQ(out, pattern(512 * kKB));
 }
 
@@ -613,7 +599,7 @@ TEST_F(ObjectStoreTest, InodeSlotOrderSurvivesRemoveCloneAndRestart)
     const std::uint32_t units = store.freeUnits(); // nothing allocated
     const std::uint32_t max = config().max_inodes;
     const auto create = [&](ObjectStore &st) {
-        return runFor(st.createObject(0, 16 * kKB, nullptr)).value();
+        return runFor(sim, st.createObject(0, 16 * kKB, nullptr)).value();
     };
     const auto occupied = [&] { return occupiedSlots(disk, units, max); };
 
@@ -623,12 +609,12 @@ TEST_F(ObjectStoreTest, InodeSlotOrderSurvivesRemoveCloneAndRestart)
     const ObjectId d = create(store);
     EXPECT_EQ(occupied(), (Slots{0, 1, 2, 3}));
 
-    ASSERT_TRUE(runFor(store.removeObject(0, b, nullptr)).ok());
-    ASSERT_TRUE(runFor(store.removeObject(0, d, nullptr)).ok());
+    ASSERT_TRUE(runFor(sim, store.removeObject(0, b, nullptr)).ok());
+    ASSERT_TRUE(runFor(sim, store.removeObject(0, d, nullptr)).ok());
     EXPECT_EQ(occupied(), (Slots{0, 2}));
 
     // The clone takes slot 3, freed last; the next create takes 1.
-    (void)runFor(store.cloneVersion(0, a, nullptr)).value();
+    (void)runFor(sim, store.cloneVersion(0, a, nullptr)).value();
     EXPECT_EQ(occupied(), (Slots{0, 2, 3}));
     const ObjectId e = create(store);
     EXPECT_EQ(occupied(), (Slots{0, 1, 2, 3}));
@@ -636,17 +622,17 @@ TEST_F(ObjectStoreTest, InodeSlotOrderSurvivesRemoveCloneAndRestart)
     EXPECT_EQ(occupied(), (Slots{0, 1, 2, 3, 4}));
 
     // Free 1 then 2: before a restart the next create would take 2.
-    ASSERT_TRUE(runFor(store.removeObject(0, e, nullptr)).ok());
-    ASSERT_TRUE(runFor(store.removeObject(0, c, nullptr)).ok());
+    ASSERT_TRUE(runFor(sim, store.removeObject(0, e, nullptr)).ok());
+    ASSERT_TRUE(runFor(sim, store.removeObject(0, c, nullptr)).ok());
     EXPECT_EQ(occupied(), (Slots{0, 3, 4}));
 
     // Crash and restart: a new store mounts the same device, as
     // NasdDrive::restart does, and refills holes in ascending order.
     ObjectStore reborn(sim, disk, config());
-    run(reborn.mount());
+    runTask(sim, reborn.mount());
     (void)create(reborn);
     EXPECT_EQ(occupied(), (Slots{0, 1, 3, 4}));
-    (void)runFor(reborn.cloneVersion(0, a, nullptr)).value();
+    (void)runFor(sim, reborn.cloneVersion(0, a, nullptr)).value();
     EXPECT_EQ(occupied(), (Slots{0, 1, 2, 3, 4}));
     (void)create(reborn);
     EXPECT_EQ(occupied(), (Slots{0, 1, 2, 3, 4, 5}));
@@ -657,13 +643,13 @@ TEST_F(ObjectStoreTest, FullInodeTableReusesTheFreedSlot)
     StoreConfig small = config();
     small.max_inodes = 8;
     ObjectStore st(sim, disk, small);
-    run(st.format());
+    runTask(sim, st.format());
     ASSERT_OK(st.createPartition(0, 64 * kMB));
     const std::uint32_t units = st.freeUnits();
 
     std::vector<ObjectId> ids;
     for (;;) {
-        auto r = runFor(st.createObject(0, 0, nullptr));
+        auto r = runFor(sim, st.createObject(0, 0, nullptr));
         if (!r.ok()) {
             EXPECT_EQ(r.error(), NasdStatus::kNoSpace);
             break;
@@ -673,21 +659,21 @@ TEST_F(ObjectStoreTest, FullInodeTableReusesTheFreedSlot)
     ASSERT_EQ(ids.size(), 8u);
     EXPECT_EQ(occupiedSlots(disk, units, 8),
               (Slots{0, 1, 2, 3, 4, 5, 6, 7}));
-    auto clone = runFor(st.cloneVersion(0, ids[0], nullptr));
+    auto clone = runFor(sim, st.cloneVersion(0, ids[0], nullptr));
     ASSERT_FALSE(clone.ok());
     EXPECT_EQ(clone.error(), NasdStatus::kNoSpace);
 
-    ASSERT_TRUE(runFor(st.removeObject(0, ids[5], nullptr)).ok());
+    ASSERT_TRUE(runFor(sim, st.removeObject(0, ids[5], nullptr)).ok());
     EXPECT_EQ(occupiedSlots(disk, units, 8), (Slots{0, 1, 2, 3, 4, 6, 7}));
     // A create that fails its reservation leaves the slot free.
-    auto over = runFor(st.createObject(0, 128 * kMB, nullptr));
+    auto over = runFor(sim, st.createObject(0, 128 * kMB, nullptr));
     ASSERT_FALSE(over.ok());
     EXPECT_EQ(over.error(), NasdStatus::kQuotaExceeded);
     EXPECT_EQ(occupiedSlots(disk, units, 8), (Slots{0, 1, 2, 3, 4, 6, 7}));
-    ASSERT_TRUE(runFor(st.createObject(0, 0, nullptr)).ok());
+    ASSERT_TRUE(runFor(sim, st.createObject(0, 0, nullptr)).ok());
     EXPECT_EQ(occupiedSlots(disk, units, 8),
               (Slots{0, 1, 2, 3, 4, 5, 6, 7}));
-    auto full = runFor(st.createObject(0, 0, nullptr));
+    auto full = runFor(sim, st.createObject(0, 0, nullptr));
     ASSERT_FALSE(full.ok());
     EXPECT_EQ(full.error(), NasdStatus::kNoSpace);
 }
@@ -708,24 +694,29 @@ TEST_F(ObjectStoreTest, RefcountRegionTracksEveryUpdate)
         EXPECT_EQ(image(), store.allocator().refcounts()) << "after " << step;
     };
 
-    const ObjectId a = runFor(store.createObject(0, 4 * ub, nullptr)).value();
-    const ObjectId b = runFor(store.createObject(0, 3 * ub, nullptr)).value();
+    const ObjectId a =
+        runFor(sim, store.createObject(0, 4 * ub, nullptr)).value();
+    const ObjectId b =
+        runFor(sim, store.createObject(0, 3 * ub, nullptr)).value();
     expectImageMatches("create");
-    ASSERT_TRUE(runFor(store.write(0, a, 0, pattern(9 * ub), nullptr)).ok());
-    expectImageMatches("grow");
-    const ObjectId clone = runFor(store.cloneVersion(0, a, nullptr)).value();
-    expectImageMatches("clone");
     ASSERT_TRUE(
-        runFor(store.write(0, clone, 2 * ub, pattern(ub, 9), nullptr)).ok());
+        runFor(sim, store.write(0, a, 0, pattern(9 * ub), nullptr)).ok());
+    expectImageMatches("grow");
+    const ObjectId clone =
+        runFor(sim, store.cloneVersion(0, a, nullptr)).value();
+    expectImageMatches("clone");
+    ASSERT_TRUE(runFor(sim, store.write(0, clone, 2 * ub, pattern(ub, 9),
+                                        nullptr))
+                    .ok());
     expectImageMatches("copy-on-write overwrite");
     const auto shared = image();
     ASSERT_GT(std::count(shared.begin(), shared.end(), 2), 0)
         << "the clone should still share a's second extent";
     SetAttrRequest shrink;
     shrink.truncate_size = 2 * ub + 100;
-    ASSERT_TRUE(runFor(store.setAttributes(0, a, shrink, nullptr)).ok());
+    ASSERT_TRUE(runFor(sim, store.setAttributes(0, a, shrink, nullptr)).ok());
     expectImageMatches("shrink");
-    ASSERT_TRUE(runFor(store.removeObject(0, b, nullptr)).ok());
+    ASSERT_TRUE(runFor(sim, store.removeObject(0, b, nullptr)).ok());
     expectImageMatches("remove");
 
     // Crash and restart: the remounted allocator holds the same counts
@@ -734,14 +725,15 @@ TEST_F(ObjectStoreTest, RefcountRegionTracksEveryUpdate)
     const auto counts = store.allocator().refcounts();
     ExtentAllocator model = ExtentAllocator::fromRefcounts(counts);
     ObjectStore reborn(sim, disk, config());
-    run(reborn.mount());
+    runTask(sim, reborn.mount());
     EXPECT_EQ(reborn.freeUnits(), store.freeUnits());
     EXPECT_EQ(reborn.allocator().refcounts(), counts);
 
     const ObjectId fresh =
-        runFor(reborn.createObject(0, 0, nullptr)).value();
-    ASSERT_TRUE(
-        runFor(reborn.write(0, fresh, 0, pattern(6 * ub, 3), nullptr)).ok());
+        runFor(sim, reborn.createObject(0, 0, nullptr)).value();
+    ASSERT_TRUE(runFor(sim, reborn.write(0, fresh, 0, pattern(6 * ub, 3),
+                                         nullptr))
+                    .ok());
     const auto after = image();
     EXPECT_EQ(after, reborn.allocator().refcounts());
     std::vector<Extent> landed;
@@ -757,6 +749,64 @@ TEST_F(ObjectStoreTest, RefcountRegionTracksEveryUpdate)
     EXPECT_EQ(landed, model.allocate(6, 0).value());
 }
 
+TEST_F(ObjectStoreTest, FullExtentTableFailsGrowthWithNothingChanged)
+{
+    // Interleave one-unit growths of a and a spacer, then free the
+    // spacer: a holds 46 one-unit extents with a one-unit hole after
+    // each of the first 45, and the rest of the disk is one free run.
+    const std::uint64_t ub = store.allocUnitBytes();
+    const ObjectId a = runFor(sim, store.createObject(0, 0, nullptr)).value();
+    const ObjectId spacer =
+        runFor(sim, store.createObject(0, 0, nullptr)).value();
+    constexpr std::uint64_t kExtents = 46;
+    for (std::uint64_t i = 0; i < kExtents; ++i) {
+        ASSERT_TRUE(
+            runFor(sim, store.write(0, a, i * ub, pattern(ub), nullptr)).ok());
+        ASSERT_TRUE(runFor(sim, store.write(0, spacer, i * ub, pattern(ub),
+                                            nullptr))
+                        .ok());
+    }
+    ASSERT_TRUE(runFor(sim, store.removeObject(0, spacer, nullptr)).ok());
+    ASSERT_OK(store.resizePartition(0, std::uint64_t{1} << 40));
+
+    const auto image = [&] {
+        std::vector<std::uint8_t> bytes(store.allocator().refcounts().size());
+        disk.peek(disk.blockSize(), bytes);
+        return bytes;
+    };
+    const auto attrs_before =
+        runFor(sim, store.getAttributes(0, a, nullptr)).value();
+    const auto used_before = store.partitionInfo(0).value().used_bytes;
+    const std::uint32_t free_before = store.freeUnits();
+    const auto image_before = image();
+    ASSERT_EQ(image_before, store.allocator().refcounts());
+
+    // Growing a by every free unit gathers the 45 holes and the tail
+    // run: the first hole fills the table, the second overflows it.
+    const std::uint64_t end = (kExtents + free_before) * ub;
+    const auto grown =
+        runFor(sim, store.write(0, a, end - 1, pattern(1), nullptr));
+    ASSERT_FALSE(grown.ok());
+    EXPECT_EQ(grown.error(), NasdStatus::kNoSpace);
+
+    const auto attrs_after =
+        runFor(sim, store.getAttributes(0, a, nullptr)).value();
+    EXPECT_EQ(attrs_after.size, attrs_before.size);
+    EXPECT_EQ(attrs_after.capacity, attrs_before.capacity);
+    EXPECT_EQ(store.partitionInfo(0).value().used_bytes, used_before);
+    EXPECT_EQ(store.freeUnits(), free_before);
+    EXPECT_EQ(image(), image_before);
+    EXPECT_EQ(store.allocator().refcounts(), image_before);
+
+    // a's extents are still its 46 units: removing it returns exactly
+    // those to the allocator and the partition.
+    ASSERT_TRUE(runFor(sim, store.removeObject(0, a, nullptr)).ok());
+    EXPECT_EQ(store.freeUnits(), free_before + kExtents);
+    EXPECT_EQ(store.partitionInfo(0).value().used_bytes,
+              used_before - kExtents * ub);
+    EXPECT_EQ(image(), store.allocator().refcounts());
+}
+
 // -------------------------------------------------------------- cost trace
 
 TEST_F(ObjectStoreTest, TraceReportsMetaMissOnceThenWarm)
@@ -765,40 +815,40 @@ TEST_F(ObjectStoreTest, TraceReportsMetaMissOnceThenWarm)
     small.meta_cache_inodes = 4;
     // Fresh store so the cache is empty.
     ObjectStore cold_store(sim, disk, small);
-    run(cold_store.format());
+    runTask(sim, cold_store.format());
     ASSERT_TRUE(cold_store.createPartition(0, 64 * kMB).ok());
     const ObjectId oid =
-        runFor(cold_store.createObject(0, 0, nullptr)).value();
+        runFor(sim, cold_store.createObject(0, 0, nullptr)).value();
     ASSERT_TRUE(
-        runFor(cold_store.write(0, oid, 0, pattern(kKB), nullptr)).ok());
+        runFor(sim, cold_store.write(0, oid, 0, pattern(kKB), nullptr)).ok());
 
     // Evict by touching other inodes.
     for (int i = 0; i < 6; ++i) {
         const auto other =
-            runFor(cold_store.createObject(0, 0, nullptr)).value();
-        (void)runFor(cold_store.getAttributes(0, other, nullptr));
+            runFor(sim, cold_store.createObject(0, 0, nullptr)).value();
+        (void)runFor(sim, cold_store.getAttributes(0, other, nullptr));
     }
 
     OpTrace t1;
     std::vector<std::uint8_t> out(kKB);
-    (void)runFor(cold_store.read(0, oid, 0, out, &t1));
+    (void)runFor(sim, cold_store.read(0, oid, 0, out, &t1));
     EXPECT_TRUE(t1.meta_miss);
 
     OpTrace t2;
-    (void)runFor(cold_store.read(0, oid, 0, out, &t2));
+    (void)runFor(sim, cold_store.read(0, oid, 0, out, &t2));
     EXPECT_FALSE(t2.meta_miss);
     EXPECT_GT(t2.cache_hit_bytes, 0u);
 }
 
 TEST_F(ObjectStoreTest, SecondReadHitsDriveCache)
 {
-    const ObjectId oid = runFor(store.createObject(0, 0, nullptr)).value();
+    const ObjectId oid = runFor(sim, store.createObject(0, 0, nullptr)).value();
     ASSERT_TRUE(
-        runFor(store.write(0, oid, 0, pattern(64 * kKB), nullptr)).ok());
+        runFor(sim, store.write(0, oid, 0, pattern(64 * kKB), nullptr)).ok());
 
     std::vector<std::uint8_t> out(64 * kKB);
     OpTrace trace;
-    (void)runFor(store.read(0, oid, 0, out, &trace));
+    (void)runFor(sim, store.read(0, oid, 0, out, &trace));
     // Just written: everything resident.
     EXPECT_EQ(trace.device_bytes_read, 0u);
     EXPECT_EQ(trace.cache_hit_bytes, 64 * kKB);
@@ -814,14 +864,14 @@ TEST_F(ObjectStoreTest, SeededReadsMatchByteModel)
     StoreConfig small = config();
     small.data_cache_bytes = 64 * kKB;
     ObjectStore st(sim, disk, small);
-    run(st.format());
+    runTask(sim, st.format());
     ASSERT_OK(st.createPartition(0, 64 * kMB));
     const std::uint64_t ub = st.allocUnitBytes();
 
     std::map<ObjectId, std::vector<std::uint8_t>> model;
     const auto put = [&](ObjectId oid, std::uint64_t offset,
                          const std::vector<std::uint8_t> &bytes) {
-        ASSERT_TRUE(runFor(st.write(0, oid, offset, bytes, nullptr)).ok());
+        ASSERT_TRUE(runFor(sim, st.write(0, oid, offset, bytes, nullptr)).ok());
         auto &m = model[oid];
         if (m.size() < offset + bytes.size())
             m.resize(offset + bytes.size(), 0);
@@ -831,8 +881,8 @@ TEST_F(ObjectStoreTest, SeededReadsMatchByteModel)
 
     // Appends to `frag` alternate with appends to `other`, so frag's
     // units land in several physically separate extents.
-    const ObjectId frag = runFor(st.createObject(0, 0, nullptr)).value();
-    const ObjectId other = runFor(st.createObject(0, 0, nullptr)).value();
+    const ObjectId frag = runFor(sim, st.createObject(0, 0, nullptr)).value();
+    const ObjectId other = runFor(sim, st.createObject(0, 0, nullptr)).value();
     for (int i = 0; i < 8; ++i) {
         put(frag, i * 3 * ub, pattern(3 * ub, static_cast<std::uint8_t>(i)));
         put(other, i * 2 * ub, pattern(2 * ub, 100));
@@ -840,11 +890,12 @@ TEST_F(ObjectStoreTest, SeededReadsMatchByteModel)
     // Extend past the allocated units: the tail reads as a hole.
     SetAttrRequest grow;
     grow.truncate_size = 30 * ub;
-    ASSERT_TRUE(runFor(st.setAttributes(0, frag, grow, nullptr)).ok());
+    ASSERT_TRUE(runFor(sim, st.setAttributes(0, frag, grow, nullptr)).ok());
     model[frag].resize(30 * ub, 0);
 
     // A clone shares frag's units until writes relocate some of them.
-    const ObjectId clone = runFor(st.cloneVersion(0, frag, nullptr)).value();
+    const ObjectId clone =
+        runFor(sim, st.cloneVersion(0, frag, nullptr)).value();
     model[clone] = model[frag];
     put(clone, 4 * ub + 100, pattern(3 * ub, 77));
     put(clone, 13 * ub, pattern(ub, 55));
@@ -858,7 +909,7 @@ TEST_F(ObjectStoreTest, SeededReadsMatchByteModel)
 
         // Evict: stream `other` through the whole cache.
         std::vector<std::uint8_t> scratch(16 * ub);
-        (void)runFor(st.read(0, other, 0, scratch, nullptr));
+        (void)runFor(sim, st.read(0, other, 0, scratch, nullptr));
 
         // Start and end on unit boundaries, give or take one byte.
         const auto edge = [&](std::uint64_t unit) {
@@ -875,13 +926,13 @@ TEST_F(ObjectStoreTest, SeededReadsMatchByteModel)
         // hit and miss runs.
         if (rng.chance(0.5)) {
             std::vector<std::uint8_t> warm(ub);
-            (void)runFor(st.read(0, oid, (first + rng.below(4)) * ub, warm,
+            (void)runFor(sim, st.read(0, oid, (first + rng.below(4)) * ub, warm,
                                  nullptr));
         }
 
         std::vector<std::uint8_t> out(end - offset, 0xa5);
         OpTrace trace;
-        auto n = runFor(st.read(0, oid, offset, out, &trace));
+        auto n = runFor(sim, st.read(0, oid, offset, out, &trace));
         ASSERT_TRUE(n.ok());
         const std::uint64_t want =
             offset >= m.size() ? 0 : std::min<std::uint64_t>(out.size(),

@@ -24,8 +24,7 @@ Tick
 timed(Simulator &sim, Task<void> task)
 {
     const Tick start = sim.now();
-    sim.spawn(std::move(task));
-    sim.run();
+    runTask(sim, std::move(task));
     return sim.now() - start;
 }
 

@@ -6,7 +6,6 @@
  */
 #include <gtest/gtest.h>
 
-#include <optional>
 #include <vector>
 
 #include "disk/disk_model.h"
@@ -51,27 +50,8 @@ class NfsBaselineTest : public ::testing::Test
           fs(sim, stripe, &server_node.cpu()), server(sim, server_node),
           client(net, client_node, server)
     {
-        run(fs.format());
+        runTask(sim, fs.format());
         volume = server.addVolume(fs);
-    }
-
-    void
-    run(Task<void> task)
-    {
-        sim.spawn(std::move(task));
-        sim.run();
-    }
-
-    template <typename T>
-    T
-    runFor(Task<T> task)
-    {
-        std::optional<T> result;
-        sim.spawn([](Task<T> t, std::optional<T> &out) -> Task<void> {
-            out = co_await std::move(t);
-        }(std::move(task), result));
-        sim.run();
-        return std::move(*result);
     }
 
     Simulator sim;
@@ -90,9 +70,9 @@ class NfsBaselineTest : public ::testing::Test
 TEST_F(NfsBaselineTest, CreateLookupRoundTrip)
 {
     const auto root = server.rootHandle(volume);
-    auto made = runFor(client.create(root, "file.txt"));
+    auto made = runFor(sim, client.create(root, "file.txt"));
     ASSERT_TRUE(made.ok());
-    auto found = runFor(client.lookup(root, "file.txt"));
+    auto found = runFor(sim, client.lookup(root, "file.txt"));
     ASSERT_TRUE(found.ok());
     EXPECT_EQ(found.value(), made.value());
 }
@@ -100,12 +80,12 @@ TEST_F(NfsBaselineTest, CreateLookupRoundTrip)
 TEST_F(NfsBaselineTest, ReadWriteThroughServer)
 {
     const auto root = server.rootHandle(volume);
-    const auto fh = runFor(client.create(root, "data")).value();
+    const auto fh = runFor(sim, client.create(root, "data")).value();
     const auto data = pattern(100 * kKB);
-    ASSERT_TRUE(runFor(client.write(fh, 0, data)).ok());
+    ASSERT_TRUE(runFor(sim, client.write(fh, 0, data)).ok());
 
     std::vector<std::uint8_t> out(100 * kKB);
-    auto n = runFor(client.read(fh, 0, out));
+    auto n = runFor(sim, client.read(fh, 0, out));
     ASSERT_TRUE(n.ok());
     EXPECT_EQ(n.value(), 100 * kKB);
     EXPECT_EQ(out, data);
@@ -116,9 +96,9 @@ TEST_F(NfsBaselineTest, ReadWriteThroughServer)
 TEST_F(NfsBaselineTest, GetattrAndSetattr)
 {
     const auto root = server.rootHandle(volume);
-    const auto fh = runFor(client.create(root, "f")).value();
-    ASSERT_TRUE(runFor(client.setattr(fh, 0600, 10, 20)).ok());
-    auto attrs = runFor(client.getattr(fh));
+    const auto fh = runFor(sim, client.create(root, "f")).value();
+    ASSERT_TRUE(runFor(sim, client.setattr(fh, 0600, 10, 20)).ok());
+    auto attrs = runFor(sim, client.getattr(fh));
     ASSERT_TRUE(attrs.ok());
     EXPECT_EQ(attrs.value().mode, 0600u);
     EXPECT_EQ(attrs.value().uid, 10u);
@@ -127,25 +107,25 @@ TEST_F(NfsBaselineTest, GetattrAndSetattr)
 TEST_F(NfsBaselineTest, MkdirReaddirRemove)
 {
     const auto root = server.rootHandle(volume);
-    const auto sub = runFor(client.mkdir(root, "dir")).value();
-    (void)runFor(client.create(sub, "a"));
-    (void)runFor(client.create(sub, "b"));
-    auto listing = runFor(client.readdir(sub));
+    const auto sub = runFor(sim, client.mkdir(root, "dir")).value();
+    (void)runFor(sim, client.create(sub, "a"));
+    (void)runFor(sim, client.create(sub, "b"));
+    auto listing = runFor(sim, client.readdir(sub));
     ASSERT_TRUE(listing.ok());
     EXPECT_EQ(listing.value().size(), 2u);
 
-    ASSERT_TRUE(runFor(client.remove(sub, "a")).ok());
-    listing = runFor(client.readdir(sub));
+    ASSERT_TRUE(runFor(sim, client.remove(sub, "a")).ok());
+    listing = runFor(sim, client.readdir(sub));
     EXPECT_EQ(listing.value().size(), 1u);
 }
 
 TEST_F(NfsBaselineTest, ResolveWalksPath)
 {
     const auto root = server.rootHandle(volume);
-    const auto a = runFor(client.mkdir(root, "a")).value();
-    const auto b = runFor(client.mkdir(a, "b")).value();
-    const auto f = runFor(client.create(b, "leaf")).value();
-    auto resolved = runFor(client.resolve(volume, "/a/b/leaf"));
+    const auto a = runFor(sim, client.mkdir(root, "a")).value();
+    const auto b = runFor(sim, client.mkdir(a, "b")).value();
+    const auto f = runFor(sim, client.create(b, "leaf")).value();
+    auto resolved = runFor(sim, client.resolve(volume, "/a/b/leaf"));
     ASSERT_TRUE(resolved.ok());
     EXPECT_EQ(resolved.value(), f);
     (void)b;
@@ -154,11 +134,11 @@ TEST_F(NfsBaselineTest, ResolveWalksPath)
 TEST_F(NfsBaselineTest, SmallTransferUnitsSplitLargeReads)
 {
     const auto root = server.rootHandle(volume);
-    const auto fh = runFor(client.create(root, "big")).value();
-    ASSERT_TRUE(runFor(client.write(fh, 0, pattern(256 * kKB))).ok());
+    const auto fh = runFor(sim, client.create(root, "big")).value();
+    ASSERT_TRUE(runFor(sim, client.write(fh, 0, pattern(256 * kKB))).ok());
     const auto ops_before = server.opsServed();
     std::vector<std::uint8_t> out(256 * kKB);
-    (void)runFor(client.read(fh, 0, out));
+    (void)runFor(sim, client.read(fh, 0, out));
     // 256 KB at rsize 8 KB = 32 wire reads.
     EXPECT_EQ(server.opsServed() - ops_before, 32u);
 }
@@ -186,28 +166,9 @@ class NasdNfsTest : public ::testing::Test
             raw.push_back(d.get());
         fm = std::make_unique<NasdNfsFileManager>(sim, net, fm_node, raw,
                                                   0);
-        run(fm->initialize(512 * kMB));
+        runTask(sim, fm->initialize(512 * kMB));
         client = std::make_unique<NasdNfsClient>(net, client_node, *fm,
                                                  raw);
-    }
-
-    void
-    run(Task<void> task)
-    {
-        sim.spawn(std::move(task));
-        sim.run();
-    }
-
-    template <typename T>
-    T
-    runFor(Task<T> task)
-    {
-        std::optional<T> result;
-        sim.spawn([](Task<T> t, std::optional<T> &out) -> Task<void> {
-            out = co_await std::move(t);
-        }(std::move(task), result));
-        sim.run();
-        return std::move(*result);
     }
 
     Simulator sim;
@@ -222,12 +183,12 @@ class NasdNfsTest : public ::testing::Test
 TEST_F(NasdNfsTest, CreateWriteReadRoundTrip)
 {
     const auto root = fm->rootHandle();
-    auto fh = runFor(client->create(root, "data"));
+    auto fh = runFor(sim, client->create(root, "data"));
     ASSERT_TRUE(fh.ok());
     const auto data = pattern(200 * kKB);
-    ASSERT_TRUE(runFor(client->write(fh.value(), 0, data)).ok());
+    ASSERT_TRUE(runFor(sim, client->write(fh.value(), 0, data)).ok());
     std::vector<std::uint8_t> out(200 * kKB);
-    auto n = runFor(client->read(fh.value(), 0, out));
+    auto n = runFor(sim, client->read(fh.value(), 0, out));
     ASSERT_TRUE(n.ok());
     EXPECT_EQ(out, data);
 }
@@ -235,13 +196,13 @@ TEST_F(NasdNfsTest, CreateWriteReadRoundTrip)
 TEST_F(NasdNfsTest, DataPathBypassesFileManager)
 {
     const auto root = fm->rootHandle();
-    const auto fh = runFor(client->create(root, "direct")).value();
+    const auto fh = runFor(sim, client->create(root, "direct")).value();
     const auto data = pattern(512 * kKB);
-    ASSERT_TRUE(runFor(client->write(fh, 0, data)).ok());
+    ASSERT_TRUE(runFor(sim, client->write(fh, 0, data)).ok());
 
     const auto fm_calls_before = client->fmCalls();
     std::vector<std::uint8_t> out(512 * kKB);
-    (void)runFor(client->read(fh, 0, out));
+    (void)runFor(sim, client->read(fh, 0, out));
     // The capability is cached from create: zero FM involvement.
     EXPECT_EQ(client->fmCalls(), fm_calls_before);
 }
@@ -252,7 +213,7 @@ TEST_F(NasdNfsTest, RoundRobinPlacementUsesAllDrives)
     std::vector<NasdNfsFh> handles;
     for (int i = 0; i < 4; ++i) {
         handles.push_back(
-            runFor(client->create(root, "f" + std::to_string(i))).value());
+            runFor(sim, client->create(root, "f" + std::to_string(i))).value());
     }
     bool drive0 = false;
     bool drive1 = false;
@@ -267,9 +228,9 @@ TEST_F(NasdNfsTest, RoundRobinPlacementUsesAllDrives)
 TEST_F(NasdNfsTest, AttrsMapToObjectAttributes)
 {
     const auto root = fm->rootHandle();
-    const auto fh = runFor(client->create(root, "sized")).value();
-    ASSERT_TRUE(runFor(client->write(fh, 0, pattern(12345))).ok());
-    auto attrs = runFor(client->getattr(fh));
+    const auto fh = runFor(sim, client->create(root, "sized")).value();
+    ASSERT_TRUE(runFor(sim, client->write(fh, 0, pattern(12345))).ok());
+    auto attrs = runFor(sim, client->getattr(fh));
     ASSERT_TRUE(attrs.ok());
     EXPECT_EQ(attrs.value().size, 12345u); // from NASD object attrs
     EXPECT_EQ(attrs.value().mode, 0644u);  // from fs-specific field
@@ -278,11 +239,11 @@ TEST_F(NasdNfsTest, AttrsMapToObjectAttributes)
 TEST_F(NasdNfsTest, SetattrGoesThroughFileManager)
 {
     const auto root = fm->rootHandle();
-    const auto fh = runFor(client->create(root, "m")).value();
+    const auto fh = runFor(sim, client->create(root, "m")).value();
     const auto fm_before = client->fmCalls();
-    ASSERT_TRUE(runFor(client->setattr(fh, 0700, 5, 6)).ok());
+    ASSERT_TRUE(runFor(sim, client->setattr(fh, 0700, 5, 6)).ok());
     EXPECT_GT(client->fmCalls(), fm_before);
-    auto attrs = runFor(client->getattr(fh));
+    auto attrs = runFor(sim, client->getattr(fh));
     EXPECT_EQ(attrs.value().mode, 0700u);
     EXPECT_EQ(attrs.value().uid, 5u);
 }
@@ -290,8 +251,8 @@ TEST_F(NasdNfsTest, SetattrGoesThroughFileManager)
 TEST_F(NasdNfsTest, LookupPiggybacksCapability)
 {
     const auto root = fm->rootHandle();
-    const auto created = runFor(client->create(root, "pig")).value();
-    ASSERT_TRUE(runFor(client->write(created, 0, pattern(1000))).ok());
+    const auto created = runFor(sim, client->create(root, "pig")).value();
+    ASSERT_TRUE(runFor(sim, client->write(created, 0, pattern(1000))).ok());
 
     // A different client machine looks the file up, then reads it
     // without any further FM traffic.
@@ -301,11 +262,11 @@ TEST_F(NasdNfsTest, LookupPiggybacksCapability)
     for (auto &d : drives)
         raw.push_back(d.get());
     NasdNfsClient other(net, node2, *fm, raw);
-    auto fh = runFor(other.lookup(root, "pig", false));
+    auto fh = runFor(sim, other.lookup(root, "pig", false));
     ASSERT_TRUE(fh.ok());
     const auto fm_calls = other.fmCalls();
     std::vector<std::uint8_t> out(1000);
-    auto n = runFor(other.read(fh.value(), 0, out));
+    auto n = runFor(sim, other.read(fh.value(), 0, out));
     ASSERT_TRUE(n.ok());
     EXPECT_EQ(n.value(), 1000u);
     EXPECT_EQ(other.fmCalls(), fm_calls); // no extra FM round trip
@@ -314,13 +275,13 @@ TEST_F(NasdNfsTest, LookupPiggybacksCapability)
 TEST_F(NasdNfsTest, RevocationForcesCapabilityRefresh)
 {
     const auto root = fm->rootHandle();
-    const auto fh = runFor(client->create(root, "rev")).value();
-    ASSERT_TRUE(runFor(client->write(fh, 0, pattern(1000))).ok());
+    const auto fh = runFor(sim, client->create(root, "rev")).value();
+    ASSERT_TRUE(runFor(sim, client->write(fh, 0, pattern(1000))).ok());
 
     // The FM revokes (bumps the object version). The client's cached
     // capability is now stale; its next read must refresh via the FM
     // and still succeed.
-    ASSERT_TRUE(runFor([](NasdNfsFileManager &m, NasdNfsFh h)
+    ASSERT_TRUE(runFor(sim, [](NasdNfsFileManager &m, NasdNfsFh h)
                            -> Task<NfsResult<void>> {
         auto r = co_await m.serveRevoke(h);
         if (r.status != NfsStatus::kOk)
@@ -330,7 +291,7 @@ TEST_F(NasdNfsTest, RevocationForcesCapabilityRefresh)
 
     const auto fm_before = client->fmCalls();
     std::vector<std::uint8_t> out(1000);
-    auto n = runFor(client->read(fh, 0, out));
+    auto n = runFor(sim, client->read(fh, 0, out));
     ASSERT_TRUE(n.ok());
     EXPECT_EQ(n.value(), 1000u);
     EXPECT_GT(client->fmCalls(), fm_before); // had to re-fetch
@@ -339,9 +300,9 @@ TEST_F(NasdNfsTest, RevocationForcesCapabilityRefresh)
 TEST_F(NasdNfsTest, RemoveUpdatesDirectory)
 {
     const auto root = fm->rootHandle();
-    (void)runFor(client->create(root, "gone"));
-    ASSERT_TRUE(runFor(client->remove(root, "gone")).ok());
-    auto found = runFor(client->lookup(root, "gone", false));
+    (void)runFor(sim, client->create(root, "gone"));
+    ASSERT_TRUE(runFor(sim, client->remove(root, "gone")).ok());
+    auto found = runFor(sim, client->lookup(root, "gone", false));
     ASSERT_FALSE(found.ok());
     EXPECT_EQ(found.error(), NfsStatus::kNoEnt);
 }
@@ -349,13 +310,13 @@ TEST_F(NasdNfsTest, RemoveUpdatesDirectory)
 TEST_F(NasdNfsTest, MkdirNestsNamespaces)
 {
     const auto root = fm->rootHandle();
-    const auto sub = runFor(client->mkdir(root, "dir")).value();
-    const auto leaf = runFor(client->create(sub, "leaf")).value();
-    auto found = runFor(client->lookup(sub, "leaf", false));
+    const auto sub = runFor(sim, client->mkdir(root, "dir")).value();
+    const auto leaf = runFor(sim, client->create(sub, "leaf")).value();
+    auto found = runFor(sim, client->lookup(sub, "leaf", false));
     ASSERT_TRUE(found.ok());
     EXPECT_EQ(found.value(), leaf);
 
-    auto listing = runFor(client->readdir(root));
+    auto listing = runFor(sim, client->readdir(root));
     ASSERT_TRUE(listing.ok());
     ASSERT_EQ(listing.value().size(), 1u);
     EXPECT_TRUE(listing.value()[0].is_directory);
@@ -375,9 +336,9 @@ TEST_F(NasdNfsTest, WindowPermitRestoredAfterCapabilityFailure)
     std::vector<std::uint8_t> out(4 * kKB);
     std::vector<std::uint8_t> data(4 * kKB, 0x5a);
     for (std::uint32_t i = 0; i < window + 2; ++i) {
-        auto r = runFor(client->read(bogus, 0, out));
+        auto r = runFor(sim, client->read(bogus, 0, out));
         ASSERT_FALSE(r.ok());
-        auto w = runFor(client->write(bogus, 0, data));
+        auto w = runFor(sim, client->write(bogus, 0, data));
         ASSERT_FALSE(w.ok());
         // Every failed chunk must hand its slot back immediately.
         EXPECT_EQ(client->windowPermits(), window);
@@ -385,10 +346,10 @@ TEST_F(NasdNfsTest, WindowPermitRestoredAfterCapabilityFailure)
 
     // And the client is still fully functional afterwards.
     const auto root = fm->rootHandle();
-    auto fh = runFor(client->create(root, "after-failures"));
+    auto fh = runFor(sim, client->create(root, "after-failures"));
     ASSERT_TRUE(fh.ok());
-    ASSERT_TRUE(runFor(client->write(fh.value(), 0, data)).ok());
-    auto n = runFor(client->read(fh.value(), 0, out));
+    ASSERT_TRUE(runFor(sim, client->write(fh.value(), 0, data)).ok());
+    auto n = runFor(sim, client->read(fh.value(), 0, out));
     ASSERT_TRUE(n.ok());
     EXPECT_EQ(out, data);
     EXPECT_EQ(client->windowPermits(), window);

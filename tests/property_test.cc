@@ -14,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <optional>
 #include <vector>
 
 #include "disk/disk_model.h"
@@ -32,28 +31,8 @@ namespace nasd {
 namespace {
 
 using sim::Simulator;
-using sim::Task;
 using util::kKB;
 using util::kMB;
-
-template <typename T>
-T
-runFor(Simulator &sim, Task<T> task)
-{
-    std::optional<T> result;
-    sim.spawn([](Task<T> t, std::optional<T> &out) -> Task<void> {
-        out = co_await std::move(t);
-    }(std::move(task), result));
-    sim.run();
-    return std::move(*result);
-}
-
-void
-runTask(Simulator &sim, Task<void> task)
-{
-    sim.spawn(std::move(task));
-    sim.run();
-}
 
 // ----------------------------------------------------- object store fuzz
 

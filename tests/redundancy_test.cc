@@ -14,6 +14,7 @@
 
 #include "cheops/cheops.h"
 #include "net/presets.h"
+#include "rig/cluster.h"
 #include "sim/simulator.h"
 #include "util/flight_recorder.h"
 #include "util/units.h"
@@ -21,7 +22,6 @@
 namespace nasd::cheops {
 namespace {
 
-using sim::Simulator;
 using sim::Task;
 using util::kKB;
 using util::kMB;
@@ -35,64 +35,19 @@ pattern(std::size_t n, std::uint8_t seed = 1)
     return v;
 }
 
-class RedundancyTest : public ::testing::Test
+class RedundancyTest : public ::testing::Test, public rig::NasdCluster
 {
   protected:
     static constexpr int kDrives = 4;
 
     RedundancyTest()
-        : mgr_node(net.addNode("mgr", net::alphaStation500(),
-                               net::oc3Link(), net::dceRpcCosts())),
-          client_node(net.addNode("client", net::alphaStation255(),
-                                  net::oc3Link(), net::dceRpcCosts()))
+        : NasdCluster({.drives = kDrives, .partition_bytes = 512 * kMB})
     {
-        for (int i = 0; i < kDrives; ++i) {
-            drives.push_back(std::make_unique<NasdDrive>(
-                sim, net,
-                prototypeDriveConfig("nasd" + std::to_string(i), i + 1)));
-            raw.push_back(drives.back().get());
-        }
-        mgr = std::make_unique<CheopsManager>(sim, net, mgr_node, raw, 0);
-        run(mgr->initialize(512 * kMB));
-        client = std::make_unique<CheopsClient>(net, client_node, *mgr,
-                                                raw);
     }
 
-    ~RedundancyTest() override
-    {
-        // The rebuild engine and its token-return frames are detached;
-        // drain them while the manager's semaphores are still alive
-        // (members die in reverse order: ~CheopsManager before ~Simulator).
-        sim.run();
-    }
-
-    void
-    run(Task<void> task)
-    {
-        sim.spawn(std::move(task));
-        sim.run();
-    }
-
-    template <typename T>
-    T
-    runFor(Task<T> task)
-    {
-        std::optional<T> result;
-        sim.spawn([](Task<T> t, std::optional<T> &out) -> Task<void> {
-            out = co_await std::move(t);
-        }(std::move(task), result));
-        sim.run();
-        return std::move(*result);
-    }
-
-    Simulator sim;
-    net::Network net{sim};
-    net::NetNode &mgr_node;
-    net::NetNode &client_node;
-    std::vector<std::unique_ptr<NasdDrive>> drives;
-    std::vector<NasdDrive *> raw;
-    std::unique_ptr<CheopsManager> mgr;
-    std::unique_ptr<CheopsClient> client;
+    net::NetNode &client_node = clientNode("client");
+    std::unique_ptr<CheopsClient> client =
+        std::make_unique<CheopsClient>(net, client_node, storage(), raw);
 };
 
 // --------------------------------------------------------- drive failure
@@ -107,38 +62,38 @@ TEST_F(RedundancyTest, FailedDriveRejectsEverything)
     pc.object_id = kPartitionControlObject;
     pc.rights = kRightCreate;
     CredentialFactory pcred(issuer.mint(pc));
-    const ObjectId oid = runFor(direct.create(pcred, 0)).value();
+    const ObjectId oid = runFor(sim, direct.create(pcred, 0)).value();
 
     CapabilityPublic po;
     po.partition = 0;
     po.object_id = oid;
     po.rights = kRightRead | kRightWrite | kRightGetAttr;
     CredentialFactory cred(issuer.mint(po));
-    ASSERT_TRUE(runFor(direct.write(cred, 0, pattern(kKB))).ok());
+    ASSERT_TRUE(runFor(sim, direct.write(cred, 0, pattern(kKB))).ok());
 
     drives[0]->setFailed(true);
-    auto r = runFor(direct.read(cred, 0, kKB));
+    auto r = runFor(sim, direct.read(cred, 0, kKB));
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), NasdStatus::kDriveFailed);
-    auto w = runFor(direct.write(cred, 0, pattern(kKB)));
+    auto w = runFor(sim, direct.write(cred, 0, pattern(kKB)));
     ASSERT_FALSE(w.ok());
-    auto a = runFor(direct.getAttr(cred));
+    auto a = runFor(sim, direct.getAttr(cred));
     ASSERT_FALSE(a.ok());
 
     // Recovery: requests succeed again.
     drives[0]->setFailed(false);
-    EXPECT_TRUE(runFor(direct.read(cred, 0, kKB)).ok());
+    EXPECT_TRUE(runFor(sim, direct.read(cred, 0, kKB)).ok());
 }
 
 TEST_F(RedundancyTest, UnmirroredObjectLosesDataPathOnFailure)
 {
     const auto id =
-        runFor(client->create(64 * kKB, 0, 0, Redundancy::kNone)).value();
-    ASSERT_TRUE(runFor(client->write(id, 0, pattern(512 * kKB))).ok());
+        runFor(sim, client->create(64 * kKB, 0, 0, Redundancy::kNone)).value();
+    ASSERT_TRUE(runFor(sim, client->write(id, 0, pattern(512 * kKB))).ok());
 
     drives[1]->setFailed(true);
     std::vector<std::uint8_t> out(512 * kKB);
-    auto r = runFor(client->read(id, 0, out));
+    auto r = runFor(sim, client->read(id, 0, out));
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), CheopsStatus::kDriveError);
 }
@@ -148,9 +103,9 @@ TEST_F(RedundancyTest, UnmirroredObjectLosesDataPathOnFailure)
 TEST_F(RedundancyTest, MirroredCreateAllocatesReplicas)
 {
     const auto id =
-        runFor(client->create(64 * kKB, 0, 0, Redundancy::kMirror))
+        runFor(sim, client->create(64 * kKB, 0, 0, Redundancy::kMirror))
             .value();
-    auto map = runFor(client->open(id, false));
+    auto map = runFor(sim, client->open(id, false));
     ASSERT_TRUE(map.ok());
     EXPECT_EQ(map.value()->redundancy, Redundancy::kMirror);
     ASSERT_EQ(map.value()->mirrors.size(),
@@ -165,12 +120,12 @@ TEST_F(RedundancyTest, MirroredCreateAllocatesReplicas)
 TEST_F(RedundancyTest, MirroredRoundTrip)
 {
     const auto id =
-        runFor(client->create(64 * kKB, 0, 0, Redundancy::kMirror))
+        runFor(sim, client->create(64 * kKB, 0, 0, Redundancy::kMirror))
             .value();
     const auto data = pattern(700 * kKB, 9);
-    ASSERT_TRUE(runFor(client->write(id, 0, data)).ok());
+    ASSERT_TRUE(runFor(sim, client->write(id, 0, data)).ok());
     std::vector<std::uint8_t> out(700 * kKB);
-    auto n = runFor(client->read(id, 0, out));
+    auto n = runFor(sim, client->read(id, 0, out));
     ASSERT_TRUE(n.ok());
     EXPECT_EQ(out, data);
 }
@@ -178,9 +133,9 @@ TEST_F(RedundancyTest, MirroredRoundTrip)
 TEST_F(RedundancyTest, WritesLandOnBothCopies)
 {
     const auto id =
-        runFor(client->create(64 * kKB, 0, 0, Redundancy::kMirror))
+        runFor(sim, client->create(64 * kKB, 0, 0, Redundancy::kMirror))
             .value();
-    ASSERT_TRUE(runFor(client->write(id, 0, pattern(kMB))).ok());
+    ASSERT_TRUE(runFor(sim, client->write(id, 0, pattern(kMB))).ok());
     // Every drive hosts primaries AND mirrors: with 4 drives and 1 MB
     // striped twice, each drive sees writes for both roles.
     for (auto &d : drives)
@@ -190,14 +145,14 @@ TEST_F(RedundancyTest, WritesLandOnBothCopies)
 TEST_F(RedundancyTest, DegradedReadSurvivesSingleDriveFailure)
 {
     const auto id =
-        runFor(client->create(64 * kKB, 0, 0, Redundancy::kMirror))
+        runFor(sim, client->create(64 * kKB, 0, 0, Redundancy::kMirror))
             .value();
     const auto data = pattern(kMB, 5);
-    ASSERT_TRUE(runFor(client->write(id, 0, data)).ok());
+    ASSERT_TRUE(runFor(sim, client->write(id, 0, data)).ok());
 
     drives[2]->setFailed(true);
     std::vector<std::uint8_t> out(kMB);
-    auto n = runFor(client->read(id, 0, out));
+    auto n = runFor(sim, client->read(id, 0, out));
     ASSERT_TRUE(n.ok());
     EXPECT_EQ(out, data);
 }
@@ -209,15 +164,15 @@ TEST_F(RedundancyTest, DegradedReadSurvivesAnySingleFailure)
         for (auto &d : drives)
             d->setFailed(false);
         const auto id =
-            runFor(client->create(64 * kKB, 0, 0, Redundancy::kMirror))
+            runFor(sim, client->create(64 * kKB, 0, 0, Redundancy::kMirror))
                 .value();
         const auto data = pattern(512 * kKB,
                                   static_cast<std::uint8_t>(victim + 1));
-        ASSERT_TRUE(runFor(client->write(id, 0, data)).ok());
+        ASSERT_TRUE(runFor(sim, client->write(id, 0, data)).ok());
 
         drives[victim]->setFailed(true);
         std::vector<std::uint8_t> out(512 * kKB);
-        auto n = runFor(client->read(id, 0, out));
+        auto n = runFor(sim, client->read(id, 0, out));
         ASSERT_TRUE(n.ok()) << "victim drive " << victim;
         EXPECT_EQ(out, data) << "victim drive " << victim;
     }
@@ -226,34 +181,34 @@ TEST_F(RedundancyTest, DegradedReadSurvivesAnySingleFailure)
 TEST_F(RedundancyTest, DegradedWriteThenRecoveredRead)
 {
     const auto id =
-        runFor(client->create(64 * kKB, 0, 0, Redundancy::kMirror))
+        runFor(sim, client->create(64 * kKB, 0, 0, Redundancy::kMirror))
             .value();
-    ASSERT_TRUE(runFor(client->write(id, 0, pattern(kMB, 1))).ok());
+    ASSERT_TRUE(runFor(sim, client->write(id, 0, pattern(kMB, 1))).ok());
 
     // Write while one drive is down: succeeds on the surviving copy.
     drives[1]->setFailed(true);
     const auto updated = pattern(kMB, 77);
-    ASSERT_TRUE(runFor(client->write(id, 0, updated)).ok());
+    ASSERT_TRUE(runFor(sim, client->write(id, 0, updated)).ok());
 
     // Reads while degraded see the update.
     std::vector<std::uint8_t> out(kMB);
-    ASSERT_TRUE(runFor(client->read(id, 0, out)).ok());
+    ASSERT_TRUE(runFor(sim, client->read(id, 0, out)).ok());
     EXPECT_EQ(out, updated);
 }
 
 TEST_F(RedundancyTest, DoubleFaultOnAPairLosesData)
 {
     const auto id =
-        runFor(client->create(64 * kKB, 0, 0, Redundancy::kMirror))
+        runFor(sim, client->create(64 * kKB, 0, 0, Redundancy::kMirror))
             .value();
-    ASSERT_TRUE(runFor(client->write(id, 0, pattern(kMB))).ok());
+    ASSERT_TRUE(runFor(sim, client->write(id, 0, pattern(kMB))).ok());
 
     // Primary on drive 0 mirrors to drive 1: failing both kills the
     // stripe units they host.
     drives[0]->setFailed(true);
     drives[1]->setFailed(true);
     std::vector<std::uint8_t> out(kMB);
-    auto r = runFor(client->read(id, 0, out));
+    auto r = runFor(sim, client->read(id, 0, out));
     ASSERT_FALSE(r.ok());
 }
 
@@ -264,19 +219,19 @@ TEST_F(RedundancyTest, MirrorRequiresTwoDrives)
     auto &node = net.addNode("mgr1", net::alphaStation500(),
                              net::oc3Link(), net::dceRpcCosts());
     CheopsManager small(sim, net, node, one, 1);
-    run(small.initialize(64 * kMB));
+    runTask(sim, small.initialize(64 * kMB));
     CheopsClient c(net, client_node, small, one);
-    auto id = runFor(c.create(64 * kKB, 0, 0, Redundancy::kMirror));
+    auto id = runFor(sim, c.create(64 * kKB, 0, 0, Redundancy::kMirror));
     ASSERT_FALSE(id.ok());
 }
 
 TEST_F(RedundancyTest, RemoveCleansUpReplicas)
 {
     const auto id =
-        runFor(client->create(64 * kKB, 0, 0, Redundancy::kMirror))
+        runFor(sim, client->create(64 * kKB, 0, 0, Redundancy::kMirror))
             .value();
-    ASSERT_TRUE(runFor(client->write(id, 0, pattern(kMB))).ok());
-    ASSERT_TRUE(runFor(client->remove(id)).ok());
+    ASSERT_TRUE(runFor(sim, client->write(id, 0, pattern(kMB))).ok());
+    ASSERT_TRUE(runFor(sim, client->remove(id)).ok());
     for (auto &d : drives) {
         auto info = d->store().partitionInfo(0);
         EXPECT_EQ(info.value().object_count, 0u);
@@ -289,17 +244,17 @@ TEST_F(RedundancyTest, MirroringCostsOneExtraWrite)
     // Timing sanity: mirrored writes are slower than unmirrored (two
     // copies move), but reads cost the same when healthy.
     const auto plain =
-        runFor(client->create(64 * kKB, 0, 0, Redundancy::kNone)).value();
+        runFor(sim, client->create(64 * kKB, 0, 0, Redundancy::kNone)).value();
     const auto mirrored =
-        runFor(client->create(64 * kKB, 0, 0, Redundancy::kMirror))
+        runFor(sim, client->create(64 * kKB, 0, 0, Redundancy::kMirror))
             .value();
     const auto data = pattern(kMB);
 
     sim::Tick t0 = sim.now();
-    ASSERT_TRUE(runFor(client->write(plain, 0, data)).ok());
+    ASSERT_TRUE(runFor(sim, client->write(plain, 0, data)).ok());
     const sim::Tick plain_write = sim.now() - t0;
     t0 = sim.now();
-    ASSERT_TRUE(runFor(client->write(mirrored, 0, data)).ok());
+    ASSERT_TRUE(runFor(sim, client->write(mirrored, 0, data)).ok());
     const sim::Tick mirrored_write = sim.now() - t0;
     EXPECT_GT(mirrored_write, plain_write);
 }
@@ -309,12 +264,12 @@ TEST_F(RedundancyTest, MirroringCostsOneExtraWrite)
 TEST_F(RedundancyTest, WriteUpgradesAReadOnlyOpenInPlace)
 {
     const auto id =
-        runFor(client->create(64 * kKB, 0, 0, Redundancy::kNone)).value();
+        runFor(sim, client->create(64 * kKB, 0, 0, Redundancy::kNone)).value();
     const auto data = pattern(512 * kKB, 3);
-    ASSERT_TRUE(runFor(client->write(id, 0, data)).ok());
+    ASSERT_TRUE(runFor(sim, client->write(id, 0, data)).ok());
 
-    CheopsClient reader(net, client_node, *mgr, raw);
-    ASSERT_TRUE(runFor(reader.open(id, /*want_write=*/false)).ok());
+    CheopsClient reader(net, client_node, storage(), raw);
+    ASSERT_TRUE(runFor(sim, reader.open(id, /*want_write=*/false)).ok());
 
     // Every first attempt of the striped read is lost, so its
     // component transfers stay suspended until their deadlines and
@@ -351,9 +306,9 @@ TEST_F(RedundancyTest, WriteUpgradesAReadOnlyOpenInPlace)
 TEST_F(RedundancyTest, RemoveWhileAStripedReadIsSuspended)
 {
     const auto id =
-        runFor(client->create(64 * kKB, 0, 0, Redundancy::kNone)).value();
+        runFor(sim, client->create(64 * kKB, 0, 0, Redundancy::kNone)).value();
     const auto data = pattern(512 * kKB, 5);
-    ASSERT_TRUE(runFor(client->write(id, 0, data)).ok());
+    ASSERT_TRUE(runFor(sim, client->write(id, 0, data)).ok());
 
     // Every first attempt of the striped read is lost, so its component
     // transfers stay suspended until their deadlines.
@@ -398,7 +353,7 @@ class ParityTest : public RedundancyTest
     LogicalObjectId
     createParity(std::uint32_t width = 0)
     {
-        return runFor(client->create(kSu, width, 0, Redundancy::kParity))
+        return runFor(sim, client->create(kSu, width, 0, Redundancy::kParity))
             .value();
     }
 
@@ -406,7 +361,7 @@ class ParityTest : public RedundancyTest
     std::uint32_t
     spareDrive(LogicalObjectId id)
     {
-        auto map = runFor(client->open(id, false)).value();
+        auto map = runFor(sim, client->open(id, false)).value();
         std::vector<bool> used(drives.size(), false);
         for (const auto &c : map->components)
             used[c.drive] = true;
@@ -422,7 +377,7 @@ class ParityTest : public RedundancyTest
 TEST_F(ParityTest, CreateAllocatesRotatingParityComponent)
 {
     const auto id = createParity(2);
-    auto map = runFor(client->open(id, false));
+    auto map = runFor(sim, client->open(id, false));
     ASSERT_TRUE(map.ok());
     EXPECT_EQ(map.value()->redundancy, Redundancy::kParity);
     // width data units + 1 parity, all on distinct drives, no mirrors.
@@ -444,9 +399,9 @@ TEST_F(ParityTest, RoundTrip)
 {
     const auto id = createParity();
     const auto data = pattern(700 * kKB, 9);
-    ASSERT_TRUE(runFor(client->write(id, 0, data)).ok());
+    ASSERT_TRUE(runFor(sim, client->write(id, 0, data)).ok());
     std::vector<std::uint8_t> out(700 * kKB);
-    auto n = runFor(client->read(id, 0, out));
+    auto n = runFor(sim, client->read(id, 0, out));
     ASSERT_TRUE(n.ok());
     EXPECT_FALSE(n.value().degraded());
     EXPECT_EQ(out, data);
@@ -474,20 +429,20 @@ TEST_F(ParityTest, RmwFswBoundaryOffsetsKeepParityConsistent)
     std::uint8_t seed = 40;
     for (const auto &[off, len] : cases) {
         const auto chunk = pattern(len, seed++);
-        ASSERT_TRUE(runFor(client->write(id, off, chunk)).ok());
+        ASSERT_TRUE(runFor(sim, client->write(id, off, chunk)).ok());
         std::copy(chunk.begin(), chunk.end(),
                   model.begin() + static_cast<std::ptrdiff_t>(off));
     }
 
     std::vector<std::uint8_t> out(model.size());
-    auto healthy = runFor(client->read(id, 0, out));
+    auto healthy = runFor(sim, client->read(id, 0, out));
     ASSERT_TRUE(healthy.ok());
     EXPECT_EQ(out, model);
 
-    auto map = runFor(client->open(id, false)).value();
+    auto map = runFor(sim, client->open(id, false)).value();
     drives[map->components[1].drive]->setFailed(true);
     std::fill(out.begin(), out.end(), 0);
-    auto degraded = runFor(client->read(id, 0, out));
+    auto degraded = runFor(sim, client->read(id, 0, out));
     ASSERT_TRUE(degraded.ok());
     EXPECT_TRUE(degraded.value().degraded());
     EXPECT_EQ(out, model);
@@ -502,11 +457,11 @@ TEST_F(ParityTest, DegradedReadSurvivesAnySingleFailure)
         const auto id = createParity(); // 3 data + parity over 4 drives
         const auto data = pattern(512 * kKB,
                                   static_cast<std::uint8_t>(victim + 1));
-        ASSERT_TRUE(runFor(client->write(id, 0, data)).ok());
+        ASSERT_TRUE(runFor(sim, client->write(id, 0, data)).ok());
 
         drives[victim]->setFailed(true);
         std::vector<std::uint8_t> out(512 * kKB);
-        auto n = runFor(client->read(id, 0, out));
+        auto n = runFor(sim, client->read(id, 0, out));
         ASSERT_TRUE(n.ok()) << "victim drive " << victim;
         EXPECT_EQ(out, data) << "victim drive " << victim;
     }
@@ -517,9 +472,9 @@ TEST_F(ParityTest, DegradedWriteUpdatesSurvivorsAndParity)
     const auto id = createParity(2);
     const std::uint64_t row_bytes = 2 * kSu;
     const auto data = pattern(4 * row_bytes, 11);
-    ASSERT_TRUE(runFor(client->write(id, 0, data)).ok());
+    ASSERT_TRUE(runFor(sim, client->write(id, 0, data)).ok());
 
-    auto map = runFor(client->open(id, false)).value();
+    auto map = runFor(sim, client->open(id, false)).value();
     const auto victim_drive = map->components[0].drive;
     drives[victim_drive]->setFailed(true);
 
@@ -528,12 +483,12 @@ TEST_F(ParityTest, DegradedWriteUpdatesSurvivorsAndParity)
     auto updated = data;
     const auto chunk = pattern(50 * kKB, 99);
     const std::uint64_t off = kSu + 1234; // touches the dead component's rows
-    ASSERT_TRUE(runFor(client->write(id, off, chunk)).ok());
+    ASSERT_TRUE(runFor(sim, client->write(id, off, chunk)).ok());
     std::copy(chunk.begin(), chunk.end(),
               updated.begin() + static_cast<std::ptrdiff_t>(off));
 
     std::vector<std::uint8_t> out(updated.size());
-    auto n = runFor(client->read(id, 0, out));
+    auto n = runFor(sim, client->read(id, 0, out));
     ASSERT_TRUE(n.ok());
     EXPECT_TRUE(n.value().degraded());
     EXPECT_EQ(out, updated);
@@ -548,21 +503,21 @@ TEST_F(ParityTest, DegradedWriteIntoDeadUnitRebuildsParity)
     const auto id = createParity(2);
     const std::uint64_t row_bytes = 2 * kSu;
     auto model = pattern(4 * row_bytes, 17);
-    ASSERT_TRUE(runFor(client->write(id, 0, model)).ok());
+    ASSERT_TRUE(runFor(sim, client->write(id, 0, model)).ok());
 
     const std::uint64_t row = 1;
-    auto map = runFor(client->open(id, false)).value();
+    auto map = runFor(sim, client->open(id, false)).value();
     const std::uint32_t dead = CheopsManager::dataComponent(row, 0, 2);
     drives[map->components[dead].drive]->setFailed(true);
 
     const std::uint64_t off = row * row_bytes + kSu / 2;
     const auto chunk = pattern(kSu, 77);
-    ASSERT_TRUE(runFor(client->write(id, off, chunk)).ok());
+    ASSERT_TRUE(runFor(sim, client->write(id, off, chunk)).ok());
     std::copy(chunk.begin(), chunk.end(),
               model.begin() + static_cast<std::ptrdiff_t>(off));
 
     std::vector<std::uint8_t> out(model.size());
-    auto n = runFor(client->read(id, 0, out));
+    auto n = runFor(sim, client->read(id, 0, out));
     ASSERT_TRUE(n.ok());
     EXPECT_TRUE(n.value().degraded());
     EXPECT_EQ(out, model);
@@ -571,12 +526,12 @@ TEST_F(ParityTest, DegradedWriteIntoDeadUnitRebuildsParity)
 TEST_F(ParityTest, DoubleFailureLosesData)
 {
     const auto id = createParity();
-    ASSERT_TRUE(runFor(client->write(id, 0, pattern(kMB))).ok());
-    auto map = runFor(client->open(id, false)).value();
+    ASSERT_TRUE(runFor(sim, client->write(id, 0, pattern(kMB))).ok());
+    auto map = runFor(sim, client->open(id, false)).value();
     drives[map->components[0].drive]->setFailed(true);
     drives[map->components[1].drive]->setFailed(true);
     std::vector<std::uint8_t> out(kMB);
-    auto r = runFor(client->read(id, 0, out));
+    auto r = runFor(sim, client->read(id, 0, out));
     ASSERT_FALSE(r.ok());
 }
 
@@ -586,9 +541,9 @@ TEST_F(ParityTest, ParityRequiresThreeDrives)
     auto &node = net.addNode("mgr2", net::alphaStation500(),
                              net::oc3Link(), net::dceRpcCosts());
     CheopsManager small(sim, net, node, two, 1);
-    run(small.initialize(64 * kMB));
+    runTask(sim, small.initialize(64 * kMB));
     CheopsClient c(net, client_node, small, two);
-    auto id = runFor(c.create(kSu, 0, 0, Redundancy::kParity));
+    auto id = runFor(sim, c.create(kSu, 0, 0, Redundancy::kParity));
     ASSERT_FALSE(id.ok());
 }
 
@@ -596,19 +551,19 @@ TEST_F(ParityTest, RebuildMovesComponentToSpare)
 {
     const auto id = createParity(2); // 3 components, 1 spare drive left
     const auto data = pattern(12 * 2 * kSu, 3);
-    ASSERT_TRUE(runFor(client->write(id, 0, data)).ok());
+    ASSERT_TRUE(runFor(sim, client->write(id, 0, data)).ok());
 
     const std::uint32_t spare = spareDrive(id);
-    auto before = runFor(client->open(id, false)).value();
+    auto before = runFor(sim, client->open(id, false)).value();
     const std::uint32_t victim_comp = 0;
     const auto victim_drive = before->components[victim_comp].drive;
     drives[victim_drive]->setFailed(true);
 
     ASSERT_TRUE(
-        runFor(client->startRebuild(id, victim_comp, spare, {})).ok());
+        runFor(sim, client->startRebuild(id, victim_comp, spare, {})).ok());
     sim.run(); // drain the rebuild engine
 
-    auto prog = mgr->rebuildProgress(id);
+    auto prog = storage().rebuildProgress(id);
     EXPECT_TRUE(prog.known);
     EXPECT_FALSE(prog.active);
     EXPECT_EQ(prog.rows_done, prog.rows_total);
@@ -617,20 +572,20 @@ TEST_F(ParityTest, RebuildMovesComponentToSpare)
 
     // Reads come back healthy from the spare — the victim stays dead.
     std::vector<std::uint8_t> out(data.size());
-    auto n = runFor(client->read(id, 0, out));
+    auto n = runFor(sim, client->read(id, 0, out));
     ASSERT_TRUE(n.ok());
     EXPECT_EQ(out, data);
-    auto after = runFor(client->open(id, false)).value();
+    auto after = runFor(sim, client->open(id, false)).value();
     EXPECT_EQ(after->components[victim_comp].drive, spare);
 }
 
 TEST_F(ParityTest, RebuildRejectsSpareSharingASpindle)
 {
     const auto id = createParity(2);
-    ASSERT_TRUE(runFor(client->write(id, 0, pattern(4 * kSu))).ok());
-    auto map = runFor(client->open(id, false)).value();
+    ASSERT_TRUE(runFor(sim, client->write(id, 0, pattern(4 * kSu))).ok());
+    auto map = runFor(sim, client->open(id, false)).value();
     // A surviving component's drive cannot be the rebuild target.
-    auto r = runFor(
+    auto r = runFor(sim, 
         client->startRebuild(id, 0, map->components[1].drive, {}));
     ASSERT_FALSE(r.ok());
 }
@@ -640,10 +595,10 @@ TEST_F(ParityTest, RebuildCompletesWhileWriting)
     const auto id = createParity(2);
     const std::uint64_t row_bytes = 2 * kSu;
     const auto data = pattern(16 * row_bytes, 7);
-    ASSERT_TRUE(runFor(client->write(id, 0, data)).ok());
+    ASSERT_TRUE(runFor(sim, client->write(id, 0, data)).ok());
 
     const std::uint32_t spare = spareDrive(id);
-    auto map = runFor(client->open(id, false)).value();
+    auto map = runFor(sim, client->open(id, false)).value();
     const std::uint32_t victim_comp = 1;
     drives[map->components[victim_comp].drive]->setFailed(true);
 
@@ -653,7 +608,7 @@ TEST_F(ParityTest, RebuildCompletesWhileWriting)
     throttle.token_interval_ns = 2'000'000;
     throttle.burst = 1;
     ASSERT_TRUE(
-        runFor(client->startRebuild(id, victim_comp, spare, throttle))
+        runFor(sim, client->startRebuild(id, victim_comp, spare, throttle))
             .ok());
 
     // Overwrite everything while the engine runs. The first component
@@ -662,16 +617,16 @@ TEST_F(ParityTest, RebuildCompletesWhileWriting)
     // to the spare — rows the engine already passed still get the new
     // bytes.
     const auto updated = pattern(16 * row_bytes, 123);
-    ASSERT_TRUE(runFor(client->write(id, 0, updated)).ok());
+    ASSERT_TRUE(runFor(sim, client->write(id, 0, updated)).ok());
     sim.run();
 
-    auto prog = mgr->rebuildProgress(id);
+    auto prog = storage().rebuildProgress(id);
     EXPECT_TRUE(prog.known);
     EXPECT_FALSE(prog.active);
     EXPECT_EQ(prog.rows_done, prog.rows_total);
 
     std::vector<std::uint8_t> out(updated.size());
-    auto n = runFor(client->read(id, 0, out));
+    auto n = runFor(sim, client->read(id, 0, out));
     ASSERT_TRUE(n.ok());
     EXPECT_EQ(out, updated);
 }
@@ -689,10 +644,10 @@ class RebuildAbortTest : public ParityTest
         spare = spareDrive(id);
         spare_objects = listSpare();
         // The manager node's journal is process-wide: count from here.
-        const auto &journal = mgr_node.flightJournal();
+        const auto &journal = storage().node().flightJournal();
         for (std::size_t i = 0; i < journal.size(); ++i)
             journal_mark = std::max(journal_mark, journal.at(i).seq);
-        auto map = runFor(client->open(id, false)).value();
+        auto map = runFor(sim, client->open(id, false)).value();
         survivor = map->components[1].drive;
         drives[map->components[0].drive]->setFailed(true);
 
@@ -705,11 +660,11 @@ class RebuildAbortTest : public ParityTest
         }(client->startRebuild(id, 0, spare, throttle), started));
         for (int step = 0;
              step < 1000 &&
-             !(started && mgr->rebuildProgress(id).rows_done >= rows);
+             !(started && storage().rebuildProgress(id).rows_done >= rows);
              ++step)
             sim.runUntil(sim.now() + 1'000'000);
         ASSERT_TRUE(started);
-        const auto prog = mgr->rebuildProgress(id);
+        const auto prog = storage().rebuildProgress(id);
         ASSERT_TRUE(prog.active);
         ASSERT_GE(prog.rows_done, rows);
         ASSERT_LT(prog.rows_done, prog.rows_total);
@@ -719,17 +674,17 @@ class RebuildAbortTest : public ParityTest
     std::vector<ObjectId>
     listSpare()
     {
-        return runFor(drives[spare]->store().listObjects(0)).value();
+        return runFor(sim, drives[spare]->store().listObjects(0)).value();
     }
 
     /** Run until the engine reports itself inactive. */
     void
     runUntilInactive(LogicalObjectId id)
     {
-        for (int step = 0; step < 1000 && mgr->rebuildProgress(id).active;
+        for (int step = 0; step < 1000 && storage().rebuildProgress(id).active;
              ++step)
             sim.runUntil(sim.now() + 1'000'000);
-        const auto prog = mgr->rebuildProgress(id);
+        const auto prog = storage().rebuildProgress(id);
         EXPECT_FALSE(prog.active);
         EXPECT_LT(prog.rows_done, prog.rows_total);
         EXPECT_GE(prog.finished_at, prog.started_at);
@@ -741,7 +696,7 @@ class RebuildAbortTest : public ParityTest
     journaled(std::string_view name, net::NetNode *node = nullptr)
     {
         std::size_t n = 0;
-        const auto &journal = (node ? *node : mgr_node).flightJournal();
+        const auto &journal = (node ? *node : storage().node()).flightJournal();
         for (std::size_t i = 0; i < journal.size(); ++i) {
             const auto &e = journal.at(i);
             n += e.seq > journal_mark && util::frEventName(e.kind) == name;
@@ -775,7 +730,8 @@ class RebuildAbortTest : public ParityTest
 TEST_F(RebuildAbortTest, SecondFailureRemovesTheSpare)
 {
     const auto id = createParity(2);
-    ASSERT_TRUE(runFor(client->write(id, 0, pattern(16 * 2 * kSu, 5))).ok());
+    ASSERT_TRUE(
+        runFor(sim, client->write(id, 0, pattern(16 * 2 * kSu, 5))).ok());
     startRebuildAndRun(id, 3);
 
     // A second survivor dies: the row cannot be reconstructed.
@@ -789,12 +745,13 @@ TEST_F(RebuildAbortTest, SecondFailureRemovesTheSpare)
 TEST_F(RebuildAbortTest, RemovedObjectRemovesTheSpare)
 {
     const auto id = createParity(2);
-    ASSERT_TRUE(runFor(client->write(id, 0, pattern(16 * 2 * kSu, 6))).ok());
+    ASSERT_TRUE(
+        runFor(sim, client->write(id, 0, pattern(16 * 2 * kSu, 6))).ok());
     startRebuildAndRun(id, 2);
 
     // The failed drive keeps its component, so the remove reports
     // kDriveError; the object is gone from the manager either way.
-    EXPECT_FALSE(runFor(client->remove(id)).ok());
+    EXPECT_FALSE(runFor(sim, client->remove(id)).ok());
     runUntilInactive(id);
     EXPECT_EQ(listSpare(), spare_objects);
     EXPECT_EQ(journaled("rebuild_abort"), 1u);
@@ -803,7 +760,8 @@ TEST_F(RebuildAbortTest, RemovedObjectRemovesTheSpare)
 TEST_F(RebuildAbortTest, AbortFencesClientsHoldingTheRebuildingMap)
 {
     const auto id = createParity(2);
-    ASSERT_TRUE(runFor(client->write(id, 0, pattern(64 * 2 * kSu, 7))).ok());
+    ASSERT_TRUE(
+        runFor(sim, client->write(id, 0, pattern(64 * 2 * kSu, 7))).ok());
     startRebuildAndRun(id, 3);
 
     // A write during the rebuild leaves the client holding the
@@ -825,21 +783,22 @@ TEST_F(RebuildAbortTest, AbortFencesClientsHoldingTheRebuildingMap)
     // The stale client is refused the rebuild lock, refreshes onto the
     // post-abort map and writes degraded; nothing goes to the spare.
     const auto after = pattern(2 * kSu, 9);
-    ASSERT_TRUE(runFor(client->write(id, 0, after)).ok());
+    ASSERT_TRUE(runFor(sim, client->write(id, 0, after)).ok());
     EXPECT_EQ(journaled("write_through", &client_node), through);
     EXPECT_GT(journaled("map_refresh", &client_node), refreshed);
-    EXPECT_FALSE(runFor(client->open(id, true)).value()->rebuilding);
+    EXPECT_FALSE(runFor(sim, client->open(id, true)).value()->rebuilding);
     EXPECT_EQ(listSpare(), spare_objects);
 
     std::vector<std::uint8_t> out(after.size());
-    ASSERT_TRUE(runFor(client->read(id, 0, out)).ok());
+    ASSERT_TRUE(runFor(sim, client->read(id, 0, out)).ok());
     EXPECT_EQ(out, after);
 }
 
 TEST_F(RebuildAbortTest, StaleClientWritesWhileTheSpareIsBeingRemoved)
 {
     const auto id = createParity(2);
-    ASSERT_TRUE(runFor(client->write(id, 0, pattern(64 * 2 * kSu, 12))).ok());
+    ASSERT_TRUE(
+        runFor(sim, client->write(id, 0, pattern(64 * 2 * kSu, 12))).ok());
     startRebuildAndRun(id, 3);
     ASSERT_TRUE(runStepped(client->write(id, 0, pattern(2 * kSu, 13))).ok());
     ASSERT_TRUE(runStepped(client->open(id, true)).value()->rebuilding);
@@ -859,21 +818,22 @@ TEST_F(RebuildAbortTest, StaleClientWritesWhileTheSpareIsBeingRemoved)
 
     const auto after = pattern(2 * kSu, 14);
     ASSERT_TRUE(runStepped(client->write(id, 0, after)).ok());
-    EXPECT_TRUE(mgr->rebuildProgress(id).active); // removal still running
+    EXPECT_TRUE(storage().rebuildProgress(id).active); // removal still running
     EXPECT_EQ(journaled("write_through", &client_node), through);
     EXPECT_FALSE(runStepped(client->open(id, true)).value()->rebuilding);
 
     runUntilInactive(id);
     EXPECT_EQ(listSpare(), spare_objects);
     std::vector<std::uint8_t> out(after.size());
-    ASSERT_TRUE(runFor(client->read(id, 0, out)).ok());
+    ASSERT_TRUE(runFor(sim, client->read(id, 0, out)).ok());
     EXPECT_EQ(out, after);
 }
 
 TEST_F(RebuildAbortTest, RebuildAfterAnAbortAdmitsClients)
 {
     const auto id = createParity(2);
-    ASSERT_TRUE(runFor(client->write(id, 0, pattern(64 * 2 * kSu, 15))).ok());
+    ASSERT_TRUE(
+        runFor(sim, client->write(id, 0, pattern(64 * 2 * kSu, 15))).ok());
     startRebuildAndRun(id, 3);
     drives[survivor]->setFailed(true);
     runUntilInactive(id);
@@ -888,12 +848,12 @@ TEST_F(RebuildAbortTest, RebuildAfterAnAbortAdmitsClients)
     EXPECT_GE(journaled("write_through", &client_node), 1u);
 
     sim.run();
-    const auto prog = mgr->rebuildProgress(id);
+    const auto prog = storage().rebuildProgress(id);
     EXPECT_FALSE(prog.active);
     EXPECT_EQ(prog.rows_done, prog.rows_total);
     EXPECT_EQ(journaled("rebuild_complete"), 1u);
     std::vector<std::uint8_t> out(during.size());
-    ASSERT_TRUE(runFor(client->read(id, 0, out)).ok());
+    ASSERT_TRUE(runFor(sim, client->read(id, 0, out)).ok());
     EXPECT_EQ(out, during);
 }
 
