@@ -6,8 +6,8 @@
  * / `--no-json` select the metrics dump (default BENCH_<name>.json),
  * `--trace PATH` installs a util::Tracer for the run and writes a
  * Chrome trace_event timeline on exit, `--journal PATH` dumps the
- * flight-recorder journal (benches that support it; see fig9_mining
- * --kill-drive).
+ * flight-recorder journal (benches that support it; fig9_mining
+ * parses its own command line into the same options).
  *
  * The benches build their systems from the rigs in rig/cluster.h and
  * run coroutines to completion with sim::runTask / sim::runFor

@@ -21,19 +21,25 @@
  *                 NFS). Paper: plateaus near 22.5 MB/s.
  *
  * Counts are computed for real; the bench cross-checks the merged
- * totals across configurations.
+ * totals across configurations, and every read must deliver its bytes.
  *
- * Other modes: --fault-sweep, --breakdown, --kill-drive, --drives
- * N[,N...] and --trace PATH, plus the --slow-drive N,factor fault. The
- * command line is parsed once into a Scenario; every NASD
+ * Each mode (the table, --fault-sweep, --breakdown, --kill-drive,
+ * --drives N[,N...], a bare --trace PATH) is a Spec, a plain value that
+ * runSpec runs through one loop over drive counts and one report.
+ * --json PATH, --no-json and --journal PATH apply to every mode;
+ * --slow-drive N,factor and --trace PATH to every mode but
+ * --kill-drive. Anything else exits 2 with a usage line. Every NASD
  * configuration is a rig::NasdCluster (rig/cluster.h).
  */
 #include <algorithm>
 #include <array>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
@@ -73,64 +79,60 @@ constexpr sim::Tick kSampleInterval = sim::msec(50);
 constexpr const char *kReference = "Figure 9 (Section 5.2, NASD PFS vs NFS)";
 
 /**
- * Source of the dataset chunks every loader writes. The default table
- * loads the same seeded 300 MB into each of its fifteen configurations,
- * so main() turns on memoization for it and each chunk is generated
- * once per process. Other modes, whose datasets grow with the drive
- * count, keep generating chunks on demand. A chunk depends only on
- * (seed, index), so a memoized chunk is byte-identical to a fresh one.
+ * Chunk @p index of the seeded dataset every loader writes; it depends
+ * only on (seed, index). With @p keep the chunk is generated once and
+ * kept for the process's life: a spec with a fixed dataset (the table
+ * loads the same 300 MB into each of its fifteen configurations) keeps
+ * its chunks. Otherwise the bytes stay valid until the next call.
  */
-class DatasetChunks
+std::span<const std::uint8_t>
+datasetChunk(std::uint64_t index, bool keep)
 {
-  public:
-    DatasetChunks()
-        : gen_([] {
-              apps::DatasetParams p;
-              p.catalog_items = kCatalogItems;
-              return p;
-          }())
-    {}
-
-    /** Keep every chunk generated from now on for the process's life. */
-    void memoize() { memoize_ = true; }
-
-    /** Chunk @p index. Without memoization the bytes stay valid until
-     *  the next get(). */
-    std::span<const std::uint8_t>
-    get(std::uint64_t index)
-    {
-        if (!memoize_) {
-            scratch_ = gen_.chunk(index);
-            return scratch_;
-        }
-        if (index >= memo_.size())
-            memo_.resize(index + 1);
-        if (memo_[index].empty())
-            memo_[index] = gen_.chunk(index);
-        return memo_[index];
+    static apps::TransactionGenerator gen(
+        apps::DatasetParams{.catalog_items = kCatalogItems});
+    static std::vector<std::uint8_t> scratch;
+    static std::vector<std::vector<std::uint8_t>> kept;
+    if (!keep) {
+        scratch = gen.chunk(index);
+        return scratch;
     }
+    if (index >= kept.size())
+        kept.resize(index + 1);
+    if (kept[index].empty())
+        kept[index] = gen.chunk(index);
+    return kept[index];
+}
 
-  private:
-    apps::TransactionGenerator gen_;
-    bool memoize_ = false;
-    std::vector<std::uint8_t> scratch_;
-    std::vector<std::vector<std::uint8_t>> memo_;
+struct RunResult
+{
+    double aggregate_mbs = 0; ///< delivered bytes over the scan's time
+    std::uint64_t rpc_timeouts = 0;
+    std::uint64_t delivered_bytes = 0; ///< bytes the reads returned
+    std::uint64_t failed_reads = 0;    ///< reads that returned an error
+    apps::ItemCounts counts;
 };
 
-DatasetChunks &
-datasetChunks()
+/** Await one client read (a PFS or an NFS one) and count its outcome
+ *  into @p run: the bytes it returned, or one failed read. */
+template <typename ReadTask>
+sim::Task<void>
+countRead(ReadTask read, RunResult &run)
 {
-    static DatasetChunks chunks;
-    return chunks;
+    const auto r = co_await read;
+    if (r.ok())
+        run.delivered_bytes += r.value();
+    else
+        ++run.failed_reads;
 }
 
 /** Mining worker: scan [first_chunk, ...) with stride, reading through
- *  `read`, counting on `cpu`, merging into `result`. */
+ *  `read` (counted into `run`), counting on `cpu`, merging into
+ *  `counts`. */
 template <typename ReadFn>
 sim::Task<void>
 mineChunks(sim::Simulator &sim, sim::CpuResource &cpu, ReadFn read,
            std::uint64_t total_chunks, std::uint64_t first_chunk,
-           std::uint64_t stride, apps::ItemCounts &result)
+           std::uint64_t stride, apps::ItemCounts &counts, RunResult &run)
 {
     std::vector<std::uint8_t> chunk(apps::kChunkBytes);
     for (std::uint64_t c = first_chunk; c < total_chunks; c += stride) {
@@ -138,9 +140,11 @@ mineChunks(sim::Simulator &sim, sim::CpuResource &cpu, ReadFn read,
         std::vector<sim::Task<void>> producers;
         for (std::uint64_t off = 0; off < apps::kChunkBytes;
              off += kReadBytes) {
-            producers.push_back(read(
-                c * apps::kChunkBytes + off,
-                std::span<std::uint8_t>(chunk.data() + off, kReadBytes)));
+            producers.push_back(countRead(
+                read(c * apps::kChunkBytes + off,
+                     std::span<std::uint8_t>(chunk.data() + off,
+                                             kReadBytes)),
+                run));
         }
         co_await sim::parallelAll(sim, std::move(producers));
 
@@ -149,19 +153,25 @@ mineChunks(sim::Simulator &sim, sim::CpuResource &cpu, ReadFn read,
             static_cast<std::uint64_t>(apps::kCountingCyclesPerByte *
                                        apps::kChunkBytes),
             1.0);
-        apps::mergeCounts(result,
+        apps::mergeCounts(counts,
                           apps::countOneItemsets(chunk, kCatalogItems));
     }
 }
 
-struct RunResult
+/** Merge the clients' partial counts into @p r and turn its delivered
+ *  bytes into MB/s over the scan, which ends at the last real event
+ *  (a poller rounds the final clock up to its interval boundary). */
+void
+finishRun(RunResult &r, const std::vector<apps::ItemCounts> &partials,
+          const sim::Simulator &sim, sim::Tick start)
 {
-    double aggregate_mbs = 0; ///< delivered bytes over the scan's time
-    std::uint64_t rpc_timeouts = 0;
-    std::uint64_t delivered_bytes = 0; ///< NASD runs: bytes reads returned
-    std::uint64_t failed_reads = 0;    ///< NASD runs: reads that failed
-    apps::ItemCounts counts;
-};
+    r.counts.assign(kCatalogItems, 0);
+    for (const auto &partial : partials)
+        apps::mergeCounts(r.counts, partial);
+    r.aggregate_mbs = util::bytesPerSecToMBs(
+        static_cast<double>(r.delivered_bytes) /
+        sim::toSeconds(sim.lastEventTime() - start));
+}
 
 /** Per-op-class latency decomposition aggregated across all drives. */
 struct OpBreakdown
@@ -171,23 +181,6 @@ struct OpBreakdown
     std::array<std::uint64_t, util::kResourceClassCount> wait_ns{};
     std::array<std::uint64_t, util::kResourceClassCount> service_ns{};
     std::uint64_t other_ns = 0; ///< elapsed no phase claimed
-};
-
-/** Optional observability outputs of one NASD run. */
-struct NasdRunExtras
-{
-    /// When set, the mining scan is driven by a StatsPoller sampling
-    /// throughput / drive utilization / client queue depth into here
-    /// every kSampleInterval.
-    util::TimeSeries *timeseries = nullptr;
-    /// When set, filled with the per-op wait/service decomposition
-    /// collected from the run's drive op counters.
-    std::map<std::string, OpBreakdown> *breakdown = nullptr;
-    /// When set, filled with the fleet rollup (merged per-op latency
-    /// histograms + straggler verdicts) collected before the run's
-    /// MetricsScope closes; stragglers are journaled to the flight
-    /// recorder as kStragglerSuspect.
-    util::FleetRollup *fleet = nullptr;
 };
 
 /** Pull the "<drive>/ops/<op>/..." instruments of the current registry
@@ -245,32 +238,105 @@ collectBreakdown(std::map<std::string, OpBreakdown> &ops)
         });
 }
 
+// ---------------------------------------------------------------- specs
+
+/** The printed values of one drive count's runs. */
+struct Row
+{
+    double nasd = 0; ///< MB/s
+    double nfs = 0;
+    double nfs_parallel = 0;
+    double per_drive = 0; ///< NASD MB/s per drive
+    double rpc_timeouts = 0;
+    double events = 0; ///< simulator events of the NASD run
+};
+
+/** One column of a drive-count table, after "disks". */
+struct Column
+{
+    const char *name;
+    int width;
+    int precision;
+    double Row::*value;
+};
+
+/**
+ * One fig9_mining mode as a plain value; runSpec runs it. The time
+ * series, breakdown and tracer come from the largest run, and so do
+ * the fleet gauges and the --slow-drive fault unless `fleet_sweep`; a
+ * traced breakdown also prints the tail exemplars. Gates: every run
+ * delivers every byte (always), the item counts agree across runs
+ * (with a verdict), the breakdown reconciles, the traced fan-out has
+ * pfs/read roots, and the straggler rollups name the slowed drive and
+ * only it (fleet_sweep).
+ */
+struct Spec
+{
+    const char *title;
+    const char *subtitle;         ///< the banner's "Reproduces:" line
+    const char *dump;             ///< BENCH_<dump>.json, "<dump>/" gauges
+    const char *dump_reference;   ///< the dump's "reference"
+    bool dump_by_default = false; ///< else only with --json PATH
+    bool kill_drive = false;      ///< runKillDrive, not drive counts
+    std::vector<int> drive_counts{};
+    std::uint64_t dataset_bytes = 0;
+    bool bytes_per_drive = false; ///< dataset_bytes per drive, not fixed
+    std::optional<net::FaultPlan> faults{}; ///< set after the load
+    bool nfs = false; ///< NFS and NFS-parallel runs beside each NASD one
+    std::vector<Column> columns{}; ///< empty: one scan line per run
+    const char *scan_label = nullptr;
+    bool timeseries = false;
+    const char *breakdown = nullptr; ///< its scope; %d: the drive count
+    bool tracer = false;             ///< critical-path fan-out
+    const char *verdict = nullptr;  ///< "<verdict>: yes" after the rows
+    const char *footnote = nullptr; ///< printed after the verdict
+    /// Every run's fleet rollup is reported, and --slow-drive hits every
+    /// run with more than N drives and shrinks every run's drive caches
+    /// to 2 MB so the scan hits media.
+    bool fleet_sweep = false;
+    int slow_drive = -1; ///< --slow-drive N,factor
+    double slow_factor = 1.0;
+};
+
+/** What a spec's runs leave for its report. */
+struct Measured
+{
+    util::TimeSeries timeseries{kSampleInterval};
+    std::map<int, util::FleetRollup> rollups{}; ///< by drive count
+    std::map<std::string, OpBreakdown> breakdown{};
+    util::Tracer tracer{};
+    std::string extra_json{}; ///< extra BENCH json sections
+};
+
 // ------------------------------------------------------------------ NASD
 
 /** One NASD configuration: load @p dataset_bytes into PFS file "sales"
- *  on the cluster, then `spec.drives` clients mine it round-robin. */
+ *  on @p cluster_spec's cluster, then one client per drive mines it
+ *  round-robin. @p largest marks @p spec's largest run, which decides
+ *  the outputs it records into @p m. */
 RunResult
-runNasd(const rig::ClusterSpec &spec, std::uint64_t dataset_bytes,
-        const net::FaultPlan *faults = nullptr,
-        NasdRunExtras *extras = nullptr)
+runNasd(const Spec &spec, const rig::ClusterSpec &cluster_spec,
+        std::uint64_t dataset_bytes, bool largest, Measured &m)
 {
     const util::MetricsScope run_metrics;
-    rig::NasdCluster cluster(spec);
+    rig::NasdCluster cluster(cluster_spec);
     sim::Simulator &sim = cluster.sim;
-    const int n = spec.drives;
+    const int n = cluster_spec.drives;
 
     const std::uint64_t chunks = dataset_bytes / apps::kChunkBytes;
     const auto handle = cluster.loadPfsFile(
         "sales", chunks,
-        [](std::uint64_t c) { return datasetChunks().get(c); });
+        [&spec](std::uint64_t c) {
+            return datasetChunk(c, !spec.bytes_per_drive);
+        });
     const auto clients = cluster.openPfsClients(n, "sales");
     std::vector<apps::ItemCounts> partials(
         n, apps::ItemCounts(kCatalogItems, 0));
 
     // Faults start after the (untimed) load and opens: the sweep
     // measures the data path's tolerance, not the loader's.
-    if (faults != nullptr)
-        cluster.net.setFaultPlan(*faults);
+    if (spec.faults)
+        cluster.net.setFaultPlan(*spec.faults);
 
     RunResult result;
     const sim::Tick start = sim.now();
@@ -278,21 +344,15 @@ runNasd(const rig::ClusterSpec &spec, std::uint64_t dataset_bytes,
         auto *client = clients[i].get();
         sim.spawn(mineChunks(
             sim, client->node().cpu(),
-            [client, handle, &result](std::uint64_t off,
-                                      std::span<std::uint8_t> out)
-                -> sim::Task<void> {
-                auto r = co_await client->read(handle, off, out);
-                if (r.ok())
-                    result.delivered_bytes += r.value();
-                else
-                    ++result.failed_reads;
+            [client, handle](std::uint64_t off, std::span<std::uint8_t> out) {
+                return client->read(handle, off, out);
             },
-            chunks, static_cast<std::uint64_t>(i), n, partials[i]));
+            chunks, static_cast<std::uint64_t>(i), n, partials[i], result));
     }
-    if (extras != nullptr && extras->timeseries != nullptr) {
+    if (spec.timeseries && largest) {
         // Interval-sampled run: same event schedule as sim.run(), plus
         // one TimeSeries sample per boundary.
-        sim::StatsPoller poller(sim, *extras->timeseries, kSampleInterval);
+        sim::StatsPoller poller(sim, m.timeseries, kSampleInterval);
         poller.addRate(
             "client_read_mbs",
             [&clients] {
@@ -327,34 +387,26 @@ runNasd(const rig::ClusterSpec &spec, std::uint64_t dataset_bytes,
     } else {
         sim.run();
     }
-    // lastEventTime(), not now(): a poller rounds the final clock up to
-    // its interval boundary, and the scan ends at the last real event.
-    const double secs = sim::toSeconds(sim.lastEventTime() - start);
-
-    result.counts.assign(kCatalogItems, 0);
-    for (const auto &partial : partials)
-        apps::mergeCounts(result.counts, partial);
+    finishRun(result, partials, sim, start);
     for (const auto &client : clients)
         result.rpc_timeouts += client->node().rpc_timeouts.value();
-    result.aggregate_mbs = util::bytesPerSecToMBs(
-        static_cast<double>(result.delivered_bytes) / secs);
-    if (extras != nullptr && extras->breakdown != nullptr)
-        collectBreakdown(*extras->breakdown);
-    if (extras != nullptr && extras->fleet != nullptr) {
-        // Collected here, inside the run's MetricsScope, because the
-        // per-drive instruments die with it; stragglers go to the
-        // flight recorder so the journal names the suspect drive.
-        *extras->fleet = util::FleetRollup::collect(util::metrics());
-        extras->fleet->journalStragglers(
-            static_cast<std::uint64_t>(sim.lastEventTime()));
-    }
+    if (spec.breakdown != nullptr && largest)
+        collectBreakdown(m.breakdown);
+    // Collected here, inside the run's MetricsScope, because the
+    // per-drive instruments die with it; stragglers go to the flight
+    // recorder so the journal names the suspect drive.
+    auto &fleet = m.rollups[n] = util::FleetRollup::collect(util::metrics());
+    fleet.journalStragglers(static_cast<std::uint64_t>(sim.lastEventTime()));
     return result;
 }
 
 // ------------------------------------------------------------------- NFS
 
+/** One NFS configuration: @p dataset_bytes on one file striped over n
+ *  disks behind the server or, with @p parallel_files, one replica
+ *  slice per client on independent disks. */
 RunResult
-runNfs(int n, bool parallel_files)
+runNfs(int n, bool parallel_files, std::uint64_t dataset_bytes)
 {
     const util::MetricsScope run_metrics;
     sim::Simulator sim;
@@ -404,7 +456,7 @@ runNfs(int n, bool parallel_files)
 
     // Ten clients, as in the paper's configuration.
     const int n_clients = 10;
-    const std::uint64_t chunks = kDatasetBytes / apps::kChunkBytes;
+    const std::uint64_t chunks = dataset_bytes / apps::kChunkBytes;
 
     // Load data directly into the volumes (setup, untimed). Shared-file
     // NFS has one file "sales" on the striped volume holding every
@@ -428,7 +480,7 @@ runNfs(int n, bool parallel_files)
         for (std::uint64_t c = 0; c < count; ++c) {
             const auto w = runFor(
                 sim, vol.write(ino.value(), c * apps::kChunkBytes,
-                               datasetChunks().get(c * n_files + f)));
+                               datasetChunk(c * n_files + f, true)));
             NASD_ASSERT(w.ok(), "fig9 setup: load write failed");
         }
         files.push_back(fs::NfsFileHandle{vol_index, ino.value()});
@@ -454,6 +506,7 @@ runNfs(int n, bool parallel_files)
 
     // On the shared file client i scans chunks i, i + 10, ...; a
     // replica slice is scanned whole by its one client.
+    RunResult result;
     const sim::Tick start = sim.now();
     for (int i = 0; i < n_clients; ++i) {
         auto *client = clients[i].get();
@@ -461,36 +514,16 @@ runNfs(int n, bool parallel_files)
         const fs::NfsFileHandle fh = files[f];
         sim.spawn(mineChunks(
             sim, client->node().cpu(),
-            [client, fh](std::uint64_t off,
-                         std::span<std::uint8_t> out) -> sim::Task<void> {
-                auto r = co_await client->read(fh, off, out);
-                (void)r;
+            [client, fh](std::uint64_t off, std::span<std::uint8_t> out) {
+                return client->read(fh, off, out);
             },
             file_chunks[f], static_cast<std::uint64_t>(i / n_files),
-            static_cast<std::uint64_t>(n_clients / n_files), partials[i]));
+            static_cast<std::uint64_t>(n_clients / n_files), partials[i],
+            result));
     }
     sim.run();
-    const double secs = sim::toSeconds(sim.now() - start);
-
-    RunResult result;
-    result.counts.assign(kCatalogItems, 0);
-    for (const auto &partial : partials)
-        apps::mergeCounts(result.counts, partial);
-    result.aggregate_mbs =
-        util::bytesPerSecToMBs(static_cast<double>(kDatasetBytes) / secs);
+    finishRun(result, partials, sim, start);
     return result;
-}
-
-/** Record one headline point as a result gauge
- *  ("<bench>/<series>/<n>_disks_mbps"). */
-void
-record(const char *series, int disks, double mbps,
-       const char *bench = "fig9")
-{
-    util::metrics()
-        .gauge(std::string(bench) + "/" + series + "/" +
-               std::to_string(disks) + "_disks_mbps")
-        .set(mbps);
 }
 
 // ------------------------------------------------- kill-drive rebuild
@@ -591,7 +624,7 @@ runKillDrive()
     for (std::uint64_t c = 0; c < kObjectBytes / apps::kChunkBytes; ++c) {
         auto w = runFor(
             sim, control->write(id, c * apps::kChunkBytes,
-                                datasetChunks().get(c)));
+                                datasetChunk(c, false)));
         NASD_ASSERT(w.ok(), "kill-drive: load write failed");
     }
     cluster.flushAll();
@@ -773,61 +806,6 @@ printFanout(const util::Tracer &tracer)
     return report.roots;
 }
 
-/** Event-kind counts of one kill-drive phase, in phase order. */
-using PhaseCounts =
-    std::pair<std::string, std::map<std::string, std::uint64_t>>;
-
-/** Bucket every journaled event into the phase whose kPhaseBegin /
- *  kPhaseEnd markers bracket it (events outside any phase — setup,
- *  drain — are dropped). Phases appear in marker order. */
-std::vector<PhaseCounts>
-collectFleetHealth(const util::FlightRecorder &fr)
-{
-    std::vector<PhaseCounts> phases;
-    bool in_phase = false;
-    for (const auto &[journal, ev] : fr.merged()) {
-        (void)journal;
-        if (ev->kind == util::FrEvent::kPhaseBegin) {
-            phases.emplace_back(ev->detail,
-                                std::map<std::string, std::uint64_t>{});
-            in_phase = true;
-            continue;
-        }
-        if (ev->kind == util::FrEvent::kPhaseEnd) {
-            in_phase = false;
-            continue;
-        }
-        if (in_phase)
-            ++phases.back().second[util::frEventName(ev->kind)];
-    }
-    return phases;
-}
-
-/** Serialize collectFleetHealth() as a writeBenchJson extra section:
- *  `, "fleet_health": {"phases": [{"name": ..., "events": {...}}]}`. */
-std::string
-fleetHealthJson(const std::vector<PhaseCounts> &phases)
-{
-    std::string out = ", \"fleet_health\": {\"phases\": [";
-    bool first_phase = true;
-    for (const auto &[name, counts] : phases) {
-        if (!first_phase)
-            out += ", ";
-        first_phase = false;
-        out += "{\"name\": \"" + name + "\", \"events\": {";
-        bool first_kind = true;
-        for (const auto &[kind, n] : counts) {
-            if (!first_kind)
-                out += ", ";
-            first_kind = false;
-            out += "\"" + kind + "\": " + std::to_string(n);
-        }
-        out += "}}";
-    }
-    out += "]}";
-    return out;
-}
-
 /** Print the tail-exemplar table, then the merged journal window
  *  around the slowest @p focus_op sample — the flight recorder's
  *  answer to "show me the actual worst read". */
@@ -886,150 +864,266 @@ recordFleetGauges(const util::FleetRollup &roll, const std::string &base)
     }
 }
 
-/** Distinct instances flagged as stragglers across every op group. */
-std::set<std::string>
-stragglerNames(const util::FleetRollup &roll)
+/** With --slow-drive, the rollup of every drive count big enough to
+ *  flag must name exactly the slowed drive; every other rollup must be
+ *  clean. @return true if every rollup did. */
+bool
+printStragglers(const Spec &spec,
+                const std::map<int, util::FleetRollup> &rollups)
 {
-    std::set<std::string> names;
-    for (const auto *s : roll.stragglers())
-        names.insert(s->instance);
-    return names;
+    const std::string expect = "nasd" + std::to_string(spec.slow_drive);
+    std::printf("\nstraggler detection — expected suspect: %s\n",
+                expect.c_str());
+    bool all_ok = true;
+    for (const auto &[n, roll] : rollups) {
+        std::set<std::string> flagged;
+        for (const auto *suspect : roll.stragglers())
+            flagged.insert(suspect->instance);
+        const bool flaggable =
+            spec.slow_drive < n &&
+            n >= static_cast<int>(util::FleetRollup::kMinInstances);
+        const std::set<std::string> want =
+            flaggable ? std::set<std::string>{expect}
+                      : std::set<std::string>{};
+        std::string got;
+        for (const auto &name : flagged)
+            got += (got.empty() ? "" : ", ") + name;
+        const bool ok = flagged == want;
+        std::printf("  %3d drives: flagged %s — %s\n", n,
+                    got.empty() ? "(none)" : got.c_str(), ok ? "ok" : "WRONG");
+        all_ok = all_ok && ok;
+    }
+    std::printf("straggler rollup names the slowed drive and "
+                "only it: %s\n",
+                all_ok ? "yes" : "NO (BUG)");
+    return all_ok;
 }
 
-/** Dump the flight-recorder journal to `--journal PATH`, if given. */
-void
-writeJournal(const bench::BenchOptions &opts, const util::FlightRecorder &fr)
-{
-    if (opts.journal_path.empty())
-        return;
-    fr.writeJson(opts.journal_path);
-    std::printf("\nwrote %s (%llu journal events across %zu nodes)\n",
-                opts.journal_path.c_str(),
-                static_cast<unsigned long long>(fr.totalRecorded()),
-                fr.nodeCount());
-}
+// ------------------------------------------------------------- the specs
 
-// ------------------------------------------------------------ scenario
+constexpr Column kNasdMbps{"NASD MB/s", 12, 1, &Row::nasd};
 
-struct Scenario;
-int tableMain(const Scenario &s);
-
-/** One fig9_mining invocation, parsed once from the command line. */
-struct Scenario
-{
-    int (*mode)(const Scenario &) = tableMain;
-    const char *dump = "fig9";     ///< BENCH_<dump>.json by default
-    std::vector<int> drive_counts; ///< --drives N[,N...]
-    int slow_drive = -1;           ///< --slow-drive N,factor
-    double slow_factor = 1.0;
-    bench::BenchOptions opts; ///< --json / --no-json / --trace / --journal
+/** The Figure 9 table: NASD, NFS and NFS-parallel at 1..8 drives. The
+ *  poller leaves the event schedule alone, so sampling the 8-drive run
+ *  does not change the table. */
+const Spec kTable{
+    .title = "fig9_mining — parallel frequent-sets scaling, 300MB dataset",
+    .subtitle = kReference,
+    .dump = "fig9",
+    .dump_reference = kReference,
+    .dump_by_default = true,
+    .drive_counts = {1, 2, 4, 6, 8},
+    .dataset_bytes = kDatasetBytes,
+    .nfs = true,
+    .columns = {kNasdMbps,
+                {"NFS MB/s", 12, 1, &Row::nfs},
+                {"NFS-parallel MB/s", 16, 1, &Row::nfs_parallel}},
+    .timeseries = true,
+    .verdict = "itemset counts identical across all configurations",
+    .footnote = "\nPaper anchors: NASD linear at ~6.2 MB/s per "
+                "client-drive pair to ~45 MB/s at 8 drives;\nNFS "
+                "plateaus near 20.2 MB/s (readahead defeated by "
+                "interleaved streams);\nNFS-parallel plateaus near "
+                "22.5 MB/s (server CPU/interface limit).\n",
 };
 
-/** Announce the --slow-drive fault; @p scope says which runs it hits. */
+const Spec kFaultSweep{
+    .title = "fig9_mining --fault-sweep — NASD scan under a lossy network",
+    .subtitle = "fault-injection sweep (drop 1%, duplicate 0.5%, delay 1%)",
+    .dump = "fig9_faults",
+    .dump_reference = "NASD scan under a lossy network",
+    .drive_counts = {1, 2, 4, 6, 8},
+    .dataset_bytes = 32 * kMB,
+    .faults = net::FaultPlan{.drop_probability = 0.01,
+                             .duplicate_probability = 0.005,
+                             .delay_probability = 0.01,
+                             .delay_min = 0,
+                             .delay_max = sim::msec(2),
+                             .seed = 1998},
+    .columns = {kNasdMbps, {"rpc timeouts", 14, 0, &Row::rpc_timeouts}},
+    .verdict = "every drive count delivered data under faults",
+};
+
+const Spec kBreakdown{
+    .title = "fig9_mining --breakdown — where did the time go, 8-drive "
+             "NASD scan",
+    .subtitle = "latency attribution + critical path (Section 5.2 workload)",
+    .dump = "fig9_breakdown",
+    .dump_reference = "where did the time go, 8-drive NASD scan",
+    .drive_counts = {8},
+    .dataset_bytes = 32 * kMB,
+    .scan_label = "scan",
+    .breakdown = "all %d drives",
+    .tracer = true,
+};
+
+const Spec kKillDrive{
+    .title = "fig9_mining --kill-drive — RAID-5 scan with a mid-run drive "
+             "failure and online rebuild",
+    .subtitle = "Section 5.2 workload over parity-striped Cheops (degraded "
+                "service + rebuild onto a spare)",
+    .dump = "rebuild",
+    .dump_reference = "RAID-5 degraded service and online rebuild "
+                      "(Cheops over Section 5.2 workload)",
+    .dump_by_default = true,
+    .kill_drive = true,
+};
+
+/** --drives: scaling past the paper's 8 drives, N clients on N drives
+ *  with 8 MB of dataset per drive, so the scan reaches steady state at
+ *  every size without the load phase dominating. NFS is left out: this
+ *  mode asks what limits NASD. */
+const Spec kDriveSweep{
+    .title = "fig9_mining --drives — NASD scaling beyond the paper's 8 "
+             "drives",
+    .subtitle = "scaling sweep (8 MB/drive, N clients on N drives)",
+    .dump = "fig9_scale",
+    .dump_reference = "scaling sweep past Figure 9 (8 MB/drive)",
+    .dump_by_default = true,
+    .dataset_bytes = 8 * kMB,
+    .bytes_per_drive = true,
+    .columns = {kNasdMbps,
+                {"MB/s per drive", 16, 2, &Row::per_drive},
+                {"sim events", 16, 0, &Row::events}},
+    .timeseries = true,
+    .breakdown = "%d-drive run",
+    .fleet_sweep = true,
+};
+
+/** --trace: a 4-drive scan small enough for a readable timeline; each
+ *  client read fans out pfs -> cheops -> per-drive nasd/drive spans. */
+const Spec kTrace{
+    .title = "fig9_mining --trace — causal timeline of a 4-drive NASD scan",
+    .subtitle = kReference,
+    .dump = "fig9_trace",
+    .dump_reference = kReference,
+    .drive_counts = {4},
+    .dataset_bytes = 16 * kMB,
+    .scan_label = "traced scan",
+    .tracer = true,
+};
+
+// -------------------------------------------------------- run and report
+
 void
-printSlowDrive(const Scenario &s, const char *scope, const char *note)
+printSlowDrive(const Spec &spec, const std::string &scope, const char *note)
 {
     std::printf("\nfault: drive nasd%d mechanical time scaled %.1fx%s "
                 "(--slow-drive)%s\n",
-                s.slow_drive, s.slow_factor, scope, note);
+                spec.slow_drive, spec.slow_factor, scope.c_str(), note);
 }
-
-// --------------------------------------------------------------- modes
 
 /**
- * --fault-sweep: the NASD scan at 1..8 drives under a lossy network.
- * Every read must succeed, every byte must arrive and the item counts
- * must agree across drive counts; MB/s counts delivered bytes only.
+ * The one loop over drive counts: run each count, print its row,
+ * record its gauges and fold the delivery and count gates.
+ * @return true if every run delivered every byte and, where the spec
+ * asks, the item counts agree.
  */
-int
-faultSweepMain(const Scenario &)
+bool
+runDriveCounts(const Spec &spec, int largest, Measured &m)
 {
-    constexpr std::uint64_t kSweepBytes = 32 * kMB;
-    bench::banner(
-        "fig9_mining --fault-sweep — NASD scan under a lossy network",
-        "fault-injection sweep (drop 1%, duplicate 0.5%, delay 1%)");
-
-    net::FaultPlan plan;
-    plan.drop_probability = 0.01;
-    plan.duplicate_probability = 0.005;
-    plan.delay_probability = 0.01;
-    plan.delay_min = 0;
-    plan.delay_max = sim::msec(2);
-    plan.seed = 1998;
-
-    std::printf("\n%7s %12s %14s\n", "disks", "NASD MB/s",
-                "rpc timeouts");
-    bool all_deliver = true;
-    apps::ItemCounts reference;
-    for (const int n : {1, 2, 4, 6, 8}) {
-        const auto r = runNasd({.drives = n}, kSweepBytes, &plan);
-        std::printf("%7d %12.1f %14llu\n", n, r.aggregate_mbs,
-                    static_cast<unsigned long long>(r.rpc_timeouts));
-        if (reference.empty())
-            reference = r.counts;
-        if (r.failed_reads != 0 || r.delivered_bytes != kSweepBytes ||
-            r.counts != reference) {
-            std::printf("  %d drives: %llu failed reads, %llu of %llu "
-                        "bytes delivered, item counts %s\n",
-                        n, static_cast<unsigned long long>(r.failed_reads),
-                        static_cast<unsigned long long>(r.delivered_bytes),
-                        static_cast<unsigned long long>(kSweepBytes),
-                        r.counts == reference ? "agree" : "DIFFER");
-            all_deliver = false;
-        }
+    const bool slowed = spec.slow_drive >= 0;
+    if (slowed && spec.fleet_sweep)
+        printSlowDrive(spec, "",
+                       "; drive caches shrunk to 2 MB so the scan hits "
+                       "media");
+    if (!spec.columns.empty()) {
+        std::printf("\n%7s", "disks");
+        for (const Column &c : spec.columns)
+            std::printf(" %*s", c.width, c.name);
+        std::printf("\n");
     }
-    std::printf("\nevery drive count delivered data under faults: "
-                "%s\n",
-                all_deliver ? "yes" : "NO (BUG)");
-    return all_deliver ? 0 : 1;
+    if (slowed && !spec.fleet_sweep)
+        printSlowDrive(
+            spec, " in the " + std::to_string(largest) + "-drive run", "");
+
+    apps::ItemCounts reference;
+    bool ok = true;
+    for (const int n : spec.drive_counts) {
+        const bool at_largest = n == largest;
+        const std::uint64_t bytes =
+            spec.dataset_bytes *
+            (spec.bytes_per_drive ? static_cast<std::uint64_t>(n) : 1);
+        rig::ClusterSpec cluster{.drives = n};
+        // Below the 8 MB/drive working set, so the scan streams from
+        // media and the mechanical fault shows; uniform across drives,
+        // so the straggler comparison stays fair.
+        if (slowed && spec.fleet_sweep)
+            cluster.drive_cache_bytes = 2 * kMB;
+        if (slowed && (spec.fleet_sweep ? spec.slow_drive < n : at_largest)) {
+            cluster.slow_drive = spec.slow_drive;
+            cluster.slow_factor = spec.slow_factor;
+        }
+
+        const std::uint64_t before = sim::Simulator::totalEventsExecuted();
+        // Installed across runNasd, so it also sees the teardown drain.
+        if (spec.tracer && at_largest)
+            util::setTracer(&m.tracer);
+        const RunResult nasd = runNasd(spec, cluster, bytes, at_largest, m);
+        util::setTracer(nullptr);
+        Row row{.nasd = nasd.aggregate_mbs,
+                .per_drive = nasd.aggregate_mbs / n,
+                .rpc_timeouts = static_cast<double>(nasd.rpc_timeouts),
+                .events = static_cast<double>(
+                    sim::Simulator::totalEventsExecuted() - before)};
+        std::vector<std::pair<const char *, RunResult>> runs{{"nasd", nasd}};
+        if (spec.nfs) {
+            runs.emplace_back("nfs", runNfs(n, false, bytes));
+            runs.emplace_back("nfs_parallel", runNfs(n, true, bytes));
+            row.nfs = runs[1].second.aggregate_mbs;
+            row.nfs_parallel = runs[2].second.aggregate_mbs;
+        }
+        if (spec.columns.empty()) {
+            std::printf("\n%s: %.1f MB/s aggregate over %d drives\n",
+                        spec.scan_label, row.nasd, n);
+        } else {
+            std::printf("%7d", n);
+            for (const Column &c : spec.columns)
+                std::printf(" %*.*f", c.width, c.precision, row.*c.value);
+            std::printf("\n");
+        }
+
+        if (reference.empty())
+            reference = nasd.counts;
+        for (const auto &[series, r] : runs) {
+            util::metrics()
+                .gauge(std::string(spec.dump) + "/" + series + "/" +
+                       std::to_string(n) + "_disks_mbps")
+                .set(r.aggregate_mbs);
+            const bool agree = r.counts == reference;
+            if (r.failed_reads == 0 && r.delivered_bytes == bytes &&
+                (agree || spec.verdict == nullptr))
+                continue;
+            std::printf("  %d drives (%s): %llu failed reads, %llu of %llu "
+                        "bytes delivered, item counts %s\n",
+                        n, series,
+                        static_cast<unsigned long long>(r.failed_reads),
+                        static_cast<unsigned long long>(r.delivered_bytes),
+                        static_cast<unsigned long long>(bytes),
+                        agree ? "agree" : "DIFFER");
+            ok = false;
+        }
+        if (spec.fleet_sweep || at_largest)
+            recordFleetGauges(m.rollups[n],
+                              std::string(spec.dump) + "/fleet/" +
+                                  (spec.fleet_sweep
+                                       ? std::to_string(n) + "_disks_read"
+                                       : "read"));
+    }
+    if (spec.verdict != nullptr)
+        std::printf("\n%s: %s\n", spec.verdict, ok ? "yes" : "NO (BUG)");
+    if (spec.footnote != nullptr)
+        std::printf("%s", spec.footnote);
+    return ok;
 }
 
-/** --breakdown: where the time of an 8-drive scan went. */
-int
-breakdownMain(const Scenario &)
+/** Print the kill-drive phase and fleet-health tables, record its
+ *  gauges and leave its fleet_health json section in @p m.
+ *  @return true if every phase moved data and the rebuild completed. */
+bool
+reportKillDrive(const KillDriveResult &r, const util::FlightRecorder &fr,
+                Measured &m)
 {
-    bench::banner(
-        "fig9_mining --breakdown — where did the time go, 8-drive "
-        "NASD scan",
-        "latency attribution + critical path (Section 5.2 workload)");
-
-    // Trace in memory (never written) to feed the critical-path
-    // analyzer alongside the registry's attribution counters; the
-    // flight scope gives the run fresh journals and exemplars.
-    util::FlightRecorderScope flight;
-    util::Tracer tracer;
-    util::setTracer(&tracer);
-    std::map<std::string, OpBreakdown> breakdown;
-    NasdRunExtras extras;
-    extras.breakdown = &breakdown;
-    const auto r = runNasd({.drives = 8}, 32 * kMB, nullptr, &extras);
-    util::setTracer(nullptr);
-    std::printf("\nscan: %.1f MB/s aggregate over 8 drives\n",
-                r.aggregate_mbs);
-
-    const bool reconciled = printBreakdown("all 8 drives", breakdown);
-    const std::uint64_t roots = printFanout(tracer);
-
-    printTailExemplars(flight.recorder(), "read");
-    return reconciled && roots > 0 ? 0 : 1;
-}
-
-/** --kill-drive: RAID-5 scan through a drive failure and rebuild. */
-int
-killDriveMain(const Scenario &s)
-{
-    bench::banner(
-        "fig9_mining --kill-drive — RAID-5 scan with a mid-run drive "
-        "failure and online rebuild",
-        "Section 5.2 workload over parity-striped Cheops (degraded "
-        "service + rebuild onto a spare)");
-
-    // Installed before runKillDrive builds its Network: NetNodes
-    // cache their journal reference at construction, so the scope
-    // must already be current (and must outlive the run so the
-    // journal can be reported after it returns).
-    util::FlightRecorderScope flight;
-    const KillDriveResult r = runKillDrive();
     const auto &prog = r.rebuild;
     const double rebuild_ms =
         static_cast<double>(prog.finished_at - prog.started_at) / 1e6;
@@ -1057,14 +1151,36 @@ killDriveMain(const Scenario &s)
     std::printf("foreground impact while rebuilding: %.1f%% of "
                 "healthy bandwidth\n", impact_pct);
 
-    const auto phases = collectFleetHealth(flight.recorder());
+    // Event-kind counts per phase: every journaled event between a
+    // kPhaseBegin and its kPhaseEnd (setup and drain fall outside).
+    std::vector<std::pair<std::string, std::map<std::string, std::uint64_t>>>
+        phases;
+    bool in_phase = false;
+    for (const auto &entry : fr.merged()) {
+        const auto kind = entry.second->kind;
+        if (kind == util::FrEvent::kPhaseBegin)
+            phases.emplace_back(entry.second->detail,
+                                std::map<std::string, std::uint64_t>{});
+        else if (in_phase && kind != util::FrEvent::kPhaseEnd)
+            ++phases.back().second[util::frEventName(kind)];
+        if (kind == util::FrEvent::kPhaseBegin ||
+            kind == util::FrEvent::kPhaseEnd)
+            in_phase = kind == util::FrEvent::kPhaseBegin;
+    }
     std::printf("\nfleet health — journal events per phase:\n");
     std::printf("  %-14s %8s %10s %10s %10s %8s\n", "phase", "events",
                 "degr_read", "degr_write", "write_thru", "fences");
+    std::string json;
     for (const auto &[name, counts] : phases) {
         std::uint64_t total = 0;
-        for (const auto &[kind, n] : counts)
+        std::string events;
+        for (const auto &[kind, n] : counts) {
             total += n;
+            events += (events.empty() ? "\"" : ", \"") + kind +
+                      "\": " + std::to_string(n);
+        }
+        json += (json.empty() ? "{\"name\": \"" : ", {\"name\": \"") +
+                name + "\", \"events\": {" + events + "}}";
         const auto get = [&counts](const char *k) {
             const auto it = counts.find(k);
             return it == counts.end() ? std::uint64_t{0} : it->second;
@@ -1076,290 +1192,191 @@ killDriveMain(const Scenario &s)
                     static_cast<unsigned long long>(get("write_through")),
                     static_cast<unsigned long long>(get("version_fence")));
     }
+    m.extra_json = ", \"fleet_health\": {\"phases\": [" + json + "]}";
 
-    writeJournal(s.opts, flight.recorder());
+    auto &g = util::metrics();
+    g.gauge("rebuild/healthy_mbps").set(r.healthy_mbps);
+    g.gauge("rebuild/degraded_mbps").set(r.degraded_mbps);
+    g.gauge("rebuild/during_rebuild_mbps").set(r.rebuild_window_mbps);
+    g.gauge("rebuild/post_rebuild_mbps").set(r.post_mbps);
+    g.gauge("rebuild/rebuild_ms").set(rebuild_ms);
+    g.gauge("rebuild/throttle_wait_ms").set(throttle_wait_ms);
+    g.gauge("rebuild/foreground_impact_pct").set(impact_pct);
+    g.gauge("rebuild/reconstructed_mb").set(reconstructed_mb);
+    return r.healthy_mbps > 0.0 && r.degraded_mbps > 0.0 &&
+           r.rebuild_window_mbps > 0.0 && r.post_mbps > 0.0 &&
+           !prog.active && prog.rows_done == prog.rows_total;
+}
 
-    auto &m = util::metrics();
-    m.gauge("rebuild/healthy_mbps").set(r.healthy_mbps);
-    m.gauge("rebuild/degraded_mbps").set(r.degraded_mbps);
-    m.gauge("rebuild/during_rebuild_mbps").set(r.rebuild_window_mbps);
-    m.gauge("rebuild/post_rebuild_mbps").set(r.post_mbps);
-    m.gauge("rebuild/rebuild_ms").set(rebuild_ms);
-    m.gauge("rebuild/throttle_wait_ms").set(throttle_wait_ms);
-    m.gauge("rebuild/foreground_impact_pct").set(impact_pct);
-    m.gauge("rebuild/reconstructed_mb").set(reconstructed_mb);
-    bench::writeBenchJson(s.opts, s.dump,
-                          "RAID-5 degraded service and online rebuild "
-                          "(Cheops over Section 5.2 workload)",
-                          nullptr, fleetHealthJson(phases));
-    const bool ok = r.healthy_mbps > 0.0 && r.degraded_mbps > 0.0 &&
-                    r.rebuild_window_mbps > 0.0 && r.post_mbps > 0.0 &&
-                    !prog.active && prog.rows_done == prog.rows_total;
+/**
+ * Run @p spec, then its one report: the breakdown, fan-out, tail
+ * exemplars and straggler table where the spec has them, the journal
+ * (--journal), the BENCH json and the Chrome trace (--trace).
+ * @return the exit status, 0 if every gate held.
+ */
+int
+runSpec(const Spec &spec, const bench::BenchOptions &opts)
+{
+    bench::banner(spec.title, spec.subtitle);
+    // Installed before any run builds its Network (NetNodes cache their
+    // journal at construction), so the journal holds this spec's runs.
+    util::FlightRecorderScope flight;
+    const util::FlightRecorder &fr = flight.recorder();
+    const int largest =
+        spec.kill_drive ? 0 : std::ranges::max(spec.drive_counts);
+    Measured m;
+    bool ok = spec.kill_drive ? reportKillDrive(runKillDrive(), fr, m)
+                              : runDriveCounts(spec, largest, m);
+
+    if (spec.breakdown != nullptr) {
+        char scope[64];
+        std::snprintf(scope, sizeof scope, spec.breakdown, largest);
+        ok = printBreakdown(scope, m.breakdown) && ok;
+    }
+    if (spec.tracer)
+        ok = printFanout(m.tracer) > 0 && ok;
+    if (spec.breakdown != nullptr && spec.tracer)
+        printTailExemplars(fr, "read");
+    if (spec.fleet_sweep && spec.slow_drive >= 0)
+        ok = printStragglers(spec, m.rollups) && ok;
+
+    if (!opts.journal_path.empty()) {
+        fr.writeJson(opts.journal_path);
+        std::printf("\nwrote %s (%llu journal events across %zu nodes)\n",
+                    opts.journal_path.c_str(),
+                    static_cast<unsigned long long>(fr.totalRecorded()),
+                    fr.nodeCount());
+    }
+    // With a rollup per count all ride along; the top-level fleet_rollup
+    // is the largest run's, which the dashboard pairs with the series.
+    if (spec.fleet_sweep) {
+        std::string rollups;
+        for (const auto &[n, roll] : m.rollups)
+            rollups += (rollups.empty() ? "\"" : ", \"") +
+                       std::to_string(n) + "\": " + roll.toJson();
+        m.extra_json += ", \"fleet_rollups\": {" + rollups + "}";
+    }
+    bench::writeBenchJson(
+        opts, spec.dump, spec.dump_reference,
+        spec.timeseries ? &m.timeseries : nullptr, m.extra_json,
+        m.rollups.empty() ? std::string{} : m.rollups[largest].toJson());
+    if (!opts.trace_path.empty()) {
+        m.tracer.writeJson(opts.trace_path);
+        std::printf("wrote %s (%zu spans) — load into chrome://tracing "
+                    "or https://ui.perfetto.dev\n",
+                    opts.trace_path.c_str(), m.tracer.spanCount());
+    }
     return ok ? 0 : 1;
 }
 
-/**
- * --drives: scaling sweep past the paper's 8-drive ceiling. N drives,
- * N clients, 8 MB of dataset per drive so the scan reaches steady
- * state at every size without the load phase dominating. NFS is
- * omitted — the single-server bottleneck is the point of Figure 9;
- * this mode asks what limits *NASD*.
- */
-int
-driveSweepMain(const Scenario &s)
+// ---------------------------------------------------------------- parse
+
+[[noreturn]] void
+usage(const std::string &why)
 {
-    bench::banner(
-        "fig9_mining --drives — NASD scaling beyond the paper's 8 "
-        "drives",
-        "scaling sweep (8 MB/drive, N clients on N drives)");
-    if (s.slow_drive >= 0)
-        printSlowDrive(s, "",
-                       "; drive caches shrunk to 2 MB so the scan hits "
-                       "media");
-
-    constexpr std::uint64_t kScaleBytesPerDrive = 8 * kMB;
-    const int largest =
-        *std::max_element(s.drive_counts.begin(), s.drive_counts.end());
-    std::map<std::string, OpBreakdown> breakdown;
-    // One fleet rollup per drive count (keyed by count, so the
-    // "fleet_rollups" JSON section is ordered and deterministic);
-    // the largest run also gets the time series.
-    std::map<int, util::FleetRollup> rollups;
-    util::TimeSeries timeseries(kSampleInterval);
-    // Scope the journal so kDriveSlowdown / kStragglerSuspect events
-    // land in a fresh journal this mode can dump via --journal.
-    util::FlightRecorderScope flight;
-
-    std::printf("\n%7s %12s %16s %16s\n", "disks", "NASD MB/s",
-                "MB/s per drive", "sim events");
-    bool all_deliver = true;
-    for (const int n : s.drive_counts) {
-        NasdRunExtras extras;
-        extras.fleet = &rollups[n];
-        rig::ClusterSpec spec{.drives = n};
-        if (s.slow_drive >= 0) {
-            if (s.slow_drive < n) {
-                spec.slow_drive = s.slow_drive;
-                spec.slow_factor = s.slow_factor;
-            }
-            // Shrink the drive cache below the 8 MB/drive working
-            // set so the scan streams from media; otherwise every
-            // read is a RAM hit and the mechanical fault is
-            // invisible. Uniform across drives, so the straggler
-            // comparison stays fair.
-            spec.drive_cache_bytes = 2 * kMB;
-        }
-        if (n == largest) {
-            extras.breakdown = &breakdown;
-            extras.timeseries = &timeseries;
-        }
-        const std::uint64_t before = sim::Simulator::totalEventsExecuted();
-        const auto r = runNasd(
-            spec, static_cast<std::uint64_t>(n) * kScaleBytesPerDrive,
-            nullptr, &extras);
-        const std::uint64_t events =
-            sim::Simulator::totalEventsExecuted() - before;
-        record("nasd", n, r.aggregate_mbs, "fig9_scale");
-        recordFleetGauges(rollups[n], "fig9_scale/fleet/" +
-                                          std::to_string(n) +
-                                          "_disks_read");
-        std::printf("%7d %12.1f %16.2f %16llu\n", n, r.aggregate_mbs,
-                    r.aggregate_mbs / n,
-                    static_cast<unsigned long long>(events));
-        all_deliver = all_deliver && r.aggregate_mbs > 0.0;
-    }
-
-    const bool reconciled = printBreakdown(
-        std::to_string(largest) + "-drive run", breakdown);
-
-    // Straggler gate: with --slow-drive the rollup of every count
-    // big enough to flag must name exactly the slowed drive; every
-    // other rollup must be clean.
-    bool stragglers_ok = true;
-    if (s.slow_drive >= 0) {
-        const std::string expect = "nasd" + std::to_string(s.slow_drive);
-        std::printf("\nstraggler detection — expected suspect: %s\n",
-                    expect.c_str());
-        for (const auto &[n, roll] : rollups) {
-            const std::set<std::string> flagged = stragglerNames(roll);
-            const bool flaggable =
-                s.slow_drive < n &&
-                n >= static_cast<int>(util::FleetRollup::kMinInstances);
-            const std::set<std::string> want =
-                flaggable ? std::set<std::string>{expect}
-                          : std::set<std::string>{};
-            std::string got = "(none)";
-            if (!flagged.empty()) {
-                got.clear();
-                for (const auto &name : flagged)
-                    got += (got.empty() ? "" : ", ") + name;
-            }
-            const bool ok = flagged == want;
-            std::printf("  %3d drives: flagged %s — %s\n", n, got.c_str(),
-                        ok ? "ok" : "WRONG");
-            stragglers_ok = stragglers_ok && ok;
-        }
-        std::printf("straggler rollup names the slowed drive and "
-                    "only it: %s\n",
-                    stragglers_ok ? "yes" : "NO (BUG)");
-    }
-
-    writeJournal(s.opts, flight.recorder());
-
-    // Every drive count's rollup rides along; the top-level
-    // fleet_rollup section carries the largest run's (the one the
-    // dashboard pairs with the time series).
-    std::string rollups_json = ", \"fleet_rollups\": {";
-    bool first = true;
-    for (const auto &[n, roll] : rollups) {
-        if (!first)
-            rollups_json += ", ";
-        first = false;
-        rollups_json += "\"" + std::to_string(n) + "\": " + roll.toJson();
-    }
-    rollups_json += "}";
-    bench::writeBenchJson(s.opts, s.dump,
-                          "scaling sweep past Figure 9 (8 MB/drive)",
-                          &timeseries, rollups_json,
-                          rollups[largest].toJson());
-    return all_deliver && reconciled && stragglers_ok ? 0 : 1;
+    std::fprintf(stderr,
+                 "fig9_mining: %s\n"
+                 "usage: fig9_mining [--fault-sweep | --breakdown | "
+                 "--kill-drive | --drives N[,N...]]\n"
+                 "         [--slow-drive N,FACTOR] [--json PATH | "
+                 "--no-json] [--trace PATH] [--journal PATH]\n",
+                 why.c_str());
+    std::exit(2);
 }
 
 /**
- * --trace: a short 4-drive scan with the tracer installed, small
- * enough that the timeline stays readable. The Chrome trace shows
- * each client read fanning out pfs -> cheops -> per-drive nasd/drive
- * spans.
+ * Pick the spec from the mode flag (the table without one, the trace
+ * spec for a bare --trace) and adjust it with --drives, --slow-drive
+ * and --trace; the shared flags fill @p opts. A second mode flag, a bad
+ * value or a flag the spec cannot honour is a usage error.
  */
-int
-traceMain(const Scenario &s)
+Spec
+parseScenario(int argc, char **argv, bench::BenchOptions &opts)
 {
-    bench::banner(
-        "fig9_mining --trace — causal timeline of a 4-drive NASD scan",
-        kReference);
-    bench::BenchTracer tracer(s.opts);
-    const auto traced = runNasd({.drives = 4}, 16 * kMB);
-    std::printf("\ntraced scan: %.1f MB/s aggregate over 4 drives\n",
-                traced.aggregate_mbs);
-    // BenchTracer writes the timeline on destruction.
-    return printFanout(tracer.tracer()) > 0 ? 0 : 1;
-}
-
-/** The Figure 9 table: NASD, NFS and NFS-parallel at 1..8 drives. */
-int
-tableMain(const Scenario &s)
-{
-    bench::banner(
-        "fig9_mining — parallel frequent-sets scaling, 300MB dataset",
-        kReference);
-
-    std::printf("\n%7s %12s %12s %16s\n", "disks", "NASD MB/s",
-                "NFS MB/s", "NFS-parallel MB/s");
-
-    // The 8-drive run is sampled into a fixed-interval time series
-    // that rides along in BENCH_fig9.json (the poller does not perturb
-    // the event schedule, so the printed table is unaffected). Its
-    // fleet rollup becomes the dump's fleet_rollup section and the
-    // fig9/fleet read-tail gauges.
-    util::TimeSeries timeseries(kSampleInterval);
-    util::FleetRollup fleet;
-    NasdRunExtras sampled;
-    sampled.timeseries = &timeseries;
-    sampled.fleet = &fleet;
-    if (s.slow_drive >= 0) {
-        NASD_ASSERT(s.slow_drive < 8,
-                    "--slow-drive: fig9's sampled run has 8 drives");
-        printSlowDrive(s, " in the 8-drive run", "");
-    }
-
-    datasetChunks().memoize();
-    apps::ItemCounts reference;
-    bool counts_agree = true;
-    for (const int n : {1, 2, 4, 6, 8}) {
-        rig::ClusterSpec spec{.drives = n};
-        if (n == 8) {
-            spec.slow_drive = s.slow_drive;
-            spec.slow_factor = s.slow_factor;
-        }
-        const auto nasd = runNasd(spec, kDatasetBytes, nullptr,
-                                  n == 8 ? &sampled : nullptr);
-        const auto nfs = runNfs(n, false);
-        const auto nfsp = runNfs(n, true);
-        record("nasd", n, nasd.aggregate_mbs);
-        record("nfs", n, nfs.aggregate_mbs);
-        record("nfs_parallel", n, nfsp.aggregate_mbs);
-        std::printf("%7d %12.1f %12.1f %16.1f\n", n, nasd.aggregate_mbs,
-                    nfs.aggregate_mbs, nfsp.aggregate_mbs);
-        if (reference.empty())
-            reference = nasd.counts;
-        counts_agree = counts_agree && nasd.counts == reference &&
-                       nfs.counts == reference &&
-                       nfsp.counts == reference;
-    }
-
-    std::printf("\nitemset counts identical across all configurations: "
-                "%s\n",
-                counts_agree ? "yes" : "NO (BUG)");
-    std::printf("\nPaper anchors: NASD linear at ~6.2 MB/s per "
-                "client-drive pair to ~45 MB/s at 8 drives;\nNFS "
-                "plateaus near 20.2 MB/s (readahead defeated by "
-                "interleaved streams);\nNFS-parallel plateaus near "
-                "22.5 MB/s (server CPU/interface limit).\n");
-
-    recordFleetGauges(fleet, "fig9/fleet/read");
-    bench::writeBenchJson(s.opts, s.dump, kReference, &timeseries, {},
-                          fleet.toJson());
-    return counts_agree ? 0 : 1;
-}
-
-/** Parse argv: the mode flags and --slow-drive here, everything else
- *  through the shared bench options. */
-Scenario
-parseScenario(int argc, char **argv)
-{
-    Scenario s;
-    std::vector<char *> shared{argv[0]};
+    Spec spec = kTable;
+    const char *mode = nullptr;
+    std::optional<std::string> json; // --json PATH, or "" for --no-json
+    int slow_drive = -1;
+    double slow_factor = 1.0;
     for (int i = 1; i < argc; ++i) {
         const std::string_view arg = argv[i];
-        const bool has_value = i + 1 < argc;
+        const auto value = [&]() -> std::string_view {
+            if (i + 1 >= argc)
+                usage(std::string(arg) + " needs a value");
+            return argv[++i];
+        };
+        // All of `text` as a number of the type of `zero`.
+        const auto number = [&arg](std::string_view text, auto zero) {
+            const char *end = text.data() + text.size();
+            const auto [stop, ec] = std::from_chars(text.data(), end, zero);
+            if (ec != std::errc() || stop != end)
+                usage(std::string(arg) + ": '" + std::string(text) +
+                      "' is not a number");
+            return zero;
+        };
+        const auto pick = [&](const Spec &picked) {
+            if (mode != nullptr)
+                usage(std::string(arg) + " conflicts with " + mode);
+            mode = argv[i];
+            spec = picked;
+        };
         if (arg == "--fault-sweep") {
-            s.mode = faultSweepMain;
+            pick(kFaultSweep);
         } else if (arg == "--breakdown") {
-            s.mode = breakdownMain;
+            pick(kBreakdown);
         } else if (arg == "--kill-drive") {
-            s.mode = killDriveMain;
-            s.dump = "rebuild";
-        } else if (arg == "--drives" && has_value) {
-            s.mode = driveSweepMain;
-            s.dump = "fig9_scale";
-            const std::string list = argv[++i];
-            for (std::size_t pos = 0; pos < list.size();) {
+            pick(kKillDrive);
+        } else if (arg == "--drives") {
+            pick(kDriveSweep);
+            const std::string_view list = value();
+            for (std::size_t pos = 0; pos <= list.size();) {
                 const auto comma = std::min(list.find(',', pos), list.size());
-                const int n = std::stoi(list.substr(pos, comma - pos));
-                NASD_ASSERT(n > 0, "--drives: counts must be positive");
-                s.drive_counts.push_back(n);
+                const int n = number(list.substr(pos, comma - pos), 0);
+                if (n <= 0)
+                    usage("--drives: counts must be positive");
+                spec.drive_counts.push_back(n);
                 pos = comma + 1;
             }
-        } else if (arg == "--slow-drive" && has_value) {
-            const std::string spec = argv[++i];
-            const auto comma = spec.find(',');
-            NASD_ASSERT(comma != std::string::npos,
-                        "--slow-drive expects N,factor (e.g. 3,3.0)");
-            s.slow_drive = std::stoi(spec.substr(0, comma));
-            s.slow_factor = std::stod(spec.substr(comma + 1));
-            NASD_ASSERT(s.slow_drive >= 0,
-                        "--slow-drive: drive index must be >= 0");
-            NASD_ASSERT(s.slow_factor >= 1.0,
-                        "--slow-drive: factor must be >= 1.0");
+        } else if (arg == "--slow-drive") {
+            const std::string_view fault = value();
+            const auto comma = std::min(fault.find(','), fault.size());
+            slow_drive = number(fault.substr(0, comma), 0);
+            slow_factor = number(fault.substr(std::min(comma + 1,
+                                                       fault.size())),
+                                 0.0);
+            if (slow_drive < 0 || slow_factor < 1.0)
+                usage("--slow-drive expects N,factor with N >= 0 and "
+                      "factor >= 1.0 (e.g. 3,3.0)");
+        } else if (arg == "--json") {
+            json = value();
+        } else if (arg == "--no-json") {
+            json = "";
+        } else if (arg == "--trace") {
+            opts.trace_path = value();
+        } else if (arg == "--journal") {
+            opts.journal_path = value();
         } else {
-            shared.push_back(argv[i]);
+            usage("unknown argument '" + std::string(arg) + "'");
         }
     }
-    s.opts = bench::parseOptions(s.dump, static_cast<int>(shared.size()),
-                                 shared.data());
-    if (s.mode == tableMain && !s.opts.trace_path.empty())
-        s.mode = traceMain;
-    return s;
+
+    const bool traced = !opts.trace_path.empty();
+    if (mode == nullptr && traced)
+        spec = kTrace;
+    if (spec.kill_drive && (traced || slow_drive >= 0))
+        usage("--kill-drive takes neither --trace nor --slow-drive");
+    spec.tracer = spec.tracer || traced;
+    const int largest =
+        spec.kill_drive ? 0 : std::ranges::max(spec.drive_counts);
+    if (!spec.fleet_sweep && slow_drive >= largest)
+        usage("--slow-drive: the largest run has " + std::to_string(largest) +
+              " drives");
+    spec.slow_drive = slow_drive;
+    spec.slow_factor = slow_factor;
+    opts.json_path = json.value_or(
+        spec.dump_by_default ? "BENCH_" + std::string(spec.dump) + ".json"
+                             : "");
+    return spec;
 }
 
 } // namespace
@@ -1367,6 +1384,7 @@ parseScenario(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    const Scenario s = parseScenario(argc, argv);
-    return s.mode(s);
+    bench::BenchOptions opts;
+    const Spec spec = parseScenario(argc, argv, opts);
+    return runSpec(spec, opts);
 }

@@ -88,7 +88,8 @@ main()
     NasdClient client(net, client_node, drive);
     sim.spawn(drive.format());
     sim.run();
-    (void)drive.store().createPartition(0, 256 * kMB);
+    if (!drive.store().createPartition(0, 256 * kMB).ok())
+        return 1;
 
     // Load 8 MB of transactions.
     CapabilityPublic pc;
@@ -105,9 +106,16 @@ main()
     CredentialFactory cred(issuer.mint(po));
 
     apps::TransactionGenerator gen(apps::DatasetParams{});
-    for (std::uint64_t c = 0; c < 4; ++c)
-        (void)runFor(sim, client.write(cred, c * apps::kChunkBytes,
-                                       gen.chunk(c)));
+    for (std::uint64_t c = 0; c < 4; ++c) {
+        const auto w = runFor(
+            sim, client.write(cred, c * apps::kChunkBytes, gen.chunk(c)));
+        if (!w.ok()) {
+            std::printf("load of chunk %llu failed: %s\n",
+                        static_cast<unsigned long long>(c),
+                        toString(w.error()));
+            return 1;
+        }
+    }
     std::printf("loaded 8MB of transactions on %s (10 Mb/s network)\n",
                 drive.name().c_str());
 

@@ -7,10 +7,12 @@
  * and policy changes go to the file manager; reads, writes and
  * attribute reads go straight to the drives with capabilities
  * piggybacked on lookup replies; revocation pushes a client back to
- * the file manager exactly once.
+ * the file manager exactly once. Every step's status is checked and
+ * bob's reads must return alice's bytes; any failure exits 1.
  *
  * Build & run:  ./build/examples/nfs_port
  */
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <vector>
@@ -60,7 +62,11 @@ main()
     const std::string text =
         "NASD: eliminate the server from the data path.";
     std::vector<std::uint8_t> data(text.begin(), text.end());
-    (void)runFor(sim, alice.write(report, 0, data));
+    const auto wrote = runFor(sim, alice.write(report, 0, data));
+    if (!wrote.ok()) {
+        std::printf("alice's write failed: %s\n", toString(wrote.error()));
+        return 1;
+    }
     std::printf("alice wrote docs/report.txt (%zu bytes) on drive %u\n",
                 data.size(), report.drive);
 
@@ -69,7 +75,25 @@ main()
     const auto found = runFor(sim, bob.lookup(docs, "report.txt")).value();
     const auto fm_calls_after_lookup = bob.fmCalls();
     std::vector<std::uint8_t> buf(data.size());
-    (void)runFor(sim, bob.read(found, 0, buf));
+    // A read must succeed, fill the buffer and return alice's bytes.
+    const auto read_back = [&](const char *which) {
+        std::fill(buf.begin(), buf.end(), 0);
+        const auto got = runFor(sim, bob.read(found, 0, buf));
+        if (!got.ok()) {
+            std::printf("bob's %s read failed: %s\n", which,
+                        toString(got.error()));
+            return false;
+        }
+        if (got.value() != data.size() || buf != data) {
+            std::printf("bob's %s read returned %llu bytes that differ "
+                        "from alice's\n",
+                        which, static_cast<unsigned long long>(got.value()));
+            return false;
+        }
+        return true;
+    };
+    if (!read_back("first"))
+        return 1;
     std::printf("bob read: \"%.*s\"\n", static_cast<int>(buf.size()),
                 reinterpret_cast<const char *>(buf.data()));
     std::printf("bob's file-manager calls during the read: %llu "
@@ -84,14 +108,19 @@ main()
 
     // The FM revokes (e.g. permissions changed): bob's next read pays
     // exactly one refresh round trip, then proceeds.
-    (void)runFor(
+    const auto revoked = runFor(
         sim, [](fs::NasdNfsFileManager &m,
                 fs::NasdNfsFh fh) -> sim::Task<fs::NfsStatus> {
             auto r = co_await m.serveRevoke(fh);
             co_return r.status;
         }(fm, found));
+    if (revoked != fs::NfsStatus::kOk) {
+        std::printf("revoke failed: %s\n", toString(revoked));
+        return 1;
+    }
     const auto fm_calls_before = bob.fmCalls();
-    (void)runFor(sim, bob.read(found, 0, buf));
+    if (!read_back("second"))
+        return 1;
     std::printf("after revocation, bob re-fetched %llu capability and "
                 "read again: \"%.*s\"\n",
                 static_cast<unsigned long long>(bob.fmCalls() -

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Bit-determinism gate: run fig6, fig9, the scaled fig9 --drives
-# configuration and active_disks twice each and require the two
+# Bit-determinism gate: run fig6, fig9 (the table, --fault-sweep,
+# --breakdown, --drives 64, --drives 8 --slow-drive 3,3.0 and
+# --kill-drive) and active_disks twice each and require the two
 # BENCH_*.json dumps (metrics + timeseries) and printed outputs to be
 # byte-identical.
 # Every bench baseline and seeded-fault test silently assumes the
@@ -12,29 +13,47 @@
 # (scheduler throughput, see bench_util.h), is normalized out of the
 # JSON before comparison; it is never printed to stdout.
 #
-# Benches that support --journal (fig9_mining --kill-drive) also dump
-# their flight-recorder journal on each pass, and the two journals must
-# be byte-identical — the journal's whole contract is sim-time stamps
-# and counter-derived sequence numbers, nothing wall-clock.
+# Runs marked "journal" (fig9_mining --kill-drive, --breakdown) also
+# dump their flight-recorder journal on each pass, and the two journals
+# must be byte-identical — the journal's whole contract is sim-time
+# stamps and counter-derived sequence numbers, nothing wall-clock.
 #
-# Usage: tools/check_determinism.sh [build-dir]
+# With a second build dir, pass 1 runs that build's binaries (say, the
+# parent commit's) and pass 2 this one's, so the same comparison shows
+# a change is byte-identical to its parent.
+#
+# Usage: tools/check_determinism.sh [build-dir [parent-build-dir]]
 set -u
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD_DIR="${1:-$ROOT/build}"
+PARENT_DIR="${2:-}"
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
 STATUS=0
 
-run_twice() {
-    local name="$1" journal="$2" bin="$BUILD_DIR/bench/$3"
-    shift 3
-    if [ ! -x "$bin" ]; then
-        echo "missing bench binary $bin; build first"
+# same NAME WHAT FILE1 FILE2: require FILE1 and FILE2 to be identical.
+same() {
+    if ! cmp -s "$3" "$4"; then
+        echo "$1: $2 differ between the two passes:"
+        diff "$3" "$4" | head -20
         return 1
     fi
+}
+
+run_twice() {
+    local name="$1" journal="$2" bench="$3"
+    shift 3
     local rc=0
     for pass in 1 2; do
+        local bin="$BUILD_DIR/bench/$bench"
+        if [ "$pass" = 1 ] && [ -n "$PARENT_DIR" ]; then
+            bin="$PARENT_DIR/bench/$bench"
+        fi
+        if [ ! -x "$bin" ]; then
+            echo "missing bench binary $bin; build first"
+            return 1
+        fi
         local journal_args=()
         if [ "$journal" = "journal" ]; then
             journal_args=(--journal "$WORK/${name}_$pass.flight.json")
@@ -55,34 +74,34 @@ run_twice() {
         # runs; everything else in the dump must not. Normalize to 0
         # (not a placeholder token) so the dump stays valid JSON for
         # the dashboard render below.
-        sed -i 's|"sim/events_per_sec": [^,}]*|"sim/events_per_sec": 0|' \
-            "$WORK/${name}_$pass.json"
+        if [ -f "$WORK/${name}_$pass.json" ]; then
+            sed -i 's|"sim/events_per_sec": [^,}]*|"sim/events_per_sec": 0|' \
+                "$WORK/${name}_$pass.json"
+        fi
     done
-    if ! cmp -s "$WORK/${name}_1.json" "$WORK/${name}_2.json"; then
-        echo "$name: BENCH json dumps differ between identical runs:"
-        diff "$WORK/${name}_1.json" "$WORK/${name}_2.json" | head -20
-        rc=1
+    same "$name" "BENCH json dumps" "$WORK/${name}_1.json" \
+        "$WORK/${name}_2.json" || rc=1
+    if [ "$journal" = "journal" ]; then
+        same "$name" "flight journals" "$WORK/${name}_1.flight.json" \
+            "$WORK/${name}_2.flight.json" || rc=1
     fi
-    if [ "$journal" = "journal" ] && \
-            ! cmp -s "$WORK/${name}_1.flight.json" \
-                     "$WORK/${name}_2.flight.json"; then
-        echo "$name: flight journals differ between identical runs:"
-        diff "$WORK/${name}_1.flight.json" "$WORK/${name}_2.flight.json" \
-            | head -20
-        rc=1
+    same "$name" "printed outputs" "$WORK/${name}_1.txt" \
+        "$WORK/${name}_2.txt" || rc=1
+    if [ $rc -eq 0 ] && [ -n "$PARENT_DIR" ]; then
+        echo "$name: identical to the parent build (json + stdout)"
+    elif [ $rc -eq 0 ]; then
+        echo "$name: deterministic (json + stdout identical)"
     fi
-    if ! cmp -s "$WORK/${name}_1.txt" "$WORK/${name}_2.txt"; then
-        echo "$name: printed outputs differ between identical runs:"
-        diff "$WORK/${name}_1.txt" "$WORK/${name}_2.txt" | head -20
-        rc=1
-    fi
-    [ $rc -eq 0 ] && echo "$name: deterministic (json + stdout identical)"
     return $rc
 }
 
 run_twice fig6 nojournal fig6_bandwidth || STATUS=1
 run_twice fig9 nojournal fig9_mining || STATUS=1
+run_twice fig9_faults nojournal fig9_mining --fault-sweep || STATUS=1
+run_twice fig9_breakdown journal fig9_mining --breakdown || STATUS=1
 run_twice fig9_scale64 nojournal fig9_mining --drives 64 || STATUS=1
+run_twice fig9_slow8 nojournal fig9_mining --drives 8 --slow-drive 3,3.0 \
+    || STATUS=1
 run_twice rebuild journal fig9_mining --kill-drive || STATUS=1
 run_twice active_disks nojournal active_disks || STATUS=1
 
