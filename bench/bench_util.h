@@ -1,13 +1,12 @@
 /**
  * @file
  * Shared helpers for the figure/table reproduction benches: common
- * banner output, the warm-read measurement the ablations share, and
- * the observability plumbing every bench binary shares — `--json PATH`
- * / `--no-json` select the metrics dump (default BENCH_<name>.json),
- * `--trace PATH` installs a util::Tracer for the run and writes a
- * Chrome trace_event timeline on exit, `--journal PATH` dumps the
- * flight-recorder journal (benches that support it; fig9_mining
- * parses its own command line into the same options).
+ * banner output, the warm-read measurement the ablations share, the
+ * command line every bench but fig9_mining takes (`--json PATH` /
+ * `--no-json` select the metrics dump, default BENCH_<name>.json) and
+ * the dump itself. fig9_mining parses its own command line, which adds
+ * its modes, `--trace PATH` and `--journal PATH`, into the same
+ * options.
  *
  * The benches build their systems from the rigs in rig/cluster.h and
  * run coroutines to completion with sim::runTask / sim::runFor
@@ -18,6 +17,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -28,7 +28,6 @@
 #include "util/logging.h"
 #include "util/metrics.h"
 #include "util/timeseries.h"
-#include "util/trace.h"
 
 namespace nasd::bench {
 
@@ -97,27 +96,32 @@ struct BenchOptions
     std::uint64_t events_start = sim::Simulator::totalEventsExecuted();
 };
 
-/** Parse `--json PATH`, `--no-json`, and `--trace PATH`; the metrics
- *  dump defaults to BENCH_<name>.json in the working directory. */
+/** Parse `--json PATH` and `--no-json`; the metrics dump defaults to
+ *  BENCH_<name>.json in the working directory. Any other argument, or
+ *  `--json` without a path, prints `<program>: <reason>` and a usage
+ *  line to stderr and exits 2. */
 inline BenchOptions
 parseOptions(const char *bench_name, int argc, char **argv)
 {
+    const std::string_view path = argc > 0 ? argv[0] : bench_name;
+    const std::string program(path.substr(path.find_last_of('/') + 1));
+    const auto usage = [&program](const std::string &why) {
+        std::fprintf(stderr, "%s: %s\nusage: %s [--json PATH | --no-json]\n",
+                     program.c_str(), why.c_str(), program.c_str());
+        std::exit(2);
+    };
     BenchOptions opts;
     opts.json_path = std::string("BENCH_") + bench_name + ".json";
     for (int i = 1; i < argc; ++i) {
         const std::string_view arg = argv[i];
-        if (arg == "--json" && i + 1 < argc) {
+        if (arg == "--json") {
+            if (i + 1 >= argc)
+                usage("--json needs a value");
             opts.json_path = argv[++i];
         } else if (arg == "--no-json") {
             opts.json_path.clear();
-        } else if (arg == "--trace" && i + 1 < argc) {
-            opts.trace_path = argv[++i];
-        } else if (arg == "--journal" && i + 1 < argc) {
-            opts.journal_path = argv[++i];
         } else {
-            NASD_WARN(bench_name, ": ignoring unknown argument '", argv[i],
-                      "' (known: --json PATH, --no-json, --trace PATH, "
-                      "--journal PATH)");
+            usage("unknown argument '" + std::string(arg) + "'");
         }
     }
     return opts;
@@ -186,46 +190,6 @@ writeBenchJson(const BenchOptions &opts, const char *bench_name,
     std::fclose(f);
     std::printf("\nwrote %s\n", opts.json_path.c_str());
 }
-
-/**
- * RAII tracer installation for `--trace`: installs a process-wide
- * util::Tracer for the bench's lifetime and writes the Chrome
- * trace_event timeline when destroyed. A default-constructed options
- * struct (no --trace) makes this a no-op, so benches can declare one
- * unconditionally.
- */
-class BenchTracer
-{
-  public:
-    explicit BenchTracer(const BenchOptions &opts) : path_(opts.trace_path)
-    {
-        if (!path_.empty())
-            util::setTracer(&tracer_);
-    }
-
-    BenchTracer(const BenchTracer &) = delete;
-    BenchTracer &operator=(const BenchTracer &) = delete;
-
-    ~BenchTracer()
-    {
-        if (path_.empty())
-            return;
-        util::setTracer(nullptr);
-        tracer_.writeJson(path_);
-        std::printf("wrote %s (%zu spans) — load into chrome://tracing "
-                    "or https://ui.perfetto.dev\n",
-                    path_.c_str(), tracer_.spanCount());
-    }
-
-    bool enabled() const { return !path_.empty(); }
-
-    /** The in-memory trace recorded so far. */
-    const util::Tracer &tracer() const { return tracer_; }
-
-  private:
-    std::string path_;
-    util::Tracer tracer_;
-};
 
 } // namespace nasd::bench
 

@@ -63,6 +63,7 @@
 #include "util/logging.h"
 #include "util/metrics.h"
 #include "util/timeseries.h"
+#include "util/trace.h"
 #include "util/units.h"
 
 using namespace nasd;

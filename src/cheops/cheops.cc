@@ -130,8 +130,8 @@ CheopsManager::CheopsManager(sim::Simulator &sim, net::Network &net,
                              net::NetNode &node,
                              std::vector<NasdDrive *> drives,
                              PartitionId partition)
-    : sim_(sim), node_(node), drives_(std::move(drives)),
-      partition_(partition),
+    : sim_(sim), node_(node),
+      drives_(net, node, std::move(drives), partition),
       metrics_prefix_(
           util::metrics().uniquePrefix(node.name() + "/cheops_mgr")),
       control_ops_(util::metrics().counter(metrics_prefix_ + "/control_ops")),
@@ -141,26 +141,7 @@ CheopsManager::CheopsManager(sim::Simulator &sim, net::Network &net,
                                              "/rebuild/bytes")),
       rebuild_throttle_wait_ns_(util::metrics().counter(
           metrics_prefix_ + "/rebuild/throttle_wait_ns"))
-{
-    NASD_ASSERT(!drives_.empty());
-    for (auto *drive : drives_) {
-        issuers_.push_back(std::make_unique<CapabilityIssuer>(
-            drive->config().master_key, drive->id()));
-        mgr_clients_.push_back(
-            std::make_unique<NasdClient>(net, node_, *drive));
-    }
-}
-
-sim::Task<void>
-CheopsManager::initialize(std::uint64_t partition_quota_bytes)
-{
-    for (auto *drive : drives_) {
-        co_await drive->format();
-        auto created =
-            drive->store().createPartition(partition_, partition_quota_bytes);
-        NASD_ASSERT(created.ok(), "cheops partition creation failed");
-    }
-}
+{}
 
 CheopsManager::LogicalObject *
 CheopsManager::find(LogicalObjectId id, CheopsStatus &status)
@@ -176,14 +157,8 @@ Capability
 CheopsManager::mint(std::uint32_t drive, ObjectId oid, ObjectVersion version,
                     std::uint8_t rights, bool expires)
 {
-    CapabilityPublic pub;
-    pub.partition = partition_;
-    pub.object_id = oid;
-    pub.approved_version = version;
-    pub.rights = rights;
-    if (expires)
-        pub.expiry_ns = sim_.now() + kCapLifetimeNs;
-    return issuers_[drive]->mint(pub);
+    return drives_.mint(drive, oid, version, rights, ~0ull,
+                        expires ? sim_.now() + kCapLifetimeNs : ~0ull);
 }
 
 ComponentRef
@@ -206,7 +181,7 @@ CheopsManager::removeObject(std::uint32_t drive, ObjectId oid,
 {
     CredentialFactory cred(
         mint(drive, oid, version, kRightRemove, /*expires=*/false));
-    auto removed = co_await mgr_clients_[drive]->remove(cred);
+    auto removed = co_await drives_.client(drive).remove(cred);
     co_return removed.ok();
 }
 
@@ -252,7 +227,7 @@ CheopsManager::serveCreate(std::uint64_t stripe_unit_bytes,
     // business — any drives beyond width+1 stay unused.
     const std::uint32_t extra = parity ? 1 : 0;
     if (stripe_count == 0 || stripe_count + extra > drives_.size())
-        stripe_count = static_cast<std::uint32_t>(drives_.size()) - extra;
+        stripe_count = drives_.size() - extra;
     if ((parity && (drives_.size() < 3 || stripe_count < 2)) ||
         (redundancy == Redundancy::kMirror && drives_.size() < 2)) {
         reply.status = CheopsStatus::kNoSpace;
@@ -275,14 +250,8 @@ CheopsManager::serveCreate(std::uint64_t stripe_unit_bytes,
         for (const bool replica : {false, true}) {
             if (replica && redundancy != Redundancy::kMirror)
                 break;
-            const auto drive =
-                replica ? static_cast<std::uint32_t>((i + 1) % drives_.size())
-                        : i;
-            CredentialFactory cred(
-                mint(drive, kPartitionControlObject, 1, kRightCreate,
-                     /*expires=*/false));
-            auto made =
-                co_await mgr_clients_[drive]->create(cred, per_drive_hint);
+            const auto drive = replica ? (i + 1) % drives_.size() : i;
+            auto made = co_await drives_.create(drive, per_drive_hint);
             if (!made.ok()) {
                 // A mid-loop failure must not strand the objects already
                 // created: best-effort removal (the drive that failed
@@ -467,7 +436,7 @@ CheopsManager::managerRead(std::uint32_t drive, ObjectId oid,
     CredentialFactory cred(
         mint(drive, oid, version, kRightRead | kRightGetAttr,
              /*expires=*/true));
-    co_return co_await mgr_clients_[drive]->read(cred, offset, length);
+    co_return co_await drives_.client(drive).read(cred, offset, length);
 }
 
 sim::Task<StoreResult<void>>
@@ -477,7 +446,7 @@ CheopsManager::managerWrite(std::uint32_t drive, ObjectId oid,
 {
     CredentialFactory cred(
         mint(drive, oid, version, kRightWrite, /*expires=*/true));
-    co_return co_await mgr_clients_[drive]->write(cred, offset, data);
+    co_return co_await drives_.client(drive).write(cred, offset, data);
 }
 
 sim::Task<StoreResult<ObjectAttributes>>
@@ -485,7 +454,7 @@ CheopsManager::managerGetAttr(std::uint32_t drive, ObjectId oid,
                               ObjectVersion version, bool expires)
 {
     CredentialFactory cred(mint(drive, oid, version, kRightGetAttr, expires));
-    co_return co_await mgr_clients_[drive]->getAttr(cred);
+    co_return co_await drives_.client(drive).getAttr(cred);
 }
 
 sim::Task<StoreResult<ObjectAttributes>>
@@ -495,7 +464,7 @@ CheopsManager::managerBumpVersion(std::uint32_t drive, ObjectId oid,
     CredentialFactory cred(mint(drive, oid, version, kRightSetAttr, expires));
     SetAttrRequest req;
     req.bump_version = true;
-    co_return co_await mgr_clients_[drive]->setAttr(cred, req);
+    co_return co_await drives_.client(drive).setAttr(cred, req);
 }
 
 sim::Task<CheopsStatusReply>
@@ -644,7 +613,8 @@ CheopsManager::serveStartRebuild(LogicalObjectId id,
     // Qualify the spare: the drive must answer and its partition must
     // have room for the reconstructed component. A dead spare found
     // now is a cheap rejection; found mid-rebuild it is an abort.
-    auto probed = co_await mgr_clients_[spare_drive]->probe(partition_);
+    auto probed = co_await drives_.client(spare_drive).probe(
+        drives_.partition());
     if (!probed.ok()) {
         reply.status = CheopsStatus::kDriveError;
         co_return reply;
@@ -672,11 +642,7 @@ CheopsManager::serveStartRebuild(LogicalObjectId id,
     }
 
     // Allocate the spare component object.
-    CredentialFactory spare_cred(
-        mint(spare_drive, kPartitionControlObject, 1, kRightCreate,
-             /*expires=*/false));
-    auto spare =
-        co_await mgr_clients_[spare_drive]->create(spare_cred, max_size);
+    auto spare = co_await drives_.create(spare_drive, max_size);
     if (!spare.ok()) {
         reply.status = CheopsStatus::kDriveError;
         co_return reply;

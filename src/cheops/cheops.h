@@ -31,6 +31,7 @@
 
 #include "nasd/client.h"
 #include "nasd/drive.h"
+#include "nasd/managed_drives.h"
 #include "net/network.h"
 #include "sim/simulator.h"
 #include "sim/sync.h"
@@ -175,7 +176,10 @@ class CheopsManager
     net::NetNode &node() { return node_; }
 
     /** Format drives and create partitions. */
-    sim::Task<void> initialize(std::uint64_t partition_quota_bytes);
+    sim::Task<void> initialize(std::uint64_t partition_quota_bytes)
+    {
+        return drives_.format(partition_quota_bytes);
+    }
 
     // Server-side handlers -------------------------------------------------
 
@@ -352,10 +356,7 @@ class CheopsManager
 
     sim::Simulator &sim_;
     net::NetNode &node_;
-    std::vector<NasdDrive *> drives_;
-    std::vector<std::unique_ptr<CapabilityIssuer>> issuers_;
-    std::vector<std::unique_ptr<NasdClient>> mgr_clients_;
-    PartitionId partition_;
+    ManagedDrives drives_;
     std::map<LogicalObjectId, LogicalObject> objects_;
     LogicalObjectId next_id_ = 1;
     /// At most one rebuild per logical object; kept after completion so

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "net/rpc.h"
-#include "util/codec.h"
 #include "util/logging.h"
 
 namespace nasd::fs {
@@ -12,60 +11,7 @@ namespace {
 
 constexpr std::uint64_t kControlPayload = 96;
 
-NfsStatus
-afsFromNasd(NasdStatus status)
-{
-    switch (status) {
-      case NasdStatus::kOk:
-        return NfsStatus::kOk;
-      case NasdStatus::kNoSuchObject:
-      case NasdStatus::kNoSuchPartition:
-        return NfsStatus::kNoEnt;
-      case NasdStatus::kNoSpace:
-      case NasdStatus::kQuotaExceeded:
-        return NfsStatus::kNoSpace;
-      default:
-        return NfsStatus::kAccess;
-    }
-}
-
 } // namespace
-
-std::vector<std::uint8_t>
-encodeAfsDir(const std::vector<AfsDirEntry> &entries)
-{
-    std::vector<std::uint8_t> raw;
-    util::Encoder enc(raw);
-    for (const auto &e : entries) {
-        enc.put<std::uint32_t>(e.fid.drive);
-        enc.put<std::uint64_t>(e.fid.oid);
-        enc.put<std::uint8_t>(e.is_directory ? 1 : 0);
-        enc.put<std::uint8_t>(static_cast<std::uint8_t>(e.name.size()));
-        enc.putBytes(std::span<const std::uint8_t>(
-            reinterpret_cast<const std::uint8_t *>(e.name.data()),
-            e.name.size()));
-    }
-    return raw;
-}
-
-std::vector<AfsDirEntry>
-decodeAfsDir(std::span<const std::uint8_t> raw)
-{
-    std::vector<AfsDirEntry> entries;
-    util::Decoder dec(raw);
-    while (dec.remaining() > 0) {
-        AfsDirEntry e;
-        e.fid.drive = dec.get<std::uint32_t>();
-        e.fid.oid = dec.get<std::uint64_t>();
-        e.is_directory = dec.get<std::uint8_t>() != 0;
-        const auto len = dec.get<std::uint8_t>();
-        e.name.resize(len);
-        dec.getBytes(std::span<std::uint8_t>(
-            reinterpret_cast<std::uint8_t *>(e.name.data()), len));
-        entries.push_back(std::move(e));
-    }
-    return entries;
-}
 
 // ------------------------------------------------------------ file manager
 
@@ -74,20 +20,13 @@ AfsFileManager::AfsFileManager(sim::Simulator &sim, net::Network &net,
                                std::vector<NasdDrive *> drives,
                                PartitionId partition,
                                std::uint64_t volume_quota_bytes)
-    : sim_(sim), net_(net), node_(node), drives_(std::move(drives)),
-      partition_(partition), volume_quota_(volume_quota_bytes),
+    : sim_(sim), net_(net), node_(node),
+      drives_(net, node, std::move(drives), partition),
+      volume_quota_(volume_quota_bytes),
       callbacks_broken_(util::metrics().counter(
           util::metrics().uniquePrefix(node.name() + "/afs_fm") +
           "/callbacks_broken"))
-{
-    NASD_ASSERT(!drives_.empty());
-    for (auto *drive : drives_) {
-        issuers_.push_back(std::make_unique<CapabilityIssuer>(
-            drive->config().master_key, drive->id()));
-        fm_clients_.push_back(
-            std::make_unique<NasdClient>(net, node_, *drive));
-    }
-}
+{}
 
 void
 AfsFileManager::registerClient(AfsClient *client)
@@ -95,45 +34,20 @@ AfsFileManager::registerClient(AfsClient *client)
     clients_[client->id()] = client;
 }
 
-Capability
-AfsFileManager::mint(const AfsFid &fid, std::uint8_t rights,
-                     std::uint64_t region_end, std::uint64_t expiry_ns)
-{
-    CapabilityPublic pub;
-    pub.partition = partition_;
-    pub.object_id = fid.oid;
-    pub.approved_version = 1;
-    pub.rights = rights;
-    pub.region_end = region_end;
-    pub.expiry_ns = expiry_ns;
-    return issuers_[fid.drive]->mint(pub);
-}
-
 CredentialFactory
 AfsFileManager::fmCredential(const AfsFid &fid)
 {
-    return CredentialFactory(
-        mint(fid,
-             kRightRead | kRightWrite | kRightGetAttr | kRightSetAttr |
-                 kRightRemove,
-             ~0ull, ~0ull));
+    return CredentialFactory(drives_.mint(
+        fid.drive, fid.oid, 1,
+        kRightRead | kRightWrite | kRightGetAttr | kRightSetAttr |
+            kRightRemove));
 }
 
 sim::Task<void>
 AfsFileManager::initialize(std::uint64_t partition_quota_bytes)
 {
-    for (auto *drive : drives_) {
-        co_await drive->format();
-        auto created =
-            drive->store().createPartition(partition_, partition_quota_bytes);
-        NASD_ASSERT(created.ok(), "afs partition creation failed");
-    }
-    CapabilityPublic pub;
-    pub.partition = partition_;
-    pub.object_id = kPartitionControlObject;
-    pub.rights = kRightCreate;
-    CredentialFactory cred(issuers_[0]->mint(pub));
-    auto made = co_await fm_clients_[0]->create(cred, 0);
+    co_await drives_.format(partition_quota_bytes);
+    auto made = co_await drives_.create(0, 0);
     NASD_ASSERT(made.ok(), "afs root create failed");
     root_ = AfsFid{0, made.value()};
     files_[root_]; // ensure state exists
@@ -143,9 +57,9 @@ sim::Task<NfsResult<ObjectAttributes>>
 AfsFileManager::fetchObjectAttrs(AfsFid fid)
 {
     auto cred = fmCredential(fid);
-    auto attrs = co_await fm_clients_[fid.drive]->getAttr(cred);
+    auto attrs = co_await drives_.client(fid.drive).getAttr(cred);
     if (!attrs.ok())
-        co_return util::Err{afsFromNasd(attrs.error())};
+        co_return util::Err{fromNasdStatus(attrs.error())};
     co_return attrs.value();
 }
 
@@ -208,7 +122,7 @@ AfsFileManager::serveFetchCap(AfsFid fid, bool want_write,
         // Establish the callback promise and hand out a read cap.
         state.callbacks.insert(client_id);
         reply.capability =
-            mint(fid, kRightRead | kRightGetAttr, ~0ull, ~0ull);
+            drives_.mint(fid.drive, fid.oid, 1, kRightRead | kRightGetAttr);
         co_return reply;
     }
 
@@ -235,9 +149,9 @@ AfsFileManager::serveFetchCap(AfsFid fid, bool want_write,
     state.write_expiry_ns = sim_.now() + write_cap_lifetime_ns_;
     state.writer_done = std::make_unique<sim::Gate>(sim_);
 
-    reply.capability =
-        mint(fid, kRightRead | kRightWrite | kRightGetAttr, escrow_end,
-             state.write_expiry_ns);
+    reply.capability = drives_.mint(
+        fid.drive, fid.oid, 1, kRightRead | kRightWrite | kRightGetAttr,
+        escrow_end, state.write_expiry_ns);
     co_return reply;
 }
 
@@ -271,56 +185,52 @@ AfsFileManager::serveReleaseCap(AfsFid fid, std::uint32_t client_id)
     co_return reply;
 }
 
+sim::Task<NfsStatus>
+AfsFileManager::storeDirectory(AfsFid dir, CredentialFactory &cred,
+                               const std::vector<NasdDirEntry> &entries)
+{
+    SetAttrRequest trunc;
+    trunc.truncate_size = 0;
+    auto set = co_await drives_.client(dir.drive).setAttr(cred, trunc);
+    if (!set.ok())
+        co_return fromNasdStatus(set.error());
+    const auto encoded = encodeDirectory(entries);
+    if (encoded.empty())
+        co_return NfsStatus::kOk;
+    auto wrote = co_await drives_.client(dir.drive).write(cred, 0, encoded);
+    co_return wrote.ok() ? NfsStatus::kOk : fromNasdStatus(wrote.error());
+}
+
 sim::Task<AfsCreateReply>
 AfsFileManager::serveCreate(AfsFid dir, std::string name, bool directory)
 {
     AfsCreateReply reply;
     // Load, check, and update the directory object.
     auto dir_cred = fmCredential(dir);
-    auto dir_attrs = co_await fm_clients_[dir.drive]->getAttr(dir_cred);
-    if (!dir_attrs.ok()) {
-        reply.status = afsFromNasd(dir_attrs.error());
+    auto entries = co_await readDirectory(drives_, dir, dir_cred);
+    if (!entries.ok()) {
+        reply.status = entries.error();
         co_return reply;
     }
-    auto raw = co_await fm_clients_[dir.drive]->read(
-        dir_cred, 0, dir_attrs.value().size);
-    if (!raw.ok()) {
-        reply.status = afsFromNasd(raw.error());
+    if (std::ranges::find(entries.value(), name, &NasdDirEntry::name) !=
+        entries.value().end()) {
+        reply.status = NfsStatus::kExist;
         co_return reply;
-    }
-    auto entries = decodeAfsDir(raw.value());
-    for (const auto &e : entries) {
-        if (e.name == name) {
-            reply.status = NfsStatus::kExist;
-            co_return reply;
-        }
     }
 
     const std::uint32_t target = next_placement_++ % drives_.size();
-    CapabilityPublic pub;
-    pub.partition = partition_;
-    pub.object_id = kPartitionControlObject;
-    pub.rights = kRightCreate;
-    CredentialFactory part_cred(issuers_[target]->mint(pub));
-    auto made = co_await fm_clients_[target]->create(part_cred, 0);
+    auto made = co_await drives_.create(target, 0);
     if (!made.ok()) {
-        reply.status = afsFromNasd(made.error());
+        reply.status = fromNasdStatus(made.error());
         co_return reply;
     }
     reply.fid = AfsFid{target, made.value()};
     files_[reply.fid];
 
-    entries.push_back(AfsDirEntry{name, reply.fid, directory});
-    const auto encoded = encodeAfsDir(entries);
-    SetAttrRequest trunc;
-    trunc.truncate_size = 0;
-    (void)co_await fm_clients_[dir.drive]->setAttr(dir_cred, trunc);
-    auto wrote = co_await fm_clients_[dir.drive]->write(dir_cred, 0,
-                                                        encoded);
-    if (!wrote.ok()) {
-        reply.status = afsFromNasd(wrote.error());
+    entries.value().push_back(NasdDirEntry{name, reply.fid, directory});
+    reply.status = co_await storeDirectory(dir, dir_cred, entries.value());
+    if (reply.status != NfsStatus::kOk)
         co_return reply;
-    }
     // The directory changed: anyone caching it must hear about it.
     co_await breakCallbacks(dir, 0);
     co_return reply;
@@ -331,32 +241,23 @@ AfsFileManager::serveRemove(AfsFid dir, std::string name)
 {
     AfsStatusReply reply;
     auto dir_cred = fmCredential(dir);
-    auto dir_attrs = co_await fm_clients_[dir.drive]->getAttr(dir_cred);
-    if (!dir_attrs.ok()) {
-        reply.status = afsFromNasd(dir_attrs.error());
+    auto entries = co_await readDirectory(drives_, dir, dir_cred);
+    if (!entries.ok()) {
+        reply.status = entries.error();
         co_return reply;
     }
-    auto raw = co_await fm_clients_[dir.drive]->read(
-        dir_cred, 0, dir_attrs.value().size);
-    if (!raw.ok()) {
-        reply.status = afsFromNasd(raw.error());
-        co_return reply;
-    }
-    auto entries = decodeAfsDir(raw.value());
-    const auto it = std::find_if(entries.begin(), entries.end(),
-                                 [&](const AfsDirEntry &e) {
-                                     return e.name == name;
-                                 });
-    if (it == entries.end()) {
+    auto &listed = entries.value();
+    const auto it = std::ranges::find(listed, name, &NasdDirEntry::name);
+    if (it == listed.end()) {
         reply.status = NfsStatus::kNoEnt;
         co_return reply;
     }
-    const AfsFid victim = it->fid;
+    const AfsFid victim = it->fh;
 
     auto victim_cred = fmCredential(victim);
-    auto removed = co_await fm_clients_[victim.drive]->remove(victim_cred);
+    auto removed = co_await drives_.client(victim.drive).remove(victim_cred);
     if (!removed.ok()) {
-        reply.status = afsFromNasd(removed.error());
+        reply.status = fromNasdStatus(removed.error());
         co_return reply;
     }
     // Settle any quota charge for the removed file.
@@ -365,13 +266,10 @@ AfsFileManager::serveRemove(AfsFid dir, std::string name)
     co_await breakCallbacks(victim, 0);
     files_.erase(victim);
 
-    entries.erase(it);
-    const auto encoded = encodeAfsDir(entries);
-    SetAttrRequest trunc;
-    trunc.truncate_size = 0;
-    (void)co_await fm_clients_[dir.drive]->setAttr(dir_cred, trunc);
-    if (!encoded.empty())
-        (void)co_await fm_clients_[dir.drive]->write(dir_cred, 0, encoded);
+    listed.erase(it);
+    reply.status = co_await storeDirectory(dir, dir_cred, listed);
+    if (reply.status != NfsStatus::kOk)
+        co_return reply;
     co_await breakCallbacks(dir, 0);
     co_return reply;
 }
@@ -402,6 +300,19 @@ AfsClient::onCallbackBreak(AfsFid fid)
         it->second.valid = false;
 }
 
+sim::Task<AfsFetchCapReply>
+AfsClient::fetchCap(AfsFid fid, bool want_write, std::uint64_t size_hint)
+{
+    // Explicit RPC to obtain the capability (no piggybacking in AFS).
+    co_return co_await net::call<AfsFetchCapReply>(
+        net_, node_, fm_.node(), kControlPayload,
+        [&]() -> sim::Task<net::RpcReply<AfsFetchCapReply>> {
+            auto r = co_await fm_.serveFetchCap(fid, want_write, id_,
+                                                size_hint);
+            co_return net::RpcReply<AfsFetchCapReply>{std::move(r), 256};
+        });
+}
+
 sim::Task<NfsResult<AfsClient::CachedFile *>>
 AfsClient::fetchFile(AfsFid fid)
 {
@@ -412,13 +323,7 @@ AfsClient::fetchFile(AfsFid fid)
     }
     cache_misses_.add(1);
 
-    // Explicit RPC to obtain the capability (no piggybacking in AFS).
-    auto reply = co_await net::call<AfsFetchCapReply>(
-        net_, node_, fm_.node(), kControlPayload,
-        [&]() -> sim::Task<net::RpcReply<AfsFetchCapReply>> {
-            auto r = co_await fm_.serveFetchCap(fid, false, id_);
-            co_return net::RpcReply<AfsFetchCapReply>{std::move(r), 256};
-        });
+    auto reply = co_await fetchCap(fid, false, 0);
     if (reply.status != NfsStatus::kOk)
         co_return util::Err{reply.status};
 
@@ -432,13 +337,7 @@ AfsClient::fetchFile(AfsFid fid)
             // The capability aged out between the FM round trip and the
             // drive read (long queueing, or a deliberately short
             // lifetime). Refresh once, then fail honestly.
-            auto again = co_await net::call<AfsFetchCapReply>(
-                net_, node_, fm_.node(), kControlPayload,
-                [&]() -> sim::Task<net::RpcReply<AfsFetchCapReply>> {
-                    auto r = co_await fm_.serveFetchCap(fid, false, id_);
-                    co_return net::RpcReply<AfsFetchCapReply>{std::move(r),
-                                                              256};
-                });
+            auto again = co_await fetchCap(fid, false, 0);
             if (again.status != NfsStatus::kOk)
                 co_return util::Err{again.status};
             cred.rebind(again.capability);
@@ -446,7 +345,7 @@ AfsClient::fetchFile(AfsFid fid)
                 cred, 0, again.attrs.size);
         }
         if (!data.ok())
-            co_return util::Err{afsFromNasd(data.error())};
+            co_return util::Err{fromNasdStatus(data.error())};
         entry.data = std::move(data.value());
     }
     entry.valid = true;
@@ -457,24 +356,25 @@ sim::Task<NfsResult<AfsFid>>
 AfsClient::lookup(AfsFid dir, std::string name)
 {
     // AFS clients parse directories locally.
-    auto cached = co_await fetchFile(dir);
-    if (!cached.ok())
-        co_return util::Err{cached.error()};
-    const auto entries = decodeAfsDir(cached.value()->data);
-    for (const auto &e : entries) {
-        if (e.name == name)
-            co_return e.fid;
-    }
-    co_return util::Err{NfsStatus::kNoEnt};
+    const auto entries = co_await readdir(dir);
+    if (!entries.ok())
+        co_return util::Err{entries.error()};
+    const auto it =
+        std::ranges::find(entries.value(), name, &NasdDirEntry::name);
+    if (it == entries.value().end())
+        co_return util::Err{NfsStatus::kNoEnt};
+    co_return it->fh;
 }
 
-sim::Task<NfsResult<std::vector<AfsDirEntry>>>
+sim::Task<NfsResult<std::vector<NasdDirEntry>>>
 AfsClient::readdir(AfsFid dir)
 {
     auto cached = co_await fetchFile(dir);
     if (!cached.ok())
         co_return util::Err{cached.error()};
-    co_return decodeAfsDir(cached.value()->data);
+    co_return decodeDirectory(
+        cached.value()->data,
+        static_cast<std::uint32_t>(drive_clients_.size()));
 }
 
 sim::Task<NfsResult<std::uint64_t>>
@@ -501,13 +401,7 @@ AfsClient::write(AfsFid fid, std::uint64_t offset,
 {
     // Obtain the write capability (this breaks other clients'
     // callbacks and escrows quota).
-    auto reply = co_await net::call<AfsFetchCapReply>(
-        net_, node_, fm_.node(), kControlPayload,
-        [&]() -> sim::Task<net::RpcReply<AfsFetchCapReply>> {
-            auto r = co_await fm_.serveFetchCap(fid, true, id_,
-                                                offset + data.size());
-            co_return net::RpcReply<AfsFetchCapReply>{std::move(r), 256};
-        });
+    auto reply = co_await fetchCap(fid, true, offset + data.size());
     if (reply.status != NfsStatus::kOk)
         co_return util::Err{reply.status};
 
@@ -519,14 +413,7 @@ AfsClient::write(AfsFid fid, std::uint64_t offset,
         // unreachable past the cap lifetime). Refresh once — the FM
         // settles the stale grant and re-escrows — then retry before
         // relinquishing.
-        auto again = co_await net::call<AfsFetchCapReply>(
-            net_, node_, fm_.node(), kControlPayload,
-            [&]() -> sim::Task<net::RpcReply<AfsFetchCapReply>> {
-                auto r = co_await fm_.serveFetchCap(fid, true, id_,
-                                                    offset + data.size());
-                co_return net::RpcReply<AfsFetchCapReply>{std::move(r),
-                                                          256};
-            });
+        auto again = co_await fetchCap(fid, true, offset + data.size());
         if (again.status == NfsStatus::kOk) {
             cred.rebind(again.capability);
             wrote = co_await drive_clients_[fid.drive]->write(cred, offset,
@@ -553,31 +440,29 @@ AfsClient::write(AfsFid fid, std::uint64_t offset,
     (void)released;
 
     if (!wrote.ok())
-        co_return util::Err{afsFromNasd(wrote.error())};
+        co_return util::Err{fromNasdStatus(wrote.error())};
     co_return NfsResult<void>{};
 }
 
 sim::Task<NfsResult<AfsFid>>
 AfsClient::create(AfsFid dir, std::string name)
 {
-    auto reply = co_await net::call<AfsCreateReply>(
-        net_, node_, fm_.node(), kControlPayload + name.size(),
-        [&]() -> sim::Task<net::RpcReply<AfsCreateReply>> {
-            auto r = co_await fm_.serveCreate(dir, name, false);
-            co_return net::RpcReply<AfsCreateReply>{r, 32};
-        });
-    if (reply.status != NfsStatus::kOk)
-        co_return util::Err{reply.status};
-    co_return reply.fid;
+    return createEntry(dir, std::move(name), false);
 }
 
 sim::Task<NfsResult<AfsFid>>
 AfsClient::mkdir(AfsFid dir, std::string name)
 {
+    return createEntry(dir, std::move(name), true);
+}
+
+sim::Task<NfsResult<AfsFid>>
+AfsClient::createEntry(AfsFid dir, std::string name, bool directory)
+{
     auto reply = co_await net::call<AfsCreateReply>(
         net_, node_, fm_.node(), kControlPayload + name.size(),
         [&]() -> sim::Task<net::RpcReply<AfsCreateReply>> {
-            auto r = co_await fm_.serveCreate(dir, name, true);
+            auto r = co_await fm_.serveCreate(dir, name, directory);
             co_return net::RpcReply<AfsCreateReply>{r, 32};
         });
     if (reply.status != NfsStatus::kOk)

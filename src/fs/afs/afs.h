@@ -32,29 +32,16 @@
 #include <vector>
 
 #include "fs/nfs/types.h"
+#include "fs/port/nasd_port.h"
 #include "nasd/client.h"
 #include "nasd/drive.h"
+#include "nasd/managed_drives.h"
 #include "net/network.h"
 #include "sim/simulator.h"
 #include "sim/sync.h"
 #include "util/metrics.h"
 
 namespace nasd::fs {
-
-/** AFS file identifier (like an AFS FID): drive + object. */
-struct AfsFid
-{
-    std::uint32_t drive = 0;
-    ObjectId oid = 0;
-
-    bool operator==(const AfsFid &) const = default;
-    bool
-    operator<(const AfsFid &other) const
-    {
-        return drive != other.drive ? drive < other.drive
-                                    : oid < other.oid;
-    }
-};
 
 struct [[nodiscard]] AfsFetchCapReply
 {
@@ -150,9 +137,13 @@ class AfsFileManager
         std::unique_ptr<sim::Gate> writer_done;
     };
 
-    Capability mint(const AfsFid &fid, std::uint8_t rights,
-                    std::uint64_t region_end, std::uint64_t expiry_ns);
     CredentialFactory fmCredential(const AfsFid &fid);
+
+    /** Rewrite directory @p dir as @p entries: truncate it to zero,
+     *  then write their encoding. */
+    sim::Task<NfsStatus>
+    storeDirectory(AfsFid dir, CredentialFactory &cred,
+                   const std::vector<NasdDirEntry> &entries);
 
     /** Notify every callback holder (except @p except) and clear. */
     sim::Task<void> breakCallbacks(AfsFid fid, std::uint32_t except);
@@ -163,10 +154,7 @@ class AfsFileManager
     sim::Simulator &sim_;
     net::Network &net_;
     net::NetNode &node_;
-    std::vector<NasdDrive *> drives_;
-    std::vector<std::unique_ptr<CapabilityIssuer>> issuers_;
-    std::vector<std::unique_ptr<NasdClient>> fm_clients_;
-    PartitionId partition_;
+    ManagedDrives drives_;
     AfsFid root_;
     std::uint64_t volume_quota_;
     std::uint64_t write_cap_lifetime_ns_ = 30ull * 1000000000;
@@ -177,20 +165,6 @@ class AfsFileManager
     /// Callback breaks delivered ("<node>/afs_fm/callbacks_broken").
     util::Counter &callbacks_broken_;
 };
-
-/** One directory entry as parsed by the client. */
-struct AfsDirEntry
-{
-    std::string name;
-    AfsFid fid;
-    bool is_directory = false;
-};
-
-/** Serialize directory contents (clients and FM share the format). */
-std::vector<std::uint8_t>
-encodeAfsDir(const std::vector<AfsDirEntry> &entries);
-std::vector<AfsDirEntry>
-decodeAfsDir(std::span<const std::uint8_t> raw);
 
 /**
  * The NASD-AFS client: whole-file caching, local directory parsing,
@@ -224,7 +198,7 @@ class AfsClient
     sim::Task<NfsResult<AfsFid>> create(AfsFid dir, std::string name);
     sim::Task<NfsResult<AfsFid>> mkdir(AfsFid dir, std::string name);
     sim::Task<NfsResult<void>> remove(AfsFid dir, std::string name);
-    sim::Task<NfsResult<std::vector<AfsDirEntry>>> readdir(AfsFid dir);
+    sim::Task<NfsResult<std::vector<NasdDirEntry>>> readdir(AfsFid dir);
 
     /** Callback break delivered by the file manager. */
     void onCallbackBreak(AfsFid fid);
@@ -238,6 +212,14 @@ class AfsClient
         std::vector<std::uint8_t> data;
         bool valid = false;
     };
+
+    /** FetchCap RPC to the file manager. */
+    sim::Task<AfsFetchCapReply> fetchCap(AfsFid fid, bool want_write,
+                                         std::uint64_t size_hint);
+
+    /** Create RPC behind create() and mkdir(). */
+    sim::Task<NfsResult<AfsFid>> createEntry(AfsFid dir, std::string name,
+                                             bool directory);
 
     /** Fetch (with callback registration) the whole file into cache. */
     sim::Task<NfsResult<CachedFile *>> fetchFile(AfsFid fid);

@@ -1,6 +1,7 @@
 #include "fs/nfs/nasd_nfs.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "net/rpc.h"
 #include "sim/sync.h"
@@ -12,32 +13,6 @@ namespace nasd::fs {
 namespace {
 
 constexpr std::uint64_t kControlPayload = 96;
-
-NfsStatus
-fromNasdStatus(NasdStatus status)
-{
-    switch (status) {
-      case NasdStatus::kOk:
-        return NfsStatus::kOk;
-      case NasdStatus::kNoSuchObject:
-      case NasdStatus::kNoSuchPartition:
-        return NfsStatus::kNoEnt;
-      case NasdStatus::kObjectExists:
-        return NfsStatus::kExist;
-      case NasdStatus::kNoSpace:
-      case NasdStatus::kQuotaExceeded:
-        return NfsStatus::kNoSpace;
-      case NasdStatus::kBadCapability:
-      case NasdStatus::kExpiredCapability:
-      case NasdStatus::kVersionMismatch:
-      case NasdStatus::kRightsViolation:
-      case NasdStatus::kRangeViolation:
-      case NasdStatus::kReplayedRequest:
-        return NfsStatus::kAccess;
-      default:
-        return NfsStatus::kIoError;
-    }
-}
 
 /**
  * Statuses a transparent capability refresh can cure: expiry (the file
@@ -54,8 +29,16 @@ staleCapability(NasdStatus status)
            status == NasdStatus::kVersionMismatch;
 }
 
-} // namespace
+/** Reply frame sizes of the file manager's control RPCs. */
+std::uint64_t replyBytes(const NasdNfsLookupReply &) { return 256; }
+std::uint64_t replyBytes(const NasdNfsStatusReply &) { return 16; }
+std::uint64_t
+replyBytes(const NasdNfsReaddirReply &r)
+{
+    return 40 * r.entries.size() + 16;
+}
 
+/** The NFS policy attributes in the object's fs-specific field. */
 std::array<std::uint8_t, kFsSpecificBytes>
 encodePolicyAttrs(std::uint32_t mode, std::uint32_t uid, std::uint32_t gid,
                   bool is_directory)
@@ -71,16 +54,24 @@ encodePolicyAttrs(std::uint32_t mode, std::uint32_t uid, std::uint32_t gid,
     return out;
 }
 
-void
-decodePolicyAttrs(const std::array<std::uint8_t, kFsSpecificBytes> &raw,
-                  NfsAttr &attrs)
+/** NFS attributes: length and times from the object, policy from its
+ *  fs-specific field. */
+NfsAttr
+toNfsAttr(const ObjectAttributes &object)
 {
-    util::Decoder dec(raw);
-    attrs.mode = dec.get<std::uint32_t>();
-    attrs.uid = dec.get<std::uint32_t>();
-    attrs.gid = dec.get<std::uint32_t>();
-    attrs.is_directory = dec.get<std::uint8_t>() != 0;
+    NfsAttr out;
+    out.size = object.size;
+    out.mtime_ns = object.modify_time;
+    out.ctime_ns = object.attr_modify_time;
+    util::Decoder dec(object.fs_specific);
+    out.mode = dec.get<std::uint32_t>();
+    out.uid = dec.get<std::uint32_t>();
+    out.gid = dec.get<std::uint32_t>();
+    out.is_directory = dec.get<std::uint8_t>() != 0;
+    return out;
 }
+
+} // namespace
 
 // ------------------------------------------------------------ file manager
 
@@ -89,17 +80,9 @@ NasdNfsFileManager::NasdNfsFileManager(sim::Simulator &sim,
                                        net::NetNode &node,
                                        std::vector<NasdDrive *> drives,
                                        PartitionId partition)
-    : sim_(sim), node_(node), drives_(std::move(drives)),
-      partition_(partition)
-{
-    NASD_ASSERT(!drives_.empty());
-    for (auto *drive : drives_) {
-        issuers_.push_back(std::make_unique<CapabilityIssuer>(
-            drive->config().master_key, drive->id()));
-        fm_clients_.push_back(
-            std::make_unique<NasdClient>(net, node_, *drive));
-    }
-}
+    : sim_(sim), node_(node),
+      drives_(net, node, std::move(drives), partition)
+{}
 
 ObjectVersion
 NasdNfsFileManager::versionOf(const NasdNfsFh &fh) const
@@ -111,13 +94,8 @@ NasdNfsFileManager::versionOf(const NasdNfsFh &fh) const
 Capability
 NasdNfsFileManager::mintCapability(const NasdNfsFh &fh, std::uint8_t rights)
 {
-    CapabilityPublic pub;
-    pub.partition = partition_;
-    pub.object_id = fh.oid;
-    pub.approved_version = versionOf(fh);
-    pub.rights = rights;
-    pub.expiry_ns = sim_.now() + kCapLifetimeNs;
-    return issuers_[fh.drive]->mint(pub);
+    return drives_.mint(fh.drive, fh.oid, versionOf(fh), rights, ~0ull,
+                        sim_.now() + kCapLifetimeNs);
 }
 
 CredentialFactory
@@ -131,20 +109,10 @@ NasdNfsFileManager::fmCredential(const NasdNfsFh &fh)
 sim::Task<void>
 NasdNfsFileManager::initialize(std::uint64_t partition_quota_bytes)
 {
-    for (auto *drive : drives_) {
-        co_await drive->format();
-        auto created =
-            drive->store().createPartition(partition_, partition_quota_bytes);
-        NASD_ASSERT(created.ok(), "partition creation failed");
-    }
+    co_await drives_.format(partition_quota_bytes);
     // Root directory object on drive 0 (created through the FM's own
     // client so it pays the same costs as any other create).
-    CapabilityPublic pub;
-    pub.partition = partition_;
-    pub.object_id = kPartitionControlObject;
-    pub.rights = kRightCreate | kRightGetAttr;
-    CredentialFactory part_cred(issuers_[0]->mint(pub));
-    auto made = co_await fm_clients_[0]->create(part_cred, 0);
+    auto made = co_await drives_.create(0, 0);
     NASD_ASSERT(made.ok(), "root create failed");
     root_ = NasdNfsFh{0, made.value()};
     versions_[root_] = 1;
@@ -152,12 +120,13 @@ NasdNfsFileManager::initialize(std::uint64_t partition_quota_bytes)
     SetAttrRequest attrs;
     attrs.fs_specific = encodePolicyAttrs(0755, 0, 0, true);
     auto root_cred = fmCredential(root_);
-    auto set = co_await fm_clients_[0]->setAttr(root_cred, attrs);
+    auto set = co_await drives_.client(0).setAttr(root_cred, attrs);
     NASD_ASSERT(set.ok(), "root attr init failed");
-    co_await storeDirectory(root_, {});
+    const auto stored = co_await storeDirectory(root_, {});
+    NASD_ASSERT(stored == NfsStatus::kOk, "root directory init failed");
 }
 
-sim::Task<NfsResult<std::vector<NasdNfsDirEntry>>>
+sim::Task<NfsResult<std::vector<NasdDirEntry>>>
 NasdNfsFileManager::loadDirectory(NasdNfsFh dir)
 {
     // The FM is the only directory writer: serve from its cache.
@@ -166,78 +135,42 @@ NasdNfsFileManager::loadDirectory(NasdNfsFh dir)
         co_return cached->second;
 
     auto cred = fmCredential(dir);
-    auto attrs = co_await fm_clients_[dir.drive]->getAttr(cred);
-    if (!attrs.ok())
-        co_return util::Err{fromNasdStatus(attrs.error())};
-    auto raw = co_await fm_clients_[dir.drive]->read(cred, 0,
-                                                     attrs.value().size);
-    if (!raw.ok())
-        co_return util::Err{fromNasdStatus(raw.error())};
-
-    std::vector<NasdNfsDirEntry> entries;
-    util::Decoder dec(raw.value());
-    while (dec.remaining() > 0) {
-        NasdNfsDirEntry e;
-        e.fh.drive = dec.get<std::uint32_t>();
-        e.fh.oid = dec.get<std::uint64_t>();
-        e.is_directory = dec.get<std::uint8_t>() != 0;
-        const auto len = dec.get<std::uint8_t>();
-        e.name.resize(len);
-        dec.getBytes(std::span<std::uint8_t>(
-            reinterpret_cast<std::uint8_t *>(e.name.data()), len));
-        entries.push_back(std::move(e));
-    }
-    dir_cache_[dir] = entries;
+    auto entries = co_await readDirectory(drives_, dir, cred);
+    if (entries.ok())
+        dir_cache_[dir] = entries.value();
     co_return entries;
 }
 
-sim::Task<NfsResult<void>>
+sim::Task<NfsStatus>
 NasdNfsFileManager::storeDirectory(NasdNfsFh dir,
-                                   const std::vector<NasdNfsDirEntry> &ents)
+                                   const std::vector<NasdDirEntry> &ents)
 {
     dir_cache_[dir] = ents; // write-through below
-    std::vector<std::uint8_t> raw;
-    util::Encoder enc(raw);
-    for (const auto &e : ents) {
-        enc.put<std::uint32_t>(e.fh.drive);
-        enc.put<std::uint64_t>(e.fh.oid);
-        enc.put<std::uint8_t>(e.is_directory ? 1 : 0);
-        enc.put<std::uint8_t>(static_cast<std::uint8_t>(e.name.size()));
-        enc.putBytes(std::span<const std::uint8_t>(
-            reinterpret_cast<const std::uint8_t *>(e.name.data()),
-            e.name.size()));
-    }
+    const auto raw = encodeDirectory(ents);
     auto cred = fmCredential(dir);
     // Truncate only when the directory shrank; growth is just a write.
-    auto attrs = co_await fm_clients_[dir.drive]->getAttr(cred);
+    auto attrs = co_await drives_.client(dir.drive).getAttr(cred);
     if (attrs.ok() && attrs.value().size > raw.size()) {
         SetAttrRequest trunc;
         trunc.truncate_size = raw.size();
-        auto set = co_await fm_clients_[dir.drive]->setAttr(cred, trunc);
+        auto set = co_await drives_.client(dir.drive).setAttr(cred, trunc);
         if (!set.ok())
-            co_return util::Err{fromNasdStatus(set.error())};
+            co_return fromNasdStatus(set.error());
     }
-    if (!raw.empty()) {
-        auto wrote = co_await fm_clients_[dir.drive]->write(cred, 0, raw);
-        if (!wrote.ok())
-            co_return util::Err{fromNasdStatus(wrote.error())};
-    }
-    co_return NfsResult<void>{};
+    if (raw.empty())
+        co_return NfsStatus::kOk;
+    auto wrote = co_await drives_.client(dir.drive).write(cred, 0, raw);
+    co_return wrote.ok() ? NfsStatus::kOk : fromNasdStatus(wrote.error());
 }
 
 sim::Task<NfsResult<NfsAttr>>
 NasdNfsFileManager::fetchAttrs(NasdNfsFh fh)
 {
     auto cred = fmCredential(fh);
-    auto attrs = co_await fm_clients_[fh.drive]->getAttr(cred);
+    auto attrs = co_await drives_.client(fh.drive).getAttr(cred);
     if (!attrs.ok())
         co_return util::Err{fromNasdStatus(attrs.error())};
-    NfsAttr out;
-    out.size = attrs.value().size;
-    out.mtime_ns = attrs.value().modify_time;
-    out.ctime_ns = attrs.value().attr_modify_time;
-    decodePolicyAttrs(attrs.value().fs_specific, out);
-    co_return out;
+    co_return toNfsAttr(attrs.value());
 }
 
 sim::Task<NasdNfsLookupReply>
@@ -250,11 +183,8 @@ NasdNfsFileManager::serveLookup(NasdNfsFh dir, std::string name,
         reply.status = entries.error();
         co_return reply;
     }
-    const auto it = std::find_if(entries.value().begin(),
-                                 entries.value().end(),
-                                 [&](const NasdNfsDirEntry &e) {
-                                     return e.name == name;
-                                 });
+    const auto it =
+        std::ranges::find(entries.value(), name, &NasdDirEntry::name);
     if (it == entries.value().end()) {
         reply.status = NfsStatus::kNoEnt;
         co_return reply;
@@ -264,11 +194,8 @@ NasdNfsFileManager::serveLookup(NasdNfsFh dir, std::string name,
     if (attrs.ok())
         reply.attrs = attrs.value();
 
-    std::uint8_t rights = kRightRead | kRightGetAttr;
-    if (want_write)
-        rights |= kRightWrite;
-    reply.capability = mintCapability(it->fh, rights);
-    ++control_ops_;
+    reply.capability = mintCapability(
+        it->fh, kRightRead | kRightGetAttr | (want_write ? kRightWrite : 0));
     co_return reply;
 }
 
@@ -281,21 +208,15 @@ NasdNfsFileManager::serveCreate(NasdNfsFh dir, std::string name)
         reply.status = entries.error();
         co_return reply;
     }
-    for (const auto &e : entries.value()) {
-        if (e.name == name) {
-            reply.status = NfsStatus::kExist;
-            co_return reply;
-        }
+    if (std::ranges::find(entries.value(), name, &NasdDirEntry::name) !=
+        entries.value().end()) {
+        reply.status = NfsStatus::kExist;
+        co_return reply;
     }
 
     // Round-robin placement across drives.
     const std::uint32_t target = next_placement_++ % drives_.size();
-    CapabilityPublic pub;
-    pub.partition = partition_;
-    pub.object_id = kPartitionControlObject;
-    pub.rights = kRightCreate;
-    CredentialFactory part_cred(issuers_[target]->mint(pub));
-    auto made = co_await fm_clients_[target]->create(part_cred, 0);
+    auto made = co_await drives_.create(target, 0);
     if (!made.ok()) {
         reply.status = fromNasdStatus(made.error());
         co_return reply;
@@ -306,21 +227,22 @@ NasdNfsFileManager::serveCreate(NasdNfsFh dir, std::string name)
     SetAttrRequest attrs;
     attrs.fs_specific = encodePolicyAttrs(0644, 0, 0, false);
     auto cred = fmCredential(fh);
-    (void)co_await fm_clients_[target]->setAttr(cred, attrs);
-
-    auto updated = entries.value();
-    updated.push_back(NasdNfsDirEntry{name, fh, false});
-    auto stored = co_await storeDirectory(dir, updated);
-    if (!stored.ok()) {
-        reply.status = stored.error();
+    auto set = co_await drives_.client(target).setAttr(cred, attrs);
+    if (!set.ok()) {
+        reply.status = fromNasdStatus(set.error());
         co_return reply;
     }
+
+    auto updated = entries.value();
+    updated.push_back(NasdDirEntry{name, fh, false});
+    reply.status = co_await storeDirectory(dir, updated);
+    if (reply.status != NfsStatus::kOk)
+        co_return reply;
 
     reply.fh = fh;
     reply.attrs.mode = 0644;
     reply.capability = mintCapability(
         fh, kRightRead | kRightWrite | kRightGetAttr);
-    ++control_ops_;
     co_return reply;
 }
 
@@ -334,18 +256,24 @@ NasdNfsFileManager::serveMkdir(NasdNfsFh dir, std::string name)
     SetAttrRequest attrs;
     attrs.fs_specific = encodePolicyAttrs(0755, 0, 0, true);
     auto cred = fmCredential(reply.fh);
-    (void)co_await fm_clients_[reply.fh.drive]->setAttr(cred, attrs);
+    auto set = co_await drives_.client(reply.fh.drive).setAttr(cred, attrs);
+    if (!set.ok()) {
+        reply.status = fromNasdStatus(set.error());
+        co_return reply;
+    }
     reply.attrs.is_directory = true;
     reply.attrs.mode = 0755;
 
     auto entries = co_await loadDirectory(dir);
-    if (entries.ok()) {
-        for (auto &e : entries.value()) {
-            if (e.fh == reply.fh)
-                e.is_directory = true;
-        }
-        (void)co_await storeDirectory(dir, entries.value());
+    if (!entries.ok()) {
+        reply.status = entries.error();
+        co_return reply;
     }
+    for (auto &e : entries.value()) {
+        if (e.fh == reply.fh)
+            e.is_directory = true;
+    }
+    reply.status = co_await storeDirectory(dir, entries.value());
     co_return reply;
 }
 
@@ -359,10 +287,7 @@ NasdNfsFileManager::serveRemove(NasdNfsFh dir, std::string name)
         co_return reply;
     }
     auto updated = entries.value();
-    const auto it = std::find_if(updated.begin(), updated.end(),
-                                 [&](const NasdNfsDirEntry &e) {
-                                     return e.name == name;
-                                 });
+    const auto it = std::ranges::find(updated, name, &NasdDirEntry::name);
     if (it == updated.end()) {
         reply.status = NfsStatus::kNoEnt;
         co_return reply;
@@ -376,7 +301,7 @@ NasdNfsFileManager::serveRemove(NasdNfsFh dir, std::string name)
         }
     }
     auto cred = fmCredential(fh);
-    auto removed = co_await fm_clients_[fh.drive]->remove(cred);
+    auto removed = co_await drives_.client(fh.drive).remove(cred);
     if (!removed.ok()) {
         reply.status = fromNasdStatus(removed.error());
         co_return reply;
@@ -384,10 +309,7 @@ NasdNfsFileManager::serveRemove(NasdNfsFh dir, std::string name)
     versions_.erase(fh);
     dir_cache_.erase(fh);
     updated.erase(it);
-    auto stored = co_await storeDirectory(dir, updated);
-    if (!stored.ok())
-        reply.status = stored.error();
-    ++control_ops_;
+    reply.status = co_await storeDirectory(dir, updated);
     co_return reply;
 }
 
@@ -401,7 +323,6 @@ NasdNfsFileManager::serveReaddir(NasdNfsFh dir)
         co_return reply;
     }
     reply.entries = std::move(entries.value());
-    ++control_ops_;
     co_return reply;
 }
 
@@ -420,10 +341,9 @@ NasdNfsFileManager::serveSetPolicy(NasdNfsFh fh, std::uint32_t mode,
     req.fs_specific =
         encodePolicyAttrs(mode, uid, gid, attrs.value().is_directory);
     auto cred = fmCredential(fh);
-    auto set = co_await fm_clients_[fh.drive]->setAttr(cred, req);
+    auto set = co_await drives_.client(fh.drive).setAttr(cred, req);
     if (!set.ok())
         reply.status = fromNasdStatus(set.error());
-    ++control_ops_;
     co_return reply;
 }
 
@@ -438,11 +358,8 @@ NasdNfsFileManager::serveGetCap(NasdNfsFh fh, bool want_write)
         co_return reply;
     }
     reply.attrs = attrs.value();
-    std::uint8_t rights = kRightRead | kRightGetAttr;
-    if (want_write)
-        rights |= kRightWrite;
-    reply.capability = mintCapability(fh, rights);
-    ++control_ops_;
+    reply.capability = mintCapability(
+        fh, kRightRead | kRightGetAttr | (want_write ? kRightWrite : 0));
     co_return reply;
 }
 
@@ -453,13 +370,12 @@ NasdNfsFileManager::serveRevoke(NasdNfsFh fh)
     SetAttrRequest req;
     req.bump_version = true;
     auto cred = fmCredential(fh);
-    auto set = co_await fm_clients_[fh.drive]->setAttr(cred, req);
+    auto set = co_await drives_.client(fh.drive).setAttr(cred, req);
     if (!set.ok()) {
         reply.status = fromNasdStatus(set.error());
         co_return reply;
     }
     versions_[fh] = set.value().version;
-    ++control_ops_;
     co_return reply;
 }
 
@@ -480,6 +396,23 @@ NasdNfsClient::NasdNfsClient(net::Network &net, net::NetNode &node,
     }
 }
 
+template <typename Reply, typename Serve>
+sim::Task<Reply>
+NasdNfsClient::callFm(std::uint64_t request_bytes, Serve serve)
+{
+    ++fm_calls_;
+    // A named handler: a prvalue std::function must not cross a
+    // coroutine boundary (see nasd/client.cc).
+    const std::function<sim::Task<net::RpcReply<Reply>>()> handler =
+        [&serve]() -> sim::Task<net::RpcReply<Reply>> {
+        Reply r = co_await serve();
+        const std::uint64_t bytes = replyBytes(r);
+        co_return net::RpcReply<Reply>{std::move(r), bytes};
+    };
+    co_return co_await net::call<Reply>(net_, node_, fm_.node(),
+                                        request_bytes, handler);
+}
+
 sim::Task<NfsResult<CredentialFactory *>>
 NasdNfsClient::capabilityFor(NasdNfsFh fh, bool write)
 {
@@ -487,82 +420,54 @@ NasdNfsClient::capabilityFor(NasdNfsFh fh, bool write)
     if (it != cap_cache_.end() && (!write || it->second.writable))
         co_return it->second.cred.get();
 
-    ++fm_calls_;
-    auto reply = co_await net::call<NasdNfsLookupReply>(
-        net_, node_, fm_.node(), kControlPayload,
-        [&]() -> sim::Task<net::RpcReply<NasdNfsLookupReply>> {
-            auto r = co_await fm_.serveGetCap(fh, write);
-            co_return net::RpcReply<NasdNfsLookupReply>{std::move(r), 256};
-        });
+    auto reply = co_await callFm<NasdNfsLookupReply>(
+        kControlPayload, [&] { return fm_.serveGetCap(fh, write); });
     if (reply.status != NfsStatus::kOk)
         co_return util::Err{reply.status};
-
-    CachedCap entry;
-    entry.cred =
-        std::make_unique<CredentialFactory>(std::move(reply.capability));
-    entry.writable = write;
-    auto [pos, inserted] = cap_cache_.insert_or_assign(fh, std::move(entry));
-    co_return pos->second.cred.get();
+    co_return cacheCap(fh, std::move(reply.capability), write);
 }
 
-void
-NasdNfsClient::invalidateCap(NasdNfsFh fh)
+CredentialFactory *
+NasdNfsClient::cacheCap(NasdNfsFh fh, Capability cap, bool writable)
 {
-    cap_cache_.erase(fh);
+    CachedCap entry{std::make_unique<CredentialFactory>(std::move(cap)),
+                    writable};
+    auto [pos, inserted] = cap_cache_.insert_or_assign(fh, std::move(entry));
+    return pos->second.cred.get();
 }
 
 sim::Task<NfsResult<NasdNfsFh>>
 NasdNfsClient::lookup(NasdNfsFh dir, std::string name, bool want_write)
 {
-    ++fm_calls_;
-    auto reply = co_await net::call<NasdNfsLookupReply>(
-        net_, node_, fm_.node(), kControlPayload + name.size(),
-        [&]() -> sim::Task<net::RpcReply<NasdNfsLookupReply>> {
-            auto r = co_await fm_.serveLookup(dir, name, want_write);
-            co_return net::RpcReply<NasdNfsLookupReply>{std::move(r), 256};
-        });
+    auto reply = co_await callFm<NasdNfsLookupReply>(
+        kControlPayload + name.size(),
+        [&] { return fm_.serveLookup(dir, name, want_write); });
     if (reply.status != NfsStatus::kOk)
         co_return util::Err{reply.status};
 
     // Cache the piggybacked capability.
-    CachedCap entry;
-    entry.cred =
-        std::make_unique<CredentialFactory>(std::move(reply.capability));
-    entry.writable = want_write;
-    cap_cache_.insert_or_assign(reply.fh, std::move(entry));
+    cacheCap(reply.fh, std::move(reply.capability), want_write);
     co_return reply.fh;
 }
 
 sim::Task<NfsResult<NasdNfsFh>>
 NasdNfsClient::create(NasdNfsFh dir, std::string name)
 {
-    ++fm_calls_;
-    auto reply = co_await net::call<NasdNfsLookupReply>(
-        net_, node_, fm_.node(), kControlPayload + name.size(),
-        [&]() -> sim::Task<net::RpcReply<NasdNfsLookupReply>> {
-            auto r = co_await fm_.serveCreate(dir, name);
-            co_return net::RpcReply<NasdNfsLookupReply>{std::move(r), 256};
-        });
+    auto reply = co_await callFm<NasdNfsLookupReply>(
+        kControlPayload + name.size(),
+        [&] { return fm_.serveCreate(dir, name); });
     if (reply.status != NfsStatus::kOk)
         co_return util::Err{reply.status};
-    CachedCap entry;
-    entry.cred =
-        std::make_unique<CredentialFactory>(std::move(reply.capability));
-    entry.writable = true;
-    cap_cache_.insert_or_assign(reply.fh, std::move(entry));
+    cacheCap(reply.fh, std::move(reply.capability), true);
     co_return reply.fh;
 }
 
 sim::Task<NfsResult<NasdNfsFh>>
 NasdNfsClient::mkdir(NasdNfsFh dir, std::string name)
 {
-    ++fm_calls_;
-    auto reply = co_await net::call<NasdNfsLookupReply>(
-        net_, node_, fm_.node(), kControlPayload + name.size(),
-        [&]() -> sim::Task<net::RpcReply<NasdNfsLookupReply>> {
-            auto r = co_await fm_.serveMkdir(dir, name);
-            co_return net::RpcReply<NasdNfsLookupReply>{std::move(r), 256};
-        });
+    auto reply = co_await callFm<NasdNfsLookupReply>(
+        kControlPayload + name.size(),
+        [&] { return fm_.serveMkdir(dir, name); });
     if (reply.status != NfsStatus::kOk)
         co_return util::Err{reply.status};
     co_return reply.fh;
@@ -571,30 +476,19 @@ NasdNfsClient::mkdir(NasdNfsFh dir, std::string name)
 sim::Task<NfsResult<void>>
 NasdNfsClient::remove(NasdNfsFh dir, std::string name)
 {
-    ++fm_calls_;
-    auto reply = co_await net::call<NasdNfsStatusReply>(
-        net_, node_, fm_.node(), kControlPayload + name.size(),
-        [&]() -> sim::Task<net::RpcReply<NasdNfsStatusReply>> {
-            auto r = co_await fm_.serveRemove(dir, name);
-            co_return net::RpcReply<NasdNfsStatusReply>{r, 16};
-        });
+    auto reply = co_await callFm<NasdNfsStatusReply>(
+        kControlPayload + name.size(),
+        [&] { return fm_.serveRemove(dir, name); });
     if (reply.status != NfsStatus::kOk)
         co_return util::Err{reply.status};
     co_return NfsResult<void>{};
 }
 
-sim::Task<NfsResult<std::vector<NasdNfsDirEntry>>>
+sim::Task<NfsResult<std::vector<NasdDirEntry>>>
 NasdNfsClient::readdir(NasdNfsFh dir)
 {
-    ++fm_calls_;
-    auto reply = co_await net::call<NasdNfsReaddirReply>(
-        net_, node_, fm_.node(), kControlPayload,
-        [&]() -> sim::Task<net::RpcReply<NasdNfsReaddirReply>> {
-            auto r = co_await fm_.serveReaddir(dir);
-            const std::uint64_t payload = 40 * r.entries.size() + 16;
-            co_return net::RpcReply<NasdNfsReaddirReply>{std::move(r),
-                                                         payload};
-        });
+    auto reply = co_await callFm<NasdNfsReaddirReply>(
+        kControlPayload, [&] { return fm_.serveReaddir(dir); });
     if (reply.status != NfsStatus::kOk)
         co_return util::Err{reply.status};
     co_return std::move(reply.entries);
@@ -607,37 +501,26 @@ NasdNfsClient::getattr(NasdNfsFh fh)
     if (!cred.ok())
         co_return util::Err{cred.error()};
     auto attrs = co_await drive_clients_[fh.drive]->getAttr(*cred.value());
-    if (!attrs.ok()) {
-        if (!staleCapability(attrs.error()))
-            co_return util::Err{fromNasdStatus(attrs.error())};
+    if (!attrs.ok() && staleCapability(attrs.error())) {
         // Stale capability: refresh once and retry.
-        invalidateCap(fh);
+        cap_cache_.erase(fh);
         auto fresh = co_await capabilityFor(fh, false);
         if (!fresh.ok())
             co_return util::Err{fresh.error()};
         attrs = co_await drive_clients_[fh.drive]->getAttr(*fresh.value());
-        if (!attrs.ok())
-            co_return util::Err{fromNasdStatus(attrs.error())};
     }
-    NfsAttr out;
-    out.size = attrs.value().size;
-    out.mtime_ns = attrs.value().modify_time;
-    out.ctime_ns = attrs.value().attr_modify_time;
-    decodePolicyAttrs(attrs.value().fs_specific, out);
-    co_return out;
+    if (!attrs.ok())
+        co_return util::Err{fromNasdStatus(attrs.error())};
+    co_return toNfsAttr(attrs.value());
 }
 
 sim::Task<NfsResult<void>>
 NasdNfsClient::setattr(NasdNfsFh fh, std::uint32_t mode, std::uint32_t uid,
                        std::uint32_t gid)
 {
-    ++fm_calls_;
-    auto reply = co_await net::call<NasdNfsStatusReply>(
-        net_, node_, fm_.node(), kControlPayload,
-        [&]() -> sim::Task<net::RpcReply<NasdNfsStatusReply>> {
-            auto r = co_await fm_.serveSetPolicy(fh, mode, uid, gid);
-            co_return net::RpcReply<NasdNfsStatusReply>{r, 16};
-        });
+    auto reply = co_await callFm<NasdNfsStatusReply>(
+        kControlPayload,
+        [&] { return fm_.serveSetPolicy(fh, mode, uid, gid); });
     if (reply.status != NfsStatus::kOk)
         co_return util::Err{reply.status};
     co_return NfsResult<void>{};
@@ -655,7 +538,7 @@ NasdNfsClient::readChunk(NasdNfsFh fh, std::uint64_t offset,
     auto data = co_await drive_clients_[fh.drive]->read(*cred.value(),
                                                         offset, out.size());
     if (!data.ok() && staleCapability(data.error())) {
-        invalidateCap(fh);
+        cap_cache_.erase(fh);
         auto fresh = co_await capabilityFor(fh, false);
         if (fresh.ok()) {
             data = co_await drive_clients_[fh.drive]->read(
@@ -704,7 +587,7 @@ NasdNfsClient::writeChunk(NasdNfsFh fh, std::uint64_t offset,
     auto wrote =
         co_await drive_clients_[fh.drive]->write(*cred.value(), offset, d);
     if (!wrote.ok() && staleCapability(wrote.error())) {
-        invalidateCap(fh);
+        cap_cache_.erase(fh);
         auto fresh = co_await capabilityFor(fh, true);
         if (fresh.ok()) {
             wrote = co_await drive_clients_[fh.drive]->write(*fresh.value(),

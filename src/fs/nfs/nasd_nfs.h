@@ -18,34 +18,20 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "fs/nfs/nfs_client.h"
 #include "fs/nfs/types.h"
+#include "fs/port/nasd_port.h"
 #include "nasd/client.h"
 #include "nasd/drive.h"
+#include "nasd/managed_drives.h"
 #include "net/network.h"
 #include "sim/simulator.h"
 
 namespace nasd::fs {
-
-/** File handle in a NASD-NFS namespace: which drive, which object. */
-struct NasdNfsFh
-{
-    std::uint32_t drive = 0;
-    ObjectId oid = 0;
-
-    bool operator==(const NasdNfsFh &) const = default;
-    bool
-    operator<(const NasdNfsFh &other) const
-    {
-        return drive != other.drive ? drive < other.drive
-                                    : oid < other.oid;
-    }
-};
 
 /** Lookup/create reply: handle + attrs + piggybacked capability. */
 struct [[nodiscard]] NasdNfsLookupReply
@@ -56,32 +42,16 @@ struct [[nodiscard]] NasdNfsLookupReply
     Capability capability; ///< piggybacked (Section 5.1)
 };
 
-struct NasdNfsDirEntry
-{
-    std::string name;
-    NasdNfsFh fh;
-    bool is_directory = false;
-};
-
 struct [[nodiscard]] NasdNfsReaddirReply
 {
     NfsStatus status = NfsStatus::kOk;
-    std::vector<NasdNfsDirEntry> entries;
+    std::vector<NasdDirEntry> entries;
 };
 
 struct [[nodiscard]] NasdNfsStatusReply
 {
     NfsStatus status = NfsStatus::kOk;
 };
-
-/** Encode NFS policy attributes into the fs-specific object field. */
-std::array<std::uint8_t, kFsSpecificBytes>
-encodePolicyAttrs(std::uint32_t mode, std::uint32_t uid, std::uint32_t gid,
-                  bool is_directory);
-
-/** Decode the fs-specific field back into policy attributes. */
-void decodePolicyAttrs(const std::array<std::uint8_t, kFsSpecificBytes> &raw,
-                       NfsAttr &attrs);
 
 /**
  * The NASD-NFS file manager: namespace, policy, and capability mint.
@@ -145,8 +115,6 @@ class NasdNfsFileManager
      */
     sim::Task<NasdNfsStatusReply> serveRevoke(NasdNfsFh fh);
 
-    std::uint64_t controlOpsServed() const { return control_ops_; }
-
   private:
     /** Mint a capability for @p fh at its current version. */
     Capability mintCapability(const NasdNfsFh &fh, std::uint8_t rights);
@@ -154,10 +122,10 @@ class NasdNfsFileManager
     /** FM-side all-rights credential for its own object access. */
     CredentialFactory fmCredential(const NasdNfsFh &fh);
 
-    sim::Task<NfsResult<std::vector<NasdNfsDirEntry>>>
+    sim::Task<NfsResult<std::vector<NasdDirEntry>>>
     loadDirectory(NasdNfsFh dir);
-    sim::Task<NfsResult<void>>
-    storeDirectory(NasdNfsFh dir, const std::vector<NasdNfsDirEntry> &ents);
+    sim::Task<NfsStatus> storeDirectory(NasdNfsFh dir,
+                                        const std::vector<NasdDirEntry> &ents);
 
     /** Fetch attrs of @p fh through the FM's own drive client. */
     sim::Task<NfsResult<NfsAttr>> fetchAttrs(NasdNfsFh fh);
@@ -166,18 +134,14 @@ class NasdNfsFileManager
 
     sim::Simulator &sim_;
     net::NetNode &node_;
-    std::vector<NasdDrive *> drives_;
-    std::vector<std::unique_ptr<CapabilityIssuer>> issuers_;
-    std::vector<std::unique_ptr<NasdClient>> fm_clients_;
-    PartitionId partition_;
+    ManagedDrives drives_;
     NasdNfsFh root_;
     std::uint32_t next_placement_ = 0;
     /// The FM is the only version-bumper, so it tracks versions.
     std::map<NasdNfsFh, ObjectVersion> versions_;
     /// The FM is also the only directory writer, so it caches
     /// directory contents (write-through to the drive objects).
-    std::map<NasdNfsFh, std::vector<NasdNfsDirEntry>> dir_cache_;
-    std::uint64_t control_ops_ = 0;
+    std::map<NasdNfsFh, std::vector<NasdDirEntry>> dir_cache_;
 
     /// Capability lifetime handed to clients.
     static constexpr std::uint64_t kCapLifetimeNs = 600ull * 1000000000;
@@ -201,7 +165,7 @@ class NasdNfsClient
     sim::Task<NfsResult<NasdNfsFh>> create(NasdNfsFh dir, std::string name);
     sim::Task<NfsResult<NasdNfsFh>> mkdir(NasdNfsFh dir, std::string name);
     sim::Task<NfsResult<void>> remove(NasdNfsFh dir, std::string name);
-    sim::Task<NfsResult<std::vector<NasdNfsDirEntry>>>
+    sim::Task<NfsResult<std::vector<NasdDirEntry>>>
     readdir(NasdNfsFh dir);
 
     /** Attribute read: straight to the drive (Section 5.1). */
@@ -236,12 +200,16 @@ class NasdNfsClient
         bool writable = false;
     };
 
+    /** One control RPC to the file manager; @p serve runs there. */
+    template <typename Reply, typename Serve>
+    sim::Task<Reply> callFm(std::uint64_t request_bytes, Serve serve);
+
     /** Get (fetching if needed) a capability for @p fh. */
     sim::Task<NfsResult<CredentialFactory *>> capabilityFor(NasdNfsFh fh,
                                                             bool write);
 
-    /** Drop the cached capability (after a drive rejection). */
-    void invalidateCap(NasdNfsFh fh);
+    /** Cache @p cap as @p fh's credential; returns the cached one. */
+    CredentialFactory *cacheCap(NasdNfsFh fh, Capability cap, bool writable);
 
     sim::Task<NfsResult<std::uint64_t>>
     readChunk(NasdNfsFh fh, std::uint64_t offset,

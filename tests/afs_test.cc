@@ -246,5 +246,22 @@ TEST_F(AfsTest, ExpiredWriteCapUnblocksReaders)
     EXPECT_EQ(n.value(), kKB);
 }
 
+TEST_F(AfsTest, CorruptDirectoryIsAnIoError)
+{
+    const auto root = fm->rootFid();
+    const auto dir = runFor(sim, client_a->mkdir(root, "d")).value();
+    // A whole entry header naming a 9-byte name, then 2 of its bytes.
+    std::vector<std::uint8_t> truncated(14, 0);
+    truncated[13] = 9;
+    truncated.push_back('a');
+    truncated.push_back('b');
+    ASSERT_TRUE(runFor(sim, client_a->write(dir, 0, truncated)).ok());
+
+    // The second client parses the directory locally.
+    auto found = runFor(sim, client_b->lookup(dir, "x"));
+    ASSERT_FALSE(found.ok());
+    EXPECT_EQ(found.error(), NfsStatus::kIoError);
+}
+
 } // namespace
 } // namespace nasd::fs

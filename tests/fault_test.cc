@@ -702,5 +702,46 @@ TEST_F(AfsFaultTest, WriteCapExpiryRefreshedOnce)
     EXPECT_EQ(out, data);
 }
 
+TEST_F(AfsFaultTest, FailedDriveIsAnIoError)
+{
+    const auto root = fm->rootFid();
+    const auto fid = runFor(sim, client_a->create(root, "lost")).value();
+    ASSERT_TRUE(runFor(sim, client_a->write(fid, 0, pattern(4 * kKB))).ok());
+
+    // A failed drive is an I/O error, not a permission problem.
+    raw[fid.drive]->setFailed(true);
+    std::vector<std::uint8_t> out(4 * kKB);
+    auto n = runFor(sim, client_b->read(fid, 0, out));
+    ASSERT_FALSE(n.ok());
+    EXPECT_EQ(n.error(), fs::NfsStatus::kIoError);
+}
+
+TEST_F(AfsFaultTest, RemoveReportsAFailedDirectoryWrite)
+{
+    // Placement round-robins from drive 0, which also holds the root
+    // directory: "kept" lands beside it and "victim" on drive 1.
+    const auto root = fm->rootFid();
+    ASSERT_TRUE(runFor(sim, client_a->create(root, "kept")).ok());
+    const auto victim = runFor(sim, client_a->create(root, "victim")).value();
+    ASSERT_NE(victim.drive, root.drive);
+
+    // Fail the directory's drive the moment the victim's drive has
+    // removed it: the file manager's directory rewrite comes next.
+    sim.spawn([](Simulator &s, NasdDrive *victim_drive, ObjectId oid,
+                 NasdDrive *dir_drive) -> Task<void> {
+        for (int i = 0; i < 10000; ++i) {
+            if (!victim_drive->store().peekVersion(0, oid).ok()) {
+                dir_drive->setFailed(true);
+                co_return;
+            }
+            co_await s.delay(sim::usec(100));
+        }
+    }(sim, raw[victim.drive], victim.oid, raw[root.drive]));
+
+    auto removed = runFor(sim, client_a->remove(root, "victim"));
+    ASSERT_FALSE(removed.ok());
+    EXPECT_EQ(removed.error(), fs::NfsStatus::kIoError);
+}
+
 } // namespace
 } // namespace nasd

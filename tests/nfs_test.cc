@@ -6,6 +6,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <vector>
 
 #include "disk/disk_model.h"
@@ -320,6 +322,58 @@ TEST_F(NasdNfsTest, MkdirNestsNamespaces)
     ASSERT_TRUE(listing.ok());
     ASSERT_EQ(listing.value().size(), 1u);
     EXPECT_TRUE(listing.value()[0].is_directory);
+}
+
+// A directory object holds back-to-back entries (u32 drive, u64 oid,
+// u8 is_dir, u8 name length, name); decoding must reject every
+// truncation of a valid encoding instead of reading past the end, and
+// an entry naming a drive outside the namespace.
+TEST(NasdDirectoryCodecTest, RoundTripsAndRejectsEveryTruncation)
+{
+    const std::vector<NasdDirEntry> entries{{"alpha", {1, 0x1234}, false},
+                                            {"d", {0, 0x100}, true},
+                                            {"", {7, 9}, false}};
+    const auto raw = encodeDirectory(entries);
+    ASSERT_EQ(raw.size(), 3 * 14u + 5 + 1);
+    auto back = decodeDirectory(raw, 8);
+    ASSERT_TRUE(back.ok());
+    ASSERT_EQ(back.value().size(), entries.size());
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+        EXPECT_EQ(back.value()[i].name, entries[i].name);
+        EXPECT_EQ(back.value()[i].fh, entries[i].fh);
+        EXPECT_EQ(back.value()[i].is_directory, entries[i].is_directory);
+    }
+
+    const std::vector<std::size_t> boundaries{0, 19, 34, 48};
+    for (std::size_t n = 0; n < raw.size(); ++n) {
+        const auto cut = decodeDirectory(
+            std::span<const std::uint8_t>(raw.data(), n), 8);
+        const bool whole = std::find(boundaries.begin(), boundaries.end(),
+                                     n) != boundaries.end();
+        EXPECT_EQ(cut.ok(), whole) << "prefix of " << n << " bytes";
+        if (!cut.ok()) {
+            EXPECT_EQ(cut.error(), NfsStatus::kIoError);
+        }
+    }
+
+    // The last entry names drive 7: corrupt in a namespace on 7 drives.
+    const auto beyond = decodeDirectory(raw, 7);
+    ASSERT_FALSE(beyond.ok());
+    EXPECT_EQ(beyond.error(), NfsStatus::kIoError);
+}
+
+TEST_F(NasdNfsTest, CorruptDirectoryIsAnIoError)
+{
+    const auto root = fm->rootHandle();
+    const auto dir = runFor(sim, client->mkdir(root, "d")).value();
+    // One entry's drive and half its object id: the object is cut
+    // short inside an entry's fixed fields.
+    const std::vector<std::uint8_t> truncated{0, 0, 0, 0, 0x10, 0x20};
+    ASSERT_TRUE(runFor(sim, client->write(dir, 0, truncated)).ok());
+
+    auto found = runFor(sim, client->lookup(dir, "x"));
+    ASSERT_FALSE(found.ok());
+    EXPECT_EQ(found.error(), NfsStatus::kIoError);
 }
 
 // Regression (PR 6 sweep): readChunk/writeChunk released the window
