@@ -34,9 +34,8 @@ namespace nasd::bench {
 /**
  * Write 2 MB through @p cred on @p rig's drive, read it once in 512 KB
  * requests to warm the drive cache, then time four more passes. A
- * failed write is reported but not fatal: under software digests the
- * client's RPC deadline expires before the drive answers the 2 MB
- * write.
+ * failed load write ends the process: a row measured after it would
+ * stand on a write that never reported success.
  * @return MB/s over the timed passes.
  */
 inline double
@@ -47,7 +46,7 @@ warmReadMbs(rig::DriveRig &rig, CredentialFactory &cred)
     const std::vector<std::uint8_t> data(kBytes, 7);
     const auto w = runFor(rig.sim, rig.client.write(cred, 0, data));
     if (!w.ok())
-        NASD_WARN("drive rig: load write failed: ", toString(w.error()));
+        NASD_FATAL("drive rig: load write failed: ", toString(w.error()));
     for (std::uint64_t off = 0; off < kBytes; off += kRequest) {
         const auto r = runFor(rig.sim, rig.client.read(cred, off, kRequest));
         NASD_ASSERT(r.ok(), "drive rig: warm-up read failed");

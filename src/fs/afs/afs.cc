@@ -89,6 +89,10 @@ AfsFileManager::serveFetchCap(AfsFid fid, bool want_write,
                               std::uint64_t size_hint)
 {
     AfsFetchCapReply reply;
+    if (fid.drive >= drives_.size()) {
+        reply.status = NfsStatus::kStale;
+        co_return reply;
+    }
     auto &state = files_[fid];
 
     // "The issuing of new callbacks on a file with an outstanding
@@ -159,6 +163,10 @@ sim::Task<AfsStatusReply>
 AfsFileManager::serveReleaseCap(AfsFid fid, std::uint32_t client_id)
 {
     AfsStatusReply reply;
+    if (fid.drive >= drives_.size()) {
+        reply.status = NfsStatus::kStale;
+        co_return reply;
+    }
     auto &state = files_[fid];
     if (state.write_holder != client_id) {
         co_return reply; // nothing to settle
@@ -205,6 +213,10 @@ sim::Task<AfsCreateReply>
 AfsFileManager::serveCreate(AfsFid dir, std::string name, bool directory)
 {
     AfsCreateReply reply;
+    if (dir.drive >= drives_.size()) {
+        reply.status = NfsStatus::kStale;
+        co_return reply;
+    }
     // Load, check, and update the directory object.
     auto dir_cred = fmCredential(dir);
     auto entries = co_await readDirectory(drives_, dir, dir_cred);
@@ -240,6 +252,10 @@ sim::Task<AfsStatusReply>
 AfsFileManager::serveRemove(AfsFid dir, std::string name)
 {
     AfsStatusReply reply;
+    if (dir.drive >= drives_.size()) {
+        reply.status = NfsStatus::kStale;
+        co_return reply;
+    }
     auto dir_cred = fmCredential(dir);
     auto entries = co_await readDirectory(drives_, dir, dir_cred);
     if (!entries.ok()) {
@@ -316,6 +332,8 @@ AfsClient::fetchCap(AfsFid fid, bool want_write, std::uint64_t size_hint)
 sim::Task<NfsResult<AfsClient::CachedFile *>>
 AfsClient::fetchFile(AfsFid fid)
 {
+    if (fid.drive >= drive_clients_.size())
+        co_return util::Err{NfsStatus::kStale};
     auto &entry = cache_[fid];
     if (entry.valid) {
         cache_hits_.add(1);
@@ -399,6 +417,8 @@ sim::Task<NfsResult<void>>
 AfsClient::write(AfsFid fid, std::uint64_t offset,
                  std::span<const std::uint8_t> data)
 {
+    if (fid.drive >= drive_clients_.size())
+        co_return util::Err{NfsStatus::kStale};
     // Obtain the write capability (this breaks other clients'
     // callbacks and escrows quota).
     auto reply = co_await fetchCap(fid, true, offset + data.size());

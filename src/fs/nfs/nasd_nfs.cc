@@ -129,6 +129,11 @@ NasdNfsFileManager::initialize(std::uint64_t partition_quota_bytes)
 sim::Task<NfsResult<std::vector<NasdDirEntry>>>
 NasdNfsFileManager::loadDirectory(NasdNfsFh dir)
 {
+    // A client's handle enters the manager here (lookup, create, mkdir,
+    // remove, readdir), in fetchAttrs (setPolicy, getCap) or in
+    // serveRevoke; each checks it before minting for its drive.
+    if (dir.drive >= drives_.size())
+        co_return util::Err{NfsStatus::kStale};
     // The FM is the only directory writer: serve from its cache.
     const auto cached = dir_cache_.find(dir);
     if (cached != dir_cache_.end())
@@ -166,6 +171,8 @@ NasdNfsFileManager::storeDirectory(NasdNfsFh dir,
 sim::Task<NfsResult<NfsAttr>>
 NasdNfsFileManager::fetchAttrs(NasdNfsFh fh)
 {
+    if (fh.drive >= drives_.size())
+        co_return util::Err{NfsStatus::kStale};
     auto cred = fmCredential(fh);
     auto attrs = co_await drives_.client(fh.drive).getAttr(cred);
     if (!attrs.ok())
@@ -367,6 +374,10 @@ sim::Task<NasdNfsStatusReply>
 NasdNfsFileManager::serveRevoke(NasdNfsFh fh)
 {
     NasdNfsStatusReply reply;
+    if (fh.drive >= drives_.size()) {
+        reply.status = NfsStatus::kStale;
+        co_return reply;
+    }
     SetAttrRequest req;
     req.bump_version = true;
     auto cred = fmCredential(fh);
@@ -416,6 +427,10 @@ NasdNfsClient::callFm(std::uint64_t request_bytes, Serve serve)
 sim::Task<NfsResult<CredentialFactory *>>
 NasdNfsClient::capabilityFor(NasdNfsFh fh, bool write)
 {
+    // Every direct drive access starts here: a handle naming no drive
+    // of this namespace never indexes drive_clients_.
+    if (fh.drive >= drive_clients_.size())
+        co_return util::Err{NfsStatus::kStale};
     auto it = cap_cache_.find(fh);
     if (it != cap_cache_.end() && (!write || it->second.writable))
         co_return it->second.cred.get();
@@ -535,21 +550,19 @@ NasdNfsClient::readChunk(NasdNfsFh fh, std::uint64_t offset,
     auto cred = co_await capabilityFor(fh, false);
     if (!cred.ok())
         co_return util::Err{cred.error()};
-    auto data = co_await drive_clients_[fh.drive]->read(*cred.value(),
-                                                        offset, out.size());
-    if (!data.ok() && staleCapability(data.error())) {
+    auto n = co_await drive_clients_[fh.drive]->read(*cred.value(), offset,
+                                                     out);
+    if (!n.ok() && staleCapability(n.error())) {
         cap_cache_.erase(fh);
         auto fresh = co_await capabilityFor(fh, false);
-        if (fresh.ok()) {
-            data = co_await drive_clients_[fh.drive]->read(
-                *fresh.value(), offset, out.size());
-        }
+        if (fresh.ok())
+            n = co_await drive_clients_[fh.drive]->read(*fresh.value(),
+                                                        offset, out);
     }
     permit.release();
-    if (!data.ok())
-        co_return util::Err{fromNasdStatus(data.error())};
-    std::copy(data.value().begin(), data.value().end(), out.begin());
-    co_return static_cast<std::uint64_t>(data.value().size());
+    if (!n.ok())
+        co_return util::Err{fromNasdStatus(n.error())};
+    co_return n.value();
 }
 
 sim::Task<NfsResult<std::uint64_t>>

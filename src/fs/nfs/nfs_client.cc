@@ -73,16 +73,13 @@ NfsClient::readChunk(NfsFileHandle fh, std::uint64_t offset,
     auto reply = co_await net::call<NfsReadReply>(
         net_, node_, server_.node(), kControlPayload,
         [&]() -> sim::Task<net::RpcReply<NfsReadReply>> {
-            auto r = co_await server_.serveRead(
-                fh, offset, static_cast<std::uint32_t>(out.size()));
-            const std::uint64_t payload = r.data.size();
-            co_return net::RpcReply<NfsReadReply>{std::move(r), payload};
+            auto r = co_await server_.serveRead(fh, offset, out);
+            co_return net::RpcReply<NfsReadReply>{r, r.count};
         });
     permit.release();
     if (reply.status != NfsStatus::kOk)
         co_return util::Err{reply.status};
-    std::copy(reply.data.begin(), reply.data.end(), out.begin());
-    co_return static_cast<std::uint64_t>(reply.data.size());
+    co_return reply.count;
 }
 
 sim::Task<NfsResult<std::uint64_t>>
@@ -116,12 +113,10 @@ NfsClient::writeChunk(NfsFileHandle fh, std::uint64_t offset,
 {
     auto permit = co_await sim::scopedAcquire(net_.simulator(), window_);
     window_wait_ns_.add(permit.waitNs());
-    std::vector<std::uint8_t> payload(data.begin(), data.end());
     auto reply = co_await net::call<NfsWriteReply>(
-        net_, node_, server_.node(), kControlPayload + payload.size(),
+        net_, node_, server_.node(), kControlPayload + data.size(),
         [&]() -> sim::Task<net::RpcReply<NfsWriteReply>> {
-            auto r = co_await server_.serveWrite(fh, offset,
-                                                 std::move(payload));
+            auto r = co_await server_.serveWrite(fh, offset, data);
             co_return net::RpcReply<NfsWriteReply>{r, 96};
         });
     permit.release();

@@ -161,7 +161,7 @@ NfsServer::serveSetattr(NfsFileHandle fh, std::uint32_t mode,
 
 sim::Task<NfsReadReply>
 NfsServer::serveRead(NfsFileHandle fh, std::uint64_t offset,
-                     std::uint32_t count)
+                     std::span<std::uint8_t> out)
 {
     NfsReadReply reply;
     auto vol = volumeOf(fh);
@@ -169,22 +169,20 @@ NfsServer::serveRead(NfsFileHandle fh, std::uint64_t offset,
         reply.status = NfsStatus::kStale;
         co_return reply;
     }
-    reply.data.resize(count);
-    auto n = co_await vol.value()->read(fh.ino, offset, reply.data);
+    auto n = co_await vol.value()->read(fh.ino, offset, out);
     if (!n.ok()) {
         reply.status = fromFsStatus(n.error());
-        reply.data.clear();
         co_return reply;
     }
-    reply.data.resize(n.value());
-    reply.eof = n.value() < count;
+    reply.count = n.value();
+    reply.eof = n.value() < out.size();
     ops_served_.add(1);
     co_return reply;
 }
 
 sim::Task<NfsWriteReply>
 NfsServer::serveWrite(NfsFileHandle fh, std::uint64_t offset,
-                      std::vector<std::uint8_t> data)
+                      std::span<const std::uint8_t> data)
 {
     NfsWriteReply reply;
     auto vol = volumeOf(fh);

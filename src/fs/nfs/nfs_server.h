@@ -19,6 +19,7 @@
 #define NASD_FS_NFS_NFS_SERVER_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -45,10 +46,12 @@ struct [[nodiscard]] NfsAttrReply
     NfsAttr attrs;
 };
 
+/** READ reply: the bytes landed in the caller's buffer, the reply
+ *  carries their count (which the reply message charges on the wire). */
 struct [[nodiscard]] NfsReadReply
 {
     NfsStatus status = NfsStatus::kOk;
-    std::vector<std::uint8_t> data;
+    std::uint64_t count = 0;
     bool eof = false;
 };
 
@@ -112,11 +115,14 @@ class NfsServer
                                          std::uint32_t mode,
                                          std::uint32_t uid,
                                          std::uint32_t gid);
+    /** READ into @p out, the client's buffer: net::call runs the
+     *  handler once while the caller waits, so nothing is staged. */
     sim::Task<NfsReadReply> serveRead(NfsFileHandle fh, std::uint64_t offset,
-                                      std::uint32_t count);
+                                      std::span<std::uint8_t> out);
+    /** WRITE from @p data, the client's buffer (see serveRead). */
     sim::Task<NfsWriteReply> serveWrite(NfsFileHandle fh,
                                         std::uint64_t offset,
-                                        std::vector<std::uint8_t> data);
+                                        std::span<const std::uint8_t> data);
     sim::Task<NfsLookupReply> serveCreate(NfsFileHandle dir,
                                           std::string name);
     sim::Task<NfsLookupReply> serveMkdir(NfsFileHandle dir,

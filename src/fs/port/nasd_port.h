@@ -27,7 +27,10 @@
 
 namespace nasd::fs {
 
-/** One file or directory: the drive holding it and its object. */
+/** One file or directory: the drive holding it and its object. A
+ *  manager or client checks `drive` against its drive count where a
+ *  caller's handle enters it, and answers a handle naming no drive of
+ *  its namespace with kStale. */
 struct NasdFh
 {
     std::uint32_t drive = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 
+#include "sim/sync.h"
 #include "util/flight_recorder.h"
 #include "util/logging.h"
 
@@ -17,6 +18,10 @@ constexpr std::uint64_t kControlPayload = 128;
 
 /// Wire size of an attribute frame in replies.
 constexpr std::uint64_t kAttrPayload = 128;
+
+/// Pieces of one request cut at max_transfer that are in flight at
+/// once: the drive reads piece k+1 while piece k crosses the wire.
+constexpr std::uint32_t kTransferWindow = 2;
 
 /// Per-attempt handler factory for attemptLoop. GCC 12 miscompiles a
 /// prvalue std::function temporary passed as a by-value coroutine
@@ -91,6 +96,37 @@ attemptLoop(net::Network &net, net::NetNode &node, NasdDrive &drive,
     co_return failed;
 }
 
+/** Closes a ReadLanding when the reading frame ends, however it ends. */
+struct LandingClose
+{
+    ReadLanding &landing;
+    ~LandingClose() { landing.live = 0; }
+};
+
+/** Run @p piece once a permit of @p window is free. */
+template <typename T>
+sim::Task<T>
+inWindow(sim::Simulator &sim, sim::Semaphore &window, sim::Task<T> piece)
+{
+    auto permit = co_await sim::scopedAcquire(sim, window);
+    co_return co_await std::move(piece);
+}
+
+/** Run @p pieces with at most @p window of them in flight (FIFO), and
+ *  collect their results in input order. */
+template <typename T>
+sim::Task<std::vector<T>>
+gatherWindowed(sim::Simulator &sim, std::uint32_t window,
+               std::vector<sim::Task<T>> pieces)
+{
+    sim::Semaphore permits(sim, window);
+    std::vector<sim::Task<T>> held;
+    held.reserve(pieces.size());
+    for (auto &piece : pieces)
+        held.push_back(inWindow(sim, permits, std::move(piece)));
+    co_return co_await sim::parallelGather(sim, std::move(held));
+}
+
 } // namespace
 
 NasdClient::NasdClient(net::Network &net, net::NetNode &node,
@@ -103,6 +139,8 @@ sim::Task<StoreResult<std::uint64_t>>
 NasdClient::read(CredentialFactory &cred, std::uint64_t offset,
                  std::span<std::uint8_t> out, util::TraceContext parent)
 {
+    if (out.size() > policy_.max_transfer)
+        co_return co_await readPieces(cred, offset, out, parent);
     RequestParams params{OpCode::kReadData, cred.capability().pub.partition,
                          cred.capability().pub.object_id, offset,
                          out.size()};
@@ -112,17 +150,21 @@ NasdClient::read(CredentialFactory &cred, std::uint64_t offset,
                           params.trace, parent.span_id);
     NasdDrive *drive = &drive_;
 
-    // Each attempt fills a reply buffer of its own, never `out`: a
-    // timed-out attempt or a duplicate reply may still be running after
-    // this call has returned.
-    const MakeFn<ReadResponse> make = [&cred, params, drive] {
+    // Every attempt lands its bytes in `out` through one shared record;
+    // each new attempt takes the live id, and the id is cleared before
+    // this frame ends, so a timed-out attempt or a duplicate that is
+    // still running never writes into `out` afterwards.
+    const auto landing = std::make_shared<ReadLanding>(ReadLanding{out});
+    const LandingClose close{*landing};
+    const MakeFn<ReadResponse> make = [&cred, params, drive, landing] {
         const RequestCredential credential = cred.forRequest(params);
+        const std::uint64_t attempt = ++landing->live;
         return std::function<sim::Task<net::RpcReply<ReadResponse>>()>(
-            [drive, credential,
-             params]() -> sim::Task<net::RpcReply<ReadResponse>> {
-                auto r = co_await drive->serveRead(credential, params);
-                const std::uint64_t payload = r.data.size();
-                co_return net::RpcReply<ReadResponse>{std::move(r), payload};
+            [drive, credential, params, landing,
+             attempt]() -> sim::Task<net::RpcReply<ReadResponse>> {
+                auto r = co_await drive->serveRead(credential, params,
+                                                   landing, attempt);
+                co_return net::RpcReply<ReadResponse>{r, r.length};
             });
     };
     ReadResponse resp = co_await attemptLoop<ReadResponse>(
@@ -132,9 +174,33 @@ NasdClient::read(CredentialFactory &cred, std::uint64_t offset,
 
     if (resp.status != NasdStatus::kOk)
         co_return util::Err{resp.status};
-    NASD_ASSERT(resp.data.size() <= out.size(), "read reply overruns");
-    std::copy(resp.data.begin(), resp.data.end(), out.begin());
-    co_return static_cast<std::uint64_t>(resp.data.size());
+    NASD_ASSERT(resp.length <= out.size(), "read reply overruns");
+    co_return resp.length;
+}
+
+sim::Task<StoreResult<std::uint64_t>>
+NasdClient::readPieces(CredentialFactory &cred, std::uint64_t offset,
+                       std::span<std::uint8_t> out, util::TraceContext parent)
+{
+    std::vector<sim::Task<StoreResult<std::uint64_t>>> pieces;
+    for (std::uint64_t at = 0; at < out.size(); at += policy_.max_transfer) {
+        const std::uint64_t n =
+            std::min<std::uint64_t>(policy_.max_transfer, out.size() - at);
+        pieces.push_back(read(cred, offset + at, out.subspan(at, n), parent));
+    }
+    const auto results = co_await gatherWindowed(
+        net_.simulator(), kTransferWindow, std::move(pieces));
+    // A piece that comes back short ends the object: return the
+    // contiguous prefix, whatever the pieces after it found.
+    std::uint64_t total = 0;
+    for (const auto &r : results) {
+        if (!r.ok())
+            co_return util::Err{r.error()};
+        total += r.value();
+        if (r.value() < policy_.max_transfer)
+            break;
+    }
+    co_return total;
 }
 
 sim::Task<StoreResult<std::vector<std::uint8_t>>>
@@ -154,6 +220,8 @@ NasdClient::write(CredentialFactory &cred, std::uint64_t offset,
                   std::span<const std::uint8_t> data,
                   util::TraceContext parent)
 {
+    if (data.size() > policy_.max_transfer)
+        co_return co_await writePieces(cred, offset, data, parent);
     RequestParams params{OpCode::kWriteData,
                          cred.capability().pub.partition,
                          cred.capability().pub.object_id, offset,
@@ -186,6 +254,26 @@ NasdClient::write(CredentialFactory &cred, std::uint64_t offset,
 
     if (resp.status != NasdStatus::kOk)
         co_return util::Err{resp.status};
+    co_return StoreResult<void>{};
+}
+
+sim::Task<StoreResult<void>>
+NasdClient::writePieces(CredentialFactory &cred, std::uint64_t offset,
+                        std::span<const std::uint8_t> data,
+                        util::TraceContext parent)
+{
+    std::vector<sim::Task<StoreResult<void>>> pieces;
+    for (std::uint64_t at = 0; at < data.size(); at += policy_.max_transfer) {
+        const std::uint64_t n =
+            std::min<std::uint64_t>(policy_.max_transfer, data.size() - at);
+        pieces.push_back(write(cred, offset + at, data.subspan(at, n), parent));
+    }
+    const auto results = co_await gatherWindowed(
+        net_.simulator(), kTransferWindow, std::move(pieces));
+    for (const auto &r : results) {
+        if (!r.ok())
+            co_return util::Err{r.error()};
+    }
     co_return StoreResult<void>{};
 }
 

@@ -15,6 +15,12 @@
  * the drive's replay window. Non-idempotent operations (create,
  * remove, clone, setAttr, setKey, partition admin) get a single
  * deadline-protected attempt.
+ *
+ * A read or write larger than DriveRetryPolicy::max_transfer is cut
+ * into pieces of at most that size, each its own RPC with its own
+ * deadline and retry, with at most two of them in flight, so a large
+ * request never asks one attempt to move more bytes than its deadline
+ * allows.
  */
 #ifndef NASD_NASD_CLIENT_H_
 #define NASD_NASD_CLIENT_H_
@@ -30,6 +36,7 @@
 #include "net/rpc.h"
 #include "sim/task.h"
 #include "sim/time.h"
+#include "util/logging.h"
 #include "util/rng.h"
 
 namespace nasd {
@@ -43,6 +50,9 @@ struct DriveRetryPolicy
     sim::Tick backoff_cap = sim::msec(500);   ///< backoff ceiling
     /// Flush drains the whole write-behind queue; give it room.
     sim::Tick flush_timeout = sim::sec(120);
+    /// Most bytes one read or write RPC carries. 2 MB is the largest
+    /// request the benches issue, so none of theirs is cut.
+    std::uint64_t max_transfer = 2 * 1024 * 1024;
 };
 
 /** RPC stub for one (client machine, drive) pair. */
@@ -55,14 +65,21 @@ class NasdClient
     NasdDrive &drive() { return drive_; }
 
     const DriveRetryPolicy &policy() const { return policy_; }
-    void setPolicy(const DriveRetryPolicy &policy) { policy_ = policy; }
+    void
+    setPolicy(const DriveRetryPolicy &policy)
+    {
+        NASD_ASSERT(policy.max_transfer > 0, "drive transfer cap is zero");
+        policy_ = policy;
+    }
 
     /** Read up to @p out.size() bytes at @p offset of the capability's
      *  object into @p out; returns the byte count read (short at end of
-     *  object). Only the winning reply is copied into @p out, once,
-     *  after the retry loop has finished. @p parent, when valid, makes
-     *  the request a child span of the caller's trace (see
-     *  util/trace.h). */
+     *  object: the contiguous prefix that was read). The drive lands
+     *  the bytes in @p out directly, and only the live attempt may
+     *  write there (ReadLanding), so @p out is never touched after
+     *  this returns. On an error its contents are unspecified.
+     *  @p parent, when valid, makes the request a child span of the
+     *  caller's trace (see util/trace.h). */
     sim::Task<StoreResult<std::uint64_t>>
     read(CredentialFactory &cred, std::uint64_t offset,
          std::span<std::uint8_t> out, util::TraceContext parent = {});
@@ -126,6 +143,16 @@ class NasdClient
                                                  PartitionId target);
 
   private:
+    /** read() and write() above max_transfer: pieces of at most that
+     *  size, each one read() or write() call, two in flight. */
+    sim::Task<StoreResult<std::uint64_t>>
+    readPieces(CredentialFactory &cred, std::uint64_t offset,
+               std::span<std::uint8_t> out, util::TraceContext parent);
+    sim::Task<StoreResult<void>>
+    writePieces(CredentialFactory &cred, std::uint64_t offset,
+                std::span<const std::uint8_t> data,
+                util::TraceContext parent);
+
     net::Network &net_;
     net::NetNode &node_;
     NasdDrive &drive_;

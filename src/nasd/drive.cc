@@ -354,7 +354,9 @@ NasdDrive::chargeSecurityBytes(std::uint64_t bytes,
 }
 
 sim::Task<ReadResponse>
-NasdDrive::serveRead(RequestCredential cred, RequestParams params)
+NasdDrive::serveRead(RequestCredential cred, RequestParams params,
+                     std::shared_ptr<const ReadLanding> landing,
+                     std::uint64_t attempt)
 {
     const sim::Tick op_start = sim_.now();
     auto op_span = beginOp("read", params);
@@ -366,26 +368,28 @@ NasdDrive::serveRead(RequestCredential cred, RequestParams params)
         resp.status = status;
         co_return resp;
     }
-    // Not zero-filled: the store writes the bytes it returns and the
-    // tail past a short read is trimmed below.
-    resp.data.resize(params.length);
+    NASD_ASSERT(params.length <= landing->out.size(),
+                "read landing smaller than the request");
     OpTrace trace;
     trace.attr = &op_attr;
-    auto result = co_await store_->read(params.partition, params.object_id,
-                                        params.offset, resp.data, &trace);
+    trace.landing = landing.get();
+    trace.attempt = attempt;
+    auto result = co_await store_->read(
+        params.partition, params.object_id, params.offset,
+        landing->out.first(static_cast<std::size_t>(params.length)),
+        &trace);
     if (!result.ok()) {
         resp.status = result.error();
-        resp.data.clear();
         co_return resp;
     }
     if (crashed_) {
         // The drive died while the op was inside the store: in-flight
-        // requests are rejected too, data never leaves the drive.
+        // requests are rejected too, and the bytes that landed count
+        // for nothing.
         resp.status = NasdStatus::kDriveUnavailable;
-        resp.data.clear();
         co_return resp;
     }
-    resp.data.resize(result.value());
+    resp.length = result.value();
     co_await chargeOpCost(config_.costs.read_base_instr,
                           config_.costs.cold_extra_read_instr,
                           config_.costs.read_per_byte_instr,

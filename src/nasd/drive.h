@@ -66,32 +66,13 @@ DriveConfig prototypeDriveConfig(std::string name, DriveId id);
 // Wire-format response types (plain structs so they cross the RPC
 // layer without fuss).
 
-/**
- * Allocator whose value-less construct() default-initialises, so
- * resize() on a byte vector leaves the new bytes unwritten instead of
- * zero-filling them. Constructing from a value falls through to the
- * standard construction (std::allocator_traits).
- */
-template <typename T>
-struct DefaultInitAllocator : std::allocator<T>
-{
-    template <typename U>
-    void
-    construct(U *p)
-    {
-        ::new (static_cast<void *>(p)) U;
-    }
-};
-
-/** Read-reply payload. The store writes every byte it returns, so the
- *  buffer is sized without being zero-filled first. */
-using ReplyBytes =
-    std::vector<std::uint8_t, DefaultInitAllocator<std::uint8_t>>;
-
+/** Read reply: the bytes themselves landed in the caller's buffer
+ *  (ReadLanding), so the reply carries only their count, which the
+ *  reply message still charges on the wire. */
 struct [[nodiscard]] ReadResponse
 {
     NasdStatus status = NasdStatus::kOk;
-    ReplyBytes data;
+    std::uint64_t length = 0;
 };
 
 struct [[nodiscard]] StatusResponse
@@ -203,8 +184,16 @@ class NasdDrive
 
     // Request handlers (Section 4.1's interface) -------------------------
 
+    /**
+     * Read params.length bytes into @p landing's buffer, as attempt
+     * @p attempt: the store copies only while that attempt is live, so
+     * a stale attempt pays its full cost and writes nothing. On an
+     * error status the buffer's contents are unspecified.
+     */
     sim::Task<ReadResponse> serveRead(RequestCredential cred,
-                                      RequestParams params);
+                                      RequestParams params,
+                                      std::shared_ptr<const ReadLanding> landing,
+                                      std::uint64_t attempt);
     sim::Task<StatusResponse> serveWrite(RequestCredential cred,
                                          RequestParams params,
                                          std::span<const std::uint8_t> data);

@@ -494,21 +494,31 @@ ObjectStore::readRange(const Inode &inode, std::uint64_t offset,
         units.push_back(ref);
     }
 
+    // A guarded read (OpTrace::landing) copies only while its attempt
+    // is live; it is checked at every copy, since the caller may have
+    // moved on during any device read.
+    const auto mayLand = [trace] {
+        return trace == nullptr || trace->landing == nullptr ||
+               trace->landing->live == trace->attempt;
+    };
+
     // Copy one logical unit's piece of the request into `out`.
     const auto copyPiece = [&](const UnitRef &ref) {
         const std::uint64_t u_start = ref.logical * ub;
         const std::uint64_t piece_start = std::max(offset, u_start);
         const std::uint64_t piece_end = std::min(end, u_start + ub);
+        const auto bytes = static_cast<std::size_t>(piece_end - piece_start);
+        if (!mayLand())
+            return bytes;
         auto dst = out.subspan(
-            static_cast<std::size_t>(piece_start - offset),
-            static_cast<std::size_t>(piece_end - piece_start));
+            static_cast<std::size_t>(piece_start - offset), bytes);
         if (ref.hole) {
             std::fill(dst.begin(), dst.end(), 0);
         } else {
             device_.peek(unitStartByte(ref.phys) + (piece_start - u_start),
                          dst);
         }
-        return dst.size();
+        return bytes;
     };
 
     std::size_t i = 0;
@@ -536,20 +546,13 @@ ObjectStore::readRange(const Inode &inode, std::uint64_t offset,
         const auto run_bytes = static_cast<std::size_t>(run_end - run_start);
         const std::uint64_t block =
             data_start_block_ + static_cast<std::uint64_t>(units[i].phys) * bpu;
-        util::OpAttribution *attr = trace != nullptr ? trace->attr : nullptr;
-        if (run_start >= offset && run_end <= end) {
-            // The request covers the whole run: the device writes the
-            // bytes straight into the caller's buffer.
-            co_await device_.read(
-                block, run_units * bpu,
-                out.subspan(static_cast<std::size_t>(run_start - offset),
-                            run_bytes),
-                attr);
-        } else {
-            // An edge run the request covers only partly: charge the
-            // whole run (the media transfer is unit-granular), then
-            // copy out just the covered bytes.
-            co_await device_.fetch(block, run_units * bpu, attr);
+        // Charge the whole run (the media transfer is unit-granular),
+        // then copy the bytes the request covers straight from the
+        // image into the caller's buffer, the instant the device
+        // delivers them.
+        co_await device_.fetch(block, run_units * bpu,
+                               trace != nullptr ? trace->attr : nullptr);
+        if (mayLand()) {
             const std::uint64_t lo = std::max(offset, run_start);
             const std::uint64_t hi = std::min(end, run_end);
             device_.peek(unitStartByte(units[i].phys) + (lo - run_start),

@@ -56,6 +56,20 @@ struct StoreConfig
     std::uint32_t meta_cache_inodes = 2048;
 };
 
+/**
+ * The caller's buffer that a drive read lands in, shared by every
+ * attempt of one client read (NasdClient::read). An attempt copies into
+ * @ref out only while @ref live holds its id. The client gives each
+ * attempt a fresh id and sets @ref live to 0 before the read returns,
+ * so an attempt that timed out, was superseded or arrived as a
+ * duplicate still pays all of its simulated time but writes nothing.
+ */
+struct ReadLanding
+{
+    std::span<std::uint8_t> out;
+    std::uint64_t live = 0; ///< id of the attempt that may write; 0: none
+};
+
 /** What one store operation touched; drives cost accounting. */
 struct OpTrace
 {
@@ -67,6 +81,10 @@ struct OpTrace
      *  waits and service phases here (write-behind media drains and
      *  other spawned work are excluded: the op does not wait on them). */
     util::OpAttribution *attr = nullptr;
+    /** When set, a read copies into its buffer only while
+     *  landing->live == attempt (see ReadLanding). */
+    const ReadLanding *landing = nullptr;
+    std::uint64_t attempt = 0;
 };
 
 /** Aggregate counters for tests and benchmarks; registry-backed under
@@ -153,7 +171,9 @@ class ObjectStore
 
     /**
      * Read up to @p out.size() bytes at @p offset. Returns the byte
-     * count actually read (clamped at end of object).
+     * count actually read (clamped at end of object). With
+     * @p trace->landing set, each copy into @p out happens only if the
+     * attempt is still live at that instant.
      */
     sim::Task<StoreResult<std::uint64_t>>
     read(PartitionId pid, ObjectId oid, std::uint64_t offset,

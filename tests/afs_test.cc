@@ -263,5 +263,29 @@ TEST_F(AfsTest, CorruptDirectoryIsAnIoError)
     EXPECT_EQ(found.error(), NfsStatus::kIoError);
 }
 
+// A fid is checked where it enters the manager or a client: one naming
+// drive 2 of this 2-drive namespace is stale everywhere, and nothing
+// indexes past the drive list.
+TEST_F(AfsTest, FidNamingNoDriveIsStale)
+{
+    const AfsFid bad{kDrives, fm->rootFid().oid};
+    const auto stale = [](const auto &r) {
+        return !r.ok() && r.error() == NfsStatus::kStale;
+    };
+    std::vector<std::uint8_t> buf(4 * kKB, 0x5a);
+    EXPECT_TRUE(stale(runFor(sim, client_a->read(bad, 0, buf))));
+    EXPECT_TRUE(stale(runFor(sim, client_a->write(bad, 0, buf))));
+    EXPECT_TRUE(stale(runFor(sim, client_a->readdir(bad))));
+    EXPECT_TRUE(stale(runFor(sim, client_a->lookup(bad, "x"))));
+    EXPECT_TRUE(stale(runFor(sim, client_a->create(bad, "x"))));
+    EXPECT_TRUE(stale(runFor(sim, client_a->mkdir(bad, "x"))));
+    EXPECT_TRUE(stale(runFor(sim, client_a->remove(bad, "x"))));
+    // The manager checks for itself, whatever a client sends it.
+    EXPECT_EQ(runFor(sim, fm->serveFetchCap(bad, true, 1, 0)).status,
+              NfsStatus::kStale);
+    EXPECT_EQ(runFor(sim, fm->serveReleaseCap(bad, 1)).status,
+              NfsStatus::kStale);
+}
+
 } // namespace
 } // namespace nasd::fs

@@ -296,6 +296,26 @@ TEST_F(PfsTest, ByteRangeRoundTrip)
     EXPECT_EQ(s.value(), 3 * kMB);
 }
 
+// One read of 32 MB over four drives asks each drive for 8 MB, more
+// than one DCE client can take from a drive inside one 2 s attempt
+// deadline. The drive client cuts it into pieces, each with its own
+// deadline, so the read succeeds.
+TEST_F(PfsTest, OneReadOf32MBOverFourDrives)
+{
+    auto handle = runFor(sim, client->open("big", true, true)).value();
+    const auto data = pattern(32 * kMB, 9);
+    const std::span<const std::uint8_t> all(data);
+    for (std::uint64_t at = 0; at < data.size(); at += 2 * kMB)
+        ASSERT_TRUE(
+            runFor(sim, client->write(handle, at, all.subspan(at, 2 * kMB)))
+                .ok());
+    std::vector<std::uint8_t> out(32 * kMB);
+    auto n = runFor(sim, client->read(handle, 0, out));
+    ASSERT_TRUE(n.ok()) << toString(n.error());
+    EXPECT_EQ(n.value(), 32 * kMB);
+    EXPECT_TRUE(out == data);
+}
+
 TEST_F(PfsTest, UnlinkRemoves)
 {
     (void)runFor(sim, client->open("tmp", true, true));

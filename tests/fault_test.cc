@@ -259,6 +259,80 @@ TEST_F(DriveFaultTest, SpanReadUnderTimeoutsAndDuplicatesHoldsObjectBytes)
               0u);
 }
 
+// A timed-out attempt that is still inside the store when read()
+// returns must not land its bytes afterwards. The test above cannot
+// tell: its stale attempts read the same bytes as the winner. Here the
+// object is rewritten once read() has returned, so a stale attempt
+// that still copied would change the caller's buffer.
+TEST(StaleAttemptTest, SlowAttemptNeverLandsAfterTheReadReturns)
+{
+    DriveConfig cfg = prototypeDriveConfig("nasd0", 1);
+    cfg.store.data_cache_bytes = 128 * kKB;
+    rig::DriveRig rig(std::move(cfg), 256 * kMB);
+    const ObjectId oid = rig.createObject();
+    auto cred = rig.credential(oid, kRightRead | kRightWrite);
+    const auto winner = pattern(64 * kKB, 3);
+    const auto rewrite = pattern(64 * kKB, 101);
+    ASSERT_TRUE(runFor(rig.sim, rig.client.write(cred, 0, winner)).ok());
+    // Push the object out of the 128 KB drive cache, so the first
+    // attempt has to go to the disk.
+    const ObjectId filler = rig.createObject();
+    auto filler_cred = rig.credential(filler, kRightWrite);
+    ASSERT_TRUE(runFor(rig.sim, rig.client.write(filler_cred, 0,
+                                                 pattern(256 * kKB, 7)))
+                    .ok());
+    runTask(rig.sim, rig.client.flush());
+
+    rig.drive.slowDown(40.0);
+    rig.client.setPolicy(fastPolicy(4, sim::msec(100)));
+    const auto &reads = rig.drive.store().stats().reads;
+    const std::uint64_t reads_before = reads.value();
+
+    // Attempt 1 misses and waits on the slowed disk past its deadline.
+    // Meanwhile a write of the same bytes makes the object resident,
+    // so attempt 2 is served from the drive cache and wins instead of
+    // queueing behind attempt 1.
+    rig.sim.spawn([](NasdClient &c, CredentialFactory &cr,
+                     const std::vector<std::uint8_t> &same,
+                     Simulator &s) -> Task<void> {
+        co_await s.delay(sim::msec(30));
+        const auto w = co_await c.write(cr, 0, same);
+        EXPECT_TRUE(w.ok());
+    }(rig.client, cred, winner, rig.sim));
+
+    std::vector<std::uint8_t> buf(64 * kKB, 0xa5);
+    std::vector<std::uint8_t> at_return;
+    std::uint64_t reads_at_return = 0;
+    StoreResult<std::uint64_t> got = util::Err{NasdStatus::kTimeout};
+    runTask(rig.sim,
+            [](NasdClient &c, CredentialFactory &cr,
+               std::vector<std::uint8_t> &b,
+               const std::vector<std::uint8_t> &next,
+               StoreResult<std::uint64_t> &out,
+               std::vector<std::uint8_t> &snapshot, const util::Counter &r,
+               std::uint64_t &r_at_return, Simulator &s) -> Task<void> {
+                out = co_await c.read(cr, 0, std::span(b));
+                snapshot = b;
+                r_at_return = r.value();
+                const auto w = co_await c.write(cr, 0, next);
+                EXPECT_TRUE(w.ok());
+                // Attempt 1 finishes its disk read in here, after the
+                // rewrite: it must not touch the buffer.
+                co_await s.delay(sim::sec(2));
+            }(rig.client, cred, buf, rewrite, got, at_return, reads,
+              reads_at_return, rig.sim));
+
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got.value(), winner.size());
+    EXPECT_TRUE(at_return == winner);
+    EXPECT_TRUE(buf == at_return);
+    // Attempt 1 was still inside the store when read() returned, and
+    // finished its store read during the wait.
+    EXPECT_EQ(reads_at_return, reads_before + 1);
+    EXPECT_EQ(reads.value(), reads_before + 2);
+    EXPECT_GE(rig.client.node().rpc_timeouts.value(), 1u);
+}
+
 TEST_F(DriveFaultTest, DroppedSendStillChargesSender)
 {
     const ObjectId oid = createObject();

@@ -7,6 +7,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "nasd/capability.h"
@@ -39,6 +41,15 @@ class DriveTest : public ::testing::Test, public rig::DriveRig
         pub.object_id = kPartitionControlObject;
         pub.rights = rights;
         return issuer.mint(pub);
+    }
+
+    /** A read sent straight to the drive, landing in a fresh buffer. */
+    ReadResponse
+    serveRead(const RequestCredential &cred, const RequestParams &params)
+    {
+        std::vector<std::uint8_t> buf(params.length);
+        const auto landing = std::make_shared<ReadLanding>(ReadLanding{buf, 1});
+        return runFor(sim, drive.serveRead(cred, params, landing, 1));
     }
 
     /** Capability over one object. */
@@ -216,6 +227,36 @@ TEST_F(DriveTest, ByteRangeEnforced)
     EXPECT_EQ(r.error(), NasdStatus::kRangeViolation);
 }
 
+TEST_F(DriveTest, RequestsAboveTheTransferCapGoInPieces)
+{
+    const ObjectId oid = createObject();
+    CredentialFactory cred(objectCap(oid));
+    DriveRetryPolicy policy;
+    policy.max_transfer = 64 * kKB;
+    client.setPolicy(policy);
+    const auto data = pattern(kMB, 5);
+
+    // 1 MB is sixteen 64 KB RPCs each way.
+    const auto ops_before = drive.opsServed();
+    ASSERT_TRUE(runFor(sim, client.write(cred, 0, data)).ok());
+    EXPECT_EQ(drive.opsServed() - ops_before, 16u);
+    auto all = runFor(sim, client.read(cred, 0, kMB));
+    ASSERT_TRUE(all.ok());
+    EXPECT_TRUE(all.value() == data);
+    EXPECT_EQ(drive.opsServed() - ops_before, 32u);
+
+    // A read past the end returns the contiguous prefix: the piece that
+    // comes back short ends it, the pieces after it add nothing.
+    std::vector<std::uint8_t> out(512 * kKB, 0xa5);
+    auto n = runFor(sim, client.read(cred, 900 * kKB, std::span(out)));
+    ASSERT_TRUE(n.ok());
+    EXPECT_EQ(n.value(), 124 * kKB);
+    EXPECT_TRUE(std::equal(data.begin() + 900 * kKB, data.end(),
+                           out.begin()));
+    EXPECT_TRUE(std::all_of(out.begin() + 124 * kKB, out.end(),
+                            [](std::uint8_t b) { return b == 0xa5; }));
+}
+
 TEST_F(DriveTest, ReplayedRequestRejected)
 {
     const ObjectId oid = createObject();
@@ -226,9 +267,9 @@ TEST_F(DriveTest, ReplayedRequestRejected)
     RequestParams params{OpCode::kReadData, 0, oid, 0, 100};
     const RequestCredential captured = cred.forRequest(params);
 
-    auto first = runFor(sim, drive.serveRead(captured, params));
+    auto first = serveRead(captured, params);
     EXPECT_EQ(first.status, NasdStatus::kOk);
-    auto replay = runFor(sim, drive.serveRead(captured, params));
+    auto replay = serveRead(captured, params);
     EXPECT_EQ(replay.status, NasdStatus::kReplayedRequest);
 }
 
@@ -324,7 +365,7 @@ TEST_F(DriveTest, WarmCacheTamperedDigestRejected)
     RequestParams params{OpCode::kReadData, 0, oid, 0, 100};
     RequestCredential tampered = cred.forRequest(params);
     tampered.request_digest[0] ^= 0x01;
-    auto resp = runFor(sim, drive.serveRead(tampered, params));
+    auto resp = serveRead(tampered, params);
     EXPECT_EQ(resp.status, NasdStatus::kBadCapability);
     EXPECT_EQ(drive.verifiedCapabilities(), warm);
 }
@@ -480,7 +521,7 @@ TEST_F(DriveTest, WarmCacheCapabilityCachedBeforeRestart)
     RequestParams params{OpCode::kReadData, 0, oid, 0, 100};
     RequestCredential tampered = cred.forRequest(params);
     tampered.request_digest[31] ^= 0x40;
-    auto resp = runFor(sim, drive.serveRead(tampered, params));
+    auto resp = serveRead(tampered, params);
     EXPECT_EQ(resp.status, NasdStatus::kBadCapability);
 
     // The honest holder still gets through after the restart.

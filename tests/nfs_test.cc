@@ -409,5 +409,30 @@ TEST_F(NasdNfsTest, WindowPermitRestoredAfterCapabilityFailure)
     EXPECT_EQ(client->windowPermits(), window);
 }
 
+// A handle is checked where it enters the manager or the client: one
+// naming drive 2 of this 2-drive namespace is stale everywhere, and
+// nothing indexes past the drive list.
+TEST_F(NasdNfsTest, HandleNamingNoDriveIsStale)
+{
+    const NasdNfsFh bad{kDrives, fm->rootHandle().oid};
+    const auto stale = [](const auto &r) {
+        return !r.ok() && r.error() == NfsStatus::kStale;
+    };
+    std::vector<std::uint8_t> buf(4 * kKB, 0x5a);
+    EXPECT_TRUE(stale(runFor(sim, client->lookup(bad, "x"))));
+    EXPECT_TRUE(stale(runFor(sim, client->create(bad, "x"))));
+    EXPECT_TRUE(stale(runFor(sim, client->mkdir(bad, "x"))));
+    EXPECT_TRUE(stale(runFor(sim, client->remove(bad, "x"))));
+    EXPECT_TRUE(stale(runFor(sim, client->readdir(bad))));
+    EXPECT_TRUE(stale(runFor(sim, client->getattr(bad))));
+    EXPECT_TRUE(stale(runFor(sim, client->setattr(bad, 0600, 0, 0))));
+    EXPECT_TRUE(stale(runFor(sim, client->read(bad, 0, buf))));
+    EXPECT_TRUE(stale(runFor(sim, client->write(bad, 0, buf))));
+    // The manager checks for itself, whatever a client sends it.
+    EXPECT_EQ(runFor(sim, fm->serveGetCap(bad, true)).status,
+              NfsStatus::kStale);
+    EXPECT_EQ(runFor(sim, fm->serveRevoke(bad)).status, NfsStatus::kStale);
+}
+
 } // namespace
 } // namespace nasd::fs
