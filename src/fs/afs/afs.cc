@@ -50,7 +50,6 @@ AfsFileManager::initialize(std::uint64_t partition_quota_bytes)
     auto made = co_await drives_.create(0, 0);
     NASD_ASSERT(made.ok(), "afs root create failed");
     root_ = AfsFid{0, made.value()};
-    files_[root_]; // ensure state exists
 }
 
 sim::Task<NfsResult<ObjectAttributes>>
@@ -66,10 +65,12 @@ AfsFileManager::fetchObjectAttrs(AfsFid fid)
 sim::Task<void>
 AfsFileManager::breakCallbacks(AfsFid fid, std::uint32_t except)
 {
-    auto &state = files_[fid];
-    std::vector<std::uint32_t> holders(state.callbacks.begin(),
-                                       state.callbacks.end());
-    state.callbacks.clear();
+    const auto entry = files_.find(fid);
+    if (entry == files_.end())
+        co_return;
+    std::vector<std::uint32_t> holders(entry->second.callbacks.begin(),
+                                       entry->second.callbacks.end());
+    entry->second.callbacks.clear();
     for (const std::uint32_t holder : holders) {
         if (holder == except)
             continue;
@@ -93,12 +94,16 @@ AfsFileManager::serveFetchCap(AfsFid fid, bool want_write,
         reply.status = NfsStatus::kStale;
         co_return reply;
     }
-    auto &state = files_[fid];
 
     // "The issuing of new callbacks on a file with an outstanding
     // write capability are blocked": wait for the writer to finish or
-    // its capability to expire.
-    while (state.write_holder != 0 && state.write_holder != client_id) {
+    // its capability to expire. The entry is looked up afresh after
+    // every suspension, since serveRemove may erase it meanwhile.
+    for (auto it = files_.find(fid);
+         it != files_.end() && it->second.write_holder != 0 &&
+         it->second.write_holder != client_id;
+         it = files_.find(fid)) {
+        FileState &state = it->second;
         if (sim_.now() >= state.write_expiry_ns) {
             // Expired: settle as if relinquished.
             co_await serveReleaseCap(fid, state.write_holder);
@@ -108,12 +113,14 @@ AfsFileManager::serveFetchCap(AfsFid fid, bool want_write,
             state.writer_done = std::make_unique<sim::Gate>(sim_);
         co_await state.writer_done->wait();
     }
-    if (state.write_holder == client_id) {
+    if (const auto it = files_.find(fid);
+        it != files_.end() && it->second.write_holder == client_id) {
         // The current holder is re-fetching (capability refresh after
         // expiry): settle the stale grant so we don't escrow twice.
         co_await serveReleaseCap(fid, client_id);
     }
 
+    // Only an object that exists gets an entry.
     auto attrs = co_await fetchObjectAttrs(fid);
     if (!attrs.ok()) {
         reply.status = attrs.error();
@@ -124,7 +131,7 @@ AfsFileManager::serveFetchCap(AfsFid fid, bool want_write,
 
     if (!want_write) {
         // Establish the callback promise and hand out a read cap.
-        state.callbacks.insert(client_id);
+        files_[fid].callbacks.insert(client_id);
         reply.capability =
             drives_.mint(fid.drive, fid.oid, 1, kRightRead | kRightGetAttr);
         co_return reply;
@@ -133,7 +140,14 @@ AfsFileManager::serveFetchCap(AfsFid fid, bool want_write,
     // Write capability: break callbacks first (holders of stale copies
     // must be told before a write can land), then escrow quota through
     // the capability's byte range.
+    files_.try_emplace(fid);
     co_await breakCallbacks(fid, client_id);
+    const auto it = files_.find(fid);
+    if (it == files_.end()) {
+        reply.status = NfsStatus::kNoEnt; // removed meanwhile
+        co_return reply;
+    }
+    FileState &state = it->second;
 
     const std::uint64_t settled = state.charged_bytes;
     // Escrow enough space for the client's intended store (it states
@@ -167,14 +181,18 @@ AfsFileManager::serveReleaseCap(AfsFid fid, std::uint32_t client_id)
         reply.status = NfsStatus::kStale;
         co_return reply;
     }
-    auto &state = files_[fid];
-    if (state.write_holder != client_id) {
+    if (const auto it = files_.find(fid);
+        it == files_.end() || it->second.write_holder != client_id) {
         co_return reply; // nothing to settle
     }
 
     // Examine the object to learn its final size and settle the books:
     // this is exactly the escrow mechanism the paper describes.
     auto attrs = co_await fetchObjectAttrs(fid);
+    const auto it = files_.find(fid);
+    if (it == files_.end() || it->second.write_holder != client_id)
+        co_return reply; // removed (and settled) meanwhile
+    FileState &state = it->second;
     const std::uint64_t new_size =
         attrs.ok() ? attrs.value().size : state.charged_bytes;
 
@@ -237,12 +255,15 @@ AfsFileManager::serveCreate(AfsFid dir, std::string name, bool directory)
         co_return reply;
     }
     reply.fid = AfsFid{target, made.value()};
-    files_[reply.fid];
 
     entries.value().push_back(NasdDirEntry{name, reply.fid, directory});
     reply.status = co_await storeDirectory(dir, dir_cred, entries.value());
-    if (reply.status != NfsStatus::kOk)
+    if (reply.status != NfsStatus::kOk) {
+        // No directory names the new object: take it back off its drive.
+        auto cred = fmCredential(reply.fid);
+        (void)co_await drives_.client(target).remove(cred);
         co_return reply;
+    }
     // The directory changed: anyone caching it must hear about it.
     co_await breakCallbacks(dir, 0);
     co_return reply;
@@ -276,9 +297,17 @@ AfsFileManager::serveRemove(AfsFid dir, std::string name)
         reply.status = fromNasdStatus(removed.error());
         co_return reply;
     }
-    // Settle any quota charge for the removed file.
-    auto &state = files_[victim];
-    quota_used_ -= state.charged_bytes + state.escrowed_bytes;
+    // Settle any quota charge for the removed file, and release every
+    // fetch blocked behind its writer: each finds the object gone.
+    if (const auto entry = files_.find(victim); entry != files_.end()) {
+        FileState &state = entry->second;
+        quota_used_ -= state.charged_bytes + state.escrowed_bytes;
+        state.charged_bytes = 0;
+        state.escrowed_bytes = 0;
+        state.write_holder = 0;
+        if (state.writer_done)
+            state.writer_done->open();
+    }
     co_await breakCallbacks(victim, 0);
     files_.erase(victim);
 

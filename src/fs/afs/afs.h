@@ -115,6 +115,9 @@ class AfsFileManager
 
     std::uint64_t callbacksBroken() const { return callbacks_broken_.value(); }
 
+    /** Files with manager state (callbacks, quota, a write grant). */
+    std::size_t trackedFiles() const { return files_.size(); }
+
     /** Escrow granted beyond the current size of a file. */
     static constexpr std::uint64_t kEscrowBytes = 1024 * 1024;
 

@@ -155,17 +155,23 @@ NasdNfsFileManager::storeDirectory(NasdNfsFh dir,
     auto cred = fmCredential(dir);
     // Truncate only when the directory shrank; growth is just a write.
     auto attrs = co_await drives_.client(dir.drive).getAttr(cred);
+    NfsStatus status = NfsStatus::kOk;
     if (attrs.ok() && attrs.value().size > raw.size()) {
         SetAttrRequest trunc;
         trunc.truncate_size = raw.size();
         auto set = co_await drives_.client(dir.drive).setAttr(cred, trunc);
         if (!set.ok())
-            co_return fromNasdStatus(set.error());
+            status = fromNasdStatus(set.error());
     }
-    if (raw.empty())
-        co_return NfsStatus::kOk;
-    auto wrote = co_await drives_.client(dir.drive).write(cred, 0, raw);
-    co_return wrote.ok() ? NfsStatus::kOk : fromNasdStatus(wrote.error());
+    if (status == NfsStatus::kOk && !raw.empty()) {
+        auto wrote = co_await drives_.client(dir.drive).write(cred, 0, raw);
+        if (!wrote.ok())
+            status = fromNasdStatus(wrote.error());
+    }
+    // A failed store leaves the drive's copy unknown: read it afresh.
+    if (status != NfsStatus::kOk)
+        dir_cache_.erase(dir);
+    co_return status;
 }
 
 sim::Task<NfsResult<NfsAttr>>
@@ -235,16 +241,19 @@ NasdNfsFileManager::serveCreate(NasdNfsFh dir, std::string name)
     attrs.fs_specific = encodePolicyAttrs(0644, 0, 0, false);
     auto cred = fmCredential(fh);
     auto set = co_await drives_.client(target).setAttr(cred, attrs);
-    if (!set.ok()) {
+    if (set.ok()) {
+        auto updated = entries.value();
+        updated.push_back(NasdDirEntry{name, fh, false});
+        reply.status = co_await storeDirectory(dir, updated);
+    } else {
         reply.status = fromNasdStatus(set.error());
+    }
+    if (reply.status != NfsStatus::kOk) {
+        // No directory names the new object: take it back off its drive.
+        versions_.erase(fh);
+        (void)co_await drives_.client(target).remove(cred);
         co_return reply;
     }
-
-    auto updated = entries.value();
-    updated.push_back(NasdDirEntry{name, fh, false});
-    reply.status = co_await storeDirectory(dir, updated);
-    if (reply.status != NfsStatus::kOk)
-        co_return reply;
 
     reply.fh = fh;
     reply.attrs.mode = 0644;

@@ -124,6 +124,8 @@ class NasdNfsFileManager
 
     sim::Task<NfsResult<std::vector<NasdDirEntry>>>
     loadDirectory(NasdNfsFh dir);
+    /** Rewrite @p dir as @p ents, through the cache; a failed store
+     *  drops the cached copy, so the next load reads the drive's. */
     sim::Task<NfsStatus> storeDirectory(NasdNfsFh dir,
                                         const std::vector<NasdDirEntry> &ents);
 

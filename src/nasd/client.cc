@@ -231,18 +231,19 @@ NasdClient::write(CredentialFactory &cred, std::uint64_t offset,
                           static_cast<std::uint64_t>(net_.simulator().now()),
                           params.trace, parent.span_id);
     NasdDrive *drive = &drive_;
-    // The caller's buffer may die before a timed-out attempt's handler
-    // runs; every attempt shares one heap copy instead.
-    auto bytes = std::make_shared<std::vector<std::uint8_t>>(data.begin(),
-                                                             data.end());
 
-    const MakeFn<StatusResponse> make = [&cred, params, drive, bytes] {
+    // Every attempt reads the caller's bytes through one shared source.
+    // Only this frame holds it, and only its handlers copy it, so once
+    // the attempts are over a count above one means some attempt's
+    // delivery is still running.
+    const auto source = std::make_shared<WriteSource>(WriteSource{data, {}});
+    const MakeFn<StatusResponse> make = [&cred, params, drive, &source] {
         const RequestCredential credential = cred.forRequest(params);
         return std::function<sim::Task<net::RpcReply<StatusResponse>>()>(
             [drive, credential, params,
-             bytes]() -> sim::Task<net::RpcReply<StatusResponse>> {
+             source]() -> sim::Task<net::RpcReply<StatusResponse>> {
                 auto r = co_await drive->serveWrite(credential, params,
-                                                    *bytes);
+                                                    source);
                 co_return net::RpcReply<StatusResponse>{r, 0};
             });
     };
@@ -251,6 +252,17 @@ NasdClient::write(CredentialFactory &cred, std::uint64_t offset,
         kControlPayload + data.size(), "write", params.trace.trace_id,
         make);
     span.endAt(static_cast<std::uint64_t>(net_.simulator().now()));
+
+    // An attempt still in flight (timed out, delayed or duplicated) may
+    // reach the store after the caller's buffer is gone: it lands a
+    // copy of the same bytes instead. This is a statement, not a
+    // destructor, on purpose: a frame destroyed while suspended is torn
+    // down with its simulator, no attempt runs again, and the caller's
+    // buffer may already be gone.
+    if (source.use_count() > 1) {
+        source->keep();
+        ++kept_writes_;
+    }
 
     if (resp.status != NasdStatus::kOk)
         co_return util::Err{resp.status};

@@ -89,7 +89,10 @@ class NasdClient
     read(CredentialFactory &cred, std::uint64_t offset,
          std::uint64_t length, util::TraceContext parent = {});
 
-    /** Write @p data at @p offset of the capability's object. */
+    /** Write @p data at @p offset of the capability's object. The
+     *  drive reads the bytes from @p data itself (WriteSource); if an
+     *  attempt is still in flight when this returns, it gets a copy, so
+     *  @p data is never read after this returns. */
     sim::Task<StoreResult<void>> write(CredentialFactory &cred,
                                        std::uint64_t offset,
                                        std::span<const std::uint8_t> data,
@@ -118,6 +121,10 @@ class NasdClient
     /** Rotate the partition's working-key epoch, revoking every
      *  outstanding capability for it. */
     sim::Task<StoreResult<void>> setKey(CredentialFactory &cred);
+
+    /** Writes that returned while an attempt was still in flight, so
+     *  their bytes were copied for it (0 on a fault-free run). */
+    std::uint64_t keptWrites() const { return kept_writes_; }
 
     /** Push the drive's write-behind data to media. */
     sim::Task<void> flush();
@@ -158,6 +165,7 @@ class NasdClient
     NasdDrive &drive_;
     DriveRetryPolicy policy_;
     util::Rng retry_rng_; ///< backoff jitter; seeded per (node, drive)
+    std::uint64_t kept_writes_ = 0;
 };
 
 } // namespace nasd

@@ -403,23 +403,26 @@ NasdDrive::serveRead(RequestCredential cred, RequestParams params,
 
 sim::Task<StatusResponse>
 NasdDrive::serveWrite(RequestCredential cred, RequestParams params,
-                      std::span<const std::uint8_t> data)
+                      std::shared_ptr<const WriteSource> source)
 {
     const sim::Tick op_start = sim_.now();
     auto op_span = beginOp("write", params);
     StatusResponse resp;
-    params.length = data.size();
+    const std::uint64_t length = source->bytes.size();
+    params.length = length;
     util::OpAttribution op_attr;
     const auto status =
-        co_await verify(cred, params, kRightWrite, data.size(), &op_attr);
+        co_await verify(cred, params, kRightWrite, length, &op_attr);
     if (status != NasdStatus::kOk) {
         resp.status = status;
         co_return resp;
     }
     OpTrace trace;
     trace.attr = &op_attr;
+    trace.source = source.get();
     auto result = co_await store_->write(params.partition, params.object_id,
-                                         params.offset, data, &trace);
+                                         params.offset, source->bytes,
+                                         &trace);
     if (!result.ok()) {
         resp.status = result.error();
         co_return resp;
@@ -430,7 +433,7 @@ NasdDrive::serveWrite(RequestCredential cred, RequestParams params,
     }
     co_await chargeOpCost(config_.costs.write_base_instr,
                           config_.costs.cold_extra_write_instr,
-                          config_.costs.write_per_byte_instr, data.size(),
+                          config_.costs.write_per_byte_instr, length,
                           trace, &op_attr);
     finishOp("write", op_start, op_span, &op_attr,
              params.trace.trace_id);

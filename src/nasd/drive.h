@@ -194,9 +194,14 @@ class NasdDrive
                                       RequestParams params,
                                       std::shared_ptr<const ReadLanding> landing,
                                       std::uint64_t attempt);
-    sim::Task<StatusResponse> serveWrite(RequestCredential cred,
-                                         RequestParams params,
-                                         std::span<const std::uint8_t> data);
+    /**
+     * Write @p source's bytes at params.offset. The store reads them
+     * from @p source when they land, so a stale attempt lands the
+     * caller's bytes even after the client kept a copy of them.
+     */
+    sim::Task<StatusResponse>
+    serveWrite(RequestCredential cred, RequestParams params,
+               std::shared_ptr<const WriteSource> source);
     sim::Task<AttrResponse> serveGetAttr(RequestCredential cred,
                                          RequestParams params);
     sim::Task<AttrResponse> serveSetAttr(RequestCredential cred,

@@ -937,7 +937,12 @@ ObjectStore::write(PartitionId pid, ObjectId oid, std::uint64_t offset,
     if (!exclusive.ok())
         co_return util::Err{exclusive.error()};
 
-    co_await writeRange(inode, offset, data, trace);
+    // A client write's bytes may have moved into its WriteSource while
+    // this op was suspended; writeRange lands them without suspending.
+    const auto bytes = trace != nullptr && trace->source != nullptr
+                           ? trace->source->bytes
+                           : data;
+    co_await writeRange(inode, offset, bytes, trace);
     inode.attrs.size = std::max(inode.attrs.size, end);
     inode.attrs.capacity = std::max(inode.attrs.capacity, end);
     inode.attrs.modify_time = sim_.now();

@@ -70,6 +70,30 @@ struct ReadLanding
     std::uint64_t live = 0; ///< id of the attempt that may write; 0: none
 };
 
+/**
+ * The bytes of one client write, shared by every attempt of one
+ * NasdClient::write: the write-side twin of ReadLanding. @ref bytes
+ * views the caller's buffer while the write is in progress. If the
+ * write returns while an attempt's delivery is still running (timed
+ * out, delayed or duplicated), the client calls keep(), and the
+ * attempt then lands the same bytes from @ref kept after the caller's
+ * buffer is gone. The store reads @ref bytes only at the instant it
+ * lands them, never across a suspension.
+ */
+struct WriteSource
+{
+    std::span<const std::uint8_t> bytes;
+    std::vector<std::uint8_t> kept; ///< empty unless keep() was called
+
+    /** Copy the bytes into @ref kept and view them there. */
+    void
+    keep()
+    {
+        kept.assign(bytes.begin(), bytes.end());
+        bytes = kept;
+    }
+};
+
 /** What one store operation touched; drives cost accounting. */
 struct OpTrace
 {
@@ -85,6 +109,9 @@ struct OpTrace
      *  landing->live == attempt (see ReadLanding). */
     const ReadLanding *landing = nullptr;
     std::uint64_t attempt = 0;
+    /** When set, a write lands source->bytes, read when they land (see
+     *  WriteSource); its data span gives only their count. */
+    const WriteSource *source = nullptr;
 };
 
 /** Aggregate counters for tests and benchmarks; registry-backed under
@@ -179,7 +206,8 @@ class ObjectStore
     read(PartitionId pid, ObjectId oid, std::uint64_t offset,
          std::span<std::uint8_t> out, OpTrace *trace = nullptr);
 
-    /** Write @p data at @p offset, extending the object as needed. */
+    /** Write @p data at @p offset, extending the object as needed.
+     *  With @p trace->source set, the bytes come from it instead. */
     sim::Task<StoreResult<void>>
     write(PartitionId pid, ObjectId oid, std::uint64_t offset,
           std::span<const std::uint8_t> data, OpTrace *trace = nullptr);

@@ -276,6 +276,10 @@ runCall(Network &net, NetNode &client, NetNode &server,
             net.simulator().scheduleIn(0, [h] { h.resume(); });
         }
     }
+    // The simulator reclaims finished root frames lazily, so release
+    // the handler and what it captured now: a write's source counts
+    // the attempts still holding it (NasdClient::write).
+    handler = nullptr;
 }
 
 } // namespace detail

@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "fs/afs/afs.h"
@@ -261,6 +262,47 @@ TEST_F(AfsTest, CorruptDirectoryIsAnIoError)
     auto found = runFor(sim, client_b->lookup(dir, "x"));
     ASSERT_FALSE(found.ok());
     EXPECT_EQ(found.error(), NfsStatus::kIoError);
+}
+
+TEST_F(AfsTest, FetchCapForMissingFidAddsNoState)
+{
+    const std::size_t tracked = fm->trackedFiles();
+    const AfsFid missing{1, 999999};
+    EXPECT_EQ(runFor(sim, fm->serveFetchCap(missing, false, 1)).status,
+              NfsStatus::kNoEnt);
+    EXPECT_EQ(runFor(sim, fm->serveFetchCap(missing, true, 1)).status,
+              NfsStatus::kNoEnt);
+    EXPECT_EQ(runFor(sim, fm->serveReleaseCap(missing, 1)).status,
+              NfsStatus::kOk);
+    EXPECT_EQ(fm->trackedFiles(), tracked);
+}
+
+// A reader blocked behind a writer is released when the file is
+// removed, and fails: the file is gone.
+TEST_F(AfsTest, RemoveEndsReaderWaitingBehindWriter)
+{
+    const auto root = fm->rootFid();
+    const auto fid = runFor(sim, client_a->create(root, "doomed")).value();
+    ASSERT_TRUE(runFor(sim, client_a->write(fid, 0, pattern(kKB))).ok());
+
+    // Writer 1 takes a write capability and never gives it back.
+    sim.spawn([](AfsFileManager &m, AfsFid f) -> Task<void> {
+        (void)co_await m.serveFetchCap(f, true, 1);
+    }(*fm, fid));
+    sim.run();
+
+    std::optional<NfsStatus> reader;
+    sim.spawn([](AfsFileManager &m, AfsFid f,
+                 std::optional<NfsStatus> &out) -> Task<void> {
+        out = (co_await m.serveFetchCap(f, false, 2)).status;
+    }(*fm, fid, reader));
+    sim.run();
+    ASSERT_FALSE(reader.has_value()); // blocked behind the writer
+
+    ASSERT_TRUE(runFor(sim, client_a->remove(root, "doomed")).ok());
+    ASSERT_TRUE(reader.has_value());
+    EXPECT_EQ(*reader, NfsStatus::kNoEnt);
+    EXPECT_EQ(fm->quotaUsedBytes(), 0u);
 }
 
 // A fid is checked where it enters the manager or a client: one naming

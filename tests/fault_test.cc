@@ -186,6 +186,54 @@ TEST_F(DriveFaultTest, DuplicateDeliveryWriteNotDoubleApplied)
     EXPECT_EQ(r.value(), data);
 }
 
+// Every write message is held past the deadline, so write() times out
+// while all of its attempts are still on their way to the drive. The
+// caller then overwrites and frees its buffer; the attempts that land
+// afterwards must still write the bytes the caller passed.
+TEST_F(DriveFaultTest, StaleWriteAttemptLandsTheCallersBytes)
+{
+    const ObjectId oid = createObject();
+    auto cred = objectCred(oid);
+    const auto data = pattern(8 * kKB, 47);
+
+    client.setPolicy(fastPolicy(2));
+    net::FaultPlan plan;
+    plan.delay_probability = 1.0;
+    plan.delay_min = sim::msec(120);
+    plan.delay_max = sim::msec(120);
+    plan.seed = 5;
+    net.setFaultPlan(plan);
+
+    StoreResult<void> wrote{};
+    runTask(sim, [](NasdClient &c, CredentialFactory &cr,
+                    const std::vector<std::uint8_t> &bytes,
+                    StoreResult<void> &out) -> Task<void> {
+        auto buf = std::make_unique<std::vector<std::uint8_t>>(bytes);
+        out = co_await c.write(cr, 0, *buf);
+        std::fill(buf->begin(), buf->end(), 0xee);
+        buf.reset();
+    }(client, cred, data, wrote));
+    ASSERT_FALSE(wrote.ok());
+    EXPECT_EQ(wrote.error(), NasdStatus::kTimeout);
+    EXPECT_GE(node.rpc_late_replies.value(), 1u);
+
+    net.clearFaultPlan();
+    auto r = runFor(sim, client.read(cred, 0, data.size()));
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r.value(), data);
+}
+
+// Without faults every attempt's delivery is over when write() returns,
+// so no write keeps a copy of its bytes, pieces of a cut one included.
+TEST_F(DriveFaultTest, FaultFreeWriteKeepsNothing)
+{
+    const ObjectId oid = createObject();
+    auto cred = objectCred(oid);
+    for (const std::size_t n : {std::size_t{0}, 4 * kKB, 2 * kMB, 5 * kMB})
+        ASSERT_TRUE(runFor(sim, client.write(cred, 0, pattern(n))).ok());
+    EXPECT_EQ(client.keptWrites(), 0u);
+}
+
 TEST_F(DriveFaultTest, TimeoutRacesLateReply)
 {
     const ObjectId oid = createObject();
@@ -694,6 +742,53 @@ TEST_F(NfsFaultTest, NonCapabilityErrorPropagatesWithoutRefresh)
     EXPECT_EQ(client->fmCalls(), fm_calls);
 }
 
+/**
+ * Fail @p dir_drive the moment @p new_drive holds one more object than
+ * it does now: a file manager's create has just made its object there,
+ * and its directory update comes next.
+ */
+Task<void>
+failOnNextCreate(Simulator &s, NasdDrive *new_drive, NasdDrive *dir_drive)
+{
+    const auto objects = [new_drive] {
+        return new_drive->store().partitionInfo(0).value().object_count;
+    };
+    const std::uint32_t before = objects();
+    for (int i = 0; i < 10000; ++i) {
+        if (objects() > before) {
+            dir_drive->setFailed(true);
+            co_return;
+        }
+        co_await s.delay(sim::usec(100));
+    }
+}
+
+std::size_t
+objectsOn(Simulator &sim, NasdDrive &drive)
+{
+    return runFor(sim, drive.store().listObjects(0)).value().size();
+}
+
+TEST_F(NfsFaultTest, FailedCreateLeavesNoObject)
+{
+    // Placement round-robins from drive 0, which also holds the root
+    // directory: "kept" lands beside it and "lost" on drive 1.
+    const auto root = fm->rootHandle();
+    ASSERT_TRUE(runFor(sim, client->create(root, "kept")).ok());
+    const std::size_t before = objectsOn(sim, *drives[1]);
+
+    sim.spawn(failOnNextCreate(sim, drives[1].get(), drives[0].get()));
+    ASSERT_FALSE(runFor(sim, client->create(root, "lost")).ok());
+    EXPECT_EQ(objectsOn(sim, *drives[1]), before);
+
+    // The directory never named "lost", and the manager does not
+    // remember that it did.
+    drives[0]->setFailed(false);
+    auto found = runFor(sim, client->lookup(root, "lost"));
+    ASSERT_FALSE(found.ok());
+    EXPECT_EQ(found.error(), fs::NfsStatus::kNoEnt);
+}
+
 // ---------------------------------------------------------------- AFS
 
 class AfsFaultTest : public ::testing::Test
@@ -815,6 +910,19 @@ TEST_F(AfsFaultTest, RemoveReportsAFailedDirectoryWrite)
     auto removed = runFor(sim, client_a->remove(root, "victim"));
     ASSERT_FALSE(removed.ok());
     EXPECT_EQ(removed.error(), fs::NfsStatus::kIoError);
+}
+
+TEST_F(AfsFaultTest, FailedCreateLeavesNoObject)
+{
+    const auto root = fm->rootFid();
+    ASSERT_TRUE(runFor(sim, client_a->create(root, "kept")).ok());
+    const std::size_t before = objectsOn(sim, *raw[1]);
+    const std::size_t tracked = fm->trackedFiles();
+
+    sim.spawn(failOnNextCreate(sim, raw[1], raw[root.drive]));
+    ASSERT_FALSE(runFor(sim, client_a->create(root, "lost")).ok());
+    EXPECT_EQ(objectsOn(sim, *raw[1]), before);
+    EXPECT_EQ(fm->trackedFiles(), tracked);
 }
 
 } // namespace
