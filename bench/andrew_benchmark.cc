@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "apps/andrew.h"
@@ -28,6 +29,7 @@
 #include "net/presets.h"
 #include "sim/simulator.h"
 #include "util/logging.h"
+#include "util/metrics.h"
 #include "util/units.h"
 
 using namespace nasd;
@@ -167,6 +169,13 @@ main(int argc, char **argv)
             static_cast<double>(nfs);
         std::printf("%14d drive/cl %12.2f %12.2f %+9.1f%%\n", n,
                     sim::toSeconds(nfs), sim::toSeconds(nasd), delta);
+        const std::string drives = "_" + std::to_string(n) + "drive";
+        util::metrics()
+            .gauge("andrew/nfs" + drives + "_ms")
+            .set(sim::toSeconds(nfs) * 1e3);
+        util::metrics()
+            .gauge("andrew/nasd_nfs" + drives + "_ms")
+            .set(sim::toSeconds(nasd) * 1e3);
     }
     std::printf("\nPaper anchor: benchmark times within 5%% of each other "
                 "for both the 1 drive / 1 client\nand 8 drive / 8 client "

@@ -7,12 +7,6 @@
 
 namespace nasd::fs {
 
-namespace {
-
-constexpr std::uint64_t kControlPayload = 96;
-
-} // namespace
-
 // ------------------------------------------------------------ file manager
 
 AfsFileManager::AfsFileManager(sim::Simulator &sim, net::Network &net,
@@ -21,7 +15,7 @@ AfsFileManager::AfsFileManager(sim::Simulator &sim, net::Network &net,
                                PartitionId partition,
                                std::uint64_t volume_quota_bytes)
     : sim_(sim), net_(net), node_(node),
-      drives_(net, node, std::move(drives), partition),
+      ns_(net, node, std::move(drives), partition, InitialAttrs{}),
       volume_quota_(volume_quota_bytes),
       callbacks_broken_(util::metrics().counter(
           util::metrics().uniquePrefix(node.name() + "/afs_fm") +
@@ -32,34 +26,6 @@ void
 AfsFileManager::registerClient(AfsClient *client)
 {
     clients_[client->id()] = client;
-}
-
-CredentialFactory
-AfsFileManager::fmCredential(const AfsFid &fid)
-{
-    return CredentialFactory(drives_.mint(
-        fid.drive, fid.oid, 1,
-        kRightRead | kRightWrite | kRightGetAttr | kRightSetAttr |
-            kRightRemove));
-}
-
-sim::Task<void>
-AfsFileManager::initialize(std::uint64_t partition_quota_bytes)
-{
-    co_await drives_.format(partition_quota_bytes);
-    auto made = co_await drives_.create(0, 0);
-    NASD_ASSERT(made.ok(), "afs root create failed");
-    root_ = AfsFid{0, made.value()};
-}
-
-sim::Task<NfsResult<ObjectAttributes>>
-AfsFileManager::fetchObjectAttrs(AfsFid fid)
-{
-    auto cred = fmCredential(fid);
-    auto attrs = co_await drives_.client(fid.drive).getAttr(cred);
-    if (!attrs.ok())
-        co_return util::Err{fromNasdStatus(attrs.error())};
-    co_return attrs.value();
 }
 
 sim::Task<void>
@@ -90,11 +56,6 @@ AfsFileManager::serveFetchCap(AfsFid fid, bool want_write,
                               std::uint64_t size_hint)
 {
     AfsFetchCapReply reply;
-    if (fid.drive >= drives_.size()) {
-        reply.status = NfsStatus::kStale;
-        co_return reply;
-    }
-
     // "The issuing of new callbacks on a file with an outstanding
     // write capability are blocked": wait for the writer to finish or
     // its capability to expire. The entry is looked up afresh after
@@ -120,8 +81,16 @@ AfsFileManager::serveFetchCap(AfsFid fid, bool want_write,
         co_await serveReleaseCap(fid, client_id);
     }
 
-    // Only an object that exists gets an entry.
-    auto attrs = co_await fetchObjectAttrs(fid);
+    // Only an object that exists gets an entry (a fid naming no drive
+    // gets kStale here). A remove that settled while the attributes
+    // were on their way back may have taken the object: ask again
+    // until no remove overlapped the fetch.
+    auto removals = removals_;
+    auto attrs = co_await ns_.attributes(fid);
+    while (attrs.ok() && removals != removals_) {
+        removals = removals_;
+        attrs = co_await ns_.attributes(fid);
+    }
     if (!attrs.ok()) {
         reply.status = attrs.error();
         co_return reply;
@@ -132,8 +101,7 @@ AfsFileManager::serveFetchCap(AfsFid fid, bool want_write,
     if (!want_write) {
         // Establish the callback promise and hand out a read cap.
         files_[fid].callbacks.insert(client_id);
-        reply.capability =
-            drives_.mint(fid.drive, fid.oid, 1, kRightRead | kRightGetAttr);
+        reply.capability = ns_.mint(fid, kRightRead | kRightGetAttr);
         co_return reply;
     }
 
@@ -167,9 +135,9 @@ AfsFileManager::serveFetchCap(AfsFid fid, bool want_write,
     state.write_expiry_ns = sim_.now() + write_cap_lifetime_ns_;
     state.writer_done = std::make_unique<sim::Gate>(sim_);
 
-    reply.capability = drives_.mint(
-        fid.drive, fid.oid, 1, kRightRead | kRightWrite | kRightGetAttr,
-        escrow_end, state.write_expiry_ns);
+    reply.capability =
+        ns_.mint(fid, kRightRead | kRightWrite | kRightGetAttr, escrow_end,
+                 state.write_expiry_ns);
     co_return reply;
 }
 
@@ -177,7 +145,7 @@ sim::Task<AfsStatusReply>
 AfsFileManager::serveReleaseCap(AfsFid fid, std::uint32_t client_id)
 {
     AfsStatusReply reply;
-    if (fid.drive >= drives_.size()) {
+    if (fid.drive >= ns_.drives().size()) {
         reply.status = NfsStatus::kStale;
         co_return reply;
     }
@@ -188,7 +156,7 @@ AfsFileManager::serveReleaseCap(AfsFid fid, std::uint32_t client_id)
 
     // Examine the object to learn its final size and settle the books:
     // this is exactly the escrow mechanism the paper describes.
-    auto attrs = co_await fetchObjectAttrs(fid);
+    auto attrs = co_await ns_.attributes(fid);
     const auto it = files_.find(fid);
     if (it == files_.end() || it->second.write_holder != client_id)
         co_return reply; // removed (and settled) meanwhile
@@ -211,59 +179,22 @@ AfsFileManager::serveReleaseCap(AfsFid fid, std::uint32_t client_id)
     co_return reply;
 }
 
-sim::Task<NfsStatus>
-AfsFileManager::storeDirectory(AfsFid dir, CredentialFactory &cred,
-                               const std::vector<NasdDirEntry> &entries)
-{
-    SetAttrRequest trunc;
-    trunc.truncate_size = 0;
-    auto set = co_await drives_.client(dir.drive).setAttr(cred, trunc);
-    if (!set.ok())
-        co_return fromNasdStatus(set.error());
-    const auto encoded = encodeDirectory(entries);
-    if (encoded.empty())
-        co_return NfsStatus::kOk;
-    auto wrote = co_await drives_.client(dir.drive).write(cred, 0, encoded);
-    co_return wrote.ok() ? NfsStatus::kOk : fromNasdStatus(wrote.error());
-}
-
 sim::Task<AfsCreateReply>
 AfsFileManager::serveCreate(AfsFid dir, std::string name, bool directory)
 {
     AfsCreateReply reply;
-    if (dir.drive >= drives_.size()) {
-        reply.status = NfsStatus::kStale;
-        co_return reply;
-    }
-    // Load, check, and update the directory object.
-    auto dir_cred = fmCredential(dir);
-    auto entries = co_await readDirectory(drives_, dir, dir_cred);
+    auto entries = co_await ns_.load(dir);
     if (!entries.ok()) {
         reply.status = entries.error();
         co_return reply;
     }
-    if (std::ranges::find(entries.value(), name, &NasdDirEntry::name) !=
-        entries.value().end()) {
-        reply.status = NfsStatus::kExist;
-        co_return reply;
-    }
-
-    const std::uint32_t target = next_placement_++ % drives_.size();
-    auto made = co_await drives_.create(target, 0);
+    auto made =
+        co_await ns_.create(dir, entries.value(), std::move(name), directory);
     if (!made.ok()) {
-        reply.status = fromNasdStatus(made.error());
+        reply.status = made.error();
         co_return reply;
     }
-    reply.fid = AfsFid{target, made.value()};
-
-    entries.value().push_back(NasdDirEntry{name, reply.fid, directory});
-    reply.status = co_await storeDirectory(dir, dir_cred, entries.value());
-    if (reply.status != NfsStatus::kOk) {
-        // No directory names the new object: take it back off its drive.
-        auto cred = fmCredential(reply.fid);
-        (void)co_await drives_.client(target).remove(cred);
-        co_return reply;
-    }
+    reply.fid = made.value();
     // The directory changed: anyone caching it must hear about it.
     co_await breakCallbacks(dir, 0);
     co_return reply;
@@ -273,30 +204,18 @@ sim::Task<AfsStatusReply>
 AfsFileManager::serveRemove(AfsFid dir, std::string name)
 {
     AfsStatusReply reply;
-    if (dir.drive >= drives_.size()) {
-        reply.status = NfsStatus::kStale;
-        co_return reply;
-    }
-    auto dir_cred = fmCredential(dir);
-    auto entries = co_await readDirectory(drives_, dir, dir_cred);
+    auto entries = co_await ns_.load(dir);
     if (!entries.ok()) {
         reply.status = entries.error();
         co_return reply;
     }
-    auto &listed = entries.value();
-    const auto it = std::ranges::find(listed, name, &NasdDirEntry::name);
-    if (it == listed.end()) {
-        reply.status = NfsStatus::kNoEnt;
+    const auto out =
+        co_await ns_.remove(dir, entries.value(), std::move(name));
+    reply.status = out.status;
+    if (!out.removed)
         co_return reply;
-    }
-    const AfsFid victim = it->fh;
-
-    auto victim_cred = fmCredential(victim);
-    auto removed = co_await drives_.client(victim.drive).remove(victim_cred);
-    if (!removed.ok()) {
-        reply.status = fromNasdStatus(removed.error());
-        co_return reply;
-    }
+    const AfsFid victim = *out.removed;
+    ++removals_;
     // Settle any quota charge for the removed file, and release every
     // fetch blocked behind its writer: each finds the object gone.
     if (const auto entry = files_.find(victim); entry != files_.end()) {
@@ -310,12 +229,8 @@ AfsFileManager::serveRemove(AfsFid dir, std::string name)
     }
     co_await breakCallbacks(victim, 0);
     files_.erase(victim);
-
-    listed.erase(it);
-    reply.status = co_await storeDirectory(dir, dir_cred, listed);
-    if (reply.status != NfsStatus::kOk)
-        co_return reply;
-    co_await breakCallbacks(dir, 0);
+    if (reply.status == NfsStatus::kOk)
+        co_await breakCallbacks(dir, 0);
     co_return reply;
 }
 

@@ -35,7 +35,6 @@
 #include "fs/port/nasd_port.h"
 #include "nasd/client.h"
 #include "nasd/drive.h"
-#include "nasd/managed_drives.h"
 #include "net/network.h"
 #include "sim/simulator.h"
 #include "sim/sync.h"
@@ -77,9 +76,13 @@ class AfsFileManager
     net::NetNode &node() { return node_; }
 
     /** Format drives, create partitions, create the root directory. */
-    sim::Task<void> initialize(std::uint64_t partition_quota_bytes);
+    sim::Task<void>
+    initialize(std::uint64_t partition_quota_bytes)
+    {
+        return ns_.initialize(partition_quota_bytes);
+    }
 
-    AfsFid rootFid() const { return root_; }
+    AfsFid rootFid() const { return ns_.root(); }
 
     /** Register a client for callback breaks. */
     void registerClient(AfsClient *client);
@@ -140,29 +143,19 @@ class AfsFileManager
         std::unique_ptr<sim::Gate> writer_done;
     };
 
-    CredentialFactory fmCredential(const AfsFid &fid);
-
-    /** Rewrite directory @p dir as @p entries: truncate it to zero,
-     *  then write their encoding. */
-    sim::Task<NfsStatus>
-    storeDirectory(AfsFid dir, CredentialFactory &cred,
-                   const std::vector<NasdDirEntry> &entries);
-
     /** Notify every callback holder (except @p except) and clear. */
     sim::Task<void> breakCallbacks(AfsFid fid, std::uint32_t except);
-
-    /** Fetch object attrs through the FM's own client. */
-    sim::Task<NfsResult<ObjectAttributes>> fetchObjectAttrs(AfsFid fid);
 
     sim::Simulator &sim_;
     net::Network &net_;
     net::NetNode &node_;
-    ManagedDrives drives_;
-    AfsFid root_;
+    NasdNamespace ns_;
     std::uint64_t volume_quota_;
     std::uint64_t write_cap_lifetime_ns_ = 30ull * 1000000000;
     std::uint64_t quota_used_ = 0;
-    std::uint32_t next_placement_ = 0;
+    /// Objects removed so far: a fetch that overlapped one asks the
+    /// drive again before it tracks the file.
+    std::uint64_t removals_ = 0;
     std::map<AfsFid, FileState> files_;
     std::map<std::uint32_t, AfsClient *> clients_;
     /// Callback breaks delivered ("<node>/afs_fm/callbacks_broken").

@@ -12,8 +12,6 @@ namespace nasd::fs {
 
 namespace {
 
-constexpr std::uint64_t kControlPayload = 96;
-
 /**
  * Statuses a transparent capability refresh can cure: expiry (the file
  * manager re-mints happily) and a version bump (revocation that the
@@ -81,109 +79,29 @@ NasdNfsFileManager::NasdNfsFileManager(sim::Simulator &sim,
                                        std::vector<NasdDrive *> drives,
                                        PartitionId partition)
     : sim_(sim), node_(node),
-      drives_(net, node, std::move(drives), partition)
+      ns_(net, node, std::move(drives), partition,
+          InitialAttrs{encodePolicyAttrs(0644, 0, 0, false),
+                       encodePolicyAttrs(0755, 0, 0, true)})
 {}
-
-ObjectVersion
-NasdNfsFileManager::versionOf(const NasdNfsFh &fh) const
-{
-    const auto it = versions_.find(fh);
-    return it == versions_.end() ? 1 : it->second;
-}
 
 Capability
 NasdNfsFileManager::mintCapability(const NasdNfsFh &fh, std::uint8_t rights)
 {
-    return drives_.mint(fh.drive, fh.oid, versionOf(fh), rights, ~0ull,
-                        sim_.now() + kCapLifetimeNs);
-}
-
-CredentialFactory
-NasdNfsFileManager::fmCredential(const NasdNfsFh &fh)
-{
-    return CredentialFactory(mintCapability(
-        fh, kRightRead | kRightWrite | kRightGetAttr | kRightSetAttr |
-                kRightRemove | kRightVersion));
-}
-
-sim::Task<void>
-NasdNfsFileManager::initialize(std::uint64_t partition_quota_bytes)
-{
-    co_await drives_.format(partition_quota_bytes);
-    // Root directory object on drive 0 (created through the FM's own
-    // client so it pays the same costs as any other create).
-    auto made = co_await drives_.create(0, 0);
-    NASD_ASSERT(made.ok(), "root create failed");
-    root_ = NasdNfsFh{0, made.value()};
-    versions_[root_] = 1;
-
-    SetAttrRequest attrs;
-    attrs.fs_specific = encodePolicyAttrs(0755, 0, 0, true);
-    auto root_cred = fmCredential(root_);
-    auto set = co_await drives_.client(0).setAttr(root_cred, attrs);
-    NASD_ASSERT(set.ok(), "root attr init failed");
-    const auto stored = co_await storeDirectory(root_, {});
-    NASD_ASSERT(stored == NfsStatus::kOk, "root directory init failed");
+    return ns_.mint(fh, rights, ~0ull, sim_.now() + kCapLifetimeNs);
 }
 
 sim::Task<NfsResult<std::vector<NasdDirEntry>>>
 NasdNfsFileManager::loadDirectory(NasdNfsFh dir)
 {
-    // A client's handle enters the manager here (lookup, create, mkdir,
-    // remove, readdir), in fetchAttrs (setPolicy, getCap) or in
-    // serveRevoke; each checks it before minting for its drive.
-    if (dir.drive >= drives_.size())
-        co_return util::Err{NfsStatus::kStale};
-    // The FM is the only directory writer: serve from its cache.
+    // The FM is the only directory writer: serve from its cache. (A
+    // client's handle is checked by ns_ or, for revoke, by serveRevoke.)
     const auto cached = dir_cache_.find(dir);
     if (cached != dir_cache_.end())
         co_return cached->second;
-
-    auto cred = fmCredential(dir);
-    auto entries = co_await readDirectory(drives_, dir, cred);
+    auto entries = co_await ns_.load(dir);
     if (entries.ok())
         dir_cache_[dir] = entries.value();
     co_return entries;
-}
-
-sim::Task<NfsStatus>
-NasdNfsFileManager::storeDirectory(NasdNfsFh dir,
-                                   const std::vector<NasdDirEntry> &ents)
-{
-    dir_cache_[dir] = ents; // write-through below
-    const auto raw = encodeDirectory(ents);
-    auto cred = fmCredential(dir);
-    // Truncate only when the directory shrank; growth is just a write.
-    auto attrs = co_await drives_.client(dir.drive).getAttr(cred);
-    NfsStatus status = NfsStatus::kOk;
-    if (attrs.ok() && attrs.value().size > raw.size()) {
-        SetAttrRequest trunc;
-        trunc.truncate_size = raw.size();
-        auto set = co_await drives_.client(dir.drive).setAttr(cred, trunc);
-        if (!set.ok())
-            status = fromNasdStatus(set.error());
-    }
-    if (status == NfsStatus::kOk && !raw.empty()) {
-        auto wrote = co_await drives_.client(dir.drive).write(cred, 0, raw);
-        if (!wrote.ok())
-            status = fromNasdStatus(wrote.error());
-    }
-    // A failed store leaves the drive's copy unknown: read it afresh.
-    if (status != NfsStatus::kOk)
-        dir_cache_.erase(dir);
-    co_return status;
-}
-
-sim::Task<NfsResult<NfsAttr>>
-NasdNfsFileManager::fetchAttrs(NasdNfsFh fh)
-{
-    if (fh.drive >= drives_.size())
-        co_return util::Err{NfsStatus::kStale};
-    auto cred = fmCredential(fh);
-    auto attrs = co_await drives_.client(fh.drive).getAttr(cred);
-    if (!attrs.ok())
-        co_return util::Err{fromNasdStatus(attrs.error())};
-    co_return toNfsAttr(attrs.value());
 }
 
 sim::Task<NasdNfsLookupReply>
@@ -203,9 +121,9 @@ NasdNfsFileManager::serveLookup(NasdNfsFh dir, std::string name,
         co_return reply;
     }
     reply.fh = it->fh;
-    auto attrs = co_await fetchAttrs(it->fh);
+    auto attrs = co_await ns_.attributes(it->fh);
     if (attrs.ok())
-        reply.attrs = attrs.value();
+        reply.attrs = toNfsAttr(attrs.value());
 
     reply.capability = mintCapability(
         it->fh, kRightRead | kRightGetAttr | (want_write ? kRightWrite : 0));
@@ -213,7 +131,8 @@ NasdNfsFileManager::serveLookup(NasdNfsFh dir, std::string name,
 }
 
 sim::Task<NasdNfsLookupReply>
-NasdNfsFileManager::serveCreate(NasdNfsFh dir, std::string name)
+NasdNfsFileManager::serveCreate(NasdNfsFh dir, std::string name,
+                                bool directory)
 {
     NasdNfsLookupReply reply;
     auto entries = co_await loadDirectory(dir);
@@ -221,75 +140,20 @@ NasdNfsFileManager::serveCreate(NasdNfsFh dir, std::string name)
         reply.status = entries.error();
         co_return reply;
     }
-    if (std::ranges::find(entries.value(), name, &NasdDirEntry::name) !=
-        entries.value().end()) {
-        reply.status = NfsStatus::kExist;
-        co_return reply;
-    }
-
-    // Round-robin placement across drives.
-    const std::uint32_t target = next_placement_++ % drives_.size();
-    auto made = co_await drives_.create(target, 0);
+    auto made =
+        co_await ns_.create(dir, entries.value(), std::move(name), directory);
     if (!made.ok()) {
-        reply.status = fromNasdStatus(made.error());
+        // The drive's copy may not be the cached one: read it afresh.
+        dir_cache_.erase(dir);
+        reply.status = made.error();
         co_return reply;
     }
-    const NasdNfsFh fh{target, made.value()};
-    versions_[fh] = 1;
-
-    SetAttrRequest attrs;
-    attrs.fs_specific = encodePolicyAttrs(0644, 0, 0, false);
-    auto cred = fmCredential(fh);
-    auto set = co_await drives_.client(target).setAttr(cred, attrs);
-    if (set.ok()) {
-        auto updated = entries.value();
-        updated.push_back(NasdDirEntry{name, fh, false});
-        reply.status = co_await storeDirectory(dir, updated);
-    } else {
-        reply.status = fromNasdStatus(set.error());
-    }
-    if (reply.status != NfsStatus::kOk) {
-        // No directory names the new object: take it back off its drive.
-        versions_.erase(fh);
-        (void)co_await drives_.client(target).remove(cred);
-        co_return reply;
-    }
-
-    reply.fh = fh;
-    reply.attrs.mode = 0644;
+    dir_cache_[dir] = std::move(entries.value());
+    reply.fh = made.value();
+    reply.attrs.is_directory = directory;
+    reply.attrs.mode = directory ? 0755 : 0644;
     reply.capability = mintCapability(
-        fh, kRightRead | kRightWrite | kRightGetAttr);
-    co_return reply;
-}
-
-sim::Task<NasdNfsLookupReply>
-NasdNfsFileManager::serveMkdir(NasdNfsFh dir, std::string name)
-{
-    NasdNfsLookupReply reply = co_await serveCreate(dir, name);
-    if (reply.status != NfsStatus::kOk)
-        co_return reply;
-    // Mark it a directory and fix the parent entry.
-    SetAttrRequest attrs;
-    attrs.fs_specific = encodePolicyAttrs(0755, 0, 0, true);
-    auto cred = fmCredential(reply.fh);
-    auto set = co_await drives_.client(reply.fh.drive).setAttr(cred, attrs);
-    if (!set.ok()) {
-        reply.status = fromNasdStatus(set.error());
-        co_return reply;
-    }
-    reply.attrs.is_directory = true;
-    reply.attrs.mode = 0755;
-
-    auto entries = co_await loadDirectory(dir);
-    if (!entries.ok()) {
-        reply.status = entries.error();
-        co_return reply;
-    }
-    for (auto &e : entries.value()) {
-        if (e.fh == reply.fh)
-            e.is_directory = true;
-    }
-    reply.status = co_await storeDirectory(dir, entries.value());
+        reply.fh, kRightRead | kRightWrite | kRightGetAttr);
     co_return reply;
 }
 
@@ -302,30 +166,15 @@ NasdNfsFileManager::serveRemove(NasdNfsFh dir, std::string name)
         reply.status = entries.error();
         co_return reply;
     }
-    auto updated = entries.value();
-    const auto it = std::ranges::find(updated, name, &NasdDirEntry::name);
-    if (it == updated.end()) {
-        reply.status = NfsStatus::kNoEnt;
-        co_return reply;
-    }
-    const NasdNfsFh fh = it->fh;
-    if (it->is_directory) {
-        auto children = co_await loadDirectory(fh);
-        if (children.ok() && !children.value().empty()) {
-            reply.status = NfsStatus::kNotEmpty;
-            co_return reply;
-        }
-    }
-    auto cred = fmCredential(fh);
-    auto removed = co_await drives_.client(fh.drive).remove(cred);
-    if (!removed.ok()) {
-        reply.status = fromNasdStatus(removed.error());
-        co_return reply;
-    }
-    versions_.erase(fh);
-    dir_cache_.erase(fh);
-    updated.erase(it);
-    reply.status = co_await storeDirectory(dir, updated);
+    const auto out =
+        co_await ns_.remove(dir, entries.value(), std::move(name));
+    if (out.removed)
+        dir_cache_.erase(*out.removed);
+    if (out.status == NfsStatus::kOk)
+        dir_cache_[dir] = std::move(entries.value());
+    else
+        dir_cache_.erase(dir); // read the drive's copy afresh
+    reply.status = out.status;
     co_return reply;
 }
 
@@ -348,16 +197,16 @@ NasdNfsFileManager::serveSetPolicy(NasdNfsFh fh, std::uint32_t mode,
 {
     NasdNfsStatusReply reply;
     // Read current attrs to preserve the directory bit.
-    auto attrs = co_await fetchAttrs(fh);
+    auto attrs = co_await ns_.attributes(fh);
     if (!attrs.ok()) {
         reply.status = attrs.error();
         co_return reply;
     }
     SetAttrRequest req;
-    req.fs_specific =
-        encodePolicyAttrs(mode, uid, gid, attrs.value().is_directory);
-    auto cred = fmCredential(fh);
-    auto set = co_await drives_.client(fh.drive).setAttr(cred, req);
+    req.fs_specific = encodePolicyAttrs(
+        mode, uid, gid, toNfsAttr(attrs.value()).is_directory);
+    auto cred = ns_.credential(fh);
+    auto set = co_await ns_.drives().client(fh.drive).setAttr(cred, req);
     if (!set.ok())
         reply.status = fromNasdStatus(set.error());
     co_return reply;
@@ -368,12 +217,12 @@ NasdNfsFileManager::serveGetCap(NasdNfsFh fh, bool want_write)
 {
     NasdNfsLookupReply reply;
     reply.fh = fh;
-    auto attrs = co_await fetchAttrs(fh);
+    auto attrs = co_await ns_.attributes(fh);
     if (!attrs.ok()) {
         reply.status = attrs.error();
         co_return reply;
     }
-    reply.attrs = attrs.value();
+    reply.attrs = toNfsAttr(attrs.value());
     reply.capability = mintCapability(
         fh, kRightRead | kRightGetAttr | (want_write ? kRightWrite : 0));
     co_return reply;
@@ -383,19 +232,19 @@ sim::Task<NasdNfsStatusReply>
 NasdNfsFileManager::serveRevoke(NasdNfsFh fh)
 {
     NasdNfsStatusReply reply;
-    if (fh.drive >= drives_.size()) {
+    if (fh.drive >= ns_.drives().size()) {
         reply.status = NfsStatus::kStale;
         co_return reply;
     }
     SetAttrRequest req;
     req.bump_version = true;
-    auto cred = fmCredential(fh);
-    auto set = co_await drives_.client(fh.drive).setAttr(cred, req);
+    auto cred = ns_.credential(fh);
+    auto set = co_await ns_.drives().client(fh.drive).setAttr(cred, req);
     if (!set.ok()) {
         reply.status = fromNasdStatus(set.error());
         co_return reply;
     }
-    versions_[fh] = set.value().version;
+    ns_.setVersion(fh, set.value().version);
     co_return reply;
 }
 
@@ -479,7 +328,7 @@ NasdNfsClient::create(NasdNfsFh dir, std::string name)
 {
     auto reply = co_await callFm<NasdNfsLookupReply>(
         kControlPayload + name.size(),
-        [&] { return fm_.serveCreate(dir, name); });
+        [&] { return fm_.serveCreate(dir, name, false); });
     if (reply.status != NfsStatus::kOk)
         co_return util::Err{reply.status};
     cacheCap(reply.fh, std::move(reply.capability), true);
@@ -491,7 +340,7 @@ NasdNfsClient::mkdir(NasdNfsFh dir, std::string name)
 {
     auto reply = co_await callFm<NasdNfsLookupReply>(
         kControlPayload + name.size(),
-        [&] { return fm_.serveMkdir(dir, name); });
+        [&] { return fm_.serveCreate(dir, name, true); });
     if (reply.status != NfsStatus::kOk)
         co_return util::Err{reply.status};
     co_return reply.fh;

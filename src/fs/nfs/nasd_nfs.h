@@ -27,7 +27,6 @@
 #include "fs/port/nasd_port.h"
 #include "nasd/client.h"
 #include "nasd/drive.h"
-#include "nasd/managed_drives.h"
 #include "net/network.h"
 #include "sim/simulator.h"
 
@@ -76,9 +75,13 @@ class NasdNfsFileManager
     net::NetNode &node() { return node_; }
 
     /** Create partitions and the root directory object. */
-    sim::Task<void> initialize(std::uint64_t partition_quota_bytes);
+    sim::Task<void>
+    initialize(std::uint64_t partition_quota_bytes)
+    {
+        return ns_.initialize(partition_quota_bytes);
+    }
 
-    NasdNfsFh rootHandle() const { return root_; }
+    NasdNfsFh rootHandle() const { return ns_.root(); }
 
     // Server-side handlers -------------------------------------------------
 
@@ -91,10 +94,10 @@ class NasdNfsFileManager
                                               std::string name,
                                               bool want_write);
 
+    /** Create a file, or with @p directory a directory, in @p dir. */
     sim::Task<NasdNfsLookupReply> serveCreate(NasdNfsFh dir,
-                                              std::string name);
-    sim::Task<NasdNfsLookupReply> serveMkdir(NasdNfsFh dir,
-                                             std::string name);
+                                              std::string name,
+                                              bool directory);
     sim::Task<NasdNfsStatusReply> serveRemove(NasdNfsFh dir,
                                               std::string name);
     sim::Task<NasdNfsReaddirReply> serveReaddir(NasdNfsFh dir);
@@ -119,30 +122,15 @@ class NasdNfsFileManager
     /** Mint a capability for @p fh at its current version. */
     Capability mintCapability(const NasdNfsFh &fh, std::uint8_t rights);
 
-    /** FM-side all-rights credential for its own object access. */
-    CredentialFactory fmCredential(const NasdNfsFh &fh);
-
+    /** @p dir's listing, from the cache or else from its drive. */
     sim::Task<NfsResult<std::vector<NasdDirEntry>>>
     loadDirectory(NasdNfsFh dir);
-    /** Rewrite @p dir as @p ents, through the cache; a failed store
-     *  drops the cached copy, so the next load reads the drive's. */
-    sim::Task<NfsStatus> storeDirectory(NasdNfsFh dir,
-                                        const std::vector<NasdDirEntry> &ents);
-
-    /** Fetch attrs of @p fh through the FM's own drive client. */
-    sim::Task<NfsResult<NfsAttr>> fetchAttrs(NasdNfsFh fh);
-
-    ObjectVersion versionOf(const NasdNfsFh &fh) const;
 
     sim::Simulator &sim_;
     net::NetNode &node_;
-    ManagedDrives drives_;
-    NasdNfsFh root_;
-    std::uint32_t next_placement_ = 0;
-    /// The FM is the only version-bumper, so it tracks versions.
-    std::map<NasdNfsFh, ObjectVersion> versions_;
-    /// The FM is also the only directory writer, so it caches
-    /// directory contents (write-through to the drive objects).
+    NasdNamespace ns_;
+    /// The FM is the only directory writer, so it caches directory
+    /// contents (write-through to the drive objects).
     std::map<NasdNfsFh, std::vector<NasdDirEntry>> dir_cache_;
 
     /// Capability lifetime handed to clients.

@@ -251,9 +251,11 @@ TEST_F(AfsTest, CorruptDirectoryIsAnIoError)
 {
     const auto root = fm->rootFid();
     const auto dir = runFor(sim, client_a->mkdir(root, "d")).value();
-    // A whole entry header naming a 9-byte name, then 2 of its bytes.
-    std::vector<std::uint8_t> truncated(14, 0);
-    truncated[13] = 9;
+    // A live length of 16 bytes: a whole entry header naming a 9-byte
+    // name, then 2 of its bytes.
+    std::vector<std::uint8_t> truncated(4 + 14, 0);
+    truncated[0] = 16;
+    truncated[4 + 13] = 9;
     truncated.push_back('a');
     truncated.push_back('b');
     ASSERT_TRUE(runFor(sim, client_a->write(dir, 0, truncated)).ok());
@@ -262,6 +264,32 @@ TEST_F(AfsTest, CorruptDirectoryIsAnIoError)
     auto found = runFor(sim, client_b->lookup(dir, "x"));
     ASSERT_FALSE(found.ok());
     EXPECT_EQ(found.error(), NfsStatus::kIoError);
+}
+
+// A directory that still names a file is not removed: its child would
+// be left with no name pointing to it.
+TEST_F(AfsTest, RemoveNonEmptyDirectoryIsRefused)
+{
+    const auto root = fm->rootFid();
+    const auto dir = runFor(sim, client_a->mkdir(root, "d")).value();
+    const auto child = runFor(sim, client_a->create(dir, "child")).value();
+
+    auto removed = runFor(sim, client_a->remove(root, "d"));
+    ASSERT_FALSE(removed.ok());
+    EXPECT_EQ(removed.error(), NfsStatus::kNotEmpty);
+    auto found = runFor(sim, client_b->lookup(dir, "child"));
+    ASSERT_TRUE(found.ok());
+    EXPECT_EQ(found.value(), child);
+    auto named = runFor(sim, client_b->lookup(root, "d"));
+    ASSERT_TRUE(named.ok());
+    EXPECT_EQ(named.value(), dir);
+
+    // Emptied (its object keeps its bytes, its listing is empty), it goes.
+    ASSERT_TRUE(runFor(sim, client_a->remove(dir, "child")).ok());
+    ASSERT_TRUE(runFor(sim, client_a->remove(root, "d")).ok());
+    auto gone = runFor(sim, client_b->lookup(root, "d"));
+    ASSERT_FALSE(gone.ok());
+    EXPECT_EQ(gone.error(), NfsStatus::kNoEnt);
 }
 
 TEST_F(AfsTest, FetchCapForMissingFidAddsNoState)

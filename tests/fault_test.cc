@@ -10,8 +10,10 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "cheops/cheops.h"
@@ -769,6 +771,34 @@ objectsOn(Simulator &sim, NasdDrive &drive)
     return runFor(sim, drive.store().listObjects(0)).value().size();
 }
 
+/**
+ * Fail @p drive for exactly its @p k-th request from now: it goes down
+ * once it has answered k-1 requests and comes back once it has turned
+ * one more away, or after half a simulated second. A file manager's
+ * namespace operation sends a drive one request at a time, and each
+ * answer shows as a change of the drive's sent bytes.
+ */
+Task<void>
+failKthRequest(Simulator &s, NasdDrive *drive, int k)
+{
+    const auto sent = [drive] { return drive->node().bytes_sent.value(); };
+    std::uint64_t last = sent();
+    int answered = 0;
+    for (int i = 0; i < 50000; ++i) {
+        if (sent() != last) {
+            last = sent();
+            ++answered;
+        }
+        if (answered == k - 1 && !drive->failed()) {
+            drive->setFailed(true);
+        } else if (answered == k) {
+            break;
+        }
+        co_await s.delay(sim::usec(10));
+    }
+    drive->setFailed(false);
+}
+
 TEST_F(NfsFaultTest, FailedCreateLeavesNoObject)
 {
     // Placement round-robins from drive 0, which also holds the root
@@ -787,6 +817,86 @@ TEST_F(NfsFaultTest, FailedCreateLeavesNoObject)
     auto found = runFor(sim, client->lookup(root, "lost"));
     ASSERT_FALSE(found.ok());
     EXPECT_EQ(found.error(), fs::NfsStatus::kNoEnt);
+}
+
+// Fail the new directory's drive at each request a mkdir makes of it
+// in turn (create, attributes, then the clean-up remove). A mkdir that
+// fails leaves no entry and no object; one that succeeds names a
+// directory.
+TEST_F(NfsFaultTest, FailedMkdirLeavesNoEntry)
+{
+    const auto root = fm->rootHandle();
+    NasdDrive &target = *drives[1];
+    int failed = 0;
+    for (int k = 1; k <= 4; ++k) {
+        // Placement round-robins: pad until the next object is drive 1's.
+        for (int pad = 0;; ++pad) {
+            const auto name =
+                "pad" + std::to_string(k) + "." + std::to_string(pad);
+            const auto fh = runFor(sim, client->create(root, name));
+            ASSERT_TRUE(fh.ok());
+            if (fh.value().drive == 0)
+                break;
+        }
+        const std::string name = "d" + std::to_string(k);
+        const std::size_t before = objectsOn(sim, target);
+        sim.spawn(failKthRequest(sim, &target, k));
+        const auto made = runFor(sim, client->mkdir(root, name));
+        sim.run();
+        ASSERT_FALSE(target.failed());
+
+        const auto listing = runFor(sim, client->readdir(root));
+        ASSERT_TRUE(listing.ok());
+        const auto it = std::ranges::find(listing.value(), name,
+                                          &fs::NasdDirEntry::name);
+        if (made.ok()) {
+            ASSERT_NE(it, listing.value().end()) << "request " << k;
+            EXPECT_TRUE(it->is_directory) << "request " << k;
+            const auto attrs = runFor(sim, client->getattr(made.value()));
+            ASSERT_TRUE(attrs.ok());
+            EXPECT_TRUE(attrs.value().is_directory) << "request " << k;
+        } else {
+            ++failed;
+            EXPECT_EQ(it, listing.value().end()) << "request " << k;
+            EXPECT_EQ(objectsOn(sim, target), before) << "request " << k;
+        }
+    }
+    EXPECT_GE(failed, 2); // the create and the attributes were refused
+}
+
+// Fail the directory's drive at each request a remove makes of it in
+// turn. The removed file's object goes first, but a failed store of the
+// shorter listing leaves the old one: every other name still resolves.
+TEST_F(NfsFaultTest, FailedRemoveStoreKeepsEveryEntry)
+{
+    const auto root = fm->rootHandle();
+    NasdDrive &dir_drive = *drives[root.drive];
+    // Placement round-robins from drive 0: after "first", each round's
+    // victim lands on drive 1 and is never the listing's last entry.
+    std::vector<std::string> kept{"first"};
+    ASSERT_TRUE(runFor(sim, client->create(root, "first")).ok());
+    int failed = 0;
+    for (int k = 1; k <= 4; ++k) {
+        const std::string victim = "victim" + std::to_string(k);
+        const std::string keep = "keep" + std::to_string(k);
+        const auto made = runFor(sim, client->create(root, victim));
+        ASSERT_TRUE(made.ok());
+        ASSERT_EQ(made.value().drive, 1u);
+        ASSERT_TRUE(runFor(sim, client->create(root, keep)).ok());
+        kept.push_back(keep);
+
+        sim.spawn(failKthRequest(sim, &dir_drive, k));
+        const auto removed = runFor(sim, client->remove(root, victim));
+        sim.run();
+        ASSERT_FALSE(dir_drive.failed());
+        if (!removed.ok())
+            ++failed;
+        for (const auto &name : kept) {
+            EXPECT_TRUE(runFor(sim, client->lookup(root, name)).ok())
+                << name << " after request " << k << " failed";
+        }
+    }
+    EXPECT_GE(failed, 1); // the store was refused
 }
 
 // ---------------------------------------------------------------- AFS
@@ -922,6 +1032,141 @@ TEST_F(AfsFaultTest, FailedCreateLeavesNoObject)
     sim.spawn(failOnNextCreate(sim, raw[1], raw[root.drive]));
     ASSERT_FALSE(runFor(sim, client_a->create(root, "lost")).ok());
     EXPECT_EQ(objectsOn(sim, *raw[1]), before);
+    EXPECT_EQ(fm->trackedFiles(), tracked);
+}
+
+
+// Fail the directory's drive at each request a create makes of it in
+// turn (the directory's attributes, its read, then its store). The
+// store is one write, so a failed one keeps the old listing: after the
+// drive heals every earlier name still resolves, and a failed create
+// leaves no object behind.
+TEST_F(AfsFaultTest, FailedDirectoryStoreKeepsEveryEntry)
+{
+    const auto root = fm->rootFid();
+    NasdDrive &dir_drive = *raw[root.drive];
+    std::vector<std::string> names;
+    std::vector<std::unique_ptr<fs::AfsClient>> checkers;
+    int failed = 0;
+    for (int k = 1; k <= 4; ++k) {
+        // Placement round-robins: pad until the next object is drive 1's.
+        for (int pad = 0;; ++pad) {
+            const auto name =
+                "pad" + std::to_string(k) + "." + std::to_string(pad);
+            const auto fid = runFor(sim, client_a->create(root, name));
+            ASSERT_TRUE(fid.ok());
+            names.push_back(name);
+            if (fid.value().drive == 0)
+                break;
+        }
+        const std::string name = "n" + std::to_string(k);
+        const std::size_t before = objectsOn(sim, *raw[1]);
+        sim.spawn(failKthRequest(sim, &dir_drive, k));
+        const auto made = runFor(sim, client_a->create(root, name));
+        sim.run();
+        ASSERT_FALSE(dir_drive.failed());
+        if (made.ok()) {
+            names.push_back(name);
+        } else {
+            ++failed;
+            EXPECT_EQ(objectsOn(sim, *raw[1]), before) << "request " << k;
+        }
+
+        // A client with nothing cached parses the drive's listing; it
+        // stays registered for callbacks, so it lives as long as the FM.
+        checkers.push_back(makeClient("check" + std::to_string(k), 10 + k));
+        const auto &fresh = checkers.back();
+        for (const auto &n : names) {
+            EXPECT_TRUE(runFor(sim, fresh->lookup(root, n)).ok())
+                << n << " after request " << k << " failed";
+        }
+        if (!made.ok()) {
+            EXPECT_FALSE(runFor(sim, fresh->lookup(root, name)).ok());
+        }
+    }
+    EXPECT_GE(failed, 3); // the attributes, the read and the store
+}
+
+// The shrinking case: fail the directory's drive at each request a
+// remove makes of it in turn. A failed store of the shorter listing
+// keeps the old one, so every other name still resolves.
+TEST_F(AfsFaultTest, FailedRemoveStoreKeepsEveryEntry)
+{
+    const auto root = fm->rootFid();
+    NasdDrive &dir_drive = *raw[root.drive];
+    // Placement round-robins from drive 0: after "first", each round's
+    // victim lands on drive 1 and is never the listing's last entry.
+    std::vector<std::string> kept{"first"};
+    ASSERT_TRUE(runFor(sim, client_a->create(root, "first")).ok());
+    std::vector<std::unique_ptr<fs::AfsClient>> checkers;
+    int failed = 0;
+    for (int k = 1; k <= 4; ++k) {
+        const std::string victim = "victim" + std::to_string(k);
+        const std::string keep = "keep" + std::to_string(k);
+        const auto made = runFor(sim, client_a->create(root, victim));
+        ASSERT_TRUE(made.ok());
+        ASSERT_EQ(made.value().drive, 1u);
+        ASSERT_TRUE(runFor(sim, client_a->create(root, keep)).ok());
+        kept.push_back(keep);
+
+        sim.spawn(failKthRequest(sim, &dir_drive, k));
+        const auto removed = runFor(sim, client_a->remove(root, victim));
+        sim.run();
+        ASSERT_FALSE(dir_drive.failed());
+        if (!removed.ok())
+            ++failed;
+        checkers.push_back(makeClient("check" + std::to_string(k), 10 + k));
+        for (const auto &name : kept) {
+            EXPECT_TRUE(runFor(sim, checkers.back()->lookup(root, name)).ok())
+                << name << " after request " << k << " failed";
+        }
+    }
+    EXPECT_GE(failed, 3); // the attributes, the read and the store
+}
+
+// A read fetch whose attribute reply is still on its way back while a
+// whole remove of the file settles must not track the removed file.
+TEST_F(AfsFaultTest, FetchOverlappingARemoveTracksNothing)
+{
+    const auto root = fm->rootFid();
+    ASSERT_TRUE(runFor(sim, client_a->create(root, "first")).ok());
+    const auto fid = runFor(sim, client_a->create(root, "doomed")).value();
+    ASSERT_NE(fid.drive, root.drive);
+    const std::size_t tracked = fm->trackedFiles();
+
+    // Delay every message by 300 ms (inside the 2 s attempt deadline)
+    // until the file's drive has sent its delayed reply to the fetch,
+    // then heal the network and remove the file.
+    net::FaultPlan plan;
+    plan.delay_probability = 1.0;
+    plan.delay_min = sim::msec(300);
+    plan.delay_max = sim::msec(300);
+    plan.seed = 29;
+    net.setFaultPlan(plan);
+
+    std::optional<fs::NfsStatus> fetched;
+    sim.spawn([](fs::AfsFileManager &m, fs::AfsFid f,
+                 std::optional<fs::NfsStatus> &out) -> Task<void> {
+        out = (co_await m.serveFetchCap(f, false, 2)).status;
+    }(*fm, fid, fetched));
+    std::optional<fs::NfsStatus> removed;
+    sim.spawn([](Simulator &s, net::Network &n, fs::AfsFileManager &m,
+                 fs::AfsFid dir, NasdDrive *d,
+                 std::optional<fs::NfsStatus> &out) -> Task<void> {
+        for (int i = 0; i < 100000; ++i) {
+            if (d->node().faults_delayed.value() >= 1) {
+                n.clearFaultPlan();
+                out = (co_await m.serveRemove(dir, "doomed")).status;
+                co_return;
+            }
+            co_await s.delay(sim::usec(10));
+        }
+    }(sim, net, *fm, root, raw[fid.drive], removed));
+    sim.run();
+
+    ASSERT_EQ(removed, fs::NfsStatus::kOk);
+    ASSERT_TRUE(fetched.has_value());
+    EXPECT_EQ(*fetched, fs::NfsStatus::kNoEnt);
     EXPECT_EQ(fm->trackedFiles(), tracked);
 }
 

@@ -324,9 +324,10 @@ TEST_F(NasdNfsTest, MkdirNestsNamespaces)
     EXPECT_TRUE(listing.value()[0].is_directory);
 }
 
-// A directory object holds back-to-back entries (u32 drive, u64 oid,
-// u8 is_dir, u8 name length, name); decoding must reject every
-// truncation of a valid encoding instead of reading past the end, and
+// A directory object holds a u32 live length, then back-to-back
+// entries (u32 drive, u64 oid, u8 is_dir, u8 name length, name);
+// decoding must reject every truncation of a valid encoding instead of
+// reading past the end, ignore bytes past the live length, and reject
 // an entry naming a drive outside the namespace.
 TEST(NasdDirectoryCodecTest, RoundTripsAndRejectsEveryTruncation)
 {
@@ -334,7 +335,7 @@ TEST(NasdDirectoryCodecTest, RoundTripsAndRejectsEveryTruncation)
                                             {"d", {0, 0x100}, true},
                                             {"", {7, 9}, false}};
     const auto raw = encodeDirectory(entries);
-    ASSERT_EQ(raw.size(), 3 * 14u + 5 + 1);
+    ASSERT_EQ(raw.size(), 4 + 3 * 14u + 5 + 1);
     auto back = decodeDirectory(raw, 8);
     ASSERT_TRUE(back.ok());
     ASSERT_EQ(back.value().size(), entries.size());
@@ -344,7 +345,9 @@ TEST(NasdDirectoryCodecTest, RoundTripsAndRejectsEveryTruncation)
         EXPECT_EQ(back.value()[i].is_directory, entries[i].is_directory);
     }
 
-    const std::vector<std::size_t> boundaries{0, 19, 34, 48};
+    // Only the empty object (an empty directory) is whole: every other
+    // prefix stops inside the header or short of the live length.
+    const std::vector<std::size_t> boundaries{0};
     for (std::size_t n = 0; n < raw.size(); ++n) {
         const auto cut = decodeDirectory(
             std::span<const std::uint8_t>(raw.data(), n), 8);
@@ -356,6 +359,26 @@ TEST(NasdDirectoryCodecTest, RoundTripsAndRejectsEveryTruncation)
         }
     }
 
+    // Bytes past the live length are dead: stale bytes after the
+    // listing change nothing, and a live length covering only the
+    // first entry (4-byte header + 14 + "alpha") hides the rest.
+    auto stale = raw;
+    stale.insert(stale.end(), {0xde, 0xad, 0xbe, 0xef, 1, 2, 3});
+    auto with_stale = decodeDirectory(stale, 8);
+    ASSERT_TRUE(with_stale.ok());
+    EXPECT_EQ(with_stale.value().size(), entries.size());
+    stale[0] = 19;
+    stale[1] = 0;
+    auto first = decodeDirectory(stale, 8);
+    ASSERT_TRUE(first.ok());
+    ASSERT_EQ(first.value().size(), 1u);
+    EXPECT_EQ(first.value()[0].name, "alpha");
+    // A live length ending inside an entry is corrupt.
+    stale[0] = 20;
+    auto inside = decodeDirectory(stale, 8);
+    ASSERT_FALSE(inside.ok());
+    EXPECT_EQ(inside.error(), NfsStatus::kIoError);
+
     // The last entry names drive 7: corrupt in a namespace on 7 drives.
     const auto beyond = decodeDirectory(raw, 7);
     ASSERT_FALSE(beyond.ok());
@@ -366,9 +389,10 @@ TEST_F(NasdNfsTest, CorruptDirectoryIsAnIoError)
 {
     const auto root = fm->rootHandle();
     const auto dir = runFor(sim, client->mkdir(root, "d")).value();
-    // One entry's drive and half its object id: the object is cut
-    // short inside an entry's fixed fields.
-    const std::vector<std::uint8_t> truncated{0, 0, 0, 0, 0x10, 0x20};
+    // A live length of 6 bytes over one entry's drive and half its
+    // object id: the listing ends inside an entry's fixed fields.
+    const std::vector<std::uint8_t> truncated{6, 0, 0, 0, // live length
+                                              0, 0, 0, 0, 0x10, 0x20};
     ASSERT_TRUE(runFor(sim, client->write(dir, 0, truncated)).ok());
 
     auto found = runFor(sim, client->lookup(dir, "x"));

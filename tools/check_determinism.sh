@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Bit-determinism gate: run fig6, fig9 (the table, --fault-sweep,
 # --breakdown, --drives 64, --drives 8 --slow-drive 3,3.0 and
-# --kill-drive) and active_disks twice each and require the two
+# --kill-drive), active_disks and andrew twice each and require the two
 # BENCH_*.json dumps (metrics + timeseries) and printed outputs to be
 # byte-identical.
 # Every bench baseline and seeded-fault test silently assumes the
@@ -104,6 +104,7 @@ run_twice fig9_slow8 nojournal fig9_mining --drives 8 --slow-drive 3,3.0 \
     || STATUS=1
 run_twice rebuild journal fig9_mining --kill-drive || STATUS=1
 run_twice active_disks nojournal active_disks || STATUS=1
+run_twice andrew nojournal andrew_benchmark || STATUS=1
 
 # The fleet dashboard must be a pure function of its input dump: two
 # renders of the same BENCH json must produce byte-identical HTML, or
