@@ -194,6 +194,21 @@ CheopsManager::bumpMapVersion(LogicalObjectId id, LogicalObject &obj,
                                  0, id, obj.map_version, why);
 }
 
+void
+CheopsManager::markDead(LogicalObjectId id, LogicalObject &obj,
+                        std::uint32_t component)
+{
+    if (obj.dead >= 0)
+        return;
+    // Fence the component without touching its (possibly dead) drive:
+    // every map minted from now on names it and carries no capability
+    // for it, so its stale units are never read.
+    obj.dead = component;
+    node_.flightJournal().record(sim_.now(), util::FrEvent::kMarkDegraded,
+                                 0, id, component);
+    bumpMapVersion(id, obj, "mark_degraded");
+}
+
 sim::Task<bool>
 CheopsManager::fenceComponents(LogicalObject &obj, std::int64_t skip,
                                bool expires)
@@ -221,18 +236,16 @@ CheopsManager::serveCreate(std::uint64_t stripe_unit_bytes,
 {
     CreateReply reply;
     NASD_ASSERT(stripe_unit_bytes > 0);
-    const bool parity = redundancy == Redundancy::kParity;
     // stripe_count is the *data* width; parity adds one component.
     // Keeping a drive in reserve as a rebuild spare is the caller's
     // business — any drives beyond width+1 stay unused.
-    const std::uint32_t extra = parity ? 1 : 0;
-    if (stripe_count == 0 || stripe_count + extra > drives_.size())
-        stripe_count = drives_.size() - extra;
-    if ((parity && (drives_.size() < 3 || stripe_count < 2)) ||
-        (redundancy == Redundancy::kMirror && drives_.size() < 2)) {
+    const std::uint32_t extra = redundancy == Redundancy::kParity ? 1 : 0;
+    if (drives_.size() < 1 + extra) {
         reply.status = CheopsStatus::kNoSpace;
         co_return reply;
     }
+    if (stripe_count == 0 || stripe_count + extra > drives_.size())
+        stripe_count = drives_.size() - extra;
 
     LogicalObject obj;
     obj.stripe_unit_bytes = stripe_unit_bytes;
@@ -240,36 +253,23 @@ CheopsManager::serveCreate(std::uint64_t stripe_unit_bytes,
     const std::uint64_t per_drive_hint =
         capacity_hint / stripe_count + stripe_unit_bytes;
 
-    std::vector<std::pair<std::uint32_t, ObjectId>> created;
-
-    // One component object on each participating drive (plus, when
-    // mirrored, a replica on the next drive so no component shares a
-    // spindle with its copy; with parity, one extra component so each
-    // row can hold its rotating parity unit).
-    for (std::uint32_t i = 0; i < stripe_count + extra; ++i) {
-        for (const bool replica : {false, true}) {
-            if (replica && redundancy != Redundancy::kMirror)
-                break;
-            const auto drive = replica ? (i + 1) % drives_.size() : i;
-            auto made = co_await drives_.create(drive, per_drive_hint);
-            if (!made.ok()) {
-                // A mid-loop failure must not strand the objects already
-                // created: best-effort removal (the drive that failed
-                // may hold some of them) before reporting the error.
-                for (const auto &[d, oid] : created)
-                    (void)co_await removeObject(d, oid, 1);
-                reply.status = CheopsStatus::kDriveError;
-                co_return reply;
-            }
-            created.emplace_back(drive, made.value());
-            (replica ? obj.mirrors : obj.components)
-                .emplace_back(drive, made.value());
-            (replica ? obj.mirror_versions : obj.component_versions)
-                .push_back(1);
+    // One component object on each participating drive (with parity,
+    // one extra component so each row can hold its rotating parity
+    // unit).
+    for (std::uint32_t drive = 0; drive < stripe_count + extra; ++drive) {
+        auto made = co_await drives_.create(drive, per_drive_hint);
+        if (!made.ok()) {
+            // A mid-loop failure must not strand the objects already
+            // created: best-effort removal (the drive that failed may
+            // hold some of them) before reporting the error.
+            for (const auto &[d, oid] : obj.components)
+                (void)co_await removeObject(d, oid, 1);
+            reply.status = CheopsStatus::kDriveError;
+            co_return reply;
         }
+        obj.components.emplace_back(drive, made.value());
+        obj.component_versions.push_back(1);
     }
-    obj.component_stale.assign(obj.components.size(), 0);
-    obj.mirror_stale.assign(obj.mirrors.size(), 0);
 
     const LogicalObjectId id = next_id_++;
     objects_[id] = std::move(obj);
@@ -289,28 +289,26 @@ CheopsManager::serveOpen(LogicalObjectId id, bool want_write)
     reply.map.map_version = obj->map_version;
     reply.map.stripe_unit_bytes = obj->stripe_unit_bytes;
     reply.map.redundancy = obj->redundancy;
+    reply.map.dead_component = obj->dead;
     for (std::size_t i = 0; i < obj->components.size(); ++i) {
         const auto &[drive, oid] = obj->components[i];
-        reply.map.components.push_back(componentRef(
-            drive, oid, obj->component_versions[i], want_write));
+        // The dead component is named but gets no capability.
+        reply.map.components.push_back(
+            static_cast<std::int64_t>(i) == obj->dead
+                ? ComponentRef{drive, oid, {}}
+                : componentRef(drive, oid, obj->component_versions[i],
+                               want_write));
     }
-    for (std::size_t i = 0; i < obj->mirrors.size(); ++i) {
-        const auto &[drive, oid] = obj->mirrors[i];
-        reply.map.mirrors.push_back(
-            componentRef(drive, oid, obj->mirror_versions[i], want_write));
-    }
-    if (obj->redundancy == Redundancy::kParity) {
-        const auto rit = rebuilds_.find(id);
-        if (rit != rebuilds_.end() && rit->second.namesSpare()) {
-            reply.map.rebuilding = true;
-            reply.map.rebuild_component = rit->second.dead_comp;
-            // Write-through needs write rights regardless of how the
-            // object was opened; the spare is not readable until the
-            // rebuild swaps it into the map.
-            reply.map.rebuild_target =
-                componentRef(rit->second.spare_drive, rit->second.spare_oid,
-                             1, /*want_write=*/true);
-        }
+    // Only kParity objects rebuild.
+    if (const auto rit = rebuilds_.find(id);
+        rit != rebuilds_.end() && rit->second.namesSpare()) {
+        reply.map.rebuilding = true;
+        // Write-through needs write rights regardless of how the object
+        // was opened; the spare is not readable until the rebuild swaps
+        // it into the map.
+        reply.map.rebuild_target =
+            componentRef(rit->second.spare_drive, rit->second.spare_oid, 1,
+                         /*want_write=*/true);
     }
     // Minting a capability set is pure CPU work at the manager.
     co_await node_.cpu().execute(4000 +
@@ -330,12 +328,6 @@ CheopsManager::serveRemove(LogicalObjectId id)
         const auto &[drive, oid] = obj->components[i];
         if (!co_await removeObject(drive, oid,
                                    obj->component_versions[i]))
-            reply.status = CheopsStatus::kDriveError;
-    }
-    for (std::size_t i = 0; i < obj->mirrors.size(); ++i) {
-        const auto &[drive, oid] = obj->mirrors[i];
-        if (!co_await removeObject(drive, oid,
-                                   obj->mirror_versions[i]))
             reply.status = CheopsStatus::kDriveError;
     }
     objects_.erase(id);
@@ -469,116 +461,29 @@ CheopsManager::managerBumpVersion(std::uint32_t drive, ObjectId oid,
 
 sim::Task<CheopsStatusReply>
 CheopsManager::serveMarkDegraded(LogicalObjectId id, std::uint32_t component,
-                                 bool mirror_side)
+                                 std::uint32_t map_version)
 {
     CheopsStatusReply reply;
     LogicalObject *obj = find(id, reply.status);
-    if (obj == nullptr || obj->redundancy != Redundancy::kMirror ||
+    if (obj == nullptr || obj->redundancy != Redundancy::kParity ||
         component >= obj->components.size()) {
         reply.status = CheopsStatus::kNoSuchObject;
         co_return reply;
     }
-    auto &stale = mirror_side ? obj->mirror_stale : obj->component_stale;
-    const auto &other = mirror_side ? obj->component_stale : obj->mirror_stale;
-    if (other[component]) {
-        // The surviving side is itself stale: accepting this report
-        // would declare both copies bad. The write must fail instead.
+    if (map_version != obj->map_version) {
+        // The layout changed since the failed write: the component it
+        // names may be a rebuild's spare by now.
+        reply.status = CheopsStatus::kStaleMap;
+        co_return reply;
+    }
+    if (obj->dead >= 0 && obj->dead != component) {
+        // Another component already missed a write: accepting this
+        // report would leave a row with two stale units.
         reply.status = CheopsStatus::kDriveError;
         co_return reply;
     }
-    if (!stale[component]) {
-        stale[component] = 1;
-        // Fence the diverged replica without touching the (possibly
-        // dead) drive: every capability minted from now on demands a
-        // version the stale object cannot present, so reads of old
-        // bytes fail with kVersionMismatch instead of succeeding.
-        auto &versions =
-            mirror_side ? obj->mirror_versions : obj->component_versions;
-        versions[component] += 1;
-        node_.flightJournal().record(sim_.now(),
-                                     util::FrEvent::kMirrorMarkDegraded, 0,
-                                     id, component);
-        bumpMapVersion(id, *obj, "mark_degraded");
-    }
+    markDead(id, *obj, component);
     co_await node_.cpu().execute(2000);
-    control_ops_.add(1);
-    co_return reply;
-}
-
-sim::Task<CheopsStatusReply>
-CheopsManager::serveResyncMirrors(LogicalObjectId id)
-{
-    CheopsStatusReply reply;
-    LogicalObject *obj = find(id, reply.status);
-    if (obj == nullptr || obj->redundancy != Redundancy::kMirror) {
-        reply.status = CheopsStatus::kNoSuchObject;
-        co_return reply;
-    }
-    bool changed = false;
-    for (std::size_t i = 0; i < obj->components.size(); ++i) {
-        const bool primary_stale = obj->component_stale[i] != 0;
-        const bool mirror_stale = obj->mirror_stale[i] != 0;
-        if (!primary_stale && !mirror_stale)
-            continue;
-        if (primary_stale && mirror_stale) {
-            reply.status = CheopsStatus::kDriveError;
-            continue;
-        }
-        const auto &[src_drive, src_oid] =
-            mirror_stale ? obj->components[i] : obj->mirrors[i];
-        const ObjectVersion src_ver = mirror_stale
-                                          ? obj->component_versions[i]
-                                          : obj->mirror_versions[i];
-        const auto &[dst_drive, dst_oid] =
-            mirror_stale ? obj->mirrors[i] : obj->components[i];
-        auto &dst_stored = mirror_stale ? obj->mirror_versions[i]
-                                        : obj->component_versions[i];
-        // MarkDegraded bumped the stored version exactly once past the
-        // drive object's real version.
-        const ObjectVersion dst_drive_ver = dst_stored - 1;
-
-        auto attrs =
-            co_await managerGetAttr(src_drive, src_oid, src_ver,
-                                    /*expires=*/true);
-        if (!attrs.ok()) {
-            reply.status = CheopsStatus::kDriveError;
-            continue;
-        }
-        const std::uint64_t size = attrs.value().size;
-        if (size > 0) {
-            auto data =
-                co_await managerRead(src_drive, src_oid, src_ver, 0, size);
-            if (!data.ok()) {
-                reply.status = CheopsStatus::kDriveError;
-                continue;
-            }
-            auto wrote = co_await managerWrite(dst_drive, dst_oid,
-                                               dst_drive_ver, 0,
-                                               std::move(data.value()));
-            if (!wrote.ok()) {
-                reply.status = CheopsStatus::kDriveError;
-                continue;
-            }
-        }
-        // Advance the healed replica's drive-side version to match the
-        // fenced expectation, then adopt whatever the drive reports as
-        // the new approved version.
-        auto bumped = co_await managerBumpVersion(dst_drive, dst_oid,
-                                                  dst_drive_ver,
-                                                  /*expires=*/true);
-        if (!bumped.ok()) {
-            reply.status = CheopsStatus::kDriveError;
-            continue;
-        }
-        dst_stored = bumped.value().version;
-        (mirror_stale ? obj->mirror_stale : obj->component_stale)[i] = 0;
-        changed = true;
-    }
-    if (changed) {
-        node_.flightJournal().record(sim_.now(),
-                                     util::FrEvent::kMirrorResync, 0, id);
-        bumpMapVersion(id, *obj, "resync");
-    }
     control_ops_.add(1);
     co_return reply;
 }
@@ -593,13 +498,15 @@ CheopsManager::serveStartRebuild(LogicalObjectId id,
     LogicalObject *obj = find(id, reply.status);
     if (obj == nullptr)
         co_return reply;
-    // Only one rebuild at a time, and the spare must not share a
-    // spindle with any surviving component, or the next failure would
-    // take out two units of a row.
+    // Only one rebuild at a time, only of the dead component when one
+    // is named, and the spare must not share a spindle with any
+    // surviving component, or the next failure would take out two
+    // units of a row. The dead component's own drive is fine.
     const auto rit = rebuilds_.find(id);
     bool refused = obj->redundancy != Redundancy::kParity ||
                    dead_component >= obj->components.size() ||
                    spare_drive >= drives_.size() ||
+                   (obj->dead >= 0 && obj->dead != dead_component) ||
                    (rit != rebuilds_.end() && rit->second.active);
     for (std::size_t i = 0; i < obj->components.size(); ++i) {
         refused = refused || (i != dead_component &&
@@ -609,6 +516,9 @@ CheopsManager::serveStartRebuild(LogicalObjectId id,
         reply.status = CheopsStatus::kAccess;
         co_return reply;
     }
+    // The request names the component dead at once, so no report of
+    // another component's failure slips in while the spare is set up.
+    markDead(id, *obj, dead_component);
 
     // Qualify the spare: the drive must answer and its partition must
     // have room for the reconstructed component. A dead spare found
@@ -677,7 +587,6 @@ CheopsManager::serveStartRebuild(LogicalObjectId id,
                       obj->stripe_unit_bytes,
         .started_at = sim_.now()};
     rb.aborted = false;
-    rb.dead_comp = dead_component;
     rb.spare_drive = spare_drive;
     rb.spare_oid = spare.value();
     rb.throttle = throttle;
@@ -739,7 +648,7 @@ CheopsManager::rebuildLoop(LogicalObjectId id)
         std::vector<sim::Task<StoreResult<std::vector<std::uint8_t>>>>
             reads;
         for (std::size_t i = 0; i < obj.components.size(); ++i) {
-            if (i == rb.dead_comp)
+            if (static_cast<std::int64_t>(i) == obj.dead)
                 continue;
             const auto &[drive, oid] = obj.components[i];
             reads.push_back(managerRead(drive, oid,
@@ -784,10 +693,15 @@ CheopsManager::rebuildLoop(LogicalObjectId id)
         const auto oit = objects_.find(id);
         if (oit != objects_.end()) {
             LogicalObject &obj = oit->second;
-            (void)co_await fenceComponents(obj, rb.dead_comp,
-                                           /*expires=*/true);
-            obj.components[rb.dead_comp] = {rb.spare_drive, rb.spare_oid};
-            obj.component_versions[rb.dead_comp] = 1;
+            (void)co_await fenceComponents(obj, obj.dead, /*expires=*/true);
+            // The spare replaces the dead component, which takes the
+            // dead mark with it.
+            const auto dead = static_cast<std::size_t>(obj.dead);
+            const auto [old_drive, old_oid] = obj.components[dead];
+            const ObjectVersion old_version = obj.component_versions[dead];
+            obj.components[dead] = {rb.spare_drive, rb.spare_oid};
+            obj.component_versions[dead] = 1;
+            obj.dead = -1;
             bumpMapVersion(id, obj, "rebuild_refence");
             rb.active = false;
             rb.finished_at = sim_.now();
@@ -795,6 +709,9 @@ CheopsManager::rebuildLoop(LogicalObjectId id)
                                          util::FrEvent::kRebuildComplete, 0,
                                          id, rb.rows_done);
             permit.release();
+            // The replaced object holds only stale bytes now. Best
+            // effort: its drive may still be down.
+            (void)co_await removeObject(old_drive, old_oid, old_version);
             co_return;
         }
         stopped = "object_removed";
@@ -827,9 +744,10 @@ CheopsManager::serveRebuildLock(LogicalObjectId id)
     }
     RebuildState &rb = rit->second;
     auto permit = co_await sim::scopedAcquire(sim_, *rb.lock);
-    // Only an abort refuses: after a completion the survivors' version
-    // fence already turns a stale client away at the drives.
-    if (rb.aborted) {
+    // A client that still holds the `rebuilding` map after an abort or
+    // a completion refreshes at once, rather than being turned away by
+    // the survivors' version fence at the drives.
+    if (!rb.namesSpare()) {
         reply.status = CheopsStatus::kStaleMap;
         co_return reply;
     }
@@ -941,10 +859,6 @@ CheopsClient::ensureOpen(LogicalObjectId id, bool want_write)
         state.creds.push_back(
             std::make_unique<CredentialFactory>(comp.capability));
     }
-    for (const auto &mirror : state.map.mirrors) {
-        state.mirror_creds.push_back(
-            std::make_unique<CredentialFactory>(mirror.capability));
-    }
     if (state.map.redundancy == Redundancy::kParity) {
         // Holds a usable capability while the map says rebuilding.
         state.rebuild_cred = std::make_unique<CredentialFactory>(
@@ -962,8 +876,7 @@ CheopsClient::ensureOpen(LogicalObjectId id, bool want_write)
 bool
 CheopsClient::bindOpen(OpenState &state, const CheopsMap &map)
 {
-    if (map.components.size() != state.creds.size() ||
-        map.mirrors.size() != state.mirror_creds.size())
+    if (map.components.size() != state.creds.size())
         return false;
     // The whole ComponentRef is assigned (not just the capability): a
     // completed rebuild moves a component to the spare drive, and the
@@ -972,13 +885,9 @@ CheopsClient::bindOpen(OpenState &state, const CheopsMap &map)
         state.creds[i]->rebind(map.components[i].capability);
         state.map.components[i] = map.components[i];
     }
-    for (std::size_t i = 0; i < state.mirror_creds.size(); ++i) {
-        state.mirror_creds[i]->rebind(map.mirrors[i].capability);
-        state.map.mirrors[i] = map.mirrors[i];
-    }
     state.map.map_version = map.map_version;
+    state.map.dead_component = map.dead_component;
     state.map.rebuilding = map.rebuilding;
-    state.map.rebuild_component = map.rebuild_component;
     state.map.rebuild_target = map.rebuild_target;
     if (map.rebuilding) // only parity maps rebuild
         state.rebuild_cred->rebind(map.rebuild_target.capability);
@@ -1067,14 +976,6 @@ CheopsClient::startRebuild(LogicalObjectId id, std::uint32_t dead_component,
     co_return statusResult(reply.status);
 }
 
-sim::Task<util::Result<void, CheopsStatus>>
-CheopsClient::resyncMirrors(LogicalObjectId id)
-{
-    auto reply = co_await callManager<CheopsStatusReply>(
-        [&] { return mgr_.serveResyncMirrors(id); });
-    co_return statusResult(reply.status);
-}
-
 template <typename Op>
 auto
 CheopsClient::withRefresh(OpenState *open, LogicalObjectId id, Op op)
@@ -1094,12 +995,14 @@ sim::Task<StoreResult<std::uint64_t>>
 CheopsClient::readComponent(OpenState *open, LogicalObjectId id,
                             std::uint32_t comp, std::uint64_t offset,
                             std::span<std::uint8_t> out,
-                            util::TraceContext ctx, bool mirror)
+                            util::TraceContext ctx)
 {
+    if (comp == open->map.dead_component)
+        co_return util::Err{NasdStatus::kDriveFailed};
     // refreshCaps rebinds these in place, so a retry sees a moved
     // component's new drive.
-    auto &ref = (mirror ? open->map.mirrors : open->map.components)[comp];
-    auto &cred = *(mirror ? open->mirror_creds : open->creds)[comp];
+    auto &ref = open->map.components[comp];
+    auto &cred = *open->creds[comp];
     co_return co_await withRefresh(open, id, [&] {
         return drive_clients_[ref.drive]->read(cred, offset, out, ctx);
     });
@@ -1123,10 +1026,12 @@ sim::Task<StoreResult<void>>
 CheopsClient::writeComponent(OpenState *open, LogicalObjectId id,
                              std::uint32_t comp, std::uint64_t offset,
                              std::span<const std::uint8_t> data,
-                             util::TraceContext ctx, bool mirror)
+                             util::TraceContext ctx)
 {
-    auto &ref = (mirror ? open->map.mirrors : open->map.components)[comp];
-    auto &cred = *(mirror ? open->mirror_creds : open->creds)[comp];
+    if (comp == open->map.dead_component)
+        co_return util::Err{NasdStatus::kDriveFailed};
+    auto &ref = open->map.components[comp];
+    auto &cred = *open->creds[comp];
     co_return co_await withRefresh(open, id, [&] {
         return drive_clients_[ref.drive]->write(cred, offset, data, ctx);
     });
@@ -1308,15 +1213,17 @@ CheopsClient::readRuns(LogicalObjectId id, std::uint64_t offset,
         }
         auto n = co_await readComponent(open, id, run.component,
                                         run.component_offset, dst, ctx);
-        const char *served_by = nullptr; // the redundancy that answered
-        if (!n.ok() &&
-            open->map.redundancy == Redundancy::kParity) {
+        bool reconstructed = false;
+        if (!n.ok() && open->map.redundancy == Redundancy::kParity) {
             // The component may have moved (a completed rebuild swaps
-            // the spare into the map); re-ask the manager at most once
-            // per reprobe interval, then retry the new binding.
+            // the spare into the map) or been named dead; re-ask the
+            // manager at most once per reprobe interval, then retry
+            // the new binding. A component already named dead is
+            // reconstructed at once.
             const auto now = net_.simulator().now();
-            if (open->last_reprobe == 0 ||
-                now - open->last_reprobe >= kReprobeIntervalNs) {
+            if (run.component != open->map.dead_component &&
+                (open->last_reprobe == 0 ||
+                 now - open->last_reprobe >= kReprobeIntervalNs)) {
                 open->last_reprobe = now;
                 if (co_await refreshCaps(id)) {
                     n = co_await readComponent(open, id, run.component,
@@ -1333,27 +1240,17 @@ CheopsClient::readRuns(LogicalObjectId id, std::uint64_t offset,
                     std::copy(rebuilt.value().begin(),
                               rebuilt.value().end(), dst.begin());
                     n = static_cast<std::uint64_t>(rebuilt.value().size());
-                    served_by = "";
+                    reconstructed = true;
                 }
             }
         }
-        if (!n.ok() &&
-            open->map.redundancy == Redundancy::kMirror) {
-            // Degraded mode: the replica carries the same bytes at
-            // the same component offsets.
-            n = co_await readComponent(open, id, run.component,
-                                       run.component_offset, dst, ctx,
-                                       /*mirror=*/true);
-            served_by = "mirror";
-        }
         if (!n.ok())
             co_return util::Err{CheopsStatus::kDriveError};
-        if (served_by != nullptr) {
+        if (reconstructed) {
             degraded = true;
             node_.flightJournal().record(net_.simulator().now(),
                                          util::FrEvent::kDegradedRead,
-                                         ctx.trace_id, id, run.component,
-                                         served_by);
+                                         ctx.trace_id, id, run.component);
         }
         if (direct)
             co_return n.value();
@@ -1437,34 +1334,7 @@ CheopsClient::writeRuns(LogicalObjectId id, std::uint64_t offset,
         }
         auto wrote = co_await writeComponent(open, id, run.component,
                                              run.component_offset, buf, ctx);
-        bool any_ok = wrote.ok();
-        if (open->map.redundancy == Redundancy::kMirror) {
-            auto mirrored = co_await writeComponent(
-                open, id, run.component, run.component_offset, buf, ctx,
-                /*mirror=*/true);
-            any_ok = any_ok || mirrored.ok();
-            if (wrote.ok() != mirrored.ok()) {
-                // One side took the data and the other did not: the
-                // pair has diverged. Report it so the manager bumps
-                // the stale side's stored version — reads of the old
-                // copy then fail with a version mismatch instead of
-                // silently returning pre-write bytes. If the report
-                // itself fails, the divergence is unrecorded and the
-                // write must not claim success.
-                auto marked = co_await callManager<CheopsStatusReply>([&] {
-                    return mgr_.serveMarkDegraded(
-                        id, run.component, /*mirror_side=*/!mirrored.ok());
-                });
-                if (marked.status != CheopsStatus::kOk)
-                    co_return util::Err{CheopsStatus::kDriveError};
-                // The fence lives in freshly minted capabilities: the
-                // cached set still validates against the stale copy's
-                // old version, so swap it out now. Divergence is
-                // already recorded server-side if this refresh fails.
-                co_await refreshCaps(id);
-            }
-        }
-        if (!any_ok)
+        if (!wrote.ok())
             co_return util::Err{CheopsStatus::kDriveError};
         co_return util::Result<void, CheopsStatus>{};
     };
@@ -1534,7 +1404,14 @@ CheopsClient::writeParityRow(OpenState *open, LogicalObjectId id,
     if (writes.empty())
         co_return util::Result<void, CheopsStatus>{};
     comps.push_back(p);
-    const bool full_row = lo == row_start && hi == row_start + row_bytes;
+    // Every data unit of the row is replaced over the whole parity
+    // footprint, so the new parity there is the XOR of the new data
+    // alone: a full row, and at width 1 every write.
+    const bool covers_parity =
+        writes.size() == w &&
+        std::ranges::all_of(writes, [plo, phi](const RowUnitWrite &uw) {
+            return uw.a == plo && uw.b == phi;
+        });
 
     // Serialize this client's updates of the same row: an RMW that
     // interleaves with another RMW of the same row would base its
@@ -1549,15 +1426,15 @@ CheopsClient::writeParityRow(OpenState *open, LogicalObjectId id,
         // dead component's unit is written through to the spare.
         const std::uint32_t attempt_map_version = open->map.map_version;
         const bool rebuilding = open->map.rebuilding;
-        const std::uint32_t dead_comp = open->map.rebuild_component;
         std::uint64_t ticket = 0;
         bool locked = false;
         if (rebuilding) {
             auto lk = co_await callManager<RebuildLockReply>(
                 [&] { return mgr_.serveRebuildLock(id); });
             if (lk.status == CheopsStatus::kStaleMap) {
-                // The rebuild aborted: redo the row under the map that
-                // replaced this one (it names no spare).
+                // The rebuild ended (aborted or completed): redo the row
+                // under the map that replaced this one (it names no
+                // spare).
                 result = util::Err{CheopsStatus::kStaleMap};
                 if (co_await refreshCaps(id))
                     continue;
@@ -1567,22 +1444,21 @@ CheopsClient::writeParityRow(OpenState *open, LogicalObjectId id,
             ticket = lk.ticket;
         }
 
-        // Identify a component to treat as unreachable. While a
-        // rebuild runs the map says so explicitly; otherwise start
-        // healthy and fall back when a component fails.
-        std::int64_t dead =
-            rebuilding ? static_cast<std::int64_t>(dead_comp) : -1;
+        // The component to treat as unreachable: the map names the
+        // object's dead one (always, while a rebuild runs); otherwise
+        // start healthy and fall back when a component fails.
+        std::int64_t dead = open->map.dead_component;
 
         if (dead < 0) {
             // ---- healthy path -----------------------------------
             // Read the old bytes under the written footprint plus the
             // old parity, fold old ^ new into the parity, write data +
-            // parity. A full-stripe write skips the read phase: its
-            // old bytes count as zeros over plo = 0, phi = su, so the
-            // parity is the XOR of the new data.
+            // parity. When the new data covers the parity footprint
+            // the read phase is skipped: the old bytes count as zeros,
+            // so the parity is the XOR of the new data.
             std::vector<std::vector<std::uint8_t>> old(comps.size());
             bool read_ok = true;
-            if (!full_row) {
+            if (!covers_parity) {
                 std::vector<
                     sim::Task<StoreResult<std::vector<std::uint8_t>>>>
                     reads;
@@ -1625,9 +1501,30 @@ CheopsClient::writeParityRow(OpenState *open, LogicalObjectId id,
                                                          std::move(wops));
                 (void)tallyRow(wres, comps, dead, result);
             }
-        }
-
-        if (dead >= 0) {
+            if (dead >= 0) {
+                // The failed component misses what the degraded write
+                // puts in parity. Report it, under the map the row was
+                // planned with, so no reader is served its stale units
+                // once the drive is back; an unrecorded divergence must
+                // not claim success. A report the manager finds stale
+                // means the layout moved under the row. Either way the
+                // row is redone under the current map.
+                result = util::Err{CheopsStatus::kDriveError};
+                if (dead != open->map.dead_component) {
+                    auto marked =
+                        co_await callManager<CheopsStatusReply>([&] {
+                            return mgr_.serveMarkDegraded(
+                                id, static_cast<std::uint32_t>(dead),
+                                attempt_map_version);
+                        });
+                    if ((marked.status != CheopsStatus::kOk &&
+                         marked.status != CheopsStatus::kStaleMap) ||
+                        !co_await refreshCaps(id))
+                        break;
+                }
+                continue;
+            }
+        } else {
             // ---- degraded path ----------------------------------
             // Full-row recompute: read every surviving unit, overlay
             // the new bytes, rebuild parity from scratch, write what

@@ -69,8 +69,10 @@ struct ComponentRef
  *  client's set of capabilities"). */
 enum class Redundancy : std::uint8_t {
     kNone = 0,
-    kMirror, ///< each component has a replica on the next drive
-    kParity, ///< RAID-5: rotating parity over stripe_count+1 components
+    /// RAID-5: rotating parity over stripe_count+1 components. At
+    /// stripe_count 1 each row's parity unit is a copy of its one data
+    /// unit: a two-way mirror.
+    kParity,
 };
 
 /** The layout map + capability set handed to a client on open. */
@@ -80,16 +82,18 @@ struct CheopsMap
     std::uint32_t map_version = 0;
     std::uint64_t stripe_unit_bytes = 0;
     std::vector<ComponentRef> components;
-    /// Parallel to components when redundancy == kMirror, else empty.
-    std::vector<ComponentRef> mirrors;
     Redundancy redundancy = Redundancy::kNone;
-    /// kParity only: an online rebuild is reconstructing
-    /// `rebuild_component` onto `rebuild_target`. While set, writes
-    /// touching the dead component's stripe units must write through
-    /// to the target, and every row update is bracketed by manager
-    /// rebuild-lock RPCs so it serializes against the rebuild engine.
+    /// kParity only: the object's one dead component (-1: none), named
+    /// once a row write missed it or a rebuild replaces it. Its entry
+    /// carries no capability and clients send it nothing: reads
+    /// reconstruct its units and row writes take the degraded path.
+    std::int64_t dead_component = -1;
+    /// An online rebuild is reconstructing the dead component onto
+    /// `rebuild_target`. While set, writes touching the dead
+    /// component's stripe units must write through to the target, and
+    /// every row update is bracketed by manager rebuild-lock RPCs so it
+    /// serializes against the rebuild engine.
     bool rebuilding = false;
-    std::uint32_t rebuild_component = 0;
     ComponentRef rebuild_target;
 };
 
@@ -185,9 +189,9 @@ class CheopsManager
 
     /**
      * Create a logical object striped over @p stripe_count drives
-     * (0 = all) with the given stripe unit. With kMirror redundancy,
-     * every component gets a replica object on the next drive and
-     * clients write both / read either.
+     * (0 = all) with the given stripe unit. kParity adds one component
+     * for the rotating parity and needs at least two drives; at
+     * @p stripe_count 1 the object is mirrored.
      */
     sim::Task<CreateReply>
     serveCreate(std::uint64_t stripe_unit_bytes,
@@ -210,34 +214,30 @@ class CheopsManager
     sim::Task<CheopsStatusReply> serveRevoke(LogicalObjectId id);
 
     /**
-     * A client reports that one side of mirrored component @p component
-     * failed mid-write (the other side took the data). The manager
-     * bumps its *stored* version for the failed side without touching
-     * the (possibly unreachable) drive, so every capability minted from
-     * now on carries a version the stale replica cannot satisfy: reads
-     * of the diverged side fail with a version mismatch instead of
-     * silently returning old bytes. Refuses (kDriveError) if the other
-     * side is already stale — losing both copies is not settleable.
+     * A client's row write of a kParity object, planned under map
+     * @p map_version, went degraded because @p component failed. The
+     * manager records it as the object's dead component (see
+     * CheopsMap) without touching its drive; only a rebuild clears the
+     * mark. Refuses a report made under an older map (kStaleMap: a
+     * rebuild may have replaced the component since), and one naming a
+     * second component (kDriveError: two stale units in a row are not
+     * settleable).
      */
     sim::Task<CheopsStatusReply> serveMarkDegraded(LogicalObjectId id,
                                                    std::uint32_t component,
-                                                   bool mirror_side);
-
-    /**
-     * Heal diverged mirror pairs: copy the authoritative side over the
-     * stale one, bump the stale drive object's version, and adopt the
-     * result as the new approved version. No-op for untouched pairs.
-     */
-    sim::Task<CheopsStatusReply> serveResyncMirrors(LogicalObjectId id);
+                                                   std::uint32_t map_version);
 
     /**
      * Start reconstructing @p dead_component of a kParity object onto a
-     * fresh object on @p spare_drive. Fences stale writers by bumping
-     * every surviving component's version (their next write sees a
-     * version mismatch, refreshes, and learns the write-through rules),
-     * then reconstructs row by row under the rebuild lock, paced by
-     * @p throttle. On completion the spare is swapped into the layout
-     * map in place and the map version bumped.
+     * fresh object on @p spare_drive, which may be the dead
+     * component's own drive once it is back. Refuses any component but
+     * the object's dead one, when one is named. Fences stale writers
+     * by bumping every surviving component's version (their next write
+     * sees a version mismatch, refreshes, and learns the write-through
+     * rules), then reconstructs row by row under the rebuild lock,
+     * paced by @p throttle. On completion the spare is swapped into
+     * the layout map in place, the dead mark cleared, the map version
+     * bumped, and the replaced component object removed.
      */
     sim::Task<CheopsStatusReply> serveStartRebuild(LogicalObjectId id,
                                                    std::uint32_t dead_component,
@@ -245,7 +245,8 @@ class CheopsManager
                                                    RebuildThrottle throttle);
 
     /** Acquire/release the per-object rebuild lock (client row updates
-     *  during a rebuild serialize against the rebuild engine). */
+     *  during a rebuild serialize against the rebuild engine). The lock
+     *  is refused (kStaleMap) once the rebuild names no spare. */
     sim::Task<RebuildLockReply> serveRebuildLock(LogicalObjectId id);
     sim::Task<CheopsStatusReply> serveRebuildUnlock(LogicalObjectId id,
                                                     std::uint64_t ticket);
@@ -274,19 +275,14 @@ class CheopsManager
         Redundancy redundancy = Redundancy::kNone;
         std::vector<std::pair<std::uint32_t, ObjectId>> components;
         std::vector<ObjectVersion> component_versions;
-        std::vector<std::pair<std::uint32_t, ObjectId>> mirrors;
-        std::vector<ObjectVersion> mirror_versions;
-        /// Divergence bookkeeping (kMirror): a side marked stale serves
-        /// no reads until serveResyncMirrors() heals it.
-        std::vector<std::uint8_t> component_stale;
-        std::vector<std::uint8_t> mirror_stale;
+        /// kParity: the dead component (-1: none); see CheopsMap.
+        std::int64_t dead = -1;
     };
 
     /** One rebuild: the progress it reports plus the engine's state. */
     struct RebuildState : RebuildProgress
     {
-        std::uint32_t dead_comp = 0;
-        std::uint32_t spare_drive = 0;
+        std::uint32_t spare_drive = 0; ///< replaces the dead component
         ObjectId spare_oid = 0;
         RebuildThrottle throttle;
         /// Serializes rebuild rows against client row updates.
@@ -328,13 +324,18 @@ class CheopsManager
     void bumpMapVersion(LogicalObjectId id, LogicalObject &obj,
                         const char *why);
 
+    /** Name @p component the object's dead one, unless one is named
+     *  already: journal the mark and advance the map version. */
+    void markDead(LogicalObjectId id, LogicalObject &obj,
+                  std::uint32_t component);
+
     /** Bump every component's drive-side version but @p skip (-1:
      *  none) and adopt the new versions; a failed bump does not stop
      *  the rest. @return false if any bump failed. */
     sim::Task<bool> fenceComponents(LogicalObject &obj, std::int64_t skip,
                                     bool expires);
 
-    // The manager acting as a drive client (rebuild + resync paths).
+    // The manager acting as a drive client (rebuild paths).
     sim::Task<StoreResult<std::vector<std::uint8_t>>>
     managerRead(std::uint32_t drive, ObjectId oid, ObjectVersion version,
                 std::uint64_t offset, std::uint64_t length);
@@ -404,9 +405,9 @@ class CheopsClient
     /**
      * Read [offset, offset+out.size()) of the logical object: splits
      * by stripe, issues per-drive reads in parallel, reassembles.
-     * An unavailable component drive is served from its mirror when
-     * one exists: the read succeeds with ReadOutcome::degraded() set
-     * and the cached map marked degraded.
+     * A kParity unit whose component is unavailable, or named dead, is
+     * reconstructed from the rest of its row: the read succeeds with
+     * ReadOutcome::degraded() set.
      */
     sim::Task<util::Result<ReadOutcome, CheopsStatus>>
     read(LogicalObjectId id, std::uint64_t offset,
@@ -426,10 +427,6 @@ class CheopsClient
     sim::Task<util::Result<void, CheopsStatus>>
     startRebuild(LogicalObjectId id, std::uint32_t dead_component,
                  std::uint32_t spare_drive, RebuildThrottle throttle = {});
-
-    /** Heal diverged mirror pairs recorded by partial-write failures. */
-    sim::Task<util::Result<void, CheopsStatus>>
-    resyncMirrors(LogicalObjectId id);
 
     std::uint64_t managerCalls() const { return manager_calls_.value(); }
     /** Stripe units served by XOR reconstruction (kParity reads). */
@@ -458,7 +455,6 @@ class CheopsClient
         CheopsMap map;
         bool writable = false;
         std::vector<std::unique_ptr<CredentialFactory>> creds;
-        std::vector<std::unique_ptr<CredentialFactory>> mirror_creds;
         /// kParity rebuild write-through target (valid while rebuilding).
         std::unique_ptr<CredentialFactory> rebuild_cred;
         /// Last time a failed component made us re-ask the manager for
@@ -510,13 +506,14 @@ class CheopsClient
         -> decltype(op());
 
     /**
-     * Read a component range (its replica when @p mirror) under
-     * withRefresh(). Bytes land in @p out; returns the byte count read.
+     * Read a component range under withRefresh(). Bytes land in
+     * @p out; returns the byte count read. The map's dead component is
+     * sent nothing: its reads fail at once with kDriveFailed.
      */
     sim::Task<StoreResult<std::uint64_t>>
     readComponent(OpenState *open, LogicalObjectId id, std::uint32_t comp,
                   std::uint64_t offset, std::span<std::uint8_t> out,
-                  util::TraceContext ctx, bool mirror = false);
+                  util::TraceContext ctx);
 
     /** readComponent() into a fresh vector of the bytes read. */
     sim::Task<StoreResult<std::vector<std::uint8_t>>>
@@ -524,11 +521,11 @@ class CheopsClient
                   std::uint64_t offset, std::uint64_t length,
                   util::TraceContext ctx);
 
-    /** Same rule for writes. */
+    /** Same rules for writes. */
     sim::Task<StoreResult<void>>
     writeComponent(OpenState *open, LogicalObjectId id, std::uint32_t comp,
                    std::uint64_t offset, std::span<const std::uint8_t> data,
-                   util::TraceContext ctx, bool mirror = false);
+                   util::TraceContext ctx);
 
     /** Read one range of every component but @p dead, in component
      *  order (the survivors of a row). */
@@ -563,7 +560,10 @@ class CheopsClient
                      util::TraceContext ctx);
 
     /** One row's update (runs under the row lock; may retry degraded):
-     *  read-modify-write, whose read phase a full-row write skips. */
+     *  read-modify-write, whose read phase is skipped when every data
+     *  unit is written over the parity footprint (a full row; at width
+     *  1, every write). A component that fails is reported dead before
+     *  the row is redone degraded. */
     sim::Task<util::Result<void, CheopsStatus>>
     writeParityRow(OpenState *open, LogicalObjectId id, std::uint64_t row,
                    std::uint64_t offset, std::span<const std::uint8_t> data,

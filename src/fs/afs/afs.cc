@@ -28,6 +28,14 @@ AfsFileManager::registerClient(AfsClient *client)
     clients_[client->id()] = client;
 }
 
+void
+AfsFileManager::unregisterClient(AfsClient *client)
+{
+    const auto it = clients_.find(client->id());
+    if (it != clients_.end() && it->second == client)
+        clients_.erase(it);
+}
+
 sim::Task<void>
 AfsFileManager::breakCallbacks(AfsFid fid, std::uint32_t except)
 {
@@ -43,9 +51,13 @@ AfsFileManager::breakCallbacks(AfsFid fid, std::uint32_t except)
         const auto it = clients_.find(holder);
         if (it == clients_.end())
             continue;
-        // The break is a small message from FM to client.
+        // The break is a small message from FM to client; the client
+        // may be gone by the time it arrives.
         co_await net::sendMessage(net_, node_, it->second->node(), 64);
-        it->second->onCallbackBreak(fid);
+        const auto arrived = clients_.find(holder);
+        if (arrived == clients_.end())
+            continue;
+        arrived->second->onCallbackBreak(fid);
         callbacks_broken_.add(1);
     }
 }
@@ -250,6 +262,11 @@ AfsClient::AfsClient(net::Network &net, net::NetNode &node,
             std::make_unique<NasdClient>(net, node_, *drive));
     }
     fm.registerClient(this);
+}
+
+AfsClient::~AfsClient()
+{
+    fm_.unregisterClient(this);
 }
 
 void

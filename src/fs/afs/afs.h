@@ -86,6 +86,9 @@ class AfsFileManager
 
     /** Register a client for callback breaks. */
     void registerClient(AfsClient *client);
+    /** Forget @p client (its destructor calls this): no callback break
+     *  reaches it afterwards. */
+    void unregisterClient(AfsClient *client);
 
     // Server-side handlers -------------------------------------------------
 
@@ -171,6 +174,7 @@ class AfsClient
   public:
     AfsClient(net::Network &net, net::NetNode &node, AfsFileManager &fm,
               std::vector<NasdDrive *> drives, std::uint32_t client_id);
+    ~AfsClient();
 
     net::NetNode &node() { return node_; }
     std::uint32_t id() const { return id_; }

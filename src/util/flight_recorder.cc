@@ -93,8 +93,7 @@ frEventName(FrEvent e)
       case FrEvent::kDegradedRead:       return "degraded_read";
       case FrEvent::kDegradedWrite:      return "degraded_write";
       case FrEvent::kWriteThrough:       return "write_through";
-      case FrEvent::kMirrorMarkDegraded: return "mirror_mark_degraded";
-      case FrEvent::kMirrorResync:       return "mirror_resync";
+      case FrEvent::kMarkDegraded:       return "mark_degraded";
       case FrEvent::kPhaseBegin:         return "phase_begin";
       case FrEvent::kPhaseEnd:           return "phase_end";
       case FrEvent::kClientOp:           return "client_op";

@@ -84,8 +84,7 @@ enum class FrEvent : std::uint8_t
     kDegradedRead,  ///< a = object id
     kDegradedWrite, ///< a = object id, b = row
     kWriteThrough,  ///< a = object id, b = row (write to rebuild target)
-    kMirrorMarkDegraded,
-    kMirrorResync,
+    kMarkDegraded,  ///< a = object id, b = component declared dead
     // Bench phase markers (fig9_mining --kill-drive).
     kPhaseBegin, ///< detail = phase name
     kPhaseEnd,   ///< detail = phase name

@@ -193,6 +193,22 @@ TEST_F(AfsTest, DirectoryChangeBreaksDirCallback)
     ASSERT_TRUE(found.ok());
 }
 
+// A destroyed client leaves the manager's callback list: the break a
+// later directory change sends must not reach it through a freed
+// pointer.
+TEST_F(AfsTest, DestroyedClientGetsNoCallbackBreak)
+{
+    const auto root = fm->rootFid();
+    {
+        auto gone = makeClient("carol", 3);
+        ASSERT_TRUE(runFor(sim, gone->readdir(root)).ok());
+    }
+    const auto breaks = fm->callbacksBroken();
+    ASSERT_TRUE(runFor(sim, client_a->create(root, "after")).ok());
+    EXPECT_EQ(fm->callbacksBroken(), breaks);
+    EXPECT_TRUE(runFor(sim, client_b->lookup(root, "after")).ok());
+}
+
 TEST_F(AfsTest, ReaderWaitsForActiveWriter)
 {
     const auto root = fm->rootFid();

@@ -425,9 +425,10 @@ class CheopsFaultTest : public ::testing::Test, public rig::NasdCluster
 
 TEST_F(CheopsFaultTest, DriveCrashServedDegradedFromMirror)
 {
+    // RAID-5 of width 1: each row's unit and its copy on nasd0 and nasd1.
     const auto id =
-        runFor(sim, client->create(64 * kKB, 0, 0,
-                                   cheops::Redundancy::kMirror))
+        runFor(sim, client->create(64 * kKB, 1, 0,
+                                   cheops::Redundancy::kParity))
             .value();
     const auto data = pattern(512 * kKB, 31);
     ASSERT_TRUE(runFor(sim, client->write(id, 0, data)).ok());
@@ -447,64 +448,13 @@ TEST_F(CheopsFaultTest, DriveCrashServedDegradedFromMirror)
     EXPECT_EQ(out, data);
 }
 
-TEST_F(CheopsFaultTest, MirrorDivergenceFencedUntilResync)
-{
-    // A mirror write that lands on one side only must not let later
-    // reads serve the stale replica as if it were current.
-    const auto id =
-        runFor(sim, client->create(64 * kKB, 1, 0,
-                                   cheops::Redundancy::kMirror))
-            .value();
-    const auto v1 = pattern(128 * kKB, 41);
-    ASSERT_TRUE(runFor(sim, client->write(id, 0, v1)).ok());
-
-    auto map = runFor(sim, client->open(id, false)).value();
-    const auto primary = map->components[0].drive;
-    const auto mirror = map->mirrors[0].drive;
-    // Make v1 durable on both sides, then lose the mirror.
-    (void)runFor(sim, drives[primary]->serveFlush());
-    (void)runFor(sim, drives[mirror]->serveFlush());
-    drives[mirror]->crash();
-
-    // The overwrite reaches the primary only; the client reports the
-    // divergence and the manager fences the mirror's version.
-    const auto v2 = pattern(128 * kKB, 42);
-    ASSERT_TRUE(runFor(sim, client->write(id, 0, v2)).ok());
-
-    // The mirror comes back with pre-divergence bytes; then the
-    // primary — the only good copy — goes down.
-    runTask(sim, drives[mirror]->restart());
-    (void)runFor(sim, drives[primary]->serveFlush());
-    drives[primary]->crash();
-
-    // The fenced mirror fails its capability's version check, so the
-    // read errors out instead of silently returning v1.
-    std::vector<std::uint8_t> out(v2.size());
-    auto stale = runFor(sim, client->read(id, 0, out));
-    ASSERT_FALSE(stale.ok());
-
-    // Resync cannot heal while the only good copy is down.
-    ASSERT_FALSE(runFor(sim, client->resyncMirrors(id)).ok());
-
-    // With the primary back, resync copies v2 across and lifts the
-    // fence; afterwards the mirror alone serves the new bytes.
-    runTask(sim, drives[primary]->restart());
-    ASSERT_TRUE(runFor(sim, client->resyncMirrors(id)).ok());
-    drives[primary]->crash();
-    std::fill(out.begin(), out.end(), 0);
-    auto healed = runFor(sim, client->read(id, 0, out));
-    ASSERT_TRUE(healed.ok());
-    EXPECT_TRUE(healed.value().degraded());
-    EXPECT_EQ(out, v2);
-}
-
 /** A component I/O path that meets an expired capability set. */
 enum class ExpiredPath {
     kStripedRead,
     kStripedWrite,
-    kMirroredWrite,            ///< both sides take the bytes
-    kMirroredWritePrimaryDown, ///< only the mirror side refreshes
-    kMirroredDegradedRead,     ///< the mirror read refreshes
+    kWidth1Write,          ///< both copies take the bytes
+    kWidth1WriteNasd0Down, ///< nasd0 misses the write and is fenced
+    kWidth1DegradedRead,   ///< the reconstructing read refreshes
     kParityRmw,
     kParityFullRow,
 };
@@ -531,17 +481,15 @@ class CheopsCapExpiryTest : public CheopsFaultTest,
 TEST_P(CheopsCapExpiryTest, RefreshedOnceThenServed)
 {
     const ExpiredPath path = GetParam();
-    const bool mirrored = path == ExpiredPath::kMirroredWrite ||
-                          path == ExpiredPath::kMirroredWritePrimaryDown ||
-                          path == ExpiredPath::kMirroredDegradedRead;
+    const bool mirrored = path == ExpiredPath::kWidth1Write ||
+                          path == ExpiredPath::kWidth1WriteNasd0Down ||
+                          path == ExpiredPath::kWidth1DegradedRead;
     const bool parity = path == ExpiredPath::kParityRmw ||
                         path == ExpiredPath::kParityFullRow;
-    // Mirrored objects use one component (primary on nasd0, mirror on
-    // nasd1) so the side that meets the expiry is deterministic. The
+    // Mirrored objects are RAID-5 of width 1, on nasd0 and nasd1. The
     // parity object is 3 data units + parity per 192 KB row.
-    const auto redundancy = mirrored ? cheops::Redundancy::kMirror
-                            : parity ? cheops::Redundancy::kParity
-                                     : cheops::Redundancy::kNone;
+    const auto redundancy = mirrored || parity ? cheops::Redundancy::kParity
+                                               : cheops::Redundancy::kNone;
     const auto id = runFor(sim, client->create(64 * kKB, mirrored ? 1 : 0,
                                                0, redundancy))
                         .value();
@@ -562,8 +510,8 @@ TEST_P(CheopsCapExpiryTest, RefreshedOnceThenServed)
     };
     switch (path) {
       case ExpiredPath::kStripedRead:
-      case ExpiredPath::kMirroredDegradedRead: {
-        const bool down = path == ExpiredPath::kMirroredDegradedRead;
+      case ExpiredPath::kWidth1DegradedRead: {
+        const bool down = path == ExpiredPath::kWidth1DegradedRead;
         if (down)
             drives[0]->setFailed(true);
         std::vector<std::uint8_t> out(model.size());
@@ -575,10 +523,10 @@ TEST_P(CheopsCapExpiryTest, RefreshedOnceThenServed)
         break;
       }
       case ExpiredPath::kStripedWrite:
-      case ExpiredPath::kMirroredWrite:
+      case ExpiredPath::kWidth1Write:
         update(8 * kKB, 200 * kKB);
         break;
-      case ExpiredPath::kMirroredWritePrimaryDown:
+      case ExpiredPath::kWidth1WriteNasd0Down:
         drives[0]->setFailed(true);
         update(8 * kKB, 200 * kKB);
         break;
@@ -591,9 +539,9 @@ TEST_P(CheopsCapExpiryTest, RefreshedOnceThenServed)
     }
     EXPECT_GT(client->managerCalls(), mgr_calls);
 
-    if (path == ExpiredPath::kMirroredWritePrimaryDown) {
-        // The primary missed the write and is fenced; the mirror
-        // serves the new bytes.
+    if (path == ExpiredPath::kWidth1WriteNasd0Down) {
+        // nasd0 missed the write and is fenced; nasd1 serves the new
+        // bytes.
         EXPECT_EQ(readAll(id, model.size(), 0), model);
         return;
     }
@@ -624,9 +572,9 @@ PrintTo(ExpiredPath path, std::ostream *os)
 INSTANTIATE_TEST_SUITE_P(
     Paths, CheopsCapExpiryTest,
     ::testing::Values(ExpiredPath::kStripedRead, ExpiredPath::kStripedWrite,
-                      ExpiredPath::kMirroredWrite,
-                      ExpiredPath::kMirroredWritePrimaryDown,
-                      ExpiredPath::kMirroredDegradedRead,
+                      ExpiredPath::kWidth1Write,
+                      ExpiredPath::kWidth1WriteNasd0Down,
+                      ExpiredPath::kWidth1DegradedRead,
                       ExpiredPath::kParityRmw, ExpiredPath::kParityFullRow));
 
 TEST_F(CheopsFaultTest, ParityVersionMismatchRetriedOnlyOnce)

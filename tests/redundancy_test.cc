@@ -1,8 +1,10 @@
 /**
  * @file
  * Fault injection and redundancy: failed drives reject requests;
- * mirrored Cheops objects keep serving reads and absorbing writes in
- * degraded mode; unmirrored objects fail visibly.
+ * RAID-5 Cheops objects (mirrored at width 1) keep serving reads and
+ * absorbing writes in degraded mode, and fence a component that missed
+ * a write until a rebuild replaces it; unmirrored objects fail
+ * visibly.
  */
 #include <gtest/gtest.h>
 
@@ -43,6 +45,56 @@ class RedundancyTest : public ::testing::Test, public rig::NasdCluster
     RedundancyTest()
         : NasdCluster({.drives = kDrives, .partition_bytes = 512 * kMB})
     {
+    }
+
+    /** A two-way mirror: RAID-5 of width 1, so each row holds one
+     *  data unit and its parity copy, on drives 0 and 1. */
+    LogicalObjectId
+    createMirror()
+    {
+        return runFor(sim, client->create(64 * kKB, 1, 0,
+                                          Redundancy::kParity))
+            .value();
+    }
+
+    /** Every byte of component @p c, read from its drive directly. */
+    std::vector<std::uint8_t>
+    componentBytes(const ComponentRef &c)
+    {
+        NasdClient direct(net, client_node, *drives[c.drive]);
+        CredentialFactory cred(c.capability);
+        auto attrs = runFor(sim, direct.getAttr(cred));
+        EXPECT_TRUE(attrs.ok()) << "nasd" << c.drive;
+        if (!attrs.ok())
+            return {};
+        auto bytes = runFor(sim, direct.read(cred, 0, attrs.value().size));
+        EXPECT_TRUE(bytes.ok()) << "nasd" << c.drive;
+        return bytes.ok() ? std::move(bytes.value())
+                          : std::vector<std::uint8_t>{};
+    }
+
+    /** Read every component of kParity object @p id from its drive and
+     *  check that each row XORs to zero (holes read as zeros). */
+    void
+    expectRowsConsistent(LogicalObjectId id)
+    {
+        CheopsClient fresh(net, client_node, storage(), raw);
+        auto map = runFor(sim, fresh.open(id, false));
+        ASSERT_TRUE(map.ok());
+        ASSERT_LT(map.value()->dead_component, 0) << "a component is dead";
+        std::vector<std::uint8_t> fold;
+        for (const auto &c : map.value()->components) {
+            const auto bytes = componentBytes(c);
+            fold.resize(std::max(fold.size(), bytes.size()), 0);
+            for (std::size_t i = 0; i < bytes.size(); ++i)
+                fold[i] ^= bytes[i];
+        }
+        const auto bad = static_cast<std::size_t>(
+            std::ranges::find_if(fold, [](std::uint8_t b) { return b; }) -
+            fold.begin());
+        EXPECT_EQ(bad, fold.size())
+            << "row " << bad / map.value()->stripe_unit_bytes
+            << " does not XOR to zero";
     }
 
     net::NetNode &client_node = clientNode("client");
@@ -102,58 +154,55 @@ TEST_F(RedundancyTest, UnmirroredObjectLosesDataPathOnFailure)
 
 TEST_F(RedundancyTest, MirroredCreateAllocatesReplicas)
 {
-    const auto id =
-        runFor(sim, client->create(64 * kKB, 0, 0, Redundancy::kMirror))
-            .value();
+    const auto id = createMirror();
     auto map = runFor(sim, client->open(id, false));
     ASSERT_TRUE(map.ok());
-    EXPECT_EQ(map.value()->redundancy, Redundancy::kMirror);
-    ASSERT_EQ(map.value()->mirrors.size(),
-              map.value()->components.size());
-    for (std::size_t i = 0; i < map.value()->components.size(); ++i) {
-        // A replica never shares a drive with its primary.
-        EXPECT_NE(map.value()->components[i].drive,
-                  map.value()->mirrors[i].drive);
+    EXPECT_EQ(map.value()->redundancy, Redundancy::kParity);
+    // One data unit and its copy per row, never on the same drive.
+    ASSERT_EQ(map.value()->components.size(), 2u);
+    EXPECT_NE(map.value()->components[0].drive,
+              map.value()->components[1].drive);
+    for (std::uint64_t row = 0; row < 4; ++row) {
+        EXPECT_NE(CheopsManager::parityComponent(row, 1),
+                  CheopsManager::dataComponent(row, 0, 1));
     }
 }
 
 TEST_F(RedundancyTest, MirroredRoundTrip)
 {
-    const auto id =
-        runFor(sim, client->create(64 * kKB, 0, 0, Redundancy::kMirror))
-            .value();
+    const auto id = createMirror();
     const auto data = pattern(700 * kKB, 9);
     ASSERT_TRUE(runFor(sim, client->write(id, 0, data)).ok());
     std::vector<std::uint8_t> out(700 * kKB);
     auto n = runFor(sim, client->read(id, 0, out));
     ASSERT_TRUE(n.ok());
+    EXPECT_FALSE(n.value().degraded());
     EXPECT_EQ(out, data);
 }
 
 TEST_F(RedundancyTest, WritesLandOnBothCopies)
 {
-    const auto id =
-        runFor(sim, client->create(64 * kKB, 0, 0, Redundancy::kMirror))
-            .value();
-    ASSERT_TRUE(runFor(sim, client->write(id, 0, pattern(kMB))).ok());
-    // Every drive hosts primaries AND mirrors: with 4 drives and 1 MB
-    // striped twice, each drive sees writes for both roles.
-    for (auto &d : drives)
-        EXPECT_GE(d->store().stats().writes.value(), 2u);
+    const auto id = createMirror();
+    const auto data = pattern(kMB);
+    ASSERT_TRUE(runFor(sim, client->write(id, 0, data)).ok());
+    // Row r sits at offset r * su of both components, as data on one
+    // and as its parity copy on the other: each holds every byte.
+    auto map = runFor(sim, client->open(id, false)).value();
+    for (const auto &c : map->components)
+        EXPECT_EQ(componentBytes(c), data) << "nasd" << c.drive;
 }
 
 TEST_F(RedundancyTest, DegradedReadSurvivesSingleDriveFailure)
 {
-    const auto id =
-        runFor(sim, client->create(64 * kKB, 0, 0, Redundancy::kMirror))
-            .value();
+    const auto id = createMirror();
     const auto data = pattern(kMB, 5);
     ASSERT_TRUE(runFor(sim, client->write(id, 0, data)).ok());
 
-    drives[2]->setFailed(true);
+    drives[1]->setFailed(true);
     std::vector<std::uint8_t> out(kMB);
     auto n = runFor(sim, client->read(id, 0, out));
     ASSERT_TRUE(n.ok());
+    EXPECT_TRUE(n.value().degraded());
     EXPECT_EQ(out, data);
 }
 
@@ -163,9 +212,7 @@ TEST_F(RedundancyTest, DegradedReadSurvivesAnySingleFailure)
     for (int victim = 0; victim < kDrives; ++victim) {
         for (auto &d : drives)
             d->setFailed(false);
-        const auto id =
-            runFor(sim, client->create(64 * kKB, 0, 0, Redundancy::kMirror))
-                .value();
+        const auto id = createMirror();
         const auto data = pattern(512 * kKB,
                                   static_cast<std::uint8_t>(victim + 1));
         ASSERT_TRUE(runFor(sim, client->write(id, 0, data)).ok());
@@ -180,9 +227,7 @@ TEST_F(RedundancyTest, DegradedReadSurvivesAnySingleFailure)
 
 TEST_F(RedundancyTest, DegradedWriteThenRecoveredRead)
 {
-    const auto id =
-        runFor(sim, client->create(64 * kKB, 0, 0, Redundancy::kMirror))
-            .value();
+    const auto id = createMirror();
     ASSERT_TRUE(runFor(sim, client->write(id, 0, pattern(kMB, 1))).ok());
 
     // Write while one drive is down: succeeds on the surviving copy.
@@ -190,21 +235,26 @@ TEST_F(RedundancyTest, DegradedWriteThenRecoveredRead)
     const auto updated = pattern(kMB, 77);
     ASSERT_TRUE(runFor(sim, client->write(id, 0, updated)).ok());
 
-    // Reads while degraded see the update.
+    // Reads while degraded see the update, and so do reads after the
+    // drive comes back: its copy missed the write and stays fenced.
     std::vector<std::uint8_t> out(kMB);
     ASSERT_TRUE(runFor(sim, client->read(id, 0, out)).ok());
+    EXPECT_EQ(out, updated);
+    drives[1]->setFailed(false);
+    std::fill(out.begin(), out.end(), 0);
+    auto n = runFor(sim, client->read(id, 0, out));
+    ASSERT_TRUE(n.ok());
+    EXPECT_TRUE(n.value().degraded());
     EXPECT_EQ(out, updated);
 }
 
 TEST_F(RedundancyTest, DoubleFaultOnAPairLosesData)
 {
-    const auto id =
-        runFor(sim, client->create(64 * kKB, 0, 0, Redundancy::kMirror))
-            .value();
+    const auto id = createMirror();
     ASSERT_TRUE(runFor(sim, client->write(id, 0, pattern(kMB))).ok());
 
-    // Primary on drive 0 mirrors to drive 1: failing both kills the
-    // stripe units they host.
+    // The two copies live on drives 0 and 1: failing both kills every
+    // stripe unit.
     drives[0]->setFailed(true);
     drives[1]->setFailed(true);
     std::vector<std::uint8_t> out(kMB);
@@ -214,22 +264,20 @@ TEST_F(RedundancyTest, DoubleFaultOnAPairLosesData)
 
 TEST_F(RedundancyTest, MirrorRequiresTwoDrives)
 {
-    // A one-drive manager cannot satisfy kMirror.
+    // A one-drive manager has nowhere to put the copy.
     std::vector<NasdDrive *> one = {raw[0]};
     auto &node = net.addNode("mgr1", net::alphaStation500(),
                              net::oc3Link(), net::dceRpcCosts());
     CheopsManager small(sim, net, node, one, 1);
     runTask(sim, small.initialize(64 * kMB));
     CheopsClient c(net, client_node, small, one);
-    auto id = runFor(sim, c.create(64 * kKB, 0, 0, Redundancy::kMirror));
+    auto id = runFor(sim, c.create(64 * kKB, 1, 0, Redundancy::kParity));
     ASSERT_FALSE(id.ok());
 }
 
 TEST_F(RedundancyTest, RemoveCleansUpReplicas)
 {
-    const auto id =
-        runFor(sim, client->create(64 * kKB, 0, 0, Redundancy::kMirror))
-            .value();
+    const auto id = createMirror();
     ASSERT_TRUE(runFor(sim, client->write(id, 0, pattern(kMB))).ok());
     ASSERT_TRUE(runFor(sim, client->remove(id)).ok());
     for (auto &d : drives) {
@@ -241,22 +289,34 @@ TEST_F(RedundancyTest, RemoveCleansUpReplicas)
 
 TEST_F(RedundancyTest, MirroringCostsOneExtraWrite)
 {
-    // Timing sanity: mirrored writes are slower than unmirrored (two
-    // copies move), but reads cost the same when healthy.
+    // Timing sanity: mirrored writes are slower than unmirrored ones
+    // on one drive (two copies move), and they read nothing: every
+    // write covers its row's whole parity footprint.
     const auto plain =
-        runFor(sim, client->create(64 * kKB, 0, 0, Redundancy::kNone)).value();
-    const auto mirrored =
-        runFor(sim, client->create(64 * kKB, 0, 0, Redundancy::kMirror))
+        runFor(sim, client->create(64 * kKB, 1, 0, Redundancy::kNone))
             .value();
+    const auto mirrored = createMirror();
     const auto data = pattern(kMB);
 
     sim::Tick t0 = sim.now();
     ASSERT_TRUE(runFor(sim, client->write(plain, 0, data)).ok());
     const sim::Tick plain_write = sim.now() - t0;
+    const auto driveReads = [this] {
+        std::uint64_t n = 0;
+        for (auto &d : drives)
+            n += d->store().stats().reads.value();
+        return n;
+    };
+    const std::uint64_t reads = driveReads();
     t0 = sim.now();
+    // Sub-unit pieces as well as whole rows.
     ASSERT_TRUE(runFor(sim, client->write(mirrored, 0, data)).ok());
+    ASSERT_TRUE(runFor(sim, client->write(mirrored, 1000,
+                                          std::span(data).first(5000)))
+                    .ok());
     const sim::Tick mirrored_write = sim.now() - t0;
     EXPECT_GT(mirrored_write, plain_write);
+    EXPECT_EQ(driveReads(), reads);
 }
 
 // ------------------------------------------------------- open upgrades
@@ -380,9 +440,9 @@ TEST_F(ParityTest, CreateAllocatesRotatingParityComponent)
     auto map = runFor(sim, client->open(id, false));
     ASSERT_TRUE(map.ok());
     EXPECT_EQ(map.value()->redundancy, Redundancy::kParity);
-    // width data units + 1 parity, all on distinct drives, no mirrors.
+    // width data units + 1 parity, all on distinct drives, none dead.
     ASSERT_EQ(map.value()->components.size(), 3u);
-    EXPECT_TRUE(map.value()->mirrors.empty());
+    EXPECT_EQ(map.value()->dead_component, -1);
     for (std::size_t i = 0; i < map.value()->components.size(); ++i) {
         for (std::size_t j = i + 1; j < map.value()->components.size();
              ++j) {
@@ -438,6 +498,7 @@ TEST_F(ParityTest, RmwFswBoundaryOffsetsKeepParityConsistent)
     auto healthy = runFor(sim, client->read(id, 0, out));
     ASSERT_TRUE(healthy.ok());
     EXPECT_EQ(out, model);
+    expectRowsConsistent(id);
 
     auto map = runFor(sim, client->open(id, false)).value();
     drives[map->components[1].drive]->setFailed(true);
@@ -535,16 +596,65 @@ TEST_F(ParityTest, DoubleFailureLosesData)
     ASSERT_FALSE(r.ok());
 }
 
-TEST_F(ParityTest, ParityRequiresThreeDrives)
+TEST_F(ParityTest, ParityRequiresTwoDrives)
 {
-    std::vector<NasdDrive *> two = {raw[0], raw[1]};
-    auto &node = net.addNode("mgr2", net::alphaStation500(),
-                             net::oc3Link(), net::dceRpcCosts());
-    CheopsManager small(sim, net, node, two, 1);
-    runTask(sim, small.initialize(64 * kMB));
-    CheopsClient c(net, client_node, small, two);
-    auto id = runFor(sim, c.create(kSu, 0, 0, Redundancy::kParity));
-    ASSERT_FALSE(id.ok());
+    // One drive cannot keep a row's parity apart from its data; two
+    // drives hold width 1, a mirror.
+    for (const std::uint32_t n : {1u, 2u}) {
+        std::vector<NasdDrive *> some(raw.begin(), raw.begin() + n);
+        auto &node = net.addNode("mgr" + std::to_string(n),
+                                 net::alphaStation500(), net::oc3Link(),
+                                 net::dceRpcCosts());
+        CheopsManager small(sim, net, node, some, n);
+        runTask(sim, small.initialize(64 * kMB));
+        CheopsClient c(net, client_node, small, some);
+        auto id = runFor(sim, c.create(kSu, 0, 0, Redundancy::kParity));
+        ASSERT_EQ(id.ok(), n == 2) << n << " drives";
+        if (n == 2) {
+            auto map = runFor(sim, c.open(id.value(), false));
+            ASSERT_TRUE(map.ok());
+            EXPECT_EQ(map.value()->components.size(), 2u);
+        }
+    }
+}
+
+TEST_F(ParityTest, ReturningDriveServesNoBytesItMissed)
+{
+    // A row write that goes degraded names the component it missed
+    // dead: once its drive is back, no client — the writer or a fresh
+    // one — is served its stale unit, at any width.
+    for (const std::uint32_t width : {1u, 2u}) {
+        for (auto &d : drives)
+            d->setFailed(false);
+        auto created =
+            runFor(sim, client->create(kSu, width, 0, Redundancy::kParity));
+        ASSERT_TRUE(created.ok()) << "width " << width;
+        const auto id = created.value();
+        auto model = pattern(4 * width * kSu, 61);
+        ASSERT_TRUE(runFor(sim, client->write(id, 0, model)).ok());
+
+        auto map = runFor(sim, client->open(id, false)).value();
+        const std::uint32_t victim = CheopsManager::dataComponent(0, 0, width);
+        const auto victim_drive = map->components[victim].drive;
+        drives[victim_drive]->setFailed(true);
+        const auto chunk = pattern(kSu, 62);
+        ASSERT_TRUE(runFor(sim, client->write(id, 0, chunk)).ok());
+        std::copy(chunk.begin(), chunk.end(), model.begin());
+        drives[victim_drive]->setFailed(false);
+
+        CheopsClient fresh(net, client_node, storage(), raw);
+        for (CheopsClient *reader : {client.get(), &fresh}) {
+            std::vector<std::uint8_t> out(model.size());
+            auto n = runFor(sim, reader->read(id, 0, out));
+            ASSERT_TRUE(n.ok()) << "width " << width;
+            EXPECT_TRUE(n.value().degraded()) << "width " << width;
+            EXPECT_EQ(out, model) << "width " << width;
+            EXPECT_EQ(runFor(sim, reader->open(id, false))
+                          .value()
+                          ->dead_component,
+                      victim);
+        }
+    }
 }
 
 TEST_F(ParityTest, RebuildMovesComponentToSpare)
@@ -629,6 +739,70 @@ TEST_F(ParityTest, RebuildCompletesWhileWriting)
     auto n = runFor(sim, client->read(id, 0, out));
     ASSERT_TRUE(n.ok());
     EXPECT_EQ(out, updated);
+    expectRowsConsistent(id);
+}
+
+TEST_F(ParityTest, MirrorDivergenceFencedUntilRebuilt)
+{
+    // A mirror write that lands on one side only must not let later
+    // reads serve the stale copy as if it were current.
+    const auto id = createParity(1);
+    const auto v1 = pattern(4 * kSu, 41);
+    ASSERT_TRUE(runFor(sim, client->write(id, 0, v1)).ok());
+
+    auto map = runFor(sim, client->open(id, false)).value();
+    const auto primary = map->components[0].drive;
+    const auto mirror = map->components[1].drive;
+    // Make v1 durable on both sides, then lose the mirror.
+    (void)runFor(sim, drives[primary]->serveFlush());
+    (void)runFor(sim, drives[mirror]->serveFlush());
+    drives[mirror]->crash();
+
+    // The overwrite reaches the primary only; the client reports the
+    // mirror's component dead.
+    const auto v2 = pattern(4 * kSu, 42);
+    ASSERT_TRUE(runFor(sim, client->write(id, 0, v2)).ok());
+    EXPECT_EQ(runFor(sim, client->open(id, false)).value()->dead_component,
+              1);
+
+    // The mirror comes back with pre-divergence bytes; then the
+    // primary — the only good copy — goes down.
+    runTask(sim, drives[mirror]->restart());
+    (void)runFor(sim, drives[primary]->serveFlush());
+    drives[primary]->crash();
+
+    // The dead component is sent nothing, so the read errors out
+    // instead of silently returning v1.
+    std::vector<std::uint8_t> out(v2.size());
+    auto stale = runFor(sim, client->read(id, 0, out));
+    ASSERT_FALSE(stale.ok());
+
+    // No rebuild can heal while the only good copy is down, and only
+    // the dead component may be rebuilt.
+    ASSERT_FALSE(runFor(sim, client->startRebuild(id, 1, mirror)).ok());
+    runTask(sim, drives[primary]->restart());
+    ASSERT_FALSE(runFor(sim, client->startRebuild(id, 0, 2)).ok());
+
+    // With the primary back, a rebuild onto the returned drive copies
+    // v2 across, lifts the fence and removes the stale object;
+    // afterwards the mirror alone serves the new bytes.
+    ASSERT_TRUE(runFor(sim, client->startRebuild(id, 1, mirror)).ok());
+    sim.run();
+    EXPECT_EQ(runFor(sim, drives[mirror]->store().listObjects(0))
+                  .value()
+                  .size(),
+              1u);
+    expectRowsConsistent(id);
+    // The writer's next read meets the completion's fence on the
+    // primary and refreshes onto the rebuilt map.
+    ASSERT_TRUE(runFor(sim, client->read(id, 0, out)).ok());
+    EXPECT_EQ(out, v2);
+    drives[primary]->crash();
+    std::fill(out.begin(), out.end(), 0);
+    auto healed = runFor(sim, client->read(id, 0, out));
+    ASSERT_TRUE(healed.ok());
+    EXPECT_TRUE(healed.value().degraded());
+    EXPECT_EQ(out, v2);
 }
 
 /** An aborted rebuild: the spare it allocated is removed again, and
@@ -827,6 +1001,35 @@ TEST_F(RebuildAbortTest, StaleClientWritesWhileTheSpareIsBeingRemoved)
     std::vector<std::uint8_t> out(after.size());
     ASSERT_TRUE(runFor(sim, client->read(id, 0, out)).ok());
     EXPECT_EQ(out, after);
+}
+
+TEST_F(RebuildAbortTest, CompletedRebuildRefusesTheLock)
+{
+    // A client opened during the rebuild still holds the `rebuilding`
+    // map after it completes. Its next row write is refused the
+    // rebuild lock and refreshes once; no component op of the row
+    // meets the survivors' version fence (each would refresh again).
+    const auto id = createParity(2);
+    ASSERT_TRUE(
+        runFor(sim, client->write(id, 0, pattern(16 * 2 * kSu, 19))).ok());
+    startRebuildAndRun(id, 3);
+    CheopsClient late(net, client_node, storage(), raw);
+    ASSERT_TRUE(runStepped(late.open(id, true)).value()->rebuilding);
+    sim.run();
+    ASSERT_EQ(journaled("rebuild_complete"), 1u);
+
+    const std::size_t locks = journaled("row_lock_acquire");
+    const std::size_t refreshes = journaled("cap_refresh", &client_node);
+    const auto row = pattern(2 * kSu, 20);
+    ASSERT_TRUE(runFor(sim, late.write(id, 0, row)).ok());
+    EXPECT_EQ(journaled("row_lock_acquire"), locks);
+    EXPECT_EQ(journaled("cap_refresh", &client_node), refreshes + 1);
+    EXPECT_FALSE(runFor(sim, late.open(id, true)).value()->rebuilding);
+
+    std::vector<std::uint8_t> out(row.size());
+    ASSERT_TRUE(runFor(sim, late.read(id, 0, out)).ok());
+    EXPECT_EQ(out, row);
+    expectRowsConsistent(id);
 }
 
 TEST_F(RebuildAbortTest, RebuildAfterAnAbortAdmitsClients)
