@@ -417,11 +417,169 @@ class CheopsFaultTest : public ::testing::Test, public rig::NasdCluster
     {
     }
 
+    /** A kParity object of width 2 (drives 0-2; drive 3 stays spare)
+     *  holding @p rows full rows. */
+    cheops::LogicalObjectId
+    createParity(std::uint64_t rows)
+    {
+        const auto id = runFor(sim, client->create(32 * kKB, 2, 0,
+                                                   cheops::Redundancy::kParity))
+                            .value();
+        EXPECT_TRUE(
+            runFor(sim, client->write(id, 0, pattern(rows * 64 * kKB, 3)))
+                .ok());
+        return id;
+    }
+
+    /** Delay every drive message by 300 ms (inside the 2 s attempt
+     *  deadline) from now on. */
+    void
+    delayMessages()
+    {
+        net::FaultPlan plan;
+        plan.delay_probability = 1.0;
+        plan.delay_min = sim::msec(300);
+        plan.delay_max = sim::msec(300);
+        plan.seed = 31;
+        net.setFaultPlan(plan);
+    }
+
+    /** Once @p drive sends a delayed reply (a request there was
+     *  served), heal the network and remove object @p id at the
+     *  manager; the remove finishes while that reply is on its way. */
+    Task<void>
+    removeOnReply(cheops::LogicalObjectId id, NasdDrive &drive,
+                  std::optional<cheops::CheopsStatus> &out)
+    {
+        const auto before = drive.node().faults_delayed.value();
+        for (int step = 0; step < 1'000'000 &&
+                           drive.node().faults_delayed.value() == before;
+             ++step)
+            co_await sim.delay(sim::usec(10));
+        net.clearFaultPlan();
+        const auto reply = co_await storage().serveRemove(id);
+        out = reply.status;
+    }
+
+    /** Run @p handler at the manager with every drive message delayed,
+     *  and removeOnReply() at @p drive. @return the handler's status
+     *  and the remove's. */
+    template <typename Reply>
+    std::pair<cheops::CheopsStatus, cheops::CheopsStatus>
+    removeDuring(cheops::LogicalObjectId id, Task<Reply> handler,
+                 NasdDrive &drive)
+    {
+        std::optional<cheops::CheopsStatus> served, removed;
+        sim.spawn([](Task<Reply> t,
+                     std::optional<cheops::CheopsStatus> &out) -> Task<void> {
+            const Reply reply = co_await std::move(t);
+            out = reply.status;
+        }(std::move(handler), served));
+        sim.spawn(removeOnReply(id, drive, removed));
+        delayMessages();
+        sim.run();
+        EXPECT_TRUE(served.has_value() && removed.has_value());
+        return {served.value_or(cheops::CheopsStatus::kOk),
+                removed.value_or(cheops::CheopsStatus::kOk)};
+    }
+
+    /** Objects left on every drive's partition. */
+    std::size_t
+    objectsOnDrives()
+    {
+        std::size_t n = 0;
+        for (auto &d : drives)
+            n += d->store().partitionInfo(0).value().object_count;
+        return n;
+    }
+
     net::NetNode &client_node = clientNode("client");
     std::unique_ptr<cheops::CheopsClient> client =
         std::make_unique<cheops::CheopsClient>(net, client_node, storage(),
                                                raw);
 };
+
+// A manager handler that a remove overtakes between two of its drive
+// RPCs looks its object up again and answers kNoSuchObject; it never
+// touches the erased table entry (each test below stops under ASan at
+// a handler that kept a pointer into the table).
+
+TEST_F(CheopsFaultTest, RemoveOverlappingARemoveRemovesOnce)
+{
+    const std::size_t empty = objectsOnDrives();
+    const auto id = createParity(4);
+    const auto [first, second] =
+        removeDuring(id, storage().serveRemove(id), *drives[0]);
+    EXPECT_EQ(first, cheops::CheopsStatus::kOk);
+    EXPECT_EQ(second, cheops::CheopsStatus::kNoSuchObject);
+    EXPECT_EQ(objectsOnDrives(), empty);
+}
+
+TEST_F(CheopsFaultTest, SizeOverlappingARemoveFindsNoObject)
+{
+    const auto id = createParity(4);
+    const auto [size, removed] =
+        removeDuring(id, storage().serveGetSize(id), *drives[0]);
+    EXPECT_EQ(size, cheops::CheopsStatus::kNoSuchObject);
+    EXPECT_EQ(removed, cheops::CheopsStatus::kOk);
+}
+
+TEST_F(CheopsFaultTest, RevokeOverlappingARemoveFindsNoObject)
+{
+    const auto id = createParity(4);
+    const auto [revoked, removed] =
+        removeDuring(id, storage().serveRevoke(id), *drives[0]);
+    EXPECT_EQ(revoked, cheops::CheopsStatus::kNoSuchObject);
+    (void)removed; // component 0's bump beat the remove's capability
+}
+
+TEST_F(CheopsFaultTest, RebuildStartOverlappingARemoveFindsNoObject)
+{
+    // The remove lands between the spare probe (drive 3) and the fence.
+    const auto id = createParity(4);
+    drives[0]->setFailed(true);
+    const auto [started, removed] = removeDuring(
+        id, storage().serveStartRebuild(id, 0, 3, {}), *drives[3]);
+    EXPECT_EQ(started, cheops::CheopsStatus::kNoSuchObject);
+    EXPECT_EQ(removed, cheops::CheopsStatus::kDriveError); // drive 0 is down
+    EXPECT_FALSE(storage().rebuildProgress(id).known);
+}
+
+TEST_F(CheopsFaultTest, RebuildCompletionOverlappingARemoveFindsNoObject)
+{
+    // The rebuild's last row runs with every drive message delayed; the
+    // remove lands while the completion's fence waits for the first
+    // survivor's bump reply.
+    const auto id = createParity(32);
+    drives[0]->setFailed(true);
+    cheops::RebuildThrottle throttle;
+    throttle.token_interval_ns = sim::msec(2);
+    std::optional<cheops::CheopsStatus> started, removed;
+    sim.spawn([](Task<cheops::CheopsStatusReply> t,
+                 std::optional<cheops::CheopsStatus> &out) -> Task<void> {
+        const auto reply = co_await std::move(t);
+        out = reply.status;
+    }(storage().serveStartRebuild(id, 0, 3, throttle), started));
+    const auto progress = [&] { return storage().rebuildProgress(id); };
+    for (int step = 0; step < 100'000 && !(started && progress().rows_done +
+                                                          1 >=
+                                                      progress().rows_total);
+         ++step)
+        sim.runUntil(sim.now() + sim::usec(10));
+    ASSERT_EQ(started, cheops::CheopsStatus::kOk);
+    ASSERT_TRUE(progress().active);
+    delayMessages();
+    for (int step = 0;
+         step < 1'000'000 && progress().rows_done < progress().rows_total;
+         ++step)
+        sim.runUntil(sim.now() + sim::usec(10));
+    sim.spawn(removeOnReply(id, *drives[1], removed));
+    sim.run();
+    EXPECT_EQ(removed, cheops::CheopsStatus::kDriveError); // drive 0 is down
+    EXPECT_FALSE(progress().active);
+    EXPECT_EQ(runFor(sim, client->size(id)).error(),
+              cheops::CheopsStatus::kNoSuchObject);
+}
 
 TEST_F(CheopsFaultTest, DriveCrashServedDegradedFromMirror)
 {
@@ -589,7 +747,7 @@ TEST_F(CheopsFaultTest, ParityVersionMismatchRetriedOnlyOnce)
     ASSERT_TRUE(runFor(sim, client->write(id, 0, data)).ok());
     auto map = runFor(sim, client->open(id, false)).value();
     // Row 0's first data unit lives on component 0.
-    ASSERT_EQ(cheops::CheopsManager::dataComponent(0, 0, 3), 0u);
+    ASSERT_EQ(cheops::layout::dataComponent(0, 0, 3), 0u);
     const auto &victim = map->components[0];
     CapabilityIssuer issuer(drives[victim.drive]->config().master_key,
                             drives[victim.drive]->id());

@@ -163,8 +163,8 @@ TEST_F(RedundancyTest, MirroredCreateAllocatesReplicas)
     EXPECT_NE(map.value()->components[0].drive,
               map.value()->components[1].drive);
     for (std::uint64_t row = 0; row < 4; ++row) {
-        EXPECT_NE(CheopsManager::parityComponent(row, 1),
-                  CheopsManager::dataComponent(row, 0, 1));
+        EXPECT_NE(layout::parityComponent(row, 1),
+                  layout::dataComponent(row, 0, 1));
     }
 }
 
@@ -451,8 +451,8 @@ TEST_F(ParityTest, CreateAllocatesRotatingParityComponent)
         }
     }
     // Left-symmetric rotation: parity moves every row.
-    EXPECT_NE(CheopsManager::parityComponent(0, 2),
-              CheopsManager::parityComponent(1, 2));
+    EXPECT_NE(layout::parityComponent(0, 2),
+              layout::parityComponent(1, 2));
 }
 
 TEST_F(ParityTest, RoundTrip)
@@ -568,7 +568,7 @@ TEST_F(ParityTest, DegradedWriteIntoDeadUnitRebuildsParity)
 
     const std::uint64_t row = 1;
     auto map = runFor(sim, client->open(id, false)).value();
-    const std::uint32_t dead = CheopsManager::dataComponent(row, 0, 2);
+    const std::uint32_t dead = layout::dataComponent(row, 0, 2);
     drives[map->components[dead].drive]->setFailed(true);
 
     const std::uint64_t off = row * row_bytes + kSu / 2;
@@ -634,7 +634,7 @@ TEST_F(ParityTest, ReturningDriveServesNoBytesItMissed)
         ASSERT_TRUE(runFor(sim, client->write(id, 0, model)).ok());
 
         auto map = runFor(sim, client->open(id, false)).value();
-        const std::uint32_t victim = CheopsManager::dataComponent(0, 0, width);
+        const std::uint32_t victim = layout::dataComponent(0, 0, width);
         const auto victim_drive = map->components[victim].drive;
         drives[victim_drive]->setFailed(true);
         const auto chunk = pattern(kSu, 62);
@@ -655,6 +655,46 @@ TEST_F(ParityTest, ReturningDriveServesNoBytesItMissed)
                       victim);
         }
     }
+}
+
+TEST_F(ParityTest, StaleMapWriterKeepsRowsConsistent)
+{
+    // A client that opened before another client named a component
+    // dead meets the mark's fence at its next survivor op: it refreshes
+    // and writes degraded, instead of folding the returned drive's
+    // stale unit into parity as "old" data.
+    const auto id = createParity(2);
+    auto model = pattern(8 * 2 * kSu, 71);
+    ASSERT_TRUE(runFor(sim, client->write(id, 0, model)).ok());
+    CheopsClient stale(net, client_node, storage(), raw);
+    ASSERT_TRUE(runFor(sim, stale.open(id, true)).ok());
+
+    auto map = runFor(sim, client->open(id, false)).value();
+    const auto victim_drive =
+        map->components[layout::dataComponent(0, 0, 2)].drive;
+    drives[victim_drive]->setFailed(true);
+    const auto chunk = pattern(kSu, 72);
+    ASSERT_TRUE(runFor(sim, client->write(id, 0, chunk)).ok());
+    std::copy(chunk.begin(), chunk.end(), model.begin());
+    drives[victim_drive]->setFailed(false);
+
+    const auto small = pattern(1000, 73);
+    ASSERT_TRUE(runFor(sim, stale.write(id, 100, small)).ok());
+    std::copy(small.begin(), small.end(), model.begin() + 100);
+
+    CheopsClient fresh(net, client_node, storage(), raw);
+    std::vector<std::uint8_t> out(model.size());
+    ASSERT_TRUE(runFor(sim, fresh.read(id, 0, out)).ok());
+    EXPECT_EQ(out, model);
+
+    ASSERT_TRUE(runFor(sim, client->startRebuild(
+                                id, layout::dataComponent(0, 0, 2),
+                                victim_drive))
+                    .ok());
+    sim.run();
+    expectRowsConsistent(id);
+    ASSERT_TRUE(runFor(sim, fresh.read(id, 0, out)).ok());
+    EXPECT_EQ(out, model);
 }
 
 TEST_F(ParityTest, RebuildMovesComponentToSpare)
