@@ -49,6 +49,8 @@ ActiveDiskRuntime::serveScan(RequestCredential cred, RequestParams params,
         resp.status = NasdStatus::kBadRequest;
         co_return resp;
     }
+    // A copy: installMethod may replace the entry while this scan waits.
+    const MethodFactory factory = factory_it->second;
 
     // Same admission control as a read of the whole object.
     const auto status =
@@ -73,7 +75,7 @@ ActiveDiskRuntime::serveScan(RequestCredential cred, RequestParams params,
     // enough: the next read may overwrite it while stage two is still
     // charging the kernel's cycles for the bytes it held. Stage two is
     // joined before the next chunk is consumed and before every exit.
-    auto method = factory_it->second();
+    auto method = factory();
     std::vector<std::uint8_t> chunk(std::min(kScanChunkBytes, size));
     const auto read = [&](std::uint64_t offset) {
         const std::uint64_t n = std::min(kScanChunkBytes, size - offset);

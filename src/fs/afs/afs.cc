@@ -195,6 +195,7 @@ sim::Task<AfsCreateReply>
 AfsFileManager::serveCreate(AfsFid dir, std::string name, bool directory)
 {
     AfsCreateReply reply;
+    auto mutation = co_await ns_.serializeMutation(dir);
     auto entries = co_await ns_.load(dir);
     if (!entries.ok()) {
         reply.status = entries.error();
@@ -202,6 +203,7 @@ AfsFileManager::serveCreate(AfsFid dir, std::string name, bool directory)
     }
     auto made =
         co_await ns_.create(dir, entries.value(), std::move(name), directory);
+    mutation.release();
     if (!made.ok()) {
         reply.status = made.error();
         co_return reply;
@@ -216,6 +218,7 @@ sim::Task<AfsStatusReply>
 AfsFileManager::serveRemove(AfsFid dir, std::string name)
 {
     AfsStatusReply reply;
+    auto mutation = co_await ns_.serializeMutation(dir);
     auto entries = co_await ns_.load(dir);
     if (!entries.ok()) {
         reply.status = entries.error();
@@ -223,6 +226,7 @@ AfsFileManager::serveRemove(AfsFid dir, std::string name)
     }
     const auto out =
         co_await ns_.remove(dir, entries.value(), std::move(name));
+    mutation.release();
     reply.status = out.status;
     if (!out.removed)
         co_return reply;

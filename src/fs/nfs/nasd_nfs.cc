@@ -135,6 +135,7 @@ NasdNfsFileManager::serveCreate(NasdNfsFh dir, std::string name,
                                 bool directory)
 {
     NasdNfsLookupReply reply;
+    const auto mutation = co_await ns_.serializeMutation(dir);
     auto entries = co_await loadDirectory(dir);
     if (!entries.ok()) {
         reply.status = entries.error();
@@ -161,6 +162,7 @@ sim::Task<NasdNfsStatusReply>
 NasdNfsFileManager::serveRemove(NasdNfsFh dir, std::string name)
 {
     NasdNfsStatusReply reply;
+    const auto mutation = co_await ns_.serializeMutation(dir);
     auto entries = co_await loadDirectory(dir);
     if (!entries.ok()) {
         reply.status = entries.error();

@@ -96,7 +96,7 @@ NasdNamespace::NasdNamespace(net::Network &net, net::NetNode &node,
                              std::vector<NasdDrive *> drives,
                              PartitionId partition, InitialAttrs attrs)
     : drives_(net, node, std::move(drives), partition),
-      attrs_(std::move(attrs))
+      attrs_(std::move(attrs)), sim_(net.simulator())
 {}
 
 Capability

@@ -30,6 +30,7 @@
 #include "nasd/client.h"
 #include "nasd/managed_drives.h"
 #include "nasd/types.h"
+#include "sim/sync.h"
 #include "sim/task.h"
 
 namespace nasd::fs {
@@ -128,6 +129,17 @@ class NasdNamespace
     /** Read directory @p dir from its drive and decode it. */
     sim::Task<NfsResult<std::vector<NasdDirEntry>>> load(NasdFh dir);
 
+    /** Held by a port from its load of directory @p dir to the store
+     *  that create() or remove() makes: mutations of one directory run
+     *  one at a time, so none stores a listing another has changed
+     *  since. */
+    sim::Task<sim::ScopedPermit>
+    serializeMutation(const NasdFh &dir)
+    {
+        return sim::scopedAcquire(
+            sim_, mutations_.try_emplace(dir, sim_, 1).first->second);
+    }
+
     /** Create @p name in @p dir, listed as @p listing: make the object
      *  on the next drive in turn, append its entry and store. If a step
      *  fails the object is removed again (best effort). */
@@ -167,6 +179,10 @@ class NasdNamespace
     std::uint32_t next_placement_ = 0;
     /// The manager is the only version-bumper, so it tracks versions.
     std::map<NasdFh, ObjectVersion> versions_;
+    sim::Simulator &sim_;
+    /// One lock per directory ever mutated (entries stay: waiters and
+    /// holders refer to them).
+    std::map<NasdFh, sim::Semaphore> mutations_;
 };
 
 } // namespace nasd::fs

@@ -64,10 +64,13 @@ PfsManager::serveUnlink(std::string name)
         reply.status = PfsStatus::kNoSuchFile;
         co_return reply;
     }
-    auto removed = co_await storage_.serveRemove(it->second);
+    // Unnamed before the remove yields: a second unlink of the name
+    // finds nothing instead of erasing through a stale iterator.
+    const cheops::LogicalObjectId id = it->second;
+    names_.erase(it);
+    auto removed = co_await storage_.serveRemove(id);
     if (removed.status != cheops::CheopsStatus::kOk)
         reply.status = PfsStatus::kStorageError;
-    names_.erase(it);
     co_return reply;
 }
 

@@ -6,7 +6,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "fs/afs/afs.h"
@@ -79,6 +81,40 @@ TEST_F(AfsTest, CreateLookupLocalParse)
     auto found = runFor(sim, client_a->lookup(root, "paper.tex"));
     ASSERT_TRUE(found.ok());
     EXPECT_EQ(found.value(), fid.value());
+}
+
+TEST_F(AfsTest, ConcurrentCreatesInOneDirectoryKeepBoth)
+{
+    // Two clients create in the root at once: the namespace core runs
+    // one mutation at a time, so the second store keeps the first
+    // entry and no object is left unnamed.
+    const auto objects = [&] {
+        std::size_t n = 0;
+        for (auto &d : drives)
+            n += runFor(sim, d->store().listObjects(0)).value().size();
+        return n;
+    };
+    const std::size_t before = objects();
+    const auto root = fm->rootFid();
+    std::optional<bool> a_ok, b_ok;
+    const auto create = [](AfsClient &c, AfsFid dir, std::string name,
+                           std::optional<bool> &ok) -> Task<void> {
+        const auto made = co_await c.create(dir, std::move(name));
+        ok = made.ok();
+    };
+    sim.spawn(create(*client_a, root, "a", a_ok));
+    sim.spawn(create(*client_b, root, "b", b_ok));
+    sim.run();
+    ASSERT_EQ(a_ok, true);
+    ASSERT_EQ(b_ok, true);
+    auto listing = runFor(sim, client_a->readdir(root));
+    ASSERT_TRUE(listing.ok());
+    std::vector<std::string> names;
+    for (const auto &e : listing.value())
+        names.push_back(e.name);
+    std::ranges::sort(names);
+    EXPECT_EQ(names, (std::vector<std::string>{"a", "b"}));
+    EXPECT_EQ(objects(), before + 2);
 }
 
 TEST_F(AfsTest, WriteReadThroughDrives)

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <string>
 #include <span>
 #include <vector>
 
@@ -193,6 +195,42 @@ TEST_F(NasdNfsTest, CreateWriteReadRoundTrip)
     auto n = runFor(sim, client->read(fh.value(), 0, out));
     ASSERT_TRUE(n.ok());
     EXPECT_EQ(out, data);
+}
+
+TEST_F(NasdNfsTest, ConcurrentCreatesInOneDirectoryKeepBoth)
+{
+    // Two clients create in the root at once: the namespace core runs
+    // one mutation at a time, so the second store keeps the first
+    // entry and no object is left unnamed.
+    const auto objects = [&] {
+        std::size_t n = 0;
+        for (auto &d : drives)
+            n += runFor(sim, d->store().listObjects(0)).value().size();
+        return n;
+    };
+    const std::size_t before = objects();
+    const auto root = fm->rootHandle();
+    NasdNfsClient other(net, client_node, *fm, {drives[0].get(),
+                                                drives[1].get()});
+    std::optional<bool> a_ok, b_ok;
+    const auto create = [](NasdNfsClient &c, NasdNfsFh dir, std::string name,
+                           std::optional<bool> &ok) -> Task<void> {
+        const auto made = co_await c.create(dir, std::move(name));
+        ok = made.ok();
+    };
+    sim.spawn(create(*client, root, "a", a_ok));
+    sim.spawn(create(other, root, "b", b_ok));
+    sim.run();
+    ASSERT_EQ(a_ok, true);
+    ASSERT_EQ(b_ok, true);
+    auto listing = runFor(sim, client->readdir(root));
+    ASSERT_TRUE(listing.ok());
+    std::vector<std::string> names;
+    for (const auto &e : listing.value())
+        names.push_back(e.name);
+    std::ranges::sort(names);
+    EXPECT_EQ(names, (std::vector<std::string>{"a", "b"}));
+    EXPECT_EQ(objects(), before + 2);
 }
 
 TEST_F(NasdNfsTest, DataPathBypassesFileManager)

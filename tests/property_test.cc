@@ -10,12 +10,15 @@
  *  - DiskModel data integrity under random block traffic
  *  - ExtentAllocator invariants under churn (no overlap, conservation)
  *  - Codec and capability-encoding round trips / tamper detection
+ *  - Cheops stripe layout vs a byte-by-byte model of every row
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
+#include "cheops/layout.h"
 #include "disk/disk_model.h"
 #include "disk/params.h"
 #include "disk/striping.h"
@@ -427,6 +430,267 @@ INSTANTIATE_TEST_SUITE_P(Presets, DiskPresetSweep,
                              }
                              return name;
                          });
+
+// --------------------------------------------------------- cheops layout
+
+/**
+ * Where each logical byte of a Cheops object lives, built row by row
+ * from the layout's definition rather than by its arithmetic: row r
+ * fills the components in order (kNone), or puts its parity on
+ * component w - r mod (w + 1) and its data units on the components
+ * after it, wrapping (kParity). Every unit of row r sits at component
+ * offset r * su.
+ */
+struct LayoutModel
+{
+    struct Place
+    {
+        std::uint32_t comp = 0;
+        std::uint64_t offset = 0;
+    };
+
+    LayoutModel(const cheops::layout::Geometry &geo, std::uint64_t rows)
+        : g(geo)
+    {
+        const std::uint32_t w = g.width();
+        for (std::uint64_t r = 0; r < rows; ++r) {
+            std::uint32_t next = 0; // kNone: component 0 first
+            if (g.parity) {
+                std::uint32_t p = w;
+                for (std::uint64_t k = 0; k < r % (w + 1); ++k)
+                    p = p == 0 ? w : p - 1;
+                parity.push_back(p);
+                next = p == w ? 0 : p + 1;
+            }
+            for (std::uint32_t d = 0; d < w; ++d) {
+                for (std::uint64_t x = 0; x < g.stripe_unit; ++x)
+                    bytes.push_back({next, r * g.stripe_unit + x});
+                next = next + 1 == g.components ? 0 : next + 1;
+            }
+        }
+    }
+
+    cheops::layout::Geometry g;
+    std::vector<Place> bytes;          ///< by logical offset
+    std::vector<std::uint32_t> parity; ///< by row (kParity)
+};
+
+class LayoutFuzz : public ::testing::TestWithParam<std::uint64_t>
+{
+  protected:
+    /** A random geometry: stripe unit 1-16 bytes, width 1-8. */
+    cheops::layout::Geometry
+    randomGeometry(bool parity)
+    {
+        const auto w = static_cast<std::uint32_t>(1 + rng.below(8));
+        return {1 + rng.below(16), w + (parity ? 1u : 0u), parity};
+    }
+
+    util::Rng rng{GetParam()};
+};
+
+TEST_P(LayoutFuzz, ParityAndDataComponentsMatchTheModel)
+{
+    for (std::uint32_t w = 1; w <= 8; ++w) {
+        const cheops::layout::Geometry g{1, w + 1, true};
+        const LayoutModel model(g, 3 * (w + 1));
+        for (std::uint64_t r = 0; r < model.parity.size(); ++r) {
+            EXPECT_EQ(cheops::layout::parityComponent(r, w), model.parity[r]);
+            for (std::uint32_t d = 0; d < w; ++d) {
+                EXPECT_EQ(cheops::layout::dataComponent(r, d, w),
+                          model.bytes[r * w + d].comp);
+            }
+        }
+    }
+}
+
+TEST_P(LayoutFuzz, ReadRunsCoverEveryByteWhereTheModelPutsIt)
+{
+    for (int trial = 0; trial < 200; ++trial) {
+        const auto g = randomGeometry(trial % 2 == 1);
+        const LayoutModel model(g, 12);
+        const std::uint64_t total = model.bytes.size();
+        const std::uint64_t offset = rng.below(total);
+        const std::uint64_t length = rng.below(total - offset + 1);
+        std::vector<int> seen(length, 0);
+        for (const auto &run : cheops::layout::mapRange(g, offset, length)) {
+            std::uint64_t at = run.component_offset;
+            for (const auto &[host, n] : run.pieces) {
+                for (std::uint64_t i = 0; i < n; ++i, ++at) {
+                    ASSERT_LT(host + i, length);
+                    ++seen[host + i];
+                    const auto &place = model.bytes[offset + host + i];
+                    EXPECT_EQ(run.component, place.comp);
+                    EXPECT_EQ(at, place.offset);
+                }
+            }
+            EXPECT_EQ(at, run.component_offset + run.length);
+        }
+        EXPECT_TRUE(std::ranges::all_of(seen, [](int n) { return n == 1; }))
+            << "a byte of [" << offset << ", +" << length
+            << ") is missing or mapped twice";
+    }
+}
+
+TEST_P(LayoutFuzz, RowPlanMatchesTheWrittenBytes)
+{
+    for (int trial = 0; trial < 200; ++trial) {
+        const auto g = randomGeometry(true);
+        const std::uint32_t w = g.width();
+        const std::uint64_t su = g.stripe_unit;
+        const LayoutModel model(g, 6);
+        const std::uint64_t total = model.bytes.size();
+        const std::uint64_t offset = rng.below(total);
+        const std::uint64_t length = 1 + rng.below(total - offset);
+        for (std::uint64_t row = 0; row < 6; ++row) {
+            const auto plan = cheops::layout::planRow(g, row, offset, length);
+            // The model's written bytes of the row, per data unit.
+            std::vector<std::vector<bool>> written(w,
+                                                   std::vector<bool>(su));
+            for (std::uint64_t l = offset; l < offset + length; ++l) {
+                if (l / g.rowBytes() == row)
+                    written[l % g.rowBytes() / su][l % su] = true;
+            }
+            std::size_t next = 0;
+            std::uint64_t plo = su, phi = 0;
+            for (std::uint32_t d = 0; d < w; ++d) {
+                const auto first = std::ranges::find(written[d], true);
+                if (first == written[d].end())
+                    continue;
+                const auto a = static_cast<std::uint64_t>(
+                    first - written[d].begin());
+                const auto b =
+                    static_cast<std::uint64_t>(std::ranges::count(
+                        written[d], true)) +
+                    a;
+                ASSERT_LT(next, plan.units.size());
+                const auto &uw = plan.units[next++];
+                EXPECT_EQ(uw.comp, model.bytes[row * w * su + d * su].comp);
+                EXPECT_EQ(uw.a, a);
+                EXPECT_EQ(uw.b, b);
+                EXPECT_EQ(uw.host, row * g.rowBytes() + d * su + a - offset);
+                plo = std::min(plo, a);
+                phi = std::max(phi, b);
+            }
+            ASSERT_EQ(next, plan.units.size());
+            EXPECT_EQ(plan.parity, model.parity[row]);
+            if (plan.units.empty())
+                continue;
+            EXPECT_EQ(plan.plo, plo);
+            EXPECT_EQ(plan.phi, phi);
+            // The read phase may be skipped exactly when every data
+            // unit is written over the whole parity window.
+            bool covers = true;
+            for (std::uint32_t d = 0; d < w; ++d) {
+                for (std::uint64_t x = plo; x < phi; ++x)
+                    covers = covers && written[d][x];
+            }
+            EXPECT_EQ(plan.skip_read, covers);
+            // Whichever component is dead, its slot is what a degraded
+            // write changes of its unit (written through to a spare):
+            // its written range, or the parity window.
+            for (std::uint32_t dead = 0; dead < g.components; ++dead) {
+                std::uint64_t ta = su, tb = 0;
+                for (std::uint32_t d = 0; d < w; ++d) {
+                    for (std::uint64_t x = 0; x < su; ++x) {
+                        const bool changed =
+                            dead == plan.parity
+                                ? x >= plo && x < phi
+                                : written[d][x] &&
+                                      model.bytes[row * w * su + d * su]
+                                              .comp == dead;
+                        if (changed) {
+                            ta = std::min(ta, x);
+                            tb = std::max(tb, x + 1);
+                        }
+                    }
+                }
+                std::pair<std::uint64_t, std::uint64_t> slot{su, 0};
+                for (std::size_t i = 0; i <= plan.units.size(); ++i) {
+                    if (plan.slot(i) == dead)
+                        slot = plan.range(i);
+                }
+                EXPECT_EQ(slot, (std::pair{ta, tb})) << "dead " << dead;
+            }
+        }
+    }
+}
+
+TEST_P(LayoutFuzz, UnitChunksRebuildAnyDeadComponentFromTheRest)
+{
+    // Parity rows of random bytes; every component range, cut into
+    // unit chunks, is the XOR of the same chunks of all the others.
+    for (int trial = 0; trial < 100; ++trial) {
+        const auto g = randomGeometry(true);
+        const std::uint64_t rows = 5;
+        const LayoutModel model(g, rows);
+        std::vector<std::vector<std::uint8_t>> comp(
+            g.components, std::vector<std::uint8_t>(rows * g.stripe_unit));
+        for (const auto &place : model.bytes) {
+            const auto v = static_cast<std::uint8_t>(rng.next());
+            comp[place.comp][place.offset] = v;
+            comp[model.parity[place.offset / g.stripe_unit]][place.offset] ^=
+                v;
+        }
+        const std::uint64_t offset = rng.below(rows * g.stripe_unit);
+        const std::uint64_t length =
+            rng.below(rows * g.stripe_unit - offset + 1);
+        std::uint64_t pos = offset;
+        for (const auto &[o, n] :
+             cheops::layout::unitChunks(g.stripe_unit, offset, length)) {
+            EXPECT_EQ(o, pos);
+            EXPECT_GT(n, 0u);
+            EXPECT_EQ(o / g.stripe_unit, (o + n - 1) / g.stripe_unit);
+            EXPECT_TRUE((o + n) % g.stripe_unit == 0 ||
+                        o + n == offset + length);
+            pos += n;
+            for (std::uint32_t dead = 0; dead < g.components; ++dead) {
+                std::vector<std::uint8_t> fold(n, 0);
+                for (std::uint32_t c = 0; c < g.components; ++c) {
+                    if (c != dead)
+                        cheops::layout::xorInto(
+                            fold, std::span<const std::uint8_t>(comp[c])
+                                      .subspan(o, n));
+                }
+                EXPECT_TRUE(std::equal(fold.begin(), fold.end(),
+                                       comp[dead].begin() +
+                                           static_cast<std::ptrdiff_t>(o)))
+                    << "dead " << dead << " at " << o;
+            }
+        }
+        EXPECT_EQ(pos, offset + length);
+    }
+}
+
+TEST_P(LayoutFuzz, SizeReverseMapRecoversEveryPrefixWrite)
+{
+    for (int trial = 0; trial < 100; ++trial) {
+        const auto g = randomGeometry(trial % 2 == 1);
+        const LayoutModel model(g, 6);
+        const std::uint64_t size = rng.below(model.bytes.size() + 1);
+        // Component extents after writing [0, size): data bytes land
+        // where the model puts them; a row's parity is as long as its
+        // longest data unit.
+        std::vector<std::uint64_t> extent(g.components, 0);
+        for (std::uint64_t l = 0; l < size; ++l) {
+            const auto &place = model.bytes[l];
+            extent[place.comp] = std::max(extent[place.comp], place.offset + 1);
+            if (g.parity) {
+                auto &p = extent[model.parity[place.offset / g.stripe_unit]];
+                p = std::max(p, place.offset + 1);
+            }
+        }
+        std::uint64_t logical = 0;
+        for (std::uint32_t c = 0; c < g.components; ++c) {
+            const auto end = cheops::layout::logicalEnd(g, c, extent[c]);
+            EXPECT_LE(end, size) << "component " << c;
+            logical = std::max(logical, end);
+        }
+        EXPECT_EQ(logical, size);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LayoutFuzz, ::testing::Values(5, 17, 29));
 
 } // namespace
 } // namespace nasd

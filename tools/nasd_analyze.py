@@ -93,6 +93,17 @@ suspension points — and runs these checks over it:
   A13 raw-stderr         `fprintf(stderr, ...)` outside
                          src/util/logging.cc; diagnostics go through
                          NASD_LOG so NASD_LOG_LEVEL filtering applies.
+  A15 table-ref-across-await
+                         A pointer, reference or iterator that a
+                         coroutine takes from a member associative
+                         container (`objects_.find(id)`, `&table_[k]`,
+                         `auto &x = table_.at(k)`) or from a member
+                         finder returning a pointer into one
+                         (`Obj *find(Id)`), then uses after a later
+                         co_await, directly or around a loop, without
+                         taking it again. Another handler may erase the
+                         entry while this one is suspended; look the
+                         entry up by key after every suspension.
 
 A8 (reservoir-latency) is retired with the sample-histogram instrument
 kind it guarded; its ID is not reused.
@@ -692,6 +703,47 @@ class GlobalInfo:
     void_names: set = field(default_factory=set)  # declared `void f(`
     detached_fns: set = field(default_factory=set)
     semaphore_names: set = field(default_factory=set)
+    tables: set = field(default_factory=set)  # member associative containers
+    finders: set = field(default_factory=set)  # `T *findX(` members
+
+
+ASSOC_CONTAINERS = {
+    "map", "multimap", "unordered_map", "unordered_multimap", "set",
+    "unordered_set",
+}
+
+
+def collect_tables(tokens, info):
+    """Member associative containers (`std::map<...> name_;`) and
+    pointer-returning finders (`T *find...(`) declared in this file."""
+    n = len(tokens)
+    for i, t in enumerate(tokens):
+        if (
+            t.text in ASSOC_CONTAINERS
+            and i >= 2
+            and tokens[i - 1].text == "::"
+            and tokens[i - 2].text == "std"
+            and i + 1 < n
+            and tokens[i + 1].text == "<"
+        ):
+            close = match_angle(tokens, i + 1)
+            if (
+                close is not None
+                and close + 2 < n
+                and tokens[close + 1].kind == "ident"
+                and tokens[close + 1].text.endswith("_")
+                and tokens[close + 2].text in (";", "{", "=")
+            ):
+                info.tables.add(tokens[close + 1].text)
+        if (
+            t.kind == "ident"
+            and t.text.startswith("find")
+            and i >= 1
+            and tokens[i - 1].text == "*"
+            and i + 1 < n
+            and tokens[i + 1].text == "("
+        ):
+            info.finders.add(t.text)
 
 
 def collect_globals(models):
@@ -700,6 +752,7 @@ def collect_globals(models):
         tokens = model.tokens
         n = len(tokens)
         info.semaphore_names |= collect_semaphore_names(tokens)
+        collect_tables(tokens, info)
         # Task-returning callables: `Task < ... > name (`
         for i, t in enumerate(tokens):
             if (
@@ -1554,6 +1607,177 @@ def check_a13(model, findings):
         ))
 
 
+TABLE_LOOKUPS = {"find", "at", "begin", "lower_bound", "upper_bound"}
+
+
+def statement_end(tokens, own_set, i):
+    """Index of the ';' ending the statement that token i belongs to
+    (parentheses and brackets nest), or None."""
+    depth = 0
+    j = i
+    n = len(tokens)
+    while j < n:
+        t = tokens[j].text
+        if t in ("(", "["):
+            depth += 1
+        elif t in (")", "]"):
+            depth -= 1
+            if depth < 0:
+                return j
+        elif t == ";" and depth == 0:
+            return j
+        elif t in ("{", "}") and depth == 0:
+            return j
+        j += 1
+    return None
+
+
+def takes_table_ref(tokens, lo, hi, ginfo, tracked, iterator_ok):
+    """Whether the expression tokens[lo:hi] yields a reference, pointer
+    or iterator into a member table: a lookup on one, a member finder
+    call, or (for a reference/pointer declaration) a tracked iterator
+    or pointer."""
+    for j in range(lo, hi):
+        t = tokens[j]
+        if t.kind != "ident":
+            continue
+        prev = tokens[j - 1].text if j > 0 else ""
+        nxt = tokens[j + 1].text if j + 1 < len(tokens) else ""
+        if t.text in ginfo.tables and prev not in (".", "->", "::"):
+            if nxt == "[":
+                return not iterator_ok  # element: only a & or * keeps it
+            if (
+                nxt == "."
+                and j + 2 < hi
+                and tokens[j + 2].text in TABLE_LOOKUPS
+            ):
+                return True
+        if (
+            t.text in ginfo.finders
+            and nxt == "("
+            and prev not in (".", "->", "::")
+        ):
+            return True
+        if t.text in tracked and not iterator_ok and prev not in (".", "->"):
+            return True
+    return False
+
+
+def loops_in(tokens, own):
+    """(start, end) token spans of the for/while loops among `own`."""
+    spans = []
+    own_set = set(own)
+    for idx in own:
+        if tokens[idx].text not in ("for", "while"):
+            continue
+        if idx + 1 >= len(tokens) or tokens[idx + 1].text != "(":
+            continue
+        close = match_forward(tokens, idx + 1, "(", ")")
+        if close is None or close + 1 >= len(tokens):
+            continue
+        if tokens[close + 1].text == "{":
+            end = match_forward(tokens, close + 1, "{", "}")
+        else:
+            end = statement_end(tokens, own_set, close + 1)
+        if end is not None:
+            spans.append((idx, end))
+    return spans
+
+
+def check_a15(model, ginfo, findings):
+    """Table entries held across a suspension point."""
+    if not ginfo.tables and not ginfo.finders:
+        return
+    tokens = model.tokens
+    for region in model.regions:
+        if not region.is_coroutine or not region.suspends:
+            continue
+        own = region.own
+        own_set = set(own)
+        loops = loops_in(tokens, own)
+        tracked = {}  # name -> own index where it was (re)taken
+        suspended = set()  # names whose take is behind a suspension
+        pending = None  # ';' ending the statement of the last co_await
+        reported = set()
+        # Per open block: the suspended set at its '{', and whether the
+        # block left by a jump, so its suspensions do not fall through.
+        blocks = []
+        jumped = False
+        for idx in own:
+            t = tokens[idx]
+            if pending is not None and idx >= pending:
+                suspended |= set(tracked)
+                pending = None
+            if t.text == "{":
+                blocks.append((set(suspended), jumped))
+                jumped = False
+                continue
+            if t.text == "}" and blocks:
+                at_open, outer_jumped = blocks.pop()
+                if jumped:
+                    suspended = at_open & suspended
+                jumped = outer_jumped
+                continue
+            if t.text in ("break", "continue", "return", "co_return"):
+                jumped = True
+            if t.text in SUSPEND_KEYWORDS:
+                end = statement_end(tokens, own_set, idx)
+                pending = end if end is not None else idx
+                continue
+            if t.kind != "ident":
+                continue
+            prev = tokens[idx - 1].text if idx > 0 else ""
+            nxt = tokens[idx + 1].text if idx + 1 < len(tokens) else ""
+            if prev in (".", "->", "::"):
+                continue
+            if nxt == "=":
+                # A declaration or assignment (re)takes the name.
+                end = statement_end(tokens, own_set, idx + 2)
+                if end is None:
+                    continue
+                declared_ref = prev in ("&", "*")
+                iterator_ok = not declared_ref
+                if takes_table_ref(tokens, idx + 2, end, ginfo, tracked,
+                                   iterator_ok):
+                    tracked[t.text] = idx
+                else:
+                    tracked.pop(t.text, None)
+                suspended.discard(t.text)
+                continue
+            if t.text not in tracked:
+                continue
+            held_across = t.text in suspended
+            if not held_across:
+                # Around a loop: taken before a loop whose body awaits
+                # and never takes the name again after that await.
+                for lo, hi in loops:
+                    if not lo <= idx <= hi or tracked[t.text] >= lo:
+                        continue
+                    waits = [s for s in region.suspends if lo <= s <= hi]
+                    retaken = any(
+                        lo <= j <= hi
+                        and tokens[j].text == t.text
+                        and j + 1 < len(tokens)
+                        and tokens[j + 1].text == "="
+                        and any(s < j for s in waits)
+                        for j in own
+                    )
+                    if waits and not retaken:
+                        held_across = True
+                        break
+            if held_across and (t.text, tracked[t.text]) not in reported:
+                reported.add((t.text, tracked[t.text]))
+                findings.append(Finding(
+                    "A15", model.rel, t.line,
+                    f"{region.name}:{t.text}",
+                    f"'{t.text}' points into a member table and is used "
+                    "after a co_await; another handler may erase the "
+                    "entry while this one is suspended",
+                    "look the entry up again by key after every "
+                    "co_await (or copy what you need before it)",
+                ))
+
+
 CHECKS = {
     "A1": "coro-ref-escape",
     "A2": "discarded-task",
@@ -1567,13 +1791,14 @@ CHECKS = {
     "A11": "include-guard",
     "A12": "loose-counter",
     "A13": "raw-stderr",
+    "A15": "table-ref-across-await",
 }
 
 CHECK_FNS = {
     "A1": check_a1, "A2": check_a2, "A3": check_a3, "A4": check_a4,
     "A5": check_a5, "A6": check_a6, "A7": check_a7, "A9": check_a9,
     "A10": check_a10, "A11": check_a11, "A12": check_a12,
-    "A13": check_a13,
+    "A13": check_a13, "A15": check_a15,
 }
 
 # Checks that also run on bench/ and examples/ (see module docstring).
@@ -1595,7 +1820,7 @@ def run_checks(models, checks):
                 continue
             if is_bench(model) and cid not in BENCH_CHECKS:
                 continue
-            if cid in ("A1", "A2", "A4"):
+            if cid in ("A1", "A2", "A4", "A15"):
                 fn(model, ginfo, findings)
             else:
                 fn(model, findings)
