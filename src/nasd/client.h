@@ -7,14 +7,16 @@
  * Result values. One NasdClient binds one client machine to one drive;
  * higher layers (filesystems, Cheops) hold several.
  *
- * Every request carries a deadline on the simulator clock so a dropped
- * message surfaces as NasdStatus::kTimeout instead of a hung
- * coroutine. Idempotent operations (read, same-bytes write, getAttr,
- * list, flush) retry with capped exponential backoff and jitter; a
- * fresh credential (fresh nonce) is minted per attempt so retries pass
- * the drive's replay window. Non-idempotent operations (create,
- * remove, clone, setAttr, setKey, partition admin) get a single
- * deadline-protected attempt.
+ * Every request takes one path (call): its OpSpec row (nasd/ops.h)
+ * gives its frames and retry class, and each attempt carries a
+ * deadline on the simulator clock so a dropped message surfaces as
+ * NasdStatus::kTimeout instead of a hung coroutine. Idempotent
+ * operations (read, same-bytes write, getAttr, list, flush, probe)
+ * retry with capped exponential backoff and jitter; a fresh credential
+ * (fresh nonce) is minted per attempt so retries pass the drive's
+ * replay window. Non-idempotent operations (create, remove, clone,
+ * setAttr, setKey, partition admin) get a single deadline-protected
+ * attempt.
  *
  * A read or write larger than DriveRetryPolicy::max_transfer is cut
  * into pieces of at most that size, each its own RPC with its own
@@ -27,6 +29,7 @@
 
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "nasd/capability.h"
@@ -150,6 +153,22 @@ class NasdClient
                                                  PartitionId target);
 
   private:
+    /**
+     * The one path of every drive request: each attempt mints a fresh
+     * credential from @p cred (none when null: flush, probe), runs
+     * @p serve (drive, Attempt) on the drive under a deadline, and is
+     * retried if the op is idempotent. Returns the reply's status as
+     * an error, or @p get applied to the reply. Ops whose OpSpec names
+     * a client span open it as a child of @p parent. When @p live is
+     * set, each attempt writes its number there as it is sent.
+     */
+    template <typename Resp, typename Serve, typename Get>
+    sim::Task<StoreResult<
+        std::remove_cvref_t<std::invoke_result_t<Get, Resp &&>>>>
+    call(CredentialFactory *cred, RequestParams params, Serve serve,
+         Get get, util::TraceContext parent = {},
+         std::uint64_t *live = nullptr);
+
     /** read() and write() above max_transfer: pieces of at most that
      *  size, each one read() or write() call, two in flight. */
     sim::Task<StoreResult<std::uint64_t>>

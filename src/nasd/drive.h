@@ -5,9 +5,13 @@
  * A NasdDrive owns its physical disks (the prototype used two
  * Medallists behind a striping driver), the object store living on
  * them, a network node (its embedded CPU and link), and the drive
- * secret keys. Request handlers verify the cryptographic capability
- * accompanying each request, charge the calibrated instruction costs,
- * and execute against the object store.
+ * secret keys.
+ *
+ * Every capability-carrying request takes one path (serveOp): open the
+ * drive span, verify the capability, run the op's store step, reject
+ * the op if the drive crashed meanwhile, charge the op's calibrated
+ * instruction costs (its OpSpec row in nasd/ops.h) and count it. Flush
+ * and probe carry no capability and have their own short handlers.
  *
  * Handlers here are server-side; NasdClient wraps them in RPC timing.
  */
@@ -15,6 +19,7 @@
 #define NASD_NASD_DRIVE_H_
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -30,6 +35,7 @@
 #include "nasd/capability.h"
 #include "nasd/costs.h"
 #include "nasd/object_store.h"
+#include "nasd/ops.h"
 #include "nasd/types.h"
 #include "net/network.h"
 #include "sim/simulator.h"
@@ -104,6 +110,26 @@ struct [[nodiscard]] ProbeResponse
     DriveId drive_id = 0;
     std::uint64_t free_bytes = 0; ///< partition quota minus usage
 };
+
+/** Bytes a reply carries beyond its op's OpSpec::reply_bytes: a read's
+ *  data and a list's ids. */
+inline std::uint64_t
+replyDataBytes(const ReadResponse &r)
+{
+    return r.length;
+}
+
+inline std::uint64_t
+replyDataBytes(const ListResponse &r)
+{
+    return r.ids.size() * sizeof(ObjectId);
+}
+
+inline std::uint64_t
+replyDataBytes(const auto &)
+{
+    return 0;
+}
 
 /** One network-attached secure disk. */
 class NasdDrive
@@ -294,13 +320,24 @@ class NasdDrive
                   const util::OpAttribution *attr = nullptr,
                   std::uint64_t trace_id = 0);
 
-    /** Charge the op-path instruction costs for a completed store op. */
-    sim::Task<void> chargeOpCost(std::uint64_t base_instr,
-                                 std::uint64_t cold_extra_instr,
-                                 double per_byte_instr,
-                                 std::uint64_t bytes,
+    /**
+     * The path of every capability-carrying request: open the span,
+     * verify(), run @p step (the store call, given the params and the
+     * op's OpTrace), reject the op with kDriveUnavailable if the drive
+     * crashed while it was inside the store, store the step's value in
+     * the reply's @p field, charge @p op's costs and count it. Every
+     * exit closes the span; only a successful op is counted and timed.
+     */
+    template <typename Resp, typename Step, typename Field = std::nullptr_t>
+    sim::Task<Resp> serveOp(OpCode op, RequestCredential cred,
+                            RequestParams params, Step step,
+                            Field field = nullptr);
+
+    /** Charge @p spec's instruction costs for a completed store op that
+     *  moved @p bytes. */
+    sim::Task<void> chargeOpCost(const OpSpec &spec, std::uint64_t bytes,
                                  const OpTrace &trace,
-                                 util::OpAttribution *attr = nullptr);
+                                 util::OpAttribution *attr);
 
     /// What verify() derives from a capability's public portion.
     struct VerifiedCapability
@@ -318,8 +355,10 @@ class NasdDrive
      *  request-MAC context keyed with it. */
     VerifiedCapability deriveCapability(const CapabilityPublic &pub) const;
 
-    /** Charge the keyed-digest cost over @p bytes of bulk data
-     *  (outgoing read payloads), per the configured security level. */
+    /** Charge the keyed-digest cost over @p bytes (a request's
+     *  argument frame and data, a read's outgoing data), per the
+     *  configured security level. Callers skip it when security is
+     *  off, so the common path allocates no coroutine frame for it. */
     sim::Task<void> chargeSecurityBytes(std::uint64_t bytes,
                                         util::OpAttribution *attr = nullptr);
 

@@ -48,7 +48,8 @@ callOut(net::Network &net, net::NetNode &a, net::NetNode &b)
 {
     int budget = 7;
     // Value capture: the closure is copied into callWithDeadline's
-    // std::function, so the handler owns its state (MakeFn idiom).
+    // std::function, so the handler owns its state (as NasdClient::call's
+    // handlers do).
     net::callWithDeadline<Reply>(
         net, a, b, 64, sim::msec(5),
         [budget]() -> sim::Task<net::RpcReply<Reply>> {

@@ -119,6 +119,35 @@ TEST_F(DriveFaultTest, CrashedDriveRejectsThenRestartServes)
     EXPECT_EQ(after.value(), data);
 }
 
+TEST_F(DriveFaultTest, CrashWhileInTheStoreRejectsTheOp)
+{
+    // After a restart the object's inode is cold, so a getattr reads
+    // it from the media; the drive crashes while that read is on the
+    // media. An op already inside the store is rejected like any other.
+    const ObjectId oid = createObject();
+    auto cred = objectCred(oid);
+    ASSERT_TRUE(runFor(sim, client.write(cred, 0, pattern(4 * kKB))).ok());
+    runTask(sim, client.flush());
+    drive.crash();
+    runTask(sim, drive.restart());
+
+    const RequestParams params{OpCode::kGetAttr, 0, oid, 0, 0};
+    std::optional<AttrResponse> resp;
+    sim.spawn([](NasdDrive &d, RequestCredential c, RequestParams p,
+                 std::optional<AttrResponse> &out) -> Task<void> {
+        out = co_await d.serveGetAttr(c, p);
+    }(drive, cred.forRequest(params), params, resp));
+    // The capability check takes tens of microseconds, a media read
+    // milliseconds.
+    sim.runUntil(sim.now() + sim::msec(1));
+    ASSERT_FALSE(resp.has_value()) << "getattr left the store too soon";
+    drive.crash();
+    sim.run();
+
+    ASSERT_TRUE(resp.has_value());
+    EXPECT_EQ(resp->status, NasdStatus::kDriveUnavailable);
+}
+
 TEST_F(DriveFaultTest, ProbeReportsLivenessAndFreeSpace)
 {
     // Healthy: free space is the partition quota minus allocations.

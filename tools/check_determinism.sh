@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Bit-determinism gate: run fig6, fig9 (the table, --fault-sweep,
 # --breakdown, --drives 64, --drives 8 --slow-drive 3,3.0 and
-# --kill-drive), active_disks and andrew twice each and require the two
-# BENCH_*.json dumps (metrics + timeseries) and printed outputs to be
-# byte-identical.
+# --kill-drive), active_disks, andrew, table1 and fig7 twice each and
+# require the two BENCH_*.json dumps (metrics + timeseries) and printed
+# outputs to be byte-identical. table1 and fig7 exercise the drive's
+# per-op costs directly.
 # Every bench baseline and seeded-fault test silently assumes the
 # simulator replays the same event sequence for the same inputs; this
 # is the check that notices when someone breaks that — e.g. by keying
@@ -105,6 +106,8 @@ run_twice fig9_slow8 nojournal fig9_mining --drives 8 --slow-drive 3,3.0 \
 run_twice rebuild journal fig9_mining --kill-drive || STATUS=1
 run_twice active_disks nojournal active_disks || STATUS=1
 run_twice andrew nojournal andrew_benchmark || STATUS=1
+run_twice table1 nojournal table1_op_costs || STATUS=1
+run_twice fig7 nojournal fig7_cache_scaling || STATUS=1
 
 # The fleet dashboard must be a pure function of its input dump: two
 # renders of the same BENCH json must produce byte-identical HTML, or

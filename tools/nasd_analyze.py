@@ -957,7 +957,7 @@ def check_a1(model, ginfo, findings):
                         f"by reference ({names}); a timed-out caller's "
                         "frame dies while the handler keeps running",
                         "capture by value via a named handler factory "
-                        "(see NasdClient's MakeFn idiom)",
+                        "(see NasdClient::call)",
                     ))
 
 
