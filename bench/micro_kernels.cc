@@ -335,19 +335,28 @@ BM_TransactionGeneration(benchmark::State &state)
 }
 BENCHMARK(BM_TransactionGeneration)->ArgName("catalog")->Arg(500)->Arg(1000);
 
+/// Counts the first piece_kb of one chunk: a whole 2 MB chunk, as a
+/// PFS or NFS client counts it, or one 512 KB Active Disks scan piece
+/// (ActiveDiskRuntime::kScanChunkBytes).
 void
 BM_FrequentSetsCounting(benchmark::State &state)
 {
     const auto params = catalogParams(state);
     apps::TransactionGenerator gen(params);
     const auto chunk = gen.chunk(0);
+    const auto piece = std::span<const std::uint8_t>(chunk).first(
+        static_cast<std::size_t>(state.range(1)) * 1024);
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            apps::countOneItemsets(chunk, params.catalog_items));
+            apps::countOneItemsets(piece, params.catalog_items));
     }
-    state.SetBytesProcessed(state.iterations() * apps::kChunkBytes);
+    state.SetBytesProcessed(state.iterations() * state.range(1) * 1024);
 }
-BENCHMARK(BM_FrequentSetsCounting)->ArgName("catalog")->Arg(500)->Arg(1000);
+BENCHMARK(BM_FrequentSetsCounting)
+    ->ArgNames({"catalog", "piece_kb"})
+    ->Args({500, 2048})
+    ->Args({1000, 2048})
+    ->Args({500, 512});
 
 } // namespace
 

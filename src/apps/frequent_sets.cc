@@ -1,6 +1,7 @@
 #include "apps/frequent_sets.h"
 
 #include <algorithm>
+#include <array>
 
 #include "util/logging.h"
 
@@ -10,14 +11,24 @@ ItemCounts
 countOneItemsets(std::span<const std::uint8_t> data,
                  std::uint32_t catalog_items)
 {
+    // Stage a block of records' ids, then count them in one flat loop:
+    // a per-record loop over a count uniform in 3..12 mispredicts
+    // nearly every record's exit.
+    constexpr std::size_t kStageRecords = 256;
+    constexpr std::size_t kBlockBytes =
+        kStageRecords * TransactionRecord::kBytes;
+    std::array<std::uint32_t, kStageRecords * TransactionRecord::kMaxItems>
+        staged{};
     ItemCounts counts(catalog_items, 0);
-    const std::size_t n_records = data.size() / TransactionRecord::kBytes;
-    for (std::size_t r = 0; r < n_records; ++r) {
-        forEachItem(data.data() + r * TransactionRecord::kBytes,
-                    [&](std::uint32_t item) {
-                        if (item < catalog_items)
-                            ++counts[item];
-                    });
+    for (std::size_t at = 0; at < data.size(); at += kBlockBytes) {
+        const std::size_t n = stageItems(
+            data.subspan(at, std::min(kBlockBytes, data.size() - at)),
+            staged);
+        for (std::size_t i = 0; i < n; ++i) {
+            const std::uint32_t item = staged[i];
+            if (item < catalog_items)
+                ++counts[item];
+        }
     }
     return counts;
 }

@@ -66,15 +66,31 @@ encodedItemCount(const std::uint8_t *record)
                                  TransactionRecord::kMaxItems);
 }
 
-/** Call @p fn with each item id of the encoded record at @p record, in
- *  order, reading them in place instead of decoding the record. */
-template <typename Fn>
-void
-forEachItem(const std::uint8_t *record, Fn &&fn)
+/**
+ * Copy the item ids of the encoded records in @p records (whole
+ * records; a trailing partial one is ignored) into @p out, in order,
+ * and return how many were copied. Each record's twelve item slots are
+ * copied whole and the write position then advances by its clamped
+ * item count, so no loop depends on the count; the slots lie inside
+ * the record, so the copy never reads past it. @p out needs room for
+ * kMaxItems ids per record.
+ */
+inline std::size_t
+stageItems(std::span<const std::uint8_t> records, std::span<std::uint32_t> out)
 {
-    const std::uint8_t *item = record + TransactionRecord::kItemsAt;
-    for (std::size_t i = encodedItemCount(record); i > 0; --i, item += 4)
-        fn(util::loadLe<std::uint32_t>(item));
+    using R = TransactionRecord;
+    const std::size_t n_records = records.size() / R::kBytes;
+    NASD_ASSERT(out.size() >= n_records * R::kMaxItems);
+    std::size_t staged = 0;
+    const std::uint8_t *record = records.data();
+    for (std::size_t r = 0; r < n_records; ++r, record += R::kBytes) {
+        std::uint32_t *slot = out.data() + staged;
+        for (std::size_t i = 0; i < R::kMaxItems; ++i)
+            slot[i] =
+                util::loadLe<std::uint32_t>(record + R::kItemsAt + 4 * i);
+        staged += encodedItemCount(record);
+    }
+    return staged;
 }
 
 /** Configuration of the synthetic dataset. */

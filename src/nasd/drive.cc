@@ -229,12 +229,12 @@ NasdDrive::slowDown(double factor)
 }
 
 NasdDrive::OpInstruments &
-NasdDrive::opInstruments(const std::string &op)
+NasdDrive::opInstruments(OpCode op)
 {
-    auto it = op_instruments_.find(op);
-    if (it == op_instruments_.end()) {
+    auto &slot = op_instruments_[static_cast<std::size_t>(op) - 1];
+    if (!slot) {
         auto &reg = util::metrics();
-        const std::string base = metric_prefix_ + "/" + op;
+        const std::string base = metric_prefix_ + "/" + opSpec(op).name;
         std::array<util::Counter *, util::kResourceClassCount> wait{};
         std::array<util::Counter *, util::kResourceClassCount> service{};
         for (std::size_t c = 0; c < util::kResourceClassCount; ++c) {
@@ -244,30 +244,28 @@ NasdDrive::opInstruments(const std::string &op)
             service[c] =
                 &reg.counter(base + "/attr/" + cls + "_service_ns");
         }
-        it = op_instruments_
-                 .emplace(op,
-                          OpInstruments{reg.counter(base + "/count"),
-                                        reg.latency(base + "/latency_ns"),
-                                        wait, service,
-                                        reg.counter(base + "/attr/other_ns")})
-                 .first;
+        slot.emplace(OpInstruments{reg.counter(base + "/count"),
+                                   reg.latency(base + "/latency_ns"), wait,
+                                   service,
+                                   reg.counter(base + "/attr/other_ns")});
     }
-    return it->second;
+    return *slot;
 }
 
 util::ScopedSpan
-NasdDrive::beginOp(const char *op, const RequestParams &params)
+NasdDrive::beginOp(OpCode op, const RequestParams &params)
 {
-    util::TraceContext ctx;
-    if (auto *t = util::tracer())
-        ctx = t->childOf(params.trace);
-    return util::ScopedSpan(std::string("drive/") + op, config_.name,
-                            static_cast<std::uint64_t>(sim_.now()), ctx,
-                            params.trace.span_id);
+    auto *t = util::tracer();
+    if (t == nullptr)
+        return {};
+    return util::ScopedSpan(std::string("drive/") + opSpec(op).name,
+                            config_.name,
+                            static_cast<std::uint64_t>(sim_.now()),
+                            t->childOf(params.trace), params.trace.span_id);
 }
 
 void
-NasdDrive::finishOp(const char *op, sim::Tick start, util::ScopedSpan &span,
+NasdDrive::finishOp(OpCode op, sim::Tick start, util::ScopedSpan &span,
                     const util::OpAttribution *attr,
                     std::uint64_t trace_id)
 {
@@ -279,13 +277,15 @@ NasdDrive::finishOp(const char *op, sim::Tick start, util::ScopedSpan &span,
     // Tail exemplars: remember the trace + journal cursor of the
     // slowest ops per class so --breakdown can show the actual p99+
     // requests and the journal window around them.
-    util::flightRecorder().recordLatency(op,
+    util::flightRecorder().recordLatency(opSpec(op).name,
                                          static_cast<double>(elapsed),
                                          trace_id);
     if (attr != nullptr) {
         for (std::size_t c = 0; c < util::kResourceClassCount; ++c) {
             m.wait_ns[c]->add(attr->wait_ns[c]);
             m.service_ns[c]->add(attr->service_ns[c]);
+            if (!span.open())
+                continue;
             const std::string cls = util::resourceClassName(
                 static_cast<util::ResourceClass>(c));
             if (attr->wait_ns[c] > 0)
@@ -344,7 +344,7 @@ NasdDrive::serveOp(OpCode op, RequestCredential cred, RequestParams params,
 {
     const OpSpec &spec = opSpec(op);
     const sim::Tick op_start = sim_.now();
-    auto op_span = beginOp(spec.name, params);
+    auto op_span = beginOp(op, params);
     Resp resp;
     util::OpAttribution op_attr;
     const std::uint64_t data_in = spec.data == OpData::kIn ? params.length : 0;
@@ -370,7 +370,7 @@ NasdDrive::serveOp(OpCode op, RequestCredential cred, RequestParams params,
             if (spec.data == OpData::kOut &&
                 config_.security != SecurityLevel::kNone)
                 co_await chargeSecurityBytes(bytes, &op_attr);
-            finishOp(spec.name, op_start, op_span, &op_attr,
+            finishOp(op, op_start, op_span, &op_attr,
                      params.trace.trace_id);
             co_return resp;
         }
@@ -553,10 +553,9 @@ NasdDrive::serveFlush()
         co_return StatusResponse{NasdStatus::kDriveFailed};
     const sim::Tick op_start = sim_.now();
     const RequestParams flush_params{OpCode::kFlush};
-    const char *name = opSpec(OpCode::kFlush).name;
-    auto op_span = beginOp(name, flush_params);
+    auto op_span = beginOp(OpCode::kFlush, flush_params);
     co_await store_->flushAll();
-    finishOp(name, op_start, op_span);
+    finishOp(OpCode::kFlush, op_start, op_span);
     co_return StatusResponse{};
 }
 
@@ -576,7 +575,7 @@ NasdDrive::serveProbe(PartitionId target)
     const OpSpec &spec = opSpec(OpCode::kProbe);
     const sim::Tick op_start = sim_.now();
     const RequestParams probe_params{OpCode::kProbe};
-    auto op_span = beginOp(spec.name, probe_params);
+    auto op_span = beginOp(OpCode::kProbe, probe_params);
     co_await node_->cpu().execute(config_.costs.*spec.base_instr);
     const auto info = store_->partitionInfo(target);
     if (!info.ok()) {
@@ -590,7 +589,7 @@ NasdDrive::serveProbe(PartitionId target)
     node_->flightJournal().record(
         sim_.now(), util::FrEvent::kDriveProbe, 0,
         static_cast<std::uint64_t>(resp.status), target);
-    finishOp(spec.name, op_start, op_span);
+    finishOp(OpCode::kProbe, op_start, op_span);
     co_return resp;
 }
 

@@ -21,8 +21,8 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -301,14 +301,14 @@ class NasdDrive
     };
 
     /** Lazily create (and cache) the instruments for op type @p op. */
-    OpInstruments &opInstruments(const std::string &op);
+    OpInstruments &opInstruments(OpCode op);
 
     /**
      * Open the drive-side span for one request: a child of the trace
      * context the client put in @p params (no span when tracing is
      * off or the request carries no context).
      */
-    util::ScopedSpan beginOp(const char *op, const RequestParams &params);
+    util::ScopedSpan beginOp(OpCode op, const RequestParams &params);
 
     /**
      * Count the completed op and stamp its latency/span end. When
@@ -316,7 +316,7 @@ class NasdDrive
      * attr counters (plus the unclaimed remainder to other_ns) and
      * annotated onto @p span.
      */
-    void finishOp(const char *op, sim::Tick start, util::ScopedSpan &span,
+    void finishOp(OpCode op, sim::Tick start, util::ScopedSpan &span,
                   const util::OpAttribution *attr = nullptr,
                   std::uint64_t trace_id = 0);
 
@@ -393,7 +393,8 @@ class NasdDrive
 
     util::Counter &ops_served_;
     util::Counter &replays_rejected_;
-    std::map<std::string, OpInstruments> op_instruments_;
+    /// Indexed as kOpSpecs (opSpec()); empty until the op first completes.
+    std::array<std::optional<OpInstruments>, kOpSpecs.size()> op_instruments_;
     bool failed_ = false;
     bool crashed_ = false;
 };

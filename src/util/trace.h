@@ -122,9 +122,16 @@ void setTracer(Tracer *t);
 class ScopedSpan
 {
   public:
+    /** A span that never opened: for a caller that saw tracing off and
+     *  so built no name. */
+    ScopedSpan() = default;
+
     ScopedSpan(const std::string &name, const std::string &lane,
                std::uint64_t now_ns, const TraceContext &ctx,
                std::uint64_t parent_span = 0);
+
+    /** Is the span recording (tracing on and not yet closed)? */
+    bool open() const { return tracer_ != nullptr; }
 
     /** Close the span at simulated time @p now_ns (idempotent). */
     void endAt(std::uint64_t now_ns);
@@ -134,7 +141,7 @@ class ScopedSpan
     void annotate(const std::string &key, std::uint64_t value);
 
   private:
-    Tracer *tracer_;
+    Tracer *tracer_ = nullptr;
     std::size_t handle_ = 0;
 };
 

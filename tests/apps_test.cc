@@ -18,6 +18,7 @@
 #include "disk/params.h"
 #include "net/presets.h"
 #include "sim/simulator.h"
+#include "util/codec.h"
 #include "util/rng.h"
 #include "util/units.h"
 
@@ -244,6 +245,71 @@ TEST(Mining, CountsSingleItems)
     for (const auto c : counts)
         total += c;
     EXPECT_GT(total, kRecordsPerChunk * 2); // >= min_items per record
+}
+
+/** Pass-1 counts the slow way: decode each whole record, count its
+ *  ids below @p catalog_items. */
+ItemCounts
+decodedOneItemsetCounts(std::span<const std::uint8_t> data,
+                        std::uint32_t catalog_items)
+{
+    ItemCounts counts(catalog_items, 0);
+    for (std::size_t at = 0; at + TransactionRecord::kBytes <= data.size();
+         at += TransactionRecord::kBytes) {
+        const auto record =
+            decodeRecord(data.subspan(at, TransactionRecord::kBytes));
+        for (std::size_t i = 0; i < record.item_count; ++i) {
+            if (record.items[i] < catalog_items)
+                ++counts[record.items[i]];
+        }
+    }
+    return counts;
+}
+
+TEST(Mining, OneItemsetCountsMatchDecodedRecords)
+{
+    // The benches take their reference counts from countOneItemsets
+    // itself, so check it here against decodeRecord on seeded random
+    // bytes: every count byte 0..255 (clamped to
+    // kMaxItems), ids just below, at and above the catalog and far
+    // above it, record counts around the kernel's 256-record block, a
+    // trailing partial record, and a buffer starting at an odd address.
+    util::Rng rng(33);
+    for (const std::uint32_t catalog : {0u, 1u, 16u, 500u}) {
+        for (const std::size_t records : {0u, 1u, 255u, 256u, 257u, 513u}) {
+            for (const std::size_t partial : {0u, 1u, 63u}) {
+                const std::size_t size =
+                    records * TransactionRecord::kBytes + partial;
+                std::vector<std::uint8_t> buffer(1 + size);
+                for (auto &byte : buffer)
+                    byte = static_cast<std::uint8_t>(rng.next());
+                const std::span<const std::uint8_t> data =
+                    std::span(buffer).subspan(1);
+                // Any 256 consecutive records carry every count byte.
+                const std::uint64_t first_count = rng.below(256);
+                for (std::size_t r = 0; r < records; ++r) {
+                    std::uint8_t *record =
+                        buffer.data() + 1 + r * TransactionRecord::kBytes;
+                    record[TransactionRecord::kItemCountAt] =
+                        static_cast<std::uint8_t>(first_count + r);
+                    for (std::size_t i = 0; i < TransactionRecord::kMaxItems;
+                         ++i) {
+                        // One slot in four keeps its random id.
+                        if (rng.below(4) == 0)
+                            continue;
+                        util::storeLe<std::uint32_t>(
+                            record + TransactionRecord::kItemsAt + 4 * i,
+                            static_cast<std::uint32_t>(
+                                rng.below(catalog + 3)));
+                    }
+                }
+                EXPECT_EQ(countOneItemsets(data, catalog),
+                          decodedOneItemsetCounts(data, catalog))
+                    << "catalog " << catalog << ", " << records
+                    << " records + " << partial << " bytes";
+            }
+        }
+    }
 }
 
 TEST(Mining, PlantedPairIsFrequent)
