@@ -15,6 +15,7 @@
  */
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -357,6 +358,55 @@ BENCHMARK(BM_FrequentSetsCounting)
     ->Args({500, 2048})
     ->Args({1000, 2048})
     ->Args({500, 512});
+
+/**
+ * An Active Disks scan's host work over an image of 16 chunks (32 MB,
+ * larger than L2), delivered in 64 KB pieces as a drive's image holds
+ * them. Arg 1 counts each piece where it lies
+ * (apps::OneItemsetCounter); arg 0 copies the pieces into a 512 KB
+ * scan chunk and counts each whole chunk, as the copying read path did.
+ */
+void
+BM_FrequentSetsInPlace(benchmark::State &state)
+{
+    const bool in_place = state.range(0) != 0;
+    constexpr std::size_t kPiece = 64 * 1024;
+    constexpr std::size_t kChunk = 512 * 1024;
+    constexpr std::uint64_t kImageChunks = 16;
+    const auto params = catalogParams(state);
+    apps::TransactionGenerator gen(params);
+    std::vector<std::uint8_t> image;
+    image.reserve(kImageChunks * apps::kChunkBytes);
+    for (std::uint64_t i = 0; i < kImageChunks; ++i) {
+        const auto chunk = gen.chunk(i);
+        image.insert(image.end(), chunk.begin(), chunk.end());
+    }
+    std::vector<std::uint8_t> chunk(kChunk);
+    const std::span<const std::uint8_t> bytes(image);
+    for (auto _ : state) {
+        apps::OneItemsetCounter counter(params.catalog_items);
+        for (std::size_t at = 0; at < bytes.size(); at += kChunk) {
+            for (std::size_t p = 0; p < kChunk; p += kPiece) {
+                const auto piece = bytes.subspan(at + p, kPiece);
+                if (in_place)
+                    counter.add(piece);
+                else
+                    std::copy(piece.begin(), piece.end(), chunk.begin() + p);
+            }
+            if (!in_place) {
+                benchmark::DoNotOptimize(chunk.data());
+                counter.add(chunk);
+            }
+        }
+        benchmark::DoNotOptimize(counter.counts().data());
+    }
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<std::int64_t>(bytes.size()));
+}
+BENCHMARK(BM_FrequentSetsInPlace)
+    ->ArgNames({"catalog", "in_place"})
+    ->Args({500, 0})
+    ->Args({500, 1});
 
 } // namespace
 

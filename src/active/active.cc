@@ -70,17 +70,23 @@ ActiveDiskRuntime::serveScan(RequestCredential cred, RequestParams params,
 
     // Two-stage pipeline: while the drive CPU runs the method over
     // chunk k (stage two, spawned), the object store reads chunk k+1
-    // (stage one, inline). Each chunk goes to consume() the moment it
-    // arrives, host work at zero simulated time, so one buffer is
-    // enough: the next read may overwrite it while stage two is still
-    // charging the kernel's cycles for the bytes it held. Stage two is
-    // joined before the next chunk is consumed and before every exit.
+    // (stage one, inline). The method takes each piece of a chunk the
+    // moment the store delivers it, host work at zero simulated time,
+    // and a chunk the default consumeInPlace() gathers goes to
+    // consume() when its read completes; so one buffer is enough: the
+    // next read may refill it while stage two is still charging the
+    // kernel's cycles for the bytes it held. Stage two is joined before
+    // the next chunk is consumed and before every exit.
     auto method = factory();
-    std::vector<std::uint8_t> chunk(std::min(kScanChunkBytes, size));
+    std::vector<std::uint8_t> chunk;
+    const auto take = [&](std::span<const std::uint8_t> piece) {
+        method->consumeInPlace(piece, chunk);
+    };
     const auto read = [&](std::uint64_t offset) {
-        const std::uint64_t n = std::min(kScanChunkBytes, size - offset);
         return drive_.store().read(cred.pub.partition, params.object_id,
-                                   offset, std::span(chunk).first(n));
+                                   offset,
+                                   std::min(kScanChunkBytes, size - offset),
+                                   take);
     };
     std::uint64_t offset = 0;
     StoreResult<std::uint64_t> got = std::uint64_t{0};
@@ -88,7 +94,10 @@ ActiveDiskRuntime::serveScan(RequestCredential cred, RequestParams params,
         got = co_await read(0);
     while (got.ok() && got.value() > 0 && !drive_.crashed()) {
         const std::uint64_t n = got.value();
-        method->consume(std::span(chunk).first(n));
+        if (!chunk.empty()) {
+            method->consume(chunk);
+            chunk.clear();
+        }
         offset += n;
         bytes_scanned_ += n;
         resp.bytes_scanned += n;
@@ -143,20 +152,35 @@ ActiveDiskClient::scan(CredentialFactory &cred, const std::string &method)
 }
 
 void
+ActiveMethod::consumeInPlace(std::span<const std::uint8_t> piece,
+                             std::vector<std::uint8_t> &chunk)
+{
+    if (chunk.empty())
+        chunk.reserve(ActiveDiskRuntime::kScanChunkBytes);
+    chunk.insert(chunk.end(), piece.begin(), piece.end());
+}
+
+void
 FrequentSetsMethod::consume(std::span<const std::uint8_t> chunk)
 {
-    const auto partial = apps::countOneItemsets(
-        chunk, static_cast<std::uint32_t>(counts_.size()));
-    apps::mergeCounts(counts_, partial);
+    counter_.add(chunk);
+}
+
+void
+FrequentSetsMethod::consumeInPlace(std::span<const std::uint8_t> piece,
+                                   std::vector<std::uint8_t> &)
+{
+    counter_.add(piece);
 }
 
 std::vector<std::uint8_t>
 FrequentSetsMethod::result() const
 {
+    const apps::ItemCounts counts = counter_.counts();
     std::vector<std::uint8_t> out;
     util::Encoder enc(out);
-    enc.put<std::uint32_t>(static_cast<std::uint32_t>(counts_.size()));
-    for (const auto count : counts_)
+    enc.put<std::uint32_t>(static_cast<std::uint32_t>(counts.size()));
+    for (const auto count : counts)
         enc.put<std::uint64_t>(count);
     return out;
 }

@@ -46,6 +46,17 @@ class ActiveMethod
     /** Consume one chunk of object data (in object offset order). */
     virtual void consume(std::span<const std::uint8_t> chunk) = 0;
 
+    /**
+     * Take @p piece of the chunk being scanned where it lies in the
+     * drive's image, the instant the store delivers it. Pieces come in
+     * object offset order and are valid only during the call. The
+     * default copies the piece into @p chunk, which the runtime hands
+     * to consume() when the chunk's read completes; a method that
+     * works on the pieces in place leaves @p chunk empty.
+     */
+    virtual void consumeInPlace(std::span<const std::uint8_t> piece,
+                                std::vector<std::uint8_t> &chunk);
+
     /** Serialized result shipped to the client when the scan ends. */
     virtual std::vector<std::uint8_t> result() const = 0;
 
@@ -84,7 +95,8 @@ class ActiveDiskRuntime
      * object. The drive pays its normal media/cache time to read the
      * data plus the method's per-byte execution cost, pipelined so
      * the read of each chunk overlaps the kernel over the one before;
-     * only the result is returned.
+     * the method takes each piece where the store delivers it
+     * (ActiveMethod::consumeInPlace), and only the result is returned.
      */
     sim::Task<ScanResponse> serveScan(RequestCredential cred,
                                       RequestParams params,
@@ -129,10 +141,13 @@ class FrequentSetsMethod : public ActiveMethod
 {
   public:
     explicit FrequentSetsMethod(std::uint32_t catalog_items)
-        : counts_(catalog_items, 0)
+        : counter_(catalog_items)
     {}
 
     void consume(std::span<const std::uint8_t> chunk) override;
+    /** Counts each piece where the drive holds it. */
+    void consumeInPlace(std::span<const std::uint8_t> piece,
+                        std::vector<std::uint8_t> &chunk) override;
     std::vector<std::uint8_t> result() const override;
 
     double
@@ -146,7 +161,7 @@ class FrequentSetsMethod : public ActiveMethod
         std::span<const std::uint8_t> raw);
 
   private:
-    apps::ItemCounts counts_;
+    apps::OneItemsetCounter counter_;
 };
 
 } // namespace nasd::active

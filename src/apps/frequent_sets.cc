@@ -7,9 +7,15 @@
 
 namespace nasd::apps {
 
-ItemCounts
-countOneItemsets(std::span<const std::uint8_t> data,
-                 std::uint32_t catalog_items)
+namespace {
+
+/** Add the item occurrences of @p data's whole records to the
+ *  @p lanes count tables of @p catalog_items each, consecutive ids to
+ *  consecutive tables; a trailing partial record is ignored. */
+template <std::size_t kLanes>
+void
+countWholeRecords(std::span<const std::uint8_t> data, std::uint64_t *lanes,
+                  std::uint32_t catalog_items)
 {
     // Stage a block of records' ids, then count them in one flat loop:
     // a per-record loop over a count uniform in 3..12 mispredicts
@@ -17,20 +23,73 @@ countOneItemsets(std::span<const std::uint8_t> data,
     constexpr std::size_t kStageRecords = 256;
     constexpr std::size_t kBlockBytes =
         kStageRecords * TransactionRecord::kBytes;
+    // Not zero-filled: stageItems writes every id that is read, and a
+    // scan calls this once per piece of a drive's image.
     std::array<std::uint32_t, kStageRecords * TransactionRecord::kMaxItems>
-        staged{};
-    ItemCounts counts(catalog_items, 0);
+        staged;
     for (std::size_t at = 0; at < data.size(); at += kBlockBytes) {
         const std::size_t n = stageItems(
             data.subspan(at, std::min(kBlockBytes, data.size() - at)),
             staged);
-        for (std::size_t i = 0; i < n; ++i) {
+        std::size_t i = 0;
+        for (; i + kLanes <= n; i += kLanes) {
+            for (std::size_t lane = 0; lane < kLanes; ++lane) {
+                const std::uint32_t item = staged[i + lane];
+                if (item < catalog_items)
+                    ++lanes[lane * catalog_items + item];
+            }
+        }
+        for (; i < n; ++i) {
             const std::uint32_t item = staged[i];
             if (item < catalog_items)
-                ++counts[item];
+                ++lanes[item];
         }
     }
-    return counts;
+}
+
+} // namespace
+
+void
+OneItemsetCounter::add(std::span<const std::uint8_t> piece)
+{
+    constexpr std::size_t kRecord = TransactionRecord::kBytes;
+    if (partial_bytes_ > 0) {
+        const std::size_t take =
+            std::min(kRecord - partial_bytes_, piece.size());
+        std::copy_n(piece.begin(), take, partial_.begin() + partial_bytes_);
+        partial_bytes_ += take;
+        piece = piece.subspan(take);
+        if (partial_bytes_ < kRecord)
+            return;
+        countWholeRecords<kLanes>(partial_, lanes_.data(), catalog_items_);
+        partial_bytes_ = 0;
+    }
+    const std::size_t whole = piece.size() / kRecord * kRecord;
+    countWholeRecords<kLanes>(piece.first(whole), lanes_.data(),
+                              catalog_items_);
+    const auto rest = piece.subspan(whole);
+    std::copy(rest.begin(), rest.end(), partial_.begin());
+    partial_bytes_ = rest.size();
+}
+
+ItemCounts
+OneItemsetCounter::counts() const
+{
+    ItemCounts sum(lanes_.begin(), lanes_.begin() + catalog_items_);
+    for (std::size_t lane = 1; lane < kLanes; ++lane) {
+        for (std::size_t i = 0; i < catalog_items_; ++i)
+            sum[i] += lanes_[lane * catalog_items_ + i];
+    }
+    return sum;
+}
+
+ItemCounts
+countOneItemsets(std::span<const std::uint8_t> data,
+                 std::uint32_t catalog_items)
+{
+    OneItemsetCounter counter(catalog_items);
+    counter.add(data);
+    return counter.counts();
 }
 
 void

@@ -16,6 +16,7 @@
 #ifndef NASD_APPS_FREQUENT_SETS_H_
 #define NASD_APPS_FREQUENT_SETS_H_
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <span>
@@ -36,6 +37,39 @@ using ItemCounts = std::vector<std::uint64_t>;
  *  ~6 MB/s of arriving data, as the paper's 4-producer/1-consumer
  *  threading achieved). */
 inline constexpr double kCountingCyclesPerByte = 4.0;
+
+/**
+ * Pass 1 over records that arrive in pieces of any size, counted where
+ * they lie (an Active Disks scan hands it the drive's image piece by
+ * piece). Adds the item occurrences of every whole record to its
+ * counts; a record split across pieces is carried to the next piece,
+ * and a partial record at the end of the stream is not counted.
+ */
+class OneItemsetCounter
+{
+  public:
+    explicit OneItemsetCounter(std::uint32_t catalog_items)
+        : catalog_items_(catalog_items), lanes_(kLanes * catalog_items, 0)
+    {}
+
+    /** Count the next @p piece of the record stream. */
+    void add(std::span<const std::uint8_t> piece);
+
+    /** The counts of the records counted so far. */
+    ItemCounts counts() const;
+
+  private:
+    /// Consecutive ids are counted into kLanes tables in turn, so the
+    /// increments of a popular id's repeats do not wait on each other;
+    /// counts() sums the tables.
+    static constexpr std::size_t kLanes = 4;
+
+    std::uint32_t catalog_items_;
+    std::vector<std::uint64_t> lanes_; ///< kLanes tables of catalog_items_
+    /// The leading bytes of a record split across pieces.
+    std::array<std::uint8_t, TransactionRecord::kBytes> partial_{};
+    std::size_t partial_bytes_ = 0;
+};
 
 /**
  * Pass 1: count item occurrences in a buffer of records.

@@ -6,7 +6,8 @@
  * a striped set of disks — implements this. Operations are coroutines:
  * they move real bytes immediately and consume simulated time according
  * to the device's timing model. fetch() and writeBack() charge the time
- * alone, so a layer that pokes or peeks its own bytes copies them once.
+ * alone, so a layer that pokes or views its own bytes copies them at
+ * most once.
  */
 #ifndef NASD_DISK_BLOCK_DEVICE_H_
 #define NASD_DISK_BLOCK_DEVICE_H_
@@ -16,6 +17,7 @@
 
 #include "sim/task.h"
 #include "util/attribution.h"
+#include "util/byte_sink.h"
 #include "util/logging.h"
 
 namespace nasd::disk {
@@ -44,8 +46,8 @@ class BlockDevice
 
     /**
      * Charge exactly what read() of the same range charges, and
-     * deliver nothing: a caller peek()s the bytes it wants when this
-     * completes, the instant read() would have copied them.
+     * deliver nothing: a caller view()s or peek()s the bytes it wants
+     * when this completes, the instant read() would have copied them.
      */
     virtual sim::Task<void> fetch(std::uint64_t block, std::uint32_t count,
                                   util::OpAttribution *attr = nullptr) = 0;
@@ -83,19 +85,31 @@ class BlockDevice
 
     /**
      * Zero-time raw byte access (simulation plumbing, not part of the
-     * modeled interface): copy bytes out of the backing store without
+     * modeled interface): hand [byte_offset, byte_offset + length) of
+     * the backing store to @p sink where it lies, in order, one piece
+     * per contiguous run of the image (holes as zeros), without
      * charging simulated time. Higher layers use this for data they
-     * have already paid for (their own cache hits).
+     * have already paid for (a fetch() that completed, their own cache
+     * hits).
      */
-    virtual void peek(std::uint64_t byte_offset,
-                      std::span<std::uint8_t> out) const = 0;
+    virtual void view(std::uint64_t byte_offset, std::uint64_t length,
+                      util::ByteSink sink) const = 0;
 
-    /** Zero-time raw byte update; see peek(). */
+    /** Zero-time copy of bytes out of the backing store: view() into
+     *  @p out. */
+    void
+    peek(std::uint64_t byte_offset, std::span<std::uint8_t> out) const
+    {
+        util::CopySink copy(out);
+        view(byte_offset, out.size(), copy);
+    }
+
+    /** Zero-time raw byte update; see view(). */
     virtual void poke(std::uint64_t byte_offset,
                       std::span<const std::uint8_t> data) = 0;
 
     /** Zero-time zero fill of [byte_offset, byte_offset + length);
-     *  see peek(). Allocates nothing. */
+     *  see view(). Allocates nothing. */
     virtual void zero(std::uint64_t byte_offset, std::uint64_t length) = 0;
 
     /** Total capacity in bytes. */

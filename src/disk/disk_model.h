@@ -74,10 +74,10 @@ class DiskModel : public BlockDevice
     sim::Task<void> flush() override;
 
     void
-    peek(std::uint64_t byte_offset,
-         std::span<std::uint8_t> out) const override
+    view(std::uint64_t byte_offset, std::uint64_t length,
+         util::ByteSink sink) const override
     {
-        data_.read(byte_offset, out);
+        data_.read(byte_offset, length, sink);
     }
 
     void

@@ -198,15 +198,12 @@ StripingDriver::forEachPiece(std::uint64_t byte_offset, std::uint64_t length,
 }
 
 void
-StripingDriver::peek(std::uint64_t byte_offset,
-                     std::span<std::uint8_t> out) const
+StripingDriver::view(std::uint64_t byte_offset, std::uint64_t length,
+                     util::ByteSink sink) const
 {
-    forEachPiece(byte_offset, out.size(),
-                 [&](const BlockDevice &m, std::uint64_t at,
-                     std::uint64_t done, std::uint64_t take) {
-                     m.peek(at, out.subspan(static_cast<std::size_t>(done),
-                                            static_cast<std::size_t>(take)));
-                 });
+    forEachPiece(byte_offset, length,
+                 [&](const BlockDevice &m, std::uint64_t at, std::uint64_t,
+                     std::uint64_t take) { m.view(at, take, sink); });
 }
 
 void

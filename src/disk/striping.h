@@ -45,8 +45,8 @@ class StripingDriver : public BlockDevice
                               util::OpAttribution *attr = nullptr) override;
     sim::Task<void> flush() override;
 
-    void peek(std::uint64_t byte_offset,
-              std::span<std::uint8_t> out) const override;
+    void view(std::uint64_t byte_offset, std::uint64_t length,
+              util::ByteSink sink) const override;
     void poke(std::uint64_t byte_offset,
               std::span<const std::uint8_t> data) override;
     void zero(std::uint64_t byte_offset, std::uint64_t length) override;

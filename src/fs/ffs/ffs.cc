@@ -55,41 +55,6 @@ toString(FsStatus status)
     return "unknown";
 }
 
-// -------------------------------------------------------------- BlockCache
-
-bool
-FfsFileSystem::BlockCache::touch(std::uint32_t block)
-{
-    auto it = map_.find(block);
-    if (it == map_.end())
-        return false;
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return true;
-}
-
-void
-FfsFileSystem::BlockCache::insert(std::uint32_t block)
-{
-    if (touch(block))
-        return;
-    if (map_.size() >= capacity_ && !lru_.empty()) {
-        map_.erase(lru_.back());
-        lru_.pop_back();
-    }
-    lru_.push_front(block);
-    map_[block] = lru_.begin();
-}
-
-void
-FfsFileSystem::BlockCache::erase(std::uint32_t block)
-{
-    auto it = map_.find(block);
-    if (it == map_.end())
-        return;
-    lru_.erase(it->second);
-    map_.erase(it);
-}
-
 // ------------------------------------------------------------ construction
 
 FfsFileSystem::FfsFileSystem(sim::Simulator &sim, disk::BlockDevice &device,
@@ -115,7 +80,7 @@ FfsFileSystem::FfsFileSystem(sim::Simulator &sim, disk::BlockDevice &device,
     block_bitmap_.assign(total_fs_blocks_, false);
     free_fs_blocks_ = total_fs_blocks_;
 
-    cache_ = std::make_unique<BlockCache>(std::max<std::size_t>(
+    cache_ = std::make_unique<util::LruSet>(std::max<std::size_t>(
         8, params_.buffer_cache_bytes / params_.fs_block_bytes));
 }
 

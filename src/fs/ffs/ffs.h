@@ -26,18 +26,17 @@
 
 #include <array>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "disk/block_device.h"
 #include "sim/resource.h"
 #include "sim/simulator.h"
+#include "util/lru_set.h"
 #include "util/result.h"
 #include "util/stats.h"
 
@@ -211,23 +210,6 @@ class FfsFileSystem
         std::size_t stream_count = 0;
     };
 
-    /** LRU set of resident fs blocks (timing only). */
-    class BlockCache
-    {
-      public:
-        explicit BlockCache(std::size_t capacity) : capacity_(capacity) {}
-        bool touch(std::uint32_t block);
-        void insert(std::uint32_t block);
-        void erase(std::uint32_t block);
-
-      private:
-        std::size_t capacity_;
-        std::list<std::uint32_t> lru_;
-        std::unordered_map<std::uint32_t,
-                           std::list<std::uint32_t>::iterator>
-            map_;
-    };
-
     static constexpr std::uint32_t kDirectBlocks = 12;
 
     std::uint32_t deviceBlocksPerFsBlock() const;
@@ -281,7 +263,8 @@ class FfsFileSystem
     std::uint32_t next_alloc_hint_ = 0;
     std::uint64_t stream_clock_ = 0; ///< LRU clock for stream trackers
 
-    std::unique_ptr<BlockCache> cache_;
+    /// Resident fs blocks (timing only).
+    std::unique_ptr<util::LruSet> cache_;
 };
 
 } // namespace nasd::fs

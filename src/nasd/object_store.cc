@@ -28,41 +28,6 @@ constexpr std::uint32_t kInodeBytes = 512;
 
 } // namespace
 
-// --------------------------------------------------------------- UnitCache
-
-bool
-ObjectStore::UnitCache::touch(std::uint32_t unit)
-{
-    auto it = map_.find(unit);
-    if (it == map_.end())
-        return false;
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return true;
-}
-
-void
-ObjectStore::UnitCache::insert(std::uint32_t unit)
-{
-    if (touch(unit))
-        return;
-    if (map_.size() >= capacity_ && !lru_.empty()) {
-        map_.erase(lru_.back());
-        lru_.pop_back();
-    }
-    lru_.push_front(unit);
-    map_[unit] = lru_.begin();
-}
-
-void
-ObjectStore::UnitCache::erase(std::uint32_t unit)
-{
-    auto it = map_.find(unit);
-    if (it == map_.end())
-        return;
-    lru_.erase(it->second);
-    map_.erase(it);
-}
-
 // -------------------------------------------------------------- InodeTable
 
 std::uint32_t
@@ -112,9 +77,9 @@ ObjectStore::ObjectStore(sim::Simulator &sim, disk::BlockDevice &device,
     data_start_block_ = inode_start_block_ + config_.max_inodes;
 
     alloc_ = std::make_unique<ExtentAllocator>(num_units_);
-    data_cache_ = std::make_unique<UnitCache>(std::max<std::size_t>(
+    data_cache_ = std::make_unique<util::LruSet>(std::max<std::size_t>(
         1, config_.data_cache_bytes / config_.alloc_unit_bytes));
-    meta_cache_ = std::make_unique<UnitCache>(config_.meta_cache_inodes);
+    meta_cache_ = std::make_unique<util::LruSet>(config_.meta_cache_inodes);
 }
 
 std::uint32_t
@@ -463,12 +428,13 @@ ObjectStore::physicalUnit(const Inode &inode, std::uint64_t logical) const
 
 sim::Task<void>
 ObjectStore::readRange(const Inode &inode, std::uint64_t offset,
-                       std::span<std::uint8_t> out, OpTrace *trace)
+                       std::uint64_t length, util::ByteSink sink,
+                       OpTrace *trace)
 {
-    if (out.empty())
+    if (length == 0)
         co_return;
     const std::uint64_t ub = config_.alloc_unit_bytes;
-    const std::uint64_t end = offset + out.size();
+    const std::uint64_t end = offset + length;
     const std::uint64_t first = offset / ub;
     const std::uint64_t last = (end - 1) / ub;
 
@@ -494,29 +460,17 @@ ObjectStore::readRange(const Inode &inode, std::uint64_t offset,
         units.push_back(ref);
     }
 
-    // A guarded read (OpTrace::landing) copies only while its attempt
-    // is live; it is checked at every copy, since the caller may have
-    // moved on during any device read.
-    const auto mayLand = [trace] {
-        return trace == nullptr || trace->landing == nullptr ||
-               trace->landing->live == trace->attempt;
-    };
-
-    // Copy one logical unit's piece of the request into `out`.
-    const auto copyPiece = [&](const UnitRef &ref) {
+    // Deliver one logical unit's piece of the request.
+    const auto deliverPiece = [&](const UnitRef &ref) {
         const std::uint64_t u_start = ref.logical * ub;
         const std::uint64_t piece_start = std::max(offset, u_start);
         const std::uint64_t piece_end = std::min(end, u_start + ub);
-        const auto bytes = static_cast<std::size_t>(piece_end - piece_start);
-        if (!mayLand())
-            return bytes;
-        auto dst = out.subspan(
-            static_cast<std::size_t>(piece_start - offset), bytes);
+        const std::uint64_t bytes = piece_end - piece_start;
         if (ref.hole) {
-            std::fill(dst.begin(), dst.end(), 0);
+            util::sinkZeros(bytes, sink);
         } else {
-            device_.peek(unitStartByte(ref.phys) + (piece_start - u_start),
-                         dst);
+            device_.view(unitStartByte(ref.phys) + (piece_start - u_start),
+                         bytes, sink);
         }
         return bytes;
     };
@@ -524,7 +478,7 @@ ObjectStore::readRange(const Inode &inode, std::uint64_t offset,
     std::size_t i = 0;
     while (i < units.size()) {
         if (units[i].hole || units[i].hit) {
-            const auto bytes = copyPiece(units[i]);
+            const auto bytes = deliverPiece(units[i]);
             if (units[i].hit) {
                 stats_.cache_hit_bytes.add(bytes);
                 if (trace != nullptr)
@@ -547,18 +501,14 @@ ObjectStore::readRange(const Inode &inode, std::uint64_t offset,
         const std::uint64_t block =
             data_start_block_ + static_cast<std::uint64_t>(units[i].phys) * bpu;
         // Charge the whole run (the media transfer is unit-granular),
-        // then copy the bytes the request covers straight from the
-        // image into the caller's buffer, the instant the device
-        // delivers them.
+        // then hand the bytes the request covers to the sink straight
+        // from the image, the instant the device delivers them.
         co_await device_.fetch(block, run_units * bpu,
                                trace != nullptr ? trace->attr : nullptr);
-        if (mayLand()) {
-            const std::uint64_t lo = std::max(offset, run_start);
-            const std::uint64_t hi = std::min(end, run_end);
-            device_.peek(unitStartByte(units[i].phys) + (lo - run_start),
-                         out.subspan(static_cast<std::size_t>(lo - offset),
-                                     static_cast<std::size_t>(hi - lo)));
-        }
+        const std::uint64_t lo = std::max(offset, run_start);
+        const std::uint64_t hi = std::min(end, run_end);
+        device_.view(unitStartByte(units[i].phys) + (lo - run_start), hi - lo,
+                     sink);
         stats_.cache_miss_bytes.add(run_bytes);
         if (trace != nullptr)
             trace->device_bytes_read += run_bytes;
@@ -893,7 +843,7 @@ ObjectStore::removeObject(PartitionId pid, ObjectId oid, OpTrace *trace)
 
 sim::Task<util::Result<std::uint64_t, NasdStatus>>
 ObjectStore::read(PartitionId pid, ObjectId oid, std::uint64_t offset,
-                  std::span<std::uint8_t> out, OpTrace *trace)
+                  std::uint64_t length, util::ByteSink sink, OpTrace *trace)
 {
     NASD_ASSERT(mounted_, "store not mounted");
     auto found = findInode(pid, oid);
@@ -905,10 +855,27 @@ ObjectStore::read(PartitionId pid, ObjectId oid, std::uint64_t offset,
     if (offset >= inode.attrs.size)
         co_return std::uint64_t{0};
     const std::uint64_t n =
-        std::min<std::uint64_t>(out.size(), inode.attrs.size - offset);
-    co_await readRange(inode, offset, out.subspan(0, n), trace);
+        std::min<std::uint64_t>(length, inode.attrs.size - offset);
+    co_await readRange(inode, offset, n, sink, trace);
     stats_.reads.add();
     co_return n;
+}
+
+sim::Task<util::Result<std::uint64_t, NasdStatus>>
+ObjectStore::read(PartitionId pid, ObjectId oid, std::uint64_t offset,
+                  std::span<std::uint8_t> out, OpTrace *trace)
+{
+    // A guarded read (OpTrace::landing) copies only while its attempt
+    // is live; it is checked at every piece, since the caller may have
+    // moved on during any device read.
+    std::size_t landed = 0;
+    const auto copy = [&](std::span<const std::uint8_t> piece) {
+        if (trace == nullptr || trace->landing == nullptr ||
+            trace->landing->live == trace->attempt)
+            std::copy(piece.begin(), piece.end(), out.begin() + landed);
+        landed += piece.size();
+    };
+    co_return co_await read(pid, oid, offset, out.size(), copy, trace);
 }
 
 sim::Task<util::Result<void, NasdStatus>>

@@ -26,12 +26,10 @@
 
 #include <array>
 #include <cstdint>
-#include <list>
 #include <map>
 #include <memory>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "disk/block_device.h"
@@ -40,6 +38,8 @@
 #include "sim/simulator.h"
 #include "sim/task.h"
 #include "util/attribution.h"
+#include "util/byte_sink.h"
+#include "util/lru_set.h"
 #include "util/result.h"
 #include "util/stats.h"
 
@@ -105,7 +105,7 @@ struct OpTrace
      *  waits and service phases here (write-behind media drains and
      *  other spawned work are excluded: the op does not wait on them). */
     util::OpAttribution *attr = nullptr;
-    /** When set, a read copies into its buffer only while
+    /** When set, a span read copies into its buffer only while
      *  landing->live == attempt (see ReadLanding). */
     const ReadLanding *landing = nullptr;
     std::uint64_t attempt = 0;
@@ -197,10 +197,22 @@ class ObjectStore
                                               OpTrace *trace = nullptr);
 
     /**
-     * Read up to @p out.size() bytes at @p offset. Returns the byte
-     * count actually read (clamped at end of object). With
-     * @p trace->landing set, each copy into @p out happens only if the
-     * attempt is still live at that instant.
+     * Read up to @p length bytes at @p offset: hand each piece to
+     * @p sink where it lies in the device's image, in offset order,
+     * the instant the device delivers it (a hole as zeros). Returns
+     * the byte count actually read (clamped at end of object), which
+     * the pieces total.
+     */
+    sim::Task<StoreResult<std::uint64_t>>
+    read(PartitionId pid, ObjectId oid, std::uint64_t offset,
+         std::uint64_t length, util::ByteSink sink,
+         OpTrace *trace = nullptr);
+
+    /**
+     * Read up to @p out.size() bytes at @p offset into @p out: the
+     * read above with a sink that copies. With @p trace->landing set,
+     * each piece is copied only if the attempt is still live at that
+     * instant.
      */
     sim::Task<StoreResult<std::uint64_t>>
     read(PartitionId pid, ObjectId oid, std::uint64_t offset,
@@ -293,26 +305,6 @@ class ObjectStore
         std::uint32_t key_epoch = 0;
     };
 
-    /** LRU set of resident data units (timing only; bytes live on the
-     *  device's backing store). */
-    class UnitCache
-    {
-      public:
-        explicit UnitCache(std::size_t capacity) : capacity_(capacity) {}
-
-        bool touch(std::uint32_t unit);         ///< hit test + promote
-        void insert(std::uint32_t unit);        ///< may evict LRU
-        void erase(std::uint32_t unit);
-        std::size_t size() const { return map_.size(); }
-
-      private:
-        std::size_t capacity_;
-        std::list<std::uint32_t> lru_; ///< front = most recent
-        std::unordered_map<std::uint32_t,
-                           std::list<std::uint32_t>::iterator>
-            map_;
-    };
-
     // --- lookups ---------------------------------------------------------
 
     [[nodiscard]] StoreResult<std::uint32_t>
@@ -346,9 +338,10 @@ class ObjectStore
     // --- data path ---------------------------------------------------------
 
     /** Read [offset, offset+length) of the object's data with cache
-     *  accounting; bytes land in @p out. */
+     *  accounting; the bytes go to @p sink. */
     sim::Task<void> readRange(const Inode &inode, std::uint64_t offset,
-                              std::span<std::uint8_t> out, OpTrace *trace);
+                              std::uint64_t length, util::ByteSink sink,
+                              OpTrace *trace);
 
     /** Write @p data at @p offset; extents must already cover it and
      *  be exclusively owned. */
@@ -405,8 +398,10 @@ class ObjectStore
     std::unique_ptr<ExtentAllocator> alloc_;
     ObjectId next_object_id_ = kFirstUserObject;
 
-    std::unique_ptr<UnitCache> data_cache_;
-    std::unique_ptr<UnitCache> meta_cache_;
+    /// Resident data units and inodes (timing only; bytes live on the
+    /// device's backing store).
+    std::unique_ptr<util::LruSet> data_cache_;
+    std::unique_ptr<util::LruSet> meta_cache_;
 };
 
 } // namespace nasd

@@ -39,22 +39,23 @@ SparseStore::write(std::uint64_t offset, std::span<const std::uint8_t> data)
 }
 
 void
-SparseStore::read(std::uint64_t offset, std::span<std::uint8_t> out) const
+SparseStore::read(std::uint64_t offset, std::uint64_t length,
+                  ByteSink sink) const
 {
-    std::size_t done = 0;
-    while (done < out.size()) {
+    std::uint64_t done = 0;
+    while (done < length) {
         const std::uint64_t pos = offset + done;
         const std::uint64_t chunk_index = pos / chunk_size_;
         const std::size_t within = pos % chunk_size_;
-        const std::size_t take =
-            std::min(out.size() - done, chunk_size_ - within);
+        const std::size_t take = static_cast<std::size_t>(
+            std::min<std::uint64_t>(length - done, chunk_size_ - within));
 
         const auto it = chunks_.find(chunk_index);
-        if (it == chunks_.end()) {
-            std::memset(out.data() + done, 0, take);
-        } else {
-            std::memcpy(out.data() + done, it->second.get() + within, take);
-        }
+        if (it == chunks_.end())
+            sinkZeros(take, sink);
+        else
+            sink(std::span<const std::uint8_t>(it->second.get() + within,
+                                               take));
         done += take;
     }
 }

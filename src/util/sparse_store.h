@@ -16,6 +16,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "util/byte_sink.h"
+
 namespace nasd::util {
 
 /** Lazily-allocated, zero-default byte store addressed by offset. */
@@ -28,8 +30,18 @@ class SparseStore
     /** Copy @p data into the store at @p offset. */
     void write(std::uint64_t offset, std::span<const std::uint8_t> data);
 
+    /** Hand bytes [offset, offset + length) to @p sink where they lie,
+     *  one piece per chunk; an unallocated chunk's piece is zeros. */
+    void read(std::uint64_t offset, std::uint64_t length,
+              ByteSink sink) const;
+
     /** Copy bytes [offset, offset + out.size()) into @p out. */
-    void read(std::uint64_t offset, std::span<std::uint8_t> out) const;
+    void
+    read(std::uint64_t offset, std::span<std::uint8_t> out) const
+    {
+        CopySink copy(out);
+        read(offset, out.size(), copy);
+    }
 
     /** Fill [offset, offset+length) with zeros, freeing whole chunks. */
     void trim(std::uint64_t offset, std::uint64_t length);

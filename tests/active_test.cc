@@ -156,6 +156,46 @@ TEST_F(ActiveTest, OnDriveCountsMatchClientSideCounts)
     EXPECT_EQ(runtime.bytesScanned(), chunks * apps::kChunkBytes);
 }
 
+TEST_F(ActiveTest, OnDriveCountsMatchClientSideCountsOverAHoleAndAShortTail)
+{
+    // Transactions in [0, 2 MB) and a short run of them at 3 MB + 4 KB;
+    // the bytes between were never written (zeros in the drive's
+    // image), and the object then grows past its last unit without
+    // allocating (a hole the store hands over as zeros) to a size that
+    // ends inside a record.
+    CapabilityPublic pub;
+    pub.partition = 0;
+    pub.object_id = kPartitionControlObject;
+    pub.rights = kRightCreate;
+    CredentialFactory part_cred(issuer.mint(pub));
+    const ObjectId oid = runFor(sim, nasd_client.create(part_cred, 0)).value();
+    CredentialFactory cred(objectCap(oid));
+    apps::TransactionGenerator gen(params);
+    const auto chunk = gen.chunk(0);
+    ASSERT_TRUE(runFor(sim, nasd_client.write(cred, 0, chunk)).ok());
+    const std::uint64_t tail_at = 3 * kMB + 4096;
+    const auto records = gen.chunk(1);
+    const auto tail = std::span(records).first(
+        1000 * apps::TransactionRecord::kBytes + 23);
+    ASSERT_TRUE(runFor(sim, nasd_client.write(cred, tail_at, tail)).ok());
+    const std::uint64_t size = tail_at + tail.size() + 100'001;
+    SetAttrRequest grow;
+    grow.truncate_size = size;
+    ASSERT_TRUE(runFor(sim, drive.store().setAttributes(0, oid, grow)).ok());
+
+    auto bytes = runFor(sim, nasd_client.read(cred, 0, size));
+    ASSERT_TRUE(bytes.ok());
+    ASSERT_EQ(bytes.value().size(), size);
+    const auto expected =
+        apps::countOneItemsets(bytes.value(), params.catalog_items);
+
+    auto result = runFor(sim, active_client.scan(cred, "frequent-sets"));
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(FrequentSetsMethod::decodeResult(result.value()), expected);
+    EXPECT_EQ(runtime.bytesScanned(), size);
+    EXPECT_GT(expected[1], 0u); // the planted pair's items were counted
+}
+
 TEST_F(ActiveTest, OnlyResultCrossesTheNetwork)
 {
     const ObjectId oid = loadData(4); // 8 MB of data
@@ -375,6 +415,48 @@ TEST_F(ActivePipelineTest, RemovedMidScanReturnsTheStoreErrorAfterJoining)
     // The kernel stage was joined: the drive CPU did no scan work
     // after the handler returned.
     EXPECT_EQ(drive.node().cpu().busyNsUpTo(sim.now()), busy_at_return);
+}
+
+TEST_F(ActivePipelineTest,
+       RemovedMidInPlaceScanReturnsTheStoreErrorAfterJoining)
+{
+    // As above, with the method that counts pieces where they lie.
+    const std::uint64_t size = 8 * kScanChunk;
+    const ObjectId oid = loadOffsets(size);
+
+    std::optional<ScanResponse> resp;
+    spawnScan(oid, "frequent-sets", resp);
+    runUntilScanned(2 * kScanChunk);
+    ASSERT_FALSE(resp.has_value());
+    sim.spawn([](Task<StoreResult<void>> t) -> Task<void> {
+        EXPECT_TRUE((co_await std::move(t)).ok());
+    }(drive.store().removeObject(0, oid)));
+    sim.run();
+
+    ASSERT_TRUE(resp.has_value());
+    EXPECT_EQ(resp->status, NasdStatus::kNoSuchObject);
+    EXPECT_GE(resp->bytes_scanned, 2 * kScanChunk);
+    EXPECT_LT(resp->bytes_scanned, size);
+    EXPECT_TRUE(resp->result.empty());
+    EXPECT_EQ(drive.node().cpu().busyNsUpTo(sim.now()), busy_at_return);
+}
+
+TEST_F(ActivePipelineTest, CrashMidInPlaceScanRejectsTheScan)
+{
+    const std::uint64_t size = 8 * kScanChunk;
+    const ObjectId oid = loadOffsets(size);
+
+    std::optional<ScanResponse> resp;
+    spawnScan(oid, "frequent-sets", resp);
+    runUntilScanned(2 * kScanChunk);
+    ASSERT_FALSE(resp.has_value());
+    drive.crash();
+    sim.run();
+
+    ASSERT_TRUE(resp.has_value());
+    EXPECT_EQ(resp->status, NasdStatus::kDriveUnavailable);
+    EXPECT_LT(resp->bytes_scanned, size);
+    EXPECT_TRUE(resp->result.empty());
 }
 
 TEST_F(ActivePipelineTest, CrashMidScanRejectsTheScan)

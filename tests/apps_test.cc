@@ -6,7 +6,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
+#include <span>
 
 #include "apps/andrew.h"
 #include "apps/andrew_targets.h"
@@ -309,6 +311,52 @@ TEST(Mining, OneItemsetCountsMatchDecodedRecords)
                     << " records + " << partial << " bytes";
             }
         }
+    }
+}
+
+TEST(Mining, CounterOverAnyPieceSplitMatchesWholeBuffer)
+{
+    // An Active Disks scan counts a drive's image piece by piece, where
+    // each piece lies: pieces of any length, records split between
+    // them, 1-byte and empty pieces, and a partial record at the end.
+    DatasetParams params;
+    params.catalog_items = 500;
+    TransactionGenerator gen(params);
+    const auto chunk = gen.chunk(0);
+    util::Rng rng(34);
+    for (const std::size_t tail : {0u, 1u, 37u, 63u}) {
+        const std::size_t size = 600 * TransactionRecord::kBytes + tail;
+        const auto data = std::span<const std::uint8_t>(chunk).first(size);
+        const ItemCounts whole = countOneItemsets(data, params.catalog_items);
+        for (int split = 0; split < 8; ++split) {
+            OneItemsetCounter counter(params.catalog_items);
+            std::size_t at = 0;
+            std::size_t pieces = 0;
+            while (at < size) {
+                // Mostly short pieces that end inside a record, some
+                // empty or a single byte, now and then a long one.
+                std::size_t len = rng.below(3 * TransactionRecord::kBytes);
+                switch (rng.below(8)) {
+                  case 0: len = 0; break;
+                  case 1: len = 1; break;
+                  case 2: len = rng.below(40 * TransactionRecord::kBytes); break;
+                  default: break;
+                }
+                len = std::min(len, size - at);
+                counter.add(data.subspan(at, len));
+                at += len;
+                ++pieces;
+            }
+            counter.add({});
+            EXPECT_EQ(counter.counts(), whole)
+                << "tail " << tail << ", split " << split << " (" << pieces
+                << " pieces)";
+        }
+        // One byte at a time.
+        OneItemsetCounter bytewise(params.catalog_items);
+        for (std::size_t at = 0; at < size; ++at)
+            bytewise.add(data.subspan(at, 1));
+        EXPECT_EQ(bytewise.counts(), whole) << "tail " << tail;
     }
 }
 

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <numeric>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "disk/disk_model.h"
@@ -16,6 +17,8 @@
 #include "sim/simulator.h"
 #include "sim/task.h"
 #include "util/attribution.h"
+#include "util/byte_sink.h"
+#include "util/rng.h"
 #include "util/sparse_store.h"
 #include "util/units.h"
 
@@ -119,6 +122,127 @@ TEST(SparseStore, PartialTrimZeroes)
     for (int i = 100; i < 150; ++i)
         EXPECT_EQ(out[i], 0);
     EXPECT_EQ(out[150], orig[150]);
+}
+
+/** The pieces view() hands over for one range, each with its offset. */
+struct Viewed
+{
+    std::vector<std::uint8_t> bytes;
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> pieces;
+};
+
+template <typename ViewFn>
+Viewed
+collectView(std::uint64_t offset, std::uint64_t length, ViewFn view)
+{
+    Viewed got;
+    auto sink = [&](std::span<const std::uint8_t> piece) {
+        got.pieces.emplace_back(offset + got.bytes.size(), piece.size());
+        got.bytes.insert(got.bytes.end(), piece.begin(), piece.end());
+    };
+    view(offset, length, util::ByteSink(sink));
+    return got;
+}
+
+/** Every piece is non-empty and stays inside one @p granule. */
+void
+expectPiecesWithin(const Viewed &got, std::uint64_t granule)
+{
+    for (const auto &[at, size] : got.pieces) {
+        ASSERT_GT(size, 0u) << "piece at " << at;
+        EXPECT_EQ(at / granule, (at + size - 1) / granule)
+            << "piece [" << at << ", " << at + size << ")";
+    }
+}
+
+TEST(SparseStore, ViewedPiecesConcatenateToTheCopiedBytes)
+{
+    // A 1 MB image of 16 KB chunks: some written, some never written
+    // (holes), one written and then trimmed whole, one partly.
+    util::SparseStore store(16 * kKB);
+    const auto data = pattern(1 * kMB, 3);
+    std::vector<std::uint8_t> image(data.size()); // what it must hold
+    for (std::uint64_t c = 0; c < 64; ++c) {
+        if (c % 3 == 1)
+            continue;
+        const auto piece = std::span(data).subspan(c * 16 * kKB, 16 * kKB);
+        store.write(c * 16 * kKB, piece);
+        std::copy(piece.begin(), piece.end(),
+                  image.begin() + static_cast<std::ptrdiff_t>(c * 16 * kKB));
+    }
+    for (const auto &[at, n] : {std::pair<std::uint64_t, std::uint64_t>{
+                                    6 * 16 * kKB, 16 * kKB},
+                                {9 * 16 * kKB + 100, 5000}}) {
+        store.trim(at, n);
+        std::fill_n(image.begin() + static_cast<std::ptrdiff_t>(at), n, 0);
+    }
+    util::Rng rng(41);
+    for (int trial = 0; trial < 300; ++trial) {
+        const std::uint64_t offset = rng.below(1 * kMB);
+        const std::uint64_t length = rng.below(1 * kMB - offset + 1);
+        const auto got = collectView(
+            offset, length,
+            [&](std::uint64_t at, std::uint64_t n, util::ByteSink sink) {
+                store.read(at, n, sink);
+            });
+        const auto from = image.begin() + static_cast<std::ptrdiff_t>(offset);
+        ASSERT_EQ(got.bytes, std::vector<std::uint8_t>(
+                                 from, from + static_cast<std::ptrdiff_t>(
+                                                  length)))
+            << "[" << offset << ", +" << length << ")";
+        std::vector<std::uint8_t> copied(length);
+        store.read(offset, copied);
+        EXPECT_EQ(got.bytes, copied);
+        expectPiecesWithin(got, 16 * kKB);
+    }
+}
+
+TEST(Striping, ViewedPiecesConcatenateToPeekedBytes)
+{
+    // Two members striped at 32 KB over 64 KB store chunks: a range
+    // crosses stripe units, member chunks, never-written holes (the
+    // second half of the image) and a zeroed stretch.
+    Simulator sim;
+    DiskModel d0(sim, medallistParams());
+    DiskModel d1(sim, medallistParams());
+    StripingDriver stripe(sim, {&d0, &d1}, 32 * kKB);
+    const auto data = pattern(2 * kMB, 5);
+    stripe.poke(0, data);
+    stripe.zero(300 * kKB, 200 * kKB);
+    std::vector<std::uint8_t> image(4 * kMB); // what the stripe holds
+    std::copy(data.begin(), data.end(), image.begin());
+    std::fill_n(image.begin() + 300 * kKB, 200 * kKB, 0);
+    util::Rng rng(42);
+    for (int trial = 0; trial < 300; ++trial) {
+        const std::uint64_t offset = rng.below(4 * kMB);
+        const std::uint64_t length =
+            rng.below(std::min<std::uint64_t>(1 * kMB, 4 * kMB - offset) + 1);
+        const auto got = collectView(
+            offset, length,
+            [&](std::uint64_t at, std::uint64_t n, util::ByteSink sink) {
+                stripe.view(at, n, sink);
+            });
+        const auto from = image.begin() + static_cast<std::ptrdiff_t>(offset);
+        ASSERT_EQ(got.bytes, std::vector<std::uint8_t>(
+                                 from, from + static_cast<std::ptrdiff_t>(
+                                                  length)))
+            << "[" << offset << ", +" << length << ")";
+        // A member hands over its own image, one piece per store chunk.
+        for (const BlockDevice *dev :
+             {static_cast<const BlockDevice *>(&stripe),
+              static_cast<const BlockDevice *>(&d0)}) {
+            const auto viewed = collectView(
+                offset, length,
+                [&](std::uint64_t at, std::uint64_t n, util::ByteSink sink) {
+                    dev->view(at, n, sink);
+                });
+            std::vector<std::uint8_t> peeked(length);
+            dev->peek(offset, peeked);
+            ASSERT_EQ(viewed.bytes, peeked)
+                << "[" << offset << ", +" << length << ")";
+            expectPiecesWithin(viewed, dev == &stripe ? 32 * kKB : 64 * kKB);
+        }
+    }
 }
 
 // ----------------------------------------------------------------- disk
